@@ -2,25 +2,23 @@
 //! replay and the critical-path greedy adversary.
 
 use crate::schedule::{Crash, Decision, Drift, Fallback, Rejoin, Schedule};
-use csp_graph::{EdgeId, NodeId, Weight};
-use csp_sim::{DelayOracle, LinkDecision, LinkOracle, MsgInfo, SimTime};
+use csp_graph::Weight;
+use csp_sim::{DelayOracle, FaultPlan, LinkDecision, LinkOracle, MsgInfo, SimTime};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Wraps any [`LinkOracle`] (every [`DelayOracle`] qualifies through the
-/// blanket shim) and records every decision it makes — delays, drops,
-/// churn plans (crashes and rejoins) and weight drift — producing a
+/// blanket impl) and records every decision it makes — delays, drops
+/// and the fault plan (crashes, rejoins, weight drift) — producing a
 /// [`Schedule`] that replays the run exactly.
 ///
 /// The recorded delay is the *effective* one — clamped into
 /// `[1, w(e)]` exactly as the runtime clamps it — so a recording never
-/// disagrees with the run it transcribed. Churn is transcribed at the
-/// [`churn_plan`](LinkOracle::churn_plan) /
-/// [`drift_plan`](LinkOracle::drift_plan) hooks the executors actually
-/// query (crash-stop oracles flow through the default
-/// `crash_at → churn_plan` derivation), so a recorded crash-stop run
-/// still yields a `v2` schedule, byte-identical to what the old
-/// `crash_at` transcription produced.
+/// disagrees with the run it transcribed. The fault plan is transcribed
+/// where the executors take it in ([`LinkOracle::fault_plan`]): crash
+/// and rejoin lines in vertex order, drift lines in plan order, so a
+/// recording is byte-stable however the inner oracle ordered its
+/// chains.
 #[derive(Clone, Debug)]
 pub struct Recorder<O> {
     inner: O,
@@ -101,26 +99,26 @@ impl<O: LinkOracle> LinkOracle for Recorder<O> {
         decision
     }
 
-    fn churn_plan(&mut self, node: NodeId) -> Vec<SimTime> {
-        let plan = self.inner.churn_plan(node);
-        // Toggles alternate crash / rejoin / crash / …
-        for (i, t) in plan.iter().enumerate() {
-            if i % 2 == 0 {
-                self.crashes.push(Crash { node, at: t.get() });
-            } else {
-                self.rejoins.push(Rejoin { node, at: t.get() });
+    fn fault_plan(&mut self) -> FaultPlan {
+        let plan = self.inner.fault_plan();
+        let mut chains: Vec<_> = plan.churn.iter().collect();
+        chains.sort_by_key(|(node, _)| *node);
+        for &(node, ref chain) in chains {
+            // Toggles alternate crash / rejoin / crash / …
+            for (i, t) in chain.iter().enumerate() {
+                if i % 2 == 0 {
+                    self.crashes.push(Crash { node, at: t.get() });
+                } else {
+                    self.rejoins.push(Rejoin { node, at: t.get() });
+                }
             }
         }
-        plan
-    }
-
-    fn drift_plan(&mut self) -> Vec<(EdgeId, SimTime, Weight)> {
-        let plan = self.inner.drift_plan();
-        self.drifts.extend(plan.iter().map(|&(edge, at, w)| Drift {
-            edge,
-            at: at.get(),
-            weight: w.get(),
-        }));
+        self.drifts
+            .extend(plan.drift.iter().map(|&(edge, at, w)| Drift {
+                edge,
+                at: at.get(),
+                weight: w.get(),
+            }));
         plan
     }
 
@@ -132,7 +130,8 @@ impl<O: LinkOracle> LinkOracle for Recorder<O> {
 /// Replays a [`Schedule`]: message `i` takes the recorded fate of
 /// decision `i` — its delay, or a drop — as long as the run still
 /// dispatches the same message (same edge and direction) at that index;
-/// crashed vertices come straight from the schedule's crash list.
+/// the fault plan comes straight from the schedule's crash, rejoin and
+/// drift lists.
 ///
 /// Past the recorded prefix — or at any mismatching index, which happens
 /// when a *mutated* schedule steers the protocol down a different path —
@@ -191,31 +190,20 @@ impl LinkOracle for ScheduleOracle<'_> {
         }
     }
 
-    fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-        // Earliest crash, for crash-stop-only consumers; with churn a
-        // vertex may crash more than once and file order is free.
-        self.schedule
-            .crashes
-            .iter()
-            .filter(|c| c.node == node)
-            .map(|c| SimTime::new(c.at))
-            .min()
-    }
-
-    fn churn_plan(&mut self, node: NodeId) -> Vec<SimTime> {
-        self.schedule
-            .churn_of(node)
-            .into_iter()
-            .map(SimTime::new)
-            .collect()
-    }
-
-    fn drift_plan(&mut self) -> Vec<(EdgeId, SimTime, Weight)> {
-        self.schedule
-            .drifts
-            .iter()
-            .map(|d| (d.edge, SimTime::new(d.at), Weight::new(d.weight)))
-            .collect()
+    fn fault_plan(&mut self) -> FaultPlan {
+        let s = self.schedule;
+        let churned: BTreeSet<_> = (s.crashes.iter().map(|c| c.node))
+            .chain(s.rejoins.iter().map(|r| r.node))
+            .collect();
+        FaultPlan {
+            churn: churned
+                .into_iter()
+                .map(|v| (v, s.churn_of(v).into_iter().map(SimTime::new).collect()))
+                .collect(),
+            drift: (s.drifts.iter())
+                .map(|d| (d.edge, SimTime::new(d.at), Weight::new(d.weight)))
+                .collect(),
+        }
     }
 }
 
@@ -313,15 +301,15 @@ mod tests {
                     deliver(2)
                 }
             }
-            fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-                (node.index() == 1).then_some(SimTime::new(30))
+            fn fault_plan(&mut self) -> FaultPlan {
+                FaultPlan {
+                    churn: vec![(NodeId::new(1), vec![SimTime::new(30)])],
+                    drift: Vec::new(),
+                }
             }
         }
         let mut rec = Recorder::new(Hostile);
-        // Executors query churn through the churn_plan hook; crash-stop
-        // oracles flow through the default crash_at derivation.
-        assert!(rec.churn_plan(NodeId::new(0)).is_empty());
-        assert_eq!(rec.churn_plan(NodeId::new(1)), vec![SimTime::new(30)]);
+        let plan = rec.fault_plan();
         assert_eq!(rec.decide(&info(0, 7, 0)), LinkDecision::Drop);
         assert_eq!(rec.decide(&info(1, 7, 0)), deliver(2));
         let s = rec.into_schedule(Fallback::WorstCase);
@@ -338,77 +326,85 @@ mod tests {
         let mut o = ScheduleOracle::new(&s);
         assert_eq!(o.decide(&info(0, 7, 0)), LinkDecision::Drop);
         assert_eq!(o.decide(&info(1, 7, 0)), deliver(2));
-        assert_eq!(o.crash_at(NodeId::new(1)), Some(SimTime::new(30)));
-        assert_eq!(o.crash_at(NodeId::new(2)), None);
+        assert_eq!(o.fault_plan(), plan);
         assert_eq!(o.divergences, 0);
     }
 
-    #[test]
-    fn recorder_transcribes_churn_and_the_replay_serves_it() {
-        use crate::schedule::{Drift, Rejoin};
-        use csp_sim::{ChurnOracle, DelayModel, ModelOracle};
-        let churny = ChurnOracle::new(
-            ModelOracle::new(DelayModel::WorstCase, 0),
-            vec![(
-                NodeId::new(2),
-                vec![SimTime::new(5), SimTime::new(9), SimTime::new(20)],
-            )],
-            vec![(EdgeId::new(1), SimTime::new(6), Weight::new(11))],
-        );
-        let mut rec = Recorder::new(churny);
-        assert_eq!(
-            rec.churn_plan(NodeId::new(2)),
-            vec![SimTime::new(5), SimTime::new(9), SimTime::new(20)]
-        );
-        assert!(rec.churn_plan(NodeId::new(0)).is_empty());
-        assert_eq!(
-            rec.drift_plan(),
-            vec![(EdgeId::new(1), SimTime::new(6), Weight::new(11))]
-        );
+    /// One run under `stack`, recorded: the plan the stack hands over,
+    /// the plan the run's meters saw, and the recording's text.
+    fn record_under<O: LinkOracle>(what: &str, mut stack: O, want: &FaultPlan) -> Schedule {
+        use csp_algo::flood::Flood;
+        let mut plan = stack.fault_plan();
+        plan.churn.sort();
+        assert_eq!(&plan, want, "{what}: plan handed over");
+        let g = csp_graph::generators::cycle(5, |_| 4);
+        let mut rec = Recorder::new(stack);
+        let run = csp_sim::Simulator::new(&g)
+            .run_with_oracle(&mut rec, |v, _| Flood::new(v == NodeId::new(0)))
+            .unwrap();
+        assert_eq!(run.cost.crashed_nodes, 2, "{what}: crashed_nodes");
+        assert_eq!(run.cost.recoveries, 1, "{what}: recoveries");
+        assert_eq!(run.cost.weight_revisions, 1, "{what}: weight_revisions");
         let s = rec.into_schedule(Fallback::WorstCase);
-        assert_eq!(
-            s.crashes,
-            vec![
-                Crash {
-                    node: NodeId::new(2),
-                    at: 5
-                },
-                Crash {
-                    node: NodeId::new(2),
-                    at: 20
-                }
-            ]
+        assert_eq!(Schedule::from_text(&s.to_text()).unwrap(), s, "{what}");
+        s
+    }
+
+    /// A crash-stop, a crash–rejoin–recrash chain and a weight revision
+    /// reach the run — and its recording — unchanged through every
+    /// wrapper stack, however the stack splits and orders them.
+    #[test]
+    fn fault_plans_survive_every_wrapper_stack() {
+        use crate::trace::ArrivalProbe;
+        use csp_sim::{ChurnOracle, CrashOracle, DelayModel, DropOracle, ModelOracle};
+        let t = SimTime::new;
+        let crash = (NodeId::new(1), t(30));
+        let chain = (NodeId::new(2), vec![t(5), t(9), t(20)]);
+        let drift = (EdgeId::new(1), t(6), Weight::new(11));
+        let want = FaultPlan {
+            churn: vec![(crash.0, vec![crash.1]), chain.clone()],
+            drift: vec![drift],
+        };
+        let flat = record_under(
+            "Recorder<ChurnOracle<ModelOracle>>",
+            ChurnOracle::new(
+                ModelOracle::new(DelayModel::WorstCase, 0),
+                // Listed against vertex order: the recording sorts.
+                vec![chain.clone(), (crash.0, vec![crash.1])],
+                vec![drift],
+            ),
+            &want,
         );
-        assert_eq!(
-            s.rejoins,
-            vec![Rejoin {
-                node: NodeId::new(2),
-                at: 9
-            }]
+        let text = flat.to_text();
+        assert!(
+            text.starts_with(
+                "csp-adversary-schedule v3\nfallback worst-case\n\
+                 c 1 30\nc 2 5\nc 2 20\nr 2 9\nw 1 6 11\n# index"
+            ),
+            "{text}"
         );
-        assert_eq!(
-            s.drifts,
-            vec![Drift {
-                edge: EdgeId::new(1),
-                at: 6,
-                weight: 11
-            }]
+        let never_drops = DropOracle::new(DelayModel::WorstCase, 0, 0.0, 1);
+        let nested = record_under(
+            "Recorder<CrashOracle<ChurnOracle<DropOracle>>>",
+            CrashOracle::new(
+                ChurnOracle::new(never_drops, vec![chain], vec![drift]),
+                vec![crash],
+            ),
+            &want,
         );
-        assert!(s.has_churn());
-        // The replay oracle serves the full plan back, and its
-        // crash-stop view is the earliest crash.
-        let mut o = ScheduleOracle::new(&s);
-        assert_eq!(
-            o.churn_plan(NodeId::new(2)),
-            vec![SimTime::new(5), SimTime::new(9), SimTime::new(20)]
+        assert_eq!(nested.to_text(), text, "nested wrappers");
+        let replayed = record_under(
+            "Recorder<ScheduleOracle>",
+            ScheduleOracle::new(&flat),
+            &want,
         );
-        assert_eq!(o.crash_at(NodeId::new(2)), Some(SimTime::new(5)));
-        assert_eq!(
-            o.drift_plan(),
-            vec![(EdgeId::new(1), SimTime::new(6), Weight::new(11))]
+        assert_eq!(replayed.to_text(), text, "replay of the recording");
+        let traced = record_under(
+            "Recorder<ArrivalProbe<ScheduleOracle>>",
+            ArrivalProbe::new(ScheduleOracle::new(&flat)),
+            &want,
         );
-        // Text round-trip preserves the plans exactly.
-        assert_eq!(Schedule::from_text(&s.to_text()).unwrap(), s);
+        assert_eq!(traced.to_text(), text, "trace recorder");
     }
 
     #[test]

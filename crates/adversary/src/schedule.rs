@@ -223,10 +223,9 @@ impl Schedule {
         }
     }
 
-    /// The merged crash/rejoin toggle times of `node`, sorted — exactly
-    /// the per-vertex plan [`csp_sim::LinkOracle::churn_plan`] serves
-    /// (odd positions are crashes, even positions rejoins). Empty for a
-    /// vertex the schedule never touches.
+    /// The merged crash/rejoin toggle times of `node`, sorted — the
+    /// vertex's toggle chain in a [`csp_sim::FaultPlan`] (crash first,
+    /// then alternating). Empty for a vertex the schedule never touches.
     pub fn churn_of(&self, node: NodeId) -> Vec<u64> {
         let mut plan: Vec<u64> = self
             .crashes

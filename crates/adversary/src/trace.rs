@@ -63,8 +63,8 @@ use crate::schedule::{Decision, Fallback, Schedule};
 use crate::search::{SearchConfig, SearchOutcome};
 use csp_graph::{EdgeId, NodeId, WeightedGraph};
 use csp_sim::{
-    DelayModel, EvalPool, LinkDecision, LinkOracle, ModelOracle, MsgInfo, Process, Run, SimTime,
-    Simulator,
+    DelayModel, EvalPool, FaultPlan, LinkDecision, LinkOracle, ModelOracle, MsgInfo, Process, Run,
+    SimTime, Simulator,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -124,13 +124,13 @@ impl TraceStep {
 /// through [`LinkOracle::observe_arrival`]. Dropped messages produce no
 /// step — they never arrive.
 #[derive(Clone, Debug)]
-struct ArrivalProbe<O> {
+pub(crate) struct ArrivalProbe<O> {
     inner: O,
     steps: Vec<TraceStep>,
 }
 
 impl<O> ArrivalProbe<O> {
-    fn new(inner: O) -> Self {
+    pub(crate) fn new(inner: O) -> Self {
         ArrivalProbe {
             inner,
             steps: Vec::new(),
@@ -157,16 +157,8 @@ impl<O: LinkOracle> LinkOracle for ArrivalProbe<O> {
         decision
     }
 
-    fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-        self.inner.crash_at(node)
-    }
-
-    fn churn_plan(&mut self, node: NodeId) -> Vec<SimTime> {
-        self.inner.churn_plan(node)
-    }
-
-    fn drift_plan(&mut self) -> Vec<(csp_graph::EdgeId, SimTime, csp_graph::Weight)> {
-        self.inner.drift_plan()
+    fn fault_plan(&mut self) -> FaultPlan {
+        self.inner.fault_plan()
     }
 
     fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {

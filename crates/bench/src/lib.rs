@@ -72,9 +72,8 @@ pub fn clock_workload(n: usize, heavy: u64) -> Workload {
 }
 
 /// The Figure-3 MST workloads — shared by the Criterion bench
-/// (`benches/fig3_mst.rs`), the report generator and the event-core
-/// microbench (`src/bin/sim_core_bench.rs`) so they all measure the
-/// same graphs.
+/// (`benches/fig3_mst.rs`), the report generator and `bench_all`'s
+/// `sim_hot` workload so they all measure the same graphs.
 pub fn fig3_workloads() -> Vec<Workload> {
     vec![
         regime_a(28),

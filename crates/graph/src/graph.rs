@@ -386,8 +386,9 @@ impl WeightedGraph {
 
     /// Heap bytes of the graph's three flat arrays (edge table, CSR
     /// offsets, CSR incident ids) — the `bytes/vertex` numerator
-    /// reported by `scale_bench`. Capacity slack is excluded: this is
-    /// the steady-state footprint of the layout, not of the builder.
+    /// `bench_all` reports as `graph.bytes_per_vertex`. Capacity slack
+    /// is excluded: this is the steady-state footprint of the layout,
+    /// not of the builder.
     pub fn memory_bytes(&self) -> usize {
         self.edges.len() * std::mem::size_of::<Edge>()
             + self.adj_off.len() * std::mem::size_of::<u32>()

@@ -45,7 +45,7 @@ pub struct ServiceConfig {
     /// Message interval between stored checkpoints on cold runs.
     pub checkpoint_every: u64,
     /// Whether the prefix-sharing cache is active. Off, every scenario
-    /// runs cold — the baseline `serve_bench` measures against.
+    /// runs cold.
     pub cache: bool,
     /// Cache capacity limits.
     pub caps: CacheCaps,

@@ -7,7 +7,7 @@
 //! core in [`crate::runtime`] replaced it in the hot path; this copy
 //! stays as the executable specification the optimized core is checked
 //! against (see the `flat_core_differential` test suite) and as the
-//! before-side of the `sim_core_bench` microbenchmark.
+//! before-side of `bench_all`'s `sim.runtime.baseline_ratio`.
 //!
 //! Semantics match [`crate::runtime::Simulator`] exactly for runs without
 //! a communication budget. With [`BaselineSimulator::comm_limit`] set it
@@ -126,24 +126,23 @@ impl<'g> BaselineSimulator<'g> {
         let mut cost = CostReport::new(g.edge_count());
         // The baseline predates churn: it understands the crash-stop
         // special case only, and rejects anything richer loudly rather
-        // than silently diverging from the flat core. Plans are queried
-        // in the same per-vertex-then-drift order as the flat core, so
-        // a recording oracle sees an identical stream.
-        let crash: Vec<Option<SimTime>> = g
-            .nodes()
-            .map(|v| {
-                let plan = oracle.churn_plan(v);
-                assert!(
-                    plan.len() <= 1,
-                    "BaselineSimulator understands crash-stop only; vertex {v} has a rejoin scheduled"
-                );
-                plan.first().copied()
-            })
-            .collect();
+        // than silently diverging from the flat core. The plan is
+        // queried at the same point as there — after the states are
+        // built — so a recording oracle sees an identical stream.
+        let plan = oracle.fault_plan();
         assert!(
-            oracle.drift_plan().is_empty(),
+            plan.drift.is_empty(),
             "BaselineSimulator does not support weight drift"
         );
+        let mut crash: Vec<Option<SimTime>> = vec![None; n];
+        for (v, chain) in plan.churn {
+            assert!(
+                chain.len() <= 1,
+                "BaselineSimulator understands crash-stop only; vertex {v} has a rejoin scheduled"
+            );
+            assert!(crash[v.index()].is_none(), "{v} has two churn chains");
+            crash[v.index()] = chain.first().copied();
+        }
         cost.crashed_nodes = crash.iter().filter(|c| c.is_some()).count() as u64;
         let crashed = |v: NodeId, now: SimTime| crash[v.index()].is_some_and(|t| now >= t);
 

@@ -95,20 +95,19 @@ pub struct CostReport {
     /// Messages the adversary dropped: metered (the sender paid) and
     /// counted in [`CostReport::messages`], but never delivered.
     pub drops: u64,
-    /// Vertices the adversary assigned a crash time
-    /// ([`LinkOracle::crash_at`](crate::LinkOracle::crash_at) returned
-    /// `Some`), whether or not the run lasted long enough to reach it.
+    /// Vertices with a toggle chain in the adversary's
+    /// [`FaultPlan`](crate::FaultPlan), whether or not the run lasted
+    /// long enough to reach their first crash.
     pub crashed_nodes: u64,
     /// Events (deliveries and timer fires) silently consumed by a
     /// crashed vertex — traffic paid for but lost to a dead receiver.
     pub dead_events: u64,
-    /// Rejoins in the adversary's churn plans
-    /// ([`LinkOracle::churn_plan`](crate::LinkOracle::churn_plan)):
+    /// Rejoins in the adversary's [`FaultPlan`](crate::FaultPlan):
     /// vertices restarting with fresh protocol state, counted whether or
     /// not the run lasted long enough to reach them.
     pub recoveries: u64,
-    /// Mid-run edge-weight revisions in the adversary's drift plan
-    /// ([`LinkOracle::drift_plan`](crate::LinkOracle::drift_plan)).
+    /// Mid-run edge-weight revisions in the adversary's
+    /// [`FaultPlan`](crate::FaultPlan).
     pub weight_revisions: u64,
     /// Scheduling-queue pushes that landed beyond the bucket core's
     /// window and fell back to the overflow heap

@@ -5,10 +5,11 @@
 //! simulator realizes a spectrum of adversaries, from the fixed per-edge
 //! policies of [`DelayModel`] up to fully general per-message
 //! [`LinkOracle`]s, which additionally decide *whether* a message
-//! arrives at all ([`LinkDecision::Drop`]) and whether a vertex crashes
-//! ([`LinkOracle::crash_at`]). The `csp-adversary` crate builds schedule
-//! search, record/replay and counterexample shrinking on top of the
-//! oracle hook.
+//! arrives at all ([`LinkDecision::Drop`]) and hand the runtime a
+//! [`FaultPlan`] — which vertices crash and rejoin, and which edge
+//! weights drift — before time zero ([`LinkOracle::fault_plan`]). The
+//! `csp-adversary` crate builds schedule search, record/replay and
+//! counterexample shrinking on top of the oracle hook.
 //!
 //! **Quantization deviation (stated here, once).** Delays are quantized
 //! to at least one tick so that every run has finitely many events per
@@ -90,14 +91,9 @@ pub struct MsgInfo {
     pub sent: SimTime,
 }
 
-/// The legacy delay-only adversary interface.
-///
-/// **Deprecated name.** `DelayOracle` is superseded by [`LinkOracle`],
-/// which subsumes it (every `DelayOracle` is a `LinkOracle` through a
-/// blanket impl that always delivers). The trait is kept for one release
-/// so downstream delay-only oracles keep compiling; new code should
-/// implement [`LinkOracle`] directly. It will be removed in the release
-/// after next.
+/// The delay-only adversary interface: every `DelayOracle` is a
+/// [`LinkOracle`] that always delivers and plans no faults, through a
+/// blanket impl.
 ///
 /// Oracles are stateful (`&mut self`): recording, replaying and
 /// search-strategy oracles all need memory.
@@ -127,6 +123,51 @@ pub enum LinkDecision {
     Drop,
 }
 
+/// What the adversary does to vertices and edge weights, fixed before
+/// time zero: plain data, handed over once through
+/// [`LinkOracle::fault_plan`].
+///
+/// * `churn` — sparse per-vertex **toggle chains**: strictly increasing
+///   times alternating crash, rejoin, crash, … (even positions crash,
+///   odd positions rejoin); a one-entry chain is classic crash-stop.
+///   From a crash instant on (inclusive — a crash at 0 even suppresses
+///   `on_start`) the vertex is dead: its deliveries and timer fires are
+///   consumed silently, and senders still pay for messages sent to it.
+///   A rejoin restarts it with **fresh protocol state** (`on_start`
+///   runs again at the rejoin instant); timers armed by the previous
+///   incarnation die, while in-flight messages arriving at or after the
+///   rejoin reach the fresh state.
+/// * `drift` — edge-weight revisions `(edge, time, new weight)`. A
+///   revision holds for every event processed at or after its time:
+///   delays on the edge clamp into the new `[1, w]`, sends meter at the
+///   new weight, and protocols observe it through
+///   [`Context::weight_of`](crate::Context::weight_of). Same-instant
+///   revisions apply in plan order.
+///
+/// The runtime validates the plan at intake, whichever oracle produced
+/// it, and panics naming the offender: every chain strictly increasing,
+/// at most one chain per vertex, every vertex and edge inside the graph.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct FaultPlan {
+    /// Per-vertex toggle chains, at most one per vertex, in any order.
+    pub churn: Vec<(NodeId, Vec<SimTime>)>,
+    /// Weight revisions, in plan order.
+    pub drift: Vec<(EdgeId, SimTime, Weight)>,
+}
+
+impl FaultPlan {
+    /// This plan followed by `other`'s chains and revisions — how a
+    /// wrapping oracle composes its own faults with its inner oracle's
+    /// (`inner.fault_plan().merge(mine)`). Two chains for one vertex
+    /// are not reconciled here; intake rejects them.
+    #[must_use]
+    pub fn merge(mut self, other: FaultPlan) -> FaultPlan {
+        self.churn.extend(other.churn);
+        self.drift.extend(other.drift);
+        self
+    }
+}
+
 /// Decides each message's fate at dispatch time — the simulator's
 /// adversary interface.
 ///
@@ -134,63 +175,28 @@ pub enum LinkDecision {
 /// [`LinkDecision`]: deliver after some delay, or drop. Delivered delays
 /// are clamped into `[1, w(e)]`, and per-directed-edge FIFO order is
 /// still enforced afterwards, so an oracle can never reorder a channel —
-/// only stretch, squeeze or puncture it. The optional [`crash_at`]
-/// hook additionally fails whole vertices at chosen times.
+/// only stretch, squeeze or puncture it. Vertex churn and weight drift
+/// are not per-message decisions: the oracle states them once, as a
+/// [`FaultPlan`].
 ///
 /// Every [`DelayOracle`] is a `LinkOracle` through a blanket impl that
 /// always delivers, so delay-only adversaries (the common case) need not
-/// mention drops at all. The fixed [`DelayModel`] policies are
+/// mention faults at all. The fixed [`DelayModel`] policies are
 /// re-expressed as the stateless-per-message [`ModelOracle`].
-///
-/// [`crash_at`]: LinkOracle::crash_at
 pub trait LinkOracle {
     /// Returns the fate of the message described by `msg`.
     fn decide(&mut self, msg: &MsgInfo) -> LinkDecision;
 
-    /// Crash time of `node`, if the adversary fails it.
+    /// The adversary's vertex churn and weight drift for this run.
     ///
-    /// Queried once per vertex when a run starts (before any handler
-    /// executes). From the returned time onward the vertex is dead: its
-    /// pending and future deliveries and timer fires are silently
-    /// consumed, and it executes no handlers. A crash at time 0 even
-    /// suppresses `on_start`. Senders still pay for messages sent *to* a
-    /// crashed vertex — the loss is discovered, not announced.
-    ///
-    /// The default adversary crashes nobody.
-    fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-        let _ = node;
-        None
-    }
-
-    /// The full *churn plan* of `node`: a strictly increasing sequence
-    /// of toggle times, alternating crash, rejoin, crash, … (so even
-    /// positions are crashes and odd positions are rejoins).
-    ///
-    /// Queried once per vertex when a run starts, instead of
-    /// [`crash_at`](LinkOracle::crash_at) — the default derives a
-    /// crash-stop plan from `crash_at`, so every existing oracle keeps
-    /// its exact behavior (including its query sequence). A rejoined
-    /// vertex restarts with **fresh protocol state** (its `on_start`
-    /// runs again at the rejoin time); timers armed by the previous
-    /// incarnation are silently consumed as dead events, while
-    /// in-flight messages that arrive at or after the rejoin are
-    /// delivered to the fresh state.
-    fn churn_plan(&mut self, node: NodeId) -> Vec<SimTime> {
-        self.crash_at(node).into_iter().collect()
-    }
-
-    /// Mid-run edge-weight revisions: `(edge, time, new weight)` drift
-    /// events. Queried once when a run starts, after the per-vertex
-    /// churn plans.
-    ///
-    /// A revision takes effect for every event processed at or after
-    /// its time: subsequent delays on the edge are clamped into the new
-    /// `[1, w]`, sends are metered at the new weight, and protocols
-    /// observe it through
-    /// [`Context::weight_of`](crate::Context::weight_of). The default
-    /// adversary never drifts a weight.
-    fn drift_plan(&mut self) -> Vec<(EdgeId, SimTime, Weight)> {
-        Vec::new()
+    /// Queried exactly once when a run starts, after the per-vertex
+    /// states are built and before any handler executes; a run resumed
+    /// from a [`Checkpoint`](crate::Checkpoint) carries its plan in the
+    /// snapshot and never asks. Wrapping oracles forward the inner plan,
+    /// [`merge`](FaultPlan::merge)d with their own. The default
+    /// adversary plans nothing.
+    fn fault_plan(&mut self) -> FaultPlan {
+        FaultPlan::default()
     }
 
     /// Observes the *effective arrival time* of a delivered message,
@@ -200,26 +206,20 @@ pub trait LinkOracle {
     /// This is dispatch-point race metadata: `arrival` is exactly when
     /// the message will be handed to its receiver, so an observing
     /// oracle sees the full `(MsgInfo, arrival)` pair for every
-    /// delivery of the run — what `csp-adversary`'s trace layer needs
-    /// to compute happens-before and dependent races without guessing
-    /// at floor interactions. Both in-memory queue cores (bucket and
-    /// heap) dispatch through the same code path, so the hook fires
-    /// identically under either.
+    /// delivery of the run, in dispatch order — what `csp-adversary`'s
+    /// trace layer needs to compute happens-before and dependent races
+    /// without guessing at floor interactions. Every executor reports
+    /// the same stream.
     ///
     /// Purely observational: the runtime ignores anything this does,
     /// dropped messages are never reported (they have no arrival), and
-    /// the default does nothing — committed-schedule semantics are
-    /// unchanged.
+    /// the default does nothing.
     fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
         let _ = (msg, arrival);
     }
 }
 
 /// Every delay-only oracle is a link oracle that always delivers.
-///
-/// This is the one-release compatibility shim for the [`DelayOracle`] →
-/// [`LinkOracle`] redesign: downstream `DelayOracle` impls keep working
-/// everywhere a `LinkOracle` is expected.
 impl<T: DelayOracle + ?Sized> LinkOracle for T {
     fn decide(&mut self, msg: &MsgInfo) -> LinkDecision {
         LinkDecision::Deliver {
@@ -319,13 +319,14 @@ impl LinkOracle for DropOracle {
     }
 }
 
-/// An inner [`LinkOracle`] plus a fixed vertex-crash plan.
+/// An inner [`LinkOracle`] plus crash-stop failures.
 ///
-/// Message fates are delegated to the inner oracle untouched; crash
-/// times come from the plan. This is the composable way to add crashes
-/// to any existing adversary — e.g. `CrashOracle` over a [`DropOracle`]
-/// exercises the full drop-and-crash fault model the self-healing
-/// protocols in `csp-algo` are written against.
+/// Message fates are delegated to the inner oracle untouched; each
+/// `(vertex, time)` pair becomes a one-toggle chain merged onto the
+/// inner oracle's own [`FaultPlan`]. This is the composable way to add
+/// crashes to any existing adversary — e.g. `CrashOracle` over a
+/// [`DropOracle`] exercises the full drop-and-crash fault model the
+/// self-healing protocols in `csp-algo` are written against.
 #[derive(Clone, Debug)]
 pub struct CrashOracle<O> {
     inner: O,
@@ -333,18 +334,9 @@ pub struct CrashOracle<O> {
 }
 
 impl<O: LinkOracle> CrashOracle<O> {
-    /// Wraps `inner` with the given `(vertex, crash time)` plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan crashes the same vertex twice.
+    /// Wraps `inner` with the given `(vertex, crash time)` pairs. The
+    /// run rejects a vertex crashed twice (see [`FaultPlan`]).
     pub fn new(inner: O, crashes: Vec<(NodeId, SimTime)>) -> Self {
-        for (i, &(v, _)) in crashes.iter().enumerate() {
-            assert!(
-                crashes[..i].iter().all(|&(u, _)| u != v),
-                "vertex {v} crashed twice"
-            );
-        }
         CrashOracle { inner, crashes }
     }
 
@@ -359,15 +351,11 @@ impl<O: LinkOracle> LinkOracle for CrashOracle<O> {
         self.inner.decide(msg)
     }
 
-    fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-        self.crashes
-            .iter()
-            .find(|&&(v, _)| v == node)
-            .map(|&(_, t)| t)
-    }
-
-    fn drift_plan(&mut self) -> Vec<(EdgeId, SimTime, Weight)> {
-        self.inner.drift_plan()
+    fn fault_plan(&mut self) -> FaultPlan {
+        self.inner.fault_plan().merge(FaultPlan {
+            churn: self.crashes.iter().map(|&(v, t)| (v, vec![t])).collect(),
+            drift: Vec::new(),
+        })
     }
 
     fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
@@ -375,49 +363,30 @@ impl<O: LinkOracle> LinkOracle for CrashOracle<O> {
     }
 }
 
-/// An inner [`LinkOracle`] plus a full churn plan: per-vertex
-/// crash/rejoin toggle sequences and mid-run edge-weight drift.
-///
-/// The crash-stop [`CrashOracle`] generalized: each vertex may crash,
-/// recover (restarting with fresh protocol state) and crash again, per
-/// its [`churn plan`](LinkOracle::churn_plan), and edge weights may be
-/// revised mid-run per the [`drift plan`](LinkOracle::drift_plan).
-/// Message fates are delegated to the inner oracle untouched.
+/// An inner [`LinkOracle`] plus a full [`FaultPlan`]: per-vertex
+/// crash/rejoin toggle chains and mid-run edge-weight drift, merged
+/// onto whatever the inner oracle plans itself. Message fates are
+/// delegated to the inner oracle untouched.
 #[derive(Clone, Debug)]
 pub struct ChurnOracle<O> {
     inner: O,
-    /// Validated per-vertex toggle plans, looked up linearly.
-    churn: Vec<(NodeId, Vec<SimTime>)>,
-    drifts: Vec<(EdgeId, SimTime, Weight)>,
+    plan: FaultPlan,
 }
 
 impl<O: LinkOracle> ChurnOracle<O> {
-    /// Wraps `inner` with per-vertex toggle plans (strictly increasing
-    /// times, alternating crash / rejoin) and a weight-drift plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vertex appears twice or a plan's times are not
-    /// strictly increasing.
+    /// Wraps `inner` with per-vertex toggle chains and weight
+    /// revisions; the run validates them (see [`FaultPlan`]).
     pub fn new(
         inner: O,
         churn: Vec<(NodeId, Vec<SimTime>)>,
         drifts: Vec<(EdgeId, SimTime, Weight)>,
     ) -> Self {
-        for (i, (v, plan)) in churn.iter().enumerate() {
-            assert!(
-                churn[..i].iter().all(|(u, _)| u != v),
-                "vertex {v} has two churn plans"
-            );
-            assert!(
-                plan.windows(2).all(|w| w[0] < w[1]),
-                "churn plan for {v} must be strictly increasing"
-            );
-        }
         ChurnOracle {
             inner,
-            churn,
-            drifts,
+            plan: FaultPlan {
+                churn,
+                drift: drifts,
+            },
         }
     }
 
@@ -432,25 +401,8 @@ impl<O: LinkOracle> LinkOracle for ChurnOracle<O> {
         self.inner.decide(msg)
     }
 
-    fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-        // First toggle of the plan, for consumers that only understand
-        // crash-stop (e.g. the baseline reference simulator's guard).
-        self.churn
-            .iter()
-            .find(|(v, _)| *v == node)
-            .and_then(|(_, plan)| plan.first().copied())
-    }
-
-    fn churn_plan(&mut self, node: NodeId) -> Vec<SimTime> {
-        self.churn
-            .iter()
-            .find(|(v, _)| *v == node)
-            .map(|(_, plan)| plan.clone())
-            .unwrap_or_default()
-    }
-
-    fn drift_plan(&mut self) -> Vec<(EdgeId, SimTime, Weight)> {
-        self.drifts.clone()
+    fn fault_plan(&mut self) -> FaultPlan {
+        self.inner.fault_plan().merge(self.plan.clone())
     }
 
     fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
@@ -532,8 +484,8 @@ mod tests {
 
     #[test]
     fn delay_oracles_are_link_oracles_that_always_deliver() {
-        // The compatibility shim: `ModelOracle` only implements
-        // `DelayOracle`, yet answers `decide` with the sampled delay.
+        // `ModelOracle` only implements `DelayOracle`, yet answers
+        // `decide` with the sampled delay and plans no faults.
         let mut direct = ModelOracle::new(DelayModel::Uniform, 3);
         let mut shimmed = ModelOracle::new(DelayModel::Uniform, 3);
         for i in 0..50 {
@@ -545,7 +497,7 @@ mod tests {
                 }
             );
         }
-        assert_eq!(LinkOracle::crash_at(&mut shimmed, NodeId::new(0)), None);
+        assert_eq!(shimmed.fault_plan(), FaultPlan::default());
     }
 
     #[test]
@@ -574,92 +526,6 @@ mod tests {
         assert_eq!(oracle.decide(&chan(1, 1)), LinkDecision::Drop);
         assert_ne!(oracle.decide(&chan(2, 0)), LinkDecision::Drop);
         assert_ne!(oracle.decide(&chan(3, 1)), LinkDecision::Drop);
-    }
-
-    #[test]
-    fn crash_oracle_delegates_fates_and_serves_the_plan() {
-        let mut bare = ModelOracle::new(DelayModel::Uniform, 4);
-        let mut wrapped = CrashOracle::new(
-            ModelOracle::new(DelayModel::Uniform, 4),
-            vec![(NodeId::new(2), SimTime::new(9))],
-        );
-        for i in 0..20 {
-            assert_eq!(wrapped.decide(&info(i, 5)), bare.decide(&info(i, 5)));
-        }
-        assert_eq!(wrapped.crash_at(NodeId::new(2)), Some(SimTime::new(9)));
-        assert_eq!(wrapped.crash_at(NodeId::new(0)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "crashed twice")]
-    fn crash_oracle_rejects_duplicate_victims() {
-        let plan = vec![
-            (NodeId::new(1), SimTime::new(3)),
-            (NodeId::new(1), SimTime::new(5)),
-        ];
-        let _ = CrashOracle::new(ModelOracle::new(DelayModel::WorstCase, 0), plan);
-    }
-
-    #[test]
-    fn default_churn_plan_derives_from_crash_at() {
-        let mut crash = CrashOracle::new(
-            ModelOracle::new(DelayModel::WorstCase, 0),
-            vec![(NodeId::new(3), SimTime::new(7))],
-        );
-        assert_eq!(crash.churn_plan(NodeId::new(3)), vec![SimTime::new(7)]);
-        assert_eq!(crash.churn_plan(NodeId::new(0)), Vec::<SimTime>::new());
-        assert!(crash.drift_plan().is_empty());
-        let mut plain = ModelOracle::new(DelayModel::WorstCase, 0);
-        assert!(LinkOracle::churn_plan(&mut plain, NodeId::new(0)).is_empty());
-    }
-
-    #[test]
-    fn churn_oracle_serves_plans_and_delegates_fates() {
-        let mut bare = ModelOracle::new(DelayModel::Uniform, 4);
-        let mut wrapped = ChurnOracle::new(
-            ModelOracle::new(DelayModel::Uniform, 4),
-            vec![(
-                NodeId::new(2),
-                vec![SimTime::new(5), SimTime::new(9), SimTime::new(20)],
-            )],
-            vec![(EdgeId::new(1), SimTime::new(6), Weight::new(11))],
-        );
-        for i in 0..20 {
-            assert_eq!(wrapped.decide(&info(i, 5)), bare.decide(&info(i, 5)));
-        }
-        assert_eq!(
-            wrapped.churn_plan(NodeId::new(2)),
-            vec![SimTime::new(5), SimTime::new(9), SimTime::new(20)]
-        );
-        assert_eq!(wrapped.crash_at(NodeId::new(2)), Some(SimTime::new(5)));
-        assert!(wrapped.churn_plan(NodeId::new(0)).is_empty());
-        assert_eq!(
-            wrapped.drift_plan(),
-            vec![(EdgeId::new(1), SimTime::new(6), Weight::new(11))]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn churn_oracle_rejects_unordered_plans() {
-        let _ = ChurnOracle::new(
-            ModelOracle::new(DelayModel::WorstCase, 0),
-            vec![(NodeId::new(1), vec![SimTime::new(9), SimTime::new(3)])],
-            vec![],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "two churn plans")]
-    fn churn_oracle_rejects_duplicate_vertices() {
-        let _ = ChurnOracle::new(
-            ModelOracle::new(DelayModel::WorstCase, 0),
-            vec![
-                (NodeId::new(1), vec![SimTime::new(3)]),
-                (NodeId::new(1), vec![SimTime::new(5)]),
-            ],
-            vec![],
-        );
     }
 
     #[test]

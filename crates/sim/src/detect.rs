@@ -1,7 +1,7 @@
 //! `Detect<P>`: a heartbeat failure detector delivering
 //! `peer_suspected` upcalls to crash-aware protocols.
 //!
-//! The fault adversary ([`LinkOracle::crash_at`](crate::LinkOracle::crash_at))
+//! The fault adversary ([`LinkOracle::fault_plan`](crate::LinkOracle::fault_plan))
 //! kills vertices silently: a crashed peer simply stops answering, and a
 //! protocol that waits for it deadlocks or truncates its output. This
 //! module adds the standard remedy — timer-driven neighbor monitoring —
@@ -446,7 +446,9 @@ impl<P: FaultAware> FaultAware for Detect<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::{ChurnOracle, DelayModel, DropOracle, LinkDecision, LinkOracle, MsgInfo};
+    use crate::delay::{
+        ChurnOracle, DelayModel, DropOracle, FaultPlan, LinkDecision, LinkOracle, MsgInfo,
+    };
     use crate::reliable::Reliable;
     use crate::runtime::{CoreKind, Simulator};
     use csp_graph::{generators, Weight, WeightedGraph};
@@ -513,8 +515,11 @@ mod tests {
                 delay: msg.weight.get(),
             }
         }
-        fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-            (node == self.0).then_some(self.1)
+        fn fault_plan(&mut self) -> FaultPlan {
+            FaultPlan {
+                churn: vec![(self.0, vec![self.1])],
+                drift: Vec::new(),
+            }
         }
     }
 

@@ -61,6 +61,7 @@ pub mod baseline;
 pub mod cost;
 pub mod delay;
 pub mod detect;
+mod kernel;
 pub mod process;
 pub mod queue;
 pub mod reliable;
@@ -74,8 +75,8 @@ pub mod trace;
 pub use baseline::BaselineSimulator;
 pub use cost::{CostClass, CostReport};
 pub use delay::{
-    ChurnOracle, CrashOracle, DelayModel, DelayOracle, DropOracle, LinkDecision, LinkOracle,
-    ModelOracle, MsgInfo,
+    ChurnOracle, CrashOracle, DelayModel, DelayOracle, DropOracle, FaultPlan, LinkDecision,
+    LinkOracle, ModelOracle, MsgInfo,
 };
 pub use detect::{Detect, DetectConfig, DetectMsg, FaultAware};
 pub use process::{Context, MsgToken, Process, TimerId};

@@ -187,7 +187,7 @@ impl<'a, M: Clone + std::fmt::Debug> Context<'a, M> {
 
     /// Current effective weight of edge `e`: the graph weight unless the
     /// adversary revised it mid-run
-    /// ([`LinkOracle::drift_plan`](crate::LinkOracle::drift_plan)), in
+    /// ([`FaultPlan::drift`](crate::FaultPlan::drift)), in
     /// which case the revision visible at the current time is returned.
     /// Protocols that derive timeouts from weights (failure-detector
     /// horizons, retransmission timers) should read weights through

@@ -330,7 +330,9 @@ impl<P: FaultAware> FaultAware for Reliable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::{DelayModel, DropOracle, LinkDecision, LinkOracle, ModelOracle, MsgInfo};
+    use crate::delay::{
+        DelayModel, DropOracle, FaultPlan, LinkDecision, LinkOracle, ModelOracle, MsgInfo,
+    };
     use crate::runtime::{CoreKind, Simulator};
     use crate::time::SimTime;
     use csp_graph::generators;
@@ -433,8 +435,11 @@ mod tests {
             fn decide(&mut self, _msg: &MsgInfo) -> LinkDecision {
                 LinkDecision::Deliver { delay: 1 }
             }
-            fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-                (node == NodeId::new(1)).then_some(SimTime::ZERO)
+            fn fault_plan(&mut self) -> FaultPlan {
+                FaultPlan {
+                    churn: vec![(NodeId::new(1), vec![SimTime::ZERO])],
+                    drift: Vec::new(),
+                }
             }
         }
         let g = generators::path(3, |_| 2);
@@ -523,8 +528,11 @@ mod tests {
             fn decide(&mut self, _msg: &MsgInfo) -> LinkDecision {
                 LinkDecision::Deliver { delay: 1 }
             }
-            fn crash_at(&mut self, node: NodeId) -> Option<SimTime> {
-                (node == NodeId::new(1)).then_some(SimTime::ZERO)
+            fn fault_plan(&mut self) -> FaultPlan {
+                FaultPlan {
+                    churn: vec![(NodeId::new(1), vec![SimTime::ZERO])],
+                    drift: Vec::new(),
+                }
             }
         }
         let g = generators::path(3, |_| 2);

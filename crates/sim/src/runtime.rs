@@ -17,10 +17,10 @@
 //!   reference.
 //! * Per-directed-edge **FIFO floors** live in a flat `Vec<SimTime>` of
 //!   length `2·m`, indexed by `2·edge + direction` — no hashing, and no
-//!   `n²` table.
-//! * The handler outbox buffers are drained by dispatch and recycled
-//!   through [`Context`], so a warm run performs zero allocations per
-//!   delivered event.
+//!   `n²` table — beside the meters, in the kernel's ledger.
+//! * The handler outbox buffers are drained by the send step and
+//!   recycled through [`Context`](crate::Context), so a warm run
+//!   performs zero allocations per delivered event.
 //!
 //! The communication budget ([`Simulator::comm_limit`]) is enforced at
 //! *dispatch* time: the send that first pushes the metered cost past the
@@ -29,21 +29,15 @@
 //!
 //! # Faults and timers
 //!
-//! The dispatch hook is a [`LinkOracle`]: besides choosing delays it may
-//! [`Drop`](LinkDecision::Drop) messages (metered, index-consuming, but
-//! never enqueued) and toggle vertices between alive and crashed at
-//! chosen times ([`LinkOracle::churn_plan`], queried once per vertex at
-//! start — the crash-stop special case is a single-toggle plan derived
-//! from [`LinkOracle::crash_at`]). Events addressed to a crashed vertex
-//! — deliveries and timer fires alike — are consumed as dead events. A
-//! rejoin toggle restarts the vertex with a *fresh* protocol state:
-//! `on_start` runs again at the rejoin instant, timers armed by earlier
-//! incarnations are retired behind a per-vertex floor, and in-flight
-//! messages arriving at or after the rejoin reach the fresh state.
-//! Edge weights may also drift mid-run ([`LinkOracle::drift_plan`]):
-//! from a revision's instant onward, delay clamping, cost metering and
-//! [`Context::weight_of`](crate::Context::weight_of) all see the new
-//! weight. Local timers
+//! What a send costs, when it arrives, who is alive to receive it and
+//! what a popped event does are all decided in the crate's dispatch
+//! kernel (`kernel.rs`, shared with [`crate::shard`]); this module owns
+//! the queue those decisions are scheduled on and the run loop that
+//! pops it. The dispatch hook is a [`LinkOracle`]: besides
+//! choosing delays it may [`Drop`](crate::LinkDecision::Drop) messages
+//! (metered, index-consuming, but never enqueued) and, through its
+//! [`FaultPlan`](crate::FaultPlan), crash and restart vertices and
+//! revise edge weights mid-run. Local timers
 //! ([`Context::set_timer`](crate::Context::set_timer) /
 //! [`Process::on_timer`]) share the event queue and its deterministic
 //! `(time, seq)` order but are free: they meter no communication and a
@@ -68,14 +62,14 @@
 //!   between runs, reporting only an [`EvalSummary`] instead of
 //!   returning owned state.
 
-use crate::cost::{CostClass, CostReport};
-use crate::delay::{DelayModel, LinkDecision, LinkOracle, ModelOracle, MsgInfo};
-use crate::process::{Context, Process, TimerId};
+use crate::cost::CostReport;
+use crate::delay::{DelayModel, LinkOracle, ModelOracle};
+use crate::kernel::{Event, Kernel, Sink};
+use crate::process::Process;
 use crate::queue::{BucketQueue, HeapQueue, QueueEntry};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
-use csp_graph::{Cost, EdgeId, NodeId, Weight, WeightedGraph};
-use std::collections::HashSet;
+use crate::trace::Trace;
+use csp_graph::{Cost, NodeId, WeightedGraph};
 use std::error::Error;
 use std::fmt;
 
@@ -129,32 +123,6 @@ pub enum CoreKind {
     /// The retained `BinaryHeap` core ([`HeapQueue`]) — the reference
     /// implementation the bucket core is differentially tested against.
     Heap,
-}
-
-/// One in-flight message: everything needed at delivery time. `Copy`
-/// for copyable payloads so slab restores on the checkpoint-resume path
-/// specialize to memcpy.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Delivery<M> {
-    pub(crate) to: NodeId,
-    pub(crate) from: NodeId,
-    pub(crate) msg: M,
-    pub(crate) sent: SimTime,
-    pub(crate) class: CostClass,
-    pub(crate) edge: EdgeId,
-}
-
-/// One scheduled occurrence: a message delivery, a local timer fire, or
-/// a scheduled rejoin of a churned vertex. All three ride the same
-/// `(time, seq)` queue, so the merged order is deterministic. Rejoins
-/// are pushed at time zero with the lowest sequence numbers, so on a
-/// time tie the restart runs before anything else at that instant and
-/// messages arriving exactly then reach the fresh state.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Event<M> {
-    Msg(Delivery<M>),
-    Timer { node: NodeId, id: u64 },
-    Rejoin { node: NodeId },
 }
 
 /// The scheduling queue behind [`EventCore`], dispatched by [`CoreKind`].
@@ -232,41 +200,37 @@ impl Queue {
     }
 }
 
-/// Flat-array event core: scheduling queue + payload slab + FIFO floors.
+/// Flat-array event core: scheduling queue + payload slab.
 ///
 /// See the [module docs](self) for the layout rationale.
-struct EventCore<M> {
+#[derive(Clone, Debug)]
+pub(crate) struct EventCore<M> {
     /// Min-queue of `(arrival, seq, slot)`. `seq` is globally unique so
     /// ties at equal arrival break in send order, exactly like the
     /// baseline's `(arrival, seq)` key.
-    queue: Queue,
+    pub(crate) queue: Queue,
     /// Payloads, indexed by slot. `None` marks a free slot.
     slab: Vec<Option<Event<M>>>,
     /// Slots vacated by delivered events, reused before growing the slab.
     free: Vec<usize>,
-    /// Earliest admissible arrival per directed edge, indexed by
-    /// `2·edge + direction`. `SimTime::ZERO` is the identity for the
-    /// `max` floor update since every arrival is strictly positive.
-    fifo_floor: Vec<SimTime>,
-    seq: u64,
+    /// Sequence number the next [`Sink::push`] takes.
+    pub(crate) seq: u64,
 }
 
 impl<M> EventCore<M> {
-    fn new(kind: CoreKind, edge_count: usize, max_delay: u64) -> Self {
+    pub(crate) fn new(kind: CoreKind, max_delay: u64) -> Self {
         EventCore {
             queue: Queue::new(kind, max_delay),
             slab: Vec::new(),
             free: Vec::new(),
-            fifo_floor: vec![SimTime::ZERO; 2 * edge_count],
             seq: 0,
         }
     }
 
-    /// Rewinds the core to a fresh state for `edge_count`/`max_delay`,
-    /// keeping every allocation that still fits (the pooled-evaluation
-    /// path). A kind change or an undersized bucket window rebuilds just
-    /// the queue.
-    fn reset(&mut self, kind: CoreKind, edge_count: usize, max_delay: u64) {
+    /// Rewinds the core to a fresh state for `max_delay`, keeping every
+    /// allocation that still fits (the pooled-evaluation path). A kind
+    /// change or an undersized bucket window rebuilds just the queue.
+    fn reset(&mut self, kind: CoreKind, max_delay: u64) {
         self.ensure_queue(kind, max_delay);
         match &mut self.queue {
             Queue::Bucket(q) => q.clear(),
@@ -274,8 +238,6 @@ impl<M> EventCore<M> {
         }
         self.slab.clear();
         self.free.clear();
-        self.fifo_floor.clear();
-        self.fifo_floor.resize(2 * edge_count, SimTime::ZERO);
         self.seq = 0;
     }
 
@@ -292,13 +254,9 @@ impl<M> EventCore<M> {
         }
     }
 
-    /// The FIFO-floor index of the channel `from --eid--> other`.
-    #[inline]
-    fn channel(&self, g: &WeightedGraph, eid: EdgeId, from: NodeId) -> usize {
-        2 * eid.index() + usize::from(g.edge(eid).u() != from)
-    }
-
-    fn push(&mut self, arrival: SimTime, event: Event<M>) {
+    /// Schedules `event` under an externally assigned `seq` — the
+    /// sharded runtime numbers pushes on its leader.
+    pub(crate) fn push_seq(&mut self, at: SimTime, seq: u64, event: Event<M>) {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slab[s] = Some(event);
@@ -309,221 +267,68 @@ impl<M> EventCore<M> {
                 self.slab.len() - 1
             }
         };
-        self.queue.push(arrival.get(), self.seq, slot);
-        self.seq += 1;
+        self.queue.push(at.get(), seq, slot);
     }
 
-    fn pop(&mut self) -> Option<(SimTime, Event<M>)> {
-        let (now, _seq, slot) = self.queue.pop()?;
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Event<M>)> {
+        let (now, seq, slot) = self.queue.pop()?;
         let event = self.slab[slot].take().expect("slab slot holds payload");
         self.free.push(slot);
-        Some((SimTime::new(now), event))
+        Some((SimTime::new(now), seq, event))
+    }
+}
+
+impl<M> Sink<M> for EventCore<M> {
+    #[inline]
+    fn push(&mut self, at: SimTime, event: Event<M>) {
+        self.push_seq(at, self.seq, event);
+        self.seq += 1;
     }
 }
 
 impl<M: Clone> EventCore<M> {
-    /// Overwrites the core with a checkpoint's event state, reusing the
-    /// existing allocations where possible.
-    fn restore_from<P: Process<Msg = M>>(&mut self, cp: &Checkpoint<P>) {
-        self.slab.clone_from(&cp.slab);
-        self.free.clone_from(&cp.free);
-        self.fifo_floor.clone_from(&cp.fifo_floor);
-        self.queue.restore(&cp.queue);
-        self.seq = cp.seq;
+    /// Overwrites the core with a snapshot, reusing the existing
+    /// allocations where possible.
+    fn restore(&mut self, src: &EventCore<M>) {
+        self.slab.clone_from(&src.slab);
+        self.free.clone_from(&src.free);
+        self.queue.restore(&src.queue);
+        self.seq = src.seq;
     }
 }
 
-/// The complete mutable state of a run in flight: process states, cost
-/// meters, the event core and the recycled handler buffers. Owned by a
-/// single run, or retained across runs inside an [`EvalPool`].
+/// The complete mutable state of a run in flight: the executor-agnostic
+/// [`Kernel`] plus the event core it schedules into. Owned by a single
+/// run, or retained across runs inside an [`EvalPool`].
+#[derive(Clone, Debug)]
 struct Machine<P: Process> {
-    states: Vec<P>,
-    cost: CostReport,
+    kernel: Kernel<P>,
     core: EventCore<P::Msg>,
-    truncated: bool,
-    trace: Trace,
-    events: u64,
-    outbox: Vec<(NodeId, P::Msg, CostClass)>,
-    out_edges: Vec<EdgeId>,
-    /// Adversary-chosen churn plan per vertex — strictly increasing
-    /// toggle times alternating crash / rejoin / crash / …, filled once
-    /// from [`LinkOracle::churn_plan`] before time zero. Empty = the
-    /// vertex never churns; a single entry is classic crash-stop.
-    churn: Vec<Vec<SimTime>>,
-    /// Fresh states for scheduled rejoins, per vertex, stored earliest
-    /// rejoin *last* so execution pops them in rejoin order. Fabricated
-    /// by the same `make` closure as the primary states, right after
-    /// them, so construction order is deterministic.
-    rejoin_states: Vec<Vec<P>>,
-    /// Per-vertex timer-id floor: ids below it belong to a previous
-    /// incarnation and are consumed as dead events at pop time. Bumped
-    /// to the vertex's current timer seq at each rejoin.
-    timer_floor: Vec<u64>,
-    /// Adversary-chosen weight revisions, sorted by revision time
-    /// (stable, so same-time revisions apply in plan order), filled once
-    /// from [`LinkOracle::drift_plan`] before time zero.
-    drift_plan: Vec<(EdgeId, SimTime, Weight)>,
-    /// First entry of `drift_plan` not yet applied to `eff`.
-    drift_cursor: usize,
-    /// Effective weight per edge — the graph's static weights with every
-    /// revision at or before the current instant applied. Dispatch
-    /// meters and clamps against this table, and handlers observe it
-    /// through [`Context::weight_of`](crate::Context::weight_of).
-    eff: Vec<Weight>,
-    /// Per-vertex metered-send count — the `msg_base` of the vertex's
-    /// next handler. Advances exactly when [`CostReport::messages`]
-    /// does, but per sender, so token assignment depends only on the
-    /// vertex's own history (what lets shards run handlers in parallel).
-    node_msg_seq: Vec<u64>,
-    /// Next timer id per vertex — unique per vertex, never reused.
-    node_timer_seq: Vec<u64>,
-    /// `(vertex, id)` pairs cancelled before firing; membership is
-    /// consumed at pop time.
-    cancelled: HashSet<(NodeId, u64)>,
-    /// Recycled handler buffers for armed delays / cancelled ids.
-    timers: Vec<u64>,
-    cancels: Vec<u64>,
 }
 
 impl<P: Process> Machine<P> {
     fn new(kind: CoreKind, g: &WeightedGraph, trace_cap: usize) -> Self {
         Machine {
-            states: Vec::new(),
-            cost: CostReport::new(g.edge_count()),
-            core: EventCore::new(kind, g.edge_count(), g.max_weight().get()),
-            truncated: false,
-            trace: Trace::new(trace_cap),
-            events: 0,
-            outbox: Vec::new(),
-            out_edges: Vec::new(),
-            churn: Vec::new(),
-            rejoin_states: Vec::new(),
-            timer_floor: Vec::new(),
-            drift_plan: Vec::new(),
-            drift_cursor: 0,
-            eff: Vec::new(),
-            node_msg_seq: Vec::new(),
-            node_timer_seq: Vec::new(),
-            cancelled: HashSet::new(),
-            timers: Vec::new(),
-            cancels: Vec::new(),
+            kernel: Kernel::new(g, trace_cap),
+            core: EventCore::new(kind, g.max_weight().get()),
         }
     }
 
-    /// Whether `node` is dead at time `now`: an odd number of churn
-    /// toggles has taken effect. Toggles take effect at their chosen
-    /// instant inclusive, so a crash at 0 even suppresses `on_start`.
-    #[inline]
-    fn crashed(&self, node: NodeId, now: SimTime) -> bool {
-        self.churn[node.index()]
-            .iter()
-            .take_while(|&&t| now >= t)
-            .count()
-            % 2
-            == 1
-    }
-
-    /// Applies every weight revision at or before `now` to the effective
-    /// table. Called once per popped event (and before the time-zero
-    /// starts), so every handler and dispatch at time `t` sees exactly
-    /// the revisions with time ≤ `t` — the same rule the sharded runtime
-    /// applies per tick.
-    #[inline]
-    fn advance_drift(&mut self, now: SimTime) {
-        while let Some(&(e, t, w)) = self.drift_plan.get(self.drift_cursor) {
-            if t > now {
-                break;
-            }
-            self.eff[e.index()] = w;
-            self.drift_cursor += 1;
+    fn into_run(self) -> Run<P> {
+        Run {
+            states: self.kernel.vertices.states,
+            cost: self.kernel.ledger.cost,
+            truncated: self.kernel.ledger.truncated,
+            trace: self.kernel.ledger.trace,
         }
     }
+}
 
-    /// Drains the handler outbox into scheduled deliveries: budget check,
-    /// cost metering, oracle-decided fate (drops are paid for but never
-    /// enqueued; delivery delays are clamped into `[1, w(e)]`),
-    /// FIFO-floor enforcement.
-    fn dispatch<O: LinkOracle + ?Sized>(
-        &mut self,
-        g: &WeightedGraph,
-        comm_limit: Option<u128>,
-        from: NodeId,
-        now: SimTime,
-        oracle: &mut O,
-    ) {
-        for ((to, msg, class), eid) in self.outbox.drain(..).zip(self.out_edges.drain(..)) {
-            // Budget check happens *before* metering: the send that
-            // crossed the limit was the last one paid for, so the
-            // overshoot is at most one message weight.
-            if self.truncated || comm_limit.is_some_and(|lim| self.cost.weighted_comm.raw() > lim) {
-                self.truncated = true;
-                continue;
-            }
-            // Metering, clamping and the oracle's view all use the
-            // *effective* weight — drift is visible from its instant on.
-            let w = self.eff[eid.index()];
-            let index = self.cost.messages;
-            self.cost.record_send(eid, w, class);
-            // Per-sender token counter moves in lock-step with the
-            // metered count (drops included, truncated sends excluded).
-            self.node_msg_seq[from.index()] += 1;
-            let channel = self.core.channel(g, eid, from);
-            let info = MsgInfo {
-                index,
-                edge: eid,
-                dir: (channel & 1) as u8,
-                weight: w,
-                from,
-                to,
-                sent: now,
-            };
-            let delay = match oracle.decide(&info) {
-                // A dropped message is paid for and consumes its
-                // dispatch index (so record/replay addressing and
-                // `MsgToken`s stay stable), but nothing is enqueued and
-                // the channel's FIFO floor does not move.
-                LinkDecision::Drop => {
-                    self.cost.drops += 1;
-                    continue;
-                }
-                LinkDecision::Deliver { delay } => delay.clamp(1, w.get()),
-            };
-            let arrival = (now + delay).max(self.core.fifo_floor[channel]);
-            self.core.fifo_floor[channel] = arrival;
-            // Post-clamp, post-floor: the observed arrival is exactly
-            // when the delivery fires. Both queue cores dispatch here.
-            oracle.observe_arrival(&info, arrival);
-            self.core.push(
-                arrival,
-                Event::Msg(Delivery {
-                    to,
-                    from,
-                    msg,
-                    sent: now,
-                    class,
-                    edge: eid,
-                }),
-            );
-        }
-    }
-
-    /// Drains the handler's timer ops: cancellations take effect first
-    /// (so a handler that arms and cancels the same timer nets to
-    /// nothing), then each armed delay becomes a scheduled
-    /// [`Event::Timer`] with the vertex's next id. Timer arrivals
-    /// ignore FIFO floors — they are local, not channel traffic.
-    fn dispatch_timers(&mut self, node: NodeId, now: SimTime) {
-        for id in self.cancels.drain(..) {
-            self.cancelled.insert((node, id));
-        }
-        for delay in self.timers.drain(..) {
-            let id = self.node_timer_seq[node.index()];
-            self.node_timer_seq[node.index()] += 1;
-            if self.cancelled.remove(&(node, id)) {
-                continue;
-            }
-            self.core.push(now + delay, Event::Timer { node, id });
-        }
+impl<P: Process + Clone> Machine<P> {
+    /// Overwrites this machine with a checkpoint's, reusing allocations.
+    fn restore(&mut self, cp: &Checkpoint<P>) {
+        self.kernel.restore(&cp.machine.kernel);
+        self.core.restore(&cp.machine.core);
     }
 }
 
@@ -552,9 +357,10 @@ struct CheckpointCapture<'a, P: Process + Clone> {
 
 impl<P: Process + Clone> Capture<P> for CheckpointCapture<'_, P> {
     fn after_event(&mut self, m: &Machine<P>) {
-        if m.cost.messages >= self.next_at {
-            self.out.push(Checkpoint::of(m));
-            self.next_at = m.cost.messages + self.every;
+        let messages = m.kernel.ledger.cost.messages;
+        if messages >= self.next_at {
+            self.out.push(Checkpoint { machine: m.clone() });
+            self.next_at = messages + self.every;
         }
     }
 }
@@ -569,62 +375,13 @@ impl<P: Process + Clone> Capture<P> for CheckpointCapture<'_, P> {
 /// that index are already baked into the snapshot's queue, so the
 /// resuming oracle is never asked about them. Index-addressed oracles
 /// (like `csp-adversary`'s schedule replay) satisfy this by
-/// construction; stateful randomized oracles in general do not. Churn
-/// plans, stashed rejoin states and the drift plan are part of the
-/// snapshot: a resume never queries [`LinkOracle::churn_plan`] or
-/// [`LinkOracle::drift_plan`], so the resuming oracle cannot change who
-/// churns or how weights move.
+/// construction; stateful randomized oracles in general do not. The
+/// fault plan and the stashed rejoin states are part of the snapshot: a
+/// resume never queries [`LinkOracle::fault_plan`], so the resuming
+/// oracle cannot change who churns or how weights move.
 #[derive(Clone, Debug)]
 pub struct Checkpoint<P: Process> {
-    messages: u64,
-    events: u64,
-    truncated: bool,
-    cost: CostReport,
-    states: Vec<P>,
-    trace: Trace,
-    /// The scheduling queue as captured — restoring into the same kind
-    /// is a flat copy; the other kind rebuilds from the sorted view.
-    queue: Queue,
-    slab: Vec<Option<Event<P::Msg>>>,
-    free: Vec<usize>,
-    fifo_floor: Vec<SimTime>,
-    seq: u64,
-    churn: Vec<Vec<SimTime>>,
-    rejoin_states: Vec<Vec<P>>,
-    timer_floor: Vec<u64>,
-    drift_plan: Vec<(EdgeId, SimTime, Weight)>,
-    drift_cursor: usize,
-    eff: Vec<Weight>,
-    node_msg_seq: Vec<u64>,
-    node_timer_seq: Vec<u64>,
-    cancelled: HashSet<(NodeId, u64)>,
-}
-
-impl<P: Process + Clone> Checkpoint<P> {
-    fn of(m: &Machine<P>) -> Self {
-        Checkpoint {
-            messages: m.cost.messages,
-            events: m.events,
-            truncated: m.truncated,
-            cost: m.cost.clone(),
-            states: m.states.clone(),
-            trace: m.trace.clone(),
-            queue: m.core.queue.clone(),
-            slab: m.core.slab.clone(),
-            free: m.core.free.clone(),
-            fifo_floor: m.core.fifo_floor.clone(),
-            seq: m.core.seq,
-            churn: m.churn.clone(),
-            rejoin_states: m.rejoin_states.clone(),
-            timer_floor: m.timer_floor.clone(),
-            drift_plan: m.drift_plan.clone(),
-            drift_cursor: m.drift_cursor,
-            eff: m.eff.clone(),
-            node_msg_seq: m.node_msg_seq.clone(),
-            node_timer_seq: m.node_timer_seq.clone(),
-            cancelled: m.cancelled.clone(),
-        }
-    }
+    machine: Machine<P>,
 }
 
 impl<P: Process> Checkpoint<P> {
@@ -632,17 +389,17 @@ impl<P: Process> Checkpoint<P> {
     /// consumed) before this snapshot — the resume point's position in
     /// schedule-index space.
     pub fn messages(&self) -> u64 {
-        self.messages
+        self.machine.kernel.ledger.cost.messages
     }
 
     /// Number of events delivered before this snapshot.
     pub fn events(&self) -> u64 {
-        self.events
+        self.machine.kernel.ledger.events
     }
 
     /// Completion time of the captured prefix.
     pub fn completion(&self) -> SimTime {
-        self.cost.completion
+        self.machine.kernel.ledger.cost.completion
     }
 }
 
@@ -695,12 +452,13 @@ pub struct EvalSummary {
 
 impl EvalSummary {
     fn of<P: Process>(m: &Machine<P>) -> Self {
+        let ledger = &m.kernel.ledger;
         EvalSummary {
-            completion: m.cost.completion,
-            messages: m.cost.messages,
-            weighted_comm: m.cost.weighted_comm,
-            truncated: m.truncated,
-            events: m.events,
+            completion: ledger.cost.completion,
+            messages: ledger.cost.messages,
+            weighted_comm: ledger.cost.weighted_comm,
+            truncated: ledger.truncated,
+            events: ledger.events,
         }
     }
 }
@@ -833,14 +591,10 @@ impl<'g> Simulator<'g> {
         O: LinkOracle + ?Sized,
     {
         let mut m = Machine::new(self.core, self.graph, self.trace_cap);
-        self.start(&mut m, make, oracle);
+        m.kernel
+            .boot(self.graph, self.comm_limit, oracle, make, &mut m.core);
         self.exec(oracle, &mut m, &mut NoCapture)?;
-        Ok(Run {
-            states: m.states,
-            cost: m.cost,
-            truncated: m.truncated,
-            trace: m.trace,
-        })
+        Ok(m.into_run())
     }
 
     /// Like [`Simulator::run_with_oracle`], but snapshots the complete
@@ -871,7 +625,8 @@ impl<'g> Simulator<'g> {
     {
         assert!(every > 0, "checkpoint interval must be non-zero");
         let mut m = Machine::new(self.core, self.graph, self.trace_cap);
-        self.start(&mut m, make, oracle);
+        m.kernel
+            .boot(self.graph, self.comm_limit, oracle, make, &mut m.core);
         let mut capture = CheckpointCapture {
             every,
             next_at: every,
@@ -879,12 +634,7 @@ impl<'g> Simulator<'g> {
         };
         capture.after_event(&m);
         self.exec(oracle, &mut m, &mut capture)?;
-        Ok(Run {
-            states: m.states,
-            cost: m.cost,
-            truncated: m.truncated,
-            trace: m.trace,
-        })
+        Ok(m.into_run())
     }
 
     /// Continues a checkpointed run to quiescence under `oracle`.
@@ -904,41 +654,11 @@ impl<'g> Simulator<'g> {
         P: Process + Clone,
         O: LinkOracle + ?Sized,
     {
-        let g = self.graph;
-        debug_assert_eq!(
-            cp.fifo_floor.len(),
-            2 * g.edge_count(),
-            "checkpoint/graph mismatch"
-        );
-        let mut m = Machine {
-            states: cp.states.clone(),
-            cost: cp.cost.clone(),
-            core: EventCore::new(self.core, g.edge_count(), g.max_weight().get()),
-            truncated: cp.truncated,
-            trace: cp.trace.clone(),
-            events: cp.events,
-            outbox: Vec::new(),
-            out_edges: Vec::new(),
-            churn: cp.churn.clone(),
-            rejoin_states: cp.rejoin_states.clone(),
-            timer_floor: cp.timer_floor.clone(),
-            drift_plan: cp.drift_plan.clone(),
-            drift_cursor: cp.drift_cursor,
-            eff: cp.eff.clone(),
-            node_msg_seq: cp.node_msg_seq.clone(),
-            node_timer_seq: cp.node_timer_seq.clone(),
-            cancelled: cp.cancelled.clone(),
-            timers: Vec::new(),
-            cancels: Vec::new(),
-        };
-        m.core.restore_from(cp);
+        self.check_fits(cp);
+        let mut m = Machine::new(self.core, self.graph, 0);
+        m.restore(cp);
         self.exec(oracle, &mut m, &mut NoCapture)?;
-        Ok(Run {
-            states: m.states,
-            cost: m.cost,
-            truncated: m.truncated,
-            trace: m.trace,
-        })
+        Ok(m.into_run())
     }
 
     /// Runs a full evaluation out of `pool`, reusing every buffer the
@@ -962,7 +682,8 @@ impl<'g> Simulator<'g> {
         O: LinkOracle + ?Sized,
     {
         let mut m = self.pooled_machine(pool);
-        self.start(&mut m, make, oracle);
+        m.kernel
+            .boot(self.graph, self.comm_limit, oracle, make, &mut m.core);
         let res = self.exec(oracle, &mut m, &mut NoCapture);
         let summary = EvalSummary::of(&m);
         pool.machine = Some(m);
@@ -987,48 +708,35 @@ impl<'g> Simulator<'g> {
         P: Process + Clone,
         O: LinkOracle + ?Sized,
     {
-        debug_assert_eq!(
-            cp.fifo_floor.len(),
-            2 * self.graph.edge_count(),
-            "checkpoint/graph mismatch"
-        );
-        // Take the pooled machine raw — every field the usual rewind
-        // would clear is overwritten from the checkpoint below, and
-        // leaving `states` populated lets `clone_from` reuse each
-        // element's own buffers instead of cloning into freed slots.
+        self.check_fits(cp);
+        // Take the pooled machine raw — `restore` overwrites every field
+        // the usual rewind would clear, and leaving `states` populated
+        // lets `clone_from` reuse each element's own buffers instead of
+        // cloning into freed slots.
         let mut m = match pool.machine.take() {
             Some(m) => m,
             None => Machine::new(self.core, self.graph, 0),
         };
         m.core
             .ensure_queue(self.core, self.graph.max_weight().get());
-        m.states.clone_from(&cp.states);
-        m.cost.clone_from(&cp.cost);
-        m.core.restore_from(cp);
+        m.restore(cp);
         // Pooled paths never record traces, but `exec` appends whenever
         // the *simulator* has `trace_cap > 0` — rewind so a pooled
         // machine never carries a previous run's trace (or its dropped
         // counter) across evaluations.
-        m.trace = Trace::new(0);
-        m.truncated = cp.truncated;
-        m.events = cp.events;
-        m.outbox.clear();
-        m.out_edges.clear();
-        m.churn.clone_from(&cp.churn);
-        m.rejoin_states.clone_from(&cp.rejoin_states);
-        m.timer_floor.clone_from(&cp.timer_floor);
-        m.drift_plan.clone_from(&cp.drift_plan);
-        m.drift_cursor = cp.drift_cursor;
-        m.eff.clone_from(&cp.eff);
-        m.node_msg_seq.clone_from(&cp.node_msg_seq);
-        m.node_timer_seq.clone_from(&cp.node_timer_seq);
-        m.cancelled.clone_from(&cp.cancelled);
-        m.timers.clear();
-        m.cancels.clear();
+        m.kernel.ledger.trace = Trace::new(0);
         let res = self.exec(oracle, &mut m, &mut NoCapture);
         let summary = EvalSummary::of(&m);
         pool.machine = Some(m);
         res.map(|()| summary)
+    }
+
+    fn check_fits<P: Process>(&self, cp: &Checkpoint<P>) {
+        debug_assert_eq!(
+            cp.machine.kernel.ledger.channels(),
+            2 * self.graph.edge_count(),
+            "checkpoint/graph mismatch"
+        );
     }
 
     /// Takes the pool's machine (or builds one) and rewinds it for a run
@@ -1037,26 +745,8 @@ impl<'g> Simulator<'g> {
         let g = self.graph;
         match pool.machine.take() {
             Some(mut m) => {
-                m.states.clear();
-                m.cost.reset(g.edge_count());
-                m.core
-                    .reset(self.core, g.edge_count(), g.max_weight().get());
-                m.truncated = false;
-                m.trace = Trace::new(0);
-                m.events = 0;
-                m.outbox.clear();
-                m.out_edges.clear();
-                m.churn.clear();
-                m.rejoin_states.clear();
-                m.timer_floor.clear();
-                m.drift_plan.clear();
-                m.drift_cursor = 0;
-                m.eff.clear();
-                m.node_msg_seq.clear();
-                m.node_timer_seq.clear();
-                m.cancelled.clear();
-                m.timers.clear();
-                m.cancels.clear();
+                m.kernel.reset(g);
+                m.core.reset(self.core, g.max_weight().get());
                 m
             }
             // Pooled paths never record traces: cap 0.
@@ -1064,92 +754,8 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// Time zero: queries churn and drift plans, constructs per-vertex
-    /// states (plus a fresh state per scheduled rejoin), schedules the
-    /// rejoin events, and runs every [`Process::on_start`]
-    /// (crashed-at-zero vertices excepted), dispatching what they send
-    /// and arm.
-    fn start<P, F, O>(&self, m: &mut Machine<P>, mut make: F, oracle: &mut O)
-    where
-        P: Process,
-        F: FnMut(NodeId, &WeightedGraph) -> P,
-        O: LinkOracle + ?Sized,
-    {
-        let g = self.graph;
-        m.states.extend(g.nodes().map(|v| make(v, g)));
-        m.node_msg_seq.resize(g.node_count(), 0);
-        m.node_timer_seq.resize(g.node_count(), 0);
-        m.timer_floor.resize(g.node_count(), 0);
-        // Churn and drift plans are fixed before any handler runs, in
-        // vertex order, so the oracle's query sequence is deterministic.
-        for v in g.nodes() {
-            let plan = oracle.churn_plan(v);
-            assert!(
-                plan.windows(2).all(|w| w[0] < w[1]),
-                "churn plan for {v} must be strictly increasing"
-            );
-            m.churn.push(plan);
-        }
-        m.drift_plan = oracle.drift_plan();
-        // Stable by time: same-instant revisions apply in plan order.
-        m.drift_plan.sort_by_key(|&(_, t, _)| t);
-        // Fault meters are assigned up front, whether or not the run
-        // lives long enough to reach every scheduled toggle.
-        m.cost.crashed_nodes = m.churn.iter().filter(|p| !p.is_empty()).count() as u64;
-        m.cost.recoveries = m.churn.iter().map(|p| (p.len() / 2) as u64).sum();
-        m.cost.weight_revisions = m.drift_plan.len() as u64;
-        // Effective weights start from the static table; revisions at
-        // time 0 take hold before any on_start runs.
-        m.eff.extend(g.edge_ids().map(|e| g.weight(e)));
-        m.advance_drift(SimTime::ZERO);
-        // Fresh states for every scheduled rejoin — fabricated by the
-        // same closure, in vertex order then rejoin order (stored
-        // reversed so execution pops the earliest first).
-        m.rejoin_states.resize_with(g.node_count(), Vec::new);
-        for v in g.nodes() {
-            let rejoins = m.churn[v.index()].len() / 2;
-            let stash: Vec<P> = (0..rejoins).map(|_| make(v, g)).collect();
-            m.rejoin_states[v.index()].extend(stash.into_iter().rev());
-        }
-        // Rejoin events are pushed before any dispatch, so they hold the
-        // lowest queue seqs and win pop-order ties at their instant.
-        for v in g.nodes() {
-            for i in (1..m.churn[v.index()].len()).step_by(2) {
-                let at = m.churn[v.index()][i];
-                m.core.push(at, Event::Rejoin { node: v });
-            }
-        }
-        for v in g.nodes() {
-            if m.crashed(v, SimTime::ZERO) {
-                continue;
-            }
-            let outbox = std::mem::take(&mut m.outbox);
-            let out_edges = std::mem::take(&mut m.out_edges);
-            let timers = std::mem::take(&mut m.timers);
-            let cancels = std::mem::take(&mut m.cancels);
-            let mut ctx = Context::recycled(
-                v,
-                SimTime::ZERO,
-                g,
-                outbox,
-                out_edges,
-                timers,
-                cancels,
-                m.node_msg_seq[v.index()],
-                m.node_timer_seq[v.index()],
-            )
-            .with_weights(&m.eff);
-            m.states[v.index()].on_start(&mut ctx);
-            (m.outbox, m.out_edges, m.timers, m.cancels) = ctx.into_parts();
-            m.dispatch(g, self.comm_limit, v, SimTime::ZERO, oracle);
-            m.dispatch_timers(v, SimTime::ZERO);
-        }
-    }
-
-    /// The main loop: pop, deliver, dispatch, capture — until quiescence
-    /// or truncation. Cancelled timer fires and events addressed to
-    /// crashed vertices are consumed silently (no handler, no event
-    /// count, no completion-time movement).
+    /// The main loop: pop, fire, meter, send, arm, capture — until
+    /// quiescence or truncation.
     fn exec<P, O, C>(
         &self,
         oracle: &mut O,
@@ -1167,98 +773,44 @@ impl<'g> Simulator<'g> {
         // reaching into the queue. The window is a workload property
         // (identical across cores) — only the push counter is per-queue.
         let finalize = |m: &mut Machine<P>| {
-            m.cost.bucket_window = BucketQueue::capacity_for(g.max_weight().get()) as u64;
-            m.cost.overflow_pushes = m.core.queue.overflow_pushes();
+            let cost = &mut m.kernel.ledger.cost;
+            cost.bucket_window = BucketQueue::capacity_for(g.max_weight().get()) as u64;
+            cost.overflow_pushes = m.core.queue.overflow_pushes();
         };
-        while !m.truncated {
-            let Some((now, event)) = m.core.pop() else {
+        while !m.kernel.ledger.truncated {
+            let Some((now, _seq, event)) = m.core.pop() else {
                 break;
             };
-            // Weight revisions with time ≤ now take hold before the
-            // event is handled, so everything at this instant — handler
-            // observation, delay clamping, metering — sees them.
-            m.advance_drift(now);
-            // Route the pop: cancelled timers, stale timers from a
-            // pre-rejoin incarnation, and events addressed to a dead
-            // vertex vanish here, before any handler runs. `Some(Ok)`
-            // is a message delivery, `Some(Err)` a live timer fire,
-            // `None` a scheduled rejoin.
-            let (node, fire) = match event {
-                Event::Msg(d) => (d.to, Some(Ok(d))),
-                Event::Timer { node, id } => {
-                    if m.cancelled.remove(&(node, id)) {
-                        continue;
-                    }
-                    if id < m.timer_floor[node.index()] {
-                        m.cost.dead_events += 1;
-                        continue;
-                    }
-                    (node, Some(Err(id)))
-                }
-                Event::Rejoin { node } => (node, None),
-            };
-            if m.crashed(node, now) {
-                m.cost.dead_events += 1;
+            let Kernel {
+                vertices,
+                ledger,
+                faults,
+            } = &mut m.kernel;
+            ledger.weights.advance(faults, now);
+            let slot = event.node().index();
+            let live = ledger.weights.table();
+            let dead = &mut ledger.cost.dead_events;
+            let Some(fired) = vertices.fire(g, faults, live, slot, now, event, dead) else {
                 continue;
-            }
-            m.events += 1;
-            if m.events > self.event_limit {
+            };
+            if let Err(limit) = ledger.count_event(self.event_limit) {
                 finalize(m);
-                return Err(SimError::EventLimitExceeded {
-                    limit: self.event_limit,
-                });
+                return Err(limit);
             }
-            if fire.is_none() {
-                // Rejoin: the vertex restarts with the stashed fresh
-                // state, and every timer id armed by the previous
-                // incarnation drops behind the floor. Message and timer
-                // seqs keep counting — tokens and ids are per vertex,
-                // not per incarnation.
-                let fresh = m.rejoin_states[node.index()]
-                    .pop()
-                    .expect("a fresh state was stashed per scheduled rejoin");
-                m.states[node.index()] = fresh;
-                m.timer_floor[node.index()] = m.node_timer_seq[node.index()];
+            if let Some(meta) = &fired.msg {
+                ledger.delivered(now, fired.node, meta, self.trace_cap);
             }
-            let outbox = std::mem::take(&mut m.outbox);
-            let out_edges = std::mem::take(&mut m.out_edges);
-            let timers = std::mem::take(&mut m.timers);
-            let cancels = std::mem::take(&mut m.cancels);
-            let mut ctx = Context::recycled(
-                node,
-                now,
+            let sends = vertices.sends();
+            ledger.send(
                 g,
-                outbox,
-                out_edges,
-                timers,
-                cancels,
-                m.node_msg_seq[node.index()],
-                m.node_timer_seq[node.index()],
-            )
-            .with_weights(&m.eff);
-            match fire {
-                Some(Ok(d)) => {
-                    // Completion time is the last *delivered message*;
-                    // timer fires and rejoins are local and free.
-                    m.cost.record_delivery(now, d.class);
-                    if self.trace_cap > 0 {
-                        m.trace.push(TraceEvent {
-                            from: d.from,
-                            to: d.to,
-                            edge: d.edge,
-                            sent: d.sent,
-                            delivered: now,
-                            class: d.class,
-                        });
-                    }
-                    m.states[node.index()].on_message(d.from, d.msg, &mut ctx);
-                }
-                Some(Err(id)) => m.states[node.index()].on_timer(TimerId(id), &mut ctx),
-                None => m.states[node.index()].on_start(&mut ctx),
-            }
-            (m.outbox, m.out_edges, m.timers, m.cancels) = ctx.into_parts();
-            m.dispatch(g, self.comm_limit, node, now, oracle);
-            m.dispatch_timers(node, now);
+                self.comm_limit,
+                oracle,
+                fired.node,
+                now,
+                sends,
+                &mut m.core,
+            );
+            vertices.arm(slot, fired.node, now, &mut m.core);
             capture.after_event(m);
         }
         finalize(m);
@@ -1269,6 +821,7 @@ impl<'g> Simulator<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::Context;
     use csp_graph::{generators, Cost};
 
     /// Ping-pong `rounds` times between the endpoints of a single edge.
@@ -1560,6 +1113,7 @@ mod tests {
 #[cfg(test)]
 mod checkpoint_tests {
     use super::*;
+    use crate::process::Context;
     use csp_graph::generators;
 
     /// Ping-pong with a payload so states evolve observably.
@@ -1809,7 +1363,8 @@ mod checkpoint_tests {
 mod churn_tests {
     use super::*;
     use crate::delay::ChurnOracle;
-    use csp_graph::generators;
+    use crate::process::{Context, TimerId};
+    use csp_graph::{generators, EdgeId, Weight};
 
     /// Greets the peer once per incarnation: every `on_start` sends one
     /// message to the other endpoint of a 2-path.

@@ -3,10 +3,16 @@
 //! [`crate::sweep`] parallelises across runs; this module parallelises
 //! *within* one. The graph is partitioned into `k` disjoint shards
 //! (derived from the paper's sparse-cover coarsening via
-//! [`ShardPlan::derive`]), each with its own scheduling queue, payload
-//! slab, FIFO floors and per-vertex state — and `k` scoped worker
-//! threads execute the event calendar **tick-synchronously**:
+//! [`ShardPlan::derive`]), each with its own event core and per-vertex
+//! state — and `k` scoped worker threads execute the event calendar
+//! **tick-synchronously**. The model itself — what a send costs, when
+//! it arrives, what a popped event does — is the crate's dispatch
+//! kernel, the same code [`Simulator`] runs; this module only decides
+//! *which thread* calls which piece, and *when*:
 //!
+//! 0. **Time zero, serial** — the kernel's boot pass runs exactly as in
+//!    [`Simulator`]; the resulting vertices and calendar are then dealt
+//!    out to the shards.
 //! 1. **Pick `T`** — every worker posts its queue's earliest scheduled
 //!    time; the global minimum `T` is the next tick. All events at `T`
 //!    are already enqueued (delays are clamped into `[1, w(e)]` and
@@ -15,29 +21,30 @@
 //!    for **every** oracle — not just the worst-case model whose
 //!    cut-weight lookahead the conservative-PDES literature assumes.
 //! 2. **Handlers in parallel** (phase B) — each shard pops its events
-//!    with time `T` in `seq` order and runs the protocol handlers,
-//!    recording what each handler sent and armed. Handlers only touch
-//!    their own vertex, and token/timer-id assignment is per-vertex
-//!    (see [`crate::MsgToken`]), so no cross-shard state is needed.
-//! 3. **Serial dispatch** (leader section) — worker 0 merges the
-//!    per-shard handler records by global event `seq` and replays the
-//!    *dispatch* side effects in exactly the sequential order: event
-//!    budget, cost meters, trace, and — crucially — the
-//!    [`LinkOracle`] queries, which stateful and index-addressed
-//!    oracles require to arrive in global dispatch order. Each
-//!    surviving push is assigned the next global `seq`.
-//! 4. **Routing in parallel** (phase C + A) — each shard walks its own
-//!    records again, applies its FIFO floors (a channel's floor lives
-//!    with the *sender's* shard), and routes every push into a
-//!    per-`(receiver, sender)` outbox; after a barrier, every shard
-//!    merges its `k` inbox streams by `seq` into its queue.
+//!    with time `T` in `seq` order and fires them through the kernel's
+//!    pop routing, keeping what each handler sent and armed. Handlers
+//!    only touch their own vertex, and token/timer-id assignment is
+//!    per-vertex (see [`crate::MsgToken`]), so no cross-shard state is
+//!    needed.
+//! 3. **Serial send step** (leader section) — worker 0 merges the
+//!    per-shard handler records by global event `seq` and runs the
+//!    kernel's send step over them in exactly the sequential order:
+//!    event budget, cost meters, trace, FIFO floors and — crucially —
+//!    the [`LinkOracle`] calls (`decide` and `observe_arrival`), which
+//!    stateful and index-addressed oracles require in global dispatch
+//!    order. Its sink numbers every surviving push with the next global
+//!    `seq` and files it, already timed, in the sending shard's
+//!    per-receiver outbox.
+//! 4. **Routing in parallel** (phase C + A) — each shard hands its
+//!    outboxes to their receivers; after a barrier, every shard merges
+//!    its `k` inbox streams by `seq` into its queue.
 //!
 //! Because ties break on the same global `(time, seq)` key and the
-//! oracle sees the same query sequence, a sharded run is **bit
-//! identical** to [`Simulator`] — costs, trace, final states and fault
-//! meters — under all oracles, including schedule replay, drops,
-//! crashes, rejoins, weight drift and timers.
-//! `tests/shard_differential.rs` pins this across shard counts
+//! oracle sees the same call sequence, a sharded run is **bit
+//! identical** to [`Simulator`] — costs, trace, final states, fault
+//! meters and the oracle's observed arrivals — under all oracles,
+//! including schedule replay, drops, crashes, rejoins, weight drift and
+//! timers. `tests/shard_differential.rs` pins this across shard counts
 //! {1, 2, 4, 8} and both queue kinds.
 //!
 //! The one exception is [`Simulator::comm_limit`]: truncation stops the
@@ -46,15 +53,14 @@
 //! the sequential core (documented on [`ShardedSimulator::comm_limit`]).
 
 use crate::cost::CostClass;
-use crate::cost::CostReport;
-use crate::delay::{DelayModel, LinkDecision, LinkOracle, ModelOracle, MsgInfo};
-use crate::process::{Context, Process, TimerId};
+use crate::delay::{DelayModel, LinkOracle, ModelOracle};
+use crate::kernel::{Event, Faults, Fired, Kernel, Ledger, Sink, Vertices, Weights};
+use crate::process::Process;
 use crate::queue::BucketQueue;
-use crate::runtime::{CoreKind, Delivery, Event, Queue, Run, SimError, Simulator};
+use crate::runtime::{CoreKind, EventCore, Run, SimError, Simulator};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
-use csp_graph::{EdgeId, NodeId, Weight, WeightedGraph};
-use std::collections::{HashSet, VecDeque};
+use csp_graph::{EdgeId, NodeId, WeightedGraph};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -133,190 +139,73 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// What the leader decided for one queued send, aligned index-for-index
-/// with the shard's `sends` buffer.
-#[derive(Clone, Copy)]
-enum Fate {
-    /// Dropped by the oracle: metered, index consumed, never enqueued.
-    Drop,
-    /// Deliver after `delay` (already clamped); the push carries the
-    /// global sequence number `seq`.
-    Deliver { delay: u64, seq: u64 },
-}
-
-/// What one handler did, in pop order. Ranges index into the shard's
-/// flat `sends` / `arms` arenas.
+/// What one handler did, in pop order: the next `sends` entries of the
+/// shard's send arena and the next `arms` of its timer arena are its.
 struct HandlerRec {
     /// The popped event's global sequence number — the merge key of the
     /// leader's serial walk.
     seq: u64,
-    node: NodeId,
-    /// `Some` for a message delivery (trace + completion bookkeeping),
-    /// `None` for a timer fire.
-    msg: Option<MsgMeta>,
-    sends: (u32, u32),
-    arms: (u32, u32),
+    fired: Fired,
+    sends: usize,
+    arms: usize,
 }
 
-/// Delivery metadata the leader needs after the payload was consumed.
-struct MsgMeta {
-    from: NodeId,
-    edge: csp_graph::EdgeId,
-    sent: SimTime,
-    class: CostClass,
-}
-
-type InboxItem<M> = (u64, u64, Event<M>);
+type InboxItem<M> = (SimTime, u64, Event<M>);
 
 /// Inbox buffers are deques so phase A can pop owned items from the
 /// front while the allocation keeps rotating between the sender's
 /// out-buffer, the shared cell and the receiver's merge stream.
 type InboxBuf<M> = VecDeque<InboxItem<M>>;
 
-/// One shard: the vertices assigned to it, their protocol states, a
-/// private scheduling queue + slab, the FIFO floors of the channels it
-/// *sends* on, and the per-tick scratch buffers.
+/// One shard: its vertices (slot = rank among the shard's vertices),
+/// a private event core, its view of the live weights, and the
+/// per-tick scratch buffers.
 struct Shard<P: Process> {
-    /// Global ids of this shard's vertices, ascending.
-    nodes: Vec<NodeId>,
-    /// Protocol states, indexed shard-locally (same order as `nodes`).
-    states: Vec<P>,
-    queue: Queue,
-    slab: Vec<Option<Event<P::Msg>>>,
-    free: Vec<usize>,
-    /// FIFO floors of the directed channels whose sender is local,
-    /// indexed by the shared `channel_local` map.
-    floors: Vec<SimTime>,
-    /// Per-vertex metered-send counts (handler `msg_base`s), local idx.
-    node_msg_seq: Vec<u64>,
-    /// Per-vertex next timer id, local idx.
-    node_timer_seq: Vec<u64>,
-    /// Per-vertex timer-id floor (local idx): ids below it belong to a
-    /// pre-rejoin incarnation and are consumed as dead events.
-    timer_floor: Vec<u64>,
-    /// Stashed fresh states for scheduled rejoins (local idx), earliest
-    /// rejoin last — mirrors the sequential machine's stash.
-    rejoin_states: Vec<Vec<P>>,
-    /// This shard's copy of the effective weight table, advanced to the
+    vertices: Vertices<P>,
+    core: EventCore<P::Msg>,
+    /// This shard's copy of the live weight table, advanced to the
     /// current tick at the top of phase B so handlers observe drift
-    /// through [`Context::weight_of`](crate::Context::weight_of)
     /// exactly as they would sequentially.
-    eff: Vec<Weight>,
-    /// First drift revision not yet applied to `eff`.
-    drift_cursor: usize,
-    cancelled: HashSet<(NodeId, u64)>,
+    weights: Weights,
     dead_events: u64,
-    // Recycled handler buffers (same role as the sequential Machine's).
-    outbox: Vec<(NodeId, P::Msg, CostClass)>,
-    out_edges: Vec<csp_graph::EdgeId>,
-    timers: Vec<u64>,
-    cancels: Vec<u64>,
-    // Per-tick arenas: what this shard's handlers produced...
+    // Per-tick arenas: what this shard's handlers produced, consumed in
+    // order by the leader.
     recs: Vec<HandlerRec>,
-    sends: Vec<(NodeId, P::Msg, CostClass, csp_graph::EdgeId)>,
-    arms: Vec<(u64, u64)>,
-    // ...and what the leader decided about it.
-    decided: Vec<Fate>,
-    arm_seqs: Vec<u64>,
-    /// Phase-C routing buffers, one per receiver shard; swapped into the
-    /// inbox cells at the end of the phase.
+    sends: VecDeque<(NodeId, P::Msg, CostClass, EdgeId)>,
+    arms: VecDeque<(SimTime, Event<P::Msg>)>,
+    /// What the leader scheduled out of this shard's handlers, one
+    /// buffer per receiver shard; swapped into the inbox cells in
+    /// phase C.
     outbufs: Vec<InboxBuf<P::Msg>>,
     /// Phase-A merge buffers, one per sender shard; swapped out of the
     /// inbox cells.
     streams: Vec<InboxBuf<P::Msg>>,
 }
 
-impl<P: Process> Shard<P> {
-    fn new(kind: CoreKind, max_delay: u64, shards: usize) -> Self {
-        Shard {
-            nodes: Vec::new(),
-            states: Vec::new(),
-            queue: Queue::new(kind, max_delay),
-            slab: Vec::new(),
-            free: Vec::new(),
-            floors: Vec::new(),
-            node_msg_seq: Vec::new(),
-            node_timer_seq: Vec::new(),
-            timer_floor: Vec::new(),
-            rejoin_states: Vec::new(),
-            eff: Vec::new(),
-            drift_cursor: 0,
-            cancelled: HashSet::new(),
-            dead_events: 0,
-            outbox: Vec::new(),
-            out_edges: Vec::new(),
-            timers: Vec::new(),
-            cancels: Vec::new(),
-            recs: Vec::new(),
-            sends: Vec::new(),
-            arms: Vec::new(),
-            decided: Vec::new(),
-            arm_seqs: Vec::new(),
-            outbufs: (0..shards).map(|_| VecDeque::new()).collect(),
-            streams: (0..shards).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    fn push(&mut self, time: u64, seq: u64, event: Event<P::Msg>) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s] = Some(event);
-                s
-            }
-            None => {
-                self.slab.push(Some(event));
-                self.slab.len() - 1
-            }
-        };
-        self.queue.push(time, seq, slot);
-    }
-}
-
 /// Everything the leader's serial section owns: the oracle and the
-/// global meters whose updates must happen in sequential dispatch
-/// order.
+/// ledger whose updates must happen in sequential dispatch order.
 struct Global<'o, O: ?Sized> {
     oracle: &'o mut O,
-    cost: CostReport,
-    trace: Trace,
-    /// Next global push sequence number — mirrors the sequential core's
-    /// `seq`, incremented per enqueued delivery/timer/rejoin.
+    ledger: Ledger,
+    /// Next global push sequence number — continues the boot core's.
     seq: u64,
-    events: u64,
     err: Option<SimError>,
-    /// The leader's copy of the effective weight table — metering and
-    /// delay clamping in the serial section use it, advanced to the
-    /// tick at the top of [`serial_dispatch`].
-    eff: Vec<Weight>,
-    /// First drift revision not yet applied to `eff`.
-    drift_cursor: usize,
 }
 
-/// Applies every revision of `drift` (sorted by time) at or before
-/// `now` to an effective-weight table. Each copy of the table — the
-/// leader's and each shard's — is advanced independently but through
-/// this same monotone walk, so all of them agree at any given tick.
-fn advance_drift(
-    eff: &mut [Weight],
-    cursor: &mut usize,
-    drift: &[(EdgeId, SimTime, Weight)],
-    now: SimTime,
-) {
-    while let Some(&(e, t, w)) = drift.get(*cursor) {
-        if t > now {
-            break;
-        }
-        eff[e.index()] = w;
-        *cursor += 1;
+/// The leader's sink: numbers each push with the next global `seq` and
+/// files it under the shard of the vertex it happens at.
+struct Router<'a, M> {
+    outbufs: &'a mut [InboxBuf<M>],
+    plan: &'a ShardPlan,
+    seq: &'a mut u64,
+}
+
+impl<M> Sink<M> for Router<'_, M> {
+    #[inline]
+    fn push(&mut self, at: SimTime, event: Event<M>) {
+        self.outbufs[self.plan.shard_of(event.node())].push_back((at, *self.seq, event));
+        *self.seq += 1;
     }
-}
-
-/// Whether `v` is dead at `now` under its churn plan: an odd number of
-/// toggles has taken effect (toggle instants inclusive) — the same
-/// parity rule as the sequential machine's `crashed`.
-#[inline]
-fn churned_dead(churn: &[Vec<SimTime>], v: NodeId, now: SimTime) -> bool {
-    churn[v.index()].iter().take_while(|&&t| now >= t).count() % 2 == 1
 }
 
 /// Drop-in parallel variant of [`Simulator`] executing one run across
@@ -512,7 +401,7 @@ impl<'g> ShardedSimulator<'g> {
     fn run_planned<P, F, O>(
         &self,
         oracle: &mut O,
-        mut make: F,
+        make: F,
         plan: &ShardPlan,
     ) -> Result<Run<P>, SimError>
     where
@@ -526,167 +415,57 @@ impl<'g> ShardedSimulator<'g> {
         let n = g.node_count();
         let max_delay = g.max_weight().get();
 
-        // ---- Layout: local indices and channel-floor ownership. ----
-        let mut shards: Vec<Shard<P>> = (0..k)
-            .map(|_| Shard::new(self.core, max_delay, k))
-            .collect();
-        let mut local_of: Vec<u32> = vec![0; n];
-        for v in g.nodes() {
-            let s = plan.shard_of(v);
-            local_of[v.index()] = shards[s].nodes.len() as u32;
-            shards[s].nodes.push(v);
-        }
-        for shard in &mut shards {
-            shard.node_msg_seq = vec![0; shard.nodes.len()];
-            shard.node_timer_seq = vec![0; shard.nodes.len()];
-        }
-        // The floor of channel `2e + dir` lives with the shard of the
-        // vertex that sends on it.
-        let mut channel_local: Vec<u32> = vec![0; 2 * g.edge_count()];
-        for eid in g.edge_ids() {
-            let e = g.edge(eid);
-            for (dir, from) in [(0usize, e.u()), (1usize, e.v())] {
-                let owner = &mut shards[plan.shard_of(from)];
-                channel_local[2 * eid.index() + dir] = owner.floors.len() as u32;
-                owner.floors.push(SimTime::ZERO);
-            }
-        }
+        // ---- Time zero, serial: the sequential boot pass, verbatim. ----
+        let mut kernel = Kernel::new(g, self.trace_cap);
+        let mut calendar = EventCore::new(self.core, max_delay);
+        kernel.boot(g, None, oracle, make, &mut calendar);
+        let Kernel {
+            vertices,
+            ledger,
+            faults,
+        } = kernel;
 
-        // ---- Time zero, serial: states, churn/drift plans, on_start. ----
+        // ---- Deal vertices and calendar out to the shards. ----
+        let mut local_of: Vec<u32> = vec![0; n];
+        let mut sizes = vec![0u32; k];
         for v in g.nodes() {
-            let p = make(v, g);
-            shards[plan.shard_of(v)].states.push(p);
+            let size = &mut sizes[plan.shard_of(v)];
+            local_of[v.index()] = *size;
+            *size += 1;
         }
-        // Plans are queried in the sequential core's exact order —
-        // churn per vertex, then drift once — so a recording oracle
-        // sees an identical stream.
-        let churn: Vec<Vec<SimTime>> = g
-            .nodes()
-            .map(|v| {
-                let plan = oracle.churn_plan(v);
-                assert!(
-                    plan.windows(2).all(|w| w[0] < w[1]),
-                    "churn plan for {v} must be strictly increasing"
-                );
-                plan
+        let mut shards: Vec<Shard<P>> = vertices
+            .scatter(k, |v| plan.shard_of(v))
+            .into_iter()
+            .map(|vertices| Shard {
+                vertices,
+                core: EventCore::new(self.core, max_delay),
+                weights: ledger.weights.clone(),
+                dead_events: 0,
+                recs: Vec::new(),
+                sends: VecDeque::new(),
+                arms: VecDeque::new(),
+                outbufs: (0..k).map(|_| VecDeque::new()).collect(),
+                streams: (0..k).map(|_| VecDeque::new()).collect(),
             })
             .collect();
-        let mut drift = oracle.drift_plan();
-        drift.sort_by_key(|&(_, t, _)| t);
-        let mut eff0: Vec<Weight> = g.edge_ids().map(|e| g.weight(e)).collect();
-        let mut applied0 = 0usize;
-        advance_drift(&mut eff0, &mut applied0, &drift, SimTime::ZERO);
-        let mut global = Global {
+        // Popped in `(time, seq)` order, so every shard queue is filled
+        // in its own pop order.
+        while let Some((at, seq, event)) = calendar.pop() {
+            shards[plan.shard_of(event.node())]
+                .core
+                .push_seq(at, seq, event);
+        }
+        let global = Global {
             oracle,
-            cost: CostReport::new(g.edge_count()),
-            trace: Trace::new(self.trace_cap),
-            seq: 0,
-            events: 0,
+            ledger,
+            seq: calendar.seq,
             err: None,
-            eff: eff0.clone(),
-            drift_cursor: applied0,
         };
-        global.cost.crashed_nodes = churn.iter().filter(|p| !p.is_empty()).count() as u64;
-        global.cost.recoveries = churn.iter().map(|p| (p.len() / 2) as u64).sum();
-        global.cost.weight_revisions = drift.len() as u64;
-        for shard in &mut shards {
-            shard.eff = eff0.clone();
-            shard.drift_cursor = applied0;
-            shard.timer_floor = vec![0; shard.nodes.len()];
-            shard.rejoin_states.resize_with(shard.nodes.len(), Vec::new);
-        }
-        // Fresh rejoin states, fabricated in the sequential order:
-        // vertex order then rejoin order, stored reversed per vertex.
-        for v in g.nodes() {
-            let rejoins = churn[v.index()].len() / 2;
-            let stash: Vec<P> = (0..rejoins).map(|_| make(v, g)).collect();
-            let (s, li) = (plan.shard_of(v), local_of[v.index()] as usize);
-            shards[s].rejoin_states[li].extend(stash.into_iter().rev());
-        }
-        // Rejoin events take the lowest global seqs — pushed before any
-        // dispatch, exactly like the sequential core, so they win
-        // pop-order ties at their instant.
-        for v in g.nodes() {
-            for i in (1..churn[v.index()].len()).step_by(2) {
-                let at = churn[v.index()][i];
-                let seq = global.seq;
-                global.seq += 1;
-                shards[plan.shard_of(v)].push(at.get(), seq, Event::Rejoin { node: v });
-            }
-        }
-        for v in g.nodes() {
-            if churned_dead(&churn, v, SimTime::ZERO) {
-                continue;
-            }
-            let s = plan.shard_of(v);
-            let li = local_of[v.index()] as usize;
-            let mut ctx = Context::new(v, SimTime::ZERO, g).with_weights(&global.eff);
-            shards[s].states[li].on_start(&mut ctx);
-            let (outbox, _out_edges, timers, cancels) = ctx.into_parts();
-            // Sequential-order dispatch straight into the shard queues.
-            for (to, msg, class) in outbox {
-                let eid = g
-                    .edge_between(v, to)
-                    .expect("context validated the neighbor");
-                let w = global.eff[eid.index()];
-                let index = global.cost.messages;
-                global.cost.record_send(eid, w, class);
-                shards[s].node_msg_seq[li] += 1;
-                let channel = 2 * eid.index() + usize::from(g.edge(eid).u() != v);
-                let decision = global.oracle.decide(&MsgInfo {
-                    index,
-                    edge: eid,
-                    dir: (channel & 1) as u8,
-                    weight: w,
-                    from: v,
-                    to,
-                    sent: SimTime::ZERO,
-                });
-                let delay = match decision {
-                    LinkDecision::Drop => {
-                        global.cost.drops += 1;
-                        continue;
-                    }
-                    LinkDecision::Deliver { delay } => delay.clamp(1, w.get()),
-                };
-                let fl = channel_local[channel] as usize;
-                let arrival = (SimTime::ZERO + delay).max(shards[s].floors[fl]);
-                shards[s].floors[fl] = arrival;
-                let seq = global.seq;
-                global.seq += 1;
-                let recv = plan.shard_of(to);
-                shards[recv].push(
-                    arrival.get(),
-                    seq,
-                    Event::Msg(Delivery {
-                        to,
-                        from: v,
-                        msg,
-                        sent: SimTime::ZERO,
-                        class,
-                        edge: eid,
-                    }),
-                );
-            }
-            for id in cancels {
-                shards[s].cancelled.insert((v, id));
-            }
-            for delay in timers {
-                let id = shards[s].node_timer_seq[li];
-                shards[s].node_timer_seq[li] += 1;
-                if shards[s].cancelled.remove(&(v, id)) {
-                    continue;
-                }
-                let seq = global.seq;
-                global.seq += 1;
-                shards[s].push(delay, seq, Event::Timer { node: v, id });
-            }
-        }
 
         // ---- The tick loop, k workers. ----
         let mins: Vec<AtomicU64> = shards
             .iter_mut()
-            .map(|s| AtomicU64::new(s.queue.next_time().unwrap_or(u64::MAX)))
+            .map(|s| AtomicU64::new(s.core.queue.next_time().unwrap_or(u64::MAX)))
             .collect();
         let stop = AtomicBool::new(false);
         let barrier = SpinBarrier::new(k);
@@ -707,10 +486,8 @@ impl<'g> ShardedSimulator<'g> {
                 let stop = &stop;
                 let barrier = &barrier;
                 let inbox = &inbox;
-                let channel_local = &channel_local;
                 let local_of = &local_of;
-                let churn = &churn;
-                let drift = &drift;
+                let faults = &faults;
                 let builder = std::thread::Builder::new().name(format!("csp-worker-{me}"));
                 let handle = builder
                     .spawn_scoped(scope, move || {
@@ -727,7 +504,7 @@ impl<'g> ShardedSimulator<'g> {
                             }
                             {
                                 let mut shard = shards[me].lock().unwrap();
-                                phase_b(&mut shard, g, local_of, churn, drift, t);
+                                phase_b(&mut shard, g, local_of, faults, t);
                             }
                             if !barrier.wait() {
                                 return;
@@ -740,7 +517,8 @@ impl<'g> ShardedSimulator<'g> {
                                     &mut guards,
                                     &mut global,
                                     g,
-                                    drift,
+                                    plan,
+                                    faults,
                                     t,
                                     trace_cap,
                                     event_limit,
@@ -755,9 +533,10 @@ impl<'g> ShardedSimulator<'g> {
                             if stop.load(Ordering::Acquire) {
                                 return;
                             }
+                            // Phase C: hand the leader's already-timed
+                            // pushes to their receivers.
                             {
                                 let mut shard = shards[me].lock().unwrap();
-                                phase_c(&mut shard, me, g, plan, channel_local, t);
                                 for (r, buf) in shard.outbufs.iter_mut().enumerate() {
                                     std::mem::swap(buf, &mut *inbox[r][me].lock().unwrap());
                                 }
@@ -773,7 +552,7 @@ impl<'g> ShardedSimulator<'g> {
                                 }
                                 merge_inboxes(&mut shard);
                                 mins[me].store(
-                                    shard.queue.next_time().unwrap_or(u64::MAX),
+                                    shard.core.queue.next_time().unwrap_or(u64::MAX),
                                     Ordering::Release,
                                 );
                             }
@@ -791,164 +570,91 @@ impl<'g> ShardedSimulator<'g> {
         });
 
         // ---- Reassemble the run. ----
-        let mut global = global.into_inner().unwrap();
-        if let Some(err) = global.err {
+        let Global {
+            mut ledger, err, ..
+        } = global.into_inner().unwrap();
+        if let Some(err) = err {
             return Err(err);
         }
-        global.cost.bucket_window = BucketQueue::capacity_for(max_delay) as u64;
-        let mut states: Vec<Option<P>> = (0..n).map(|_| None).collect();
+        ledger.cost.bucket_window = BucketQueue::capacity_for(max_delay) as u64;
+        let mut parts = Vec::with_capacity(k);
         for shard in shards {
-            let mut shard = shard.into_inner().unwrap();
-            global.cost.dead_events += shard.dead_events;
-            global.cost.overflow_pushes += shard.queue.overflow_pushes();
-            for (v, p) in shard.nodes.iter().zip(shard.states.drain(..)) {
-                states[v.index()] = Some(p);
-            }
+            let shard = shard.into_inner().unwrap();
+            ledger.cost.dead_events += shard.dead_events;
+            ledger.cost.overflow_pushes += shard.core.queue.overflow_pushes();
+            parts.push(shard.vertices.states.into_iter());
         }
         Ok(Run {
-            states: states
-                .into_iter()
-                .map(|p| p.expect("every vertex assigned"))
+            states: g
+                .nodes()
+                .map(|v| {
+                    parts[plan.shard_of(v)]
+                        .next()
+                        .expect("every vertex assigned")
+                })
                 .collect(),
-            cost: global.cost,
+            cost: ledger.cost,
             truncated: false,
-            trace: global.trace,
+            trace: ledger.trace,
         })
     }
 }
 
-/// Phase B: pop every event scheduled at `t` (in `seq` order) and run
-/// the handlers, recording sends/arms into the shard's arenas. Only
-/// vertex-local state moves here — the global meters wait for the
+/// Phase B: pop every event scheduled at `t` (in `seq` order) and fire
+/// it, keeping what each handler sent and armed in the shard's arenas.
+/// Only vertex-local state moves here — the ledger waits for the
 /// leader.
 fn phase_b<P: Process>(
     shard: &mut Shard<P>,
     g: &WeightedGraph,
     local_of: &[u32],
-    churn: &[Vec<SimTime>],
-    drift: &[(EdgeId, SimTime, Weight)],
+    faults: &Faults,
     t: u64,
 ) {
     shard.recs.clear();
-    shard.sends.clear();
-    shard.arms.clear();
-    shard.decided.clear();
-    shard.arm_seqs.clear();
     let now = SimTime::new(t);
-    // Revisions with time ≤ t take hold before any handler at this tick
-    // runs — the same visibility rule as the sequential pop loop.
-    advance_drift(&mut shard.eff, &mut shard.drift_cursor, drift, now);
-    while shard.queue.next_time() == Some(t) {
-        let (_, seq, slot) = shard.queue.pop().expect("peeked entry exists");
-        let event = shard.slab[slot].take().expect("slab slot holds payload");
-        shard.free.push(slot);
-        let (node, fire) = match event {
-            Event::Msg(d) => (d.to, Some(Ok(d))),
-            Event::Timer { node, id } => {
-                if shard.cancelled.remove(&(node, id)) {
-                    continue;
-                }
-                if id < shard.timer_floor[local_of[node.index()] as usize] {
-                    shard.dead_events += 1;
-                    continue;
-                }
-                (node, Some(Err(id)))
-            }
-            Event::Rejoin { node } => (node, None),
-        };
-        if churned_dead(churn, node, now) {
-            shard.dead_events += 1;
+    shard.weights.advance(faults, now);
+    while shard.core.queue.next_time() == Some(t) {
+        let (_, seq, event) = shard.core.pop().expect("peeked entry exists");
+        let slot = local_of[event.node().index()] as usize;
+        let (live, dead) = (shard.weights.table(), &mut shard.dead_events);
+        let Some(fired) = shard.vertices.fire(g, faults, live, slot, now, event, dead) else {
             continue;
-        }
-        let li = local_of[node.index()] as usize;
-        if fire.is_none() {
-            // Rejoin: restart the vertex with its stashed fresh state
-            // and retire every timer id armed by earlier incarnations.
-            let fresh = shard.rejoin_states[li]
-                .pop()
-                .expect("a fresh state was stashed per scheduled rejoin");
-            shard.states[li] = fresh;
-            shard.timer_floor[li] = shard.node_timer_seq[li];
-        }
-        let outbox = std::mem::take(&mut shard.outbox);
-        let out_edges = std::mem::take(&mut shard.out_edges);
-        let timers = std::mem::take(&mut shard.timers);
-        let cancels = std::mem::take(&mut shard.cancels);
-        let mut ctx = Context::recycled(
-            node,
-            now,
-            g,
-            outbox,
-            out_edges,
-            timers,
-            cancels,
-            shard.node_msg_seq[li],
-            shard.node_timer_seq[li],
-        )
-        .with_weights(&shard.eff);
-        let msg = match fire {
-            Some(Ok(d)) => {
-                let meta = MsgMeta {
-                    from: d.from,
-                    edge: d.edge,
-                    sent: d.sent,
-                    class: d.class,
-                };
-                shard.states[li].on_message(d.from, d.msg, &mut ctx);
-                Some(meta)
-            }
-            Some(Err(id)) => {
-                shard.states[li].on_timer(TimerId(id), &mut ctx);
-                None
-            }
-            None => {
-                shard.states[li].on_start(&mut ctx);
-                None
-            }
         };
-        (shard.outbox, shard.out_edges, shard.timers, shard.cancels) = ctx.into_parts();
-        let send_start = shard.sends.len() as u32;
-        for ((to, m, class), eid) in shard.outbox.drain(..).zip(shard.out_edges.drain(..)) {
-            shard.sends.push((to, m, class, eid));
-        }
-        shard.node_msg_seq[li] += shard.sends.len() as u64 - u64::from(send_start);
-        for id in shard.cancels.drain(..) {
-            shard.cancelled.insert((node, id));
-        }
-        let arm_start = shard.arms.len() as u32;
-        for delay in shard.timers.drain(..) {
-            let id = shard.node_timer_seq[li];
-            shard.node_timer_seq[li] += 1;
-            if shard.cancelled.remove(&(node, id)) {
-                continue;
-            }
-            shard.arms.push((id, delay));
-        }
+        let (sends, arms) = (shard.sends.len(), shard.arms.len());
+        shard.sends.extend(shard.vertices.sends());
+        shard.vertices.arm(slot, fired.node, now, &mut shard.arms);
         shard.recs.push(HandlerRec {
             seq,
-            node,
-            msg,
-            sends: (send_start, shard.sends.len() as u32),
-            arms: (arm_start, shard.arms.len() as u32),
+            fired,
+            sends: shard.sends.len() - sends,
+            arms: shard.arms.len() - arms,
         });
     }
 }
 
 /// The leader's serial section: merge every shard's handler records by
-/// event `seq` and replay the dispatch side effects — event budget,
-/// meters, trace, oracle queries, global push-sequence assignment — in
-/// exactly the sequential order.
+/// event `seq` and meter, send and number them in exactly the
+/// sequential order.
+#[allow(clippy::too_many_arguments)]
 fn serial_dispatch<P: Process, O: LinkOracle + Send + ?Sized>(
     shards: &mut [impl std::ops::DerefMut<Target = Shard<P>>],
     global: &mut Global<'_, O>,
     g: &WeightedGraph,
-    drift: &[(EdgeId, SimTime, Weight)],
+    plan: &ShardPlan,
+    faults: &Faults,
     t: u64,
     trace_cap: usize,
     event_limit: u64,
 ) {
     let now = SimTime::new(t);
-    advance_drift(&mut global.eff, &mut global.drift_cursor, drift, now);
+    let Global {
+        oracle,
+        ledger,
+        seq,
+        err,
+    } = global;
+    ledger.weights.advance(faults, now);
     let mut cursor: Vec<usize> = vec![0; shards.len()];
     loop {
         let mut best: Option<(u64, usize)> = None;
@@ -960,126 +666,32 @@ fn serial_dispatch<P: Process, O: LinkOracle + Send + ?Sized>(
             }
         }
         let Some((_, s)) = best else { break };
-        let shard = &mut *shards[s];
-        let rec = &shard.recs[cursor[s]];
+        let Shard {
+            recs,
+            sends,
+            arms,
+            outbufs,
+            ..
+        } = &mut *shards[s];
+        let rec = &recs[cursor[s]];
         cursor[s] += 1;
-        global.events += 1;
-        if global.events > event_limit {
-            // The event that crossed the budget dispatches nothing —
-            // the oracle's query count matches the sequential abort.
-            global.err = Some(SimError::EventLimitExceeded { limit: event_limit });
+        // The event that crossed the budget sends nothing — the
+        // oracle's call count matches the sequential abort.
+        if let Err(limit) = ledger.count_event(event_limit) {
+            *err = Some(limit);
             return;
         }
-        if let Some(meta) = &rec.msg {
-            global.cost.record_delivery(now, meta.class);
-            if trace_cap > 0 {
-                global.trace.push(TraceEvent {
-                    from: meta.from,
-                    to: rec.node,
-                    edge: meta.edge,
-                    sent: meta.sent,
-                    delivered: now,
-                    class: meta.class,
-                });
-            }
+        let from = rec.fired.node;
+        if let Some(meta) = &rec.fired.msg {
+            ledger.delivered(now, from, meta, trace_cap);
         }
-        let from = rec.node;
-        for i in rec.sends.0 as usize..rec.sends.1 as usize {
-            let (to, _, class, eid) = &shard.sends[i];
-            let (to, class, eid) = (*to, *class, *eid);
-            let w = global.eff[eid.index()];
-            let index = global.cost.messages;
-            global.cost.record_send(eid, w, class);
-            let dir = u8::from(g.edge(eid).u() != from);
-            let decision = global.oracle.decide(&MsgInfo {
-                index,
-                edge: eid,
-                dir,
-                weight: w,
-                from,
-                to,
-                sent: now,
-            });
-            let fate = match decision {
-                LinkDecision::Drop => {
-                    global.cost.drops += 1;
-                    Fate::Drop
-                }
-                LinkDecision::Deliver { delay } => {
-                    let seq = global.seq;
-                    global.seq += 1;
-                    Fate::Deliver {
-                        delay: delay.clamp(1, w.get()),
-                        seq,
-                    }
-                }
-            };
-            shard.decided.push(fate);
-        }
-        for _ in rec.arms.0..rec.arms.1 {
-            shard.arm_seqs.push(global.seq);
-            global.seq += 1;
+        let mut router = Router { outbufs, plan, seq };
+        let queued = sends.drain(..rec.sends);
+        ledger.send(g, None, &mut **oracle, from, now, queued, &mut router);
+        for (at, timer) in arms.drain(..rec.arms) {
+            router.push(at, timer);
         }
     }
-}
-
-/// Phase C: walk the shard's own records in order, apply the sender-side
-/// FIFO floors to every delivered send, and route each push into the
-/// per-receiver outbox buffer. Walking in record order keeps each
-/// `(sender, receiver)` stream ascending in `seq`, which phase A's merge
-/// and the bucket queue's append contract rely on.
-fn phase_c<P: Process>(
-    shard: &mut Shard<P>,
-    me: usize,
-    g: &WeightedGraph,
-    plan: &ShardPlan,
-    channel_local: &[u32],
-    t: u64,
-) {
-    let now = SimTime::new(t);
-    let mut send_i = 0usize;
-    let mut arm_i = 0usize;
-    let sends = std::mem::take(&mut shard.sends);
-    let mut payloads = sends.into_iter();
-    for rec in &shard.recs {
-        let from = rec.node;
-        for _ in rec.sends.0..rec.sends.1 {
-            let (to, msg, class, eid) = payloads.next().expect("send arena aligned");
-            let fate = shard.decided[send_i];
-            send_i += 1;
-            let Fate::Deliver { delay, seq } = fate else {
-                continue;
-            };
-            let channel = 2 * eid.index() + usize::from(g.edge(eid).u() != from);
-            let fl = channel_local[channel] as usize;
-            let arrival = (now + delay).max(shard.floors[fl]);
-            shard.floors[fl] = arrival;
-            shard.outbufs[plan.shard_of(to)].push_back((
-                arrival.get(),
-                seq,
-                Event::Msg(Delivery {
-                    to,
-                    from,
-                    msg,
-                    sent: now,
-                    class,
-                    edge: eid,
-                }),
-            ));
-        }
-        for _ in rec.arms.0..rec.arms.1 {
-            let (id, delay) = shard.arms[arm_i];
-            let seq = shard.arm_seqs[arm_i];
-            arm_i += 1;
-            shard.outbufs[me].push_back((t + delay, seq, Event::Timer { node: from, id }));
-        }
-    }
-    // Give the (now spent) sends arena its allocation back.
-    shard.sends = {
-        let mut v = payloads.collect::<Vec<_>>();
-        v.clear();
-        v
-    };
 }
 
 /// Phase A: k-way merge the inbox streams by global `seq` into the
@@ -1098,8 +710,8 @@ fn merge_inboxes<P: Process>(shard: &mut Shard<P>) {
             }
         }
         let Some((_, s)) = best else { break };
-        let (time, seq, event) = streams[s].pop_front().expect("front peeked");
-        shard.push(time, seq, event);
+        let (at, seq, event) = streams[s].pop_front().expect("front peeked");
+        shard.core.push_seq(at, seq, event);
     }
     shard.streams = streams;
 }
@@ -1108,8 +720,9 @@ fn merge_inboxes<P: Process>(shard: &mut Shard<P>) {
 mod tests {
     use super::*;
     use crate::delay::{CrashOracle, DropOracle};
-    use crate::process::MsgToken;
+    use crate::process::{Context, MsgToken, TimerId};
     use csp_graph::generators::{self, WeightDist};
+    use csp_graph::Weight;
 
     /// Flood + timer chatter: every delivery toggles between arming and
     /// cancelling a timer, and timer fires re-arm a bounded number of

@@ -104,8 +104,8 @@ pub mod prelude {
     pub use csp_sim::{
         BaselineSimulator, Checkpoint, Context, CoreKind, CostClass, CostReport, CrashOracle,
         DelayModel, DelayOracle, Detect, DetectConfig, DropOracle, EvalPool, EvalSummary,
-        FaultAware, LinkDecision, LinkOracle, ModelOracle, MsgInfo, MsgToken, Process, RelMsg,
-        Reliable, ShardedSimulator, SimTime, Simulator, TimerId,
+        FaultAware, FaultPlan, LinkDecision, LinkOracle, ModelOracle, MsgInfo, MsgToken, Process,
+        RelMsg, Reliable, ShardedSimulator, SimTime, Simulator, TimerId,
     };
     pub use csp_sync::clock::{run_alpha_star, run_beta_star, run_gamma_star};
     pub use csp_sync::net::{

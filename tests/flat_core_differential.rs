@@ -64,13 +64,42 @@ fn arb_oracle() -> impl Strategy<Value = OracleSpec> {
     })
 }
 
-fn oracle_for<'s>(spec: &OracleSpec, mutant: Option<&'s Schedule>) -> Box<dyn LinkOracle + 's> {
-    match spec {
+/// The spec's oracle under an [`ArrivalLog`], so every oracle-driven
+/// case also compares what the executors report through
+/// [`LinkOracle::observe_arrival`].
+fn oracle_for<'s>(spec: &OracleSpec, mutant: Option<&'s Schedule>) -> ArrivalLog<'s> {
+    let inner: Box<dyn LinkOracle + 's> = match spec {
         OracleSpec::Model(m, s) => Box::new(ModelOracle::new(*m, *s)),
         OracleSpec::CriticalPath => Box::new(CriticalPathOracle::new()),
         OracleSpec::MutatedReplay { .. } => {
             Box::new(ScheduleOracle::new(mutant.expect("mutant prepared")))
         }
+    };
+    ArrivalLog {
+        inner,
+        log: Vec::new(),
+    }
+}
+
+/// Logs `(dispatch index, arrival)` per observed arrival on top of any
+/// oracle — the stream `csp-adversary`'s trace layer is built on.
+struct ArrivalLog<'s> {
+    inner: Box<dyn LinkOracle + 's>,
+    log: Vec<(u64, SimTime)>,
+}
+
+impl LinkOracle for ArrivalLog<'_> {
+    fn decide(&mut self, msg: &MsgInfo) -> LinkDecision {
+        self.inner.decide(msg)
+    }
+
+    fn fault_plan(&mut self) -> FaultPlan {
+        self.inner.fault_plan()
+    }
+
+    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
+        self.log.push((msg.index, arrival));
+        self.inner.observe_arrival(msg, arrival);
     }
 }
 
@@ -215,18 +244,18 @@ proptest! {
         let mut flat_oracle = oracle_for(&spec, mutant.as_ref());
         let flat = Simulator::new(&g)
             .record_trace(1 << 16)
-            .run_with_oracle(&mut *flat_oracle, Ghs::new)
+            .run_with_oracle(&mut flat_oracle, Ghs::new)
             .unwrap();
         let mut heap_oracle = oracle_for(&spec, mutant.as_ref());
         let heap = Simulator::new(&g)
             .core(CoreKind::Heap)
             .record_trace(1 << 16)
-            .run_with_oracle(&mut *heap_oracle, Ghs::new)
+            .run_with_oracle(&mut heap_oracle, Ghs::new)
             .unwrap();
         let mut base_oracle = oracle_for(&spec, mutant.as_ref());
         let base = BaselineSimulator::new(&g)
             .record_trace(1 << 16)
-            .run_with_oracle(&mut *base_oracle, Ghs::new)
+            .run_with_oracle(&mut base_oracle, Ghs::new)
             .unwrap();
         prop_assert!(flat.trace.is_fifo(), "flat core violated channel FIFO");
         prop_assert!(base.trace.is_fifo(), "baseline violated channel FIFO");
@@ -234,6 +263,11 @@ proptest! {
         prop_assert_eq!(flat.trace.events(), heap.trace.events());
         prop_assert_eq!(&flat.cost, &base.cost);
         prop_assert_eq!(flat.trace.events(), base.trace.events());
+        // Every delivered dispatch is observed, with the same arrival,
+        // on both flat cores and the independent baseline.
+        prop_assert_eq!(flat_oracle.log.len() as u64, flat.cost.messages - flat.cost.drops);
+        prop_assert_eq!(&flat_oracle.log, &heap_oracle.log);
+        prop_assert_eq!(&flat_oracle.log, &base_oracle.log);
     }
 
     /// Checkpoint equivalence: for a random mutated schedule, resuming

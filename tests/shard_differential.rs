@@ -75,16 +75,42 @@ fn arb_oracle() -> impl Strategy<Value = OracleSpec> {
     })
 }
 
-fn oracle_for<'s>(
-    spec: &OracleSpec,
-    mutant: Option<&'s Schedule>,
-) -> Box<dyn LinkOracle + Send + 's> {
-    match spec {
+/// The spec's oracle under an [`ArrivalLog`], so every oracle-driven
+/// case also compares what the executors report through
+/// [`LinkOracle::observe_arrival`].
+fn oracle_for<'s>(spec: &OracleSpec, mutant: Option<&'s Schedule>) -> ArrivalLog<'s> {
+    let inner: Box<dyn LinkOracle + Send + 's> = match spec {
         OracleSpec::Model(m, s) => Box::new(ModelOracle::new(*m, *s)),
         OracleSpec::CriticalPath => Box::new(CriticalPathOracle::new()),
         OracleSpec::MutatedReplay { .. } => {
             Box::new(ScheduleOracle::new(mutant.expect("mutant prepared")))
         }
+    };
+    ArrivalLog {
+        inner,
+        log: Vec::new(),
+    }
+}
+
+/// Logs `(dispatch index, arrival)` per observed arrival on top of any
+/// oracle — the stream `csp-adversary`'s trace layer is built on.
+struct ArrivalLog<'s> {
+    inner: Box<dyn LinkOracle + Send + 's>,
+    log: Vec<(u64, SimTime)>,
+}
+
+impl LinkOracle for ArrivalLog<'_> {
+    fn decide(&mut self, msg: &MsgInfo) -> LinkDecision {
+        self.inner.decide(msg)
+    }
+
+    fn fault_plan(&mut self) -> FaultPlan {
+        self.inner.fault_plan()
+    }
+
+    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
+        self.log.push((msg.index, arrival));
+        self.inner.observe_arrival(msg, arrival);
     }
 }
 
@@ -190,17 +216,21 @@ proptest! {
         let mut seq_oracle = oracle_for(&spec, mutant.as_ref());
         let seq = Simulator::new(&g)
             .record_trace(1 << 16)
-            .run_with_oracle(&mut *seq_oracle, Ghs::new)
+            .run_with_oracle(&mut seq_oracle, Ghs::new)
             .unwrap();
         let mut par_oracle = oracle_for(&spec, mutant.as_ref());
         let par = ShardedSimulator::new(&g)
             .threads(shards)
             .record_trace(1 << 16)
-            .run_with_oracle(&mut *par_oracle, Ghs::new)
+            .run_with_oracle(&mut par_oracle, Ghs::new)
             .unwrap();
         prop_assert!(seq.trace.is_fifo(), "sequential run violated channel FIFO");
         prop_assert!(par.trace.is_fifo(), "sharded run violated channel FIFO");
         assert_identical!(seq, par);
+        // Every delivered dispatch is observed, with the same arrival,
+        // whichever executor ran it.
+        prop_assert_eq!(seq_oracle.log.len() as u64, seq.cost.messages - seq.cost.drops);
+        prop_assert_eq!(&seq_oracle.log, &par_oracle.log);
     }
 
     /// The timer-heavy fault stacks — [`Reliable`] retransmission over a
