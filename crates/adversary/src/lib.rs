@@ -83,7 +83,9 @@ pub mod trace;
 
 pub use oracle::{CriticalPathOracle, Recorder, ScheduleOracle};
 pub use refute::{check_time_bound, shrink, GridPoint, Refutation};
-pub use schedule::{Crash, Decision, Drift, Fallback, ParseError, PrefixHasher, Rejoin, Schedule};
+pub use schedule::{
+    Crash, Decision, Drift, Fallback, ParseError, PrefixHasher, Rejoin, Schedule, TextParse,
+};
 pub use search::{
     find_worst_schedule, ConfigError, Mutation, SearchConfig, SearchConfigBuilder, SearchOutcome,
 };

@@ -65,7 +65,7 @@
 //! lines and `#` comments are ignored anywhere, so counterexample files
 //! can carry a human-readable header.
 
-use csp_graph::{EdgeId, NodeId};
+use csp_graph::{EdgeId, NodeId, MAX_INDEX};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -343,161 +343,23 @@ impl Schedule {
     }
 
     /// Parses the plain-text format, accepting the `v1` (delay-only),
-    /// `v2` (faults) and `v3` (churn) dialects.
+    /// `v2` (faults) and `v3` (churn) dialects — a [`TextParse`] fed
+    /// every line of `text`.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] naming the offending line on malformed
     /// input: wrong header, unknown fallback, non-contiguous indices, a
-    /// delay outside `[1, weight]`, fault lines in a `v1` file, churn
-    /// lines below `v3`, a vertex crashed twice without an intervening
-    /// rejoin, or a churn discipline violation (see
-    /// [`Schedule::churn_of`]).
+    /// delay outside `[1, weight]`, a vertex or edge id beyond
+    /// [`MAX_INDEX`], fault lines in a `v1` file, churn lines below
+    /// `v3`, a vertex crashed twice without an intervening rejoin, or a
+    /// churn discipline violation (see [`Schedule::churn_of`]).
     pub fn from_text(text: &str) -> Result<Schedule, ParseError> {
-        let fail = |line: usize, msg: &str| ParseError {
-            line,
-            msg: msg.to_string(),
-        };
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-
-        let (ln, header) = lines.next().ok_or_else(|| fail(0, "empty schedule"))?;
-        let version = match header {
-            "csp-adversary-schedule v1" => 1,
-            "csp-adversary-schedule v2" => 2,
-            "csp-adversary-schedule v3" => 3,
-            _ => {
-                return Err(fail(
-                    ln,
-                    "expected header `csp-adversary-schedule v1`, `v2` or `v3`",
-                ))
-            }
-        };
-        let (ln, fb) = lines
-            .next()
-            .ok_or_else(|| fail(0, "missing `fallback` line"))?;
-        let fallback = match fb {
-            "fallback worst-case" => Fallback::WorstCase,
-            "fallback rush" => Fallback::Rush,
-            _ => {
-                return Err(fail(
-                    ln,
-                    "expected `fallback worst-case` or `fallback rush`",
-                ))
-            }
-        };
-
-        let mut decisions = Vec::new();
-        let mut crashes: Vec<Crash> = Vec::new();
-        let mut rejoins: Vec<Rejoin> = Vec::new();
-        let mut drifts: Vec<Drift> = Vec::new();
-        for (ln, line) in lines {
-            let mut parts = line.split_ascii_whitespace();
-            let kind = parts.next().expect("non-empty line has a first token");
-            if version < 2 && kind != "d" {
-                return Err(fail(
-                    ln,
-                    "expected decision line `d <index> <edge> <dir> <weight> <delay>`",
-                ));
-            }
-            if version < 3 && matches!(kind, "r" | "w") {
-                return Err(fail(ln, "churn lines require the v3 dialect"));
-            }
-            let mut num = |what: &str| -> Result<u64, ParseError> {
-                parts
-                    .next()
-                    .ok_or_else(|| fail(ln, &format!("missing {what}")))?
-                    .parse::<u64>()
-                    .map_err(|_| fail(ln, &format!("malformed {what}")))
-            };
-            match kind {
-                "c" => {
-                    let node = num("node")?;
-                    let at = num("time")?;
-                    if parts.next().is_some() {
-                        return Err(fail(ln, "trailing tokens on crash line"));
-                    }
-                    let node = NodeId::new(node as usize);
-                    // Below v3 a vertex crashes at most once; under v3
-                    // recrashes are legal and the alternation check at
-                    // the end enforces the intervening rejoin.
-                    if version < 3 && crashes.iter().any(|c| c.node == node) {
-                        return Err(fail(ln, "vertex crashed twice"));
-                    }
-                    crashes.push(Crash { node, at });
-                    continue;
-                }
-                "r" => {
-                    let node = num("node")?;
-                    let at = num("time")?;
-                    if parts.next().is_some() {
-                        return Err(fail(ln, "trailing tokens on rejoin line"));
-                    }
-                    rejoins.push(Rejoin {
-                        node: NodeId::new(node as usize),
-                        at,
-                    });
-                    continue;
-                }
-                "w" => {
-                    let edge = num("edge")?;
-                    let at = num("time")?;
-                    let weight = num("weight")?;
-                    if parts.next().is_some() {
-                        return Err(fail(ln, "trailing tokens on drift line"));
-                    }
-                    if weight == 0 {
-                        return Err(fail(ln, "drift weight must be at least 1"));
-                    }
-                    drifts.push(Drift {
-                        edge: EdgeId::new(edge as usize),
-                        at,
-                        weight,
-                    });
-                    continue;
-                }
-                "d" | "x" => {}
-                _ => return Err(fail(ln, "expected a `d`, `x`, `c`, `r` or `w` line")),
-            }
-            let dropped = kind == "x";
-            let index = num("index")?;
-            let edge = num("edge")?;
-            let dir = num("dir")?;
-            let weight = num("weight")?;
-            let delay = if dropped { weight } else { num("delay")? };
-            if parts.next().is_some() {
-                return Err(fail(ln, "trailing tokens on decision line"));
-            }
-            if index != decisions.len() as u64 {
-                return Err(fail(ln, "decision indices must be contiguous from 0"));
-            }
-            if dir > 1 {
-                return Err(fail(ln, "dir must be 0 or 1"));
-            }
-            if weight == 0 || delay == 0 || delay > weight {
-                return Err(fail(ln, "delay must lie in [1, weight]"));
-            }
-            decisions.push(Decision {
-                index,
-                edge: EdgeId::new(edge as usize),
-                dir: dir as u8,
-                weight,
-                delay,
-                dropped,
-            });
+        let mut parse = TextParse::default();
+        for line in text.lines() {
+            parse.line(line.as_ptr() as usize - text.as_ptr() as usize, line)?;
         }
-        let schedule = Schedule {
-            decisions,
-            fallback,
-            crashes,
-            rejoins,
-            drifts,
-        };
-        schedule.validate_churn().map_err(|msg| fail(0, &msg))?;
-        Ok(schedule)
+        parse.into_schedule()
     }
 
     /// Canonical 64-bit key of the schedule's crash, rejoin and drift
@@ -646,6 +508,239 @@ impl Schedule {
         std::io::BufReader::new(std::fs::File::open(path)?).read_to_string(&mut text)?;
         Schedule::from_text(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+}
+
+/// A parse of the text format, fed one line at a time — the one parser
+/// behind [`Schedule::from_text`].
+///
+/// Besides the schedule it remembers where in the text each decision's
+/// line starts, so that a consumer holding a second text that begins
+/// with the same bytes can [`rewind`](TextParse::rewind) to the last
+/// decision line before the first difference and feed only the lines
+/// that follow: a line-oriented format parses a byte-identical prefix
+/// that ends at a line start to an identical state. Offsets are the
+/// caller's — whatever coordinate it passes to [`TextParse::line`] — so
+/// a text may be walked in an encoded form (`csp-serve` walks the
+/// undecoded JSON string).
+#[derive(Clone, Debug, Default)]
+pub struct TextParse {
+    /// Dialect of the header line; `0` until it has been read.
+    version: u8,
+    fallback: Option<Fallback>,
+    /// Lines fed so far.
+    lines: usize,
+    decisions: Vec<Decision>,
+    /// `(offset, 1-based line number)` of each decision's line.
+    starts: Vec<(usize, usize)>,
+    /// Fault lines in text order, each with the offset of its line.
+    crashes: Vec<(usize, Crash)>,
+    rejoins: Vec<(usize, Rejoin)>,
+    drifts: Vec<(usize, Drift)>,
+}
+
+impl TextParse {
+    /// The decisions read so far.
+    pub fn decisions(&self) -> &[Decision] {
+        &self.decisions
+    }
+
+    /// The state this parse was in when it reached the last decision
+    /// line starting at or before `offset`, and that line's offset — a
+    /// fresh parse and `0` when no decision line starts that early.
+    pub fn rewind(&self, offset: usize) -> (TextParse, usize) {
+        let k = self.starts.partition_point(|&(at, _)| at <= offset);
+        let Some(&(at, line)) = k.checked_sub(1).map(|k| &self.starts[k]) else {
+            return (TextParse::default(), 0);
+        };
+        fn before<T: Copy>(lines: &[(usize, T)], at: usize) -> Vec<(usize, T)> {
+            lines[..lines.partition_point(|&(o, _)| o < at)].to_vec()
+        }
+        // Room for as many decisions as this text had: the text about
+        // to be fed is a variant of it, and growing a copied prefix by
+        // its first push would copy it a second time.
+        fn prefix<T: Copy>(all: &[T], len: usize) -> Vec<T> {
+            let mut v = Vec::with_capacity(all.len());
+            v.extend_from_slice(&all[..len]);
+            v
+        }
+        let parse = TextParse {
+            version: self.version,
+            fallback: self.fallback,
+            lines: line - 1,
+            decisions: prefix(&self.decisions, k - 1),
+            starts: prefix(&self.starts, k - 1),
+            crashes: before(&self.crashes, at),
+            rejoins: before(&self.rejoins, at),
+            drifts: before(&self.drifts, at),
+        };
+        (parse, at)
+    }
+
+    /// Reads the next line of the text (without its terminator), which
+    /// starts at `offset`.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] naming this line; the parse is then spent.
+    pub fn line(&mut self, offset: usize, line: &str) -> Result<(), ParseError> {
+        self.lines += 1;
+        let ln = self.lines;
+        let fail = |msg: &str| ParseError {
+            line: ln,
+            msg: msg.to_string(),
+        };
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Ok(());
+        }
+        if self.version == 0 {
+            self.version = match line {
+                "csp-adversary-schedule v1" => 1,
+                "csp-adversary-schedule v2" => 2,
+                "csp-adversary-schedule v3" => 3,
+                _ => {
+                    return Err(fail(
+                        "expected header `csp-adversary-schedule v1`, `v2` or `v3`",
+                    ))
+                }
+            };
+            return Ok(());
+        }
+        if self.fallback.is_none() {
+            self.fallback = Some(match line {
+                "fallback worst-case" => Fallback::WorstCase,
+                "fallback rush" => Fallback::Rush,
+                _ => return Err(fail("expected `fallback worst-case` or `fallback rush`")),
+            });
+            return Ok(());
+        }
+
+        let version = self.version;
+        let mut parts = line.split_ascii_whitespace();
+        let kind = parts.next().expect("non-empty line has a first token");
+        if version < 2 && kind != "d" {
+            return Err(fail(
+                "expected decision line `d <index> <edge> <dir> <weight> <delay>`",
+            ));
+        }
+        if version < 3 && matches!(kind, "r" | "w") {
+            return Err(fail("churn lines require the v3 dialect"));
+        }
+        let mut num = |what: &str| -> Result<u64, ParseError> {
+            parts
+                .next()
+                .ok_or_else(|| fail(&format!("missing {what}")))?
+                .parse::<u64>()
+                .map_err(|_| fail(&format!("malformed {what}")))
+        };
+        // Ids come from outside the program: `NodeId::new` / `EdgeId::new`
+        // assert the id space, so it is checked here first.
+        let id = |what: &str, index: u64| -> Result<usize, ParseError> {
+            usize::try_from(index)
+                .ok()
+                .filter(|&i| i <= MAX_INDEX)
+                .ok_or_else(|| fail(&format!("{what} exceeds the id space (max {MAX_INDEX})")))
+        };
+        match kind {
+            "c" => {
+                let node = NodeId::new(id("node", num("node")?)?);
+                let at = num("time")?;
+                if parts.next().is_some() {
+                    return Err(fail("trailing tokens on crash line"));
+                }
+                // Below v3 a vertex crashes at most once; under v3
+                // recrashes are legal and the alternation check at
+                // the end enforces the intervening rejoin.
+                if version < 3 && self.crashes.iter().any(|(_, c)| c.node == node) {
+                    return Err(fail("vertex crashed twice"));
+                }
+                self.crashes.push((offset, Crash { node, at }));
+            }
+            "r" => {
+                let node = NodeId::new(id("node", num("node")?)?);
+                let at = num("time")?;
+                if parts.next().is_some() {
+                    return Err(fail("trailing tokens on rejoin line"));
+                }
+                self.rejoins.push((offset, Rejoin { node, at }));
+            }
+            "w" => {
+                let edge = EdgeId::new(id("edge", num("edge")?)?);
+                let at = num("time")?;
+                let weight = num("weight")?;
+                if parts.next().is_some() {
+                    return Err(fail("trailing tokens on drift line"));
+                }
+                if weight == 0 {
+                    return Err(fail("drift weight must be at least 1"));
+                }
+                self.drifts.push((offset, Drift { edge, at, weight }));
+            }
+            "d" | "x" => {
+                let dropped = kind == "x";
+                let index = num("index")?;
+                let edge = EdgeId::new(id("edge", num("edge")?)?);
+                let dir = num("dir")?;
+                let weight = num("weight")?;
+                let delay = if dropped { weight } else { num("delay")? };
+                if parts.next().is_some() {
+                    return Err(fail("trailing tokens on decision line"));
+                }
+                if index != self.decisions.len() as u64 {
+                    return Err(fail("decision indices must be contiguous from 0"));
+                }
+                if dir > 1 {
+                    return Err(fail("dir must be 0 or 1"));
+                }
+                if weight == 0 || delay == 0 || delay > weight {
+                    return Err(fail("delay must lie in [1, weight]"));
+                }
+                self.decisions.push(Decision {
+                    index,
+                    edge,
+                    dir: dir as u8,
+                    weight,
+                    delay,
+                    dropped,
+                });
+                self.starts.push((offset, ln));
+            }
+            _ => return Err(fail("expected a `d`, `x`, `c`, `r` or `w` line")),
+        }
+        Ok(())
+    }
+
+    /// Ends the text: the schedule read, if what was fed is a complete
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] at line `0` when the header or `fallback` line
+    /// never came, or the churn discipline is violated.
+    pub fn into_schedule(self) -> Result<Schedule, ParseError> {
+        let fail = |msg: &str| ParseError {
+            line: 0,
+            msg: msg.to_string(),
+        };
+        if self.version == 0 {
+            return Err(fail("empty schedule"));
+        }
+        let fallback = self
+            .fallback
+            .ok_or_else(|| fail("missing `fallback` line"))?;
+        fn bare<T>(lines: Vec<(usize, T)>) -> Vec<T> {
+            lines.into_iter().map(|(_, x)| x).collect()
+        }
+        let schedule = Schedule {
+            decisions: self.decisions,
+            fallback,
+            crashes: bare(self.crashes),
+            rejoins: bare(self.rejoins),
+            drifts: bare(self.drifts),
+        };
+        schedule.validate_churn().map_err(|msg| fail(&msg))?;
+        Ok(schedule)
     }
 }
 
@@ -1112,6 +1207,68 @@ mod tests {
             Schedule::from_text(ok).unwrap().churn_of(NodeId::new(1)),
             vec![5, 9, 12]
         );
+    }
+
+    #[test]
+    fn parse_rejects_ids_beyond_the_id_space() {
+        let over = MAX_INDEX as u64 + 1;
+        for body in [
+            format!("d 0 {over} 0 4 4"),
+            format!("x 0 {over} 0 4"),
+            format!("c {over} 3"),
+            format!("c 1 3\nr {over} 9"),
+            format!("w {over} 5 3"),
+            "d 0 99999999999 0 4 4".to_string(),
+        ] {
+            let text = format!("csp-adversary-schedule v3\nfallback rush\n{body}");
+            let err = Schedule::from_text(&text).unwrap_err();
+            assert!(err.msg.contains("exceeds the id space"), "{body:?}: {err}");
+            assert_eq!(err.line, text.lines().count(), "{body:?} names its line");
+        }
+        // The largest id is a legal one.
+        let text = format!("csp-adversary-schedule v1\nfallback rush\nd 0 {MAX_INDEX} 0 4 4");
+        let s = Schedule::from_text(&text).unwrap();
+        assert_eq!(s.decisions[0].edge.index(), MAX_INDEX);
+    }
+
+    #[test]
+    fn rewinding_to_any_offset_resumes_to_the_cold_parse() {
+        // Fault lines before, between and after the decisions, a comment
+        // and a blank line: every rewind target has state to restore.
+        let text = "# head\ncsp-adversary-schedule v3\nfallback rush\nc 4 12\n\
+                    d 0 3 1 16 16\nw 7 33 9\n\n# mid\nx 1 7 0 4\nr 4 50\nd 2 1 0 9 3\nc 4 90\n";
+        let cold = Schedule::from_text(text).unwrap();
+        let mut whole = TextParse::default();
+        let feed = |parse: &mut TextParse, from: usize| {
+            for line in text[from..].lines() {
+                parse.line(line.as_ptr() as usize - text.as_ptr() as usize, line)?;
+            }
+            Ok::<(), ParseError>(())
+        };
+        feed(&mut whole, 0).unwrap();
+        for offset in 0..=text.len() {
+            let (mut parse, at) = whole.rewind(offset);
+            assert!(at <= offset);
+            assert!(at == 0 || text.as_bytes()[at - 1] == b'\n', "a line start");
+            let reused = parse.decisions().len();
+            feed(&mut parse, at).unwrap();
+            assert_eq!(parse.into_schedule().unwrap(), cold, "offset {offset}");
+            // Everything before the last decision line at or before
+            // `offset` is reused, nothing after it.
+            let before = text[..at]
+                .lines()
+                .filter(|l| l.starts_with(['d', 'x']))
+                .count();
+            assert_eq!(reused, before, "offset {offset}");
+        }
+        // An edit after the rewind point fails on the line it is on.
+        let broken = text.replace("d 2 1 0 9 3", "d 3 1 0 9 3");
+        let (mut parse, at) = whole.rewind(text.find("d 2").unwrap() + 2);
+        let err = broken[at..]
+            .lines()
+            .try_for_each(|l| parse.line(0, l))
+            .unwrap_err();
+        assert_eq!(err, Schedule::from_text(&broken).unwrap_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use csp_serve::json::Json;
 use csp_serve::service::{Service, ServiceConfig};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Write};
 
 fn usage() -> ! {
     eprintln!(
@@ -71,35 +71,30 @@ fn main() {
     }
 
     let mut service = Service::new(cfg);
-    let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let stderr = std::io::stderr();
     let mut out = stdout.lock();
     let mut err = stderr.lock();
 
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let request = match Json::parse(line) {
-            Ok(j) => j,
+    // One line buffer for the whole session — a resubmitted schedule is
+    // a line of hundreds of kilobytes, and a fresh allocation that size
+    // is paid for in page faults on every request — and a read buffer
+    // that takes what a pipe hands over in one read.
+    let mut input = BufReader::with_capacity(1 << 16, std::io::stdin().lock());
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match input.read_until(b'\n', &mut line) {
+            Ok(0) => break,
+            Ok(_) => {}
             Err(e) => {
-                let resp = Json::obj(vec![
-                    ("type", Json::str("error")),
-                    ("id", Json::str("")),
-                    (
-                        "error",
-                        Json::str(format!("bad JSON at byte {}: {}", e.pos, e.msg)),
-                    ),
-                ]);
-                let _ = writeln!(out, "{}", resp.dump());
-                let _ = out.flush();
-                continue;
+                eprintln!("csp-serve: reading stdin failed: {e}");
+                break;
             }
-        };
-        if request.get("type").and_then(Json::as_str) == Some("shutdown") {
+        }
+        // The service answers a line that is not UTF-8 or not JSON with
+        // an error and carries on; only EOF or a read error ends it.
+        let Some(responses) = service.handle_line(&line) else {
             let resp = Json::obj(vec![
                 ("type", Json::str("shutdown")),
                 ("ok", Json::Bool(true)),
@@ -107,8 +102,11 @@ fn main() {
             let _ = writeln!(out, "{}", resp.dump());
             let _ = out.flush();
             break;
+        };
+        if responses.is_empty() {
+            continue;
         }
-        for resp in service.handle(&request) {
+        for resp in responses {
             let _ = writeln!(out, "{}", resp.dump());
         }
         let _ = out.flush();

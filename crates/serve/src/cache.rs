@@ -23,11 +23,28 @@
 //! differently, or revise an edge weight at a different instant — never
 //! share a checkpoint.
 //!
+//! The sharing starts at the request bytes. Per scenario key the cache
+//! retains the text of one submitted schedule next to what it parsed to
+//! ([`StackCache::ingest`]): the next submission is compared with it
+//! byte for byte, the decisions before the first difference are copied
+//! instead of parsed, and [`StackCache::probe_shared`] continues hashing
+//! from the retained hasher state at the deepest checkpoint mark they
+//! cover. A byte-identical prefix that ends at a line start parses to
+//! an identical state, and an identical decision prefix under an equal
+//! [`crash_key`](Schedule::crash_key) hashes to an identical state, so
+//! both shortcuts reproduce what a cold parse and a from-scratch probe
+//! compute. What is retained follows a fixed rule, not a tunable: one
+//! text per key, replaced when a submission could copy less than half
+//! of its decisions from it, dropped when the key's last checkpoint
+//! mark is evicted (and a key that never gets a mark holds one only
+//! until another such key does).
+//!
 //! Eviction is LRU by a global access epoch with separate caps for
 //! checkpoints (heavyweight: queue + slab + states) and results
 //! (lightweight), so a long-running service holds its memory flat.
 
-use csp_adversary::{PrefixHasher, Schedule};
+use crate::json::{Escaped, RawLines};
+use csp_adversary::{ParseError, PrefixHasher, Schedule, TextParse};
 use csp_sim::{Checkpoint, CostReport, Process};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,6 +107,104 @@ pub struct StoredResult {
     pub reduction: Option<(u64, u64)>,
 }
 
+/// A schedule string read by [`StackCache::ingest`].
+#[derive(Debug)]
+pub struct Ingested {
+    /// What the string parsed to — equal to [`Schedule::from_text`] of
+    /// the decoded string.
+    pub schedule: Schedule,
+    /// Leading decisions copied from the key's retained text. The first
+    /// `reused` decisions are that text's, which is what
+    /// [`StackCache::probe_shared`] is told.
+    pub reused: usize,
+    /// Decisions parsed from the string's bytes.
+    pub parsed: usize,
+}
+
+/// Why [`StackCache::ingest`] produced no schedule.
+#[derive(Debug, PartialEq, Eq)]
+pub enum IngestError {
+    /// The string uses escapes the line walk does not read; decode it
+    /// in full ([`Json::parse`](crate::json::Json::parse)) and parse
+    /// that with [`Schedule::from_text`].
+    Escaped,
+    /// The schedule is malformed.
+    Parse(ParseError),
+}
+
+impl From<Escaped> for IngestError {
+    fn from(_: Escaped) -> Self {
+        IngestError::Escaped
+    }
+}
+
+impl From<ParseError> for IngestError {
+    fn from(e: ParseError) -> Self {
+        IngestError::Parse(e)
+    }
+}
+
+/// The last fully parsed schedule string submitted under one key.
+struct Retained {
+    /// The string as it sat in the request line, undecoded.
+    raw: String,
+    /// Its finished parse; line offsets are offsets into `raw`.
+    parse: TextParse,
+    crash_key: u64,
+    /// Hasher states of this schedule's prefixes at checkpoint marks
+    /// ([`PrefixHasher::absorbed`] is the mark), ascending.
+    snapshots: Vec<PrefixHasher>,
+}
+
+/// Length of the longest common prefix, compared a block at a time
+/// (slice equality is `memcmp`).
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const BLOCK: usize = 1024;
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + BLOCK <= n && a[i..i + BLOCK] == b[i..i + BLOCK] {
+        i += BLOCK;
+    }
+    i + a[i..n]
+        .iter()
+        .zip(&b[i..n])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The hasher state of `schedule` at each of `marks` (ascending, all ≤
+/// its length), then at its full length — the one absorb loop behind
+/// probing and checkpoint insertion. `known` are states of this very
+/// schedule from an earlier pass; hashing starts after the longest run
+/// of them that lines up with `marks`.
+fn prefix_states(
+    schedule: &Schedule,
+    marks: &[u64],
+    known: &[PrefixHasher],
+) -> (Vec<PrefixHasher>, PrefixHasher) {
+    let mut states: Vec<PrefixHasher> = marks
+        .iter()
+        .zip(known)
+        .take_while(|(&mark, state)| state.absorbed() == mark)
+        .map(|(_, &state)| state)
+        .collect();
+    let mut hasher = states
+        .last()
+        .copied()
+        .unwrap_or_else(|| PrefixHasher::new(schedule));
+    for d in &schedule.decisions[hasher.absorbed() as usize..] {
+        while marks.get(states.len()) == Some(&hasher.absorbed()) {
+            states.push(hasher);
+        }
+        hasher.absorb(d);
+    }
+    while states.len() < marks.len() {
+        debug_assert_eq!(marks[states.len()], schedule.len() as u64);
+        states.push(hasher);
+    }
+    (states, hasher)
+}
+
 struct StoredCheckpoint<P: Process> {
     cp: Arc<Checkpoint<P>>,
     epoch: u64,
@@ -109,6 +224,11 @@ pub struct StackCache<P: Process> {
     /// Checkpoint depths (message marks) known per scenario key, sorted
     /// ascending. Probes walk this deepest-first.
     marks: HashMap<String, Vec<u64>>,
+    /// Per scenario key, the schedule text [`StackCache::ingest`] reads
+    /// the next one against. Only keys with marks hold one — it goes
+    /// when the key's last mark is evicted — plus the key submitted to
+    /// last, whose marks come with its first cold run.
+    retained: HashMap<String, Retained>,
     /// `(scenario key, exact hash)` → stored result.
     results: HashMap<(String, u64), StoredExact>,
     caps: CacheCaps,
@@ -122,6 +242,7 @@ impl<P: Process + Clone> StackCache<P> {
         StackCache {
             checkpoints: HashMap::new(),
             marks: HashMap::new(),
+            retained: HashMap::new(),
             results: HashMap::new(),
             caps,
             epoch: 0,
@@ -165,6 +286,62 @@ impl<P: Process + Clone> StackCache<P> {
         }
     }
 
+    /// Reads a submission's `schedule` string as it sits in the request
+    /// line (`raw`, undecoded): finds the longest byte prefix it shares
+    /// with the text retained for `scenario_key`, rewinds that text's
+    /// parse to the last decision line before the first difference, and
+    /// feeds the same parser only the lines from there on. With nothing
+    /// retained the shared prefix is empty and this is a cold parse.
+    ///
+    /// A text that parses replaces the retained one when it could copy
+    /// less than half of that one's decisions, or none is retained.
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::Parse`] carries the [`ParseError`]
+    /// [`Schedule::from_text`] gives for the decoded string;
+    /// [`IngestError::Escaped`] asks the caller to decode in full.
+    pub fn ingest(&mut self, scenario_key: &str, raw: &str) -> Result<Ingested, IngestError> {
+        let retained = self.retained.get(scenario_key);
+        let (mut parse, at) = match retained {
+            Some(r) => r
+                .parse
+                .rewind(common_prefix(r.raw.as_bytes(), raw.as_bytes())),
+            None => (TextParse::default(), 0),
+        };
+        let reused = parse.decisions().len();
+        let keep = retained.is_some_and(|r| 2 * reused >= r.parse.decisions().len());
+        let mut lines = RawLines::new(&raw[at..]);
+        while let Some(line) = lines.next() {
+            let (offset, line) = line?;
+            parse.line(at + offset, line)?;
+        }
+        let schedule = if keep {
+            parse.into_schedule()?
+        } else {
+            let schedule = parse.clone().into_schedule()?;
+            // A key whose runs never store a checkpoint must not hold a
+            // text forever: this one displaces every such key's.
+            let marks = &self.marks;
+            self.retained.retain(|key, _| marks.contains_key(key));
+            self.retained.insert(
+                scenario_key.to_string(),
+                Retained {
+                    raw: raw.to_string(),
+                    parse,
+                    crash_key: schedule.crash_key(),
+                    snapshots: Vec::new(),
+                },
+            );
+            schedule
+        };
+        Ok(Ingested {
+            reused,
+            parsed: schedule.len() - reused,
+            schedule,
+        })
+    }
+
     /// Probes for the best way to evaluate `schedule` under
     /// `scenario_key` (= `graph_key/stack_key`). Exact result first,
     /// then the deepest checkpoint whose prefix key matches, else miss.
@@ -177,37 +354,21 @@ impl<P: Process + Clone> StackCache<P> {
     /// full decision stream is the probe's dominant cost, so it is paid
     /// exactly once per submission.
     pub fn probe(&mut self, scenario_key: &str, schedule: &Schedule) -> (u64, Probe<P>) {
+        self.probe_shared(scenario_key, schedule, 0)
+    }
+
+    /// [`StackCache::probe`] for a schedule whose first `shared`
+    /// decisions are those of the text retained for `scenario_key`
+    /// ([`Ingested::reused`]): hashing continues from the retained state
+    /// at the deepest checkpoint mark they cover.
+    pub fn probe_shared(
+        &mut self,
+        scenario_key: &str,
+        schedule: &Schedule,
+        shared: usize,
+    ) -> (u64, Probe<P>) {
         let now = self.tick();
-        // One O(len) pass computes the prefix key at every mark ≤ len
-        // *and* the full-schedule key the exact-result hash extends.
-        let usable: Vec<u64> = self
-            .marks
-            .get(scenario_key)
-            .map(|marks| {
-                marks
-                    .iter()
-                    .copied()
-                    .filter(|&m| m <= schedule.len() as u64)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut keys_at: Vec<(u64, u64)> = Vec::with_capacity(usable.len());
-        let mut hasher = PrefixHasher::new(schedule);
-        let mut mark_ix = 0;
-        for (i, d) in schedule.decisions.iter().enumerate() {
-            while mark_ix < usable.len() && usable[mark_ix] == i as u64 {
-                keys_at.push((usable[mark_ix], hasher.key()));
-                mark_ix += 1;
-            }
-            hasher.absorb(d);
-        }
-        while mark_ix < usable.len() {
-            debug_assert_eq!(usable[mark_ix], schedule.len() as u64);
-            keys_at.push((usable[mark_ix], hasher.key()));
-            mark_ix += 1;
-        }
-        let exact = hasher.key() ^ Self::fallback_salt(schedule.fallback);
-        debug_assert_eq!(exact, Self::exact_schedule_hash(schedule));
+        let (exact, keys_at) = self.probe_keys(scenario_key, schedule, shared);
         if let Some(hit) = self.results.get_mut(&(scenario_key.to_string(), exact)) {
             hit.epoch = now;
             return (exact, Probe::Full(Box::new(hit.result.clone())));
@@ -227,6 +388,52 @@ impl<P: Process + Clone> StackCache<P> {
         (exact, Probe::Miss)
     }
 
+    /// What a probe looks up: the schedule's exact-result hash, and its
+    /// [`prefix_key`](Schedule::prefix_key) at every checkpoint mark of
+    /// `scenario_key` within its length, as `(mark, key)` ascending.
+    /// `shared` as for [`StackCache::probe_shared`]; the result does not
+    /// depend on it.
+    pub fn probe_keys(
+        &mut self,
+        scenario_key: &str,
+        schedule: &Schedule,
+        shared: usize,
+    ) -> (u64, Vec<(u64, u64)>) {
+        let marks = self.marks.get(scenario_key).map_or(&[][..], Vec::as_slice);
+        let usable = &marks[..marks.partition_point(|&m| m <= schedule.len() as u64)];
+        // The retained states describe this schedule as far as it is the
+        // retained one: `shared` decisions deep, and only under an equal
+        // crash key, which seeds every state.
+        let mut retained = self
+            .retained
+            .get_mut(scenario_key)
+            .filter(|r| r.crash_key == schedule.crash_key());
+        let covers = |states: &[PrefixHasher]| {
+            states.partition_point(|state| state.absorbed() <= shared as u64)
+        };
+        let known = retained
+            .as_deref()
+            .map_or(&[][..], |r| &r.snapshots[..covers(&r.snapshots)]);
+        let (states, full) = prefix_states(schedule, usable, known);
+        if let Some(r) = retained.as_mut() {
+            // What was hashed within the shared prefix holds for the
+            // retained text too: keep whichever list reaches deeper.
+            let ours = &states[..covers(&states)];
+            let depth = |states: &[PrefixHasher]| states.last().map(PrefixHasher::absorbed);
+            if depth(ours) >= depth(&r.snapshots) {
+                r.snapshots = ours.to_vec();
+            }
+        }
+        let exact = full.key() ^ Self::fallback_salt(schedule.fallback);
+        debug_assert_eq!(exact, Self::exact_schedule_hash(schedule));
+        let keys_at = usable
+            .iter()
+            .zip(&states)
+            .map(|(&mark, state)| (mark, state.key()))
+            .collect();
+        (exact, keys_at)
+    }
+
     /// Stores the checkpoints of a cold run of `schedule`, each keyed
     /// by the prefix it bakes in. Checkpoints whose message mark
     /// exceeds the schedule's recorded horizon are skipped: past the
@@ -240,28 +447,22 @@ impl<P: Process + Clone> StackCache<P> {
         cps: &[Checkpoint<P>],
     ) {
         let now = self.tick();
-        let mut hasher = PrefixHasher::new(schedule);
-        let mut absorbed: u64 = 0;
-        for cp in cps {
-            let mark = cp.messages();
-            if mark > schedule.len() as u64 {
-                break;
-            }
-            while absorbed < mark {
-                hasher.absorb(&schedule.decisions[absorbed as usize]);
-                absorbed += 1;
-            }
-            let key = (scenario_key.to_string(), hasher.key());
+        let within = cps
+            .iter()
+            .take_while(|cp| cp.messages() <= schedule.len() as u64);
+        let depths: Vec<u64> = within.clone().map(Checkpoint::messages).collect();
+        let (states, _) = prefix_states(schedule, &depths, &[]);
+        for (cp, state) in within.zip(&states) {
             self.checkpoints.insert(
-                key,
+                (scenario_key.to_string(), state.key()),
                 StoredCheckpoint {
                     cp: Arc::new(cp.clone()),
                     epoch: now,
                 },
             );
             let marks = self.marks.entry(scenario_key.to_string()).or_default();
-            if let Err(ix) = marks.binary_search(&mark) {
-                marks.insert(ix, mark);
+            if let Err(ix) = marks.binary_search(&cp.messages()) {
+                marks.insert(ix, cp.messages());
             }
         }
         self.evict_checkpoints();
@@ -328,8 +529,10 @@ impl<P: Process + Clone> StackCache<P> {
                     if let Ok(ix) = marks.binary_search(&mark) {
                         marks.remove(ix);
                     }
+                    // The retained text goes with the key's last mark.
                     if marks.is_empty() {
                         self.marks.remove(&victim.0);
+                        self.retained.remove(&victim.0);
                     }
                 }
             }
@@ -473,6 +676,46 @@ mod tests {
         let mut refit = schedule.clone();
         refit.fallback = csp_adversary::Fallback::Rush;
         assert!(!matches!(cache.probe(key, &refit).1, Probe::Full(_)));
+    }
+
+    #[test]
+    fn a_retained_text_lives_and_dies_with_its_keys_marks() {
+        let (g, schedule) = recorded_schedule(3);
+        let raw = schedule.to_text().replace('\n', "\\n");
+        let len = schedule.len();
+        let mut cps = Vec::new();
+        Simulator::new(&g)
+            .run_with_checkpoints(
+                &mut ScheduleOracle::new(&schedule),
+                |v, _| Flood::new(v == NodeId::new(0)),
+                5,
+                &mut cps,
+            )
+            .unwrap();
+        assert!(cps.len() >= 2);
+        let mut cache: StackCache<Flood> = StackCache::new(CacheCaps {
+            checkpoints: cps.len(),
+            results: 4,
+        });
+
+        // The first text under a key is parsed whole and retained; the
+        // same text again copies all but the line it rewinds to.
+        let first = cache.ingest("a", &raw).unwrap();
+        assert_eq!((first.reused, first.parsed), (0, len));
+        assert_eq!(first.schedule, schedule);
+        assert_eq!(cache.ingest("a", &raw).unwrap().reused, len - 1);
+        // A key with no marks holds its text only until another does.
+        cache.ingest("b", &raw).unwrap();
+        assert_eq!(cache.ingest("a", &raw).unwrap().reused, 0);
+        // With marks it stays, whatever other keys do...
+        cache.insert_checkpoints("a", &schedule, &cps);
+        cache.ingest("b", &raw).unwrap();
+        assert_eq!(cache.ingest("a", &raw).unwrap().reused, len - 1);
+        // ...until its last checkpoint is evicted.
+        cache.insert_checkpoints("b", &schedule, &cps);
+        assert_eq!(cache.len().0, cps.len(), "the cap holds: a's are gone");
+        assert_eq!(cache.ingest("a", &raw).unwrap().reused, 0);
+        assert_eq!(cache.ingest("b", &raw).unwrap().reused, len - 1);
     }
 
     #[test]

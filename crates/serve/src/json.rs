@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A parsed JSON value. Object keys are kept in a [`BTreeMap`] so
 /// serialization is canonical (sorted keys) — stable output for tests
@@ -150,17 +151,105 @@ impl Json {
     /// Parses one JSON document, requiring it to span the whole input
     /// (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
+        Parser::new(text, &[]).document()
+    }
+
+    /// [`Json::parse`], except that the string found by following the
+    /// object keys `path` from the top is **held**: not decoded, left in
+    /// the tree as `null`, and returned as the byte range of its
+    /// contents (between the quotes) in `text` — to be walked with
+    /// [`RawLines`]. Everything else becomes a tree as usual.
+    ///
+    /// Nothing is held (and the tree is exactly `Json::parse`'s) when
+    /// there is no string there, when it contains an escaped quote, or
+    /// when the document repeats a key — the tree keeps the last of
+    /// two, and the held range must be the one the tree would hold. The
+    /// held contents are **not validated** beyond having no escaped
+    /// quote; [`RawLines`] does that as it walks them.
+    pub fn parse_holding(
+        text: &str,
+        path: &[&str],
+    ) -> Result<(Json, Option<Range<usize>>), JsonError> {
+        let mut p = Parser::new(text, path);
+        let v = p.document()?;
+        if p.held.is_some() && p.repeated_key {
+            return Ok((Json::parse(text)?, None));
         }
-        Ok(v)
+        Ok((v, p.held))
+    }
+}
+
+/// Walks the undecoded contents of a JSON string line by line: the
+/// lines [`str::lines`] would split the decoded string into (a trailing
+/// `\r` is kept; consumers trim), each with the byte offset in the
+/// undecoded contents at which it starts.
+///
+/// Only the escapes `\n`, `\r` and `\t` are understood — a line
+/// holding any is decoded into a scratch buffer, a line holding none is
+/// a slice of the input. Anything else a JSON string may not contain
+/// verbatim, or any other escape, ends the walk with [`Escaped`]: the
+/// caller decodes the whole string with [`Json::parse`] instead.
+pub struct RawLines<'a> {
+    raw: &'a str,
+    pos: usize,
+    scratch: String,
+}
+
+/// The string holds an escape [`RawLines`] does not read, or a raw
+/// control character.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Escaped;
+
+impl<'a> RawLines<'a> {
+    /// Starts at the beginning of `raw`, which must start at a line
+    /// start of the string.
+    pub fn new(raw: &'a str) -> Self {
+        RawLines {
+            raw,
+            pos: 0,
+            scratch: String::new(),
+        }
+    }
+
+    /// The next line and the offset it starts at, `None` after the last.
+    #[allow(clippy::should_implement_trait)] // lends out its scratch buffer
+    pub fn next(&mut self) -> Option<Result<(usize, &str), Escaped>> {
+        let bytes = self.raw.as_bytes();
+        let start = self.pos;
+        if start == bytes.len() {
+            return None;
+        }
+        self.scratch.clear();
+        // `raw[copied..i]` is read but not yet in the scratch buffer.
+        let (mut i, mut copied) = (start, start);
+        let end = loop {
+            // Stops on ASCII only, so every cut is a char boundary.
+            while i < bytes.len() && bytes[i] != b'\\' && bytes[i] >= 0x20 {
+                i += 1;
+            }
+            let decoded = match (bytes.get(i), bytes.get(i + 1)) {
+                (None, _) => {
+                    self.pos = i;
+                    break i;
+                }
+                (Some(b'\\'), Some(b'n')) => {
+                    self.pos = i + 2;
+                    break i;
+                }
+                (Some(b'\\'), Some(b'r')) => '\r',
+                (Some(b'\\'), Some(b't')) => '\t',
+                _ => return Some(Err(Escaped)),
+            };
+            self.scratch.push_str(&self.raw[copied..i]);
+            self.scratch.push(decoded);
+            i += 2;
+            copied = i;
+        };
+        if copied == start {
+            return Some(Ok((start, &self.raw[start..end])));
+        }
+        self.scratch.push_str(&self.raw[copied..end]);
+        Some(Ok((start, &self.scratch)))
     }
 }
 
@@ -198,11 +287,43 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Object keys leading to the string to hold (empty: hold nothing).
+    path: &'a [&'a str],
+    /// Containers open around `pos`.
+    depth: usize,
+    /// How many leading keys of `path` the open objects have matched.
+    matched: usize,
+    held: Option<Range<usize>>,
+    repeated_key: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str, path: &'a [&'a str]) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            path,
+            depth: 0,
+            matched: 0,
+            held: None,
+            repeated_key: false,
+        }
+    }
+
+    fn document(&mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after the document"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             pos: self.pos,
@@ -259,6 +380,9 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(Json::Arr(items));
         }
+        // An array is a level no path key names: nothing below it is
+        // on the path.
+        self.depth += 1;
         loop {
             self.skip_ws();
             items.push(self.value()?);
@@ -267,6 +391,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
@@ -282,23 +407,63 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(Json::Obj(map));
         }
+        self.depth += 1;
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
+            let on_path =
+                self.matched + 1 == self.depth && self.path.get(self.matched) == Some(&&*key);
+            let val = if !on_path {
+                self.value()?
+            } else if self.depth < self.path.len() {
+                self.matched += 1;
+                let val = self.value()?;
+                self.matched -= 1;
+                val
+            } else {
+                self.hold()?
+            };
+            self.repeated_key |= map.insert(key, val).is_some();
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(map));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
+        }
+    }
+
+    /// The value at the end of the path: a string with no escaped quote
+    /// is skipped to its closing quote and held, anything else is read
+    /// as usual.
+    fn hold(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos + 1;
+        // `str::find` is the word-at-a-time search; `start` follows an
+        // ASCII quote, so it is a char boundary.
+        let end = match self.peek() {
+            Some(b'"') => self.text[start..].find('"').map(|at| start + at),
+            _ => None,
+        };
+        // A quote after an odd run of backslashes is an escaped one.
+        let escaped = |end: usize| {
+            let backslashes = self.bytes[start..end].iter().rev();
+            backslashes.take_while(|&&b| b == b'\\').count() % 2 == 1
+        };
+        match end {
+            Some(end) if !escaped(end) => {
+                self.repeated_key |= self.held.is_some();
+                self.held = Some(start..end);
+                self.pos = end + 1;
+                Ok(Json::Null)
+            }
+            _ => self.value(),
         }
     }
 
@@ -416,6 +581,94 @@ mod tests {
         let parsed = Json::parse(&v.dump()).unwrap();
         assert_eq!(parsed, v);
         assert_eq!(Json::parse(r#""ü""#).unwrap().as_str(), Some("ü"));
+    }
+
+    #[test]
+    fn holding_keeps_one_string_out_of_the_tree() {
+        let path = ["run", "schedule"];
+        let doc = r#"{"id":"a","run":{"mode":"schedule","schedule":"l1\nl2\\"},"z":[{"run":{"schedule":"deep"}}]}"#;
+        let (tree, held) = Json::parse_holding(doc, &path).unwrap();
+        let held = held.expect("a plain string at the path is held");
+        assert_eq!(
+            &doc[held], r"l1\nl2\\",
+            "an escaped backslash is no escaped quote"
+        );
+        let run = tree.get("run").unwrap();
+        assert_eq!(run.get("schedule"), Some(&Json::Null));
+        assert_eq!(run.get("mode").unwrap().as_str(), Some("schedule"));
+        // Put back, it is the tree `parse` builds.
+        let mut whole = Json::parse(doc).unwrap();
+        if let Json::Obj(top) = &mut whole {
+            if let Some(Json::Obj(run)) = top.get_mut("run") {
+                run.insert("schedule".to_string(), Json::Null);
+            }
+        }
+        assert_eq!(tree, whole);
+
+        // Nothing is held, and the tree is `parse`'s, when the path ends
+        // elsewhere, in no string, below an array, in a string with an
+        // escaped quote, or when a key repeats.
+        for doc in [
+            r#"{"run":{"mode":"model"},"schedule":"top"}"#,
+            r#"{"run":{"schedule":17}}"#,
+            r#"{"run":[{"schedule":"in an array"}]}"#,
+            r#"[{"run":{"schedule":"in an array"}}]"#,
+            r#"{"run":{"schedule":"say \"hi\""}}"#,
+            r#"{"run":{"schedule":"one","schedule":"two"}}"#,
+            r#"{"run":{"schedule":"one"},"run":{"mode":"model"}}"#,
+            r#"{"run":{"schedule":"one"},"a":1,"a":2}"#,
+        ] {
+            let (tree, held) = Json::parse_holding(doc, &path).unwrap();
+            assert_eq!(held, None, "{doc}");
+            assert_eq!(tree, Json::parse(doc).unwrap(), "{doc}");
+        }
+        // Errors after a held string are `parse`'s errors.
+        for doc in [r#"{"run":{"schedule":"x"}"#, r#"{"run":{"schedule":"x"#] {
+            assert_eq!(
+                Json::parse_holding(doc, &path).unwrap_err(),
+                Json::parse(doc).unwrap_err()
+            );
+        }
+    }
+
+    #[test]
+    fn raw_lines_are_the_lines_of_the_decoded_string() {
+        for text in [
+            "",
+            "one",
+            "one\n",
+            "one\ntwo",
+            "\n\nthree\n",
+            "crlf\r\nlone\rcr\r\n",
+            "tab\there\nand é ü\n# x",
+            "ends in cr\r",
+        ] {
+            let dumped = Json::str(text).dump();
+            let raw = &dumped[1..dumped.len() - 1];
+            let mut lines = RawLines::new(raw);
+            let mut got = Vec::new();
+            while let Some(line) = lines.next() {
+                let (offset, line) = line.unwrap();
+                assert!(offset == 0 || raw[..offset].ends_with("\\n"));
+                got.push(line.trim_end_matches('\r').to_string());
+            }
+            let want: Vec<&str> = text.lines().map(|l| l.trim_end_matches('\r')).collect();
+            assert_eq!(got, want, "{text:?}");
+        }
+        // What it does not read, it says so about — at the line that
+        // holds it, after yielding the lines before.
+        for raw in [
+            r#"ok\nquote \" here"#,
+            r#"ok\nunicode \u000a"#,
+            r#"ok\nslash \/"#,
+            r#"ok\nbackslash \\"#,
+            "ok\\nraw\ttab",
+            r#"ok\ntruncated \"#,
+        ] {
+            let mut lines = RawLines::new(raw);
+            assert_eq!(lines.next(), Some(Ok((0, "ok"))), "{raw:?}");
+            assert_eq!(lines.next(), Some(Err(Escaped)), "{raw:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! (INCREMENTAL) instead of replaying from scratch; an exact match
 //! returns the stored result (FULL). Resumed runs are bit-identical to
 //! cold runs — costs, traces, and fault meters — which the crate's
-//! differential tests pin.
+//! differential tests pin. The sharing starts at the request bytes: a
+//! resubmitted schedule is compared with the text retained for its
+//! scenario key, and only what follows the first difference is parsed
+//! and hashed.
 //!
 //! Modules:
 //! - [`json`] — dependency-free JSON parsing/serialisation.
@@ -32,7 +35,7 @@ pub mod metrics;
 pub mod scenario;
 pub mod service;
 
-pub use cache::{CacheCaps, Probe, StackCache, StoredResult};
+pub use cache::{CacheCaps, IngestError, Ingested, Probe, StackCache, StoredResult};
 pub use json::{Json, JsonError};
 pub use metrics::{CacheOutcome, ServeMetrics, WorkerMetrics};
 pub use scenario::{Bound, GraphSpec, RunMode, Scenario, SpecError, StackSpec};

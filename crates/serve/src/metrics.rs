@@ -86,6 +86,14 @@ pub struct ServeMetrics {
     pub exec: Duration,
     /// Total time scenarios waited between acceptance and execution.
     pub queue_wait: Duration,
+    /// Total time from a request's arrival to each of its scenarios
+    /// being parsed and probed against the cache (the probe is also
+    /// inside `queue_wait`).
+    pub ingest: Duration,
+    /// Schedule decisions copied from a retained text instead of parsed.
+    pub ingest_reused: u64,
+    /// Schedule decisions parsed from request bytes.
+    pub ingest_parsed: u64,
     /// Messages metered across all evaluations.
     pub messages: u64,
     /// Aggregated fault meters across all evaluated scenarios.
@@ -172,6 +180,9 @@ impl ServeMetrics {
                 "queue_wait_us",
                 Json::num(self.queue_wait.as_micros() as f64),
             ),
+            ("ingest_us", Json::num(self.ingest.as_micros() as f64)),
+            ("ingest_reused", Json::num(self.ingest_reused as f64)),
+            ("ingest_parsed", Json::num(self.ingest_parsed as f64)),
             ("messages", Json::num(self.messages as f64)),
             ("msgs_per_sec", Json::num(rate(self.messages, self.exec))),
             ("drops", Json::num(self.drops as f64)),

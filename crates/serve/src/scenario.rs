@@ -368,6 +368,18 @@ pub struct Scenario {
 impl Scenario {
     /// Parses one `submit` object.
     pub fn from_json(v: &Json) -> Result<Scenario, SpecError> {
+        Scenario::from_json_with(v, |_, _, run| RunMode::from_json(run))
+    }
+
+    /// [`Scenario::from_json`] with the `"run"` member read by `run`,
+    /// which is handed the graph and stack parsed before it — the
+    /// service reads a held `run.schedule` string against what its
+    /// cache retains for that scenario key. Members are read, and
+    /// errors reported, in the same order either way.
+    pub(crate) fn from_json_with<E: From<SpecError>>(
+        v: &Json,
+        run: impl FnOnce(&GraphSpec, &StackSpec, &Json) -> Result<RunMode, E>,
+    ) -> Result<Scenario, E> {
         let graph = GraphSpec::from_json(
             v.get("graph")
                 .ok_or_else(|| SpecError::new("missing \"graph\""))?,
@@ -376,7 +388,9 @@ impl Scenario {
             v.get("stack")
                 .ok_or_else(|| SpecError::new("missing \"stack\""))?,
         )?;
-        let run = RunMode::from_json(
+        let run = run(
+            &graph,
+            &stack,
             v.get("run")
                 .ok_or_else(|| SpecError::new("missing \"run\""))?,
         )?;
@@ -392,7 +406,8 @@ impl Scenario {
             return Err(SpecError::new(&format!(
                 "shards {} too large (max {MAX_SHARDS})",
                 scenario.shards
-            )));
+            ))
+            .into());
         }
         // The root must exist in the spec'd graph; checking here keeps
         // worker code panic-free on hostile input.
@@ -404,13 +419,15 @@ impl Scenario {
             return Err(SpecError::new(&format!(
                 "stack root {} out of range for a {n}-vertex graph",
                 scenario.stack.root().index()
-            )));
+            ))
+            .into());
         }
         if matches!(scenario.run, RunMode::Exhaustive { .. }) && n > MAX_EXHAUSTIVE_NODES {
             return Err(SpecError::new(&format!(
                 "exhaustive mode is limited to {MAX_EXHAUSTIVE_NODES} vertices \
                  (got n={n}); use \"mode\": \"search\" for larger instances"
-            )));
+            ))
+            .into());
         }
         Ok(scenario)
     }

@@ -18,11 +18,20 @@
 //!
 //! The cache layer never crosses a thread: workers only see cloned
 //! checkpoints, which keeps the engine lock-free.
+//!
+//! A request reaches the engine as a line of bytes
+//! ([`Service::handle_line`], what the binary calls) or as a parsed tree
+//! ([`Service::handle`]). The line entry keeps a `submit`'s
+//! `run.schedule` string out of the tree and reads it against the text
+//! the cache retains for the scenario key ([`StackCache::ingest`]), so a
+//! resubmitted schedule pays for the bytes that changed; a string using
+//! escapes that walk does not read is decoded in full and takes the tree
+//! entry. Both feed the same pipeline above.
 
-use crate::cache::{fnv1a, CacheCaps, Probe, StackCache, StoredResult};
-use crate::json::Json;
+use crate::cache::{fnv1a, CacheCaps, IngestError, Probe, StackCache, StoredResult};
+use crate::json::{Json, JsonError};
 use crate::metrics::{CacheOutcome, ServeMetrics};
-use crate::scenario::{Bound, RunMode, Scenario, StackSpec};
+use crate::scenario::{Bound, GraphSpec, RunMode, Scenario, SpecError, StackSpec};
 use csp_adversary::{Fallback, Recorder, Schedule, ScheduleOracle, SearchConfig};
 use csp_algo::flood::Flood;
 use csp_algo::spt::recur::SptRecur;
@@ -103,6 +112,76 @@ pub struct Service {
     spt_cache: StackCache<SptRecur>,
     /// Aggregated counters, exported by `stats` and the metrics stream.
     pub metrics: ServeMetrics,
+}
+
+/// How a scenario got from its request to a probed job: the `ingest_*`
+/// fields of its response.
+#[derive(Clone, Copy)]
+struct Ingest {
+    /// When the request carrying the scenario arrived.
+    started: Instant,
+    /// Leading decisions copied from the scenario key's retained text.
+    reused: usize,
+    /// Decisions parsed from the request's bytes.
+    parsed: usize,
+}
+
+/// The rendered `ingest_us`, `ingest_reused`, `ingest_parsed`.
+type IngestFields = [(&'static str, Json); 3];
+
+impl Ingest {
+    /// A scenario of a request that arrived at `started`, with no
+    /// schedule text read for it.
+    fn at(started: Instant) -> Ingest {
+        Ingest {
+            started,
+            reused: 0,
+            parsed: 0,
+        }
+    }
+
+    /// A scenario of a request that arrived at `started`, parsed whole.
+    fn whole(started: Instant, scenario: &Scenario) -> Ingest {
+        let parsed = match &scenario.run {
+            RunMode::Schedule(schedule) => schedule.len(),
+            _ => 0,
+        };
+        Ingest {
+            parsed,
+            ..Ingest::at(started)
+        }
+    }
+
+    /// Ends the span — call once the cache has been probed — metering
+    /// it and rendering the response fields.
+    fn finish(self, metrics: &mut ServeMetrics) -> IngestFields {
+        let elapsed = self.started.elapsed();
+        metrics.ingest += elapsed;
+        metrics.ingest_reused += self.reused as u64;
+        metrics.ingest_parsed += self.parsed as u64;
+        [
+            ("ingest_us", Json::num(elapsed.as_micros() as f64)),
+            ("ingest_reused", Json::num(self.reused as f64)),
+            ("ingest_parsed", Json::num(self.parsed as f64)),
+        ]
+    }
+}
+
+/// Why a `submit` with a held schedule string yielded no scenario.
+enum HeldError {
+    Spec(SpecError),
+    /// The string must be decoded in full.
+    Escaped,
+}
+
+impl From<SpecError> for HeldError {
+    fn from(e: SpecError) -> Self {
+        HeldError::Spec(e)
+    }
+}
+
+fn scenario_key(graph: &GraphSpec, stack: &StackSpec) -> String {
+    format!("{}/{}", graph.key(), stack.key())
 }
 
 /// One scheduled unit of work, after cache probing.
@@ -192,84 +271,153 @@ impl Service {
         self.threads
     }
 
+    /// Handles one request line as read from the transport (surrounding
+    /// whitespace and the line terminator allowed), returning the
+    /// responses to write — none for a blank line — or `None` when the
+    /// line asks for `shutdown`.
+    ///
+    /// Answers exactly what [`Service::handle`] answers for the parsed
+    /// line, but a `submit`'s `run.schedule` string is never decoded
+    /// whole: [`StackCache::ingest`] reads it against the text retained
+    /// for its scenario key.
+    pub fn handle_line(&mut self, line: &[u8]) -> Option<Vec<Json>> {
+        let started = Instant::now();
+        let Ok(line) = std::str::from_utf8(line) else {
+            return Some(self.reject("", "request is not valid UTF-8"));
+        };
+        let line = line.trim();
+        if line.is_empty() {
+            return Some(Vec::new());
+        }
+        let (request, held) = match Json::parse_holding(line, &["run", "schedule"]) {
+            Ok(framed) => framed,
+            Err(e) => return Some(self.reject("", &bad_json(&e))),
+        };
+        Some(match (request.get("type").and_then(Json::as_str), held) {
+            (Some("shutdown"), _) => return None,
+            (Some("submit"), Some(held)) => {
+                match self.submit_held(&request, &line[held], started) {
+                    Some(responses) => responses,
+                    // The escape fallback: the tree entry, string decoded.
+                    None => match Json::parse(line) {
+                        Ok(request) => self.handle_since(&request, started),
+                        Err(e) => self.reject("", &bad_json(&e)),
+                    },
+                }
+            }
+            // No other request type reads `run.schedule`.
+            _ => self.handle_since(&request, started),
+        })
+    }
+
+    /// A `submit` whose `run.schedule` string `raw` was held back from
+    /// the tree. `None` when the string needs decoding in full.
+    fn submit_held(&mut self, request: &Json, raw: &str, started: Instant) -> Option<Vec<Json>> {
+        let mut ingest = Ingest::at(started);
+        let (flood_cache, spt_cache) = (&mut self.flood_cache, &mut self.spt_cache);
+        let scenario = Scenario::from_json_with(request, |graph, stack, run| {
+            if run.get("mode").and_then(Json::as_str) != Some("schedule") {
+                return Ok(RunMode::from_json(run)?);
+            }
+            let key = scenario_key(graph, stack);
+            let ingested = match stack {
+                StackSpec::Flood { .. } => flood_cache.ingest(&key, raw),
+                StackSpec::SptRecur { .. } => spt_cache.ingest(&key, raw),
+            };
+            match ingested {
+                Ok(ingested) => {
+                    (ingest.reused, ingest.parsed) = (ingested.reused, ingested.parsed);
+                    Ok(RunMode::Schedule(ingested.schedule))
+                }
+                Err(IngestError::Parse(e)) => {
+                    Err(SpecError::new(&format!("bad schedule: {e}")).into())
+                }
+                Err(IngestError::Escaped) => Err(HeldError::Escaped),
+            }
+        });
+        match scenario {
+            Ok(scenario) => Some(self.process(vec![(scenario, ingest)])),
+            Err(HeldError::Spec(e)) => Some(self.reject(request_id(request), &e.msg)),
+            Err(HeldError::Escaped) => None,
+        }
+    }
+
     /// Handles one JSON-lines request, returning the responses to
     /// write (one per line). `shutdown` is the caller's concern — the
     /// engine is transport-agnostic.
     pub fn handle(&mut self, request: &Json) -> Vec<Json> {
+        self.handle_since(request, Instant::now())
+    }
+
+    /// [`Service::handle`] for a request that arrived at `started`.
+    fn handle_since(&mut self, request: &Json, started: Instant) -> Vec<Json> {
         match request.get("type").and_then(Json::as_str) {
-            Some("submit") => {
-                let id = request
-                    .get("id")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string();
-                match Scenario::from_json(request) {
-                    Ok(s) => self.process_batch(vec![s]),
-                    Err(e) => {
-                        self.metrics.rejected += 1;
-                        vec![error_response(&id, &e.msg)]
-                    }
+            Some("submit") => match Scenario::from_json(request) {
+                Ok(s) => {
+                    let ingest = Ingest::whole(started, &s);
+                    self.process(vec![(s, ingest)])
                 }
-            }
+                Err(e) => self.reject(request_id(request), &e.msg),
+            },
             Some("batch") => {
                 let Some(items) = request.get("scenarios").and_then(Json::as_arr) else {
-                    self.metrics.rejected += 1;
-                    return vec![error_response("", "batch needs a \"scenarios\" array")];
+                    return self.reject("", "batch needs a \"scenarios\" array");
                 };
                 let mut scenarios = Vec::new();
+                let mut slots = Vec::new();
                 let mut responses: Vec<Option<Json>> = Vec::new();
                 for item in items {
                     match Scenario::from_json(item) {
                         Ok(s) => {
-                            scenarios.push((responses.len(), s));
+                            slots.push(responses.len());
+                            let ingest = Ingest::whole(started, &s);
+                            scenarios.push((s, ingest));
                             responses.push(None);
                         }
-                        Err(e) => {
-                            self.metrics.rejected += 1;
-                            let id = item.get("id").and_then(Json::as_str).unwrap_or_default();
-                            responses.push(Some(error_response(id, &e.msg)));
-                        }
+                        Err(e) => responses.push(self.reject(request_id(item), &e.msg).pop()),
                     }
                 }
-                let ok: Vec<Scenario> = scenarios.iter().map(|(_, s)| s.clone()).collect();
-                let answered = self.process_batch(ok);
-                for ((slot, _), resp) in scenarios.into_iter().zip(answered) {
+                for (slot, resp) in slots.into_iter().zip(self.process(scenarios)) {
                     responses[slot] = Some(resp);
                 }
                 responses.into_iter().flatten().collect()
             }
             Some("stats") => {
-                let id = request.get("id").and_then(Json::as_str).unwrap_or_default();
                 vec![Json::obj(vec![
                     ("type", Json::str("stats")),
-                    ("id", Json::str(id)),
+                    ("id", Json::str(request_id(request))),
                     ("stats", self.metrics.to_json()),
                 ])]
             }
-            Some(other) => {
-                self.metrics.rejected += 1;
-                vec![error_response(
-                    "",
-                    &format!("unknown request type {other:?} (submit, batch, stats, shutdown)"),
-                )]
-            }
-            None => {
-                self.metrics.rejected += 1;
-                vec![error_response("", "request needs a string \"type\"")]
-            }
+            Some(other) => self.reject(
+                "",
+                &format!("unknown request type {other:?} (submit, batch, stats, shutdown)"),
+            ),
+            None => self.reject("", "request needs a string \"type\""),
         }
+    }
+
+    /// Counts and answers a request that is refused before evaluation.
+    fn reject(&mut self, id: &str, msg: &str) -> Vec<Json> {
+        self.metrics.rejected += 1;
+        vec![error_response(id, msg)]
     }
 
     /// Evaluates a batch of parsed scenarios, returning one response
     /// per scenario in submission order.
     pub fn process_batch(&mut self, scenarios: Vec<Scenario>) -> Vec<Json> {
+        let ingest = Ingest::at(Instant::now());
+        self.process(scenarios.into_iter().map(|s| (s, ingest)).collect())
+    }
+
+    fn process(&mut self, scenarios: Vec<(Scenario, Ingest)>) -> Vec<Json> {
         self.metrics.batches += 1;
         self.metrics.submitted += scenarios.len() as u64;
         let queued = Instant::now();
 
         // Materialize every referenced graph first, so jobs can borrow
         // the store immutably for the whole parallel phase.
-        for s in &scenarios {
+        for (s, _) in &scenarios {
             self.graphs
                 .entry(s.graph.key())
                 .or_insert_with(|| s.graph.build());
@@ -280,12 +428,12 @@ impl Service {
         // Partition by stack type; each partition runs through the
         // typed pipeline. Order within `responses` preserves submission
         // order regardless of partitioning.
-        let mut flood_jobs: Vec<(usize, Scenario)> = Vec::new();
-        let mut spt_jobs: Vec<(usize, Scenario)> = Vec::new();
-        for (ix, s) in scenarios.into_iter().enumerate() {
+        let mut flood_jobs: Vec<(usize, Scenario, Ingest)> = Vec::new();
+        let mut spt_jobs: Vec<(usize, Scenario, Ingest)> = Vec::new();
+        for (ix, (s, ingest)) in scenarios.into_iter().enumerate() {
             match s.stack {
-                StackSpec::Flood { .. } => flood_jobs.push((ix, s)),
-                StackSpec::SptRecur { .. } => spt_jobs.push((ix, s)),
+                StackSpec::Flood { .. } => flood_jobs.push((ix, s, ingest)),
+                StackSpec::SptRecur { .. } => spt_jobs.push((ix, s, ingest)),
             }
         }
 
@@ -343,7 +491,7 @@ fn run_stack_jobs<P: ServeStack>(
     graphs: &HashMap<String, WeightedGraph>,
     cache: &mut StackCache<P>,
     metrics: &mut ServeMetrics,
-    scenarios: Vec<(usize, Scenario)>,
+    scenarios: Vec<(usize, Scenario, Ingest)>,
     queued: Instant,
     responses: &mut [Option<Json>],
 ) where
@@ -353,148 +501,95 @@ fn run_stack_jobs<P: ServeStack>(
         return;
     }
     let mut jobs: Vec<Job<'_, P>> = Vec::new();
-    let mut ids: HashMap<usize, (String, Bound, String)> = HashMap::new();
+    let mut ids: HashMap<usize, (String, Bound, String, IngestFields)> = HashMap::new();
 
-    for (ix, s) in scenarios {
+    for (ix, s, ingest) in scenarios {
         let graph = graphs.get(&s.graph.key()).expect("graph materialized");
-        let scenario_key = format!("{}/{}", s.graph.key(), s.stack.key());
-        ids.insert(ix, (s.id.clone(), s.bound, scenario_key.clone()));
+        let scenario_key = scenario_key(&s.graph, &s.stack);
         let exact_hash = s
             .run
             .exact_key()
             .map(|suffix| fnv1a(&format!("{scenario_key}#{suffix}")));
-        let work = match s.run {
+        // Every mode looks for a stored result first; a schedule's probe
+        // may also find a checkpoint to resume from.
+        let (stored, work) = match s.run {
             RunMode::Schedule(schedule) => {
-                if cfg.cache {
-                    // The probe's single O(len) pass also yields the
-                    // exact hash reused at result-insertion time.
-                    let (sched_exact, probe) = cache.probe(&scenario_key, &schedule);
-                    match probe {
-                        Probe::Full(stored) => {
-                            metrics.cache_full_hits += 1;
-                            responses[ix] = Some(result_response(
-                                &s.id,
-                                CacheOutcome::Full,
-                                0,
-                                &stored.report,
-                                stored.states_digest,
-                                None,
-                                s.bound,
-                                Duration::ZERO,
-                                queued.elapsed(),
-                                stored.worst_case,
-                                stored.schedule_text.as_deref(),
-                                stored.reduction,
-                            ));
-                            continue;
-                        }
-                        Probe::Incremental { checkpoint, depth } => Work::Replay {
-                            schedule,
-                            resume: Some(checkpoint),
-                            depth,
-                            exact: Some(sched_exact),
-                        },
-                        Probe::Miss => Work::Replay {
-                            schedule,
-                            resume: None,
-                            depth: 0,
-                            exact: Some(sched_exact),
-                        },
-                    }
-                } else {
-                    Work::Replay {
-                        schedule,
-                        resume: None,
-                        depth: 0,
-                        exact: None,
-                    }
+                if let Err(msg) = fault_plan_fits(&schedule, graph) {
+                    metrics.rejected += 1;
+                    responses[ix] = Some(error_response(&s.id, &msg));
+                    continue;
                 }
+                // The probe's single O(len) pass also yields the exact
+                // hash reused at result-insertion time.
+                let (exact, probe) = if cfg.cache {
+                    let (exact, probe) =
+                        cache.probe_shared(&scenario_key, &schedule, ingest.reused);
+                    (Some(exact), probe)
+                } else {
+                    (None, Probe::Miss)
+                };
+                let (stored, resume, depth) = match probe {
+                    Probe::Full(stored) => (Some(*stored), None, 0),
+                    Probe::Incremental { checkpoint, depth } => (None, Some(checkpoint), depth),
+                    Probe::Miss => (None, None, 0),
+                };
+                let work = Work::Replay {
+                    schedule,
+                    resume,
+                    depth,
+                    exact,
+                };
+                (stored, work)
             }
             RunMode::Model { delay, seed } => {
                 let exact = exact_hash.expect("model mode is exact");
-                if cfg.cache {
-                    if let Some(stored) = cache.get_exact(&scenario_key, exact) {
-                        metrics.cache_full_hits += 1;
-                        responses[ix] = Some(result_response(
-                            &s.id,
-                            CacheOutcome::Full,
-                            0,
-                            &stored.report,
-                            stored.states_digest,
-                            None,
-                            s.bound,
-                            Duration::ZERO,
-                            queued.elapsed(),
-                            stored.worst_case,
-                            stored.schedule_text.as_deref(),
-                            stored.reduction,
-                        ));
-                        continue;
-                    }
-                }
-                Work::Model {
+                let work = Work::Model {
                     delay,
                     seed,
                     exact,
                     shards: s.shards,
-                }
+                };
+                (cache.get_exact(&scenario_key, exact), work)
             }
             RunMode::Search { budget, seed } => {
                 let exact = exact_hash.expect("search mode is exact");
-                if cfg.cache {
-                    if let Some(stored) = cache.get_exact(&scenario_key, exact) {
-                        metrics.cache_full_hits += 1;
-                        responses[ix] = Some(result_response(
-                            &s.id,
-                            CacheOutcome::Full,
-                            0,
-                            &stored.report,
-                            stored.states_digest,
-                            None,
-                            s.bound,
-                            Duration::ZERO,
-                            queued.elapsed(),
-                            stored.worst_case,
-                            stored.schedule_text.as_deref(),
-                            stored.reduction,
-                        ));
-                        continue;
-                    }
-                }
-                Work::Search {
+                let work = Work::Search {
                     budget,
                     seed,
                     exact,
-                }
+                };
+                (cache.get_exact(&scenario_key, exact), work)
             }
             RunMode::Exhaustive { class_budget } => {
                 let exact = exact_hash.expect("exhaustive mode is exact");
-                if cfg.cache {
-                    if let Some(stored) = cache.get_exact(&scenario_key, exact) {
-                        metrics.cache_full_hits += 1;
-                        responses[ix] = Some(result_response(
-                            &s.id,
-                            CacheOutcome::Full,
-                            0,
-                            &stored.report,
-                            stored.states_digest,
-                            None,
-                            s.bound,
-                            Duration::ZERO,
-                            queued.elapsed(),
-                            stored.worst_case,
-                            stored.schedule_text.as_deref(),
-                            stored.reduction,
-                        ));
-                        continue;
-                    }
-                }
-                Work::Exhaustive {
+                let work = Work::Exhaustive {
                     class_budget,
                     exact,
-                }
+                };
+                (cache.get_exact(&scenario_key, exact), work)
             }
         };
+        let ingest = ingest.finish(metrics);
+        if let Some(stored) = stored {
+            metrics.cache_full_hits += 1;
+            responses[ix] = Some(result_response(
+                &s.id,
+                CacheOutcome::Full,
+                0,
+                &stored.report,
+                stored.states_digest,
+                None,
+                s.bound,
+                Duration::ZERO,
+                queued.elapsed(),
+                ingest,
+                stored.worst_case,
+                stored.schedule_text.as_deref(),
+                stored.reduction,
+            ));
+            continue;
+        }
+        ids.insert(ix, (s.id, s.bound, scenario_key, ingest));
         jobs.push(Job {
             ix,
             graph,
@@ -525,7 +620,7 @@ fn run_stack_jobs<P: ServeStack>(
         })
         .collect();
     for out in outs {
-        let (id, bound, scenario_key) = ids.remove(&out.ix).expect("job bookkeeping");
+        let (id, bound, scenario_key, ingest) = ids.remove(&out.ix).expect("job bookkeeping");
         match out.result {
             Err(msg) => {
                 responses[out.ix] = Some(error_response(&id, &msg));
@@ -576,6 +671,7 @@ fn run_stack_jobs<P: ServeStack>(
                     bound,
                     out.exec,
                     out.queue_wait,
+                    ingest,
                     run.worst_case,
                     run.schedule_text.as_deref(),
                     run.reduction,
@@ -887,6 +983,41 @@ fn digest_trace(trace: &Trace) -> u64 {
     mix(mix(h, trace.events().len() as u64), trace.dropped())
 }
 
+/// Checks a submitted schedule's fault plan against the graph it is to
+/// run on: the kernel's plan intake asserts these, and a submission
+/// must not be able to trip an assertion.
+fn fault_plan_fits(schedule: &Schedule, g: &WeightedGraph) -> Result<(), String> {
+    let (n, m) = (g.node_count(), g.edge_count());
+    let vertices = schedule
+        .crashes
+        .iter()
+        .map(|c| ("crash", c.node))
+        .chain(schedule.rejoins.iter().map(|r| ("rejoin", r.node)));
+    for (what, v) in vertices {
+        if v.index() >= n {
+            return Err(format!(
+                "bad schedule: {what} vertex {} out of range for a {n}-vertex graph",
+                v.index()
+            ));
+        }
+    }
+    match schedule.drifts.iter().find(|d| d.edge.index() >= m) {
+        Some(d) => Err(format!(
+            "bad schedule: drift edge {} out of range for a {m}-edge graph",
+            d.edge.index()
+        )),
+        None => Ok(()),
+    }
+}
+
+fn request_id(request: &Json) -> &str {
+    request.get("id").and_then(Json::as_str).unwrap_or_default()
+}
+
+fn bad_json(e: &JsonError) -> String {
+    format!("bad JSON at byte {}: {}", e.pos, e.msg)
+}
+
 fn error_response(id: &str, msg: &str) -> Json {
     Json::obj(vec![
         ("type", Json::str("error")),
@@ -927,6 +1058,7 @@ fn result_response(
     bound: Bound,
     exec: Duration,
     queue_wait: Duration,
+    ingest: IngestFields,
     worst_case: Option<u64>,
     schedule_text: Option<&str>,
     reduction: Option<(u64, u64)>,
@@ -942,6 +1074,7 @@ fn result_response(
         ("exec_us", Json::num(exec.as_micros() as f64)),
         ("queue_wait_us", Json::num(queue_wait.as_micros() as f64)),
     ];
+    fields.extend(ingest);
     if let Some(t) = trace_digest {
         fields.push(("trace_digest", Json::str(format!("{t:016x}"))));
     }

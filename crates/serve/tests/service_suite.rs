@@ -665,3 +665,125 @@ fn hostile_requests_are_rejected_not_crashed() {
         Some(4)
     );
 }
+
+/// A `submit` of `text` as the schedule of a flood on a 4-vertex path
+/// (vertices 0..=3, edges 0..=2).
+fn submit_on_path4(id: &str, text: &str) -> Json {
+    Json::obj(vec![
+        ("type", Json::str("submit")),
+        ("id", Json::str(id)),
+        (
+            "graph",
+            Json::obj(vec![("family", Json::str("path")), ("n", Json::num(4.0))]),
+        ),
+        ("stack", Json::obj(vec![("protocol", Json::str("flood"))])),
+        (
+            "run",
+            Json::obj(vec![
+                ("mode", Json::str("schedule")),
+                ("schedule", Json::str(text)),
+            ]),
+        ),
+    ])
+}
+
+fn assert_still_serving(svc: &mut Service) {
+    let stats = svc.handle(&Json::obj(vec![("type", Json::str("stats"))]));
+    assert_eq!(stats[0].get("type").and_then(Json::as_str), Some("stats"));
+}
+
+#[test]
+fn ids_beyond_the_id_space_are_a_parse_error_not_a_panic() {
+    // `EdgeId::new` / `NodeId::new` assert the u32 id space; a submitted
+    // id must be turned away before it gets there.
+    let mut svc = caching_service();
+    for (line, body) in [
+        (3, "d 0 99999999999 0 4 4"),
+        (3, "c 99999999999 3"),
+        (4, "c 1 3\nr 4294967295 9"),
+        (3, "w 4294967295 3 2"),
+    ] {
+        let text = format!("csp-adversary-schedule v3\nfallback rush\n{body}\n");
+        let rs = svc.handle(&submit_on_path4("big", &text));
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs[0].get("type").and_then(Json::as_str), Some("error"));
+        let error = rs[0].get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            error.contains(&format!("line {line}")) && error.contains("exceeds the id space"),
+            "{body:?} gave {error:?}"
+        );
+        assert_still_serving(&mut svc);
+    }
+}
+
+#[test]
+fn fault_plans_are_checked_against_the_graph_at_ingest() {
+    // The kernel's plan intake asserts that churn chains and drift
+    // revisions name vertices and edges of the graph; a submission that
+    // does not is answered with an error, at the edge exactly.
+    let mut svc = caching_service();
+    for (body, fits) in [
+        ("c 3 3", true),
+        ("c 4 3", false),
+        ("c 77 3", false),
+        ("c 3 3\nr 3 9", true),
+        ("c 4 3\nr 4 9", false),
+        ("w 2 3 2", true),
+        ("w 3 3 2", false),
+    ] {
+        let text = format!("csp-adversary-schedule v3\nfallback rush\n{body}\n");
+        let rs = svc.handle(&submit_on_path4("plan", &text));
+        assert_eq!(rs.len(), 1);
+        let kind = rs[0].get("type").and_then(Json::as_str).unwrap();
+        if fits {
+            assert_eq!(kind, "result", "{body:?} fits: {}", rs[0].dump());
+        } else {
+            assert_eq!(kind, "error", "{body:?} does not fit");
+            let error = rs[0].get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains("out of range for a"), "{error:?}");
+        }
+        assert_still_serving(&mut svc);
+    }
+}
+
+#[test]
+fn the_binary_answers_a_non_utf8_line_and_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_csp-serve"))
+        .args(["--threads", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("csp-serve starts");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin
+        .write_all(b"{\"type\":\"stats\",\"id\":\"before\"}\n\xff\xfe not text\n\n{\"type\":\"stats\",\"id\":\"after\"}\n")
+        .unwrap();
+    // EOF, not `shutdown`: the loop must end on its own.
+    drop(stdin);
+    let lines: Vec<Json> = BufReader::new(child.stdout.take().unwrap())
+        .lines()
+        .map(|l| Json::parse(&l.unwrap()).expect("a response is JSON"))
+        .collect();
+    assert!(child.wait().unwrap().success());
+    assert_eq!(
+        lines.len(),
+        3,
+        "good, bad, good — the blank line is skipped"
+    );
+    assert_eq!(lines[0].get("id").and_then(Json::as_str), Some("before"));
+    assert_eq!(lines[1].get("type").and_then(Json::as_str), Some("error"));
+    assert_eq!(
+        lines[1].get("error").and_then(Json::as_str),
+        Some("request is not valid UTF-8")
+    );
+    assert_eq!(lines[2].get("id").and_then(Json::as_str), Some("after"));
+    assert_eq!(
+        lines[2]
+            .get("stats")
+            .and_then(|s| s.get("rejected"))
+            .and_then(Json::as_u64),
+        Some(1)
+    );
+}
