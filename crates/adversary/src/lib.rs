@@ -17,8 +17,9 @@
 //! [`csp_sim::Reliable`] are measured against:
 //!
 //! * [`Schedule`] — a deterministic, serializable transcript of every
-//!   link decision (delay or drop) plus per-vertex [`Crash`] /
-//!   [`Rejoin`] chains and mid-run [`Drift`] weight revisions, with
+//!   link decision (delay or drop) plus the run's
+//!   [`FaultPlan`](csp_sim::FaultPlan) (per-vertex crash/rejoin chains
+//!   and mid-run weight revisions), with
 //!   [`record`] / [`replay`] reproducing a run exactly (plain-text
 //!   format, no external dependencies; fault-free schedules keep the v1
 //!   dialect and churn-free ones the v2 dialect byte-for-byte);
@@ -83,9 +84,7 @@ pub mod trace;
 
 pub use oracle::{CriticalPathOracle, Recorder, ScheduleOracle};
 pub use refute::{check_time_bound, shrink, GridPoint, Refutation};
-pub use schedule::{
-    Crash, Decision, Drift, Fallback, ParseError, PrefixHasher, Rejoin, Schedule, TextParse,
-};
+pub use schedule::{Decision, Fallback, ParseError, PrefixHasher, Schedule, TextParse};
 pub use search::{
     find_worst_schedule, ConfigError, Mutation, SearchConfig, SearchConfigBuilder, SearchOutcome,
 };
@@ -95,7 +94,7 @@ use csp_graph::{NodeId, WeightedGraph};
 use csp_sim::{LinkOracle, Process, Run, Simulator};
 
 /// Runs the protocol under `oracle` while recording every link decision
-/// and crash assignment. Returns the completed run and the [`Schedule`]
+/// and the fault plan. Returns the completed run and the [`Schedule`]
 /// that [`replay`] will reproduce it from. Any
 /// [`DelayOracle`](csp_sim::DelayOracle) works here too, through the
 /// blanket [`LinkOracle`] impl.
@@ -125,10 +124,7 @@ where
     P: Process,
     F: FnMut(NodeId, &WeightedGraph) -> P,
 {
-    let mut oracle = ScheduleOracle::new(schedule);
-    Simulator::new(g)
-        .run_with_oracle(&mut oracle, make)
-        .expect("replayed protocol must quiesce")
+    replay_report(g, make, schedule).0
 }
 
 /// How faithfully a [`replay`] followed its recorded [`Schedule`].

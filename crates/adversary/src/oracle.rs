@@ -1,11 +1,10 @@
 //! Link oracles built on the [`csp_sim::LinkOracle`] hook: recording,
 //! replay and the critical-path greedy adversary.
 
-use crate::schedule::{Crash, Decision, Drift, Fallback, Rejoin, Schedule};
-use csp_graph::Weight;
+use crate::schedule::{Decision, Fallback, Schedule};
 use csp_sim::{DelayOracle, FaultPlan, LinkDecision, LinkOracle, MsgInfo, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Wraps any [`LinkOracle`] (every [`DelayOracle`] qualifies through the
 /// blanket impl) and records every decision it makes — delays, drops
@@ -14,18 +13,15 @@ use std::collections::{BTreeSet, BinaryHeap};
 ///
 /// The recorded delay is the *effective* one — clamped into
 /// `[1, w(e)]` exactly as the runtime clamps it — so a recording never
-/// disagrees with the run it transcribed. The fault plan is transcribed
-/// where the executors take it in ([`LinkOracle::fault_plan`]): crash
-/// and rejoin lines in vertex order, drift lines in plan order, so a
-/// recording is byte-stable however the inner oracle ordered its
-/// chains.
+/// disagrees with the run it transcribed. The fault plan is kept as the
+/// executors take it in ([`LinkOracle::fault_plan`]), its chains listed
+/// by vertex and its revisions in plan order, so a recording is
+/// byte-stable however the inner oracle ordered its chains.
 #[derive(Clone, Debug)]
 pub struct Recorder<O> {
     inner: O,
     decisions: Vec<Decision>,
-    crashes: Vec<Crash>,
-    rejoins: Vec<Rejoin>,
-    drifts: Vec<Drift>,
+    plan: FaultPlan,
     /// Message index the recording starts at — non-zero when transcribing
     /// a run resumed from a [`csp_sim::Checkpoint`], whose first decision
     /// carries the checkpoint's message count as its index.
@@ -48,9 +44,7 @@ impl<O: LinkOracle> Recorder<O> {
         Recorder {
             inner,
             decisions: Vec::new(),
-            crashes: Vec::new(),
-            rejoins: Vec::new(),
-            drifts: Vec::new(),
+            plan: FaultPlan::default(),
             offset: start_index,
         }
     }
@@ -64,9 +58,7 @@ impl<O: LinkOracle> Recorder<O> {
         Schedule {
             decisions: self.decisions,
             fallback,
-            crashes: self.crashes,
-            rejoins: self.rejoins,
-            drifts: self.drifts,
+            plan: self.plan,
         }
     }
 
@@ -101,24 +93,10 @@ impl<O: LinkOracle> LinkOracle for Recorder<O> {
 
     fn fault_plan(&mut self) -> FaultPlan {
         let plan = self.inner.fault_plan();
-        let mut chains: Vec<_> = plan.churn.iter().collect();
-        chains.sort_by_key(|(node, _)| *node);
-        for &(node, ref chain) in chains {
-            // Toggles alternate crash / rejoin / crash / …
-            for (i, t) in chain.iter().enumerate() {
-                if i % 2 == 0 {
-                    self.crashes.push(Crash { node, at: t.get() });
-                } else {
-                    self.rejoins.push(Rejoin { node, at: t.get() });
-                }
-            }
-        }
-        self.drifts
-            .extend(plan.drift.iter().map(|&(edge, at, w)| Drift {
-                edge,
-                at: at.get(),
-                weight: w.get(),
-            }));
+        self.plan = plan.clone();
+        // An empty chain plans nothing and has no line to be written as.
+        self.plan.churn.retain(|(_, chain)| !chain.is_empty());
+        self.plan.churn.sort_by_key(|(node, _)| *node);
         plan
     }
 
@@ -130,8 +108,7 @@ impl<O: LinkOracle> LinkOracle for Recorder<O> {
 /// Replays a [`Schedule`]: message `i` takes the recorded fate of
 /// decision `i` — its delay, or a drop — as long as the run still
 /// dispatches the same message (same edge and direction) at that index;
-/// the fault plan comes straight from the schedule's crash, rejoin and
-/// drift lists.
+/// the fault plan is the schedule's own.
 ///
 /// Past the recorded prefix — or at any mismatching index, which happens
 /// when a *mutated* schedule steers the protocol down a different path —
@@ -191,19 +168,7 @@ impl LinkOracle for ScheduleOracle<'_> {
     }
 
     fn fault_plan(&mut self) -> FaultPlan {
-        let s = self.schedule;
-        let churned: BTreeSet<_> = (s.crashes.iter().map(|c| c.node))
-            .chain(s.rejoins.iter().map(|r| r.node))
-            .collect();
-        FaultPlan {
-            churn: churned
-                .into_iter()
-                .map(|v| (v, s.churn_of(v).into_iter().map(SimTime::new).collect()))
-                .collect(),
-            drift: (s.drifts.iter())
-                .map(|d| (d.edge, SimTime::new(d.at), Weight::new(d.weight)))
-                .collect(),
-        }
+        self.schedule.plan.clone()
     }
 }
 
@@ -314,13 +279,7 @@ mod tests {
         assert_eq!(rec.decide(&info(1, 7, 0)), deliver(2));
         let s = rec.into_schedule(Fallback::WorstCase);
         assert_eq!(s.dropped_count(), 1);
-        assert_eq!(
-            s.crashes,
-            vec![Crash {
-                node: NodeId::new(1),
-                at: 30
-            }]
-        );
+        assert_eq!(s.plan, plan);
         assert!(!s.has_churn(), "crash-stop recording stays v2");
         // Replaying the recording reproduces both fates and the crash.
         let mut o = ScheduleOracle::new(&s);

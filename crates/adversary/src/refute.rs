@@ -23,11 +23,11 @@
 //! re-recorded after every accepted step, so the file written to disk
 //! replays to exactly the reported completion time.
 
-use crate::oracle::{Recorder, ScheduleOracle};
-use crate::schedule::{Fallback, Schedule};
+use crate::oracle::ScheduleOracle;
+use crate::schedule::{crash_positions, Fallback, Schedule};
 use crate::search::{find_worst_schedule, SearchConfig, SearchOutcome};
 use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::{Process, SimTime, Simulator};
+use csp_sim::{Process, SimTime};
 use std::path::{Path, PathBuf};
 
 /// One instance of the grid [`check_time_bound`] sweeps.
@@ -64,19 +64,6 @@ pub struct Refutation {
     pub past_horizon: u64,
 }
 
-/// Replays `schedule` and re-records what was actually taken.
-fn replay_recorded<P, F>(g: &WeightedGraph, make: &F, schedule: &Schedule) -> (SimTime, Schedule)
-where
-    P: Process,
-    F: Fn(NodeId, &WeightedGraph) -> P,
-{
-    let mut rec = Recorder::new(ScheduleOracle::new(schedule));
-    let run = Simulator::new(g)
-        .run_with_oracle(&mut rec, |v, g| make(v, g))
-        .expect("protocol must quiesce under an admissible schedule");
-    (run.cost.completion, rec.into_schedule(Fallback::WorstCase))
-}
-
 /// Shrinks `schedule` to a 1-minimal violation of `violates`.
 ///
 /// Churn is tried for removal first: each vertex's whole crash/rejoin
@@ -107,7 +94,12 @@ where
     P: Process,
     F: Fn(NodeId, &WeightedGraph) -> P,
 {
-    let (mut time, mut current) = replay_recorded(g, make, schedule);
+    // Replays a candidate and re-records what was actually taken.
+    let rerecord = |s: &Schedule| {
+        let (run, recorded) = crate::record(g, make, ScheduleOracle::new(s), Fallback::WorstCase);
+        (run.cost.completion, recorded)
+    };
+    let (mut time, mut current) = rerecord(schedule);
     if !violates(time) {
         return (time, current);
     }
@@ -116,22 +108,15 @@ where
     // run (and a rejoin resurrects it), warping the whole transcript, so
     // deciding what churn is needed before touching per-message
     // decisions keeps the decision phase shrinking a stable run.
-    let chain_vertices = |s: &Schedule| -> Vec<NodeId> {
-        let mut vs: Vec<NodeId> = s.crashes.iter().map(|c| c.node).collect();
-        vs.sort_unstable_by_key(|n| n.index());
-        vs.dedup();
-        vs
-    };
+    // `current` is a recording throughout, so its chains are listed by
+    // vertex and each phase walks them by position.
 
     // Whole-chain removal, one vertex at a time.
     let mut v = 0;
-    loop {
-        let vs = chain_vertices(&current);
-        let Some(&victim) = vs.get(v) else { break };
+    while v < current.plan.churn.len() {
         let mut candidate = current.clone();
-        candidate.crashes.retain(|c| c.node != victim);
-        candidate.rejoins.retain(|r| r.node != victim);
-        let (t, recorded) = replay_recorded(g, make, &candidate);
+        candidate.plan.churn.remove(v);
+        let (t, recorded) = rerecord(&candidate);
         if violates(t) {
             time = t;
             current = recorded;
@@ -144,26 +129,14 @@ where
     // while the violation persists — a crash–rejoin–recrash that only
     // needs its opening crash shrinks back to plain crash-stop.
     let mut v = 0;
-    loop {
-        let vs = chain_vertices(&current);
-        let Some(&victim) = vs.get(v) else { break };
-        let chain = current.churn_of(victim);
-        if chain.len() <= 1 {
+    while v < current.plan.churn.len() {
+        if current.plan.churn[v].1.len() <= 1 {
             v += 1;
             continue;
         }
-        let last = *chain.last().expect("chain is non-empty");
         let mut candidate = current.clone();
-        if chain.len() % 2 == 0 {
-            candidate
-                .rejoins
-                .retain(|r| !(r.node == victim && r.at == last));
-        } else {
-            candidate
-                .crashes
-                .retain(|c| !(c.node == victim && c.at == last));
-        }
-        let (t, recorded) = replay_recorded(g, make, &candidate);
+        candidate.plan.churn[v].1.pop();
+        let (t, recorded) = rerecord(&candidate);
         if violates(t) {
             time = t;
             current = recorded; // same vertex again: keep truncating
@@ -175,10 +148,10 @@ where
     // Drift removal: weight revisions are independent events; each is
     // tried alone until every survivor is load-bearing.
     let mut d = 0;
-    while d < current.drifts.len() {
+    while d < current.plan.drift.len() {
         let mut candidate = current.clone();
-        candidate.drifts.remove(d);
-        let (t, recorded) = replay_recorded(g, make, &candidate);
+        candidate.plan.drift.remove(d);
+        let (t, recorded) = rerecord(&candidate);
         if violates(t) {
             time = t;
             current = recorded;
@@ -196,11 +169,13 @@ where
     // re-loosen a crash's deadline — only the final pass's times are
     // 1-minimal against the witness actually returned.
     let push_crash_times = |time: &mut SimTime, current: &mut Schedule| {
-        for c in 0..current.crashes.len() {
+        // Re-recording keeps every chain's place and length, so the
+        // (chain, position) pairs stay put while the times move.
+        for (v, pos) in crash_positions(&current.plan) {
             let replay_at = |at: u64, from: &Schedule| {
                 let mut candidate = from.clone();
-                candidate.crashes[c].at = at;
-                replay_recorded(g, make, &candidate)
+                candidate.plan.churn[v].1[pos] = SimTime::new(at);
+                rerecord(&candidate)
             };
             // Boundary search keeping `lo` violating and `hi` not; `hi`
             // climbs exponentially first because a well-timed crash can
@@ -210,13 +185,10 @@ where
             // non-violation whenever the search moved at all. On a churn
             // chain the crash must stay strictly below the vertex's next
             // toggle, so the climb is capped there.
-            let mut lo = current.crashes[c].at;
-            let chain = current.churn_of(current.crashes[c].node);
-            let pos = chain
-                .iter()
-                .position(|&t| t == lo)
-                .expect("crash time is on its own chain");
-            let cap = chain.get(pos + 1).map_or(u64::MAX, |&t| t - 1);
+            let chain = &current.plan.churn[v].1;
+            let placed = chain[pos].get();
+            let mut lo = placed;
+            let cap = chain.get(pos + 1).map_or(u64::MAX, |t| t.get() - 1);
             let mut hi = time.get().max(lo).saturating_add(1).min(cap);
             if hi <= lo {
                 continue; // the next toggle leaves no room to push
@@ -241,7 +213,7 @@ where
                     hi = mid;
                 }
             }
-            if lo != current.crashes[c].at {
+            if lo != placed {
                 let (t, recorded) = replay_at(lo, current);
                 debug_assert!(violates(t), "boundary search kept `lo` violating");
                 *time = t;
@@ -271,7 +243,7 @@ where
                 candidate.decisions[i].delay = candidate.decisions[i].weight;
                 candidate.decisions[i].dropped = false;
             }
-            let (t, recorded) = replay_recorded(g, make, &candidate);
+            let (t, recorded) = rerecord(&candidate);
             if violates(t) {
                 time = t;
                 current = recorded;
@@ -360,9 +332,9 @@ where
                             "replay: {} drops, {} crashes, {} rejoins, {} drifts, \
                              {} past-horizon fallbacks",
                             minimal.dropped_count(),
-                            minimal.crashes.len(),
-                            minimal.rejoins.len(),
-                            minimal.drifts.len(),
+                            crash_positions(&minimal.plan).len(),
+                            report.recoveries,
+                            report.weight_revisions,
                             report.past_horizon
                         ),
                     ],
@@ -399,8 +371,17 @@ fn sanitize(label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::tests::chain;
     use csp_graph::generators;
     use csp_sim::{Context, DelayModel, ModelOracle};
+
+    /// The eager six-ring recording every faulty start is built on.
+    fn eager_ring(g: &WeightedGraph) -> (SimTime, Schedule) {
+        let make = |_: NodeId, _: &WeightedGraph| Ring { done: false };
+        let eager = ModelOracle::new(DelayModel::Eager, 0);
+        let (run, recorded) = crate::record(g, make, eager, Fallback::WorstCase);
+        (run.cost.completion, recorded)
+    }
 
     /// Token ring: node 0 sends a token once around the cycle.
     #[derive(Clone)]
@@ -435,10 +416,8 @@ mod tests {
         // rush gives 26), so the minimal schedule has exactly one.
         let g = generators::cycle(6, |_| 5);
         let make = |_: NodeId, _: &WeightedGraph| Ring { done: false };
-        let mut rec = Recorder::new(ModelOracle::new(DelayModel::Eager, 0));
-        let run = Simulator::new(&g).run_with_oracle(&mut rec, make).unwrap();
-        assert_eq!(run.cost.completion, SimTime::new(6));
-        let all_rushed = rec.into_schedule(Fallback::WorstCase);
+        let (completion, all_rushed) = eager_ring(&g);
+        assert_eq!(completion, SimTime::new(6));
         assert_eq!(all_rushed.rushed(), 6);
         let (t, minimal) = shrink(&g, &make, &all_rushed, |t| t.get() <= 27);
         assert_eq!(minimal.rushed(), 1);
@@ -455,21 +434,19 @@ mod tests {
         // dropped decision and nothing else interesting.
         let g = generators::cycle(6, |_| 5);
         let make = |_: NodeId, _: &WeightedGraph| Ring { done: false };
-        let mut rec = Recorder::new(ModelOracle::new(DelayModel::Eager, 0));
-        Simulator::new(&g).run_with_oracle(&mut rec, make).unwrap();
-        let mut faulty = rec.into_schedule(Fallback::WorstCase);
+        let (_, mut faulty) = eager_ring(&g);
         for d in &mut faulty.decisions {
             d.dropped = true;
         }
-        faulty.crashes.push(crate::schedule::Crash {
-            node: NodeId::new(3),
-            at: 2,
-        });
+        faulty.plan.churn.push(chain(3, &[2]));
         let (t, minimal) = shrink(&g, &make, &faulty, |t| t.get() < 6);
         assert!(t.get() < 6);
         assert_eq!(minimal.dropped_count(), 1);
         assert_eq!(minimal.rushed(), 0);
-        assert!(minimal.crashes.is_empty(), "the crash was not load-bearing");
+        assert!(
+            minimal.plan.churn.is_empty(),
+            "the crash was not load-bearing"
+        );
     }
 
     #[test]
@@ -485,26 +462,24 @@ mod tests {
         // in the time coordinate against the witness's own transcript.
         let g = generators::cycle(6, |_| 5);
         let make = |_: NodeId, _: &WeightedGraph| Ring { done: false };
-        let mut rec = Recorder::new(ModelOracle::new(DelayModel::Eager, 0));
-        Simulator::new(&g).run_with_oracle(&mut rec, make).unwrap();
-        let mut faulty = rec.into_schedule(Fallback::WorstCase);
-        faulty.crashes.push(crate::schedule::Crash {
-            node: NodeId::new(3),
-            at: 1,
-        });
+        let (_, mut faulty) = eager_ring(&g);
+        faulty.plan.churn.push(chain(3, &[1]));
         let (t, minimal) = shrink(&g, &make, &faulty, |t| t.get() < 6);
         assert!(t.get() < 6);
-        assert_eq!(minimal.crashes.len(), 1, "the crash is load-bearing");
         assert_eq!(minimal.rushed(), 2, "only the completion-critical hops");
-        assert_eq!(minimal.crashes[0].at, 7, "latest violating tick");
+        assert_eq!(
+            minimal.plan.churn,
+            [chain(3, &[7])],
+            "the crash is load-bearing, at the latest violating tick"
+        );
         // 1-minimality beyond what shrink itself claims: one more tick
         // (or removal) lets the token slip past and the refutation dies.
         let mut later = minimal.clone();
-        later.crashes[0].at = 8;
+        later.plan.churn = vec![chain(3, &[8])];
         let run = crate::replay(&g, make, &later);
         assert!(run.cost.completion.get() >= 6, "t=8 must not violate");
         let mut removed = minimal.clone();
-        removed.crashes.clear();
+        removed.plan.churn.clear();
         let run = crate::replay(&g, make, &removed);
         assert!(run.cost.completion.get() >= 6, "removal must not violate");
     }
@@ -519,31 +494,23 @@ mod tests {
         // the plain crash.
         let g = generators::cycle(6, |_| 5);
         let make = |_: NodeId, _: &WeightedGraph| Ring { done: false };
-        let mut rec = Recorder::new(ModelOracle::new(DelayModel::Eager, 0));
-        Simulator::new(&g).run_with_oracle(&mut rec, make).unwrap();
-        let mut faulty = rec.into_schedule(Fallback::WorstCase);
-        faulty.crashes.push(crate::schedule::Crash {
-            node: NodeId::new(3),
-            at: 2,
-        });
-        faulty.rejoins.push(crate::schedule::Rejoin {
-            node: NodeId::new(3),
-            at: 50,
-        });
-        faulty.crashes.push(crate::schedule::Crash {
-            node: NodeId::new(3),
-            at: 60,
-        });
-        faulty.drifts.push(crate::schedule::Drift {
-            edge: faulty.decisions[0].edge,
-            at: 40,
-            weight: 2,
-        });
+        let (_, mut faulty) = eager_ring(&g);
+        faulty.plan.churn.push(chain(3, &[2, 50, 60]));
+        let revised = (
+            faulty.decisions[0].edge,
+            SimTime::new(40),
+            csp_graph::Weight::new(2),
+        );
+        faulty.plan.drift.push(revised);
         let (t, minimal) = shrink(&g, &make, &faulty, |t| t.get() < 6);
         assert!(t.get() < 6);
-        assert_eq!(minimal.crashes.len(), 1, "the opening crash survives");
-        assert!(minimal.rejoins.is_empty(), "the rejoin was noise");
-        assert!(minimal.drifts.is_empty(), "the drift was noise");
+        assert_eq!(minimal.plan.churn.len(), 1, "the victim still crashes");
+        assert_eq!(
+            minimal.plan.churn[0].1.len(),
+            1,
+            "the rejoin and the recrash were noise"
+        );
+        assert!(minimal.plan.drift.is_empty(), "the drift was noise");
         assert!(!minimal.has_churn(), "back to plain crash-stop");
     }
 
@@ -563,22 +530,13 @@ mod tests {
         // 1-minimal witness crashes at 9, strictly below the rejoin.
         let g = generators::cycle(6, |_| 5);
         let make = |_: NodeId, _: &WeightedGraph| Ring { done: false };
-        let mut rec = Recorder::new(ModelOracle::new(DelayModel::Eager, 0));
-        Simulator::new(&g).run_with_oracle(&mut rec, make).unwrap();
-        let mut faulty = rec.into_schedule(Fallback::WorstCase);
-        faulty.crashes.push(crate::schedule::Crash {
-            node: NodeId::new(0),
-            at: 1,
-        });
-        faulty.rejoins.push(crate::schedule::Rejoin {
-            node: NodeId::new(0),
-            at: 10,
-        });
+        let (_, mut faulty) = eager_ring(&g);
+        faulty.plan.churn.push(chain(0, &[1, 10]));
         let (t, minimal) = shrink(&g, &make, &faulty, |t| t.get() >= 35);
         assert!(t.get() >= 35);
         assert_eq!(
-            minimal.churn_of(NodeId::new(0)),
-            vec![9, 10],
+            minimal.plan.churn,
+            [chain(0, &[9, 10])],
             "crash and rejoin both survive; the crash sits just below \
              the rejoin"
         );
@@ -586,7 +544,7 @@ mod tests {
         // Dropping the rejoin (the truncation the shrinker rejected)
         // kills the second lap and with it the violation.
         let mut truncated = minimal.clone();
-        truncated.rejoins.clear();
+        truncated.plan.churn[0].1.truncate(1);
         let run = crate::replay(&g, make, &truncated);
         assert!(run.cost.completion.get() < 35);
     }

@@ -3,7 +3,7 @@
 //! A [`Schedule`] is the complete transcript of one run's link
 //! decisions, one [`Decision`] per metered send in dispatch order —
 //! its delay, or the fact that it was dropped — plus the run's
-//! [`Crash`] assignment. Because the simulator is deterministic given
+//! [`FaultPlan`]. Because the simulator is deterministic given
 //! an oracle, replaying a schedule (see [`crate::ScheduleOracle`])
 //! reproduces the run exactly — same
 //! [`CostReport`](csp_sim::CostReport), same trace, same final states.
@@ -42,9 +42,8 @@
 //! serializes as `v3`, which adds `r` lines for rejoined vertices and
 //! `w` lines for weight revisions. Under `v3` a vertex may crash again
 //! after a rejoin, so a node can own several `c` lines; per vertex the
-//! merged crash/rejoin times must strictly increase and alternate
-//! starting with a crash (the [`ChurnOracle`](csp_sim::ChurnOracle)
-//! toggle discipline):
+//! `c` and `r` lines, merged by time, must alternate starting with a
+//! crash — they are the vertex's toggle chain in the [`FaultPlan`]:
 //!
 //! ```text
 //! csp-adversary-schedule v3
@@ -64,10 +63,19 @@
 //! committed witnesses parse and regenerate byte-identically. Blank
 //! lines and `#` comments are ignored anywhere, so counterexample files
 //! can carry a human-readable header.
+//!
+//! What makes a fault plan runnable — chains strictly increasing, ids
+//! inside the graph — is decided in one place, [`FaultPlan::check`],
+//! which the parser calls against the id space. The parser itself keeps
+//! only what is about the *text*: which lines a dialect admits, the
+//! crash/rejoin alternation that turns lines into a chain, and that no
+//! edge is revised twice at one instant.
 
-use csp_graph::{EdgeId, NodeId, MAX_INDEX};
+use csp_graph::{EdgeId, NodeId, Weight, MAX_INDEX};
+use csp_sim::{FaultPlan, SimTime};
 use std::error::Error;
 use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// One recorded link decision: what happened to the i-th metered send
@@ -101,42 +109,6 @@ impl Decision {
     }
 }
 
-/// A crashed vertex: from `at` onward it silently consumes every
-/// delivery and timer without reacting — until a matching [`Rejoin`],
-/// if the schedule carries one.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Crash {
-    /// The vertex that crashes.
-    pub node: NodeId,
-    /// The time it crashes (inclusive; `0` suppresses even `on_start`).
-    pub at: u64,
-}
-
-/// A rejoined vertex: at `at` it restarts with fresh protocol state
-/// (its `on_start` runs again). Every rejoin must pair with an earlier
-/// [`Crash`] of the same vertex — per vertex the merged crash/rejoin
-/// times alternate starting with a crash.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Rejoin {
-    /// The vertex that recovers.
-    pub node: NodeId,
-    /// The time it restarts.
-    pub at: u64,
-}
-
-/// A mid-run edge-weight revision: from `at` onward delays on the edge
-/// clamp into the new `[1, weight]`, sends meter at the new weight, and
-/// failure-detector horizons follow it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Drift {
-    /// The revised edge.
-    pub edge: EdgeId,
-    /// The time the revision takes effect (inclusive).
-    pub at: u64,
-    /// The new weight (≥ 1).
-    pub weight: u64,
-}
-
 /// What the replay oracle does beyond the recorded prefix, or when the
 /// run diverges from the recording (different edge or direction at some
 /// index).
@@ -158,17 +130,14 @@ pub struct Schedule {
     pub decisions: Vec<Decision>,
     /// Policy for messages beyond (or diverging from) the recording.
     pub fallback: Fallback,
-    /// Vertices the adversary crashes. Without churn, at most one entry
-    /// per vertex; with rejoins a vertex may crash repeatedly, once per
-    /// alternation cycle (see [`Schedule::churn_of`]).
-    pub crashes: Vec<Crash>,
-    /// Vertices the adversary restarts, each pairing with an earlier
-    /// crash of the same vertex.
-    pub rejoins: Vec<Rejoin>,
-    /// Mid-run weight revisions, in plan order (the runtime applies
-    /// same-instant revisions in plan order after a stable sort by
-    /// time).
-    pub drifts: Vec<Drift>,
+    /// The run's crash/rejoin toggle chains and weight revisions — the
+    /// very value [`ScheduleOracle`](crate::ScheduleOracle) hands the
+    /// runtime, so an edit here is an edit to the replayed run.
+    /// Recordings and parsed texts list the chains by vertex (the order
+    /// `c` and `r` lines are written in); nothing else about the plan is
+    /// assumed here — a hand-built one is held to
+    /// [`FaultPlan::check`] where it is parsed, served or run.
+    pub plan: FaultPlan,
 }
 
 impl Schedule {
@@ -201,13 +170,13 @@ impl Schedule {
     /// Whether this schedule records faults (crashes or drops) beyond
     /// pure delays — the `v2` dialect threshold.
     pub fn has_faults(&self) -> bool {
-        !self.crashes.is_empty() || self.decisions.iter().any(|d| d.dropped)
+        !self.plan.churn.is_empty() || self.decisions.iter().any(|d| d.dropped)
     }
 
     /// Whether this schedule records churn (rejoins or weight drift) —
     /// the `v3` dialect threshold.
     pub fn has_churn(&self) -> bool {
-        !self.rejoins.is_empty() || !self.drifts.is_empty()
+        self.plan.churn.iter().any(|(_, chain)| chain.len() > 1) || !self.plan.drift.is_empty()
     }
 
     /// The header line of the oldest dialect that can express this
@@ -223,76 +192,33 @@ impl Schedule {
         }
     }
 
-    /// The merged crash/rejoin toggle times of `node`, sorted — the
-    /// vertex's toggle chain in a [`csp_sim::FaultPlan`] (crash first,
-    /// then alternating). Empty for a vertex the schedule never touches.
-    pub fn churn_of(&self, node: NodeId) -> Vec<u64> {
-        let mut plan: Vec<u64> = self
-            .crashes
-            .iter()
-            .filter(|c| c.node == node)
-            .map(|c| c.at)
-            .chain(self.rejoins.iter().filter(|r| r.node == node).map(|r| r.at))
-            .collect();
-        plan.sort_unstable();
-        plan
-    }
-
-    /// Validates the churn discipline: per vertex the merged
-    /// crash/rejoin times must strictly increase and alternate starting
-    /// with a crash, and no edge may be revised twice at one instant
-    /// (the two revisions would race). Returns the offending vertex or
-    /// edge description on failure.
-    fn validate_churn(&self) -> Result<(), String> {
-        let mut nodes: Vec<NodeId> = self
-            .crashes
-            .iter()
-            .map(|c| c.node)
-            .chain(self.rejoins.iter().map(|r| r.node))
-            .collect();
-        nodes.sort_unstable_by_key(|v| v.index());
-        nodes.dedup();
-        for v in nodes {
-            // Kind 0 = crash, 1 = rejoin; crashes sort first at a tie so
-            // the strictly-increase check reports equal-time pairs.
-            let mut toggles: Vec<(u64, u8)> = self
-                .crashes
-                .iter()
-                .filter(|c| c.node == v)
-                .map(|c| (c.at, 0))
-                .chain(
-                    self.rejoins
-                        .iter()
-                        .filter(|r| r.node == v)
-                        .map(|r| (r.at, 1)),
-                )
-                .collect();
-            toggles.sort_unstable();
-            for (i, &(at, kind)) in toggles.iter().enumerate() {
-                if i > 0 && toggles[i - 1].0 >= at {
-                    return Err(format!(
-                        "churn times for vertex {} must strictly increase",
-                        v.index()
-                    ));
-                }
-                if kind != (i % 2) as u8 {
-                    return Err(format!(
-                        "churn for vertex {} must alternate crash/rejoin starting with a crash",
-                        v.index()
-                    ));
+    /// The one emitter of the text format: every crash (`c`) line in
+    /// chain order, then every rejoin (`r`) line, the revisions (`w`),
+    /// and the decisions.
+    fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        writeln!(w, "{}", self.dialect())?;
+        match self.fallback {
+            Fallback::WorstCase => writeln!(w, "fallback worst-case")?,
+            Fallback::Rush => writeln!(w, "fallback rush")?,
+        }
+        // Even positions of a chain crash, odd positions rejoin.
+        for (kind, first) in [('c', 0), ('r', 1)] {
+            for (v, chain) in &self.plan.churn {
+                for t in chain.iter().skip(first).step_by(2) {
+                    writeln!(w, "{kind} {} {}", v.index(), t.get())?;
                 }
             }
         }
-        for (i, d) in self.drifts.iter().enumerate() {
-            if self.drifts[..i]
-                .iter()
-                .any(|e| e.edge == d.edge && e.at == d.at)
-            {
-                return Err(format!(
-                    "edge {} revised twice at time {}",
-                    d.edge.index(),
-                    d.at
-                ));
+        for (e, t, weight) in &self.plan.drift {
+            writeln!(w, "w {} {} {}", e.index(), t.get(), weight.get())?;
+        }
+        writeln!(w, "# index edge dir weight delay")?;
+        for d in &self.decisions {
+            let (i, e) = (d.index, d.edge.index());
+            if d.dropped {
+                writeln!(w, "x {i} {e} {} {}", d.dir, d.weight)?;
+            } else {
+                writeln!(w, "d {i} {e} {} {} {}", d.dir, d.weight, d.delay)?;
             }
         }
         Ok(())
@@ -302,44 +228,10 @@ impl Schedule {
     /// [module docs](self): `v1` when delay-only, `v2` when faults are
     /// present, `v3` when churn is present.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(self.dialect());
-        out.push('\n');
-        out.push_str(match self.fallback {
-            Fallback::WorstCase => "fallback worst-case\n",
-            Fallback::Rush => "fallback rush\n",
-        });
-        for c in &self.crashes {
-            out.push_str(&format!("c {} {}\n", c.node.index(), c.at));
-        }
-        for r in &self.rejoins {
-            out.push_str(&format!("r {} {}\n", r.node.index(), r.at));
-        }
-        for d in &self.drifts {
-            out.push_str(&format!("w {} {} {}\n", d.edge.index(), d.at, d.weight));
-        }
-        out.push_str("# index edge dir weight delay\n");
-        for d in &self.decisions {
-            if d.dropped {
-                out.push_str(&format!(
-                    "x {} {} {} {}\n",
-                    d.index,
-                    d.edge.index(),
-                    d.dir,
-                    d.weight
-                ));
-            } else {
-                out.push_str(&format!(
-                    "d {} {} {} {} {}\n",
-                    d.index,
-                    d.edge.index(),
-                    d.dir,
-                    d.weight,
-                    d.delay
-                ));
-            }
-        }
-        out
+        let mut out = Vec::new();
+        self.write_to(&mut out)
+            .expect("writing to memory cannot fail");
+        String::from_utf8(out).expect("the text format is ASCII")
     }
 
     /// Parses the plain-text format, accepting the `v1` (delay-only),
@@ -352,8 +244,9 @@ impl Schedule {
     /// input: wrong header, unknown fallback, non-contiguous indices, a
     /// delay outside `[1, weight]`, a vertex or edge id beyond
     /// [`MAX_INDEX`], fault lines in a `v1` file, churn lines below
-    /// `v3`, a vertex crashed twice without an intervening rejoin, or a
-    /// churn discipline violation (see [`Schedule::churn_of`]).
+    /// `v3`, a vertex crashed twice without an intervening rejoin, an
+    /// edge revised twice at one instant, or a fault plan
+    /// [`FaultPlan::check`] rejects.
     pub fn from_text(text: &str) -> Result<Schedule, ParseError> {
         let mut parse = TextParse::default();
         for line in text.lines() {
@@ -362,45 +255,44 @@ impl Schedule {
         parse.into_schedule()
     }
 
-    /// Canonical 64-bit key of the schedule's crash, rejoin and drift
-    /// assignment, order independent: two schedules with the same churn
-    /// however their vectors are ordered get the same key. Churn is
-    /// baked into a run at start (the plans are queried once), so
-    /// *every* prefix key ([`Schedule::prefix_key`]) folds this in —
-    /// schedules with different churn share no resumable prefix, no
-    /// matter how their decision streams compare.
+    /// Canonical 64-bit key of the schedule's fault plan, independent of
+    /// the order its chains and revisions are listed in. The plan is
+    /// baked into a run at start (it is queried once), so *every* prefix
+    /// key ([`Schedule::prefix_key`]) folds this in — schedules with
+    /// different plans share no resumable prefix, no matter how their
+    /// decision streams compare.
     ///
-    /// Rejoins and drifts fold in under distinct salts, gated on
-    /// presence, so every churn-free schedule keeps its exact
-    /// historical key (committed witnesses and warm caches survive the
-    /// dialect extension).
+    /// Crashes fold in first, then rejoins and revisions under distinct
+    /// salts, gated on presence, so every churn-free schedule keeps its
+    /// exact historical key (committed witnesses and warm caches
+    /// survived the dialect extension).
     pub fn crash_key(&self) -> u64 {
-        let mut crashes: Vec<&Crash> = self.crashes.iter().collect();
-        crashes.sort_by_key(|c| (c.node.index(), c.at));
-        let mut h = PrefixHasher::seed();
-        for c in crashes {
-            h = PrefixHasher::mix(h, c.node.index() as u64);
-            h = PrefixHasher::mix(h, c.at);
-        }
-        if !self.rejoins.is_empty() {
-            let mut rejoins: Vec<&Rejoin> = self.rejoins.iter().collect();
-            rejoins.sort_by_key(|r| (r.node.index(), r.at));
-            h = PrefixHasher::mix(h, Self::REJOIN_SALT);
-            for r in rejoins {
-                h = PrefixHasher::mix(h, r.node.index() as u64);
-                h = PrefixHasher::mix(h, r.at);
+        let mut chains: Vec<&(NodeId, Vec<SimTime>)> = self.plan.churn.iter().collect();
+        chains.sort_by_key(|(v, _)| *v);
+        let fold = |mut h: u64, first: usize| {
+            for (v, chain) in &chains {
+                for t in chain.iter().skip(first).step_by(2) {
+                    h = PrefixHasher::mix(h, v.index() as u64);
+                    h = PrefixHasher::mix(h, t.get());
+                }
             }
+            h
+        };
+        let mut h = fold(PrefixHasher::seed(), 0);
+        if chains.iter().any(|(_, chain)| chain.len() > 1) {
+            h = fold(PrefixHasher::mix(h, Self::REJOIN_SALT), 1);
         }
-        if !self.drifts.is_empty() {
-            // (edge, at) pairs are unique (validate_churn), so sorting
-            // canonicalizes without conflating conflicting revisions.
-            let mut drifts: Vec<&Drift> = self.drifts.iter().collect();
-            drifts.sort_by_key(|d| (d.at, d.edge.index()));
+        if !self.plan.drift.is_empty() {
+            // (edge, at) pairs are unique in a parsed schedule, so
+            // sorting canonicalizes without conflating conflicting
+            // revisions.
+            let mut drift: Vec<_> = self.plan.drift.iter().collect();
+            drift.sort_by_key(|(e, t, _)| (*t, *e));
             h = PrefixHasher::mix(h, Self::DRIFT_SALT);
-            for d in drifts {
-                h = PrefixHasher::mix(h, d.edge.index() as u64);
-                h = PrefixHasher::mix(h, d.at);
-                h = PrefixHasher::mix(h, d.weight);
+            for (e, t, w) in drift {
+                h = PrefixHasher::mix(h, e.index() as u64);
+                h = PrefixHasher::mix(h, t.get());
+                h = PrefixHasher::mix(h, w.get());
             }
         }
         h
@@ -412,13 +304,13 @@ impl Schedule {
     const DRIFT_SALT: u64 = 0x6472_6966_742e_7633;
 
     /// Canonical key of the first `len` decisions together with the
-    /// crash assignment — the cache key an incremental evaluator uses to
+    /// fault plan — the cache key an incremental evaluator uses to
     /// recognise that a submitted schedule extends a checkpointed one.
     ///
     /// The [`Fallback`] policy is deliberately excluded: it only governs
     /// sends *beyond* the recorded horizon, so it cannot affect the
     /// first `len` decisions of a replay. Equal keys ⟺ (with the usual
-    /// 64-bit-hash caveat) equal crash sets and bitwise-equal decision
+    /// 64-bit-hash caveat) equal fault plans and bitwise-equal decision
     /// prefixes, which is exactly the [`Checkpoint`](csp_sim::Checkpoint)
     /// oracle-agreement condition for indices below `len`.
     ///
@@ -434,8 +326,8 @@ impl Schedule {
     }
 
     /// Length of the longest shared decision prefix with `other`, or `0`
-    /// when the crash assignments differ (crashes apply from time zero,
-    /// so differing sets invalidate even the empty prefix — see
+    /// when the fault plans differ (they apply from time zero, so
+    /// differing plans invalidate even the empty prefix — see
     /// [`Schedule::crash_key`]).
     pub fn common_prefix_len(&self, other: &Schedule) -> usize {
         if self.crash_key() != other.crash_key() {
@@ -449,7 +341,7 @@ impl Schedule {
     }
 
     /// Writes the schedule to `path`, prefixing `header` lines as `#`
-    /// comments (pass `&[]` for none). Decision lines stream through a
+    /// comments (pass `&[]` for none). Lines stream through a
     /// [`BufWriter`](std::io::BufWriter), so large schedules (searched
     /// runs easily record tens of thousands of decisions) never
     /// materialize as one giant in-memory string.
@@ -457,42 +349,12 @@ impl Schedule {
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
-    pub fn save(&self, path: &Path, header: &[String]) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+    pub fn save(&self, path: &Path, header: &[String]) -> io::Result<()> {
+        let mut w = io::BufWriter::new(std::fs::File::create(path)?);
         for h in header {
             writeln!(w, "# {h}")?;
         }
-        writeln!(w, "{}", self.dialect())?;
-        match self.fallback {
-            Fallback::WorstCase => writeln!(w, "fallback worst-case")?,
-            Fallback::Rush => writeln!(w, "fallback rush")?,
-        }
-        for c in &self.crashes {
-            writeln!(w, "c {} {}", c.node.index(), c.at)?;
-        }
-        for r in &self.rejoins {
-            writeln!(w, "r {} {}", r.node.index(), r.at)?;
-        }
-        for d in &self.drifts {
-            writeln!(w, "w {} {} {}", d.edge.index(), d.at, d.weight)?;
-        }
-        writeln!(w, "# index edge dir weight delay")?;
-        for d in &self.decisions {
-            if d.dropped {
-                writeln!(w, "x {} {} {} {}", d.index, d.edge.index(), d.dir, d.weight)?;
-            } else {
-                writeln!(
-                    w,
-                    "d {} {} {} {} {}",
-                    d.index,
-                    d.edge.index(),
-                    d.dir,
-                    d.weight,
-                    d.delay
-                )?;
-            }
-        }
+        self.write_to(&mut w)?;
         w.flush()
     }
 
@@ -502,13 +364,33 @@ impl Schedule {
     ///
     /// I/O errors pass through; parse failures surface as
     /// [`std::io::ErrorKind::InvalidData`].
-    pub fn load(path: &Path) -> std::io::Result<Schedule> {
+    pub fn load(path: &Path) -> io::Result<Schedule> {
         use std::io::Read;
         let mut text = String::new();
-        std::io::BufReader::new(std::fs::File::open(path)?).read_to_string(&mut text)?;
-        Schedule::from_text(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        io::BufReader::new(std::fs::File::open(path)?).read_to_string(&mut text)?;
+        Schedule::from_text(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
+}
+
+/// The crash toggles of `plan` as `(chain, position)` pairs, chain by
+/// chain: a chain's even positions crash, its odd positions rejoin.
+pub(crate) fn crash_positions(plan: &FaultPlan) -> Vec<(usize, usize)> {
+    (plan.churn.iter().enumerate())
+        .flat_map(|(c, (_, chain))| (0..chain.len()).step_by(2).map(move |pos| (c, pos)))
+        .collect()
+}
+
+/// A `c`, `r` or `w` line as read, before the lines of a text are
+/// assembled into a [`FaultPlan`].
+#[derive(Clone, Copy, Debug)]
+enum FaultLine {
+    /// A `c` line, or an `r` line when `rejoin` is set.
+    Toggle { node: NodeId, at: u64, rejoin: bool },
+    Drift {
+        edge: EdgeId,
+        at: u64,
+        weight: Weight,
+    },
 }
 
 /// A parse of the text format, fed one line at a time — the one parser
@@ -534,9 +416,7 @@ pub struct TextParse {
     /// `(offset, 1-based line number)` of each decision's line.
     starts: Vec<(usize, usize)>,
     /// Fault lines in text order, each with the offset of its line.
-    crashes: Vec<(usize, Crash)>,
-    rejoins: Vec<(usize, Rejoin)>,
-    drifts: Vec<(usize, Drift)>,
+    faults: Vec<(usize, FaultLine)>,
 }
 
 impl TextParse {
@@ -553,9 +433,6 @@ impl TextParse {
         let Some(&(at, line)) = k.checked_sub(1).map(|k| &self.starts[k]) else {
             return (TextParse::default(), 0);
         };
-        fn before<T: Copy>(lines: &[(usize, T)], at: usize) -> Vec<(usize, T)> {
-            lines[..lines.partition_point(|&(o, _)| o < at)].to_vec()
-        }
         // Room for as many decisions as this text had: the text about
         // to be fed is a variant of it, and growing a copied prefix by
         // its first push would copy it a second time.
@@ -570,9 +447,7 @@ impl TextParse {
             lines: line - 1,
             decisions: prefix(&self.decisions, k - 1),
             starts: prefix(&self.starts, k - 1),
-            crashes: before(&self.crashes, at),
-            rejoins: before(&self.rejoins, at),
-            drifts: before(&self.drifts, at),
+            faults: self.faults[..self.faults.partition_point(|&(o, _)| o < at)].to_vec(),
         };
         (parse, at)
     }
@@ -643,27 +518,27 @@ impl TextParse {
                 .ok_or_else(|| fail(&format!("{what} exceeds the id space (max {MAX_INDEX})")))
         };
         match kind {
-            "c" => {
+            "c" | "r" => {
+                let rejoin = kind == "r";
                 let node = NodeId::new(id("node", num("node")?)?);
                 let at = num("time")?;
                 if parts.next().is_some() {
-                    return Err(fail("trailing tokens on crash line"));
+                    return Err(fail(if rejoin {
+                        "trailing tokens on rejoin line"
+                    } else {
+                        "trailing tokens on crash line"
+                    }));
                 }
                 // Below v3 a vertex crashes at most once; under v3
                 // recrashes are legal and the alternation check at
                 // the end enforces the intervening rejoin.
-                if version < 3 && self.crashes.iter().any(|(_, c)| c.node == node) {
+                let crashed = (self.faults.iter())
+                    .any(|(_, f)| matches!(f, FaultLine::Toggle { node: v, .. } if *v == node));
+                if version < 3 && crashed {
                     return Err(fail("vertex crashed twice"));
                 }
-                self.crashes.push((offset, Crash { node, at }));
-            }
-            "r" => {
-                let node = NodeId::new(id("node", num("node")?)?);
-                let at = num("time")?;
-                if parts.next().is_some() {
-                    return Err(fail("trailing tokens on rejoin line"));
-                }
-                self.rejoins.push((offset, Rejoin { node, at }));
+                self.faults
+                    .push((offset, FaultLine::Toggle { node, at, rejoin }));
             }
             "w" => {
                 let edge = EdgeId::new(id("edge", num("edge")?)?);
@@ -675,7 +550,9 @@ impl TextParse {
                 if weight == 0 {
                     return Err(fail("drift weight must be at least 1"));
                 }
-                self.drifts.push((offset, Drift { edge, at, weight }));
+                let weight = Weight::new(weight);
+                self.faults
+                    .push((offset, FaultLine::Drift { edge, at, weight }));
             }
             "d" | "x" => {
                 let dropped = kind == "x";
@@ -712,12 +589,14 @@ impl TextParse {
     }
 
     /// Ends the text: the schedule read, if what was fed is a complete
-    /// one.
+    /// one. Its chains are listed by vertex.
     ///
     /// # Errors
     ///
     /// A [`ParseError`] at line `0` when the header or `fallback` line
-    /// never came, or the churn discipline is violated.
+    /// never came, a vertex's `c` and `r` lines do not alternate, an
+    /// edge is revised twice at one instant, or [`FaultPlan::check`]
+    /// rejects the assembled plan.
     pub fn into_schedule(self) -> Result<Schedule, ParseError> {
         let fail = |msg: &str| ParseError {
             line: 0,
@@ -729,18 +608,50 @@ impl TextParse {
         let fallback = self
             .fallback
             .ok_or_else(|| fail("missing `fallback` line"))?;
-        fn bare<T>(lines: Vec<(usize, T)>) -> Vec<T> {
-            lines.into_iter().map(|(_, x)| x).collect()
+        let mut plan = FaultPlan::default();
+        // (vertex, time, rejoin): sorted, a vertex's lines are adjacent
+        // and in time order, a crash ahead of a rejoin at a tie.
+        let mut toggles = Vec::new();
+        for (_, fault) in self.faults {
+            match fault {
+                FaultLine::Toggle { node, at, rejoin } => toggles.push((node, at, rejoin)),
+                FaultLine::Drift { edge, at, weight } => {
+                    plan.drift.push((edge, SimTime::new(at), weight));
+                }
+            }
         }
-        let schedule = Schedule {
+        toggles.sort_unstable();
+        for (node, at, rejoin) in toggles {
+            if plan.churn.last().is_none_or(|(v, _)| *v != node) {
+                plan.churn.push((node, Vec::new()));
+            }
+            let (_, chain) = plan.churn.last_mut().expect("just pushed");
+            if rejoin != (chain.len() % 2 == 1) {
+                return Err(fail(&format!(
+                    "churn for vertex {} must alternate crash/rejoin starting with a crash",
+                    node.index()
+                )));
+            }
+            chain.push(SimTime::new(at));
+        }
+        // Two revisions of one edge at one instant would race.
+        for (i, &(e, t, _)) in plan.drift.iter().enumerate() {
+            if plan.drift[..i].iter().any(|&(f, u, _)| (f, u) == (e, t)) {
+                return Err(fail(&format!(
+                    "edge {} revised twice at time {}",
+                    e.index(),
+                    t.get()
+                )));
+            }
+        }
+        // The parser knows no graph: its bound is the id space.
+        plan.check(MAX_INDEX + 1, MAX_INDEX + 1)
+            .map_err(|e| fail(&e.to_string()))?;
+        Ok(Schedule {
             decisions: self.decisions,
             fallback,
-            crashes: bare(self.crashes),
-            rejoins: bare(self.rejoins),
-            drifts: bare(self.drifts),
-        };
-        schedule.validate_churn().map_err(|msg| fail(&msg))?;
-        Ok(schedule)
+            plan,
+        })
     }
 }
 
@@ -843,8 +754,18 @@ impl fmt::Display for ParseError {
 impl Error for ParseError {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A toggle chain from bare numbers, for the crate's tests.
+    pub(crate) fn chain(v: usize, times: &[u64]) -> (NodeId, Vec<SimTime>) {
+        let times = times.iter().map(|&t| SimTime::new(t)).collect();
+        (NodeId::new(v), times)
+    }
+
+    fn revision(e: usize, at: u64, w: u64) -> (EdgeId, SimTime, Weight) {
+        (EdgeId::new(e), SimTime::new(at), Weight::new(w))
+    }
 
     fn sample() -> Schedule {
         Schedule {
@@ -875,10 +796,7 @@ mod tests {
         let mut s = sample();
         s.decisions[1].dropped = true;
         s.decisions[1].delay = s.decisions[1].weight;
-        s.crashes.push(Crash {
-            node: NodeId::new(4),
-            at: 12,
-        });
+        s.plan.churn.push(chain(4, &[12]));
         s
     }
 
@@ -914,15 +832,10 @@ mod tests {
 
     #[test]
     fn crash_key_is_order_independent() {
-        let mk = |order: &[(usize, u64)]| Schedule {
-            crashes: order
-                .iter()
-                .map(|&(n, at)| Crash {
-                    node: NodeId::new(n),
-                    at,
-                })
-                .collect(),
-            ..Schedule::default()
+        let mk = |order: &[(usize, u64)]| {
+            let mut s = Schedule::default();
+            s.plan.churn = order.iter().map(|&(n, at)| chain(n, &[at])).collect();
+            s
         };
         let a = mk(&[(1, 5), (3, 9)]);
         let b = mk(&[(3, 9), (1, 5)]);
@@ -946,7 +859,7 @@ mod tests {
             d.decisions[1].delay = delay;
             assert_ne!(a.crash_key(), d.crash_key()); // crash sets differ
             let mut crashless = a.clone();
-            crashless.crashes.clear();
+            crashless.plan.churn.clear();
             assert_ne!(crashless.prefix_key(2), d.prefix_key(2));
         }
     }
@@ -1045,15 +958,12 @@ mod tests {
                 dropped: i % 19 == 0,
             })
             .collect();
-        let s = Schedule {
+        let mut s = Schedule {
             decisions,
             fallback: Fallback::Rush,
-            crashes: vec![Crash {
-                node: NodeId::new(2),
-                at: 77,
-            }],
             ..Schedule::default()
         };
+        s.plan.churn.push(chain(2, &[77]));
         let path = std::env::temp_dir().join("csp-adversary-large-roundtrip.schedule");
         s.save(&path, &["large round-trip".to_string()]).unwrap();
         let loaded = Schedule::load(&path).unwrap();
@@ -1063,25 +973,8 @@ mod tests {
 
     fn churny_sample() -> Schedule {
         let mut s = faulty_sample();
-        s.crashes = vec![
-            Crash {
-                node: NodeId::new(4),
-                at: 12,
-            },
-            Crash {
-                node: NodeId::new(4),
-                at: 90,
-            },
-        ];
-        s.rejoins.push(Rejoin {
-            node: NodeId::new(4),
-            at: 50,
-        });
-        s.drifts.push(Drift {
-            edge: EdgeId::new(7),
-            at: 33,
-            weight: 9,
-        });
+        s.plan.churn = vec![chain(4, &[12, 50, 90])];
+        s.plan.drift.push(revision(7, 33, 9));
         s
     }
 
@@ -1110,10 +1003,16 @@ mod tests {
     }
 
     #[test]
-    fn churn_of_merges_crashes_and_rejoins_sorted() {
-        let s = churny_sample();
-        assert_eq!(s.churn_of(NodeId::new(4)), vec![12, 50, 90]);
-        assert_eq!(s.churn_of(NodeId::new(0)), Vec::<u64>::new());
+    fn fault_lines_in_any_order_parse_to_chains_listed_by_vertex() {
+        let text = "csp-adversary-schedule v3\nfallback rush\n\
+                    c 4 90\nr 4 50\nc 1 7\nw 7 33 9\nc 4 12\nw 2 5 3\n";
+        let s = Schedule::from_text(text).unwrap();
+        assert_eq!(s.plan.churn, [chain(1, &[7]), chain(4, &[12, 50, 90])]);
+        assert_eq!(s.plan.drift, [revision(7, 33, 9), revision(2, 5, 3)]);
+        // Emission is canonical: crashes chain by chain, then rejoins.
+        assert!(s
+            .to_text()
+            .contains("\nc 1 7\nc 4 12\nc 4 90\nr 4 50\nw 7 33 9\nw 2 5 3\n"));
     }
 
     #[test]
@@ -1123,33 +1022,18 @@ mod tests {
         assert_ne!(base.crash_key(), churny.crash_key());
         // A rejoin at t must not hash like an extra crash at t.
         let mut rejoined = faulty_sample();
-        rejoined.rejoins.push(Rejoin {
-            node: NodeId::new(4),
-            at: 50,
-        });
+        rejoined.plan.churn = vec![chain(4, &[12, 50])];
         let mut recrashed = faulty_sample();
-        recrashed.crashes.push(Crash {
-            node: NodeId::new(4),
-            at: 50,
-        });
+        recrashed.plan.churn = vec![chain(4, &[12]), chain(4, &[50])];
         assert_ne!(rejoined.crash_key(), recrashed.crash_key());
         // Rejoin order is canonicalized; drift sets are compared as
         // (edge, at, weight) sets.
         let mut a = churny_sample();
         let mut b = churny_sample();
-        a.drifts.push(Drift {
-            edge: EdgeId::new(2),
-            at: 5,
-            weight: 3,
-        });
-        b.drifts.insert(
-            0,
-            Drift {
-                edge: EdgeId::new(2),
-                at: 5,
-                weight: 3,
-            },
-        );
+        a.plan.drift.push(revision(2, 5, 3));
+        b.plan.drift.insert(0, revision(2, 5, 3));
+        a.plan.churn.push(chain(1, &[3, 8]));
+        b.plan.churn.insert(0, chain(1, &[3, 8]));
         assert_eq!(a.crash_key(), b.crash_key());
         // Prefix keys inherit the gate: different churn, no shared
         // prefix at any depth.
@@ -1180,9 +1064,9 @@ mod tests {
                 "alternate crash/rejoin",
             ),
             (
-                // Rejoin at the crash instant.
+                // Rejoin at the crash instant: `FaultPlan::check`'s rule.
                 "csp-adversary-schedule v3\nfallback rush\nc 1 5\nr 1 5",
-                "strictly increase",
+                "churn chain for v1 must be strictly increasing",
             ),
             (
                 "csp-adversary-schedule v3\nfallback rush\nw 0 5 0",
@@ -1204,8 +1088,8 @@ mod tests {
         // v3 legitimizes a recrash when the rejoin intervenes.
         let ok = "csp-adversary-schedule v3\nfallback rush\nc 1 5\nr 1 9\nc 1 12";
         assert_eq!(
-            Schedule::from_text(ok).unwrap().churn_of(NodeId::new(1)),
-            vec![5, 9, 12]
+            Schedule::from_text(ok).unwrap().plan.churn,
+            [chain(1, &[5, 9, 12])]
         );
     }
 

@@ -45,8 +45,8 @@
 //! an improving pass.
 
 use crate::oracle::{CriticalPathOracle, Recorder, ScheduleOracle};
-use crate::schedule::{Crash, Drift, Fallback, Rejoin, Schedule};
-use csp_graph::{NodeId, WeightedGraph};
+use crate::schedule::{crash_positions, Fallback, Schedule};
+use csp_graph::{NodeId, Weight, WeightedGraph};
 use csp_sim::sweep::{effective_threads, par_map_with};
 use csp_sim::{
     Checkpoint, DelayModel, EvalPool, LinkOracle, ModelOracle, Process, SimTime, Simulator,
@@ -438,23 +438,9 @@ impl SearchOutcome {
     }
 }
 
-/// Runs the simulator under `oracle`, recording the schedule actually
-/// taken. Returns the completion time and the recording.
-fn record_run<P, F, O>(g: &WeightedGraph, make: &F, oracle: O) -> (SimTime, Schedule)
-where
-    P: Process,
-    F: Fn(NodeId, &WeightedGraph) -> P,
-    O: LinkOracle,
-{
-    let mut rec = Recorder::new(oracle);
-    let run = Simulator::new(g)
-        .run_with_oracle(&mut rec, |v, g| make(v, g))
-        .expect("protocol must quiesce under an admissible schedule");
-    (run.cost.completion, rec.into_schedule(Fallback::WorstCase))
-}
-
-/// [`record_run`] through a pooled evaluator: same result, but the
-/// simulator state (slab, queue, cost meters) is recycled from `pool`.
+/// [`record`](crate::record) through a pooled evaluator: the completion
+/// time and the recording, with the simulator state (slab, queue, cost
+/// meters) recycled from `pool`.
 fn eval_recorded<P, F, O>(
     sim: &Simulator<'_>,
     pool: &mut EvalPool<P>,
@@ -497,13 +483,10 @@ fn rebuild_checkpoints<P, F>(
 /// incumbent's — the first message where the candidate's run can
 /// diverge; everything before it is shared prefix. Mutation only
 /// rewrites delays and drop flags, so comparing those suffices — except
-/// churn (crashes, rejoins, drifts), which is assigned at time zero: a
-/// candidate with a different churn assignment shares no prefix at all.
+/// the fault plan, which is handed over at time zero: a candidate with
+/// a different plan shares no prefix at all.
 fn first_diff(incumbent: &Schedule, mutant: &Schedule) -> u64 {
-    if incumbent.crashes != mutant.crashes
-        || incumbent.rejoins != mutant.rejoins
-        || incumbent.drifts != mutant.drifts
-    {
+    if incumbent.plan != mutant.plan {
         return 0;
     }
     incumbent
@@ -579,16 +562,12 @@ where
         Schedule {
             decisions,
             fallback: Fallback::WorstCase,
-            // Resumed runs restore the crash assignment from the
-            // checkpoint instead of re-querying the oracle, so the
-            // recorder saw none of it; splice the mutant's own crashes
-            // (identical to the checkpoint's — `first_diff` is 0, and no
-            // checkpoint covers it, whenever they differ). Rejoins and
-            // drifts are part of the same start-of-run assignment, so
-            // they splice the same way.
-            crashes: mutant.crashes.clone(),
-            rejoins: mutant.rejoins.clone(),
-            drifts: mutant.drifts.clone(),
+            // Resumed runs restore the fault plan from the checkpoint
+            // instead of re-querying the oracle, so the recorder saw
+            // none of it; splice the mutant's own (identical to the
+            // checkpoint's — `first_diff` is 0, and no checkpoint
+            // covers it, whenever they differ).
+            plan: mutant.plan.clone(),
         },
     )
 }
@@ -700,10 +679,15 @@ impl Mutation {
             let d = &mut out.decisions[i];
             d.dropped = !d.dropped;
         }
-        if !out.crashes.is_empty() {
+        // The list a crash-time or rejoin draw picks its victim from. A
+        // recrash appended below joins its end, so an index means the
+        // same toggle throughout.
+        let mut crashes = crash_positions(&out.plan);
+        if !crashes.is_empty() {
             for _ in 0..self.crash_time_flips {
-                let c = rng.random_range(0..out.crashes.len() as u64) as usize;
-                let at = out.crashes[c].at;
+                let (c, pos) = crashes[rng.random_range(0..crashes.len() as u64) as usize];
+                let chain = &mut out.plan.churn[c].1;
+                let at = chain[pos].get();
                 let mut drawn = match rng.random_range(0..3u64) {
                     0 => (at / 2).max(1),
                     1 => at.saturating_mul(2).max(1),
@@ -712,30 +696,23 @@ impl Mutation {
                 if let Some(h) = self.horizon {
                     drawn = drawn.min(h).max(1);
                 }
-                // On a churn chain the redraw must stay strictly between
-                // its neighbouring toggles or the alternation discipline
-                // breaks; clamp post-draw (no RNG consumed — on the
-                // single-crash chains the pre-churn mutator handled,
-                // the slot is (0, ∞) and this is the identity).
-                let chain = out.churn_of(out.crashes[c].node);
-                let pos = chain
-                    .iter()
-                    .position(|&t| t == at)
-                    .expect("crash time is on its own chain");
-                let lo = if pos > 0 { chain[pos - 1] + 1 } else { 1 };
+                // The redraw must stay strictly between its neighbouring
+                // toggles or the chain stops increasing; clamp post-draw
+                // (no RNG consumed — on a single-crash chain the slot is
+                // (0, ∞) and this is the identity).
+                let lo = if pos > 0 { chain[pos - 1].get() + 1 } else { 1 };
                 let hi = chain
                     .get(pos + 1)
-                    .map_or(u64::MAX, |&t| t.saturating_sub(1));
+                    .map_or(u64::MAX, |t| t.get().saturating_sub(1));
                 if lo > hi {
                     continue; // zero-width slot: keep the original time
                 }
-                out.crashes[c].at = drawn.clamp(lo, hi);
+                chain[pos] = SimTime::new(drawn.clamp(lo, hi));
             }
             for _ in 0..self.rejoin_flips {
-                let c = rng.random_range(0..out.crashes.len() as u64) as usize;
-                let victim = out.crashes[c].node;
-                let chain = out.churn_of(victim);
-                let last = *chain.last().expect("victim has at least its crash");
+                let (c, _) = crashes[rng.random_range(0..crashes.len() as u64) as usize];
+                let chain = &mut out.plan.churn[c].1;
+                let last = chain.last().expect("victim has at least its crash").get();
                 let mut at = last + rng.random_range(1..=last.max(1));
                 if let Some(h) = self.horizon {
                     at = at.min(h);
@@ -745,17 +722,16 @@ impl Mutation {
                     // this chain; skip rather than emit invalid churn.
                     continue;
                 }
-                if chain.len() % 2 == 1 {
-                    out.rejoins.push(Rejoin { node: victim, at });
-                } else {
-                    out.crashes.push(Crash { node: victim, at });
+                if chain.len().is_multiple_of(2) {
+                    crashes.push((c, chain.len())); // up again: a recrash
                 }
+                chain.push(SimTime::new(at));
             }
         }
         for _ in 0..self.drift_flips {
             let i = rng.random_range(0..out.decisions.len() as u64) as usize;
             let d = out.decisions[i];
-            let weight = rng.random_range(1..=d.weight.saturating_mul(2).max(1));
+            let weight = Weight::new(rng.random_range(1..=d.weight.saturating_mul(2).max(1)));
             // Drift times are drawn against a message-count proxy for
             // the run's duration (the hill phase refines them like any
             // other coordinate), then clamped post-draw so a horizon
@@ -765,19 +741,12 @@ impl Mutation {
             if let Some(h) = self.horizon {
                 at = at.min(h).max(1);
             }
+            let at = SimTime::new(at);
             // Two revisions of one edge at one instant would race in
             // the dialect; replace instead of duplicating.
-            match out
-                .drifts
-                .iter_mut()
-                .find(|dr| dr.edge == d.edge && dr.at == at)
-            {
-                Some(existing) => existing.weight = weight,
-                None => out.drifts.push(Drift {
-                    edge: d.edge,
-                    at,
-                    weight,
-                }),
+            match (out.plan.drift.iter_mut()).find(|(e, t, _)| (*e, *t) == (d.edge, at)) {
+                Some(existing) => existing.2 = weight,
+                None => out.plan.drift.push((d.edge, at, weight)),
             }
         }
         out
@@ -808,8 +777,9 @@ where
     let sim = Simulator::new(g);
     let mut evaluations = 0usize;
 
-    let (worst_case, worst_schedule) =
-        record_run(g, &make, ModelOracle::new(DelayModel::WorstCase, cfg.seed));
+    let worst = ModelOracle::new(DelayModel::WorstCase, cfg.seed);
+    let (run, worst_schedule) = crate::record(g, &make, worst, Fallback::WorstCase);
+    let worst_case = run.cost.completion;
     evaluations += 1;
     let mut best = SearchOutcome {
         worst_case,
@@ -821,7 +791,8 @@ where
         schedules_pruned: 0,
     };
 
-    let (t, s) = record_run(g, &make, CriticalPathOracle::new());
+    let (run, s) = crate::record(g, &make, CriticalPathOracle::new(), Fallback::WorstCase);
+    let t = run.cost.completion;
     evaluations += 1;
     if t > best.best_time {
         (best.best_time, best.schedule, best.strategy) = (t, s, "critical-path");
@@ -868,8 +839,8 @@ where
                 let mut candidate = best.schedule.clone();
                 // Replace, don't duplicate, when an earlier grid point
                 // for this vertex was already adopted.
-                candidate.crashes.retain(|c| c.node != v);
-                candidate.crashes.push(Crash { node: v, at });
+                candidate.plan.churn.retain(|(c, _)| *c != v);
+                candidate.plan.churn.push((v, vec![SimTime::new(at)]));
                 let (t, s) = eval_recorded(&sim, &mut pool, &make, ScheduleOracle::new(&candidate));
                 evaluations += 1;
                 if t > best.best_time {
@@ -994,6 +965,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::tests::chain;
     use csp_graph::generators::{self, WeightDist};
     use csp_sim::Context;
 
@@ -1021,6 +993,19 @@ mod tests {
 
     fn small_graph() -> WeightedGraph {
         generators::connected_gnp(10, 0.35, WeightDist::Uniform(1, 12), 7)
+    }
+
+    /// A uniform-delay flood recording on `g`: the base the mutation
+    /// tests perturb.
+    fn uniform_base(g: &WeightedGraph) -> Schedule {
+        let uniform = ModelOracle::new(DelayModel::Uniform, 3);
+        crate::record(
+            g,
+            |_, _| Flood { seen: false },
+            uniform,
+            Fallback::WorstCase,
+        )
+        .1
     }
 
     #[test]
@@ -1090,11 +1075,7 @@ mod tests {
     #[test]
     fn mutate_keeps_delays_admissible() {
         let g = small_graph();
-        let (_, base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
+        let base = uniform_base(&g);
         let mutant = Mutation::new().delay_flips(16).apply(&base, 99);
         assert_eq!(mutant.decisions.len(), base.decisions.len());
         for d in &mutant.decisions {
@@ -1108,11 +1089,7 @@ mod tests {
         // fault search can never perturb delay-only results (committed
         // witnesses regenerate unchanged).
         let g = small_graph();
-        let (_, base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
+        let base = uniform_base(&g);
         for seed in [0, 7, 99] {
             assert_eq!(
                 Mutation::new().delay_flips(6).apply(&base, seed),
@@ -1127,11 +1104,7 @@ mod tests {
     #[test]
     fn drop_flips_toggle_only_drop_flags() {
         let g = small_graph();
-        let (_, base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
+        let base = uniform_base(&g);
         let mutant = Mutation::new().drop_flips(5).apply(&base, 42);
         assert!(mutant.dropped_count() > 0, "some flag must flip");
         for (a, b) in base.decisions.iter().zip(&mutant.decisions) {
@@ -1176,7 +1149,7 @@ mod tests {
         // 3-point crash-time grid.
         assert_eq!(out.evaluations, 13);
         if out.strategy == "crash" {
-            assert_eq!(out.schedule.crashes.len(), 1);
+            assert_eq!(out.schedule.plan.churn.len(), 1);
         }
     }
 
@@ -1186,15 +1159,8 @@ mod tests {
         // disabling them must reproduce the drop-only mutant exactly even
         // on crash-bearing schedules.
         let g = small_graph();
-        let (_, mut base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
-        base.crashes.push(Crash {
-            node: NodeId::new(2),
-            at: 9,
-        });
+        let mut base = uniform_base(&g);
+        base.plan.churn.push(chain(2, &[9]));
         let drops = Mutation::new().delay_flips(6).drop_flips(2);
         for seed in [0, 7, 99] {
             assert_eq!(
@@ -1207,28 +1173,23 @@ mod tests {
     #[test]
     fn crash_time_flips_move_only_crash_times() {
         let g = small_graph();
-        let (_, mut base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
-        base.crashes.push(Crash {
-            node: NodeId::new(4),
-            at: 16,
-        });
+        let mut base = uniform_base(&g);
+        base.plan.churn.push(chain(4, &[16]));
         let crash_only = Mutation::new().crash_time_flips(3);
         let mut moved = false;
         for seed in 0..8 {
             let mutant = crash_only.apply(&base, seed);
             assert_eq!(mutant.decisions, base.decisions, "decisions untouched");
-            assert_eq!(mutant.crashes.len(), 1);
-            assert_eq!(mutant.crashes[0].node, NodeId::new(4), "victim untouched");
-            assert!(mutant.crashes[0].at >= 1);
-            moved |= mutant.crashes[0].at != 16;
+            let [(victim, times)] = &mutant.plan.churn[..] else {
+                panic!("one chain in, one chain out: {:?}", mutant.plan.churn);
+            };
+            assert_eq!(*victim, NodeId::new(4), "victim untouched");
+            assert!(times.len() == 1 && times[0].get() >= 1);
+            moved |= times[0].get() != 16;
         }
         assert!(moved, "some seed must actually move the crash time");
         // Crash-free schedules pass through the phase unchanged.
-        base.crashes.clear();
+        base.plan.churn.clear();
         assert_eq!(crash_only.apply(&base, 5), base);
     }
 
@@ -1246,17 +1207,15 @@ mod tests {
             delay: 5,
             dropped: false,
         });
-        base.crashes.push(Crash {
-            node: NodeId::new(0),
-            at: 40,
-        });
+        base.plan.churn.push(chain(0, &[40]));
         let free = Mutation::new().crash_time_flips(2);
         for seed in 0..16 {
             let unbounded = free.apply(&base, seed);
             let wide = free.crash_horizon(u64::MAX).apply(&base, seed);
             assert_eq!(unbounded, wide, "inert horizon must not change draws");
             let tight = free.crash_horizon(10).apply(&base, seed);
-            assert!(tight.crashes[0].at >= 1 && tight.crashes[0].at <= 10);
+            let at = tight.plan.churn[0].1[0].get();
+            assert!((1..=10).contains(&at));
             assert_eq!(tight.decisions, unbounded.decisions);
         }
     }
@@ -1268,15 +1227,8 @@ mod tests {
         // exactly — committed single-crash witnesses regenerate
         // byte-identically with churn search compiled in.
         let g = small_graph();
-        let (_, mut base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
-        base.crashes.push(Crash {
-            node: NodeId::new(2),
-            at: 9,
-        });
+        let mut base = uniform_base(&g);
+        base.plan.churn.push(chain(2, &[9]));
         let faults = Mutation::new()
             .delay_flips(6)
             .drop_flips(2)
@@ -1292,50 +1244,36 @@ mod tests {
     #[test]
     fn rejoin_flips_grow_alternating_churn_chains() {
         let g = small_graph();
-        let (_, mut base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
-        base.crashes.push(Crash {
-            node: NodeId::new(4),
-            at: 16,
-        });
+        let mut base = uniform_base(&g);
+        base.plan.churn.push(chain(4, &[16]));
         let churn = Mutation::new().rejoin_flips(3);
         let mut extended = false;
         for seed in 0..8 {
             let mutant = churn.apply(&base, seed);
             assert_eq!(mutant.decisions, base.decisions, "decisions untouched");
-            let chain = mutant.churn_of(NodeId::new(4));
-            assert!(chain.windows(2).all(|w| w[0] < w[1]), "chain increases");
-            extended |= chain.len() > 1;
-            // The mutant must survive the dialect's churn validation.
+            assert_eq!(mutant.plan.check(g.node_count(), g.edge_count()), Ok(()));
+            extended |= mutant.plan.churn[0].1.len() > 1;
+            // The mutant must survive the dialect's rules too.
             let text = mutant.to_text();
             assert_eq!(Schedule::from_text(&text).unwrap(), mutant);
         }
         assert!(extended, "some seed must extend the chain");
         // Crash-free schedules pass through unchanged.
-        base.crashes.clear();
+        base.plan.churn.clear();
         assert_eq!(churn.apply(&base, 5), base);
     }
 
     #[test]
     fn drift_flips_draw_valid_weight_revisions() {
         let g = small_graph();
-        let (_, base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
+        let base = uniform_base(&g);
         let drift = Mutation::new().drift_flips(4);
         let mut revised = false;
         for seed in 0..8 {
             let mutant = drift.apply(&base, seed);
             assert_eq!(mutant.decisions, base.decisions, "decisions untouched");
-            revised |= !mutant.drifts.is_empty();
-            for d in &mutant.drifts {
-                assert!(d.weight >= 1 && d.at >= 1);
-            }
+            revised |= !mutant.plan.drift.is_empty();
+            assert!(mutant.plan.drift.iter().all(|(_, at, _)| at.get() >= 1));
             // No duplicate (edge, at) pairs — they would race.
             let text = mutant.to_text();
             assert_eq!(Schedule::from_text(&text).unwrap(), mutant);
@@ -1346,27 +1284,14 @@ mod tests {
     #[test]
     fn churn_mutants_share_no_prefix_with_the_incumbent() {
         let g = small_graph();
-        let (_, mut base) = record_run(
-            &g,
-            &|_, _| Flood { seen: false },
-            ModelOracle::new(DelayModel::Uniform, 3),
-        );
-        base.crashes.push(Crash {
-            node: NodeId::new(1),
-            at: 12,
-        });
+        let mut base = uniform_base(&g);
+        base.plan.churn.push(chain(1, &[12]));
         let mut rejoined = base.clone();
-        rejoined.rejoins.push(crate::schedule::Rejoin {
-            node: NodeId::new(1),
-            at: 30,
-        });
+        rejoined.plan.churn[0].1.push(SimTime::new(30));
         assert_eq!(first_diff(&base, &rejoined), 0);
         let mut drifted = base.clone();
-        drifted.drifts.push(crate::schedule::Drift {
-            edge: base.decisions[0].edge,
-            at: 5,
-            weight: 3,
-        });
+        let revised = (base.decisions[0].edge, SimTime::new(5), Weight::new(3));
+        drifted.plan.drift.push(revised);
         assert_eq!(first_diff(&base, &drifted), 0);
         assert_eq!(
             first_diff(&base, &base.clone()),

@@ -15,9 +15,7 @@ use csp_adversary::{replay_report, Schedule, ScheduleOracle};
 use csp_algo::resilient::{reconvergence_violation, Metric, Resilient, ResilientOutcome};
 use csp_graph::generators::{self, WeightDist};
 use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::{
-    CoreKind, CostClass, Detect, DetectConfig, Run, ShardedSimulator, SimTime, Simulator,
-};
+use csp_sim::{CoreKind, CostClass, Detect, DetectConfig, Run, ShardedSimulator, Simulator};
 use std::path::PathBuf;
 
 fn schedule_dir() -> PathBuf {
@@ -54,12 +52,16 @@ fn committed_churn_witness_out_bills_the_best_single_crash() {
 
     // Shape: the chain crashes, rejoins and recrashes the *same* vertex
     // the single-crash witness attacks, and ends dead.
-    assert_eq!(single.crashes.len(), 1);
-    let victim = single.crashes[0].node;
-    let chain = churn.churn_of(victim);
+    let [(victim, crash)] = &single.plan.churn[..] else {
+        panic!("one crash-stop victim: {:?}", single.plan.churn);
+    };
+    assert_eq!(crash.len(), 1);
+    let [(churned, chain)] = &churn.plan.churn[..] else {
+        panic!("one chain, of the witness victim: {:?}", churn.plan.churn);
+    };
+    assert_eq!(churned, victim);
     assert_eq!(chain.len(), 3, "crash-rejoin-recrash, exactly: {chain:?}");
-    assert_eq!(churn.rejoins.len(), 1, "one rejoin, of the witness victim");
-    assert_eq!(churn.rejoins[0].node, victim);
+    let victim = *victim;
 
     // The recrash honours the detector's guarantee on every channel of
     // the victim, like the clamped single-crash witness does.
@@ -69,7 +71,7 @@ fn committed_churn_witness_out_bills_the_best_single_crash() {
         .min()
         .unwrap();
     assert!(
-        *chain.last().unwrap() <= horizon,
+        chain.last().unwrap().get() <= horizon,
         "the recrash must stay inside the guaranteed-detection window"
     );
 
@@ -105,8 +107,7 @@ fn committed_churn_witness_reconverges_within_the_detection_horizon() {
     // configuration; everyone else must hold exact surviving-component
     // routes, settled within the detection horizon of the *last* churn
     // event.
-    let victim = churn.rejoins[0].node;
-    let chain = churn.churn_of(victim);
+    let (victim, chain) = &churn.plan.churn[0];
     assert_eq!(chain.len() % 2, 1, "the chain ends dead: {chain:?}");
     let mut dead = vec![false; g.node_count()];
     dead[victim.index()] = true;
@@ -129,7 +130,7 @@ fn committed_churn_witness_reconverges_within_the_detection_horizon() {
             NodeId::new(0),
             Metric::Weighted,
             &dead,
-            SimTime::new(*chain.last().unwrap()),
+            *chain.last().unwrap(),
             detector().detection_horizon(g.max_weight().get()),
             &out
         ),

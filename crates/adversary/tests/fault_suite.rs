@@ -335,7 +335,7 @@ proptest! {
         let oracle = CrashOracle::new(lossy, vec![(victim, SimTime::new(crash_at))]);
         let (_, schedule) =
             csp_adversary::record(&g, make_reliable_spt, oracle, csp_adversary::Fallback::WorstCase);
-        prop_assert!(!schedule.crashes.is_empty());
+        prop_assert!(!schedule.plan.churn.is_empty());
 
         // Cold reference run, checkpointed, with the trace recorded.
         let mut cps = Vec::new();

@@ -8,11 +8,11 @@
 //! The committed schedules under the workspace's `tests/schedules/`
 //! were produced by `cargo run --release --example self_healing`.
 
-use csp_adversary::{replay, replay_report, Crash, Fallback, Schedule, ScheduleOracle};
+use csp_adversary::{replay, replay_report, Fallback, Schedule, ScheduleOracle};
 use csp_algo::resilient::{contract_violation, Metric, Resilient, ResilientOutcome};
 use csp_graph::generators::{self, WeightDist};
 use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::{CoreKind, CostClass, Detect, DetectConfig, Run, Simulator};
+use csp_sim::{CoreKind, CostClass, Detect, DetectConfig, Run, SimTime, Simulator};
 use std::path::PathBuf;
 
 fn schedule_dir() -> PathBuf {
@@ -42,11 +42,13 @@ fn committed_crash_witness_beats_delay_only_and_a_time_zero_crash() {
     let g = gnp_n12();
     let delay_only = load("resilient-spt-gnp-n12.schedule");
     let witness = load("crash-resilient-spt-gnp-n12.schedule");
-    assert!(delay_only.crashes.is_empty());
-    assert_eq!(witness.crashes.len(), 1, "the witness crashes one vertex");
-    let victim = witness.crashes[0].node;
+    assert!(delay_only.plan.churn.is_empty());
+    let [(victim, crash)] = &witness.plan.churn[..] else {
+        panic!("the witness crashes one vertex: {:?}", witness.plan.churn);
+    };
+    let victim = *victim;
     assert_ne!(victim, NodeId::new(0), "the witness victim is interior");
-    assert!(witness.crashes[0].at > 0, "the crash is *timed*, not at 0");
+    assert!(crash[0] > SimTime::ZERO, "the crash is *timed*, not at 0");
 
     let clean: Run<Detect<Resilient>> = replay(&g, make, &delay_only);
     let (late, report) = replay_report::<Detect<Resilient>, _>(&g, make, &witness);
@@ -57,10 +59,7 @@ fn committed_crash_witness_beats_delay_only_and_a_time_zero_crash() {
     // The same transcript with the crash moved to time 0: the victim
     // never participates, so the survivors pay no recovery.
     let mut zeroed = witness.clone();
-    zeroed.crashes = vec![Crash {
-        node: victim,
-        at: 0,
-    }];
+    zeroed.plan.churn = vec![(victim, vec![SimTime::ZERO])];
     zeroed.fallback = Fallback::WorstCase;
     let mut oracle = ScheduleOracle::new(&zeroed);
     let zero: Run<Detect<Resilient>> = Simulator::new(&g)
@@ -98,8 +97,8 @@ fn committed_crash_witness_still_satisfies_the_surviving_component_contract() {
     assert_eq!(report.divergences, 0, "{report:?}");
 
     let mut dead = vec![false; g.node_count()];
-    for c in &witness.crashes {
-        dead[c.node.index()] = true;
+    for (victim, _) in &witness.plan.churn {
+        dead[victim.index()] = true;
     }
     let out = ResilientOutcome {
         dists: run.states.iter().map(|s| s.inner().dist()).collect(),

@@ -121,7 +121,8 @@ fn main() {
             delay.outcome.best_time.get(),
             fault.outcome.best_time.get(),
             fault.outcome.schedule.dropped_count(),
-            fault.outcome.schedule.crashes.len(),
+            // Crash-stop search: every chain is one crash.
+            fault.outcome.schedule.plan.churn.len(),
             gain,
         ));
     }

@@ -556,8 +556,8 @@ mod tests {
     use csp_adversary::ScheduleOracle;
     use csp_algo::flood::Flood;
     use csp_graph::generators::{self, WeightDist};
-    use csp_graph::NodeId;
-    use csp_sim::{DelayModel, ModelOracle, Simulator};
+    use csp_graph::{NodeId, Weight};
+    use csp_sim::{DelayModel, ModelOracle, SimTime, Simulator};
 
     fn recorded_schedule(seed: u64) -> (csp_graph::WeightedGraph, Schedule) {
         let g = generators::connected_gnp(10, 0.4, WeightDist::Uniform(1, 9), seed);
@@ -632,26 +632,20 @@ mod tests {
         assert!(matches!(cache.probe(key, &diverged).1, Probe::Miss));
         // Different crash set: miss, even with identical decisions.
         let mut crashed = schedule.clone();
-        crashed.crashes.push(csp_adversary::Crash {
-            node: NodeId::new(1),
-            at: 4,
-        });
+        crashed
+            .plan
+            .churn
+            .push((NodeId::new(1), vec![SimTime::new(4)]));
         assert!(matches!(cache.probe(key, &crashed).1, Probe::Miss));
         // Churn divergence: a rejoin of an already-crashed vertex, or a
         // mid-run weight revision, changes the fault key — miss, even
         // with identical decisions.
         let mut rejoined = crashed.clone();
-        rejoined.rejoins.push(csp_adversary::Rejoin {
-            node: NodeId::new(1),
-            at: 9,
-        });
+        rejoined.plan.churn[0].1.push(SimTime::new(9));
         assert!(matches!(cache.probe(key, &rejoined).1, Probe::Miss));
         let mut drifted = schedule.clone();
-        drifted.drifts.push(csp_adversary::Drift {
-            edge: csp_graph::EdgeId::new(0),
-            at: 3,
-            weight: 5,
-        });
+        let revised = (csp_graph::EdgeId::new(0), SimTime::new(3), Weight::new(5));
+        drifted.plan.drift.push(revised);
         assert!(matches!(cache.probe(key, &drifted).1, Probe::Miss));
         // Wrong scenario key: miss.
         assert!(matches!(cache.probe("other/s", &tweaked).1, Probe::Miss));

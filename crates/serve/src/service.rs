@@ -32,14 +32,14 @@ use crate::cache::{fnv1a, CacheCaps, IngestError, Probe, StackCache, StoredResul
 use crate::json::{Json, JsonError};
 use crate::metrics::{CacheOutcome, ServeMetrics};
 use crate::scenario::{Bound, GraphSpec, RunMode, Scenario, SpecError, StackSpec};
-use csp_adversary::{Fallback, Recorder, Schedule, ScheduleOracle, SearchConfig};
+use csp_adversary::{Fallback, Recorder, Schedule, ScheduleOracle, SearchConfig, SearchOutcome};
 use csp_algo::flood::Flood;
 use csp_algo::spt::recur::SptRecur;
 use csp_graph::{NodeId, WeightedGraph};
 use csp_sim::sweep::{effective_threads, par_map_with};
 use csp_sim::{
-    Checkpoint, CostReport, DelayModel, ModelOracle, Process, Run, ShardedSimulator, Simulator,
-    Trace,
+    Checkpoint, CostReport, DelayModel, LinkOracle, ModelOracle, Process, Run, ShardedSimulator,
+    Simulator, Trace,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -514,9 +514,12 @@ fn run_stack_jobs<P: ServeStack>(
         // may also find a checkpoint to resume from.
         let (stored, work) = match s.run {
             RunMode::Schedule(schedule) => {
-                if let Err(msg) = fault_plan_fits(&schedule, graph) {
+                // The kernel's intake panics on a plan that does not fit
+                // the graph; a submission gets the same verdict as an
+                // error. Here, not at parse time: the graph is known here.
+                if let Err(e) = schedule.plan.check(graph.node_count(), graph.edge_count()) {
                     metrics.rejected += 1;
-                    responses[ix] = Some(error_response(&s.id, &msg));
+                    responses[ix] = Some(error_response(&s.id, &format!("bad schedule: {e}")));
                     continue;
                 }
                 // The probe's single O(len) pass also yields the exact
@@ -696,6 +699,33 @@ impl<P: Process> JobOut<P> {
     }
 }
 
+/// One cold run of `job`'s stack under `oracle`, with the checkpoints
+/// it left — every arm of [`run_job`] but the resume ends in one,
+/// whatever it ran first to get its oracle.
+fn cold_run<P: ServeStack, O: LinkOracle>(
+    cfg: ServiceConfig,
+    job: &Job<'_, P>,
+    oracle: &mut O,
+) -> Result<(Run<P>, Vec<Checkpoint<P>>), String>
+where
+    P::Msg: Clone + Send + Sync,
+{
+    // With the cache off there is nobody to hand checkpoints to — run
+    // with an unreachable cadence so the baseline pays no snapshot cost.
+    let every = if cfg.cache {
+        cfg.checkpoint_every
+    } else {
+        u64::MAX
+    };
+    let spec = job.spec;
+    let mut cps = Vec::new();
+    let mut sim = Simulator::new(job.graph);
+    sim.record_trace(cfg.trace_cap);
+    sim.run_with_checkpoints(oracle, |v, g| P::make(spec, v, g), every, &mut cps)
+        .map(|run| (run, cps))
+        .map_err(|e| e.to_string())
+}
+
 /// Evaluates one job on a worker thread.
 fn run_job<P: ServeStack>(cfg: ServiceConfig, worker: usize, job: &Job<'_, P>) -> JobOut<P>
 where
@@ -706,12 +736,19 @@ where
     let g = job.graph;
     let spec = job.spec;
     let make = |v: NodeId, g: &WeightedGraph| P::make(spec, v, g);
-    // With the cache off there is nobody to hand checkpoints to — run
-    // with an unreachable cadence so the baseline pays no snapshot cost.
-    let every = if cfg.cache {
-        cfg.checkpoint_every
+    let cold = if cfg.cache {
+        CacheOutcome::Miss
     } else {
-        u64::MAX
+        CacheOutcome::Uncached
+    };
+    // Replays the schedule a search found, once, with checkpoints: the
+    // full report for the response, and cached prefixes for free.
+    let replay_found = |out: SearchOutcome, reduction: Option<(u64, u64)>| {
+        cold_run(cfg, job, &mut ScheduleOracle::new(&out.schedule)).map(|(run, cps)| {
+            let (worst_case, text) = (out.worst_case.get(), out.schedule.to_text());
+            let found = Some(out.schedule);
+            finish_run(run, cps, found, Some(worst_case), Some(text), reduction)
+        })
     };
 
     let (outcome, depth, result, exact) = match &job.work {
@@ -735,19 +772,9 @@ where
             exact,
             ..
         } => {
-            let outcome = if cfg.cache {
-                CacheOutcome::Miss
-            } else {
-                CacheOutcome::Uncached
-            };
-            let mut cps = Vec::new();
-            let mut sim = Simulator::new(g);
-            sim.record_trace(cfg.trace_cap);
-            let res = sim
-                .run_with_checkpoints(&mut ScheduleOracle::new(schedule), make, every, &mut cps)
-                .map(|run| finish_run(run, cps, None, None, None, None))
-                .map_err(|e| e.to_string());
-            (outcome, 0, res, *exact)
+            let res = cold_run(cfg, job, &mut ScheduleOracle::new(schedule))
+                .map(|(run, cps)| finish_run(run, cps, None, None, None, None));
+            (cold, 0, res, *exact)
         }
         Work::Model {
             delay,
@@ -755,55 +782,36 @@ where
             exact,
             shards,
         } => {
-            let outcome = if cfg.cache {
-                CacheOutcome::Miss
-            } else {
-                CacheOutcome::Uncached
-            };
             // Record the transcript while running: the recorded
             // schedule is the canonical key the checkpoints are cached
             // under, so later *schedule* submissions replaying a
             // variation of this run resume incrementally.
             let mut rec = Recorder::new(ModelOracle::new(*delay, *seed));
-            if *shards > 0 {
+            let ran = if *shards > 0 {
                 // Opt-in sharded evaluation: bit-identical to the
                 // sequential path (same report, digests and recorded
                 // schedule), but checkpointless — prefix snapshots are
                 // a sequential-core artifact.
-                let res = ShardedSimulator::new(g)
+                ShardedSimulator::new(g)
                     .threads(*shards)
                     .record_trace(cfg.trace_cap)
                     .run_with_oracle(&mut rec, make)
-                    .map(|run| {
-                        let schedule = rec.into_schedule(Fallback::WorstCase);
-                        finish_run(run, Vec::new(), Some(schedule), None, None, None)
-                    })
-                    .map_err(|e| e.to_string());
-                (outcome, 0, res, Some(*exact))
+                    .map(|run| (run, Vec::new()))
+                    .map_err(|e| e.to_string())
             } else {
-                let mut cps = Vec::new();
-                let mut sim = Simulator::new(g);
-                sim.record_trace(cfg.trace_cap);
-                let res = sim
-                    .run_with_checkpoints(&mut rec, make, every, &mut cps)
-                    .map(|run| {
-                        let schedule = rec.into_schedule(Fallback::WorstCase);
-                        finish_run(run, cps, Some(schedule), None, None, None)
-                    })
-                    .map_err(|e| e.to_string());
-                (outcome, 0, res, Some(*exact))
-            }
+                cold_run(cfg, job, &mut rec)
+            };
+            let res = ran.map(|(run, cps)| {
+                let schedule = rec.into_schedule(Fallback::WorstCase);
+                finish_run(run, cps, Some(schedule), None, None, None)
+            });
+            (cold, 0, res, Some(*exact))
         }
         Work::Search {
             budget,
             seed,
             exact,
         } => {
-            let outcome = if cfg.cache {
-                CacheOutcome::Miss
-            } else {
-                CacheOutcome::Uncached
-            };
             // The pool is already parallel — one thread per search
             // keeps total parallelism at the pool's width.
             let mut builder = SearchConfig::builder().seed(*seed).threads(1);
@@ -814,40 +822,12 @@ where
                 .build()
                 .expect("service search config is statically valid");
             let out = csp_adversary::find_worst_schedule(g, make, &search_cfg);
-            // Replay the found schedule once with checkpoints: the full
-            // report for the response, and cached prefixes for free.
-            let mut cps = Vec::new();
-            let mut sim = Simulator::new(g);
-            sim.record_trace(cfg.trace_cap);
-            let res = sim
-                .run_with_checkpoints(
-                    &mut ScheduleOracle::new(&out.schedule),
-                    make,
-                    every,
-                    &mut cps,
-                )
-                .map(|run| {
-                    finish_run(
-                        run,
-                        cps,
-                        Some(out.schedule.clone()),
-                        Some(out.worst_case.get()),
-                        Some(out.schedule.to_text()),
-                        None,
-                    )
-                })
-                .map_err(|e| e.to_string());
-            (outcome, 0, res, Some(*exact))
+            (cold, 0, replay_found(out, None), Some(*exact))
         }
         Work::Exhaustive {
             class_budget,
             exact,
         } => {
-            let outcome = if cfg.cache {
-                CacheOutcome::Miss
-            } else {
-                CacheOutcome::Uncached
-            };
             let search_cfg = SearchConfig::builder()
                 // The pool is already parallel — the explorer itself is
                 // sequential, so one evaluator per job suffices.
@@ -856,30 +836,8 @@ where
                 .build()
                 .expect("exhaustive service config is statically valid");
             let out = csp_adversary::explore_exhaustive(g, make, &search_cfg);
-            // Replay the per-class representative that won, with
-            // checkpoints — same shape as the heuristic search arm.
-            let mut cps = Vec::new();
-            let mut sim = Simulator::new(g);
-            sim.record_trace(cfg.trace_cap);
-            let res = sim
-                .run_with_checkpoints(
-                    &mut ScheduleOracle::new(&out.schedule),
-                    make,
-                    every,
-                    &mut cps,
-                )
-                .map(|run| {
-                    finish_run(
-                        run,
-                        cps,
-                        Some(out.schedule.clone()),
-                        Some(out.worst_case.get()),
-                        Some(out.schedule.to_text()),
-                        Some((out.classes_explored, out.schedules_pruned)),
-                    )
-                })
-                .map_err(|e| e.to_string());
-            (outcome, 0, res, Some(*exact))
+            let reduction = Some((out.classes_explored, out.schedules_pruned));
+            (cold, 0, replay_found(out, reduction), Some(*exact))
         }
     };
 
@@ -981,33 +939,6 @@ fn digest_trace(trace: &Trace) -> u64 {
         h = mix(h, e.class as u64);
     }
     mix(mix(h, trace.events().len() as u64), trace.dropped())
-}
-
-/// Checks a submitted schedule's fault plan against the graph it is to
-/// run on: the kernel's plan intake asserts these, and a submission
-/// must not be able to trip an assertion.
-fn fault_plan_fits(schedule: &Schedule, g: &WeightedGraph) -> Result<(), String> {
-    let (n, m) = (g.node_count(), g.edge_count());
-    let vertices = schedule
-        .crashes
-        .iter()
-        .map(|c| ("crash", c.node))
-        .chain(schedule.rejoins.iter().map(|r| ("rejoin", r.node)));
-    for (what, v) in vertices {
-        if v.index() >= n {
-            return Err(format!(
-                "bad schedule: {what} vertex {} out of range for a {n}-vertex graph",
-                v.index()
-            ));
-        }
-    }
-    match schedule.drifts.iter().find(|d| d.edge.index() >= m) {
-        Some(d) => Err(format!(
-            "bad schedule: drift edge {} out of range for a {m}-edge graph",
-            d.edge.index()
-        )),
-        None => Ok(()),
-    }
 }
 
 fn request_id(request: &Json) -> &str {

@@ -18,10 +18,10 @@
 //! that `Schedule::from_text` gives for the decoded string, and
 //! `probe_keys` the keys `Schedule::prefix_key` defines.
 
-use csp_adversary::{record, Drift, Fallback, Schedule, ScheduleOracle};
+use csp_adversary::{record, Fallback, Schedule, ScheduleOracle};
 use csp_algo::spt::recur::SptRecur;
 use csp_graph::generators::{self, WeightDist};
-use csp_graph::{EdgeId, NodeId, WeightedGraph};
+use csp_graph::{EdgeId, NodeId, Weight, WeightedGraph};
 use csp_serve::cache::IngestError;
 use csp_serve::json::Json;
 use csp_serve::service::{Service, ServiceConfig};
@@ -49,11 +49,8 @@ fn base_text() -> String {
     );
     let (_, mut schedule) = record(&graph(), make, oracle, Fallback::WorstCase);
     assert!(schedule.has_faults() && schedule.len() > 40);
-    schedule.drifts.push(Drift {
-        edge: EdgeId::new(0),
-        at: 1_000_000,
-        weight: 5,
-    });
+    let far = (EdgeId::new(0), SimTime::new(1_000_000), Weight::new(5));
+    schedule.plan.drift.push(far);
     schedule.to_text()
 }
 

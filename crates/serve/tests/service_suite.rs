@@ -12,7 +12,9 @@ use csp_graph::{EdgeId, NodeId, Weight};
 use csp_serve::json::Json;
 use csp_serve::service::{Service, ServiceConfig};
 use csp_serve::CacheCaps;
-use csp_sim::{ChurnOracle, CrashOracle, DelayModel, DropOracle, SimTime};
+use csp_sim::{
+    ChurnOracle, CrashOracle, DelayModel, DropOracle, FaultPlan, ModelOracle, SimTime, Simulator,
+};
 
 /// The gnp graph every test scenario here runs on. Weights start at 2
 /// so every decision has at least two admissible delays (mutation can
@@ -219,7 +221,7 @@ fn incremental_resume_is_bit_identical_to_cold_under_faults() {
 fn crash_set_divergence_prevents_prefix_reuse() {
     let base = fault_schedule();
     let mut other_crash = base.clone();
-    other_crash.crashes[0].at += 1_000_000;
+    other_crash.plan.churn[0].1[0] += 1_000_000;
 
     let mut warm = caching_service();
     expect_result(&warm.handle(&submit("base", schedule_run(&base))));
@@ -304,7 +306,7 @@ fn churn_divergence_prevents_prefix_reuse() {
 
     // Same decisions, same crash set — but the rejoin moves one tick.
     let mut moved = base.clone();
-    moved.rejoins[0].at += 1;
+    moved.plan.churn[0].1[1] += 1;
     let r = warm.handle(&submit("moved", schedule_run(&moved)));
     assert_eq!(
         cache_of(expect_result(&r)),
@@ -314,7 +316,7 @@ fn churn_divergence_prevents_prefix_reuse() {
 
     // And a drift-only change diverges too.
     let mut drifted = base.clone();
-    drifted.drifts[0].weight += 1;
+    drifted.plan.drift[0].2 = Weight::new(drifted.plan.drift[0].2.get() + 1);
     let r = warm.handle(&submit("drifted", schedule_run(&drifted)));
     assert_eq!(
         cache_of(expect_result(&r)),
@@ -716,31 +718,122 @@ fn ids_beyond_the_id_space_are_a_parse_error_not_a_panic() {
     }
 }
 
+/// One rule-set, three doors. Each malformed plan is run into the
+/// kernel (which panics), written as text for the parser (a
+/// `ParseError` where the text alone shows the fault — the parser knows
+/// no graph and groups a vertex's lines into one chain), and submitted
+/// to the service on a 4-vertex path (an error response, the session
+/// carrying on): all three give [`FaultPlan::check`]'s verdict in its
+/// words.
 #[test]
-fn fault_plans_are_checked_against_the_graph_at_ingest() {
-    // The kernel's plan intake asserts that churn chains and drift
-    // revisions name vertices and edges of the graph; a submission that
-    // does not is answered with an error, at the edge exactly.
+fn a_malformed_plan_gets_one_verdict_from_kernel_parser_and_service() {
+    let t = SimTime::new;
+    let chain = |v: usize, times: &[u64]| (NodeId::new(v), times.iter().map(|&x| t(x)).collect());
+    let churn = |chains: Vec<(NodeId, Vec<SimTime>)>| FaultPlan {
+        churn: chains,
+        drift: Vec::new(),
+    };
+    let revise = |e: usize| FaultPlan {
+        churn: Vec::new(),
+        drift: vec![(EdgeId::new(e), t(3), Weight::new(2))],
+    };
+    // (plan, verdict or None for a plan that fits, its text, whether
+    // the text alone is already a parse error)
+    let table: Vec<(FaultPlan, Option<&str>, Option<&str>, bool)> = vec![
+        (
+            churn(vec![chain(3, &[3, 9])]),
+            None,
+            Some("c 3 3\nr 3 9"),
+            false,
+        ),
+        (revise(2), None, Some("w 2 3 2"), false),
+        (
+            churn(vec![chain(1, &[5, 5])]),
+            Some("churn chain for v1 must be strictly increasing"),
+            Some("c 1 5\nr 1 5"),
+            true,
+        ),
+        (
+            // Text orders a vertex's lines by time, so it cannot say
+            // "9 then 3"; nor can it give a vertex two chains.
+            churn(vec![chain(1, &[9, 3])]),
+            Some("churn chain for v1 must be strictly increasing"),
+            None,
+            false,
+        ),
+        (
+            churn(vec![chain(1, &[3]), chain(1, &[5, 8])]),
+            Some("v1 has two churn chains"),
+            None,
+            false,
+        ),
+        (
+            churn(vec![chain(4, &[3])]),
+            Some("churn chain names v4, but the graph has 4 vertices"),
+            Some("c 4 3"),
+            false,
+        ),
+        (
+            churn(vec![chain(4, &[3, 9])]),
+            Some("churn chain names v4, but the graph has 4 vertices"),
+            Some("c 4 3\nr 4 9"),
+            false,
+        ),
+        (
+            revise(3),
+            Some("drift revision names e3, but the graph has 3 edges"),
+            Some("w 3 3 2"),
+            false,
+        ),
+    ];
+    let g = generators::path(4, |_| 1);
     let mut svc = caching_service();
-    for (body, fits) in [
-        ("c 3 3", true),
-        ("c 4 3", false),
-        ("c 77 3", false),
-        ("c 3 3\nr 3 9", true),
-        ("c 4 3\nr 4 9", false),
-        ("w 2 3 2", true),
-        ("w 3 3 2", false),
-    ] {
+    for (plan, verdict, body, unparseable) in table {
+        assert_eq!(
+            plan.check(g.node_count(), g.edge_count())
+                .err()
+                .map(|e| e.to_string()),
+            verdict.map(str::to_string),
+            "{plan:?}"
+        );
+        // Door one: the kernel's intake.
+        let run = std::panic::catch_unwind(|| {
+            let inner = ModelOracle::new(DelayModel::WorstCase, 0);
+            let mut oracle = ChurnOracle::new(inner, plan.churn.clone(), plan.drift.clone());
+            let flood = |v, _: &_| csp_algo::flood::Flood::new(v == NodeId::new(0));
+            Simulator::new(&g)
+                .run_with_oracle(&mut oracle, flood)
+                .is_ok()
+        });
+        match verdict {
+            None => assert!(run.unwrap(), "{plan:?} runs"),
+            Some(verdict) => {
+                let panic = run.expect_err("a malformed plan must not run");
+                assert_eq!(panic.downcast_ref::<String>().unwrap(), verdict);
+            }
+        }
+        let Some(body) = body else { continue };
         let text = format!("csp-adversary-schedule v3\nfallback rush\n{body}\n");
+        // Door two: the parser.
+        match (Schedule::from_text(&text), unparseable) {
+            (Ok(parsed), false) => assert_eq!(parsed.plan, plan, "{body:?}"),
+            (Err(e), true) => assert_eq!(e.msg, verdict.unwrap(), "{body:?}"),
+            (other, _) => panic!("{body:?} parsed to {other:?}"),
+        }
+        // Door three: the service, which outlives every verdict.
         let rs = svc.handle(&submit_on_path4("plan", &text));
         assert_eq!(rs.len(), 1);
         let kind = rs[0].get("type").and_then(Json::as_str).unwrap();
-        if fits {
-            assert_eq!(kind, "result", "{body:?} fits: {}", rs[0].dump());
-        } else {
-            assert_eq!(kind, "error", "{body:?} does not fit");
-            let error = rs[0].get("error").and_then(Json::as_str).unwrap();
-            assert!(error.contains("out of range for a"), "{error:?}");
+        match verdict {
+            None => assert_eq!(kind, "result", "{body:?} fits: {}", rs[0].dump()),
+            Some(verdict) => {
+                assert_eq!(kind, "error", "{body:?} does not fit");
+                let error = rs[0].get("error").and_then(Json::as_str).unwrap();
+                assert!(
+                    error.starts_with("bad schedule: ") && error.ends_with(verdict),
+                    "{body:?} gave {error:?}"
+                );
+            }
         }
         assert_still_serving(&mut svc);
     }

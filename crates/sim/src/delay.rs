@@ -144,9 +144,11 @@ pub enum LinkDecision {
 ///   [`Context::weight_of`](crate::Context::weight_of). Same-instant
 ///   revisions apply in plan order.
 ///
-/// The runtime validates the plan at intake, whichever oracle produced
-/// it, and panics naming the offender: every chain strictly increasing,
-/// at most one chain per vertex, every vertex and edge inside the graph.
+/// [`FaultPlan::check`] is the one definition of a well-formed plan.
+/// The runtime applies it at intake, whichever oracle produced the
+/// plan, and panics with the [`PlanError`]; the schedule parser and the
+/// scenario service apply the same rules to plans that arrive as text
+/// and answer with an error instead.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct FaultPlan {
     /// Per-vertex toggle chains, at most one per vertex, in any order.
@@ -155,7 +157,58 @@ pub struct FaultPlan {
     pub drift: Vec<(EdgeId, SimTime, Weight)>,
 }
 
+/// Why a [`FaultPlan`] cannot be run: the message names the offending
+/// vertex or edge.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct PlanError(String);
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for PlanError {}
+
 impl FaultPlan {
+    /// Whether the plan can run on a graph of `n` vertices and `m`
+    /// edges: every chain strictly increasing, at most one non-empty
+    /// chain per vertex, every vertex below `n` and every revised edge
+    /// below `m`. (A revised weight is at least 1 by [`Weight`]'s own
+    /// invariant.)
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, naming the vertex or edge.
+    pub fn check(&self, n: usize, m: usize) -> Result<(), PlanError> {
+        let mut churned = Vec::with_capacity(self.churn.len());
+        for (v, chain) in &self.churn {
+            if v.index() >= n {
+                return Err(PlanError(format!(
+                    "churn chain names {v}, but the graph has {n} vertices"
+                )));
+            }
+            if !chain.windows(2).all(|w| w[0] < w[1]) {
+                return Err(PlanError(format!(
+                    "churn chain for {v} must be strictly increasing"
+                )));
+            }
+            if !chain.is_empty() {
+                churned.push(*v);
+            }
+        }
+        churned.sort_unstable();
+        if let Some(w) = churned.windows(2).find(|w| w[0] == w[1]) {
+            return Err(PlanError(format!("{} has two churn chains", w[0])));
+        }
+        match self.drift.iter().find(|(e, _, _)| e.index() >= m) {
+            Some((e, _, _)) => Err(PlanError(format!(
+                "drift revision names {e}, but the graph has {m} edges"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// This plan followed by `other`'s chains and revisions — how a
     /// wrapping oracle composes its own faults with its inner oracle's
     /// (`inner.fault_plan().merge(mine)`). Two chains for one vertex

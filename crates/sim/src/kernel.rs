@@ -7,7 +7,7 @@
 //! [`BaselineSimulator`](crate::BaselineSimulator):
 //!
 //! * **Time zero** ([`Kernel::boot`]): build the per-vertex states, take
-//!   the oracle's [`FaultPlan`] in (validate, sort drift, set the fault
+//!   the oracle's [`FaultPlan`] in ([`FaultPlan::check`], sort drift, set the fault
 //!   meters, seed the live weight table, stash a fresh state per
 //!   rejoin, schedule the rejoin events), then start every live vertex.
 //! * **The send step** ([`Ledger::send`]), per queued message:
@@ -113,33 +113,20 @@ pub(crate) struct Faults {
 }
 
 impl Faults {
-    /// Validates `plan` against `g`, installs it, and sets the fault
-    /// meters — up front, whether or not the run lives long enough to
-    /// reach every scheduled toggle.
+    /// Installs `plan` — a broken one ([`FaultPlan::check`]) panics with
+    /// its [`PlanError`](crate::PlanError) — and sets the fault meters:
+    /// up front, whether or not the run lives long enough to reach every
+    /// scheduled toggle.
     fn install(&mut self, g: &WeightedGraph, plan: FaultPlan, cost: &mut CostReport) {
-        let (n, m) = (g.node_count(), g.edge_count());
-        self.churn.clear();
-        self.churn.resize_with(n, Vec::new);
-        for (v, chain) in plan.churn {
-            assert!(
-                v.index() < n,
-                "churn chain names {v}, but the graph has {n} vertices"
-            );
-            assert!(
-                chain.windows(2).all(|w| w[0] < w[1]),
-                "churn chain for {v} must be strictly increasing"
-            );
-            if chain.is_empty() {
-                continue;
-            }
-            assert!(self.churn[v.index()].is_empty(), "{v} has two churn chains");
-            self.churn[v.index()] = chain;
+        if let Err(e) = plan.check(g.node_count(), g.edge_count()) {
+            panic!("{e}");
         }
-        for &(e, _, _) in &plan.drift {
-            assert!(
-                e.index() < m,
-                "drift revision names {e}, but the graph has {m} edges"
-            );
+        self.churn.clear();
+        self.churn.resize_with(g.node_count(), Vec::new);
+        for (v, chain) in plan.churn {
+            if !chain.is_empty() {
+                self.churn[v.index()] = chain;
+            }
         }
         self.drift = plan.drift;
         self.drift.sort_by_key(|&(_, t, _)| t);

@@ -76,7 +76,7 @@ pub use baseline::BaselineSimulator;
 pub use cost::{CostClass, CostReport};
 pub use delay::{
     ChurnOracle, CrashOracle, DelayModel, DelayOracle, DropOracle, FaultPlan, LinkDecision,
-    LinkOracle, ModelOracle, MsgInfo,
+    LinkOracle, ModelOracle, MsgInfo, PlanError,
 };
 pub use detect::{Detect, DetectConfig, DetectMsg, FaultAware};
 pub use process::{Context, MsgToken, Process, TimerId};

@@ -83,6 +83,9 @@ pub struct Context<'a, M> {
     /// by executors that support weight revision; `None` means the
     /// graph's static weights are current.
     eff: Option<&'a [Weight]>,
+    /// Set by [`Context::derive`]: nobody reads this context's timer
+    /// ops, so arming or cancelling one panics instead of vanishing.
+    detached: bool,
 }
 
 impl<'a, M: Clone + std::fmt::Debug> Context<'a, M> {
@@ -127,6 +130,7 @@ impl<'a, M: Clone + std::fmt::Debug> Context<'a, M> {
             msg_base,
             timer_base,
             eff: None,
+            detached: false,
         }
     }
 
@@ -258,7 +262,13 @@ impl<'a, M: Clone + std::fmt::Debug> Context<'a, M> {
     /// Only the asynchronous [`Simulator`](crate::Simulator) cores
     /// execute timers; the
     /// [`BaselineSimulator`](crate::BaselineSimulator) rejects them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a context made by [`Context::derive`]: its host does
+    /// not forward timers.
     pub fn set_timer(&mut self, delay: u64) -> TimerId {
+        self.assert_timers_forwarded();
         let id = TimerId(self.timer_base + self.timers.len() as u64);
         self.timers.push(delay.max(1));
         id
@@ -266,8 +276,26 @@ impl<'a, M: Clone + std::fmt::Debug> Context<'a, M> {
 
     /// Cancels a pending timer. Cancelling an already-fired or foreign
     /// timer id is a silent no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a context made by [`Context::derive`], like
+    /// [`Context::set_timer`].
     pub fn cancel_timer(&mut self, id: TimerId) {
+        self.assert_timers_forwarded();
         self.cancels.push(id.0);
+    }
+
+    /// The one place a hosted protocol's timer use is refused: a host
+    /// built on [`Context::derive`] relays sends only, and a timer that
+    /// silently never fires (a detector that never beats, a
+    /// retransmission that never retries) is worse than a panic.
+    fn assert_timers_forwarded(&self) {
+        assert!(
+            !self.detached,
+            "hosts built on Context::derive do not forward timers; \
+             host the protocol through Context::derive_with_timers"
+        );
     }
 
     /// Creates a context over a different message alphabet at the same
@@ -277,12 +305,18 @@ impl<'a, M: Clone + std::fmt::Debug> Context<'a, M> {
     ///
     /// Derived contexts are detached from the runtime: their
     /// [`MsgToken`]s number from zero (the transformer's relayed sends
-    /// carry the real tokens) and timers armed on them are discarded
-    /// rather than scheduled — a transformer that hosts a timer-using
-    /// protocol must forward timer ops itself.
+    /// carry the real tokens) and they take no timer ops — a transformer
+    /// that hosts a timer-using protocol must forward them itself,
+    /// through [`Context::derive_with_timers`].
+    ///
+    /// # Panics
+    ///
+    /// [`Context::set_timer`] and [`Context::cancel_timer`] panic on the
+    /// derived context.
     pub fn derive<N: Clone + std::fmt::Debug>(&self) -> Context<'a, N> {
         let mut ctx = Context::new(self.node, self.now, self.graph);
         ctx.eff = self.eff;
+        ctx.detached = true;
         ctx
     }
 

@@ -373,6 +373,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "do not forward timers")]
+    fn hosting_a_timer_using_protocol_is_refused_not_muted() {
+        // `Reliable` relays sends only. A detector hosted under it used
+        // to build, run and never beat: its heartbeat timers vanished
+        // with the derived context. The supported order is
+        // `Detect<Reliable<P>>`.
+        use crate::detect::{Detect, DetectConfig};
+        let g = generators::path(3, |_| 2);
+        let _ = Simulator::new(&g).run(|v, _| {
+            let flood = Flood {
+                initiator: v == NodeId::new(0),
+                reached: false,
+            };
+            Reliable::new(Detect::new(flood, DetectConfig::new(4, 3, 0)), 8)
+        });
+    }
+
+    #[test]
     fn lossless_wrapped_flood_reaches_everyone() {
         let g = generators::connected_gnp(10, 0.35, generators::WeightDist::Uniform(1, 9), 3);
         let run = Simulator::new(&g).run(make).unwrap();

@@ -114,7 +114,8 @@ fn main() {
         "  minimal witness: completion {} with {} drops, {} crashes",
         shrunk_time,
         shrunk.dropped_count(),
-        shrunk.crashes.len()
+        // Drop search plans no rejoins: a chain is one crash.
+        shrunk.plan.churn.len()
     );
 
     // The weighted price of surviving the witness's drops: the same
@@ -156,8 +157,8 @@ fn main() {
     // holding a distance. A crash silently truncating output fails
     // loudly here.
     let mut dead = vec![false; g.node_count()];
-    for c in &shrunk.crashes {
-        dead[c.node.index()] = true;
+    for (victim, _) in &shrunk.plan.churn {
+        dead[victim.index()] = true;
     }
     let alive = csp_graph::algo::surviving_component(&g, NodeId::new(0), &dead);
     for v in g.nodes() {

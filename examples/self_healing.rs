@@ -40,8 +40,8 @@
 //! and pin the inequalities.
 
 use csp_adversary::{
-    find_worst_schedule, record, replay_report, shrink, Crash, Fallback, Rejoin, Schedule,
-    ScheduleOracle, SearchConfig,
+    find_worst_schedule, record, replay_report, shrink, Fallback, Schedule, ScheduleOracle,
+    SearchConfig,
 };
 use csp_algo::resilient::{reconvergence_violation, Metric, Resilient, ResilientOutcome};
 use csp_graph::generators::{self, WeightDist};
@@ -64,47 +64,20 @@ fn make(v: NodeId, g: &WeightedGraph) -> Detect<Resilient> {
     )
 }
 
-/// Replays `base` with its crash plan replaced by `crashes` (worst-case
-/// fallback past the recorded horizon) and re-records the transcript.
-fn with_crashes(
-    g: &WeightedGraph,
-    base: &Schedule,
-    crashes: Vec<Crash>,
-) -> (SimTime, Cost, Schedule) {
-    let mut candidate = base.clone();
-    candidate.crashes = crashes;
-    let (run, recorded) = record(
-        g,
-        make,
-        ScheduleOracle::new(&candidate),
-        Fallback::WorstCase,
-    );
-    (
-        run.cost.completion,
-        run.cost.comm_of(CostClass::Protocol),
-        recorded,
-    )
-}
-
-/// Replays `base` with `victim`'s churn chain replaced by `chain`
-/// (alternating crash/rejoin times, strictly increasing) and re-records
-/// the transcript.
+/// Replays `base` with its churn replaced by `churn` — per-vertex
+/// toggle chains, alternating crash/rejoin times, strictly increasing
+/// (worst-case fallback past the recorded horizon) — and re-records the
+/// transcript.
 fn with_churn(
     g: &WeightedGraph,
     base: &Schedule,
-    victim: NodeId,
-    chain: &[u64],
+    churn: &[(NodeId, &[u64])],
 ) -> (SimTime, Cost, Schedule) {
     let mut candidate = base.clone();
-    candidate.crashes.retain(|c| c.node != victim);
-    candidate.rejoins.retain(|r| r.node != victim);
-    for (i, &at) in chain.iter().enumerate() {
-        if i % 2 == 0 {
-            candidate.crashes.push(Crash { node: victim, at });
-        } else {
-            candidate.rejoins.push(Rejoin { node: victim, at });
-        }
-    }
+    candidate.plan.churn = churn
+        .iter()
+        .map(|&(v, chain)| (v, chain.iter().map(|&t| SimTime::new(t)).collect()))
+        .collect();
     let (run, recorded) = record(
         g,
         make,
@@ -125,7 +98,7 @@ fn inject_worst_crash(g: &WeightedGraph, base: &Schedule) -> (SimTime, Schedule)
     let mut best: Option<(SimTime, Schedule)> = None;
     for v in g.nodes().skip(1) {
         for at in (12..=212).step_by(24) {
-            let (t, _, recorded) = with_crashes(g, base, vec![Crash { node: v, at }]);
+            let (t, _, recorded) = with_churn(g, base, &[(v, &[at])]);
             if best.as_ref().is_none_or(|(bt, _)| t > *bt) {
                 best = Some((t, recorded));
             }
@@ -167,7 +140,7 @@ fn main() {
     println!(
         "  searched {} with {} crash(es) (strategy: {})",
         crashed.best_time,
-        crashed.schedule.crashes.len(),
+        crashed.schedule.plan.churn.len(),
         crashed.strategy
     );
 
@@ -177,27 +150,16 @@ fn main() {
     // the witness away from the source: killing it forces a blanket
     // retraction, which hides the re-routing story the resilient stack
     // exists for.
-    let interior = crashed
-        .schedule
-        .crashes
-        .first()
-        .is_some_and(|c| c.node != NodeId::new(0));
+    let interior = (crashed.schedule.plan.churn.first()).is_some_and(|(v, _)| *v != NodeId::new(0));
     let (candidate_time, candidate) = if interior {
         (crashed.best_time, crashed.schedule)
     } else {
         println!("  (search found no interior victim; scanning the victim/time grid)");
         inject_worst_crash(&g, &delay.schedule)
     };
-    let victim = candidate.crashes[0].node;
-    let (zero_time, _, _) = with_crashes(
-        &g,
-        &candidate,
-        vec![Crash {
-            node: victim,
-            at: 0,
-        }],
-    );
-    let (crash_free_time, _, _) = with_crashes(&g, &candidate, vec![]);
+    let victim = candidate.plan.churn[0].0;
+    let (zero_time, _, _) = with_churn(&g, &candidate, &[(victim, &[0])]);
+    let (crash_free_time, _, _) = with_churn(&g, &candidate, &[]);
     let bar = delay.best_time.max(zero_time).max(crash_free_time);
     let (fault_time, fault_schedule) = if candidate_time > bar {
         (candidate_time, candidate)
@@ -213,10 +175,12 @@ fn main() {
 
     println!("shrinking the crash witness against t > {bar} ...");
     let (mut shrunk_time, mut shrunk) = shrink(&g, &make, &fault_schedule, |t| t > bar);
-    assert_eq!(shrunk.crashes.len(), 1, "the witness must keep its crash");
+    let [(witness_victim, crash)] = &shrunk.plan.churn[..] else {
+        panic!("the witness must keep its crash: {:?}", shrunk.plan.churn);
+    };
+    let (witness_victim, mut crash_at) = (*witness_victim, crash[0].get());
     println!(
-        "  minimal witness: completion {} with vertex {} crashing at {}",
-        shrunk_time, shrunk.crashes[0].node, shrunk.crashes[0].at
+        "  minimal witness: completion {shrunk_time} with vertex {witness_victim} crashing at {crash_at}"
     );
 
     // The shrinker pushes the crash to the *latest* violating tick,
@@ -226,47 +190,32 @@ fn main() {
     // breaking the healing contract. Pull it back inside the
     // guaranteed-detection window; the recovery wave it triggers still
     // lands past the bar.
-    let witness_victim = shrunk.crashes[0].node;
     let horizon = g
         .neighbors(witness_victim)
         .map(|(_, _, w)| detector().detection_horizon(w.get()))
         .min()
         .expect("the victim has neighbors");
-    if shrunk.crashes[0].at > horizon {
-        let clamped = with_crashes(
-            &g,
-            &shrunk,
-            vec![Crash {
-                node: witness_victim,
-                at: horizon,
-            }],
-        );
+    if crash_at > horizon {
+        let clamped = with_churn(&g, &shrunk, &[(witness_victim, &[horizon])]);
         assert!(
             clamped.0 > bar,
             "the latest guaranteed-detected crash must still clear the \
              bar ({} vs {bar})",
             clamped.0
         );
-        (shrunk_time, shrunk) = (clamped.0, clamped.2);
+        (shrunk_time, shrunk, crash_at) = (clamped.0, clamped.2, horizon);
         println!("  crash clamped to the detection horizon {horizon}: completion {shrunk_time}");
     }
 
     // The recovery bill, isolated: the same transcript with the crash
     // moved to time 0 heals nothing, so the weighted announcement
     // traffic it saves is exactly what the well-timed crash forces.
-    let (late_time, late_protocol, _) = with_crashes(&g, &shrunk, shrunk.crashes.clone());
-    let (zero_time, zero_protocol, _) = with_crashes(
-        &g,
-        &shrunk,
-        vec![Crash {
-            node: witness_victim,
-            at: 0,
-        }],
-    );
+    let (late_time, late_protocol, _) = with_churn(&g, &shrunk, &[(witness_victim, &[crash_at])]);
+    let (zero_time, zero_protocol, _) = with_churn(&g, &shrunk, &[(witness_victim, &[0])]);
     println!(
         "  weighted recovery traffic: crash at {} costs protocol comm {} \
          (completion {}) vs {} (completion {}) for a time-0 crash",
-        shrunk.crashes[0].at, late_protocol, late_time, zero_protocol, zero_time
+        crash_at, late_protocol, late_time, zero_protocol, zero_time
     );
     assert!(
         late_protocol > zero_protocol,
@@ -329,7 +278,7 @@ fn main() {
                     continue; // a time-0 crash heals nothing
                 }
                 let (t, comm, recorded) =
-                    with_churn(&g, &shrunk, witness_victim, &[c1, rejoin_at, c2]);
+                    with_churn(&g, &shrunk, &[(witness_victim, &[c1, rejoin_at, c2])]);
                 if best_churn.as_ref().is_none_or(|(bc, _, _)| comm > *bc) {
                     best_churn = Some((comm, t, recorded));
                 }
@@ -337,7 +286,9 @@ fn main() {
         }
     }
     let (churn_comm, churn_time, churn_schedule) = best_churn.expect("the churn grid is non-empty");
-    let churn_chain = churn_schedule.churn_of(witness_victim);
+    let churn_chain: Vec<u64> = (churn_schedule.plan.churn[0].1.iter())
+        .map(|t| t.get())
+        .collect();
     println!(
         "  best chain {churn_chain:?}: protocol comm {churn_comm} \
          (completion {churn_time}) vs single-crash witness {late_protocol} \

@@ -67,9 +67,9 @@ pub use csp_sync as sync;
 pub mod prelude {
     pub use csp_adversary::{
         check_time_bound, explore_exhaustive, find_worst_schedule, record, replay, replay_report,
-        shrink, ConfigError, Crash, CriticalPathOracle, Decision, Drift, Fallback, GridPoint,
-        Mutation, OccurrenceOracle, Recorder, Rejoin, ReplayReport, Schedule, ScheduleOracle,
-        SearchConfig, SearchConfigBuilder, SearchOutcome, Trace, TraceStep, DEFAULT_CLASS_BUDGET,
+        shrink, ConfigError, CriticalPathOracle, Decision, Fallback, GridPoint, Mutation,
+        OccurrenceOracle, Recorder, ReplayReport, Schedule, ScheduleOracle, SearchConfig,
+        SearchConfigBuilder, SearchOutcome, Trace, TraceStep, DEFAULT_CLASS_BUDGET,
     };
     pub use csp_algo::con_hybrid::{connectivity_pivot, run_con_hybrid};
     pub use csp_algo::dfs::run_dfs;

@@ -170,13 +170,110 @@ fn record_then_replay_reproduces_the_run_exactly() {
     );
 }
 
+/// Every committed witness, with the instance and stack it was recorded
+/// against.
 #[test]
 fn committed_schedule_files_round_trip_textually() {
-    for (label, _, _) in committed_points() {
-        let path = schedule_dir().join(format!("spt-recur-{label}.schedule"));
-        let schedule = Schedule::load(&path).unwrap();
-        assert!(!schedule.is_empty(), "{label}");
-        let reparsed = Schedule::from_text(&schedule.to_text()).unwrap();
-        assert_eq!(schedule, reparsed, "{label}");
+    fn check<P: Process>(
+        file: &str,
+        g: &WeightedGraph,
+        make: impl Fn(NodeId, &WeightedGraph) -> P,
+    ) {
+        let text = std::fs::read_to_string(schedule_dir().join(file)).unwrap();
+        let schedule = Schedule::from_text(&text).unwrap();
+        assert!(!schedule.is_empty(), "{file}");
+        // The file is its `#` header followed by exactly what the
+        // emitter writes for the parsed schedule...
+        let body = &text[text.find("csp-adversary-schedule").unwrap()..];
+        assert!(text[..text.len() - body.len()]
+            .lines()
+            .all(|l| l.starts_with("# ")));
+        assert_eq!(schedule.to_text(), body, "{file} re-emits");
+        // ...and by what a recorder transcribes when it is replayed.
+        let (_, recorded) = record(g, &make, ScheduleOracle::new(&schedule), schedule.fallback);
+        assert_eq!(recorded, schedule, "{file} re-records");
+        assert_eq!(recorded.to_text(), body, "{file} re-records to its bytes");
     }
+    let mut checked = 0;
+    for (label, g, _) in committed_points() {
+        check(&format!("spt-recur-{label}.schedule"), &g, make_recur);
+        checked += 1;
+    }
+    let (_, gnp_n12, _) = committed_points().swap_remove(0);
+    for file in [
+        "reliable-spt-recur-gnp-n12.schedule",
+        "fault-spt-recur-gnp-n12.schedule",
+    ] {
+        check(file, &gnp_n12, |v, g| Reliable::new(make_recur(v, g), 3));
+        checked += 1;
+    }
+    for file in [
+        "resilient-spt-gnp-n12.schedule",
+        "crash-resilient-spt-gnp-n12.schedule",
+        "churn-resilient-spt-gnp-n12.schedule",
+    ] {
+        check(file, &gnp_n12, |v, g| {
+            let inner = Resilient::new(v, NodeId::new(0), Metric::Weighted, g);
+            Detect::new(inner, DetectConfig::new(8, 30, 0))
+        });
+        checked += 1;
+    }
+    let committed = std::fs::read_dir(schedule_dir()).unwrap().count();
+    assert_eq!(checked, committed, "a committed schedule is not covered");
+}
+
+/// `Mutation::apply` against the table in `tests/golden/`: same base,
+/// dimensions and seed — same mutant, byte for byte, and the same cache
+/// keys, as before `Schedule` carried its faults as one `FaultPlan`.
+#[test]
+fn mutation_apply_matches_its_golden_table() {
+    let cases = [
+        ("delay", Mutation::new().delay_flips(4), 1),
+        ("drop", Mutation::new().drop_flips(3), 2),
+        ("crash-time", Mutation::new().crash_time_flips(3), 3),
+        ("crash-time-b", Mutation::new().crash_time_flips(4), 11),
+        ("rejoin", Mutation::new().rejoin_flips(3), 4),
+        ("rejoin-b", Mutation::new().rejoin_flips(5), 12),
+        ("drift", Mutation::new().drift_flips(3), 5),
+        (
+            "all",
+            Mutation::new()
+                .delay_flips(2)
+                .drop_flips(1)
+                .crash_time_flips(2)
+                .rejoin_flips(2)
+                .drift_flips(2),
+            6,
+        ),
+        (
+            "all-horizon",
+            Mutation::new()
+                .delay_flips(2)
+                .drop_flips(1)
+                .crash_time_flips(2)
+                .rejoin_flips(4)
+                .drift_flips(2)
+                .crash_horizon(70),
+            7,
+        ),
+    ];
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/mutation_apply.txt");
+    let table = std::fs::read_to_string(path).unwrap();
+    let mut blocks = (table.split("=== ").skip(1)).map(|block| block.split_once('\n').unwrap());
+    let (title, base) = blocks.next().unwrap();
+    assert_eq!(title, "base");
+    let base = Schedule::from_text(base).unwrap();
+    assert_eq!(base.plan.churn.len(), 3, "a multi-victim base");
+    for (name, mutation, seed) in cases {
+        let (title, want) = blocks.next().expect("a block per case");
+        let mutant = mutation.apply(&base, seed);
+        let keys = (mutant.crash_key(), mutant.prefix_key(mutant.len()));
+        let got = format!(
+            "{name} seed {seed} crash_key {:016x} prefix_key {:016x}",
+            keys.0, keys.1
+        );
+        assert_eq!(got, title, "{name}");
+        assert_eq!(mutant.to_text(), want, "{name}");
+    }
+    assert!(blocks.next().is_none(), "a block without a case");
 }
