@@ -39,12 +39,19 @@
 //! mark is evicted (and a key that never gets a mark holds one only
 //! until another such key does).
 //!
+//! Everything held for a scenario key — its checkpoints, its results,
+//! its retained text — sits in one entry of one map, so a probe looks
+//! the key up once and what depends on what is a matter of one entry:
+//! the depths a probe hashes at are those of the entry's checkpoints,
+//! and the retained text goes when the last of them does.
+//!
 //! Eviction is LRU by a global access epoch with separate caps for
 //! checkpoints (heavyweight: queue + slab + states) and results
-//! (lightweight), so a long-running service holds its memory flat.
+//! (lightweight), so a long-running service holds its memory flat; an
+//! entry left with nothing is removed.
 
 use crate::json::{Escaped, RawLines};
-use csp_adversary::{ParseError, PrefixHasher, Schedule, TextParse};
+use csp_adversary::{Fallback, ParseError, PrefixHasher, Schedule, TextParse};
 use csp_sim::{Checkpoint, CostReport, Process};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -205,32 +212,98 @@ fn prefix_states(
     (states, hasher)
 }
 
-struct StoredCheckpoint<P: Process> {
-    cp: Arc<Checkpoint<P>>,
+/// A cached value with the epoch of its last use.
+struct Stamped<T> {
+    value: T,
     epoch: u64,
 }
 
-struct StoredExact {
-    result: StoredResult,
-    epoch: u64,
+/// Everything cached under one scenario key (`graph_key/stack_key`).
+struct KeyEntry<P: Process> {
+    /// `(depth, prefix hash)` → checkpoint of that many messages at that
+    /// prefix. The depths are the key's marks: what a probe hashes a
+    /// schedule's prefixes at. Stored checkpoints are immutable, hence
+    /// the [`Arc`] (see [`Probe::Incremental`]).
+    checkpoints: HashMap<(u64, u64), Stamped<Arc<Checkpoint<P>>>>,
+    /// Exact hash → stored result.
+    results: HashMap<u64, Stamped<StoredResult>>,
+    /// The schedule text [`StackCache::ingest`] reads the next one
+    /// against. It goes with the key's last checkpoint; a key without
+    /// any holds one only until another such key ingests (its
+    /// checkpoints come with its first cold run).
+    retained: Option<Retained>,
+}
+
+impl<P: Process + Clone> KeyEntry<P> {
+    /// Whether nothing is left to keep the key for.
+    fn is_vacant(&self) -> bool {
+        self.checkpoints.is_empty() && self.results.is_empty() && self.retained.is_none()
+    }
+
+    /// [`StackCache::probe_keys`] within this key.
+    fn probe_keys(&mut self, schedule: &Schedule, shared: usize) -> (u64, Vec<(u64, u64)>) {
+        let depths = self.checkpoints.keys().map(|&(depth, _)| depth);
+        let mut usable: Vec<u64> = depths.filter(|&d| d <= schedule.len() as u64).collect();
+        usable.sort_unstable();
+        usable.dedup();
+        // The retained states describe this schedule as far as it is the
+        // retained one: `shared` decisions deep, and only under an equal
+        // crash key, which seeds every state.
+        let mut retained = self
+            .retained
+            .as_mut()
+            .filter(|r| r.crash_key == schedule.crash_key());
+        let covers = |states: &[PrefixHasher]| {
+            states.partition_point(|state| state.absorbed() <= shared as u64)
+        };
+        let known = retained
+            .as_deref()
+            .map_or(&[][..], |r| &r.snapshots[..covers(&r.snapshots)]);
+        let (states, full) = prefix_states(schedule, &usable, known);
+        if let Some(r) = retained.as_mut() {
+            // What was hashed within the shared prefix holds for the
+            // retained text too: keep whichever list reaches deeper.
+            let ours = &states[..covers(&states)];
+            let depth = |states: &[PrefixHasher]| states.last().map(PrefixHasher::absorbed);
+            if depth(ours) >= depth(&r.snapshots) {
+                r.snapshots = ours.to_vec();
+            }
+        }
+        let keys_at = usable
+            .iter()
+            .zip(&states)
+            .map(|(&mark, state)| (mark, state.key()))
+            .collect();
+        let exact = full.key() ^ fallback_salt(schedule.fallback);
+        debug_assert_eq!(exact, StackCache::<P>::exact_schedule_hash(schedule));
+        (exact, keys_at)
+    }
+}
+
+/// Cheap distinct tweak per fallback; stays stable across runs.
+fn fallback_salt(fallback: Fallback) -> u64 {
+    match fallback {
+        Fallback::WorstCase => 0x9E37_79B9_7F4A_7C15,
+        Fallback::Rush => 0xC2B2_AE3D_27D4_EB4F,
+    }
+}
+
+/// The least recently used `(scenario key, hash)` over one map of every
+/// key's entry.
+fn oldest<'a, K: Copy + 'a, T: 'a>(
+    maps: impl Iterator<Item = (&'a String, &'a HashMap<K, Stamped<T>>)>,
+) -> (String, K) {
+    maps.flat_map(|(key, map)| map.iter().map(move |(&at, v)| (v.epoch, key, at)))
+        .min_by_key(|&(epoch, ..)| epoch)
+        .map(|(_, key, at)| (key.clone(), at))
+        .expect("non-empty over cap")
 }
 
 /// Cache for one protocol stack type `P`, covering every graph the
-/// service has seen (graph and stack keys are folded into the map
-/// keys).
+/// service has seen: one entry (`KeyEntry`) per scenario key. LRU epochs, the
+/// two caps and the eviction count are global.
 pub struct StackCache<P: Process> {
-    /// `(scenario key, prefix hash)` → checkpoint at that prefix.
-    checkpoints: HashMap<(String, u64), StoredCheckpoint<P>>,
-    /// Checkpoint depths (message marks) known per scenario key, sorted
-    /// ascending. Probes walk this deepest-first.
-    marks: HashMap<String, Vec<u64>>,
-    /// Per scenario key, the schedule text [`StackCache::ingest`] reads
-    /// the next one against. Only keys with marks hold one — it goes
-    /// when the key's last mark is evicted — plus the key submitted to
-    /// last, whose marks come with its first cold run.
-    retained: HashMap<String, Retained>,
-    /// `(scenario key, exact hash)` → stored result.
-    results: HashMap<(String, u64), StoredExact>,
+    keys: HashMap<String, KeyEntry<P>>,
     caps: CacheCaps,
     epoch: u64,
     evictions: u64,
@@ -240,10 +313,7 @@ impl<P: Process + Clone> StackCache<P> {
     /// An empty cache with the given caps.
     pub fn new(caps: CacheCaps) -> Self {
         StackCache {
-            checkpoints: HashMap::new(),
-            marks: HashMap::new(),
-            retained: HashMap::new(),
-            results: HashMap::new(),
+            keys: HashMap::new(),
             caps,
             epoch: 0,
             evictions: 0,
@@ -252,12 +322,15 @@ impl<P: Process + Clone> StackCache<P> {
 
     /// Checkpoints + results currently held.
     pub fn len(&self) -> (usize, usize) {
-        (self.checkpoints.len(), self.results.len())
+        let entries = self.keys.values();
+        entries.fold((0, 0), |(c, r), e| {
+            (c + e.checkpoints.len(), r + e.results.len())
+        })
     }
 
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.checkpoints.is_empty() && self.results.is_empty()
+        self.len() == (0, 0)
     }
 
     /// Total evictions since construction.
@@ -270,20 +343,25 @@ impl<P: Process + Clone> StackCache<P> {
         self.epoch
     }
 
+    /// The entry of `scenario_key`, created empty if it has none.
+    fn entry(&mut self, scenario_key: &str) -> &mut KeyEntry<P> {
+        if !self.keys.contains_key(scenario_key) {
+            let empty = KeyEntry {
+                checkpoints: HashMap::new(),
+                results: HashMap::new(),
+                retained: None,
+            };
+            self.keys.insert(scenario_key.to_string(), empty);
+        }
+        self.keys.get_mut(scenario_key).expect("just ensured")
+    }
+
     /// The exact-result key of a full schedule: its complete prefix key
     /// extended with the fallback policy (which *does* govern replays
     /// past the horizon, so it belongs in the exact key even though
     /// prefix keys exclude it).
     pub fn exact_schedule_hash(schedule: &Schedule) -> u64 {
-        schedule.prefix_key(schedule.len()) ^ Self::fallback_salt(schedule.fallback)
-    }
-
-    /// Cheap distinct tweak per fallback; stays stable across runs.
-    fn fallback_salt(fallback: csp_adversary::Fallback) -> u64 {
-        match fallback {
-            csp_adversary::Fallback::WorstCase => 0x9E37_79B9_7F4A_7C15,
-            csp_adversary::Fallback::Rush => 0xC2B2_AE3D_27D4_EB4F,
-        }
+        schedule.prefix_key(schedule.len()) ^ fallback_salt(schedule.fallback)
     }
 
     /// Reads a submission's `schedule` string as it sits in the request
@@ -302,7 +380,10 @@ impl<P: Process + Clone> StackCache<P> {
     /// [`Schedule::from_text`] gives for the decoded string;
     /// [`IngestError::Escaped`] asks the caller to decode in full.
     pub fn ingest(&mut self, scenario_key: &str, raw: &str) -> Result<Ingested, IngestError> {
-        let retained = self.retained.get(scenario_key);
+        let retained = self
+            .keys
+            .get(scenario_key)
+            .and_then(|e| e.retained.as_ref());
         let (mut parse, at) = match retained {
             Some(r) => r
                 .parse
@@ -322,17 +403,18 @@ impl<P: Process + Clone> StackCache<P> {
             let schedule = parse.clone().into_schedule()?;
             // A key whose runs never store a checkpoint must not hold a
             // text forever: this one displaces every such key's.
-            let marks = &self.marks;
-            self.retained.retain(|key, _| marks.contains_key(key));
-            self.retained.insert(
-                scenario_key.to_string(),
-                Retained {
-                    raw: raw.to_string(),
-                    parse,
-                    crash_key: schedule.crash_key(),
-                    snapshots: Vec::new(),
-                },
-            );
+            self.keys.retain(|_, e| {
+                if e.checkpoints.is_empty() {
+                    e.retained = None;
+                }
+                !e.is_vacant()
+            });
+            self.entry(scenario_key).retained = Some(Retained {
+                raw: raw.to_string(),
+                parse,
+                crash_key: schedule.crash_key(),
+                snapshots: Vec::new(),
+            });
             schedule
         };
         Ok(Ingested {
@@ -368,21 +450,19 @@ impl<P: Process + Clone> StackCache<P> {
         shared: usize,
     ) -> (u64, Probe<P>) {
         let now = self.tick();
-        let (exact, keys_at) = self.probe_keys(scenario_key, schedule, shared);
-        if let Some(hit) = self.results.get_mut(&(scenario_key.to_string(), exact)) {
+        let Some(entry) = self.keys.get_mut(scenario_key) else {
+            return (Self::exact_schedule_hash(schedule), Probe::Miss);
+        };
+        let (exact, keys_at) = entry.probe_keys(schedule, shared);
+        if let Some(hit) = entry.results.get_mut(&exact) {
             hit.epoch = now;
-            return (exact, Probe::Full(Box::new(hit.result.clone())));
+            return (exact, Probe::Full(Box::new(hit.value.clone())));
         }
         for &(depth, key) in keys_at.iter().rev() {
-            if let Some(hit) = self.checkpoints.get_mut(&(scenario_key.to_string(), key)) {
+            if let Some(hit) = entry.checkpoints.get_mut(&(depth, key)) {
                 hit.epoch = now;
-                return (
-                    exact,
-                    Probe::Incremental {
-                        checkpoint: Arc::clone(&hit.cp),
-                        depth,
-                    },
-                );
+                let checkpoint = Arc::clone(&hit.value);
+                return (exact, Probe::Incremental { checkpoint, depth });
             }
         }
         (exact, Probe::Miss)
@@ -399,39 +479,10 @@ impl<P: Process + Clone> StackCache<P> {
         schedule: &Schedule,
         shared: usize,
     ) -> (u64, Vec<(u64, u64)>) {
-        let marks = self.marks.get(scenario_key).map_or(&[][..], Vec::as_slice);
-        let usable = &marks[..marks.partition_point(|&m| m <= schedule.len() as u64)];
-        // The retained states describe this schedule as far as it is the
-        // retained one: `shared` decisions deep, and only under an equal
-        // crash key, which seeds every state.
-        let mut retained = self
-            .retained
-            .get_mut(scenario_key)
-            .filter(|r| r.crash_key == schedule.crash_key());
-        let covers = |states: &[PrefixHasher]| {
-            states.partition_point(|state| state.absorbed() <= shared as u64)
-        };
-        let known = retained
-            .as_deref()
-            .map_or(&[][..], |r| &r.snapshots[..covers(&r.snapshots)]);
-        let (states, full) = prefix_states(schedule, usable, known);
-        if let Some(r) = retained.as_mut() {
-            // What was hashed within the shared prefix holds for the
-            // retained text too: keep whichever list reaches deeper.
-            let ours = &states[..covers(&states)];
-            let depth = |states: &[PrefixHasher]| states.last().map(PrefixHasher::absorbed);
-            if depth(ours) >= depth(&r.snapshots) {
-                r.snapshots = ours.to_vec();
-            }
+        match self.keys.get_mut(scenario_key) {
+            Some(entry) => entry.probe_keys(schedule, shared),
+            None => (Self::exact_schedule_hash(schedule), Vec::new()),
         }
-        let exact = full.key() ^ Self::fallback_salt(schedule.fallback);
-        debug_assert_eq!(exact, Self::exact_schedule_hash(schedule));
-        let keys_at = usable
-            .iter()
-            .zip(&states)
-            .map(|(&mark, state)| (mark, state.key()))
-            .collect();
-        (exact, keys_at)
     }
 
     /// Stores the checkpoints of a cold run of `schedule`, each keyed
@@ -446,26 +497,27 @@ impl<P: Process + Clone> StackCache<P> {
         schedule: &Schedule,
         cps: &[Checkpoint<P>],
     ) {
-        let now = self.tick();
+        let epoch = self.tick();
         let within = cps
             .iter()
             .take_while(|cp| cp.messages() <= schedule.len() as u64);
         let depths: Vec<u64> = within.clone().map(Checkpoint::messages).collect();
         let (states, _) = prefix_states(schedule, &depths, &[]);
+        let entry = self.entry(scenario_key);
         for (cp, state) in within.zip(&states) {
-            self.checkpoints.insert(
-                (scenario_key.to_string(), state.key()),
-                StoredCheckpoint {
-                    cp: Arc::new(cp.clone()),
-                    epoch: now,
-                },
-            );
-            let marks = self.marks.entry(scenario_key.to_string()).or_default();
-            if let Err(ix) = marks.binary_search(&cp.messages()) {
-                marks.insert(ix, cp.messages());
-            }
+            let value = Arc::new(cp.clone());
+            let at = (cp.messages(), state.key());
+            entry.checkpoints.insert(at, Stamped { value, epoch });
         }
-        self.evict_checkpoints();
+        for _ in self.caps.checkpoints..self.len().0 {
+            let (key, at) = oldest(self.keys.iter().map(|(k, e)| (k, &e.checkpoints)));
+            self.evict(&key, |e| {
+                e.checkpoints.remove(&at);
+                if e.checkpoints.is_empty() {
+                    e.retained = None;
+                }
+            });
+        }
     }
 
     /// Stores an exact schedule result.
@@ -483,60 +535,31 @@ impl<P: Process + Clone> StackCache<P> {
     /// mode-key hash.
     pub fn get_exact(&mut self, scenario_key: &str, hash: u64) -> Option<StoredResult> {
         let now = self.tick();
-        let hit = self.results.get_mut(&(scenario_key.to_string(), hash))?;
+        let hit = self.keys.get_mut(scenario_key)?.results.get_mut(&hash)?;
         hit.epoch = now;
-        Some(hit.result.clone())
+        Some(hit.value.clone())
     }
 
     /// Stores an exact (non-schedule) result under a mode-key hash.
-    pub fn insert_exact(&mut self, scenario_key: &str, hash: u64, result: StoredResult) {
-        let now = self.tick();
-        self.results.insert(
-            (scenario_key.to_string(), hash),
-            StoredExact { result, epoch: now },
-        );
-        while self.results.len() > self.caps.results {
-            let victim = self
-                .results
-                .iter()
-                .min_by_key(|(_, v)| v.epoch)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over cap");
-            self.results.remove(&victim);
-            self.evictions += 1;
+    pub fn insert_exact(&mut self, scenario_key: &str, hash: u64, value: StoredResult) {
+        let epoch = self.tick();
+        let results = &mut self.entry(scenario_key).results;
+        results.insert(hash, Stamped { value, epoch });
+        for _ in self.caps.results..self.len().1 {
+            let (key, hash) = oldest(self.keys.iter().map(|(k, e)| (k, &e.results)));
+            self.evict(&key, |e| drop(e.results.remove(&hash)));
         }
     }
 
-    fn evict_checkpoints(&mut self) {
-        while self.checkpoints.len() > self.caps.checkpoints {
-            let victim = self
-                .checkpoints
-                .iter()
-                .min_by_key(|(_, v)| v.epoch)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over cap");
-            let evicted = self.checkpoints.remove(&victim).expect("victim exists");
-            self.evictions += 1;
-            // Drop the mark only when no other schedule's checkpoint at
-            // the same depth survives for this scenario key.
-            let mark = evicted.cp.messages();
-            let still_used = self
-                .checkpoints
-                .iter()
-                .any(|((k, _), v)| *k == victim.0 && v.cp.messages() == mark);
-            if !still_used {
-                if let Some(marks) = self.marks.get_mut(&victim.0) {
-                    if let Ok(ix) = marks.binary_search(&mark) {
-                        marks.remove(ix);
-                    }
-                    // The retained text goes with the key's last mark.
-                    if marks.is_empty() {
-                        self.marks.remove(&victim.0);
-                        self.retained.remove(&victim.0);
-                    }
-                }
-            }
+    /// Evicts from `scenario_key`'s entry what `remove` removes, and the
+    /// entry with it once it is vacant.
+    fn evict(&mut self, scenario_key: &str, remove: impl FnOnce(&mut KeyEntry<P>)) {
+        let entry = self.keys.get_mut(scenario_key).expect("victim exists");
+        remove(entry);
+        if entry.is_vacant() {
+            self.keys.remove(scenario_key);
         }
+        self.evictions += 1;
     }
 }
 

@@ -63,7 +63,8 @@ impl WorkerMetrics {
 pub struct ServeMetrics {
     /// Submissions accepted (parse errors excluded).
     pub submitted: u64,
-    /// Submissions rejected at parse/validation time.
+    /// Submissions answered with an `error`: refused at parse/validation
+    /// time, or accepted and failed in evaluation (a panic included).
     pub rejected: u64,
     /// Batches processed.
     pub batches: u64,

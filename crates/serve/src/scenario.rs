@@ -138,10 +138,27 @@ impl GraphSpec {
                 )))
             }
         };
-        let n = match spec {
-            GraphSpec::Gnp { n, .. } | GraphSpec::Cycle { n, .. } | GraphSpec::Path { n, .. } => n,
-            GraphSpec::Cluster { clusters, size, .. } => clusters * size,
+        // What the generators assert, turned away here: `build` runs on
+        // the service thread. Weights the generators would silently
+        // raise to 1 or swap are refused as well — a spec names the
+        // graph it builds, and two keys for one graph share nothing.
+        let refused = match spec {
+            GraphSpec::Gnp { p, .. } if !(0.0..=1.0).contains(&p) => {
+                Some("graph.p must be a probability in [0, 1]")
+            }
+            GraphSpec::Gnp { w_min, w_max, .. } if w_min < 1 || w_min > w_max => {
+                Some("graph weights need 1 <= w_min <= w_max")
+            }
+            GraphSpec::Cycle { n, .. } if n < 3 => Some("a cycle needs at least 3 vertices"),
+            GraphSpec::Cycle { w: 0, .. }
+            | GraphSpec::Path { w: 0, .. }
+            | GraphSpec::Cluster { heavy: 0, .. } => Some("edge weights must be at least 1"),
+            _ => None,
         };
+        if let Some(msg) = refused {
+            return Err(SpecError::new(msg));
+        }
+        let n = spec.nodes();
         if n < 2 {
             return Err(SpecError::new("graph needs at least 2 vertices"));
         }
@@ -151,6 +168,15 @@ impl GraphSpec {
             )));
         }
         Ok(spec)
+    }
+
+    /// Vertex count. A `clusters * size` beyond `usize` saturates, which
+    /// [`MAX_NODES`] then refuses like any other oversized graph.
+    fn nodes(&self) -> usize {
+        match *self {
+            GraphSpec::Gnp { n, .. } | GraphSpec::Cycle { n, .. } | GraphSpec::Path { n, .. } => n,
+            GraphSpec::Cluster { clusters, size, .. } => clusters.saturating_mul(size),
+        }
     }
 }
 
@@ -411,10 +437,7 @@ impl Scenario {
         }
         // The root must exist in the spec'd graph; checking here keeps
         // worker code panic-free on hostile input.
-        let n = match scenario.graph {
-            GraphSpec::Gnp { n, .. } | GraphSpec::Cycle { n, .. } | GraphSpec::Path { n, .. } => n,
-            GraphSpec::Cluster { clusters, size, .. } => clusters * size,
-        };
+        let n = scenario.graph.nodes();
         if scenario.stack.root().index() >= n {
             return Err(SpecError::new(&format!(
                 "stack root {} out of range for a {n}-vertex graph",
@@ -553,6 +576,17 @@ mod tests {
             r#"{"graph":{"family":"path","n":4},"stack":{"protocol":"flood","root":9},"run":{"mode":"model"}}"#,
             r#"{"graph":{"family":"path","n":4},"stack":{"protocol":"flood"},"run":{"mode":"schedule","schedule":"garbage"}}"#,
             r#"{"graph":{"family":"path","n":4},"stack":{"protocol":"flood"},"run":{"mode":"model"},"bound":{"time":-3}}"#,
+            // Specs `GraphSpec::build` would panic on.
+            r#"{"graph":{"family":"cycle","n":2},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
+            r#"{"graph":{"family":"path","n":3,"w":0},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
+            r#"{"graph":{"family":"cycle","n":8,"w":0},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
+            r#"{"graph":{"family":"gnp","n":4,"p":7.5},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
+            r#"{"graph":{"family":"gnp","n":4,"p":-1},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
+            r#"{"graph":{"family":"cluster","clusters":4294967296,"size":4294967296},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
+            // Weights the generators would silently reinterpret.
+            r#"{"graph":{"family":"gnp","n":4,"p":0.5,"w_min":0},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
+            r#"{"graph":{"family":"gnp","n":4,"p":0.5,"w_min":5,"w_max":2},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
+            r#"{"graph":{"family":"cluster","clusters":2,"size":3,"heavy":0},"stack":{"protocol":"flood"},"run":{"mode":"model"}}"#,
         ] {
             assert!(
                 Scenario::from_json(&parse(bad)).is_err(),

@@ -11,7 +11,8 @@
 //!    stay cold.
 //! 3. Remaining jobs fan out over [`csp_sim::sweep::par_map_with`] —
 //!    the same order-preserving worker pool the sweep driver uses — and
-//!    run replay / resume / model / search work.
+//!    run replay / resume / model / search work. An evaluation that
+//!    panics is that job's error, nobody else's.
 //! 4. Back on the service thread, fresh checkpoints and results are
 //!    folded into the cache and metrics, and responses are emitted in
 //!    submission order.
@@ -38,10 +39,11 @@ use csp_algo::spt::recur::SptRecur;
 use csp_graph::{NodeId, WeightedGraph};
 use csp_sim::sweep::{effective_threads, par_map_with};
 use csp_sim::{
-    Checkpoint, CostReport, DelayModel, LinkOracle, ModelOracle, Process, Run, ShardedSimulator,
-    Simulator, Trace,
+    Checkpoint, CostReport, LinkOracle, ModelOracle, Process, Run, ShardedSimulator, Simulator,
+    Trace,
 };
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -129,6 +131,10 @@ struct Ingest {
 /// The rendered `ingest_us`, `ingest_reused`, `ingest_parsed`.
 type IngestFields = [(&'static str, Json); 3];
 
+/// Parsed scenarios on their way to evaluation, each with the slot its
+/// response takes in the batch.
+type Slotted = Vec<(usize, Ingest, Scenario)>;
+
 impl Ingest {
     /// A scenario of a request that arrived at `started`, with no
     /// schedule text read for it.
@@ -184,72 +190,69 @@ fn scenario_key(graph: &GraphSpec, stack: &StackSpec) -> String {
     format!("{}/{}", graph.key(), stack.key())
 }
 
-/// One scheduled unit of work, after cache probing.
+/// One scenario from its cache probe to its response: what the response
+/// echoes, what a worker runs, and where the result is stored.
 struct Job<'g, P: Process> {
-    ix: usize,
+    /// Position of the response within the batch.
+    slot: usize,
+    id: String,
+    bound: Bound,
+    /// Scenario key: the cache entry this job reads and writes.
+    key: String,
+    ingest: IngestFields,
+    /// Hash the result is stored under: the mode key's, or the one the
+    /// schedule's probe computed (`None` with the cache off — nothing
+    /// will be stored).
+    exact: Option<u64>,
     graph: &'g WeightedGraph,
     spec: StackSpec,
-    queued: Instant,
-    work: Work<P>,
+    /// Shard count for the conservative-parallel core (`0` =
+    /// sequential), honoured by model runs. Not part of `exact` — the
+    /// cores are bit-identical, so results are interchangeable.
+    shards: usize,
+    run: RunMode,
+    /// The checkpoint a schedule replay resumes from, and its depth.
+    resume: Option<(Arc<Checkpoint<P>>, u64)>,
 }
 
-enum Work<P: Process> {
-    Replay {
-        schedule: Schedule,
-        resume: Option<Arc<Checkpoint<P>>>,
-        depth: u64,
-        /// Precomputed exact-result hash of the submitted schedule
-        /// (None with the cache off — nothing will be stored).
-        exact: Option<u64>,
-    },
-    Model {
-        delay: DelayModel,
-        seed: u64,
-        exact: u64,
-        /// Shard count for the conservative-parallel core (`0` =
-        /// sequential). Not part of `exact` — the cores are
-        /// bit-identical, so results are interchangeable.
-        shards: usize,
-    },
-    Search {
-        budget: usize,
-        seed: u64,
-        exact: u64,
-    },
-    Exhaustive {
-        class_budget: usize,
-        exact: u64,
-    },
-}
-
-/// What a worker hands back to the service thread.
-struct JobOut<P: Process> {
-    ix: usize,
-    worker: usize,
-    exec: Duration,
-    queue_wait: Duration,
+/// How a scenario was answered, and what that took.
+struct Served {
     outcome: CacheOutcome,
     depth: u64,
-    result: Result<RunOut<P>, String>,
-    /// Mode key this result should also be stored under (model/search).
-    exact: Option<u64>,
+    exec: Duration,
+    queue_wait: Duration,
 }
 
+/// What an evaluation hands back to the service thread.
 struct RunOut<P: Process> {
-    report: CostReport,
-    states_digest: u64,
+    /// The record a FULL hit on this scenario will be answered from.
+    stored: StoredResult,
     trace_digest: u64,
     /// Checkpoints produced by a cold run, to be cached keyed by
     /// `cache_schedule`.
     checkpoints: Vec<Checkpoint<P>>,
-    /// The schedule that deterministically describes the run (submitted
-    /// for replays, recorded for model runs, found for searches).
+    /// The schedule that deterministically describes the run where it
+    /// is not the submitted one (recorded for model runs, found for
+    /// searches).
     cache_schedule: Option<Schedule>,
-    /// Search extras.
-    worst_case: Option<u64>,
-    schedule_text: Option<String>,
-    /// Exhaustive extras: `(classes_explored, schedules_pruned)`.
-    reduction: Option<(u64, u64)>,
+}
+
+impl<P: Process + std::hash::Hash> RunOut<P> {
+    /// The record of a finished `run` that left `checkpoints`.
+    fn of(run: Run<P>, checkpoints: Vec<Checkpoint<P>>) -> RunOut<P> {
+        RunOut {
+            stored: StoredResult {
+                states_digest: digest_states(&run.states),
+                report: run.cost,
+                schedule_text: None,
+                worst_case: None,
+                reduction: None,
+            },
+            trace_digest: digest_trace(&run.trace),
+            checkpoints,
+            cache_schedule: None,
+        }
+    }
 }
 
 impl Service {
@@ -336,7 +339,7 @@ impl Service {
             }
         });
         match scenario {
-            Ok(scenario) => Some(self.process(vec![(scenario, ingest)])),
+            Ok(scenario) => Some(self.process(vec![(0, ingest, scenario)], Vec::new())),
             Err(HeldError::Spec(e)) => Some(self.reject(request_id(request), &e.msg)),
             Err(HeldError::Escaped) => None,
         }
@@ -353,34 +356,24 @@ impl Service {
     fn handle_since(&mut self, request: &Json, started: Instant) -> Vec<Json> {
         match request.get("type").and_then(Json::as_str) {
             Some("submit") => match Scenario::from_json(request) {
-                Ok(s) => {
-                    let ingest = Ingest::whole(started, &s);
-                    self.process(vec![(s, ingest)])
-                }
+                Ok(s) => self.process(vec![(0, Ingest::whole(started, &s), s)], Vec::new()),
                 Err(e) => self.reject(request_id(request), &e.msg),
             },
             Some("batch") => {
                 let Some(items) = request.get("scenarios").and_then(Json::as_arr) else {
                     return self.reject("", "batch needs a \"scenarios\" array");
                 };
-                let mut scenarios = Vec::new();
-                let mut slots = Vec::new();
-                let mut responses: Vec<Option<Json>> = Vec::new();
-                for item in items {
+                let (mut scenarios, mut refused) = (Vec::new(), Vec::new());
+                for (slot, item) in items.iter().enumerate() {
                     match Scenario::from_json(item) {
-                        Ok(s) => {
-                            slots.push(responses.len());
-                            let ingest = Ingest::whole(started, &s);
-                            scenarios.push((s, ingest));
-                            responses.push(None);
+                        Ok(s) => scenarios.push((slot, Ingest::whole(started, &s), s)),
+                        Err(e) => {
+                            self.metrics.rejected += 1;
+                            refused.push((slot, error_response(request_id(item), &e.msg)));
                         }
-                        Err(e) => responses.push(self.reject(request_id(item), &e.msg).pop()),
                     }
                 }
-                for (slot, resp) in slots.into_iter().zip(self.process(scenarios)) {
-                    responses[slot] = Some(resp);
-                }
-                responses.into_iter().flatten().collect()
+                self.process(scenarios, refused)
             }
             Some("stats") => {
                 vec![Json::obj(vec![
@@ -407,35 +400,34 @@ impl Service {
     /// per scenario in submission order.
     pub fn process_batch(&mut self, scenarios: Vec<Scenario>) -> Vec<Json> {
         let ingest = Ingest::at(Instant::now());
-        self.process(scenarios.into_iter().map(|s| (s, ingest)).collect())
+        let slotted = scenarios.into_iter().enumerate();
+        self.process(
+            slotted.map(|(slot, s)| (slot, ingest, s)).collect(),
+            Vec::new(),
+        )
     }
 
-    fn process(&mut self, scenarios: Vec<(Scenario, Ingest)>) -> Vec<Json> {
+    /// Evaluates `scenarios`, each tagged with its slot in the batch,
+    /// and returns their responses in slot order together with the ones
+    /// `answered` before evaluation.
+    fn process(&mut self, scenarios: Slotted, mut answered: Vec<(usize, Json)>) -> Vec<Json> {
         self.metrics.batches += 1;
         self.metrics.submitted += scenarios.len() as u64;
         let queued = Instant::now();
 
         // Materialize every referenced graph first, so jobs can borrow
         // the store immutably for the whole parallel phase.
-        for (s, _) in &scenarios {
+        for (_, _, s) in &scenarios {
             self.graphs
                 .entry(s.graph.key())
                 .or_insert_with(|| s.graph.build());
         }
 
-        let mut responses: Vec<Option<Json>> = vec![None; scenarios.len()];
-
         // Partition by stack type; each partition runs through the
-        // typed pipeline. Order within `responses` preserves submission
-        // order regardless of partitioning.
-        let mut flood_jobs: Vec<(usize, Scenario, Ingest)> = Vec::new();
-        let mut spt_jobs: Vec<(usize, Scenario, Ingest)> = Vec::new();
-        for (ix, (s, ingest)) in scenarios.into_iter().enumerate() {
-            match s.stack {
-                StackSpec::Flood { .. } => flood_jobs.push((ix, s, ingest)),
-                StackSpec::SptRecur { .. } => spt_jobs.push((ix, s, ingest)),
-            }
-        }
+        // typed pipeline, and the slots restore submission order.
+        let (flood_jobs, spt_jobs): (Slotted, Slotted) = scenarios
+            .into_iter()
+            .partition(|(_, _, s)| matches!(s.stack, StackSpec::Flood { .. }));
 
         // The typed pipelines need simultaneous access to the graph
         // store (shared) and one cache (exclusive) — split the borrows
@@ -448,7 +440,7 @@ impl Service {
             spt_cache,
             metrics,
         } = self;
-        run_stack_jobs(
+        answered.extend(run_stack_jobs(
             *cfg,
             *threads,
             graphs,
@@ -456,18 +448,10 @@ impl Service {
             metrics,
             flood_jobs,
             queued,
-            &mut responses,
-        );
-        run_stack_jobs(
-            *cfg,
-            *threads,
-            graphs,
-            spt_cache,
-            metrics,
-            spt_jobs,
-            queued,
-            &mut responses,
-        );
+        ));
+        answered.extend(run_stack_jobs(
+            *cfg, *threads, graphs, spt_cache, metrics, spt_jobs, queued,
+        ));
 
         let (fc, fr) = self.flood_cache.len();
         let (sc, sr) = self.spt_cache.len();
@@ -475,238 +459,161 @@ impl Service {
         self.metrics.results_stored = (fr + sr) as u64;
         self.metrics.evictions = self.flood_cache.evictions() + self.spt_cache.evictions();
 
-        responses
-            .into_iter()
-            .map(|r| r.expect("every scenario answered"))
-            .collect()
+        answered.sort_by_key(|&(slot, _)| slot);
+        answered.into_iter().map(|(_, r)| r).collect()
     }
 }
 
 /// Probes the cache, fans misses/resumes out to the worker pool, folds
-/// results back into cache + metrics, and writes responses.
-#[allow(clippy::too_many_arguments)]
+/// results back into cache + metrics, and returns each scenario's
+/// response with its slot.
 fn run_stack_jobs<P: ServeStack>(
     cfg: ServiceConfig,
     threads: usize,
     graphs: &HashMap<String, WeightedGraph>,
     cache: &mut StackCache<P>,
     metrics: &mut ServeMetrics,
-    scenarios: Vec<(usize, Scenario, Ingest)>,
+    scenarios: Slotted,
     queued: Instant,
-    responses: &mut [Option<Json>],
-) where
+) -> Vec<(usize, Json)>
+where
     P::Msg: Clone + Send + Sync,
 {
+    // Most batches are of one stack: the other pipeline must cost
+    // nothing, and even an empty pool call resolves the machine's
+    // parallelism (≈ 14 µs of cgroup reads).
     if scenarios.is_empty() {
-        return;
+        return Vec::new();
     }
+    let mut responses = Vec::with_capacity(scenarios.len());
     let mut jobs: Vec<Job<'_, P>> = Vec::new();
-    let mut ids: HashMap<usize, (String, Bound, String, IngestFields)> = HashMap::new();
 
-    for (ix, s, ingest) in scenarios {
+    for (slot, ingest, s) in scenarios {
         let graph = graphs.get(&s.graph.key()).expect("graph materialized");
-        let scenario_key = scenario_key(&s.graph, &s.stack);
-        let exact_hash = s
-            .run
-            .exact_key()
-            .map(|suffix| fnv1a(&format!("{scenario_key}#{suffix}")));
+        let key = scenario_key(&s.graph, &s.stack);
         // Every mode looks for a stored result first; a schedule's probe
         // may also find a checkpoint to resume from.
-        let (stored, work) = match s.run {
+        let (exact, probe) = match &s.run {
             RunMode::Schedule(schedule) => {
                 // The kernel's intake panics on a plan that does not fit
                 // the graph; a submission gets the same verdict as an
                 // error. Here, not at parse time: the graph is known here.
                 if let Err(e) = schedule.plan.check(graph.node_count(), graph.edge_count()) {
                     metrics.rejected += 1;
-                    responses[ix] = Some(error_response(&s.id, &format!("bad schedule: {e}")));
+                    let msg = format!("bad schedule: {e}");
+                    responses.push((slot, error_response(&s.id, &msg)));
                     continue;
                 }
                 // The probe's single O(len) pass also yields the exact
                 // hash reused at result-insertion time.
-                let (exact, probe) = if cfg.cache {
-                    let (exact, probe) =
-                        cache.probe_shared(&scenario_key, &schedule, ingest.reused);
+                if cfg.cache {
+                    let (exact, probe) = cache.probe_shared(&key, schedule, ingest.reused);
                     (Some(exact), probe)
                 } else {
                     (None, Probe::Miss)
-                };
-                let (stored, resume, depth) = match probe {
-                    Probe::Full(stored) => (Some(*stored), None, 0),
-                    Probe::Incremental { checkpoint, depth } => (None, Some(checkpoint), depth),
-                    Probe::Miss => (None, None, 0),
-                };
-                let work = Work::Replay {
-                    schedule,
-                    resume,
-                    depth,
-                    exact,
-                };
-                (stored, work)
+                }
             }
-            RunMode::Model { delay, seed } => {
-                let exact = exact_hash.expect("model mode is exact");
-                let work = Work::Model {
-                    delay,
-                    seed,
-                    exact,
-                    shards: s.shards,
-                };
-                (cache.get_exact(&scenario_key, exact), work)
-            }
-            RunMode::Search { budget, seed } => {
-                let exact = exact_hash.expect("search mode is exact");
-                let work = Work::Search {
-                    budget,
-                    seed,
-                    exact,
-                };
-                (cache.get_exact(&scenario_key, exact), work)
-            }
-            RunMode::Exhaustive { class_budget } => {
-                let exact = exact_hash.expect("exhaustive mode is exact");
-                let work = Work::Exhaustive {
-                    class_budget,
-                    exact,
-                };
-                (cache.get_exact(&scenario_key, exact), work)
+            mode => {
+                let suffix = mode.exact_key().expect("only a schedule has no mode key");
+                let exact = fnv1a(&format!("{key}#{suffix}"));
+                let stored = cache.get_exact(&key, exact);
+                let probe = stored.map_or(Probe::Miss, |r| Probe::Full(Box::new(r)));
+                (Some(exact), probe)
             }
         };
-        let ingest = ingest.finish(metrics);
-        if let Some(stored) = stored {
-            metrics.cache_full_hits += 1;
-            responses[ix] = Some(result_response(
-                &s.id,
-                CacheOutcome::Full,
-                0,
-                &stored.report,
-                stored.states_digest,
-                None,
-                s.bound,
-                Duration::ZERO,
-                queued.elapsed(),
-                ingest,
-                stored.worst_case,
-                stored.schedule_text.as_deref(),
-                stored.reduction,
-            ));
-            continue;
-        }
-        ids.insert(ix, (s.id, s.bound, scenario_key, ingest));
-        jobs.push(Job {
-            ix,
+        let mut job = Job {
+            slot,
+            id: s.id,
+            bound: s.bound,
+            key,
+            ingest: ingest.finish(metrics),
+            exact,
             graph,
             spec: s.stack,
-            queued,
-            work,
-        });
+            shards: s.shards,
+            run: s.run,
+            resume: None,
+        };
+        match probe {
+            Probe::Full(stored) => {
+                metrics.cache_full_hits += 1;
+                let served = Served {
+                    outcome: CacheOutcome::Full,
+                    depth: 0,
+                    exec: Duration::ZERO,
+                    queue_wait: queued.elapsed(),
+                };
+                responses.push((slot, result_response(&job, &served, &stored, None)));
+                continue;
+            }
+            Probe::Incremental { checkpoint, depth } => job.resume = Some((checkpoint, depth)),
+            Probe::Miss => {}
+        }
+        jobs.push(job);
     }
 
     // Fan out. Worker slots self-assign ids off an atomic so per-worker
     // meters survive the pool (par_map_with's state is per thread).
     let next_worker = AtomicUsize::new(0);
-    let outs: Vec<JobOut<P>> = par_map_with(
+    let outs = par_map_with(
         &jobs,
         threads,
         || next_worker.fetch_add(1, Ordering::Relaxed),
-        |worker, job| run_job(cfg, *worker, job),
+        |worker, job| (*worker, run_job(cfg, queued, job)),
     );
 
-    // Fold back: cache inserts, metrics, responses. Replay schedules
-    // are recovered from the job list (moving, not cloning, the
-    // decision stream a worker would otherwise have to copy).
-    let replay_schedules: HashMap<usize, Schedule> = jobs
-        .into_iter()
-        .filter_map(|j| match j.work {
-            Work::Replay { schedule, .. } => Some((j.ix, schedule)),
-            _ => None,
-        })
-        .collect();
-    for out in outs {
-        let (id, bound, scenario_key, ingest) = ids.remove(&out.ix).expect("job bookkeeping");
-        match out.result {
+    // Fold back, job by job (the pool preserves order): cache inserts,
+    // metrics, responses.
+    for (job, (worker, (served, result))) in jobs.into_iter().zip(outs) {
+        let response = match result {
             Err(msg) => {
-                responses[out.ix] = Some(error_response(&id, &msg));
+                metrics.rejected += 1;
+                error_response(&job.id, &msg)
             }
             Ok(run) => {
+                metrics.record_scenario(
+                    served.outcome,
+                    served.depth,
+                    &run.stored.report,
+                    served.exec,
+                    served.queue_wait,
+                    worker,
+                );
+                let response = result_response(&job, &served, &run.stored, Some(run.trace_digest));
                 if cfg.cache {
-                    let stored = StoredResult {
-                        report: run.report.clone(),
-                        states_digest: run.states_digest,
-                        schedule_text: run.schedule_text.clone(),
-                        worst_case: run.worst_case,
-                        reduction: run.reduction,
+                    // Cold replays key checkpoints by the submitted
+                    // schedule; model/search runs by the schedule they
+                    // recorded/found.
+                    let keyed_by = match (&run.cache_schedule, &job.run) {
+                        (Some(schedule), _) | (None, RunMode::Schedule(schedule)) => Some(schedule),
+                        _ => None,
                     };
-                    if !run.checkpoints.is_empty() {
-                        // Cold replays key checkpoints by the submitted
-                        // schedule; model/search runs by the schedule
-                        // they recorded/found.
-                        if let Some(schedule) = run
-                            .cache_schedule
-                            .as_ref()
-                            .or_else(|| replay_schedules.get(&out.ix))
-                        {
-                            cache.insert_checkpoints(&scenario_key, schedule, &run.checkpoints);
-                        }
+                    if let Some(schedule) = keyed_by.filter(|_| !run.checkpoints.is_empty()) {
+                        cache.insert_checkpoints(&job.key, schedule, &run.checkpoints);
                     }
                     if let Some(schedule) = &run.cache_schedule {
-                        cache.insert_schedule_result(&scenario_key, schedule, stored.clone());
+                        cache.insert_schedule_result(&job.key, schedule, run.stored.clone());
                     }
-                    if let Some(exact) = out.exact {
-                        cache.insert_exact(&scenario_key, exact, stored);
+                    if let Some(exact) = job.exact {
+                        cache.insert_exact(&job.key, exact, run.stored);
                     }
                 }
-                metrics.record_scenario(
-                    out.outcome,
-                    out.depth,
-                    &run.report,
-                    out.exec,
-                    out.queue_wait,
-                    out.worker,
-                );
-                responses[out.ix] = Some(result_response(
-                    &id,
-                    out.outcome,
-                    out.depth,
-                    &run.report,
-                    run.states_digest,
-                    Some(run.trace_digest),
-                    bound,
-                    out.exec,
-                    out.queue_wait,
-                    ingest,
-                    run.worst_case,
-                    run.schedule_text.as_deref(),
-                    run.reduction,
-                ));
+                response
             }
-        }
+        };
+        responses.push((job.slot, response));
     }
-}
-
-impl<P: Process> JobOut<P> {
-    fn new(ix: usize, worker: usize, outcome: CacheOutcome, depth: u64) -> Self {
-        JobOut {
-            ix,
-            worker,
-            exec: Duration::ZERO,
-            queue_wait: Duration::ZERO,
-            outcome,
-            depth,
-            result: Err("unset".to_string()),
-            exact: None,
-        }
-    }
+    responses
 }
 
 /// One cold run of `job`'s stack under `oracle`, with the checkpoints
-/// it left — every arm of [`run_job`] but the resume ends in one,
+/// it left — every arm of [`evaluate`] but the resume ends in one,
 /// whatever it ran first to get its oracle.
 fn cold_run<P: ServeStack, O: LinkOracle>(
     cfg: ServiceConfig,
     job: &Job<'_, P>,
     oracle: &mut O,
-) -> Result<(Run<P>, Vec<Checkpoint<P>>), String>
+) -> Result<RunOut<P>, String>
 where
     P::Msg: Clone + Send + Sync,
 {
@@ -722,96 +629,100 @@ where
     let mut sim = Simulator::new(job.graph);
     sim.record_trace(cfg.trace_cap);
     sim.run_with_checkpoints(oracle, |v, g| P::make(spec, v, g), every, &mut cps)
-        .map(|run| (run, cps))
+        .map(|run| RunOut::of(run, cps))
         .map_err(|e| e.to_string())
 }
 
-/// Evaluates one job on a worker thread.
-fn run_job<P: ServeStack>(cfg: ServiceConfig, worker: usize, job: &Job<'_, P>) -> JobOut<P>
+/// Runs one job on a worker thread. A panic anywhere in the evaluation
+/// — the kernel's checked arithmetic, an assert in a protocol — is that
+/// job's `Err`, not the process's end: the job owns everything the
+/// evaluation can have left half-done.
+fn run_job<P: ServeStack>(
+    cfg: ServiceConfig,
+    queued: Instant,
+    job: &Job<'_, P>,
+) -> (Served, Result<RunOut<P>, String>)
 where
     P::Msg: Clone + Send + Sync,
 {
     let started = Instant::now();
-    let queue_wait = started.duration_since(job.queued);
+    let queue_wait = started.duration_since(queued);
+    let result = catch_unwind(AssertUnwindSafe(|| evaluate(cfg, job))).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("(no message)");
+        Err(format!("evaluation panicked: {msg}"))
+    });
+    let (outcome, depth) = match job.resume {
+        Some((_, depth)) => (CacheOutcome::Incremental, depth),
+        None if cfg.cache => (CacheOutcome::Miss, 0),
+        None => (CacheOutcome::Uncached, 0),
+    };
+    let served = Served {
+        outcome,
+        depth,
+        exec: started.elapsed(),
+        queue_wait,
+    };
+    (served, result)
+}
+
+/// Evaluates `job` as its mode asks.
+fn evaluate<P: ServeStack>(cfg: ServiceConfig, job: &Job<'_, P>) -> Result<RunOut<P>, String>
+where
+    P::Msg: Clone + Send + Sync,
+{
     let g = job.graph;
     let spec = job.spec;
     let make = |v: NodeId, g: &WeightedGraph| P::make(spec, v, g);
-    let cold = if cfg.cache {
-        CacheOutcome::Miss
-    } else {
-        CacheOutcome::Uncached
-    };
     // Replays the schedule a search found, once, with checkpoints: the
     // full report for the response, and cached prefixes for free.
-    let replay_found = |out: SearchOutcome, reduction: Option<(u64, u64)>| {
-        cold_run(cfg, job, &mut ScheduleOracle::new(&out.schedule)).map(|(run, cps)| {
-            let (worst_case, text) = (out.worst_case.get(), out.schedule.to_text());
-            let found = Some(out.schedule);
-            finish_run(run, cps, found, Some(worst_case), Some(text), reduction)
-        })
+    let replay_found = |found: SearchOutcome, reduction: Option<(u64, u64)>| {
+        let mut out = cold_run(cfg, job, &mut ScheduleOracle::new(&found.schedule))?;
+        out.stored.worst_case = Some(found.worst_case.get());
+        out.stored.schedule_text = Some(found.schedule.to_text());
+        out.stored.reduction = reduction;
+        out.cache_schedule = Some(found.schedule);
+        Ok(out)
     };
 
-    let (outcome, depth, result, exact) = match &job.work {
-        Work::Replay {
-            schedule,
-            resume: Some(cp),
-            depth,
-            exact,
-        } => {
+    match (&job.run, &job.resume) {
+        (RunMode::Schedule(schedule), Some((checkpoint, _))) => {
             let mut sim = Simulator::new(g);
             sim.record_trace(cfg.trace_cap);
-            let res = sim
-                .resume(cp, &mut ScheduleOracle::new(schedule))
-                .map(|run| finish_run(run, Vec::new(), None, None, None, None))
-                .map_err(|e| e.to_string());
-            (CacheOutcome::Incremental, *depth, res, *exact)
+            sim.resume(checkpoint, &mut ScheduleOracle::new(schedule))
+                .map(|run| RunOut::of(run, Vec::new()))
+                .map_err(|e| e.to_string())
         }
-        Work::Replay {
-            schedule,
-            resume: None,
-            exact,
-            ..
-        } => {
-            let res = cold_run(cfg, job, &mut ScheduleOracle::new(schedule))
-                .map(|(run, cps)| finish_run(run, cps, None, None, None, None));
-            (cold, 0, res, *exact)
+        (RunMode::Schedule(schedule), None) => {
+            cold_run(cfg, job, &mut ScheduleOracle::new(schedule))
         }
-        Work::Model {
-            delay,
-            seed,
-            exact,
-            shards,
-        } => {
+        (RunMode::Model { delay, seed }, _) => {
             // Record the transcript while running: the recorded
             // schedule is the canonical key the checkpoints are cached
             // under, so later *schedule* submissions replaying a
             // variation of this run resume incrementally.
             let mut rec = Recorder::new(ModelOracle::new(*delay, *seed));
-            let ran = if *shards > 0 {
+            let mut out = if job.shards > 0 {
                 // Opt-in sharded evaluation: bit-identical to the
                 // sequential path (same report, digests and recorded
                 // schedule), but checkpointless — prefix snapshots are
                 // a sequential-core artifact.
                 ShardedSimulator::new(g)
-                    .threads(*shards)
+                    .threads(job.shards)
                     .record_trace(cfg.trace_cap)
                     .run_with_oracle(&mut rec, make)
-                    .map(|run| (run, Vec::new()))
-                    .map_err(|e| e.to_string())
+                    .map(|run| RunOut::of(run, Vec::new()))
+                    .map_err(|e| e.to_string())?
             } else {
-                cold_run(cfg, job, &mut rec)
+                cold_run(cfg, job, &mut rec)?
             };
-            let res = ran.map(|(run, cps)| {
-                let schedule = rec.into_schedule(Fallback::WorstCase);
-                finish_run(run, cps, Some(schedule), None, None, None)
-            });
-            (cold, 0, res, Some(*exact))
+            out.cache_schedule = Some(rec.into_schedule(Fallback::WorstCase));
+            Ok(out)
         }
-        Work::Search {
-            budget,
-            seed,
-            exact,
-        } => {
+        (RunMode::Search { budget, seed }, _) => {
             // The pool is already parallel — one thread per search
             // keeps total parallelism at the pool's width.
             let mut builder = SearchConfig::builder().seed(*seed).threads(1);
@@ -821,13 +732,12 @@ where
             let search_cfg = builder
                 .build()
                 .expect("service search config is statically valid");
-            let out = csp_adversary::find_worst_schedule(g, make, &search_cfg);
-            (cold, 0, replay_found(out, None), Some(*exact))
+            replay_found(
+                csp_adversary::find_worst_schedule(g, make, &search_cfg),
+                None,
+            )
         }
-        Work::Exhaustive {
-            class_budget,
-            exact,
-        } => {
+        (RunMode::Exhaustive { class_budget }, _) => {
             let search_cfg = SearchConfig::builder()
                 // The pool is already parallel — the explorer itself is
                 // sequential, so one evaluator per job suffices.
@@ -837,35 +747,8 @@ where
                 .expect("exhaustive service config is statically valid");
             let out = csp_adversary::explore_exhaustive(g, make, &search_cfg);
             let reduction = Some((out.classes_explored, out.schedules_pruned));
-            (cold, 0, replay_found(out, reduction), Some(*exact))
+            replay_found(out, reduction)
         }
-    };
-
-    let mut out = JobOut::new(job.ix, worker, outcome, depth);
-    out.exec = started.elapsed();
-    out.queue_wait = queue_wait;
-    out.result = result;
-    out.exact = exact;
-    out
-}
-
-fn finish_run<P: Process + std::hash::Hash>(
-    run: Run<P>,
-    checkpoints: Vec<Checkpoint<P>>,
-    cache_schedule: Option<Schedule>,
-    worst_case: Option<u64>,
-    schedule_text: Option<String>,
-    reduction: Option<(u64, u64)>,
-) -> RunOut<P> {
-    RunOut {
-        states_digest: digest_states(&run.states),
-        trace_digest: digest_trace(&run.trace),
-        report: run.cost,
-        checkpoints,
-        cache_schedule,
-        worst_case,
-        schedule_text,
-        reduction,
     }
 }
 
@@ -924,11 +807,7 @@ fn digest_states<P: std::hash::Hash>(states: &[P]) -> u64 {
 /// formatting, because traces run to tens of thousands of events and
 /// this digest sits on every response's hot path.
 fn digest_trace(trace: &Trace) -> u64 {
-    fn mix(h: u64, word: u64) -> u64 {
-        let mut x = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 32;
-        x.wrapping_mul(0xff51_afd7_ed55_8ccd)
-    }
+    let mix = WordHasher::mix;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for e in trace.events() {
         h = mix(h, e.from.index() as u64);
@@ -978,34 +857,33 @@ pub fn report_to_json(r: &CostReport) -> Json {
     ])
 }
 
-#[allow(clippy::too_many_arguments)]
-fn result_response(
-    id: &str,
-    outcome: CacheOutcome,
-    depth: u64,
-    report: &CostReport,
-    states_digest: u64,
+/// Renders `job`'s result from the record a FULL hit reads and a fresh
+/// run writes. `trace_digest` exists for fresh runs only.
+fn result_response<P: Process>(
+    job: &Job<'_, P>,
+    served: &Served,
+    stored: &StoredResult,
     trace_digest: Option<u64>,
-    bound: Bound,
-    exec: Duration,
-    queue_wait: Duration,
-    ingest: IngestFields,
-    worst_case: Option<u64>,
-    schedule_text: Option<&str>,
-    reduction: Option<(u64, u64)>,
 ) -> Json {
+    let (report, bound) = (&stored.report, job.bound);
     let mut fields = vec![
         ("type", Json::str("result")),
-        ("id", Json::str(id)),
+        ("id", Json::str(job.id.as_str())),
         ("status", Json::str("ok")),
-        ("cache", Json::str(outcome.name())),
-        ("depth", Json::num(depth as f64)),
+        ("cache", Json::str(served.outcome.name())),
+        ("depth", Json::num(served.depth as f64)),
         ("report", report_to_json(report)),
-        ("states_digest", Json::str(format!("{states_digest:016x}"))),
-        ("exec_us", Json::num(exec.as_micros() as f64)),
-        ("queue_wait_us", Json::num(queue_wait.as_micros() as f64)),
+        (
+            "states_digest",
+            Json::str(format!("{:016x}", stored.states_digest)),
+        ),
+        ("exec_us", Json::num(served.exec.as_micros() as f64)),
+        (
+            "queue_wait_us",
+            Json::num(served.queue_wait.as_micros() as f64),
+        ),
     ];
-    fields.extend(ingest);
+    fields.extend(job.ingest.clone());
     if let Some(t) = trace_digest {
         fields.push(("trace_digest", Json::str(format!("{t:016x}"))));
     }
@@ -1023,15 +901,15 @@ fn result_response(
         }
         fields.push(("bound", Json::obj(b)));
     }
-    if let Some(w) = worst_case {
+    if let Some(w) = stored.worst_case {
         fields.push(("worst_case", Json::num(w as f64)));
     }
-    if let Some((classes, pruned)) = reduction {
+    if let Some((classes, pruned)) = stored.reduction {
         fields.push(("classes_explored", Json::num(classes as f64)));
         fields.push(("schedules_pruned", Json::num(pruned as f64)));
     }
-    if let Some(s) = schedule_text {
-        fields.push(("schedule", Json::str(s)));
+    if let Some(s) = &stored.schedule_text {
+        fields.push(("schedule", Json::str(s.as_str())));
     }
     Json::obj(fields)
 }

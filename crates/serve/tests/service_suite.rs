@@ -388,6 +388,81 @@ fn model_and_search_runs_cache_as_exact_results() {
     );
 }
 
+/// A FULL hit is rendered from the record the fresh run stored, by the
+/// code that rendered the fresh run: in every mode the two responses
+/// differ only in how they were served.
+#[test]
+fn a_full_hit_renders_the_record_the_fresh_result_did() {
+    let served_how = [
+        "id",
+        "cache",
+        "depth",
+        "exec_us",
+        "queue_wait_us",
+        "ingest_us",
+        "ingest_reused",
+        "ingest_parsed",
+        "trace_digest",
+    ];
+    let mode = |name: &str, fields: Vec<(&'static str, Json)>| {
+        let mut run = vec![("mode", Json::str(name))];
+        run.extend(fields);
+        Json::obj(run)
+    };
+    let runs = [
+        mode(
+            "model",
+            vec![("delay", Json::str("uniform")), ("seed", Json::num(5.0))],
+        ),
+        schedule_run(&fault_schedule()),
+        mode(
+            "search",
+            vec![("budget", Json::num(2.0)), ("seed", Json::num(3.0))],
+        ),
+        mode("exhaustive", vec![("class_budget", Json::num(32.0))]),
+    ];
+    let mut svc = caching_service();
+    for run in runs {
+        // Bounded, so the bound verdict is compared too.
+        let request = |id: &str| {
+            let mut request = submit(id, run.clone());
+            if let Json::Obj(ref mut m) = request {
+                m.insert(
+                    "bound".to_string(),
+                    Json::obj(vec![("time", Json::num(40.0)), ("comm", Json::num(1e9))]),
+                );
+            }
+            request
+        };
+        let fresh = svc.handle(&request("fresh"));
+        let fresh = expect_result(&fresh);
+        assert_eq!(cache_of(fresh), "miss", "{}", run.dump());
+        let hit = svc.handle(&request("hit"));
+        let hit = expect_result(&hit);
+        assert_eq!(cache_of(hit), "full", "{}", run.dump());
+        let (Json::Obj(fresh), Json::Obj(hit)) = (fresh, hit) else {
+            panic!("responses are objects");
+        };
+        assert!(fresh.contains_key("trace_digest") && !hit.contains_key("trace_digest"));
+        let what = |r: &std::collections::BTreeMap<String, Json>| -> Vec<(String, String)> {
+            r.iter()
+                .filter(|(k, _)| !served_how.contains(&k.as_str()))
+                .map(|(k, v)| (k.clone(), v.dump()))
+                .collect()
+        };
+        assert_eq!(what(fresh), what(hit), "{}", run.dump());
+        assert!(what(hit).len() >= 5, "type, status, report, digest, bound");
+        // The bound is echoed beside its verdict.
+        let bound = &hit["bound"];
+        assert_eq!(bound.get("time").and_then(Json::as_u64), Some(40));
+        assert_eq!(
+            bound.get("comm").and_then(Json::as_u64),
+            Some(1_000_000_000)
+        );
+        assert!(bound.get("holds").and_then(Json::as_bool).is_some());
+    }
+}
+
 #[test]
 fn exhaustive_runs_report_reduction_and_cache_as_exact_results() {
     // Exhaustive mode answers with the explorer's reduction counters,
@@ -621,10 +696,25 @@ fn batches_preserve_order_and_isolate_errors() {
     );
 }
 
+/// A model-mode flood `submit` on the graph `graph` spells out.
+fn submit_on(graph: &str) -> Json {
+    let graph = Json::parse(graph).expect("test graphs are JSON");
+    let mut request = submit(
+        "hostile-graph",
+        Json::obj(vec![("mode", Json::str("model"))]),
+    );
+    if let Json::Obj(ref mut m) = request {
+        m.insert("graph".to_string(), graph);
+        let flood = Json::obj(vec![("protocol", Json::str("flood"))]);
+        m.insert("stack".to_string(), flood);
+    }
+    request
+}
+
 #[test]
 fn hostile_requests_are_rejected_not_crashed() {
     let mut svc = caching_service();
-    let cases = vec![
+    let mut cases = vec![
         Json::obj(vec![("type", Json::str("noop"))]),
         Json::obj(vec![("nope", Json::num(1.0))]),
         Json::obj(vec![("type", Json::str("submit")), ("graph", graph_json())]),
@@ -635,9 +725,20 @@ fn hostile_requests_are_rejected_not_crashed() {
                 ("delay", Json::str("eager")),
             ]),
         ),
+        // Graph specs the generators assert on: `GraphSpec::build` runs
+        // on the service thread, where a panic ends the session.
+        submit_on(r#"{"family":"cycle","n":2}"#),
+        submit_on(r#"{"family":"path","n":3,"w":0}"#),
+        submit_on(r#"{"family":"cycle","n":8,"w":0}"#),
+        submit_on(r#"{"family":"gnp","n":4,"p":7.5}"#),
+        submit_on(r#"{"family":"gnp","n":4,"p":-1}"#),
+        submit_on(r#"{"family":"cluster","clusters":4294967296,"size":4294967296}"#),
+        // Weights the generators would silently raise or swap.
+        submit_on(r#"{"family":"gnp","n":4,"p":0.5,"w_min":0}"#),
+        submit_on(r#"{"family":"gnp","n":4,"p":0.5,"w_min":5,"w_max":2}"#),
+        submit_on(r#"{"family":"cluster","clusters":2,"size":3,"heavy":0}"#),
     ];
-    // Patch the last case's stack root out of range.
-    let mut cases = cases;
+    // Patch the fourth case's stack root out of range.
     if let Json::Obj(ref mut m) = cases[3] {
         m.insert(
             "stack".to_string(),
@@ -647,15 +748,24 @@ fn hostile_requests_are_rejected_not_crashed() {
             ]),
         );
     }
-    for case in &cases {
-        let rs = svc.handle(case);
-        assert_eq!(rs.len(), 1, "one error per bad request");
-        assert_eq!(
-            rs[0].get("type").and_then(Json::as_str),
-            Some("error"),
-            "expected rejection of {}",
-            case.dump()
-        );
+    // Once as parsed trees, once as the lines the binary reads.
+    for by_line in [false, true] {
+        for case in &cases {
+            let rs = if by_line {
+                svc.handle_line(case.dump().as_bytes())
+                    .expect("not a shutdown")
+            } else {
+                svc.handle(case)
+            };
+            assert_eq!(rs.len(), 1, "one error per bad request");
+            assert_eq!(
+                rs[0].get("type").and_then(Json::as_str),
+                Some("error"),
+                "expected rejection of {}",
+                case.dump()
+            );
+            assert_still_serving(&mut svc);
+        }
     }
     let stats = svc.handle(&Json::obj(vec![("type", Json::str("stats"))]));
     assert_eq!(
@@ -664,8 +774,78 @@ fn hostile_requests_are_rejected_not_crashed() {
             .unwrap()
             .get("rejected")
             .and_then(Json::as_u64),
-        Some(4)
+        Some(2 * cases.len() as u64)
     );
+}
+
+/// A drift to weight 2⁶³ − 1 is a well-formed plan, and under worst-case
+/// delays the second message over that edge overflows the simulated
+/// clock: a panic inside the evaluation, which must cost that scenario
+/// its answer and nobody else theirs.
+#[test]
+fn a_panicking_evaluation_is_that_scenarios_error_only() {
+    let cycle6 = || Json::obj(vec![("family", Json::str("cycle")), ("n", Json::num(6.0))]);
+    let scenario = |id: &str, run: Json| {
+        Json::obj(vec![
+            ("id", Json::str(id)),
+            ("graph", cycle6()),
+            ("stack", stack_json()),
+            ("run", run),
+        ])
+    };
+    let overflow = "csp-adversary-schedule v3\nfallback worst-case\nw 0 1 9223372036854775807\n";
+    assert!(
+        Schedule::from_text(overflow).is_ok(),
+        "the plan is well-formed"
+    );
+    let model = || Json::obj(vec![("mode", Json::str("model"))]);
+    let poisoned = || {
+        Json::obj(vec![
+            ("mode", Json::str("schedule")),
+            ("schedule", Json::str(overflow)),
+        ])
+    };
+    for threads in [1, 2] {
+        let mut svc = Service::new(ServiceConfig {
+            threads,
+            ..ServiceConfig::default()
+        });
+        let batch = Json::obj(vec![
+            ("type", Json::str("batch")),
+            (
+                "scenarios",
+                Json::Arr(vec![
+                    scenario("healthy", model()),
+                    scenario("poisoned", poisoned()),
+                ]),
+            ),
+        ]);
+        let rs = svc.handle(&batch);
+        assert_eq!(rs.len(), 2, "threads={threads}");
+        assert_eq!(rs[0].get("id").and_then(Json::as_str), Some("healthy"));
+        assert_eq!(rs[0].get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(rs[1].get("id").and_then(Json::as_str), Some("poisoned"));
+        assert_eq!(rs[1].get("type").and_then(Json::as_str), Some("error"));
+        let error = rs[1].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("simulated time overflow"), "{error:?}");
+        // Alone, and by the line entry (which retains the text): the same.
+        let mut alone = scenario("poisoned-again", poisoned());
+        if let Json::Obj(ref mut m) = alone {
+            m.insert("type".to_string(), Json::str("submit"));
+        }
+        for _ in 0..2 {
+            let rs = svc.handle_line(alone.dump().as_bytes()).unwrap();
+            assert_eq!(rs.len(), 1);
+            assert_eq!(rs[0].get("type").and_then(Json::as_str), Some("error"));
+        }
+        // Counted as rejected, nothing stored for it, still serving.
+        let stats = svc.handle(&Json::obj(vec![("type", Json::str("stats"))]));
+        let stats = stats[0].get("stats").unwrap();
+        assert_eq!(stats.get("rejected").and_then(Json::as_u64), Some(3));
+        assert_eq!(stats.get("cache_misses").and_then(Json::as_u64), Some(1));
+        // The healthy run's two: under its recorded schedule and its mode key.
+        assert_eq!(stats.get("results_stored").and_then(Json::as_u64), Some(2));
+    }
 }
 
 /// A `submit` of `text` as the schedule of a flood on a 4-vertex path
@@ -839,8 +1019,9 @@ fn a_malformed_plan_gets_one_verdict_from_kernel_parser_and_service() {
     }
 }
 
-#[test]
-fn the_binary_answers_a_non_utf8_line_and_keeps_serving() {
+/// Runs the `csp-serve` binary over `input` until it exits on its own,
+/// returning the lines it wrote.
+fn binary_session(input: &[u8]) -> Vec<Json> {
     use std::io::{BufRead, BufReader, Write};
     use std::process::{Command, Stdio};
     let mut child = Command::new(env!("CARGO_BIN_EXE_csp-serve"))
@@ -849,17 +1030,24 @@ fn the_binary_answers_a_non_utf8_line_and_keeps_serving() {
         .stdout(Stdio::piped())
         .spawn()
         .expect("csp-serve starts");
-    let mut stdin = child.stdin.take().unwrap();
-    stdin
-        .write_all(b"{\"type\":\"stats\",\"id\":\"before\"}\n\xff\xfe not text\n\n{\"type\":\"stats\",\"id\":\"after\"}\n")
-        .unwrap();
-    // EOF, not `shutdown`: the loop must end on its own.
-    drop(stdin);
-    let lines: Vec<Json> = BufReader::new(child.stdout.take().unwrap())
+    // A session's input fits the pipe's buffer, so it is written whole
+    // before anything is read; the child may be gone before the end of
+    // what follows a `shutdown`.
+    let _ = child.stdin.take().unwrap().write_all(input);
+    let lines = BufReader::new(child.stdout.take().unwrap())
         .lines()
         .map(|l| Json::parse(&l.unwrap()).expect("a response is JSON"))
         .collect();
     assert!(child.wait().unwrap().success());
+    lines
+}
+
+#[test]
+fn the_binary_answers_a_non_utf8_line_and_keeps_serving() {
+    // EOF, not `shutdown`: the loop must end on its own.
+    let lines = binary_session(
+        b"{\"type\":\"stats\",\"id\":\"before\"}\n\xff\xfe not text\n\n{\"type\":\"stats\",\"id\":\"after\"}\n",
+    );
     assert_eq!(
         lines.len(),
         3,
@@ -878,5 +1066,51 @@ fn the_binary_answers_a_non_utf8_line_and_keeps_serving() {
             .and_then(|s| s.get("rejected"))
             .and_then(Json::as_u64),
         Some(1)
+    );
+
+    // A base schedule and one tail variant — which must resume the run
+    // *and* copy the parsed prefix — then the counters both left behind,
+    // and a `shutdown` that is acknowledged and obeyed.
+    let base = fault_schedule();
+    let mut variant = base.clone();
+    let last = variant.decisions.last_mut().unwrap();
+    last.delay = if last.delay == 1 { last.weight } else { 1 };
+    let mut input = Vec::new();
+    for request in [
+        submit("base", schedule_run(&base)),
+        submit("variant", schedule_run(&variant)),
+        Json::obj(vec![("type", Json::str("stats"))]),
+        Json::obj(vec![("type", Json::str("shutdown"))]),
+        Json::obj(vec![
+            ("type", Json::str("stats")),
+            ("id", Json::str("late")),
+        ]),
+    ] {
+        input.extend_from_slice(request.dump().as_bytes());
+        input.push(b'\n');
+    }
+    let lines = binary_session(&input);
+    assert_eq!(lines.len(), 4, "nothing is answered after shutdown");
+    let num = |r: &Json, key: &str| r.get(key).and_then(Json::as_u64).unwrap();
+    let (base_r, variant_r, stats) = (&lines[0], &lines[1], lines[2].get("stats").unwrap());
+    assert_eq!(cache_of(base_r), "miss");
+    assert_eq!(num(base_r, "ingest_reused"), 0);
+    assert_eq!(num(base_r, "ingest_parsed"), base.len() as u64);
+    assert_eq!(cache_of(variant_r), "incremental", "{}", variant_r.dump());
+    assert!(num(variant_r, "depth") > 0);
+    assert!(num(variant_r, "ingest_reused") > 0, "{}", variant_r.dump());
+    assert!(num(variant_r, "ingest_parsed") <= 2, "{}", variant_r.dump());
+    assert_eq!(num(stats, "submitted"), 2);
+    assert_eq!(num(stats, "rejected"), 0);
+    assert_eq!(num(stats, "cache_misses"), 1);
+    assert_eq!(num(stats, "cache_incremental_hits"), 1);
+    assert_eq!(num(stats, "cache_full_hits"), 0);
+    assert!(num(stats, "checkpoints_stored") > 0);
+    assert_eq!(num(stats, "results_stored"), 2);
+    assert_eq!(num(stats, "ingest_reused"), num(variant_r, "ingest_reused"));
+    assert_eq!(
+        lines[3].dump(),
+        r#"{"ok":true,"type":"shutdown"}"#,
+        "the acknowledgement"
     );
 }
