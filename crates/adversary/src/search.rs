@@ -439,7 +439,7 @@ impl SearchOutcome {
 }
 
 /// [`record`](crate::record) through a pooled evaluator: the completion
-/// time and the recording, with the simulator state (slab, queue, cost
+/// time and the recording, with the simulator state (queue, states, cost
 /// meters) recycled from `pool`.
 fn eval_recorded<P, F, O>(
     sim: &Simulator<'_>,

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Weighted-graph substrate for cost-sensitive protocol analysis.
 //!

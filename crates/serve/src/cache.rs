@@ -46,7 +46,7 @@
 //! and the retained text goes when the last of them does.
 //!
 //! Eviction is LRU by a global access epoch with separate caps for
-//! checkpoints (heavyweight: queue + slab + states) and results
+//! checkpoints (heavyweight: queue + states) and results
 //! (lightweight), so a long-running service holds its memory flat; an
 //! entry left with nothing is removed.
 
@@ -85,7 +85,7 @@ pub enum Probe<P: Process> {
     /// A checkpoint covers a proper prefix: resume from it. Stored
     /// checkpoints are immutable, so the cache hands out an [`Arc`] —
     /// shipping one to a worker thread is a refcount bump, not a deep
-    /// clone of queue + slab + states.
+    /// clone of queue + states.
     Incremental {
         /// Snapshot to resume from.
         checkpoint: Arc<Checkpoint<P>>,

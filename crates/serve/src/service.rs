@@ -479,12 +479,6 @@ fn run_stack_jobs<P: ServeStack>(
 where
     P::Msg: Clone + Send + Sync,
 {
-    // Most batches are of one stack: the other pipeline must cost
-    // nothing, and even an empty pool call resolves the machine's
-    // parallelism (≈ 14 µs of cgroup reads).
-    if scenarios.is_empty() {
-        return Vec::new();
-    }
     let mut responses = Vec::with_capacity(scenarios.len());
     let mut jobs: Vec<Job<'_, P>> = Vec::new();
 

@@ -52,7 +52,7 @@ use csp_graph::{EdgeId, NodeId, Weight, WeightedGraph};
 use std::collections::{HashSet, VecDeque};
 
 /// One in-flight message: everything needed at delivery time. `Copy`
-/// for copyable payloads so slab restores on the checkpoint-resume path
+/// for copyable payloads so queue restores on the checkpoint-resume path
 /// specialize to memcpy.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Delivery<M> {
@@ -107,6 +107,10 @@ impl<M> Sink<M> for VecDeque<(SimTime, Event<M>)> {
 pub(crate) struct Faults {
     /// Toggle chain per vertex; empty = never churns.
     churn: Vec<Vec<SimTime>>,
+    /// Whether any chain is non-empty. [`Faults::dead`] runs on every
+    /// pop; without this a fault-free run would still pull one random
+    /// `Vec` header out of the per-vertex table per event.
+    any_churn: bool,
     /// Weight revisions, stably sorted by time so same-instant
     /// revisions apply in plan order.
     drift: Vec<(EdgeId, SimTime, Weight)>,
@@ -131,6 +135,7 @@ impl Faults {
         self.drift = plan.drift;
         self.drift.sort_by_key(|&(_, t, _)| t);
         cost.crashed_nodes = self.churn.iter().filter(|c| !c.is_empty()).count() as u64;
+        self.any_churn = cost.crashed_nodes > 0;
         cost.recoveries = self.churn.iter().map(|c| (c.len() / 2) as u64).sum();
         cost.weight_revisions = self.drift.len() as u64;
     }
@@ -139,12 +144,13 @@ impl Faults {
     /// taken effect (toggle instants inclusive).
     #[inline]
     pub(crate) fn dead(&self, v: NodeId, now: SimTime) -> bool {
-        self.churn[v.index()]
-            .iter()
-            .take_while(|&&t| now >= t)
-            .count()
-            % 2
-            == 1
+        self.any_churn
+            && self.churn[v.index()]
+                .iter()
+                .take_while(|&&t| now >= t)
+                .count()
+                % 2
+                == 1
     }
 
     /// The rejoin instants of `v`, earliest first.
@@ -691,6 +697,7 @@ impl<P: Process + Clone> Kernel<P> {
         self.vertices.restore(&src.vertices);
         self.ledger.restore(&src.ledger);
         self.faults.churn.clone_from(&src.faults.churn);
+        self.faults.any_churn = src.faults.any_churn;
         self.faults.drift.clone_from(&src.faults.drift);
     }
 }

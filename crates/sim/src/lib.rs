@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Deterministic simulator for weighted asynchronous networks.
 //!

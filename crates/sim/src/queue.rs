@@ -22,22 +22,36 @@
 //! pop is a bitmap scan. The global send-order sequence number makes
 //! same-time pops identical to the heap's `(time, seq)` order: pushes
 //! carry strictly increasing `seq`, so tail-append order inside a
-//! bucket's list *is* seq order.
+//! bucket *is* seq order.
+//!
+//! # The queue owns the event
+//!
+//! An entry is `(time, seq, payload)` with the payload stored in the
+//! entry — no side table to look a popped slot up in. Buckets are runs
+//! in an arena of fixed 8-entry chunks, appended and popped
+//! contiguously, one `next` link per chunk, freed chunks recycled LIFO:
+//! a tick with 50k deliveries streams through memory instead of chasing
+//! 50k list nodes, and the payload arrives on its key's cache line.
+//! `head[b]` / `tail[b]` (item indices, `chunk · 8 + offset`) are the
+//! only per-bucket metadata: a pop that drains a bucket frees its chunk
+//! even when part-used, so a refilled bucket starts at offset zero and
+//! no offset or length is stored.
 //!
 //! Weights larger than the bucket horizon (the capacity is capped — see
 //! [`BucketQueue::MAX_CAPACITY`]) fall back to an **overflow heap**:
 //! entries beyond `cur + capacity` wait there and are merged into the
 //! window, in seq order, before any pop that could overtake them. This
 //! keeps the queue exact for arbitrarily heavy edges at a small cost on
-//! that (rare) path. The window is auto-sized from the workload's
-//! maximum delay ([`BucketQueue::new`]), so overflow only engages past
+//! that (rare) path — the overflow heap is a [`HeapQueue`]. The window
+//! is auto-sized from the workload's maximum delay
+//! ([`BucketQueue::new`]), so overflow only engages past
 //! `W ≥ MAX_CAPACITY`; [`BucketQueue::overflow_pushes`] counts the
 //! entries that took it, and the regression tests pin that a `W = 10⁴`
 //! workload stays entirely inside the window.
 //!
 //! Same-bucket events additionally drain through a **hot-bucket fast
 //! path**: after a pop leaves further entries at the same timestamp,
-//! subsequent pops take them straight off that bucket's list — no
+//! subsequent pops take them straight off that bucket's run — no
 //! bitmap re-scan, no overflow probe — until the tick is exhausted.
 //! This is what makes batched same-tick delivery (wide simultaneous
 //! fan-outs on million-edge graphs) O(1) per event instead of O(scan).
@@ -46,43 +60,66 @@
 //! differential reference the proptests and the core microbench run the
 //! bucket queue against (`Simulator::core(CoreKind::Heap)`).
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// One scheduled entry: `(arrival time, global send sequence, payload
-/// slot)`. Ordering is lexicographic — time first, then seq — and the
-/// slot never participates in ordering decisions.
-pub type QueueEntry = (u64, u64, usize);
+/// One scheduled entry: `(arrival time, global send sequence, payload)`.
+/// Ordering is lexicographic — time first, then seq — and the payload
+/// never participates in ordering decisions.
+pub type QueueEntry<T = usize> = (u64, u64, T);
 
-/// A slab node: one pending entry plus the index of its bucket
-/// successor ([`NIL`]-terminated).
-#[derive(Clone, Copy, Debug)]
-struct Node {
-    entry: QueueEntry,
-    next: u32,
+/// A heap element popping smallest `(time, seq)` first. Seqs are unique,
+/// so the payload needs no order of its own.
+#[derive(Clone, Debug)]
+struct MinFirst<T>(QueueEntry<T>);
+
+impl<T> Ord for MinFirst<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (&self.0, &other.0);
+        (b.0, b.1).cmp(&(a.0, a.1))
+    }
 }
 
-/// Sentinel "no node" index for the intrusive bucket lists.
+impl<T> PartialOrd for MinFirst<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for MinFirst<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<T> Eq for MinFirst<T> {}
+
+/// Sentinel "no entry" / "no chunk" index.
 const NIL: u32 = u32::MAX;
+
+/// Entries per arena chunk. Not a knob: larger chunks make every sparse
+/// bucket pin (and every checkpoint copy) a mostly-empty chunk.
+const CHUNK: usize = 8;
 
 /// Circular bucket ("calendar") queue with exact `(time, seq)` pop
 /// order, an O(1) amortized push, and a two-level-bitmap pop scan.
 ///
-/// Buckets are intrusive singly-linked lists threaded through one slab
-/// `Vec` — a deliberate choice over `Vec<Vec<_>>`: adversary evaluation
-/// runs thousands of *short* simulations, and per-bucket vectors cost
-/// one malloc per first-touched bucket (≈ one per event on a cold run).
-/// The slab makes the whole queue a handful of flat allocations that a
-/// pooled simulator reuses wholesale.
+/// Buckets are runs of entries in one chunk arena — a deliberate choice
+/// over `Vec<Vec<_>>`: adversary evaluation runs thousands of *short*
+/// simulations, and per-bucket vectors cost one malloc per
+/// first-touched bucket (≈ one per event on a cold run). The arena
+/// makes the whole queue a handful of flat allocations that a pooled
+/// simulator reuses wholesale.
 ///
 /// See the [module docs](self) for the invariants this relies on; they
 /// are asserted in debug builds and pinned against [`HeapQueue`] and the
 /// baseline simulator by `tests/flat_core_differential.rs`.
 #[derive(Debug)]
-pub struct BucketQueue {
-    /// `head[t & mask]` / `tail[t & mask]` delimit the pending entries
-    /// of exactly one timestamp at any moment, linked in ascending seq
-    /// order through [`BucketQueue::nodes`].
+pub struct BucketQueue<T = usize> {
+    /// `head[t & mask]` / `tail[t & mask]` are the item indices of the
+    /// first and last pending entry of exactly one timestamp at any
+    /// moment ([`NIL`] when the bucket is empty), in ascending seq order
+    /// through [`BucketQueue::items`].
     head: Vec<u32>,
     tail: Vec<u32>,
     mask: u64,
@@ -97,44 +134,42 @@ pub struct BucketQueue {
     /// pop, or [`NIL`]: the same-tick fast path drains it directly —
     /// no pending entry (bucketed or overflow) can precede its head.
     hot: u32,
-    /// Entries currently threaded through the buckets.
+    /// Entries currently held in the buckets.
     bucketed: usize,
-    /// Slab of list nodes; free slots are chained through their own
-    /// `next` fields starting at [`BucketQueue::free_head`], so the slab
-    /// grows to the peak number of pending entries and stays there
-    /// without a side allocation.
-    nodes: Vec<Node>,
+    /// The chunk arena: chunk `c` is `items[c · CHUNK..][..CHUNK]`. A
+    /// slot is `Some` exactly while it lies between some bucket's head
+    /// and tail; the arena grows to the peak number of chunks in use and
+    /// stays there.
+    items: Vec<Option<QueueEntry<T>>>,
+    /// Per chunk: the chunk that continues its bucket's run, or — for a
+    /// chunk on the free list — the next free chunk.
+    next: Vec<u32>,
     free_head: u32,
     /// The last popped time; every pending entry is ≥ `cur` and every
     /// bucketed entry is `< cur + capacity`.
     cur: u64,
     /// Entries scheduled at or beyond `cur + capacity`, merged into the
     /// window lazily as `cur` advances.
-    overflow: BinaryHeap<Reverse<QueueEntry>>,
+    overflow: HeapQueue<T>,
     /// Pushes that landed beyond the window since the last clear.
     overflow_pushes: u64,
 }
 
-// Hand-written so `clone_from` reuses every flat allocation (all
-// element types are `Copy`, so the field copies are memcpys): the
-// checkpoint-resume path overwrites a pooled queue with a snapshotted
-// one per candidate, and the derived `clone_from` would reallocate.
-impl Clone for BucketQueue {
+// Hand-written so `clone_from` reuses every flat allocation (a `Copy`
+// payload makes the field copies memcpys): the checkpoint-resume path
+// overwrites a pooled queue with a snapshotted one per candidate, and
+// the derived `clone_from` would reallocate.
+impl<T: Clone> Clone for BucketQueue<T> {
     fn clone(&self) -> Self {
         BucketQueue {
             head: self.head.clone(),
             tail: self.tail.clone(),
-            mask: self.mask,
             l0: self.l0.clone(),
             l1: self.l1.clone(),
-            l2: self.l2,
-            hot: self.hot,
-            bucketed: self.bucketed,
-            nodes: self.nodes.clone(),
-            free_head: self.free_head,
-            cur: self.cur,
+            items: self.items.clone(),
+            next: self.next.clone(),
             overflow: self.overflow.clone(),
-            overflow_pushes: self.overflow_pushes,
+            ..*self
         }
     }
 
@@ -147,7 +182,8 @@ impl Clone for BucketQueue {
         self.l2 = src.l2;
         self.hot = src.hot;
         self.bucketed = src.bucketed;
-        self.nodes.clone_from(&src.nodes);
+        self.items.clone_from(&src.items);
+        self.next.clone_from(&src.next);
         self.free_head = src.free_head;
         self.cur = src.cur;
         self.overflow.clone_from(&src.overflow);
@@ -155,31 +191,21 @@ impl Clone for BucketQueue {
     }
 }
 
+// Sizing is a property of the delay range, not of the payload: these
+// live on the default instantiation so callers need no turbofish.
 impl BucketQueue {
     /// Hard cap on the bucket array: 2¹⁸ buckets (≈ 2 MiB of headers at
     /// full size — but queues are auto-sized from the workload's
     /// maximum delay, so only runs that need the full window allocate
-    /// it). The previous cap of 2⁸ silently routed every workload with
-    /// `W > 256` through the overflow heap, turning the O(1) hot path
-    /// into a `BinaryHeap` on exactly the heavy-weighted graphs the
-    /// cost-sensitive analysis cares about; 2¹⁸ covers the scale-tier
-    /// weight distributions outright, and delays past the cap still
-    /// ride the overflow heap and merge back in exactly
-    /// ([`BucketQueue::overflow_pushes`] counts them). The cap is
+    /// it). It covers the scale-tier weight distributions outright;
+    /// delays past the cap ride the overflow heap and merge back in
+    /// exactly ([`BucketQueue::overflow_pushes`] counts them). The cap is
     /// 64 · 64 · 64, so the three-level bitmap's top level is a single
     /// `u64` word.
     pub const MAX_CAPACITY: usize = 1 << 18;
 
     /// Smallest bucket array worth the bitmap bookkeeping.
     pub const MIN_CAPACITY: usize = 1 << 4;
-
-    /// Creates a queue sized for delays up to `max_delay` ticks: the
-    /// capacity is the next power of two above `max_delay + 1`, clamped
-    /// into `[MIN_CAPACITY, MAX_CAPACITY]`, so the common case (maximum
-    /// edge weight below the cap) never touches the overflow heap.
-    pub fn new(max_delay: u64) -> Self {
-        Self::with_capacity(Self::capacity_for(max_delay))
-    }
 
     /// The bucket count [`BucketQueue::new`] would allocate for
     /// `max_delay` — lets pools decide whether an existing queue's
@@ -189,6 +215,16 @@ impl BucketQueue {
             .next_power_of_two()
             .clamp(Self::MIN_CAPACITY, Self::MAX_CAPACITY)
     }
+}
+
+impl<T> BucketQueue<T> {
+    /// Creates a queue sized for delays up to `max_delay` ticks: the
+    /// capacity is the next power of two above `max_delay + 1`, clamped
+    /// into `[MIN_CAPACITY, MAX_CAPACITY]`, so the common case (maximum
+    /// edge weight below the cap) never touches the overflow heap.
+    pub fn new(max_delay: u64) -> Self {
+        Self::with_capacity(BucketQueue::capacity_for(max_delay))
+    }
 
     /// Creates a queue with an explicit bucket count (rounded up to a
     /// power of two and clamped into `[MIN_CAPACITY, MAX_CAPACITY]`) —
@@ -196,7 +232,7 @@ impl BucketQueue {
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity
             .next_power_of_two()
-            .clamp(Self::MIN_CAPACITY, Self::MAX_CAPACITY);
+            .clamp(BucketQueue::MIN_CAPACITY, BucketQueue::MAX_CAPACITY);
         let l0_words = capacity.div_ceil(64);
         BucketQueue {
             head: vec![NIL; capacity],
@@ -207,27 +243,73 @@ impl BucketQueue {
             l2: 0,
             hot: NIL,
             bucketed: 0,
-            nodes: Vec::new(),
+            items: Vec::new(),
+            next: Vec::new(),
             free_head: NIL,
             cur: 0,
-            overflow: BinaryHeap::new(),
+            overflow: HeapQueue::new(),
             overflow_pushes: 0,
         }
     }
 
-    /// Takes a slab slot for `entry`, recycling freed slots first.
+    /// Takes an all-`None` chunk off the free list — growing the arena
+    /// by one when the list is empty — and returns its first item index.
     #[inline]
-    fn alloc(&mut self, entry: QueueEntry) -> u32 {
-        let node = Node { entry, next: NIL };
-        if self.free_head != NIL {
-            let i = self.free_head;
-            self.free_head = self.nodes[i as usize].next;
-            self.nodes[i as usize] = node;
+    fn alloc_chunk(&mut self) -> usize {
+        if self.free_head == NIL {
+            self.grow();
+        }
+        let c = self.free_head as usize;
+        self.free_head = self.next[c];
+        c * CHUNK
+    }
+
+    /// Puts one fresh chunk on the free list.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        self.free_head = self.next.len() as u32;
+        self.next.push(NIL);
+        self.items.resize_with(self.items.len() + CHUNK, || None);
+        assert!(self.items.len() < NIL as usize, "bucket arena outgrew u32");
+    }
+
+    /// Returns the (drained) chunk holding item `i` to the free list.
+    #[inline]
+    fn free_chunk_of(&mut self, i: usize) {
+        self.next[i / CHUNK] = self.free_head;
+        self.free_head = (i / CHUNK) as u32;
+    }
+
+    /// The item after `i` in its bucket's run; `i` must not be the tail.
+    #[inline]
+    fn succ(&self, i: usize) -> usize {
+        if (i + 1).is_multiple_of(CHUNK) {
+            self.next[i / CHUNK] as usize * CHUNK
+        } else {
+            i + 1
+        }
+    }
+
+    /// Appends `entry` behind bucket `b`'s tail.
+    #[inline]
+    fn append(&mut self, b: usize, entry: QueueEntry<T>) {
+        let t = self.tail[b] as usize;
+        let i = if t == NIL as usize {
+            let i = self.alloc_chunk();
+            self.head[b] = i as u32;
+            self.set_bit(b);
+            i
+        } else if (t + 1).is_multiple_of(CHUNK) {
+            let i = self.alloc_chunk();
+            self.next[t / CHUNK] = (i / CHUNK) as u32;
             i
         } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        }
+            t + 1
+        };
+        self.items[i] = Some(entry);
+        self.tail[b] = i as u32;
+        self.bucketed += 1;
     }
 
     /// Number of buckets (a power of two).
@@ -258,27 +340,15 @@ impl BucketQueue {
         self.overflow_pushes
     }
 
-    /// Removes every pending entry and rewinds the clock to zero,
-    /// keeping all allocations (slab, bitmaps, overflow) for reuse.
+    /// Removes (and drops) every pending entry and rewinds the clock to
+    /// zero, keeping all allocations for reuse. Draining through `pop`
+    /// hands every chunk back to the free list, so the arena stays
+    /// initialised: a run that ended at quiescence clears in O(1), and
+    /// the next one takes its chunks without growing anything.
     pub fn clear(&mut self) {
-        for (w, &word) in self.l0.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = (w << 6) | bits.trailing_zeros() as usize;
-                self.head[b] = NIL;
-                self.tail[b] = NIL;
-                bits &= bits - 1;
-            }
-        }
-        self.l0.fill(0);
-        self.l1.fill(0);
-        self.l2 = 0;
-        self.hot = NIL;
-        self.bucketed = 0;
-        self.nodes.clear();
-        self.free_head = NIL;
-        self.cur = 0;
         self.overflow.clear();
+        while self.pop().is_some() {}
+        self.cur = 0;
         self.overflow_pushes = 0;
     }
 
@@ -303,79 +373,73 @@ impl BucketQueue {
         }
     }
 
-    /// Schedules `(time, seq, slot)`.
+    /// The pending entry at item index `i`.
+    #[inline]
+    fn live(&self, i: u32) -> &QueueEntry<T> {
+        self.items[i as usize]
+            .as_ref()
+            .expect("a bucket's run holds entries")
+    }
+
+    /// Schedules `(time, seq, payload)`.
     ///
     /// `time` must be at least the last popped time, and `seq` strictly
     /// greater than every previously pushed seq (both debug-asserted) —
     /// exactly what the simulator's dispatch loop guarantees.
-    pub fn push(&mut self, time: u64, seq: u64, slot: usize) {
+    pub fn push(&mut self, time: u64, seq: u64, payload: T) {
         debug_assert!(
             time >= self.cur,
             "bucket queue requires monotone pushes: {time} < clock {}",
             self.cur
         );
         if time - self.cur > self.mask {
-            self.overflow.push(Reverse((time, seq, slot)));
+            self.overflow.push(time, seq, payload);
             self.overflow_pushes += 1;
             return;
         }
         let b = (time & self.mask) as usize;
-        let idx = self.alloc((time, seq, slot));
-        let t = self.tail[b];
-        if t == NIL {
-            self.head[b] = idx;
-            self.set_bit(b);
-        } else {
-            debug_assert!(
-                {
-                    let (pt, ps, _) = self.nodes[t as usize].entry;
-                    pt == time && ps < seq
-                },
-                "bucket {b} would mix timestamps or break seq order"
-            );
-            self.nodes[t as usize].next = idx;
-        }
-        self.tail[b] = idx;
-        self.bucketed += 1;
+        debug_assert!(
+            self.tail[b] == NIL || {
+                let &(pt, ps, _) = self.live(self.tail[b]);
+                pt == time && ps < seq
+            },
+            "bucket {b} would mix timestamps or break seq order"
+        );
+        self.append(b, (time, seq, payload));
     }
 
     /// Merges every overflow entry that now falls inside the bucket
     /// window `[cur, cur + capacity)`. Insertion keeps per-bucket seq
     /// order (overflow entries may pre-date bucketed ones).
     fn merge_overflow(&mut self) {
-        while let Some(&Reverse((t, _, _))) = self.overflow.peek() {
+        while let Some(t) = self.overflow.next_time() {
             if t - self.cur > self.mask {
                 break;
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked entry");
+            let mut e = self.overflow.pop().expect("peeked entry");
             let b = (t & self.mask) as usize;
-            let idx = self.alloc(e);
-            if self.head[b] == NIL {
-                self.head[b] = idx;
-                self.tail[b] = idx;
-                self.set_bit(b);
-            } else {
-                debug_assert_eq!(self.nodes[self.head[b] as usize].entry.0, t);
-                // Walk to the first node with a larger seq and splice in
-                // front of it; overflow entries may pre-date bucketed
-                // ones, but this path is rare by construction.
-                let mut prev = NIL;
-                let mut at = self.head[b];
-                while at != NIL && self.nodes[at as usize].entry.1 < e.1 {
-                    prev = at;
-                    at = self.nodes[at as usize].next;
-                }
-                self.nodes[idx as usize].next = at;
-                if prev == NIL {
-                    self.head[b] = idx;
-                } else {
-                    self.nodes[prev as usize].next = idx;
-                }
-                if at == NIL {
-                    self.tail[b] = idx;
+            if self.head[b] != NIL {
+                debug_assert_eq!(self.live(self.head[b]).0, t);
+                // One pass down the run, carrying the smaller-seq entry
+                // forward: from the first later-seq entry on, every slot
+                // trades places with the carry, which shifts the rest of
+                // the run one slot towards the tail. Rare by
+                // construction.
+                let (mut i, tail) = (self.head[b] as usize, self.tail[b] as usize);
+                loop {
+                    let held = self.items[i]
+                        .as_mut()
+                        .expect("a bucket's run holds entries");
+                    if held.1 > e.1 {
+                        std::mem::swap(held, &mut e);
+                    }
+                    if i == tail {
+                        break;
+                    }
+                    i = self.succ(i);
                 }
             }
-            self.bucketed += 1;
+            self.append(b, e);
         }
     }
 
@@ -430,10 +494,9 @@ impl BucketQueue {
     pub fn next_time(&mut self) -> Option<u64> {
         let bucketed = (self.bucketed > 0).then(|| {
             let b = self.next_set_from((self.cur & self.mask) as usize);
-            self.nodes[self.head[b] as usize].entry.0
+            self.live(self.head[b]).0
         });
-        let overflowed = self.overflow.peek().map(|&Reverse((t, _, _))| t);
-        match (bucketed, overflowed) {
+        match (bucketed, self.overflow.next_time()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -445,8 +508,7 @@ impl BucketQueue {
     /// queue is empty.
     fn prepare_window(&mut self) -> Option<()> {
         if self.bucketed == 0 {
-            let &Reverse((t, _, _)) = self.overflow.peek()?;
-            self.cur = t;
+            self.cur = self.overflow.next_time()?;
         }
         self.merge_overflow();
         Some(())
@@ -468,7 +530,7 @@ impl BucketQueue {
     }
 
     /// Removes and returns the minimum entry by `(time, seq)`.
-    pub fn pop(&mut self) -> Option<QueueEntry> {
+    pub fn pop(&mut self) -> Option<QueueEntry<T>> {
         let b = if self.hot != NIL {
             // Same-tick fast path: the previous pop left entries at
             // exactly `cur` in this bucket. Nothing can precede them —
@@ -488,52 +550,62 @@ impl BucketQueue {
             }
             self.next_set_from((self.cur & self.mask) as usize)
         };
-        let h = self.head[b];
-        let Node { entry, next } = self.nodes[h as usize];
-        self.head[b] = next;
-        if next == NIL {
+        let h = self.head[b] as usize;
+        let entry = self.items[h].take().expect("a bucket's run holds entries");
+        let last = h == self.tail[b] as usize;
+        if last {
+            // The chunk goes back even when part-used: the bucket's next
+            // run starts at offset zero of a fresh one.
+            self.head[b] = NIL;
             self.tail[b] = NIL;
             self.clear_bit(b);
+            self.free_chunk_of(h);
+        } else {
+            self.head[b] = self.succ(h) as u32;
+            if (h + 1).is_multiple_of(CHUNK) {
+                self.free_chunk_of(h);
+            }
         }
-        self.nodes[h as usize].next = self.free_head;
-        self.free_head = h;
         self.bucketed -= 1;
         self.cur = entry.0;
-        self.hot = if next == NIL { NIL } else { b as u32 };
+        self.hot = if last { NIL } else { b as u32 };
         Some(entry)
     }
+}
 
+impl<T: Clone> BucketQueue<T> {
     /// Every pending entry in `(time, seq)` order — the checkpoint
     /// serialization of the queue.
-    pub fn snapshot_sorted(&self) -> Vec<QueueEntry> {
-        let mut out: Vec<QueueEntry> = Vec::with_capacity(self.len());
+    pub fn snapshot_sorted(&self) -> Vec<QueueEntry<T>> {
+        let mut out: Vec<QueueEntry<T>> = Vec::with_capacity(self.len());
         for (w, &word) in self.l0.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let b = (w << 6) | bits.trailing_zeros() as usize;
                 let mut at = self.head[b];
-                while at != NIL {
-                    out.push(self.nodes[at as usize].entry);
-                    at = self.nodes[at as usize].next;
+                out.push(self.live(at).clone());
+                while at != self.tail[b] {
+                    at = self.succ(at as usize) as u32;
+                    out.push(self.live(at).clone());
                 }
                 bits &= bits - 1;
             }
         }
-        out.extend(self.overflow.iter().map(|&Reverse(e)| e));
-        out.sort_unstable();
+        out.extend(self.overflow.heap.iter().map(|e| e.0.clone()));
+        out.sort_unstable_by_key(|e| (e.0, e.1));
         out
     }
 
     /// Replaces the contents with `entries` (must be `(time, seq)`
     /// sorted, as produced by [`BucketQueue::snapshot_sorted`]) and sets
     /// the clock to the earliest pending time.
-    pub fn restore(&mut self, entries: &[QueueEntry]) {
+    pub fn restore(&mut self, entries: &[QueueEntry<T>]) {
         self.clear();
         if let Some(&(t0, _, _)) = entries.first() {
             self.cur = t0;
         }
-        for &(t, s, slot) in entries {
-            self.push(t, s, slot);
+        for (t, s, payload) in entries.iter().cloned() {
+            self.push(t, s, payload);
         }
     }
 }
@@ -541,13 +613,21 @@ impl BucketQueue {
 /// The retained `BinaryHeap` scheduling queue — the reference
 /// implementation [`BucketQueue`] is differentially tested against, and
 /// the core behind [`CoreKind::Heap`](crate::runtime::CoreKind).
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Reverse<QueueEntry>>,
+#[derive(Debug)]
+pub struct HeapQueue<T = usize> {
+    heap: BinaryHeap<MinFirst<T>>,
+}
+
+impl<T> Default for HeapQueue<T> {
+    fn default() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+        }
+    }
 }
 
 // Hand-written for a buffer-reusing `clone_from`, as on [`BucketQueue`].
-impl Clone for HeapQueue {
+impl<T: Clone> Clone for HeapQueue<T> {
     fn clone(&self) -> Self {
         HeapQueue {
             heap: self.heap.clone(),
@@ -559,7 +639,7 @@ impl Clone for HeapQueue {
     }
 }
 
-impl HeapQueue {
+impl<T> HeapQueue<T> {
     /// Creates an empty heap queue.
     pub fn new() -> Self {
         Self::default()
@@ -582,34 +662,36 @@ impl HeapQueue {
         self.heap.clear();
     }
 
-    /// Schedules `(time, seq, slot)`.
+    /// Schedules `(time, seq, payload)`.
     #[inline]
-    pub fn push(&mut self, time: u64, seq: u64, slot: usize) {
-        self.heap.push(Reverse((time, seq, slot)));
+    pub fn push(&mut self, time: u64, seq: u64, payload: T) {
+        self.heap.push(MinFirst((time, seq, payload)));
     }
 
     /// The timestamp the next pop will return.
     pub fn next_time(&mut self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((t, _, _))| t)
+        self.heap.peek().map(|top| top.0 .0)
     }
 
     /// Removes and returns the minimum entry by `(time, seq)`.
     #[inline]
-    pub fn pop(&mut self) -> Option<QueueEntry> {
-        self.heap.pop().map(|Reverse(e)| e)
+    pub fn pop(&mut self) -> Option<QueueEntry<T>> {
+        self.heap.pop().map(|MinFirst(e)| e)
     }
+}
 
+impl<T: Clone> HeapQueue<T> {
     /// Every pending entry in `(time, seq)` order.
-    pub fn snapshot_sorted(&self) -> Vec<QueueEntry> {
-        let mut out: Vec<QueueEntry> = self.heap.iter().map(|&Reverse(e)| e).collect();
-        out.sort_unstable();
+    pub fn snapshot_sorted(&self) -> Vec<QueueEntry<T>> {
+        let mut out: Vec<QueueEntry<T>> = self.heap.iter().map(|e| e.0.clone()).collect();
+        out.sort_unstable_by_key(|e| (e.0, e.1));
         out
     }
 
     /// Replaces the contents with `entries`.
-    pub fn restore(&mut self, entries: &[QueueEntry]) {
+    pub fn restore(&mut self, entries: &[QueueEntry<T>]) {
         self.heap.clear();
-        self.heap.extend(entries.iter().map(|&e| Reverse(e)));
+        self.heap.extend(entries.iter().cloned().map(MinFirst));
     }
 }
 
@@ -619,9 +701,83 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
+    impl<T> BucketQueue<T> {
+        /// The layout's invariants, walked in full: every chunk is on
+        /// the free list or reachable from exactly one bucket, every
+        /// slot outside a bucket's `head..=tail` run is `None`, a run
+        /// holds one timestamp in ascending seq order, and the bitmap
+        /// and the entry count say the same as the runs.
+        fn check_invariants(&self) {
+            assert_eq!(self.items.len(), self.next.len() * CHUNK);
+            let mut claimed = vec![false; self.next.len()];
+            let mut claim = |c: usize, by: &str| {
+                assert!(
+                    !std::mem::replace(&mut claimed[c], true),
+                    "chunk {c} reached twice ({by})"
+                );
+            };
+            let mut c = self.free_head;
+            while c != NIL {
+                claim(c as usize, "free list");
+                c = self.next[c as usize];
+            }
+            let mut live = vec![false; self.items.len()];
+            for b in 0..self.capacity() {
+                let set = self.l0[b >> 6] >> (b & 63) & 1 == 1;
+                assert_eq!(set, self.head[b] != NIL, "bitmap vs head of bucket {b}");
+                assert_eq!(set, self.tail[b] != NIL, "bitmap vs tail of bucket {b}");
+                if !set {
+                    continue;
+                }
+                let (mut i, tail) = (self.head[b] as usize, self.tail[b] as usize);
+                let (time, mut prev) = (self.live(i as u32).0, None);
+                assert_eq!((time & self.mask) as usize, b);
+                claim(i / CHUNK, "bucket head");
+                loop {
+                    let &(t, seq, _) = self.live(i as u32);
+                    assert_eq!(t, time, "bucket {b} mixes timestamps");
+                    assert!(prev < Some(seq), "bucket {b} out of seq order");
+                    prev = Some(seq);
+                    live[i] = true;
+                    if i == tail {
+                        break;
+                    }
+                    i = self.succ(i);
+                    if i % CHUNK == 0 {
+                        claim(i / CHUNK, "bucket run");
+                    }
+                }
+            }
+            assert!(claimed.iter().all(|&c| c), "a chunk leaked");
+            for (i, slot) in self.items.iter().enumerate() {
+                assert_eq!(
+                    slot.is_some(),
+                    live[i],
+                    "slot {i} outside/inside a live run"
+                );
+            }
+            assert_eq!(live.iter().filter(|&&l| l).count(), self.bucketed);
+            for (w, &word) in self.l0.iter().enumerate() {
+                assert_eq!(word != 0, self.l1[w >> 6] >> (w & 63) & 1 == 1);
+            }
+            for (w, &word) in self.l1.iter().enumerate() {
+                assert_eq!(word != 0, self.l2 >> w & 1 == 1);
+            }
+        }
+    }
+
     /// Drives both queues with an identical, simulator-shaped workload
-    /// (monotone pushes within a bounded span) and checks every pop.
-    fn differential(mut max_delay: u64, capacity: usize, seed: u64, ops: usize) {
+    /// (monotone pushes within a bounded span) and checks every pop and
+    /// the bucket layout after every step. `payload` builds the value
+    /// carried by push number `seq`.
+    fn differential_with<T: Clone + PartialEq + std::fmt::Debug>(
+        mut max_delay: u64,
+        capacity: usize,
+        seed: u64,
+        ops: usize,
+        burst: u64,
+        payload: impl Fn(u64) -> T,
+    ) {
         max_delay = max_delay.max(1);
         let mut bucket = BucketQueue::with_capacity(capacity);
         let mut heap = HeapQueue::new();
@@ -630,10 +786,10 @@ mod tests {
         let mut now = 0u64;
         for i in 0..ops {
             // A burst of pushes from the current clock...
-            for _ in 0..rng.random_range(0..4u64) {
+            for _ in 0..rng.random_range(0..burst) {
                 let t = now + rng.random_range(1..=max_delay);
-                bucket.push(t, seq, i);
-                heap.push(t, seq, i);
+                bucket.push(t, seq, payload(seq));
+                heap.push(t, seq, payload(seq));
                 seq += 1;
             }
             // ...then pop one event, as the run loop does.
@@ -644,16 +800,36 @@ mod tests {
                 now = t;
             }
             assert_eq!(bucket.len(), heap.len());
+            bucket.check_invariants();
         }
         // Drain to empty — still identical.
         loop {
             let (b, h) = (bucket.pop(), heap.pop());
             assert_eq!(b, h);
+            bucket.check_invariants();
             if b.is_none() {
                 break;
             }
         }
         assert!(bucket.is_empty());
+    }
+
+    fn differential(max_delay: u64, capacity: usize, seed: u64, ops: usize) {
+        differential_with(max_delay, capacity, seed, ops, 4, |seq| seq as usize);
+    }
+
+    #[test]
+    fn matches_heap_with_a_heap_owning_payload() {
+        // The payload lives in the entry now: a stale copy or a missed
+        // `take()` shows as a wrong or doubled string. Delays of at most
+        // 3 with bursts of up to 12 make multi-chunk buckets the rule;
+        // the 500-on-16 run sends the strings through the overflow heap
+        // and its merge.
+        let text = |seq: u64| format!("payload-{seq}");
+        for seed in 0..4 {
+            differential_with(3, 16, seed, 400, 12, text);
+            differential_with(500, 16, seed, 400, 12, text);
+        }
     }
 
     #[test]
@@ -765,11 +941,11 @@ mod tests {
 
     #[test]
     fn capacity_is_clamped_and_sized_by_delay() {
-        assert_eq!(BucketQueue::new(0).capacity(), BucketQueue::MIN_CAPACITY);
-        assert_eq!(BucketQueue::new(100).capacity(), 128);
-        assert_eq!(BucketQueue::new(10_000).capacity(), 16_384);
+        assert_eq!(<BucketQueue>::new(0).capacity(), BucketQueue::MIN_CAPACITY);
+        assert_eq!(<BucketQueue>::new(100).capacity(), 128);
+        assert_eq!(<BucketQueue>::new(10_000).capacity(), 16_384);
         assert_eq!(
-            BucketQueue::new(u64::MAX).capacity(),
+            <BucketQueue>::new(u64::MAX).capacity(),
             BucketQueue::MAX_CAPACITY
         );
     }
@@ -862,5 +1038,152 @@ mod tests {
         for s in 1..6u64 {
             assert_eq!(restored.pop(), Some((9, s, s as usize)));
         }
+    }
+
+    /// `n` entries at one timestamp, drained while same-tick pushes keep
+    /// arriving: the run crosses chunk edges and frees chunks behind its
+    /// head while the bucket is still hot.
+    #[test]
+    fn one_bucket_at_and_across_the_chunk_edge() {
+        for n in [CHUNK, CHUNK + 1, 5 * CHUNK + 1] {
+            let n = n as u64;
+            let mut q = BucketQueue::with_capacity(16);
+            for s in 0..n {
+                q.push(7, s, s.to_string());
+            }
+            q.check_invariants();
+            assert_eq!(q.next.len(), (n as usize).div_ceil(CHUNK));
+            // Pop one, push one, n times over: the bucket never empties,
+            // and what the head frees the tail takes back.
+            for s in 0..n {
+                assert_eq!(q.pop(), Some((7, s, s.to_string())));
+                q.push(7, n + s, (n + s).to_string());
+                q.check_invariants();
+            }
+            assert!(
+                q.next.len() <= (n as usize).div_ceil(CHUNK) + 1,
+                "a hot bucket must recycle its own chunks: {} for {n} entries",
+                q.next.len()
+            );
+            for s in n..2 * n {
+                assert_eq!(q.pop(), Some((7, s, s.to_string())));
+                q.check_invariants();
+            }
+            assert_eq!(q.pop(), None);
+            assert_eq!(q.items.iter().flatten().count(), 0);
+        }
+    }
+
+    #[test]
+    fn overflow_entries_merge_into_a_multi_chunk_bucket() {
+        // Three entries for t = 100 wait in the overflow heap while the
+        // clock walks up; by the time the window reaches them, bucket
+        // 100 already holds twenty later-seq entries over three chunks.
+        // The merge puts seq 0 at the front and seqs 1 and 2 *behind*
+        // it, each shifting the rest of the run across chunk edges.
+        let mut q = BucketQueue::with_capacity(16);
+        let mut heap = HeapQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut BucketQueue<String>, heap: &mut HeapQueue<String>, t: u64| {
+            q.push(t, seq, format!("e{seq}"));
+            heap.push(t, seq, format!("e{seq}"));
+            seq += 1;
+        };
+        for _ in 0..3 {
+            push(&mut q, &mut heap, 100);
+        }
+        assert_eq!(q.overflow_pushes(), 3);
+        for t in (10..=80).step_by(10).chain([86]) {
+            push(&mut q, &mut heap, t);
+            assert_eq!(q.pop(), heap.pop());
+        }
+        for _ in 0..20 {
+            push(&mut q, &mut heap, 100); // 100 − 86 fits the window
+        }
+        assert_eq!(q.overflow_pushes(), 3, "the late twenty are bucketed");
+        assert_eq!(q.overflow.len(), 3, "the early three are still outside");
+        q.check_invariants();
+        let snap = q.snapshot_sorted();
+        assert_eq!(snap, heap.snapshot_sorted());
+        for _ in 0..23 {
+            assert_eq!(q.pop(), heap.pop());
+            assert_eq!(q.overflow.len(), 0, "the first pop merged all three");
+            q.check_invariants();
+        }
+        assert_eq!((q.pop(), heap.pop()), (None, None));
+
+        // The other door into the merge: a clock jump.
+        let mut q = BucketQueue::with_capacity(16);
+        q.restore(&snap);
+        q.check_invariants();
+        q.advance_to(100);
+        q.check_invariants();
+        for entry in snap {
+            assert_eq!(q.pop(), Some(entry));
+        }
+    }
+
+    #[test]
+    fn clear_restore_and_clone_from_after_chunks_were_recycled() {
+        use std::rc::Rc;
+        // Every payload is a handle on one counter, so anything a queue
+        // still holds — in a run, a freed chunk or the overflow heap —
+        // is visible from outside.
+        let token = Rc::new(());
+        let churned = |token: &Rc<()>| {
+            let mut q = BucketQueue::with_capacity(16);
+            let mut seq = 0;
+            for round in 0..4u64 {
+                for _ in 0..(3 * CHUNK) {
+                    q.push(10 * round + 3, seq, Rc::clone(token));
+                    seq += 1;
+                }
+                q.push(10 * round + 500, seq, Rc::clone(token)); // overflow
+                seq += 1;
+                for _ in 0..(2 * CHUNK + 3) {
+                    q.pop().expect("pushed above");
+                }
+            }
+            q.check_invariants();
+            assert_ne!(q.free_head, NIL, "the scenario recycles chunks");
+            q
+        };
+        let mut q = churned(&token);
+        let pending = q.len();
+        assert_eq!(Rc::strong_count(&token), 1 + pending);
+
+        // A snapshot and a clone each hold their own handles...
+        let snap = q.snapshot_sorted();
+        let mut copy = BucketQueue::with_capacity(64);
+        copy.push(1, 0, Rc::clone(&token));
+        copy.clone_from(&q);
+        copy.check_invariants();
+        assert_eq!(copy.capacity(), q.capacity());
+        assert_eq!(Rc::strong_count(&token), 1 + 3 * pending);
+        // ...a restore replaces what the target held...
+        let mut restored = churned(&token);
+        restored.restore(&snap);
+        restored.check_invariants();
+        assert_eq!(Rc::strong_count(&token), 1 + 4 * pending);
+        drop(snap);
+        // ...all three pop alike...
+        loop {
+            let (a, b, c) = (q.pop(), copy.pop(), restored.pop());
+            let key = |e: &Option<QueueEntry<Rc<()>>>| e.as_ref().map(|e| (e.0, e.1));
+            assert_eq!(key(&a), key(&b));
+            assert_eq!(key(&a), key(&c));
+            if a.is_none() {
+                break;
+            }
+        }
+        assert_eq!(Rc::strong_count(&token), 1);
+        // ...and no payload survives a `clear`, wherever it sat.
+        let mut q = churned(&token);
+        assert!(Rc::strong_count(&token) > 1);
+        q.clear();
+        q.check_invariants();
+        assert_eq!(Rc::strong_count(&token), 1);
+        q.push(3, 0, Rc::clone(&token));
+        assert_eq!(q.pop().map(|e| (e.0, e.1)), Some((3, 0)));
     }
 }

@@ -4,15 +4,18 @@
 //!
 //! The hot loop is allocation-free in steady state:
 //!
-//! * In-flight messages live in a **slab** — a `Vec<Option<Delivery>>`
-//!   indexed by slot, with freed slots recycled through a free list. The
-//!   scheduling queue stores only `(arrival, seq, slot)` triples; `seq`
+//! * **The queue owns the event.** A pending delivery, timer or rejoin
+//!   is stored *in* its scheduling-queue entry, `(arrival, seq, event)`
+//!   — no payload table beside the queue, no slot to look up. `seq`
 //!   preserves global send order, so delivery order is identical to the
-//!   reference implementation in [`crate::baseline`].
-//! * The scheduling queue itself is a [`BucketQueue`] by default:
-//!   arrivals are monotone and within `max_weight` of the clock, so an
-//!   integer-keyed bucket ladder gives O(1) amortized push/pop (see
-//!   [`crate::queue`] for the invariants). The retained `BinaryHeap`
+//!   reference implementation in [`crate::baseline`]. A pop is two
+//!   dependent loads (bucket head, then the entry with its payload)
+//!   before the handler's own state; see EXPERIMENTS.md, "Naming the
+//!   memory cliff".
+//! * The scheduling queue is a [`BucketQueue`] by default: arrivals are
+//!   monotone and within `max_weight` of the clock, so an integer-keyed
+//!   bucket ladder gives O(1) amortized push/pop (see [`crate::queue`]
+//!   for the invariants and the chunk arena). The retained `BinaryHeap`
 //!   core stays selectable via [`Simulator::core`] as the differential
 //!   reference.
 //! * Per-directed-edge **FIFO floors** live in a flat `Vec<SimTime>` of
@@ -58,7 +61,7 @@
 //!   checkpoint — the property the adversary's prefix-sharing hill-climb
 //!   exploits, pinned by `tests/flat_core_differential.rs`.
 //! * [`EvalPool`] + [`Simulator::eval`] — repeated evaluation that
-//!   retains every buffer (slab, queue, floors, states, outboxes)
+//!   retains every buffer (queue arena, floors, states, outboxes)
 //!   between runs, reporting only an [`EvalSummary`] instead of
 //!   returning owned state.
 
@@ -66,7 +69,7 @@ use crate::cost::CostReport;
 use crate::delay::{DelayModel, LinkOracle, ModelOracle};
 use crate::kernel::{Event, Kernel, Sink};
 use crate::process::Process;
-use crate::queue::{BucketQueue, HeapQueue, QueueEntry};
+use crate::queue::{BucketQueue, HeapQueue};
 use crate::time::SimTime;
 use crate::trace::Trace;
 use csp_graph::{Cost, NodeId, WeightedGraph};
@@ -129,32 +132,16 @@ pub enum CoreKind {
 /// Shared with the sharded runtime ([`crate::shard`]), whose per-shard
 /// cores need the same kind dispatch.
 #[derive(Clone, Debug)]
-pub(crate) enum Queue {
-    Bucket(BucketQueue),
-    Heap(HeapQueue),
+pub(crate) enum Queue<M> {
+    Bucket(BucketQueue<Event<M>>),
+    Heap(HeapQueue<Event<M>>),
 }
 
-impl Queue {
-    pub(crate) fn new(kind: CoreKind, max_delay: u64) -> Self {
+impl<M> Queue<M> {
+    fn new(kind: CoreKind, max_delay: u64) -> Self {
         match kind {
             CoreKind::Bucket => Queue::Bucket(BucketQueue::new(max_delay)),
             CoreKind::Heap => Queue::Heap(HeapQueue::new()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, time: u64, seq: u64, slot: usize) {
-        match self {
-            Queue::Bucket(q) => q.push(time, seq, slot),
-            Queue::Heap(q) => q.push(time, seq, slot),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<QueueEntry> {
-        match self {
-            Queue::Bucket(q) => q.pop(),
-            Queue::Heap(q) => q.pop(),
         }
     }
 
@@ -167,13 +154,6 @@ impl Queue {
         }
     }
 
-    fn snapshot_sorted(&self) -> Vec<QueueEntry> {
-        match self {
-            Queue::Bucket(q) => q.snapshot_sorted(),
-            Queue::Heap(q) => q.snapshot_sorted(),
-        }
-    }
-
     /// Pushes that fell back to the overflow heap — zero on the heap
     /// core, which has no window to overflow.
     pub(crate) fn overflow_pushes(&self) -> u64 {
@@ -182,37 +162,18 @@ impl Queue {
             Queue::Heap(_) => 0,
         }
     }
-
-    /// Overwrites this queue with a snapshotted one. Same-kind restores
-    /// are allocation-reusing field copies (the hot checkpoint-resume
-    /// path); a kind mismatch — resuming a checkpoint on a simulator
-    /// with the other core — rebuilds from the sorted entry view, which
-    /// both kinds accept.
-    fn restore(&mut self, src: &Queue) {
-        match (&mut *self, src) {
-            (Queue::Bucket(a), Queue::Bucket(b)) => a.clone_from(b),
-            (Queue::Heap(a), Queue::Heap(b)) => a.clone_from(b),
-            (me, other) => match me {
-                Queue::Bucket(q) => q.restore(&other.snapshot_sorted()),
-                Queue::Heap(q) => q.restore(&other.snapshot_sorted()),
-            },
-        }
-    }
 }
 
-/// Flat-array event core: scheduling queue + payload slab.
+/// The event core: the scheduling queue, which holds the events
+/// themselves, and the counter that numbers them.
 ///
 /// See the [module docs](self) for the layout rationale.
 #[derive(Clone, Debug)]
 pub(crate) struct EventCore<M> {
-    /// Min-queue of `(arrival, seq, slot)`. `seq` is globally unique so
+    /// Min-queue of `(arrival, seq, event)`. `seq` is globally unique so
     /// ties at equal arrival break in send order, exactly like the
     /// baseline's `(arrival, seq)` key.
-    pub(crate) queue: Queue,
-    /// Payloads, indexed by slot. `None` marks a free slot.
-    slab: Vec<Option<Event<M>>>,
-    /// Slots vacated by delivered events, reused before growing the slab.
-    free: Vec<usize>,
+    pub(crate) queue: Queue<M>,
     /// Sequence number the next [`Sink::push`] takes.
     pub(crate) seq: u64,
 }
@@ -221,8 +182,6 @@ impl<M> EventCore<M> {
     pub(crate) fn new(kind: CoreKind, max_delay: u64) -> Self {
         EventCore {
             queue: Queue::new(kind, max_delay),
-            slab: Vec::new(),
-            free: Vec::new(),
             seq: 0,
         }
     }
@@ -236,8 +195,6 @@ impl<M> EventCore<M> {
             Queue::Bucket(q) => q.clear(),
             Queue::Heap(q) => q.clear(),
         }
-        self.slab.clear();
-        self.free.clear();
         self.seq = 0;
     }
 
@@ -256,24 +213,20 @@ impl<M> EventCore<M> {
 
     /// Schedules `event` under an externally assigned `seq` — the
     /// sharded runtime numbers pushes on its leader.
+    #[inline]
     pub(crate) fn push_seq(&mut self, at: SimTime, seq: u64, event: Event<M>) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s] = Some(event);
-                s
-            }
-            None => {
-                self.slab.push(Some(event));
-                self.slab.len() - 1
-            }
-        };
-        self.queue.push(at.get(), seq, slot);
+        match &mut self.queue {
+            Queue::Bucket(q) => q.push(at.get(), seq, event),
+            Queue::Heap(q) => q.push(at.get(), seq, event),
+        }
     }
 
+    #[inline]
     pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Event<M>)> {
-        let (now, seq, slot) = self.queue.pop()?;
-        let event = self.slab[slot].take().expect("slab slot holds payload");
-        self.free.push(slot);
+        let (now, seq, event) = match &mut self.queue {
+            Queue::Bucket(q) => q.pop(),
+            Queue::Heap(q) => q.pop(),
+        }?;
         Some((SimTime::new(now), seq, event))
     }
 }
@@ -287,12 +240,18 @@ impl<M> Sink<M> for EventCore<M> {
 }
 
 impl<M: Clone> EventCore<M> {
-    /// Overwrites the core with a snapshot, reusing the existing
-    /// allocations where possible.
+    /// Overwrites the core with a snapshot. Same-kind restores are
+    /// allocation-reusing field copies (the hot checkpoint-resume path);
+    /// a kind mismatch — resuming a checkpoint on a simulator with the
+    /// other core — rebuilds from the sorted entry view, which both
+    /// kinds accept.
     fn restore(&mut self, src: &EventCore<M>) {
-        self.slab.clone_from(&src.slab);
-        self.free.clone_from(&src.free);
-        self.queue.restore(&src.queue);
+        match (&mut self.queue, &src.queue) {
+            (Queue::Bucket(a), Queue::Bucket(b)) => a.clone_from(b),
+            (Queue::Heap(a), Queue::Heap(b)) => a.clone_from(b),
+            (Queue::Bucket(a), Queue::Heap(b)) => a.restore(&b.snapshot_sorted()),
+            (Queue::Heap(a), Queue::Bucket(b)) => a.restore(&b.snapshot_sorted()),
+        }
         self.seq = src.seq;
     }
 }
@@ -403,8 +362,8 @@ impl<P: Process> Checkpoint<P> {
     }
 }
 
-/// Reusable simulation state for high-throughput evaluation: the slab,
-/// scheduling queue, FIFO floors, process-state vector, cost meters and
+/// Reusable simulation state for high-throughput evaluation: the
+/// scheduling queue and its arena, FIFO floors, process-state vector, cost meters and
 /// handler buffers all persist between [`Simulator::eval`] /
 /// [`Simulator::eval_resume`] calls, so a warm evaluation performs no
 /// per-run setup allocation. Keep one pool per worker thread.
@@ -1087,9 +1046,9 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_reused_across_deliveries() {
-        // A long chain keeps at most one message in flight, so the slab
-        // never grows past one slot no matter how many events run.
+    fn one_message_in_flight_keeps_bouncing() {
+        // A long chain keeps at most one message in flight: every pop
+        // drains the queue (and frees its chunk), every send refills it.
         struct Chain;
         impl Process for Chain {
             type Msg = u32;

@@ -104,7 +104,14 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let threads = effective_threads(threads).clamp(1, items.len().max(1));
+    // At most one item is a sequential fold whatever the machine has, so
+    // settle that before asking it: resolving the available parallelism
+    // reads cgroup files (≈ 14 µs a call).
+    let threads = if items.len() <= 1 {
+        1
+    } else {
+        effective_threads(threads).min(items.len())
+    };
     if threads == 1 {
         let mut state = init();
         return items.iter().map(|item| f(&mut state, item)).collect();

@@ -297,18 +297,15 @@ impl<'g> SyncRunner<'g> {
         let mut finished = vec![false; n];
         let mut cost = CostReport::new(g.edge_count());
 
-        // Flat in-flight store, mirroring the asynchronous runtime's
-        // event core: the bucket queue holds `(arrival pulse, seq, slot)`
-        // and the payload `(to, from, msg)` lives in a slab with
-        // free-list reuse. `seq` is globally unique, so same-pulse
+        // In-flight messages: the bucket queue holds `(arrival pulse, seq,
+        // (to, from, msg))`. `seq` is globally unique, so same-pulse
         // deliveries pop in send order — the insertion order the old
         // `BTreeMap<_, Vec<_>>` kept. Arrivals are `pulse + w(e)`, so the
         // window sized by the max weight covers every send made at the
         // current pulse; `advance_to` below keeps the window anchored
         // when wake-ups jump the clock past the last delivery.
-        let mut queue = BucketQueue::new(g.max_weight().get());
-        let mut slab: Vec<Option<(NodeId, NodeId, P::Msg)>> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
+        let mut queue: BucketQueue<(NodeId, NodeId, P::Msg)> =
+            BucketQueue::new(g.max_weight().get());
         let mut seq: u64 = 0;
         // Requested wake-ups as `(pulse, vertex)`; duplicates are
         // harmless since a wake only marks the vertex active.
@@ -340,9 +337,7 @@ impl<'g> SyncRunner<'g> {
             touched.clear();
             let everyone = pulse == 0;
             while queue.next_time() == Some(pulse) {
-                let (_, _, slot) = queue.pop().expect("peeked entry");
-                let (to, from, msg) = slab[slot].take().expect("slab slot holds payload");
-                free.push(slot);
+                let (_, _, (to, from, msg)) = queue.pop().expect("peeked entry");
                 let i = to.index();
                 if !active[i] {
                     active[i] = true;
@@ -416,17 +411,7 @@ impl<'g> SyncRunner<'g> {
                     }
                     cost.record_send(eid, w, CostClass::Protocol);
                     let arrival = pulse + w.get();
-                    let slot = match free.pop() {
-                        Some(s) => {
-                            slab[s] = Some((to, v, msg));
-                            s
-                        }
-                        None => {
-                            slab.push(Some((to, v, msg)));
-                            slab.len() - 1
-                        }
-                    };
-                    queue.push(arrival, seq, slot);
+                    queue.push(arrival, seq, (to, v, msg));
                     seq += 1;
                     last_activity = arrival;
                 }

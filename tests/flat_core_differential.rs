@@ -140,6 +140,57 @@ impl Process for Chatter {
     }
 }
 
+/// [`Chatter`] with a message that owns heap memory: every hop forwards
+/// the path so far plus its own id, and every vertex keeps what it was
+/// handed. The queue stores the event itself, so a payload that was
+/// copied stale, delivered twice or lost in a snapshot shows in a final
+/// state.
+#[derive(Clone, Debug)]
+struct Courier {
+    seen: bool,
+    handed: Vec<Vec<u8>>,
+}
+
+impl Courier {
+    const HOPS: usize = 5;
+
+    fn new(_: NodeId, _: &WeightedGraph) -> Self {
+        Courier {
+            seen: false,
+            handed: Vec::new(),
+        }
+    }
+}
+
+impl Process for Courier {
+    type Msg = Vec<u8>;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Vec<u8>>) {
+        if ctx.self_id() == NodeId::new(0) {
+            self.seen = true;
+            ctx.send_all(vec![0]);
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, path: Vec<u8>, ctx: &mut Context<'_, Vec<u8>>) {
+        if !self.seen {
+            self.seen = true;
+            ctx.send_all(path.clone());
+        }
+        if path.len() < Self::HOPS {
+            let pick = ctx
+                .neighbors()
+                .nth((path.len() + self.handed.len()) % ctx.degree())
+                .map(|(u, _, _)| u)
+                .unwrap_or(from);
+            let mut longer = path.clone();
+            longer.push(ctx.self_id().index() as u8);
+            ctx.send(pick, longer);
+        }
+        self.handed.push(path);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -320,6 +371,55 @@ proptest! {
                 format!("{:?}", resumed.states),
                 format!("{:?}", cold.states)
             );
+        }
+    }
+
+    /// The same two contracts for a message that is not `Copy`: all
+    /// three executors agree down to the final states, and a checkpoint
+    /// taken on either core resumes on the *other* one — the queue is
+    /// rebuilt from its sorted entry view, payloads included — into the
+    /// cold run.
+    #[test]
+    fn owned_payloads_survive_every_core_and_cross_kind_resume(
+        g in arb_graph(),
+        delay in arb_delay(),
+        seed in any::<u64>(),
+        every in 1u64..32,
+    ) {
+        let mut rec = Recorder::new(ModelOracle::new(delay, seed));
+        let base = BaselineSimulator::new(&g)
+            .record_trace(1 << 16)
+            .run_with_oracle(&mut rec, Courier::new)
+            .unwrap();
+        let schedule = rec.into_schedule(Fallback::WorstCase);
+        for (takes, resumes) in [
+            (CoreKind::Bucket, CoreKind::Heap),
+            (CoreKind::Heap, CoreKind::Bucket),
+        ] {
+            let mut sim = Simulator::new(&g);
+            sim.core(takes).record_trace(1 << 16);
+            let mut cps: Vec<Checkpoint<Courier>> = Vec::new();
+            let cold = sim
+                .run_with_checkpoints(
+                    &mut ScheduleOracle::new(&schedule),
+                    Courier::new,
+                    every,
+                    &mut cps,
+                )
+                .unwrap();
+            prop_assert_eq!(&cold.cost, &base.cost);
+            prop_assert_eq!(cold.trace.events(), base.trace.events());
+            prop_assert_eq!(format!("{:?}", cold.states), format!("{:?}", base.states));
+            sim.core(resumes);
+            for cp in &cps {
+                let resumed = sim.resume(cp, &mut ScheduleOracle::new(&schedule)).unwrap();
+                prop_assert_eq!(&resumed.cost, &cold.cost);
+                prop_assert_eq!(resumed.trace.events(), cold.trace.events());
+                prop_assert_eq!(
+                    format!("{:?}", resumed.states),
+                    format!("{:?}", cold.states)
+                );
+            }
         }
     }
 }
