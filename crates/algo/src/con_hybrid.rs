@@ -14,81 +14,19 @@
 //! (Restart signaling is free: messages carry the round's budget, so a
 //! fresh run is equivalent to lazily resetting stale state.)
 
-use crate::dfs::run_dfs_budgeted;
-use crate::mst::centr::run_mst_centr_budgeted;
-use csp_graph::{Cost, NodeId, RootedTree, WeightedGraph};
-use csp_sim::{CostReport, DelayModel, SimError, SimTime};
+use crate::catalogue::{Claim, Outcome};
+use crate::dfs;
+use crate::full_info::{self, MstRule};
+use csp_graph::{NodeId, RootedTree, WeightedGraph};
+use csp_sim::{CostReport, LinkOracle, SimError};
 
-/// Which component finished within budget first.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum HybridWinner {
-    /// The DFS component (cost `Θ(Ê)`) won.
-    Dfs,
-    /// The `MST_centr` component (cost `Θ(n·V̂)`) won.
-    MstCentr,
-}
-
-/// Outcome of a `CON_hybrid` run.
-#[derive(Debug)]
-pub struct ConHybridOutcome {
-    /// A spanning tree of the network.
-    pub tree: RootedTree,
-    /// Which component produced it.
-    pub winner: HybridWinner,
-    /// Total metered cost across all rounds, including aborted attempts.
-    pub cost: CostReport,
-    /// Number of budget-doubling rounds used.
-    pub rounds: u32,
-}
-
-/// Accumulates the cost of several sequential runs.
-pub(crate) fn accumulate(total: &mut CostReport, part: &CostReport) {
-    total.messages += part.messages;
-    total.weighted_comm += part.weighted_comm;
-    // Sequential composition: times add.
-    total.completion = SimTime::new(total.completion.get() + part.completion.get());
-    for i in 0..4 {
-        total.messages_by_class[i] += part.messages_by_class[i];
-        total.comm_by_class[i] += part.comm_by_class[i];
-    }
-    for (a, b) in total
-        .per_edge_messages
-        .iter_mut()
-        .zip(part.per_edge_messages.iter())
-    {
-        *a += b;
-    }
-}
-
-/// Runs `CON_hybrid` from `root`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected or `root` is out of range.
-///
-/// # Example
-///
-/// ```
-/// use csp_graph::{generators, NodeId};
-/// use csp_algo::con_hybrid::run_con_hybrid;
-/// use csp_sim::DelayModel;
-///
-/// let g = generators::lower_bound_family(10, 4);
-/// let out = run_con_hybrid(&g, NodeId::new(0), DelayModel::WorstCase, 0)?;
-/// assert!(out.tree.is_spanning());
-/// # Ok::<(), csp_sim::SimError>(())
-/// ```
-pub fn run_con_hybrid(
+/// Runs `CON_hybrid` from `root`, each attempt under its own copy of
+/// `oracle`; the outcome names the component that finished.
+pub(crate) fn run<O: LinkOracle + Clone>(
     g: &WeightedGraph,
     root: NodeId,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<ConHybridOutcome, SimError> {
-    g.check_node(root);
+    oracle: &O,
+) -> Result<Outcome, SimError> {
     let mut total = CostReport::new(g.edge_count());
     // Initial budget: enough for at least one step from the root.
     let mut budget: u128 = g
@@ -101,29 +39,21 @@ pub fn run_con_hybrid(
     let mut rounds = 0;
     loop {
         rounds += 1;
-        let dfs = run_dfs_budgeted(g, root, budget, delay, seed)?;
-        accumulate(&mut total, &dfs.cost);
-        if let Some(tree) = dfs.tree {
-            if tree.is_spanning() {
-                return Ok(ConHybridOutcome {
-                    tree,
-                    winner: HybridWinner::Dfs,
-                    cost: total,
-                    rounds,
-                });
-            }
+        let (tree, cost) = dfs::budgeted(g, root, budget, &mut oracle.clone())?;
+        total.then(&cost);
+        if let Some(tree) = tree.filter(RootedTree::is_spanning) {
+            return Ok(Outcome {
+                winner: Some(Claim::Dfs { root }),
+                ..Outcome::spanning(total, tree)
+            });
         }
-        let mst = run_mst_centr_budgeted(g, root, budget, delay, seed)?;
-        accumulate(&mut total, &mst.cost);
-        if let Some(tree) = mst.tree {
-            if tree.is_spanning() {
-                return Ok(ConHybridOutcome {
-                    tree,
-                    winner: HybridWinner::MstCentr,
-                    cost: total,
-                    rounds,
-                });
-            }
+        let (tree, cost) = full_info::budgeted(g, root, MstRule, budget, &mut oracle.clone())?;
+        total.then(&cost);
+        if let Some(tree) = tree.filter(RootedTree::is_spanning) {
+            return Ok(Outcome {
+                winner: Some(Claim::MstCentr { root }),
+                ..Outcome::spanning(total, tree)
+            });
         }
         budget = budget.saturating_mul(2);
         assert!(
@@ -133,25 +63,26 @@ pub fn run_con_hybrid(
     }
 }
 
-/// The pivot `min{Ê, n·V̂}` that `CON_hybrid`'s cost is compared against.
-pub fn connectivity_pivot(g: &WeightedGraph, mst_weight: Cost) -> Cost {
-    g.total_weight().min(mst_weight * g.node_count() as u128)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use csp_graph::generators;
     use csp_graph::params::CostParams;
+    use csp_sim::{DelayModel, ModelOracle};
+
+    fn hybrid(g: &WeightedGraph, delay: DelayModel, seed: u64) -> Outcome {
+        let row = Claim::ConHybrid {
+            root: NodeId::new(0),
+        };
+        row.run(g, ModelOracle::new(delay, seed)).unwrap()
+    }
 
     #[test]
     fn hybrid_tracks_the_cheaper_component_on_both_regimes() {
         // Regime A: Ê ≪ n·V̂ — DFS should win.
         let a = generators::sparse_heavy_path(24, 100, 5);
-        let pa = CostParams::of(&a);
-        let out_a = run_con_hybrid(&a, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert!(out_a.tree.is_spanning());
-        let pivot_a = connectivity_pivot(&a, pa.mst_weight);
+        let out_a = hybrid(&a, DelayModel::WorstCase, 0);
+        let pivot_a = CostParams::of(&a).min_e_nv();
         assert!(
             out_a.cost.weighted_comm <= pivot_a * 40,
             "regime A: cost {} ≫ pivot {pivot_a}",
@@ -163,13 +94,22 @@ mod tests {
         // witness gap must be wide: x = 16 makes Ê/n·V̂ ≈ 70.)
         let b = generators::lower_bound_family(24, 16);
         let pb = CostParams::of(&b);
-        let out_b = run_con_hybrid(&b, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert!(out_b.tree.is_spanning());
-        assert_eq!(out_b.winner, HybridWinner::MstCentr);
-        let pivot_b = connectivity_pivot(&b, pb.mst_weight);
+        let out_b = hybrid(&b, DelayModel::WorstCase, 0);
+        assert_eq!(
+            out_b.winner,
+            Some(Claim::MstCentr {
+                root: NodeId::new(0)
+            })
+        );
+        let row = Claim::ConHybrid {
+            root: NodeId::new(0),
+        };
         assert!(
-            out_b.cost.weighted_comm <= pivot_b * 60,
-            "regime B: cost {} ≫ pivot {pivot_b}",
+            row.bounds(&b, &pb)
+                .comm
+                .unwrap()
+                .admits(out_b.cost.weighted_comm.get()),
+            "regime B: cost {} ≫ 60·pivot",
             out_b.cost.weighted_comm
         );
         // And crucially, far below Ê (never floods the heavy bypasses).
@@ -179,17 +119,15 @@ mod tests {
     #[test]
     fn hybrid_completes_on_small_graphs() {
         let g = generators::path(4, |_| 3);
-        let out = run_con_hybrid(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert!(out.tree.is_spanning());
-        assert!(out.rounds >= 1);
+        assert!(hybrid(&g, DelayModel::WorstCase, 0).winner.is_some());
     }
 
     #[test]
     fn deterministic_under_fixed_seed() {
         let g = generators::grid(4, 4, generators::WeightDist::Uniform(1, 12), 6);
-        let a = run_con_hybrid(&g, NodeId::new(0), DelayModel::Uniform, 4).unwrap();
-        let b = run_con_hybrid(&g, NodeId::new(0), DelayModel::Uniform, 4).unwrap();
-        assert_eq!(a.cost.messages, b.cost.messages);
+        let a = hybrid(&g, DelayModel::Uniform, 4);
+        let b = hybrid(&g, DelayModel::Uniform, 4);
+        assert_eq!(a.cost, b.cost);
         assert_eq!(a.winner, b.winner);
     }
 }

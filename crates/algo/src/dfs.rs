@@ -17,7 +17,7 @@
 
 use crate::util::tree_from_parents;
 use csp_graph::{Cost, NodeId, RootedTree, WeightedGraph};
-use csp_sim::{Context, CostClass, CostReport, DelayModel, Process, SimError, Simulator};
+use csp_sim::{Context, CostClass, CostReport, LinkOracle, Process, SimError, Simulator};
 
 /// Messages of the DFS protocol. Every variant carries the center
 /// estimate (the cumulative weight of all traversals, including itself).
@@ -50,7 +50,7 @@ pub enum DfsMsg {
         est: u128,
     },
     /// Budget exceeded: the search is being called off; climbs the DFS
-    /// tree to the root (budgeted runs only, see [`run_dfs_budgeted`]).
+    /// tree to the root (budgeted runs only, see [`Dfs::with_budget`]).
     Abort {
         /// Center estimate when the budget was hit.
         est: u128,
@@ -263,133 +263,73 @@ impl Process for Dfs {
     }
 }
 
-/// Outcome of a DFS run.
-#[derive(Debug)]
-pub struct DfsOutcome {
-    /// The DFS spanning tree.
-    pub tree: RootedTree,
-    /// Exact total traversal cost (the final center estimate).
-    pub traversal_cost: Cost,
-    /// The root's doubling-maintained estimate at completion.
-    pub root_estimate: Cost,
-    /// Metered costs.
-    pub cost: CostReport,
-}
-
-/// Runs the DFS protocol from `root` and extracts the DFS tree and
-/// estimates.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected or `root` is out of range.
-pub fn run_dfs(
-    g: &WeightedGraph,
-    root: NodeId,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<DfsOutcome, SimError> {
-    g.check_node(root);
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, g| Dfs::new(v, g, root))?;
-    let parents: Vec<Option<NodeId>> = run.states.iter().map(Dfs::parent).collect();
-    let tree = tree_from_parents(g, root, &parents);
-    assert!(tree.is_spanning(), "DFS tree must span a connected graph");
-    let root_state = &run.states[root.index()];
-    Ok(DfsOutcome {
-        tree,
-        traversal_cost: root_state
-            .final_estimate()
-            .expect("root finished the search"),
-        root_estimate: root_state.root_estimate(),
-        cost: run.cost,
-    })
-}
-
-/// Outcome of a budgeted DFS run.
-#[derive(Debug)]
-pub struct DfsBudgetedOutcome {
-    /// The DFS tree if the search completed within budget.
-    pub tree: Option<RootedTree>,
-    /// Exact traversal cost if completed.
-    pub traversal_cost: Option<Cost>,
-    /// Metered costs (also of aborted runs — the wasted work the hybrid
-    /// algorithms must account for).
-    pub cost: CostReport,
-}
-
-/// Runs the DFS protocol with a traversal-cost budget: if a *forward*
-/// traversal would push the center estimate past `budget`, the token
-/// climbs home and the search reports failure. (Backtracks are exempt:
-/// a `Return` move costs exactly what the abort climb would, so the
-/// completed-run overshoot is bounded by one climb, same as an abort.) The wasted work of an aborted run is at most the
-/// budget plus one climb (`≤ 2·budget`), which is what makes
+/// Runs the DFS protocol with a traversal-cost budget — the DFS attempt
+/// of `CON_hybrid`'s budget doubling. If a *forward* traversal would
+/// push the center estimate past `budget`, the token climbs home and no
+/// tree comes back. (Backtracks are exempt: a `Return` move costs exactly
+/// what the abort climb would, so the completed-run overshoot is bounded
+/// by one climb, same as an abort.) The wasted work of an aborted run is
+/// at most the budget plus one climb (`≤ 2·budget`), which is what makes
 /// budget-doubling hybrids (Sections 7.2, 8.2) cost only a constant
-/// factor above the cheaper component.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range.
-pub fn run_dfs_budgeted(
+/// factor above the cheaper component. The cost is metered either way.
+pub(crate) fn budgeted<O: LinkOracle>(
     g: &WeightedGraph,
     root: NodeId,
     budget: u128,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<DfsBudgetedOutcome, SimError> {
-    g.check_node(root);
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, g| Dfs::with_budget(v, g, root, budget))?;
+    oracle: &mut O,
+) -> Result<(Option<RootedTree>, CostReport), SimError> {
+    let run =
+        Simulator::new(g).run_with_oracle(oracle, |v, g| Dfs::with_budget(v, g, root, budget))?;
     let root_state = &run.states[root.index()];
-    if root_state.exceeded() || root_state.final_estimate().is_none() {
-        return Ok(DfsBudgetedOutcome {
-            tree: None,
-            traversal_cost: None,
-            cost: run.cost,
-        });
-    }
-    let parents: Vec<Option<NodeId>> = run.states.iter().map(Dfs::parent).collect();
-    let tree = tree_from_parents(g, root, &parents);
-    Ok(DfsBudgetedOutcome {
-        tree: Some(tree),
-        traversal_cost: root_state.final_estimate(),
-        cost: run.cost,
-    })
+    let tree = (!root_state.exceeded() && root_state.final_estimate().is_some()).then(|| {
+        let parents: Vec<Option<NodeId>> = run.states.iter().map(Dfs::parent).collect();
+        tree_from_parents(g, root, &parents)
+    });
+    Ok((tree, run.cost))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::Claim;
     use csp_graph::generators;
     use csp_graph::params::CostParams;
+    use csp_sim::{DelayModel, ModelOracle, Run};
+
+    /// The DFS row on `g`, and the root's final state.
+    fn dfs(g: &WeightedGraph, root: usize, delay: DelayModel, seed: u64) -> (RootedTree, Run<Dfs>) {
+        let root = NodeId::new(root);
+        let out = Claim::Dfs { root }
+            .run(g, ModelOracle::new(delay, seed))
+            .unwrap();
+        let run = Simulator::new(g)
+            .delay(delay)
+            .seed(seed)
+            .run(|v, g| Dfs::new(v, g, root))
+            .unwrap();
+        assert_eq!(out.cost, run.cost);
+        (out.tree.unwrap(), run)
+    }
 
     #[test]
     fn dfs_spans_and_stays_within_fact_6_2() {
         for seed in 0..4 {
             let g =
                 generators::connected_gnp(25, 0.2, generators::WeightDist::Uniform(1, 16), seed);
-            let p = CostParams::of(&g);
-            let out = run_dfs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-            assert!(out.tree.is_spanning());
             // Token/reject/return: ≤ 4 traversals per edge; reports add at
             // most 2× more (geometric series). Total ≤ 12·Ê is a very
             // safe envelope; typical runs are ≈ 2–4·Ê.
+            let row = Claim::Dfs {
+                root: NodeId::new(0),
+            };
+            let out = row
+                .run(&g, ModelOracle::new(DelayModel::WorstCase, 0))
+                .unwrap();
+            let bound = row.bounds(&g, &CostParams::of(&g)).comm.unwrap();
             assert!(
-                out.cost.weighted_comm <= p.total_weight * 12,
-                "comm {} > 12·Ê = {}",
-                out.cost.weighted_comm,
-                p.total_weight * 12
+                bound.admits(out.cost.weighted_comm.get()),
+                "comm {} > 12·Ê",
+                out.cost.weighted_comm
             );
         }
     }
@@ -397,10 +337,10 @@ mod tests {
     #[test]
     fn dfs_tree_on_a_path_is_the_path() {
         let g = generators::path(6, |i| i as u64 + 1);
-        let out = run_dfs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.tree.weight(), g.total_weight());
+        let (tree, run) = dfs(&g, 0, DelayModel::WorstCase, 0);
+        assert_eq!(tree.weight(), g.total_weight());
         // On a tree-shaped graph every edge is traversed exactly twice.
-        assert_eq!(out.traversal_cost, g.total_weight() * 2);
+        assert_eq!(run.states[0].final_estimate(), Some(g.total_weight() * 2));
     }
 
     #[test]
@@ -408,9 +348,9 @@ mod tests {
         for seed in 0..6 {
             let g =
                 generators::connected_gnp(20, 0.25, generators::WeightDist::Uniform(1, 50), seed);
-            let out = run_dfs(&g, NodeId::new(0), DelayModel::Uniform, seed).unwrap();
-            let exact = out.traversal_cost;
-            let est = out.root_estimate;
+            let (_, run) = dfs(&g, 0, DelayModel::Uniform, seed);
+            let exact = run.states[0].final_estimate().unwrap();
+            let est = run.states[0].root_estimate();
             assert!(
                 est <= exact,
                 "EST_R {est} must never exceed the true cost {exact}"
@@ -425,30 +365,29 @@ mod tests {
     #[test]
     fn visits_every_vertex_exactly_once() {
         let g = generators::grid(4, 5, generators::WeightDist::Uniform(1, 9), 1);
-        let out = run_dfs(&g, NodeId::new(10), DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.tree.len(), 20);
-        assert_eq!(out.tree.root(), NodeId::new(10));
+        let (tree, _) = dfs(&g, 10, DelayModel::WorstCase, 0);
+        assert_eq!(tree.len(), 20);
+        assert_eq!(tree.root(), NodeId::new(10));
     }
 
     #[test]
     fn dfs_is_deterministic_under_worst_case_delays() {
         let g = generators::heavy_chord_cycle(12, 30);
-        let a = run_dfs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        let b = run_dfs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+        let (_, a) = dfs(&g, 0, DelayModel::WorstCase, 0);
+        let (_, b) = dfs(&g, 0, DelayModel::WorstCase, 0);
         assert_eq!(a.cost.messages, b.cost.messages);
-        assert_eq!(a.traversal_cost, b.traversal_cost);
+        assert_eq!(a.states[0].final_estimate(), b.states[0].final_estimate());
     }
 
     #[test]
     fn reports_are_tagged_auxiliary() {
         let g = generators::lower_bound_family(10, 3);
-        let out = run_dfs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        use csp_sim::CostClass;
+        let (_, run) = dfs(&g, 0, DelayModel::WorstCase, 0);
         // The DFS itself uses Protocol class; reports use Auxiliary.
-        assert!(out.cost.messages_of(CostClass::Protocol) > 0);
+        assert!(run.cost.messages_of(CostClass::Protocol) > 0);
         // Reports exist on graphs with non-trivial weight growth.
         assert!(
-            out.cost.comm_of(CostClass::Auxiliary) <= out.cost.comm_of(CostClass::Protocol) * 2
+            run.cost.comm_of(CostClass::Auxiliary) <= run.cost.comm_of(CostClass::Protocol) * 2
         );
     }
 }
@@ -456,38 +395,43 @@ mod tests {
 #[cfg(test)]
 mod budget_tests {
     use super::*;
+    use crate::catalogue::Claim;
     use csp_graph::generators;
+    use csp_sim::{DelayModel, ModelOracle};
+
+    fn worst() -> ModelOracle {
+        ModelOracle::new(DelayModel::WorstCase, 0)
+    }
 
     #[test]
     fn tiny_budget_aborts_cheaply() {
         let g = generators::connected_gnp(20, 0.2, generators::WeightDist::Uniform(1, 20), 1);
-        let out = run_dfs_budgeted(&g, NodeId::new(0), 10, DelayModel::WorstCase, 0).unwrap();
-        assert!(out.tree.is_none());
+        let (tree, cost) = budgeted(&g, NodeId::new(0), 10, &mut worst()).unwrap();
+        assert!(tree.is_none());
         // Wasted work bounded: budget + climb home + reports.
         assert!(
-            out.cost.weighted_comm.get() <= 3 * 10 + 40,
+            cost.weighted_comm.get() <= 3 * 10 + 40,
             "aborted run cost {} too high",
-            out.cost.weighted_comm
+            cost.weighted_comm
         );
     }
 
     #[test]
     fn huge_budget_behaves_like_unbudgeted() {
         let g = generators::grid(4, 4, generators::WeightDist::Uniform(1, 5), 3);
-        let plain = run_dfs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        let budgeted =
-            run_dfs_budgeted(&g, NodeId::new(0), u128::MAX / 4, DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(budgeted.traversal_cost, Some(plain.traversal_cost));
-        assert_eq!(budgeted.cost.messages, plain.cost.messages);
+        let root = NodeId::new(0);
+        let plain = Claim::Dfs { root }.run(&g, worst()).unwrap();
+        let (tree, cost) = budgeted(&g, root, u128::MAX / 4, &mut worst()).unwrap();
+        assert_eq!(tree.unwrap().weight(), plain.tree.unwrap().weight());
+        assert_eq!(cost.messages, plain.cost.messages);
     }
 
     #[test]
     fn budget_exactly_at_cost_completes() {
         let g = generators::path(5, |_| 2);
         // full traversal cost = 2 * 8 = 16
-        let out = run_dfs_budgeted(&g, NodeId::new(0), 16, DelayModel::WorstCase, 0).unwrap();
-        assert!(out.tree.is_some());
-        assert_eq!(out.traversal_cost, Some(Cost::new(16)));
+        let (tree, _) = budgeted(&g, NodeId::new(0), 16, &mut worst()).unwrap();
+        assert!(tree.is_some());
     }
 
     #[test]
@@ -497,8 +441,8 @@ mod budget_tests {
         // a Return move costs exactly what the Abort climb would, so
         // cutting them saves nothing.)
         let g = generators::path(5, |_| 2);
-        let out = run_dfs_budgeted(&g, NodeId::new(0), 7, DelayModel::WorstCase, 0).unwrap();
-        assert!(out.tree.is_none());
-        assert!(out.cost.weighted_comm.get() <= 3 * 7 + 8);
+        let (tree, cost) = budgeted(&g, NodeId::new(0), 7, &mut worst()).unwrap();
+        assert!(tree.is_none());
+        assert!(cost.weighted_comm.get() <= 3 * 7 + 8);
     }
 }

@@ -10,12 +10,8 @@
 //! cost `w(e)`), time `O(D̂)` (the token reaches every vertex within its
 //! weighted distance from the initiator).
 
-use crate::util::tree_from_parents;
-use csp_graph::{NodeId, RootedTree, WeightedGraph};
-use csp_sim::{
-    Context, CostReport, DelayModel, FaultAware, Process, Run, ShardedSimulator, SimError,
-    Simulator,
-};
+use csp_graph::NodeId;
+use csp_sim::{Context, FaultAware, Process};
 
 /// Per-vertex state of the flooding protocol.
 #[derive(Clone, Debug, Hash)]
@@ -76,106 +72,40 @@ impl Process for Flood {
 /// [`Detect`](csp_sim::Detect).
 impl FaultAware for Flood {}
 
-/// Outcome of a flood run.
-#[derive(Debug)]
-pub struct FloodOutcome {
-    /// The constructed spanning tree, rooted at the initiator.
-    pub tree: RootedTree,
-    /// Metered costs.
-    pub cost: CostReport,
-}
-
-/// Runs `CON_flood` from `root` under the given delay model and extracts
-/// the spanning tree.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator (cannot normally happen:
-/// flooding sends at most `2m` messages).
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected (the flood tree would not span) or
-/// `root` is out of range.
-pub fn run_flood(
-    g: &WeightedGraph,
-    root: NodeId,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<FloodOutcome, SimError> {
-    g.check_node(root);
-    let run: Run<Flood> = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, _| Flood::new(v == root))?;
-    let parents: Vec<Option<NodeId>> = run.states.iter().map(Flood::parent).collect();
-    let tree = tree_from_parents(g, root, &parents);
-    assert!(tree.is_spanning(), "flood tree must span a connected graph");
-    Ok(FloodOutcome {
-        tree,
-        cost: run.cost,
-    })
-}
-
-/// [`run_flood`] on the sharded conservative-parallel core: partitions
-/// the graph across `threads` workers (`0` = auto) and produces the
-/// bit-identical outcome of the sequential run — same tree, same
-/// [`CostReport`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator (cannot normally happen:
-/// flooding sends at most `2m` messages).
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected (the flood tree would not span) or
-/// `root` is out of range.
-pub fn run_flood_sharded(
-    g: &WeightedGraph,
-    root: NodeId,
-    delay: DelayModel,
-    seed: u64,
-    threads: usize,
-) -> Result<FloodOutcome, SimError> {
-    g.check_node(root);
-    let run: Run<Flood> = ShardedSimulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .threads(threads)
-        .run(|v, _| Flood::new(v == root))?;
-    let parents: Vec<Option<NodeId>> = run.states.iter().map(Flood::parent).collect();
-    let tree = tree_from_parents(g, root, &parents);
-    assert!(tree.is_spanning(), "flood tree must span a connected graph");
-    Ok(FloodOutcome {
-        tree,
-        cost: run.cost,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{Claim, Outcome};
     use csp_graph::params::CostParams;
-    use csp_graph::{generators, Cost};
+    use csp_graph::{generators, WeightedGraph};
+    use csp_sim::{DelayModel, ModelOracle};
+
+    fn flood(g: &WeightedGraph, root: usize, delay: DelayModel, seed: u64) -> Outcome {
+        let row = Claim::Flood {
+            root: NodeId::new(root),
+        };
+        row.run(g, ModelOracle::new(delay, seed)).unwrap()
+    }
 
     #[test]
     fn flood_spans_and_respects_fact_6_1() {
         let g = generators::connected_gnp(30, 0.15, generators::WeightDist::Uniform(1, 16), 2);
-        let p = CostParams::of(&g);
-        let out = run_flood(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert!(out.tree.is_spanning());
-        // comm ≤ 2·Ê
-        assert!(out.cost.weighted_comm <= p.total_weight * 2);
-        // time ≤ D̂ under worst-case delays: the token follows every edge,
-        // reaching each vertex no later than its weighted distance…
+        let row = Claim::Flood {
+            root: NodeId::new(0),
+        };
+        let out = row
+            .run(&g, ModelOracle::new(DelayModel::WorstCase, 0))
+            .unwrap();
+        // comm ≤ 2·Ê; time ≤ D̂ + W under worst-case delays: the token
+        // reaches each vertex no later than its weighted distance, but the
         // last *message* may land later (an edge into an already-reached
-        // vertex), bounded by D̂ + W.
-        let bound = p.weighted_diameter + p.max_weight.to_cost();
+        // vertex).
+        let bounds = row.bounds(&g, &CostParams::of(&g));
+        let (comm, time) = row.measure(&out);
+        assert!(bounds.comm.unwrap().admits(comm), "comm {comm} > 2·Ê");
         assert!(
-            Cost::new(out.cost.completion.get() as u128) <= bound,
-            "completion {} > D̂+W = {bound}",
-            out.cost.completion
+            bounds.time.unwrap().admits(time.into()),
+            "completion {time} > D̂+W"
         );
     }
 
@@ -185,10 +115,10 @@ mod tests {
         // exactly at its weighted distance, so parents realize shortest
         // paths.
         let g = generators::heavy_chord_cycle(14, 60);
-        let out = run_flood(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+        let tree = flood(&g, 0, DelayModel::WorstCase, 0).tree.unwrap();
         let dist = csp_graph::algo::distances(&g, NodeId::new(0));
         for v in g.nodes() {
-            assert_eq!(out.tree.depth(v), dist[v.index()], "depth mismatch at {v}");
+            assert_eq!(tree.depth(v), dist[v.index()], "depth mismatch at {v}");
         }
     }
 
@@ -196,31 +126,15 @@ mod tests {
     fn flood_under_random_delays_still_spans() {
         let g = generators::grid(5, 5, generators::WeightDist::Uniform(1, 9), 7);
         for seed in 0..4 {
-            let out = run_flood(&g, NodeId::new(12), DelayModel::Uniform, seed).unwrap();
-            assert!(out.tree.is_spanning());
-            assert_eq!(out.tree.root(), NodeId::new(12));
-        }
-    }
-
-    #[test]
-    fn sharded_flood_matches_sequential() {
-        let g = generators::connected_gnp(40, 0.1, generators::WeightDist::Uniform(1, 12), 5);
-        for delay in [DelayModel::WorstCase, DelayModel::Uniform] {
-            let seq = run_flood(&g, NodeId::new(3), delay, 11).unwrap();
-            for threads in [1, 2, 4, 8] {
-                let par = run_flood_sharded(&g, NodeId::new(3), delay, 11, threads).unwrap();
-                assert_eq!(par.cost, seq.cost, "{delay:?} at {threads} threads");
-                for v in g.nodes() {
-                    assert_eq!(par.tree.parent(v), seq.tree.parent(v));
-                }
-            }
+            let tree = flood(&g, 12, DelayModel::Uniform, seed).tree.unwrap();
+            assert_eq!(tree.root(), NodeId::new(12));
         }
     }
 
     #[test]
     fn exactly_one_message_per_direction_at_most() {
         let g = generators::cycle(10, |_| 3);
-        let out = run_flood(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+        let out = flood(&g, 0, DelayModel::WorstCase, 0);
         assert!(out.cost.max_edge_congestion() <= 2);
         assert!(out.cost.messages <= 2 * g.edge_count() as u64);
     }

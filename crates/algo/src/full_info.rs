@@ -24,9 +24,10 @@
 //! full-information model charges it as a single transmission, and so do
 //! we.
 
+use crate::catalogue::Outcome;
 use crate::util::tree_from_parents;
 use csp_graph::{Cost, EdgeId, NodeId, RootedTree, WeightedGraph};
-use csp_sim::{Context, CostReport, DelayModel, Process, SimError, Simulator};
+use csp_sim::{Context, CostReport, LinkOracle, Process, Run, SimError, Simulator};
 
 /// Ranks candidate edges `(host ∈ T) —e→ (new ∉ T)`; the smallest key is
 /// added each phase.
@@ -358,151 +359,100 @@ impl<R: GrowthRule> Process for FullInfoGrowth<R> {
     }
 }
 
-/// Outcome of a full-information growth run.
-#[derive(Debug)]
-pub struct GrowthOutcome {
-    /// The constructed tree.
-    pub tree: RootedTree,
-    /// Distance labels assigned along the way (exact shortest-path
-    /// distances for [`SptRule`]).
-    pub dists: Vec<Cost>,
-    /// Metered costs.
-    pub cost: CostReport,
-}
-
-/// Runs the growth engine to completion and extracts the tree.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
+/// The `MST_centr` / `SPT_centr` outcome of a finished growth run: the
+/// root's tree copy and distance labels.
 ///
 /// # Panics
 ///
-/// Panics if `g` is disconnected or `root` is out of range.
-pub fn run_growth<R: GrowthRule>(
+/// Panics if growth did not complete or the tree does not span.
+pub(crate) fn outcome<R: GrowthRule>(
     g: &WeightedGraph,
     root: NodeId,
-    rule: R,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<GrowthOutcome, SimError> {
-    g.check_node(root);
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, g| FullInfoGrowth::new(v, g, root, rule.clone()))?;
+    run: Run<FullInfoGrowth<R>>,
+) -> Outcome {
     let root_state = &run.states[root.index()];
     assert!(root_state.is_done(), "growth must complete");
-    let mut parents: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    for &(child, parent) in root_state.tree_edges() {
-        parents[child.index()] = Some(parent);
-    }
-    let tree = tree_from_parents(g, root, &parents);
-    assert!(
-        tree.is_spanning(),
-        "growth tree must span a connected graph"
-    );
+    let tree = grown_tree(g, root, root_state);
     let dists = root_state.dists().iter().map(|&d| Cost::new(d)).collect();
-    Ok(GrowthOutcome {
-        tree,
+    Outcome {
         dists,
-        cost: run.cost,
-    })
+        ..Outcome::spanning(run.cost, tree)
+    }
 }
 
-/// Outcome of a budgeted growth run.
-#[derive(Debug)]
-pub struct GrowthBudgetedOutcome {
-    /// The tree if growth completed within budget.
-    pub tree: Option<RootedTree>,
-    /// Distance labels if completed.
-    pub dists: Option<Vec<Cost>>,
-    /// Metered costs (also of suspended runs).
-    pub cost: CostReport,
-}
-
-/// Runs the growth engine with a root-side communication budget: the root
-/// refuses to start any phase whose conservative cost estimate would
-/// exceed `budget`, suspending instead. Used by the hybrid algorithms.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range.
-pub fn run_growth_budgeted<R: GrowthRule>(
+/// Runs the growth engine with a root-side communication budget — the
+/// `MST_centr` attempt of the hybrids' budget doubling: the root refuses
+/// to start any phase whose conservative cost estimate would exceed
+/// `budget`, suspending instead, and no tree comes back. The cost is
+/// metered either way.
+pub(crate) fn budgeted<R: GrowthRule, O: LinkOracle>(
     g: &WeightedGraph,
     root: NodeId,
     rule: R,
     budget: u128,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<GrowthBudgetedOutcome, SimError> {
-    g.check_node(root);
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, g| FullInfoGrowth::with_budget(v, g, root, rule.clone(), budget))?;
+    oracle: &mut O,
+) -> Result<(Option<RootedTree>, CostReport), SimError> {
+    let run = Simulator::new(g).run_with_oracle(oracle, |v, g| {
+        FullInfoGrowth::with_budget(v, g, root, rule.clone(), budget)
+    })?;
     let root_state = &run.states[root.index()];
-    if !root_state.is_done() {
-        return Ok(GrowthBudgetedOutcome {
-            tree: None,
-            dists: None,
-            cost: run.cost,
-        });
-    }
+    let tree = root_state
+        .is_done()
+        .then(|| grown_tree(g, root, root_state));
+    Ok((tree, run.cost))
+}
+
+/// The tree the root's full-information copy describes.
+fn grown_tree<R>(g: &WeightedGraph, root: NodeId, root_state: &FullInfoGrowth<R>) -> RootedTree {
     let mut parents: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    for &(child, parent) in root_state.tree_edges() {
+    for &(child, parent) in &root_state.tree_edges {
         parents[child.index()] = Some(parent);
     }
-    let tree = tree_from_parents(g, root, &parents);
-    let dists = root_state.dists().iter().map(|&d| Cost::new(d)).collect();
-    Ok(GrowthBudgetedOutcome {
-        tree: Some(tree),
-        dists: Some(dists),
-        cost: run.cost,
-    })
+    tree_from_parents(g, root, &parents)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::Claim;
     use csp_graph::params::CostParams;
     use csp_graph::{algo, generators};
+    use csp_sim::{DelayModel, ModelOracle};
+
+    fn worst() -> ModelOracle {
+        ModelOracle::new(DelayModel::WorstCase, 0)
+    }
 
     #[test]
     fn budgeted_growth_suspends_and_completes() {
         let g = generators::connected_gnp(16, 0.2, generators::WeightDist::Uniform(1, 10), 2);
+        let root = NodeId::new(0);
         // Tiny budget: must suspend, cheaply.
-        let small =
-            run_growth_budgeted(&g, NodeId::new(0), MstRule, 4, DelayModel::WorstCase, 0).unwrap();
-        assert!(small.tree.is_none());
-        assert!(small.cost.weighted_comm.get() <= 64);
+        let (tree, cost) = budgeted(&g, root, MstRule, 4, &mut worst()).unwrap();
+        assert!(tree.is_none());
+        assert!(cost.weighted_comm.get() <= 64);
         // Huge budget: behaves like the unbudgeted run.
-        let big = run_growth_budgeted(
-            &g,
-            NodeId::new(0),
-            MstRule,
-            u128::MAX / 8,
-            DelayModel::WorstCase,
-            0,
-        )
-        .unwrap();
-        let plain = run_growth(&g, NodeId::new(0), MstRule, DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(big.tree.unwrap().weight(), plain.tree.weight());
-        assert_eq!(big.cost.messages, plain.cost.messages);
+        let (tree, cost) = budgeted(&g, root, MstRule, u128::MAX / 8, &mut worst()).unwrap();
+        let plain = Claim::MstCentr { root }.run(&g, worst()).unwrap();
+        assert_eq!(tree.unwrap().weight(), plain.tree.unwrap().weight());
+        assert_eq!(cost.messages, plain.cost.messages);
     }
 
     #[test]
     fn mst_rule_reproduces_prims_tree() {
-        for seed in 0..4 {
-            let g =
-                generators::connected_gnp(18, 0.25, generators::WeightDist::Uniform(1, 40), seed);
-            let out = run_growth(&g, NodeId::new(0), MstRule, DelayModel::WorstCase, 0).unwrap();
-            let reference = algo::prim_mst(&g, NodeId::new(0));
-            assert_eq!(out.tree.weight(), reference.weight(), "seed {seed}");
+        let mut graphs: Vec<WeightedGraph> = (0..4)
+            .map(|seed| {
+                generators::connected_gnp(18, 0.25, generators::WeightDist::Uniform(1, 40), seed)
+            })
+            .collect();
+        graphs.push(generators::cluster_graph(3, 5, 40, 8));
+        for g in &graphs {
+            let root = NodeId::new(0);
+            let out = Claim::MstCentr { root }
+                .run(g, ModelOracle::new(DelayModel::Uniform, 3))
+                .unwrap();
+            let reference = algo::prim_mst(g, root);
+            assert_eq!(out.tree.unwrap().weight(), reference.weight());
         }
     }
 
@@ -511,15 +461,19 @@ mod tests {
         for seed in 0..4 {
             let g =
                 generators::connected_gnp(18, 0.25, generators::WeightDist::Uniform(1, 40), seed);
-            let out = run_growth(&g, NodeId::new(3), SptRule, DelayModel::Uniform, seed).unwrap();
-            let reference = algo::distances(&g, NodeId::new(3));
+            let source = NodeId::new(3);
+            let out = Claim::SptCentr { source }
+                .run(&g, ModelOracle::new(DelayModel::Uniform, seed))
+                .unwrap();
+            let reference = algo::distances(&g, source);
+            let tree = out.tree.unwrap();
             for v in g.nodes() {
                 assert_eq!(
                     out.dists[v.index()],
                     reference[v.index()],
                     "distance mismatch at {v}, seed {seed}"
                 );
-                assert_eq!(out.tree.depth(v), reference[v.index()]);
+                assert_eq!(tree.depth(v), reference[v.index()]);
             }
         }
     }
@@ -529,11 +483,16 @@ mod tests {
         // Corollary 6.4: O(n·V̂). Constant: each phase ≤ ~5 sweeps of w(T).
         let g = generators::lower_bound_family(14, 6);
         let p = CostParams::of(&g);
-        let out = run_growth(&g, NodeId::new(0), MstRule, DelayModel::WorstCase, 0).unwrap();
-        let bound = p.mst_weight * (6 * p.n as u128);
+        let row = Claim::MstCentr {
+            root: NodeId::new(0),
+        };
+        let out = row.run(&g, worst()).unwrap();
         assert!(
-            out.cost.weighted_comm <= bound,
-            "comm {} > 6·n·V̂ = {bound}",
+            row.bounds(&g, &p)
+                .comm
+                .unwrap()
+                .admits(out.cost.weighted_comm.get()),
+            "comm {} > 6·n·V̂",
             out.cost.weighted_comm
         );
         // Critically: MST_centr never touches the heavy bypass edges
@@ -544,29 +503,34 @@ mod tests {
     #[test]
     fn deterministic_under_fixed_seed() {
         let g = generators::grid(3, 5, generators::WeightDist::Uniform(1, 9), 2);
-        let a = run_growth(&g, NodeId::new(0), MstRule, DelayModel::Uniform, 9).unwrap();
-        let b = run_growth(&g, NodeId::new(0), MstRule, DelayModel::Uniform, 9).unwrap();
+        let row = Claim::MstCentr {
+            root: NodeId::new(0),
+        };
+        let a = row
+            .run(&g, ModelOracle::new(DelayModel::Uniform, 9))
+            .unwrap();
+        let b = row
+            .run(&g, ModelOracle::new(DelayModel::Uniform, 9))
+            .unwrap();
         assert_eq!(a.cost, b.cost);
     }
 
     #[test]
     fn single_vertex_growth_is_trivial() {
         let g = csp_graph::GraphBuilder::new(1).build().unwrap();
-        let out = run_growth(&g, NodeId::new(0), MstRule, DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.cost.messages, 0);
-        assert!(out.tree.is_spanning());
+        let row = Claim::MstCentr {
+            root: NodeId::new(0),
+        };
+        assert_eq!(row.run(&g, worst()).unwrap().cost.messages, 0);
     }
 
     #[test]
     fn spt_from_every_root_is_consistent() {
         let g = generators::heavy_chord_cycle(10, 25);
         for r in 0..10 {
-            let root = NodeId::new(r);
-            let out = run_growth(&g, root, SptRule, DelayModel::WorstCase, 0).unwrap();
-            let reference = algo::distances(&g, root);
-            for v in g.nodes() {
-                assert_eq!(out.dists[v.index()], reference[v.index()]);
-            }
+            let source = NodeId::new(r);
+            let out = Claim::SptCentr { source }.run(&g, worst()).unwrap();
+            assert_eq!(out.dists, algo::distances(&g, source));
         }
     }
 }

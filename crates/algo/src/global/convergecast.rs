@@ -19,7 +19,7 @@ use crate::global::functions::SymmetricCompact;
 use csp_graph::algo::{bfs_tree, prim_mst, shortest_path_tree};
 use csp_graph::slt::shallow_light_tree;
 use csp_graph::{NodeId, RootedTree, WeightedGraph};
-use csp_sim::{Context, CostReport, DelayModel, Process, SimError, Simulator};
+use csp_sim::{Context, Process};
 
 /// Which spanning tree the computation is convergecast over.
 ///
@@ -151,90 +151,53 @@ impl<F: SymmetricCompact> Process for GlobalFunction<F> {
     }
 }
 
-/// Outcome of a global function computation.
-#[derive(Debug)]
-pub struct GlobalOutcome {
-    /// The value computed (identical at every vertex).
-    pub value: u64,
-    /// Per-vertex outputs, for verification.
-    pub outputs: Vec<u64>,
-    /// Metered costs.
-    pub cost: CostReport,
-    /// The tree that was used.
-    pub tree: RootedTree,
-}
-
-/// Computes `function` over `inputs` (one per vertex) with outputs at all
-/// vertices, convergecast over `kind`-trees rooted at `root`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected, `root` is out of range, or
-/// `inputs.len() != n`.
-pub fn compute_global<F: SymmetricCompact>(
-    g: &WeightedGraph,
-    root: NodeId,
-    function: F,
-    inputs: &[u64],
-    kind: TreeKind,
-    delay: DelayModel,
-) -> Result<GlobalOutcome, SimError> {
-    assert_eq!(inputs.len(), g.node_count(), "one input per vertex");
-    let tree = kind.build(g, root);
-    assert!(tree.is_spanning(), "graph must be connected");
-    let run = Simulator::new(g)
-        .delay(delay)
-        .run(|v, g| GlobalFunction::new(v, g, function.clone(), inputs[v.index()], &tree))?;
-    let outputs: Vec<u64> = run
-        .states
-        .iter()
-        .map(|s| s.result().expect("every vertex outputs"))
-        .collect();
-    Ok(GlobalOutcome {
-        value: outputs[root.index()],
-        outputs,
-        cost: run.cost,
-        tree,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::Claim;
     use crate::global::functions::{fold_all, Count, Max, Sum, Xor};
+    use csp_graph::generators;
     use csp_graph::params::CostParams;
-    use csp_graph::{generators, Cost};
+    use csp_sim::{CostReport, DelayModel, ModelOracle, Simulator};
 
     fn inputs_for(n: usize) -> Vec<u64> {
         (0..n).map(|i| ((i as u64) * 37 + 11) % 101).collect()
+    }
+
+    /// `function` folded over `kind`'s tree from vertex `root`: every
+    /// vertex's output and the metered cost.
+    fn fold<F: SymmetricCompact>(
+        g: &WeightedGraph,
+        root: usize,
+        function: F,
+        inputs: &[u64],
+        kind: TreeKind,
+        delay: DelayModel,
+    ) -> (Vec<Option<u64>>, CostReport) {
+        let tree = kind.build(g, NodeId::new(root));
+        let run = Simulator::new(g)
+            .delay(delay)
+            .run(|v, g| GlobalFunction::new(v, g, function.clone(), inputs[v.index()], &tree))
+            .unwrap();
+        (
+            run.states.iter().map(GlobalFunction::result).collect(),
+            run.cost,
+        )
     }
 
     #[test]
     fn all_vertices_output_the_right_value() {
         let g = generators::connected_gnp(25, 0.2, generators::WeightDist::Uniform(1, 20), 5);
         let inputs = inputs_for(25);
+        let expect = Some(fold_all(&Max, &inputs));
         for kind in [
             TreeKind::Slt { q: 2 },
             TreeKind::Mst,
             TreeKind::Spt,
             TreeKind::Bfs,
         ] {
-            let out = compute_global(
-                &g,
-                NodeId::new(0),
-                Max,
-                &inputs,
-                kind,
-                DelayModel::WorstCase,
-            )
-            .unwrap();
-            let expect = fold_all(&Max, &inputs);
-            assert_eq!(out.value, expect);
-            assert!(out.outputs.iter().all(|&o| o == expect));
+            let (outputs, _) = fold(&g, 0, Max, &inputs, kind, DelayModel::WorstCase);
+            assert!(outputs.iter().all(|&o| o == expect), "{kind:?}");
         }
     }
 
@@ -245,10 +208,8 @@ mod tests {
         let kind = TreeKind::Slt { q: 2 };
         macro_rules! check {
             ($f:expr) => {
-                let out =
-                    compute_global(&g, NodeId::new(7), $f, &inputs, kind, DelayModel::Uniform)
-                        .unwrap();
-                assert_eq!(out.value, fold_all(&$f, &inputs));
+                let (outputs, _) = fold(&g, 7, $f, &inputs, kind, DelayModel::Uniform);
+                assert_eq!(outputs[7], Some(fold_all(&$f, &inputs)));
             };
         }
         check!(Max);
@@ -260,68 +221,54 @@ mod tests {
     #[test]
     fn slt_meets_theorem_2_1_bounds() {
         // comm ≤ 2·w(SLT) ≤ 2(1+2/q)V̂ and time ≤ 2·(q+1)·D̂.
-        let q = 2u64;
-        for seed in 0..4 {
-            let g =
-                generators::connected_gnp(30, 0.15, generators::WeightDist::Uniform(1, 64), seed);
-            let p = CostParams::of(&g);
-            let inputs = inputs_for(30);
-            let out = compute_global(
-                &g,
-                NodeId::new(0),
-                Sum,
-                &inputs,
-                TreeKind::Slt { q },
-                DelayModel::WorstCase,
-            )
-            .unwrap();
-            let comm_bound = p.mst_weight * (2 * (q as u128 + 2) / q as u128);
-            assert!(
-                out.cost.weighted_comm <= comm_bound,
-                "comm {} > 2(1+2/q)V̂ = {comm_bound}",
-                out.cost.weighted_comm
-            );
-            let time_bound = p.weighted_diameter * (2 * (q as u128 + 1));
-            assert!(
-                Cost::new(out.cost.completion.get() as u128) <= time_bound,
-                "time {} > 2(q+1)D̂ = {time_bound}",
-                out.cost.completion
-            );
+        for q in [1, 2, 4] {
+            for seed in 0..4 {
+                let g = generators::connected_gnp(
+                    30,
+                    0.15,
+                    generators::WeightDist::Uniform(1, 64),
+                    seed,
+                );
+                let row = Claim::GlobalSlt {
+                    root: NodeId::new(0),
+                    q,
+                    inputs: inputs_for(30),
+                };
+                let out = row
+                    .run(&g, ModelOracle::new(DelayModel::WorstCase, 0))
+                    .unwrap();
+                let bounds = row.bounds(&g, &CostParams::of(&g));
+                let (comm, time) = row.measure(&out);
+                assert!(bounds.comm.unwrap().admits(comm), "comm {comm} > 2(1+2/q)V̂");
+                assert!(
+                    bounds.time.unwrap().admits(time.into()),
+                    "time {time} > 2(q+1)D̂"
+                );
+            }
         }
     }
 
     #[test]
     fn exactly_two_messages_per_tree_edge() {
         let g = generators::cycle(12, |i| i as u64 + 1);
-        let inputs = inputs_for(12);
-        let out = compute_global(
-            &g,
-            NodeId::new(0),
-            Max,
-            &inputs,
-            TreeKind::Mst,
-            DelayModel::WorstCase,
-        )
-        .unwrap();
+        let row = Claim::GlobalMst {
+            root: NodeId::new(0),
+            inputs: inputs_for(12),
+        };
+        let out = row
+            .run(&g, ModelOracle::new(DelayModel::WorstCase, 0))
+            .unwrap();
         // n-1 tree edges, one Up and one Down each.
         assert_eq!(out.cost.messages, 2 * 11);
-        assert_eq!(out.cost.weighted_comm, out.tree.weight() * 2);
+        assert_eq!(out.cost.weighted_comm, out.tree.unwrap().weight() * 2);
     }
 
     #[test]
     fn single_vertex_graph_degenerates_gracefully() {
         let g = csp_graph::GraphBuilder::new(1).build().unwrap();
-        let out = compute_global(
-            &g,
-            NodeId::new(0),
-            Sum,
-            &[42],
-            TreeKind::Mst,
-            DelayModel::WorstCase,
-        )
-        .unwrap();
-        assert_eq!(out.value, 42);
-        assert_eq!(out.cost.messages, 0);
+        let (outputs, cost) = fold(&g, 0, Sum, &[42], TreeKind::Mst, DelayModel::WorstCase);
+        assert_eq!(outputs, [Some(42)]);
+        assert_eq!(cost.messages, 0);
     }
 
     #[test]
@@ -329,25 +276,16 @@ mod tests {
         // On the family where the SPT is heavy, convergecast over the SPT
         // costs ≫ the SLT's O(V̂): the paper's motivation for SLTs.
         let g = generators::lower_bound_family(16, 4);
+        let root = NodeId::new(0);
         let inputs = inputs_for(16);
-        let spt = compute_global(
-            &g,
-            NodeId::new(0),
-            Max,
-            &inputs,
-            TreeKind::Spt,
-            DelayModel::WorstCase,
-        )
-        .unwrap();
-        let slt = compute_global(
-            &g,
-            NodeId::new(0),
-            Max,
-            &inputs,
-            TreeKind::Slt { q: 2 },
-            DelayModel::WorstCase,
-        )
-        .unwrap();
-        assert!(slt.cost.weighted_comm <= spt.cost.weighted_comm);
+        let worst = || ModelOracle::new(DelayModel::WorstCase, 0);
+        let spt = Claim::GlobalSpt {
+            root,
+            inputs: inputs.clone(),
+        };
+        let slt = Claim::GlobalSlt { root, q: 2, inputs };
+        let spt = spt.run(&g, worst()).unwrap().cost.weighted_comm;
+        let slt = slt.run(&g, worst()).unwrap().cost.weighted_comm;
+        assert!(slt <= spt);
     }
 }

@@ -4,26 +4,30 @@
 //!
 //! Every protocol of the paper, implemented as [`csp_sim::Process`] (or
 //! [`csp_sim::SyncProcess`](csp_sim::sync::SyncProcess)) state machines and
-//! measured with the weighted complexity measures:
+//! measured with the weighted complexity measures. The paper's rows —
+//! each protocol with its run, outcome check and weighted bounds — are
+//! one closed catalogue, [`catalogue::Claim`]:
 //!
-//! | paper section | module | protocol | weighted bounds (comm, time) |
+//! | paper section | module | protocol | row |
 //! |---|---|---|---|
-//! | §2    | [`global`]     | global function computation over an SLT | `O(V̂)`, `O(D̂)` |
-//! | §6.1  | [`flood`]      | `CON_flood` broadcast / spanning tree | `O(Ê)`, `O(D̂)` |
-//! | §6.2  | [`dfs`]        | distributed DFS with root estimates | `O(Ê)`, `O(Ê)` |
-//! | §6.3  | [`mst`]        | `MST_centr` full-information Prim | `O(n·V̂)`, `O(n·Diam(MST))` |
-//! | §6.4  | [`spt`]        | `SPT_centr` full-information Dijkstra | `O(n²·V̂)`, `O(n·D̂)` |
-//! | §7.2  | [`con_hybrid`] | `CON_hybrid` | `O(min{Ê, n·V̂})` |
-//! | §8.1  | [`mst`]        | `MST_ghs` (Gallager–Humblet–Spira) | `O(Ê + V̂·log n)` |
-//! | §8.2  | [`mst`]        | `MST_hybrid` | `O(min{Ê + V̂ log n, n·V̂})` |
-//! | §8.3  | [`mst`]        | `MST_fast` (guess doubling) | `O(Ê·log n·log V̂)` |
-//! | §9.1  | [`spt`]        | `SPT_synch` (synchronous SPT + γ_w) | `O(Ê + D̂·k·n·log n)` |
-//! | §9.2  | [`spt`]        | `SPT_recur` (layered strips) | strip-tunable |
-//! | §9.3  | [`spt`]        | `SPT_hybrid` | min of the two |
-//! | §2.4  | [`slt_dist`]   | distributed SLT construction | `O(V̂·n²)`, `O(D̂·n²)` |
-//! | —     | [`resilient`]  | self-healing flood / SPT (crash-tolerant distance vector) | exact on the surviving component |
+//! | §2    | [`global`]     | global function computation over an SLT / MST / SPT | `GlobalSlt`, `GlobalMst`, `GlobalSpt` |
+//! | §6.1  | [`flood`]      | `CON_flood` broadcast / spanning tree | `Flood` |
+//! | §6.2  | [`dfs`]        | distributed DFS with root estimates | `Dfs` |
+//! | §6.3  | [`full_info`]  | `MST_centr` full-information Prim | `MstCentr` |
+//! | §6.4  | [`full_info`]  | `SPT_centr` full-information Dijkstra | `SptCentr` |
+//! | §7.2  | [`con_hybrid`] | `CON_hybrid` | `ConHybrid` |
+//! | §8.1  | [`mst`]        | `MST_ghs` (Gallager–Humblet–Spira) | `MstGhs` |
+//! | §8.2  | [`mst`]        | `MST_hybrid` | `MstHybrid` |
+//! | §8.3  | [`mst`]        | `MST_fast` (guess doubling) | `MstFast` |
+//! | §9.1  | [`spt`]        | `SPT_synch` (synchronous SPT + γ_w) | `SptSynch` |
+//! | §9.2  | [`spt`]        | `SPT_recur` (layered strips) | `SptRecur` |
+//! | §9.3  | [`spt`]        | `SPT_hybrid` | `SptHybrid` |
+//! | §2.4  | [`slt_dist`]   | distributed SLT construction | `Slt` |
+//! | §3–§5 | `csp-sync`, `csp-control` | clock and network synchronizers, controller | `AlphaStar` … `Controller` |
+//! | —     | [`resilient`]  | self-healing flood / SPT (crash-tolerant distance vector) | — |
 
 pub mod cast;
+pub mod catalogue;
 pub mod con_hybrid;
 pub mod dfs;
 pub mod flood;

@@ -19,9 +19,8 @@
 //! (Corollary 8.3) — more messages than GHS, far less time on workloads
 //! whose heavy edges dominate `Ê`.
 
-use crate::util::tree_from_parents;
-use csp_graph::{NodeId, RootedTree, WeightedGraph};
-use csp_sim::{Context, CostReport, DelayModel, Process, SimError, Simulator};
+use csp_graph::{NodeId, WeightedGraph};
+use csp_sim::{Context, Process};
 use std::collections::VecDeque;
 
 use super::ghs::EdgeKey;
@@ -431,87 +430,33 @@ impl Process for MstFast {
     }
 }
 
-/// Outcome of an `MST_fast` run.
-#[derive(Debug)]
-pub struct MstFastOutcome {
-    /// The minimum spanning tree (rooted at `root` for reporting).
-    pub tree: RootedTree,
-    /// Metered costs.
-    pub cost: CostReport,
-}
-
-/// Runs `MST_fast` to completion and extracts the MST.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected or `root` is out of range.
-pub fn run_mst_fast(
-    g: &WeightedGraph,
-    root: NodeId,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<MstFastOutcome, SimError> {
-    g.check_node(root);
-    if g.node_count() == 1 {
-        return Ok(MstFastOutcome {
-            tree: RootedTree::new(1, root),
-            cost: CostReport::new(0),
-        });
-    }
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(MstFast::new)?;
-    assert!(
-        run.states.iter().any(MstFast::halted),
-        "MST_fast must detect termination"
-    );
-    let mut is_branch = vec![false; g.edge_count()];
-    for v in g.nodes() {
-        for u in run.states[v.index()].branch_neighbors() {
-            let eid = g.edge_between(v, u).expect("branch is a graph edge");
-            is_branch[eid.index()] = true;
-        }
-    }
-    let mut parents: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    let mut seen = vec![false; g.node_count()];
-    seen[root.index()] = true;
-    let mut queue = VecDeque::from([root]);
-    while let Some(v) = queue.pop_front() {
-        for (u, eid, _) in g.neighbors(v) {
-            if is_branch[eid.index()] && !seen[u.index()] {
-                seen[u.index()] = true;
-                parents[u.index()] = Some(v);
-                queue.push_back(u);
-            }
-        }
-    }
-    let tree = tree_from_parents(g, root, &parents);
-    assert!(tree.is_spanning(), "MST_fast tree must span");
-    Ok(MstFastOutcome {
-        tree,
-        cost: run.cost,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{Claim, Outcome};
+    use crate::mst::ghs::tests::ghs;
     use csp_graph::{algo, generators};
-    use csp_sim::SimTime;
+    use csp_sim::{DelayModel, ModelOracle};
+
+    fn fast(g: &WeightedGraph, root: usize, delay: DelayModel, seed: u64) -> Outcome {
+        let row = Claim::MstFast {
+            root: NodeId::new(root),
+        };
+        row.run(g, ModelOracle::new(delay, seed)).unwrap()
+    }
 
     #[test]
     fn fast_finds_the_canonical_mst() {
         for seed in 0..6 {
             let g =
                 generators::connected_gnp(20, 0.25, generators::WeightDist::Uniform(1, 50), seed);
-            let out = run_mst_fast(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+            let out = fast(&g, 0, DelayModel::WorstCase, 0);
             let reference = algo::prim_mst(&g, NodeId::new(0));
-            assert_eq!(out.tree.weight(), reference.weight(), "seed {seed}");
+            assert_eq!(
+                out.tree.unwrap().weight(),
+                reference.weight(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -520,8 +465,8 @@ mod tests {
         let g = generators::grid(4, 4, generators::WeightDist::Uniform(1, 30), 5);
         let reference = algo::prim_mst(&g, NodeId::new(0)).weight();
         for seed in 0..6 {
-            let out = run_mst_fast(&g, NodeId::new(0), DelayModel::Uniform, seed).unwrap();
-            assert_eq!(out.tree.weight(), reference, "delay seed {seed}");
+            let out = fast(&g, 0, DelayModel::Uniform, seed);
+            assert_eq!(out.tree.unwrap().weight(), reference, "delay seed {seed}");
         }
     }
 
@@ -533,31 +478,29 @@ mod tests {
         // tests everything under the guess in parallel (Θ(H) plus
         // doubling sweeps) — the scenario Section 8.3 is about.
         let g = generators::complete(16, |i, _| if i == 0 { 1 } else { 64 });
-        let fast = run_mst_fast(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        let ghs =
-            super::super::ghs::run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(fast.tree.weight(), ghs.tree.weight());
+        let fast = fast(&g, 0, DelayModel::WorstCase, 0);
+        let ghs = ghs(&g, 0, DelayModel::WorstCase, 0);
+        assert_eq!(fast.tree.unwrap().weight(), ghs.tree.unwrap().weight());
         assert!(
             fast.cost.completion < ghs.cost.completion,
             "fast time {} not below GHS time {}",
             fast.cost.completion,
             ghs.cost.completion
         );
-        let _ = SimTime::ZERO;
     }
 
     #[test]
     fn fast_on_two_nodes() {
         let g = generators::path(2, |_| 9);
-        let out = run_mst_fast(&g, NodeId::new(1), DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.tree.weight().get(), 9);
+        let out = fast(&g, 1, DelayModel::WorstCase, 0);
+        assert_eq!(out.tree.unwrap().weight().get(), 9);
     }
 
     #[test]
     fn fast_with_equal_weights() {
         let g = generators::complete(7, |_, _| 4);
-        let out = run_mst_fast(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+        let out = fast(&g, 0, DelayModel::WorstCase, 0);
         let reference = algo::prim_mst(&g, NodeId::new(0));
-        assert_eq!(out.tree.weight(), reference.weight());
+        assert_eq!(out.tree.unwrap().weight(), reference.weight());
     }
 }

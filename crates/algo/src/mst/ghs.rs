@@ -22,9 +22,8 @@
 //! for the hybrid variant, which wakes the network via DFS; see
 //! [`hybrid`](crate::mst::hybrid).)
 
-use crate::util::tree_from_parents;
-use csp_graph::{NodeId, RootedTree, WeightedGraph};
-use csp_sim::{Context, CostReport, DelayModel, Process, SimError, Simulator};
+use csp_graph::{NodeId, WeightedGraph};
+use csp_sim::{Context, Process};
 use std::collections::VecDeque;
 
 /// A totally ordered edge key: `(weight, edge id)`. Fragment names are
@@ -405,88 +404,34 @@ impl Process for Ghs {
     }
 }
 
-/// Outcome of a GHS run.
-#[derive(Debug)]
-pub struct GhsOutcome {
-    /// The minimum spanning tree (rooted, for uniform reporting, at the
-    /// supplied root).
-    pub tree: RootedTree,
-    /// Metered costs.
-    pub cost: CostReport,
-}
-
-/// Runs GHS to completion and extracts the MST (rooted at `root` for
-/// reporting purposes — GHS itself has no distinguished root).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected or `root` is out of range.
-pub fn run_mst_ghs(
-    g: &WeightedGraph,
-    root: NodeId,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<GhsOutcome, SimError> {
-    g.check_node(root);
-    if g.node_count() == 1 {
-        return Ok(GhsOutcome {
-            tree: RootedTree::new(1, root),
-            cost: CostReport::new(0),
-        });
-    }
-    let run = Simulator::new(g).delay(delay).seed(seed).run(Ghs::new)?;
-    assert!(
-        run.states.iter().any(Ghs::halted),
-        "GHS must detect termination"
-    );
-    // Branch edges, agreed by both endpoints, form the MST.
-    let mut is_branch = vec![false; g.edge_count()];
-    for v in g.nodes() {
-        for u in run.states[v.index()].branch_neighbors() {
-            let eid = g.edge_between(v, u).expect("branch is a graph edge");
-            is_branch[eid.index()] = true;
-        }
-    }
-    // Root the edge set at `root` by BFS over branch edges.
-    let mut parents: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    let mut seen = vec![false; g.node_count()];
-    seen[root.index()] = true;
-    let mut queue = VecDeque::from([root]);
-    while let Some(v) = queue.pop_front() {
-        for (u, eid, _) in g.neighbors(v) {
-            if is_branch[eid.index()] && !seen[u.index()] {
-                seen[u.index()] = true;
-                parents[u.index()] = Some(v);
-                queue.push_back(u);
-            }
-        }
-    }
-    let tree = tree_from_parents(g, root, &parents);
-    assert!(tree.is_spanning(), "GHS tree must span a connected graph");
-    Ok(GhsOutcome {
-        tree,
-        cost: run.cost,
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::catalogue::{Claim, Outcome};
     use csp_graph::params::CostParams;
     use csp_graph::{algo, generators};
+    use csp_sim::{DelayModel, ModelOracle};
+
+    /// The GHS row from vertex `root`.
+    pub(crate) fn ghs(g: &WeightedGraph, root: usize, delay: DelayModel, seed: u64) -> Outcome {
+        let row = Claim::MstGhs {
+            root: NodeId::new(root),
+        };
+        row.run(g, ModelOracle::new(delay, seed)).unwrap()
+    }
 
     #[test]
     fn ghs_finds_the_canonical_mst_on_random_graphs() {
         for seed in 0..6 {
             let g =
                 generators::connected_gnp(20, 0.25, generators::WeightDist::Uniform(1, 50), seed);
-            let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+            let out = ghs(&g, 0, DelayModel::WorstCase, 0);
             let reference = algo::prim_mst(&g, NodeId::new(0));
-            assert_eq!(out.tree.weight(), reference.weight(), "seed {seed}");
+            assert_eq!(
+                out.tree.unwrap().weight(),
+                reference.weight(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -495,25 +440,25 @@ mod tests {
         let g = generators::grid(4, 5, generators::WeightDist::Uniform(1, 30), 11);
         let reference = algo::prim_mst(&g, NodeId::new(0)).weight();
         for seed in 0..8 {
-            let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::Uniform, seed).unwrap();
-            assert_eq!(out.tree.weight(), reference, "delay seed {seed}");
+            let out = ghs(&g, 0, DelayModel::Uniform, seed);
+            assert_eq!(out.tree.unwrap().weight(), reference, "delay seed {seed}");
         }
     }
 
     #[test]
     fn ghs_on_two_nodes() {
         let g = generators::path(2, |_| 7);
-        let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.tree.weight().get(), 7);
+        let out = ghs(&g, 0, DelayModel::WorstCase, 0);
+        assert_eq!(out.tree.unwrap().weight().get(), 7);
     }
 
     #[test]
     fn ghs_with_equal_weights_uses_id_tie_break() {
         let g = generators::complete(8, |_, _| 5);
-        let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+        let tree = ghs(&g, 0, DelayModel::WorstCase, 0).tree.unwrap();
         let reference = algo::prim_mst(&g, NodeId::new(0));
-        assert_eq!(out.tree.weight(), reference.weight());
-        let mut a: Vec<_> = out.tree.edges().map(|(_, _, e, _)| e).collect();
+        assert_eq!(tree.weight(), reference.weight());
+        let mut a: Vec<_> = tree.edges().map(|(_, _, e, _)| e).collect();
         let mut b: Vec<_> = reference.edges().map(|(_, _, e, _)| e).collect();
         a.sort();
         b.sort();
@@ -526,13 +471,14 @@ mod tests {
         for seed in 0..3 {
             let g =
                 generators::connected_gnp(30, 0.2, generators::WeightDist::Uniform(1, 64), seed);
-            let p = CostParams::of(&g);
-            let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-            let log_n = (p.n as f64).log2().ceil() as u128;
-            let bound = (p.total_weight + p.mst_weight * log_n) * 5;
+            let out = ghs(&g, 0, DelayModel::WorstCase, 0);
+            let row = Claim::MstGhs {
+                root: NodeId::new(0),
+            };
+            let bound = row.bounds(&g, &CostParams::of(&g)).comm.unwrap();
             assert!(
-                out.cost.weighted_comm <= bound,
-                "comm {} > 5(Ê + V̂ log n) = {bound}",
+                bound.admits(out.cost.weighted_comm.get()),
+                "comm {} > 5(Ê + V̂ log n)",
                 out.cost.weighted_comm
             );
         }
@@ -541,15 +487,17 @@ mod tests {
     #[test]
     fn ghs_on_a_long_path() {
         let g = generators::path(40, |i| (i as u64 % 9) + 1);
-        let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.tree.weight(), g.total_weight());
+        let out = ghs(&g, 0, DelayModel::WorstCase, 0);
+        assert_eq!(out.tree.unwrap().weight(), g.total_weight());
     }
 }
 
 #[cfg(test)]
 mod stress_tests {
+    use super::tests::ghs;
     use super::*;
     use csp_graph::{algo, generators};
+    use csp_sim::{DelayModel, Simulator};
 
     #[test]
     fn ghs_on_complete_graphs_with_eager_delays() {
@@ -557,20 +505,20 @@ mod stress_tests {
         for n in [6usize, 10, 14] {
             let g = generators::complete(n, |i, j| ((i * 7 + j * 13) % 40 + 1) as u64);
             let reference = algo::prim_mst(&g, NodeId::new(0)).weight();
-            let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::Eager, 0).unwrap();
-            assert_eq!(out.tree.weight(), reference, "n={n}");
+            let out = ghs(&g, 0, DelayModel::Eager, 0);
+            assert_eq!(out.tree.unwrap().weight(), reference, "n={n}");
         }
     }
 
     #[test]
     fn ghs_on_stars_and_paths() {
         let star = generators::star(12, |i| i as u64 + 1);
-        let out = run_mst_ghs(&star, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.tree.weight(), star.total_weight());
+        let out = ghs(&star, 0, DelayModel::WorstCase, 0);
+        assert_eq!(out.tree.unwrap().weight(), star.total_weight());
 
         let path = generators::path(30, |_| 5);
-        let out = run_mst_ghs(&path, NodeId::new(15), DelayModel::Uniform, 9).unwrap();
-        assert_eq!(out.tree.weight(), path.total_weight());
+        let out = ghs(&path, 15, DelayModel::Uniform, 9);
+        assert_eq!(out.tree.unwrap().weight(), path.total_weight());
     }
 
     #[test]
@@ -578,14 +526,8 @@ mod stress_tests {
         let g = generators::grid(3, 5, generators::WeightDist::Uniform(1, 20), 3);
         let reference = algo::prim_mst(&g, NodeId::new(0)).weight();
         for den in [2u64, 3, 5] {
-            let out = run_mst_ghs(
-                &g,
-                NodeId::new(0),
-                DelayModel::Proportional { num: 1, den },
-                0,
-            )
-            .unwrap();
-            assert_eq!(out.tree.weight(), reference, "den={den}");
+            let out = ghs(&g, 0, DelayModel::Proportional { num: 1, den }, 0);
+            assert_eq!(out.tree.unwrap().weight(), reference, "den={den}");
         }
     }
 

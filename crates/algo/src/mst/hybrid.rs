@@ -4,7 +4,7 @@
 //! The paper's plan: wake GHS via the controlled DFS (so the root knows
 //! the communication wasted so far) and dovetail it against `MST_centr`
 //! as in `CON_hybrid`. We realize the arbitration the same way as
-//! [`run_con_hybrid`](crate::con_hybrid::run_con_hybrid): budget-doubling
+//! [`con_hybrid`](crate::con_hybrid): budget-doubling
 //! restarts, where each attempt is *suspended* at its communication
 //! budget — GHS through the simulator's [`comm_limit`]
 //! (modelling the root withholding permission; the wasted work of a
@@ -15,97 +15,25 @@
 //!
 //! [`comm_limit`]: csp_sim::Simulator::comm_limit
 
-use crate::con_hybrid::{accumulate, HybridWinner};
-use crate::mst::centr::run_mst_centr_budgeted;
+use crate::catalogue::{Claim, Outcome};
+use crate::full_info::{self, MstRule};
 use crate::mst::ghs::Ghs;
-use crate::util::tree_from_parents;
+use crate::util::tree_from_branches;
 use csp_graph::{NodeId, RootedTree, WeightedGraph};
-use csp_sim::{CostReport, DelayModel, SimError, Simulator};
-use std::collections::VecDeque;
+use csp_sim::{CostReport, LinkOracle, SimError, Simulator};
 
-/// Outcome of an `MST_hybrid` run.
-#[derive(Debug)]
-pub struct MstHybridOutcome {
-    /// The minimum spanning tree.
-    pub tree: RootedTree,
-    /// Which component produced it (`Dfs` stands for the GHS side, which
-    /// the paper wakes through the DFS).
-    pub winner: HybridWinner,
-    /// Total metered cost across all rounds, including suspended
-    /// attempts.
-    pub cost: CostReport,
-    /// Number of budget-doubling rounds used.
-    pub rounds: u32,
-}
-
-/// Tries GHS under a communication budget; returns the MST if it
-/// completed.
-fn try_ghs_budgeted(
+/// Runs `MST_hybrid` from `root`, each attempt under its own copy of
+/// `oracle`; the outcome names the component that finished.
+pub(crate) fn run<O: LinkOracle + Clone>(
     g: &WeightedGraph,
     root: NodeId,
-    budget: u128,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<(Option<RootedTree>, CostReport), SimError> {
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .comm_limit(budget)
-        .run(Ghs::new)?;
-    if run.truncated || !run.states.iter().any(Ghs::halted) {
-        return Ok((None, run.cost));
-    }
-    let mut is_branch = vec![false; g.edge_count()];
-    for v in g.nodes() {
-        for u in run.states[v.index()].branch_neighbors() {
-            let eid = g.edge_between(v, u).expect("branch is a graph edge");
-            is_branch[eid.index()] = true;
-        }
-    }
-    let mut parents: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    let mut seen = vec![false; g.node_count()];
-    seen[root.index()] = true;
-    let mut queue = VecDeque::from([root]);
-    while let Some(v) = queue.pop_front() {
-        for (u, eid, _) in g.neighbors(v) {
-            if is_branch[eid.index()] && !seen[u.index()] {
-                seen[u.index()] = true;
-                parents[u.index()] = Some(v);
-                queue.push_back(u);
-            }
-        }
-    }
-    let tree = tree_from_parents(g, root, &parents);
-    if tree.is_spanning() {
-        Ok((Some(tree), run.cost))
-    } else {
-        Ok((None, run.cost))
-    }
-}
-
-/// Runs `MST_hybrid` from `root`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected or `root` is out of range.
-pub fn run_mst_hybrid(
-    g: &WeightedGraph,
-    root: NodeId,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<MstHybridOutcome, SimError> {
-    g.check_node(root);
+    oracle: &O,
+) -> Result<Outcome, SimError> {
     if g.node_count() == 1 {
-        return Ok(MstHybridOutcome {
-            tree: RootedTree::new(1, root),
-            winner: HybridWinner::MstCentr,
-            cost: CostReport::new(0),
-            rounds: 0,
-        });
+        return Ok(Outcome::spanning(
+            CostReport::new(0),
+            RootedTree::new(1, root),
+        ));
     }
     let mut total = CostReport::new(g.edge_count());
     let mut budget: u128 = g
@@ -117,27 +45,26 @@ pub fn run_mst_hybrid(
     let mut rounds = 0;
     loop {
         rounds += 1;
-        let (ghs_tree, ghs_cost) = try_ghs_budgeted(g, root, budget, delay, seed)?;
-        accumulate(&mut total, &ghs_cost);
-        if let Some(tree) = ghs_tree {
-            return Ok(MstHybridOutcome {
-                tree,
-                winner: HybridWinner::Dfs,
-                cost: total,
-                rounds,
-            });
-        }
-        let centr = run_mst_centr_budgeted(g, root, budget, delay, seed)?;
-        accumulate(&mut total, &centr.cost);
-        if let Some(tree) = centr.tree {
+        let ghs = Simulator::new(g)
+            .comm_limit(budget)
+            .run_with_oracle(&mut oracle.clone(), Ghs::new)?;
+        total.then(&ghs.cost);
+        if !ghs.truncated && ghs.states.iter().any(Ghs::halted) {
+            let tree = tree_from_branches(g, root, |v| ghs.states[v.index()].branch_neighbors());
             if tree.is_spanning() {
-                return Ok(MstHybridOutcome {
-                    tree,
-                    winner: HybridWinner::MstCentr,
-                    cost: total,
-                    rounds,
+                return Ok(Outcome {
+                    winner: Some(Claim::MstGhs { root }),
+                    ..Outcome::spanning(total, tree)
                 });
             }
+        }
+        let (tree, cost) = full_info::budgeted(g, root, MstRule, budget, &mut oracle.clone())?;
+        total.then(&cost);
+        if let Some(tree) = tree.filter(RootedTree::is_spanning) {
+            return Ok(Outcome {
+                winner: Some(Claim::MstCentr { root }),
+                ..Outcome::spanning(total, tree)
+            });
         }
         budget = budget.saturating_mul(2);
         assert!(rounds < 200, "budget doubling failed to converge");
@@ -149,24 +76,30 @@ mod tests {
     use super::*;
     use csp_graph::params::CostParams;
     use csp_graph::{algo, generators};
+    use csp_sim::{DelayModel, ModelOracle};
+
+    fn worst() -> ModelOracle {
+        ModelOracle::new(DelayModel::WorstCase, 0)
+    }
 
     #[test]
     fn hybrid_finds_the_mst_in_both_regimes() {
+        let root = NodeId::new(0);
         // Regime A: Ê + V̂ log n ≪ n·V̂ — GHS should win.
         let a = generators::sparse_heavy_path(24, 50, 2);
-        let out_a = run_mst_hybrid(&a, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+        let out_a = Claim::MstHybrid { root }.run(&a, worst()).unwrap();
         assert_eq!(
-            out_a.tree.weight(),
-            algo::prim_mst(&a, NodeId::new(0)).weight()
+            out_a.tree.unwrap().weight(),
+            algo::prim_mst(&a, root).weight()
         );
 
         // Regime B: n·V̂ ≪ Ê — MST_centr should win.
         let b = generators::lower_bound_family(20, 16);
         let pb = CostParams::of(&b);
-        let out_b = run_mst_hybrid(&b, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+        let out_b = Claim::MstHybrid { root }.run(&b, worst()).unwrap();
         assert_eq!(
-            out_b.tree.weight(),
-            algo::prim_mst(&b, NodeId::new(0)).weight()
+            out_b.tree.unwrap().weight(),
+            algo::prim_mst(&b, root).weight()
         );
         assert!(
             out_b.cost.weighted_comm < pb.total_weight,
@@ -179,19 +112,10 @@ mod tests {
     #[test]
     fn hybrid_cost_within_constant_of_best_component() {
         let g = generators::connected_gnp(18, 0.25, generators::WeightDist::Uniform(1, 24), 4);
-        let ghs = crate::mst::ghs::run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0)
-            .unwrap()
-            .cost
-            .weighted_comm;
-        let centr = crate::mst::centr::run_mst_centr(&g, NodeId::new(0), DelayModel::WorstCase, 0)
-            .unwrap()
-            .cost
-            .weighted_comm;
-        let best = ghs.min(centr);
-        let hybrid = run_mst_hybrid(&g, NodeId::new(0), DelayModel::WorstCase, 0)
-            .unwrap()
-            .cost
-            .weighted_comm;
+        let root = NodeId::new(0);
+        let comm = |row: Claim| row.run(&g, worst()).unwrap().cost.weighted_comm;
+        let best = comm(Claim::MstGhs { root }).min(comm(Claim::MstCentr { root }));
+        let hybrid = comm(Claim::MstHybrid { root });
         assert!(
             hybrid <= best * 16,
             "hybrid {hybrid} ≫ 16×best component {best}"

@@ -5,13 +5,14 @@
 //! by flooding in §8.1 (`O(Ê)` extra communication, `O(D̂)` time), or by
 //! the controlled DFS in §8.2 (also `O(Ê)`, but leaving the root with a
 //! running estimate of the communication spent, the hook `MST_hybrid`
-//! arbitrates on). The bare [`run_mst_ghs`](super::run_mst_ghs) wakes
+//! arbitrates on). The bare GHS row
+//! ([`Claim::MstGhs`](crate::catalogue::Claim::MstGhs)) wakes
 //! every vertex spontaneously (GHS's other standard mode); these
 //! variants reproduce the single-initiator protocols.
 
 use crate::dfs::{Dfs, DfsMsg};
 use crate::mst::ghs::{Ghs, GhsMsg};
-use crate::util::tree_from_parents;
+use crate::util::tree_from_branches;
 use csp_graph::{NodeId, RootedTree, WeightedGraph};
 use csp_sim::{Context, CostClass, CostReport, DelayModel, Process, SimError, Simulator};
 use std::collections::VecDeque;
@@ -205,27 +206,7 @@ pub fn run_mst_ghs_staged(
         run.states.iter().any(|s| s.ghs().halted()),
         "GHS must detect termination"
     );
-    let mut is_branch = vec![false; g.edge_count()];
-    for v in g.nodes() {
-        for u in run.states[v.index()].ghs().branch_neighbors() {
-            let eid = g.edge_between(v, u).expect("branch is a graph edge");
-            is_branch[eid.index()] = true;
-        }
-    }
-    let mut parents: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    let mut seen = vec![false; g.node_count()];
-    seen[root.index()] = true;
-    let mut queue = VecDeque::from([root]);
-    while let Some(v) = queue.pop_front() {
-        for (u, eid, _) in g.neighbors(v) {
-            if is_branch[eid.index()] && !seen[u.index()] {
-                seen[u.index()] = true;
-                parents[u.index()] = Some(v);
-                queue.push_back(u);
-            }
-        }
-    }
-    let tree = tree_from_parents(g, root, &parents);
+    let tree = tree_from_branches(g, root, |v| run.states[v.index()].ghs().branch_neighbors());
     assert!(tree.is_spanning(), "staged GHS tree must span");
     Ok(StagedGhsOutcome {
         tree,
@@ -271,11 +252,10 @@ mod tests {
     #[test]
     fn staged_matches_spontaneous_tree() {
         let g = generators::heavy_chord_cycle(14, 60);
-        let spontaneous =
-            super::super::ghs::run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0)
-                .unwrap()
-                .tree
-                .weight();
+        let spontaneous = crate::mst::ghs::tests::ghs(&g, 0, DelayModel::WorstCase, 0)
+            .tree
+            .unwrap()
+            .weight();
         let staged =
             run_mst_ghs_staged(&g, NodeId::new(0), WakeUp::Flood, DelayModel::WorstCase, 0)
                 .unwrap()

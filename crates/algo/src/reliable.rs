@@ -182,7 +182,11 @@ mod tests {
         // Without faults the wrapper never retransmits, so the protocol
         // meter matches the bare run exactly; acks land in Auxiliary.
         let g = gnp();
-        let bare = crate::flood::run_flood(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+        let bare = crate::catalogue::Claim::Flood {
+            root: NodeId::new(0),
+        }
+        .run(&g, ModelOracle::new(DelayModel::WorstCase, 0))
+        .unwrap();
         let mut oracle = ModelOracle::new(DelayModel::WorstCase, 0);
         let wrapped = run_reliable_flood(&g, NodeId::new(0), &mut oracle, 4).unwrap();
         assert_eq!(

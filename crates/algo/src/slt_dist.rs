@@ -8,53 +8,34 @@
 //! spliced subgraph `G'` finishes the job (`O(n²·V̂)` comm, `O(n·D̂)`
 //! time). Overall `O(V̂·n²)` communication and `O(D̂·n²)` time.
 //!
-//! Every vertex outputs its parent in the resulting SLT.
+//! Every vertex outputs its parent in the resulting SLT. The run and its
+//! bounds are the Figure 5 row, [`Claim::Slt`].
 
-use crate::full_info::{run_growth, MstRule, SptRule};
-use csp_graph::slt::{shallow_light_tree, BreakpointRule, ShallowLightTree};
+use crate::catalogue::{Claim, Outcome};
+use csp_graph::slt::shallow_light_tree;
 use csp_graph::{GraphBuilder, NodeId, WeightedGraph};
-use csp_sim::{CostReport, DelayModel, SimError, SimTime};
-
-/// Outcome of the distributed SLT construction.
-#[derive(Debug)]
-pub struct SltDistOutcome {
-    /// The shallow-light tree (with the sequential construction's
-    /// metadata).
-    pub slt: ShallowLightTree,
-    /// Combined metered costs of both distributed passes.
-    pub cost: CostReport,
-}
+use csp_sim::{LinkOracle, SimError};
 
 /// Runs the distributed SLT construction rooted at `root` with
-/// breakpoint parameter `q`.
+/// breakpoint parameter `q`, each pass under its own copy of `oracle`.
 ///
 /// The two communication-bearing passes (`MST_centr` on `G`, `SPT_centr`
-/// on the spliced `G'`) are executed distributedly and metered; the line
-/// stretching and breakpoint scan between them are local computation at
-/// every (fully informed) vertex and cost nothing, exactly as in the
-/// paper's Theorem 2.7 accounting.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected, `root` is out of range, or `q == 0`.
-pub fn run_slt_dist(
+/// on the spliced `G'`) are executed distributedly and metered, composed
+/// in sequence; the line stretching and breakpoint scan between them are
+/// local computation at every (fully informed) vertex and cost nothing,
+/// exactly as in the paper's Theorem 2.7 accounting.
+pub(crate) fn run<O: LinkOracle + Clone>(
     g: &WeightedGraph,
     root: NodeId,
     q: u64,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<SltDistOutcome, SimError> {
-    g.check_node(root);
+    oracle: &O,
+) -> Result<Outcome, SimError> {
     // Pass 1: distributed MST; afterwards every vertex knows the tree.
-    let mst_pass = run_growth(g, root, MstRule, delay, seed)?;
+    let mut cost = Claim::MstCentr { root }.run(g, oracle.clone())?.cost;
 
     // Local computation at every vertex: Euler tour, breakpoints, splice.
-    // (`shallow_light_tree_with_rule` recomputes the same canonical MST
-    // internally — identical to what the vertices now hold.)
+    // (`shallow_light_tree` recomputes the same canonical MST internally —
+    // identical to what the vertices now hold.)
     let reference = shallow_light_tree(g, root, q);
 
     // Pass 2: distributed SPT over G' = MST ∪ spliced paths.
@@ -67,24 +48,20 @@ pub fn run_slt_dist(
         }
     }
     let g_prime = b.build().expect("SLT edges form a valid graph");
-    let spt_pass = run_growth(&g_prime, root, SptRule, delay, seed)?;
-
-    // Combine the two passes' costs (sequential composition).
-    let mut cost = CostReport::new(g.edge_count());
-    cost.messages = mst_pass.cost.messages + spt_pass.cost.messages;
-    cost.weighted_comm = mst_pass.cost.weighted_comm + spt_pass.cost.weighted_comm;
-    cost.completion = SimTime::new(mst_pass.cost.completion.get() + spt_pass.cost.completion.get());
-    for i in 0..4 {
-        cost.messages_by_class[i] =
-            mst_pass.cost.messages_by_class[i] + spt_pass.cost.messages_by_class[i];
-        cost.comm_by_class[i] = mst_pass.cost.comm_by_class[i] + spt_pass.cost.comm_by_class[i];
+    let mut spliced = Claim::SptCentr { source: root }
+        .run(&g_prime, oracle.clone())?
+        .cost;
+    // G' is a subgraph of G: carry its per-edge counts to G's edge ids.
+    let mut per_edge = vec![0; g.edge_count()];
+    for (e, &count) in g_prime.edges().zip(&spliced.per_edge_messages) {
+        let eid = g
+            .edge_between(e.u(), e.v())
+            .expect("G' edges are edges of G");
+        per_edge[eid.index()] += count;
     }
-
-    let _ = BreakpointRule::RootPath; // the rule used by `shallow_light_tree`
-    Ok(SltDistOutcome {
-        slt: reference,
-        cost,
-    })
+    spliced.per_edge_messages = per_edge;
+    cost.then(&spliced);
+    Ok(Outcome::spanning(cost, reference.tree))
 }
 
 #[cfg(test)]
@@ -92,6 +69,11 @@ mod tests {
     use super::*;
     use csp_graph::generators;
     use csp_graph::params::CostParams;
+    use csp_sim::{DelayModel, ModelOracle};
+
+    fn worst() -> ModelOracle {
+        ModelOracle::new(DelayModel::WorstCase, 0)
+    }
 
     #[test]
     fn distributed_slt_satisfies_both_bounds() {
@@ -100,24 +82,34 @@ mod tests {
             let g =
                 generators::connected_gnp(16, 0.2, generators::WeightDist::Uniform(1, 24), seed);
             let p = CostParams::of(&g);
-            let out = run_slt_dist(&g, NodeId::new(0), q, DelayModel::WorstCase, 0).unwrap();
-            assert!(out.slt.tree.is_spanning());
+            let row = Claim::Slt {
+                root: NodeId::new(0),
+                q,
+            };
+            let tree = row.run(&g, worst()).unwrap().tree.unwrap();
             // Lemma 2.4 and 2.5 bounds.
-            assert!(out.slt.weight().get() * q as u128 <= p.mst_weight.get() * (q as u128 + 2));
-            assert!(out.slt.height() <= p.weighted_diameter * (q as u128 + 1));
+            assert!(tree.weight().get() * q as u128 <= p.mst_weight.get() * (q as u128 + 2));
+            assert!(tree.height() <= p.weighted_diameter * (q as u128 + 1));
         }
     }
 
     #[test]
     fn communication_is_o_n_squared_v() {
         let g = generators::heavy_chord_cycle(12, 50);
-        let p = CostParams::of(&g);
-        let out = run_slt_dist(&g, NodeId::new(0), 2, DelayModel::WorstCase, 0).unwrap();
-        let bound = p.mst_weight * (8 * (p.n as u128) * (p.n as u128));
+        let row = Claim::Slt {
+            root: NodeId::new(0),
+            q: 2,
+        };
+        let out = row.run(&g, worst()).unwrap();
+        let bound = row.bounds(&g, &CostParams::of(&g)).comm.unwrap();
         assert!(
-            out.cost.weighted_comm <= bound,
-            "comm {} > 8·n²·V̂ = {bound}",
+            bound.admits(out.cost.weighted_comm.get()),
+            "comm {} > 8·n²·V̂",
             out.cost.weighted_comm
+        );
+        assert_eq!(
+            out.cost.per_edge_messages.iter().sum::<u64>(),
+            out.cost.messages
         );
     }
 }

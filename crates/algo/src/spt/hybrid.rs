@@ -6,65 +6,24 @@
 //! budgeted `SPT_synch` attempt (both suspended at the budget through the
 //! simulator's communication cap); the first to finish wins.
 
-use crate::con_hybrid::accumulate;
+use crate::catalogue::{Claim, Outcome};
 use crate::spt::recur::SptRecur;
-use crate::spt::synch::SptSynch;
-use crate::util::tree_from_parents;
-use csp_graph::{Cost, NodeId, RootedTree, WeightedGraph};
-use csp_sim::{CostReport, DelayModel, SimError, Simulator};
-use csp_sync::net::{run_synchronized_budgeted, GammaWConfig};
-
-/// Which component of `SPT_hybrid` finished first.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SptWinner {
-    /// The layered strip algorithm.
-    Recur,
-    /// The synchronizer-hosted synchronous algorithm.
-    Synch,
-}
-
-/// Outcome of an `SPT_hybrid` run.
-#[derive(Debug)]
-pub struct SptHybridOutcome {
-    /// The shortest-path tree.
-    pub tree: RootedTree,
-    /// Exact weighted distances from the source.
-    pub dists: Vec<Cost>,
-    /// Which component won.
-    pub winner: SptWinner,
-    /// Total metered cost across all rounds.
-    pub cost: CostReport,
-    /// Budget-doubling rounds used.
-    pub rounds: u32,
-}
+use crate::spt::synch;
+use csp_graph::{NodeId, WeightedGraph};
+use csp_sim::{CostReport, LinkOracle, SimError, Simulator};
 
 /// Runs `SPT_hybrid` from `s` with strip depth `delta` (for the recur
-/// component) and cluster parameter `k` (for the synch component).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected, `s` is out of range, `delta == 0` or
-/// `k < 2`.
-pub fn run_spt_hybrid(
+/// component) and cluster parameter `k` (for the synch component), each
+/// attempt under its own copy of `oracle`; the outcome names the
+/// component that finished.
+pub(crate) fn run<O: LinkOracle + Clone>(
     g: &WeightedGraph,
     s: NodeId,
     delta: u64,
     k: usize,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<SptHybridOutcome, SimError> {
-    g.check_node(s);
-    let ecc = csp_graph::algo::distances(g, s)
-        .into_iter()
-        .map(|d| d.get() as u64)
-        .max()
-        .unwrap_or(0);
-    let horizon = ecc + g.max_weight().get() + 1;
-    let config = GammaWConfig::new(k);
+    oracle: &O,
+) -> Result<Outcome, SimError> {
+    let synch_hosts = synch::hosts(g, s, k);
     let mut total = CostReport::new(g.edge_count());
     let mut budget: u128 = g
         .neighbors(s)
@@ -77,46 +36,29 @@ pub fn run_spt_hybrid(
         rounds += 1;
         // Component 1: budgeted SPT_recur.
         let recur = Simulator::new(g)
-            .delay(delay)
-            .seed(seed)
             .comm_limit(budget)
-            .run(|v, _| SptRecur::new(v, s, delta))?;
-        accumulate(&mut total, &recur.cost);
+            .run_with_oracle(&mut oracle.clone(), |v, _| SptRecur::new(v, s, delta))?;
+        total.then(&recur.cost);
         if !recur.truncated && recur.states[s.index()].finished() {
-            let parents: Vec<Option<NodeId>> = recur.states.iter().map(SptRecur::parent).collect();
-            let tree = tree_from_parents(g, s, &parents);
-            let dists = recur
-                .states
-                .iter()
-                .map(|st| st.dist().expect("finished run reached everyone"))
-                .collect();
-            return Ok(SptHybridOutcome {
-                tree,
-                dists,
-                winner: SptWinner::Recur,
-                cost: total,
-                rounds,
+            let per_vertex = recur.states.iter().map(|st| (st.parent(), st.dist()));
+            return Ok(Outcome {
+                winner: Some(Claim::SptRecur { source: s, delta }),
+                ..Outcome::shortest_paths(g, s, total, per_vertex)
             });
         }
         // Component 2: budgeted SPT_synch.
-        let (states, cost) =
-            run_synchronized_budgeted(g, &config, horizon, budget, delay, seed, |v, _| {
-                SptSynch::new(v, s)
-            })?;
-        accumulate(&mut total, &cost);
-        if let Some(states) = states {
-            let parents: Vec<Option<NodeId>> = states.iter().map(SptSynch::parent).collect();
-            let tree = tree_from_parents(g, s, &parents);
-            let dists = states
+        let synch = Simulator::new(g)
+            .comm_limit(budget)
+            .run_with_oracle(&mut oracle.clone(), &synch_hosts)?;
+        total.then(&synch.cost);
+        if !synch.truncated && synch.states.iter().all(|h| h.undelivered() == 0) {
+            let per_vertex = synch
+                .states
                 .iter()
-                .map(|st| st.dist().expect("finished run reached everyone"))
-                .collect();
-            return Ok(SptHybridOutcome {
-                tree,
-                dists,
-                winner: SptWinner::Synch,
-                cost: total,
-                rounds,
+                .map(|h| (h.hosted().parent(), h.hosted().dist()));
+            return Ok(Outcome {
+                winner: Some(Claim::SptSynch { source: s, k }),
+                ..Outcome::shortest_paths(g, s, total, per_vertex)
             });
         }
         budget = budget.saturating_mul(2);
@@ -128,36 +70,37 @@ pub fn run_spt_hybrid(
 mod tests {
     use super::*;
     use csp_graph::{algo, generators};
+    use csp_sim::{DelayModel, ModelOracle};
+
+    fn worst() -> ModelOracle {
+        ModelOracle::new(DelayModel::WorstCase, 0)
+    }
 
     #[test]
     fn hybrid_distances_are_exact() {
         let g = generators::connected_gnp(14, 0.25, generators::WeightDist::Uniform(1, 10), 6);
-        let out = run_spt_hybrid(&g, NodeId::new(0), 4, 2, DelayModel::WorstCase, 0).unwrap();
-        let reference = algo::distances(&g, NodeId::new(0));
-        for v in g.nodes() {
-            assert_eq!(out.dists[v.index()], reference[v.index()]);
-        }
-        assert!(out.tree.is_spanning());
+        let source = NodeId::new(0);
+        let row = Claim::SptHybrid {
+            source,
+            delta: 4,
+            k: 2,
+        };
+        let out = row.run(&g, worst()).unwrap();
+        assert_eq!(out.dists, algo::distances(&g, source));
     }
 
     #[test]
     fn hybrid_cost_within_constant_of_best_component() {
         let g = generators::grid(3, 4, generators::WeightDist::Uniform(1, 8), 2);
-        let recur =
-            crate::spt::recur::run_spt_recur(&g, NodeId::new(0), 4, DelayModel::WorstCase, 0)
-                .unwrap()
-                .cost
-                .weighted_comm;
-        let synch =
-            crate::spt::synch::run_spt_synch(&g, NodeId::new(0), 2, DelayModel::WorstCase, 0)
-                .unwrap()
-                .cost
-                .weighted_comm;
-        let best = recur.min(synch);
-        let hybrid = run_spt_hybrid(&g, NodeId::new(0), 4, 2, DelayModel::WorstCase, 0)
-            .unwrap()
-            .cost
-            .weighted_comm;
+        let source = NodeId::new(0);
+        let comm = |row: Claim| row.run(&g, worst()).unwrap().cost.weighted_comm;
+        let best =
+            comm(Claim::SptRecur { source, delta: 4 }).min(comm(Claim::SptSynch { source, k: 2 }));
+        let hybrid = comm(Claim::SptHybrid {
+            source,
+            delta: 4,
+            k: 2,
+        });
         assert!(
             hybrid <= best * 16,
             "hybrid {hybrid} ≫ 16×best component {best}"

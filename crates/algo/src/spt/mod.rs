@@ -1,18 +1,13 @@
-//! Shortest-path tree protocols (Sections 6.4 and 9).
+//! Shortest-path tree protocols (Sections 6.4 and 9); their runs and
+//! bounds are the Figure 4 rows of [`crate::catalogue`].
 //!
-//! | algorithm | communication | time |
-//! |---|---|---|
-//! | [`centr::run_spt_centr`] | `O(n·w(SPT)) = O(n²·V̂)` | `O(n·D̂)` |
-//! | [`synch::run_spt_synch`] | `O(Ê + D̂·k·n·log n)` | `O(D̂·log_k n·log n)` |
-//! | [`recur::run_spt_recur`] | strip-tunable (Figure 9) | strip-tunable |
-//! | [`hybrid::run_spt_hybrid`] | min of `synch`/`recur` | — |
+//! | algorithm | row | communication | time |
+//! |---|---|---|---|
+//! | `SPT_centr` ([`crate::full_info`], Dijkstra's rule) | [`SptCentr`](crate::catalogue::Claim::SptCentr) | `O(n·w(SPT)) = O(n²·V̂)` | `O(n·D̂)` |
+//! | [`synch::SptSynch`] under γ_w | [`SptSynch`](crate::catalogue::Claim::SptSynch) | `O(Ê + D̂·k·n·log n)` | `O(D̂·log_k n·log n)` |
+//! | [`recur::SptRecur`] | [`SptRecur`](crate::catalogue::Claim::SptRecur) | strip-tunable (Figure 9) | strip-tunable |
+//! | [`hybrid`] | [`SptHybrid`](crate::catalogue::Claim::SptHybrid) | min of `synch`/`recur` | — |
 
-pub mod centr;
 pub mod hybrid;
 pub mod recur;
 pub mod synch;
-
-pub use centr::{run_spt_centr, run_spt_centr_budgeted};
-pub use hybrid::run_spt_hybrid;
-pub use recur::run_spt_recur;
-pub use synch::run_spt_synch;

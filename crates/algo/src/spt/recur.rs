@@ -34,11 +34,8 @@
 //! `Start`/`Ack` traffic is metered as [`CostClass::Auxiliary`] so the
 //! synchronization overhead is separable in benchmarks.
 
-use crate::util::tree_from_parents;
-use csp_graph::{Cost, NodeId, RootedTree, WeightedGraph};
-use csp_sim::{
-    Context, CostClass, CostReport, DelayModel, FaultAware, Process, SimError, Simulator,
-};
+use csp_graph::{Cost, NodeId};
+use csp_sim::{Context, CostClass, FaultAware, Process};
 
 /// Messages of `SPT_recur`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -345,80 +342,49 @@ impl Process for SptRecur {
 /// [`Detect`](csp_sim::Detect).
 impl FaultAware for SptRecur {}
 
-/// Outcome of an `SPT_recur` run.
-#[derive(Debug)]
-pub struct SptRecurOutcome {
-    /// The shortest-path tree.
-    pub tree: RootedTree,
-    /// Exact weighted distances from the source.
-    pub dists: Vec<Cost>,
-    /// Number of strips processed.
-    pub strips: u64,
-    /// Metered costs (`Relax` under `Protocol`, `Start`/`Ack` under
-    /// `Auxiliary`).
-    pub cost: CostReport,
-}
-
-/// Runs `SPT_recur` from `s` with strip depth `delta`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected, `s` is out of range, or `delta == 0`.
-pub fn run_spt_recur(
-    g: &WeightedGraph,
-    s: NodeId,
-    delta: u64,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<SptRecurOutcome, SimError> {
-    g.check_node(s);
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, _| SptRecur::new(v, s, delta))?;
-    let src = &run.states[s.index()];
-    assert!(
-        src.finished(),
-        "SPT_recur must complete on a connected graph"
-    );
-    let parents: Vec<Option<NodeId>> = run.states.iter().map(SptRecur::parent).collect();
-    let tree = tree_from_parents(g, s, &parents);
-    assert!(tree.is_spanning(), "SPT_recur tree must span");
-    let dists = run
-        .states
-        .iter()
-        .map(|st| st.dist().expect("all vertices reached"))
-        .collect();
-    Ok(SptRecurOutcome {
-        tree,
-        dists,
-        strips: src.strips_used() + 1,
-        cost: run.cost,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_graph::{algo, generators};
+    use crate::catalogue::{Claim, Outcome};
+    use csp_graph::{algo, generators, WeightedGraph};
+    use csp_sim::{DelayModel, ModelOracle, Simulator};
+
+    fn recur(
+        g: &WeightedGraph,
+        source: usize,
+        delta: u64,
+        delay: DelayModel,
+        seed: u64,
+    ) -> Outcome {
+        let row = Claim::SptRecur {
+            source: NodeId::new(source),
+            delta,
+        };
+        row.run(g, ModelOracle::new(delay, seed)).unwrap()
+    }
+
+    /// Strips the source processed in a worst-case run.
+    fn strips(g: &WeightedGraph, delta: u64) -> u64 {
+        let run = Simulator::new(g)
+            .run(|v, _| SptRecur::new(v, NodeId::new(0), delta))
+            .unwrap();
+        run.states[0].strips_used() + 1
+    }
 
     #[test]
     fn exact_distances_for_various_strip_depths() {
         let g = generators::connected_gnp(22, 0.2, generators::WeightDist::Uniform(1, 30), 7);
         let reference = algo::distances(&g, NodeId::new(0));
         for delta in [1, 2, 5, 17, 1000] {
-            let out = run_spt_recur(&g, NodeId::new(0), delta, DelayModel::WorstCase, 0).unwrap();
+            let out = recur(&g, 0, delta, DelayModel::WorstCase, 0);
+            let tree = out.tree.unwrap();
             for v in g.nodes() {
                 assert_eq!(
                     out.dists[v.index()],
                     reference[v.index()],
                     "Δ={delta}, vertex {v}"
                 );
-                assert_eq!(out.tree.depth(v), reference[v.index()]);
+                assert_eq!(tree.depth(v), reference[v.index()]);
             }
         }
     }
@@ -428,28 +394,25 @@ mod tests {
         let g = generators::grid(4, 5, generators::WeightDist::Uniform(1, 12), 9);
         let reference = algo::distances(&g, NodeId::new(3));
         for seed in 0..5 {
-            let out = run_spt_recur(&g, NodeId::new(3), 4, DelayModel::Uniform, seed).unwrap();
-            for v in g.nodes() {
-                assert_eq!(out.dists[v.index()], reference[v.index()], "seed {seed}");
-            }
+            let out = recur(&g, 3, 4, DelayModel::Uniform, seed);
+            assert_eq!(out.dists, reference, "seed {seed}");
         }
     }
 
     #[test]
     fn strip_count_matches_diameter_over_delta() {
         let g = generators::path(12, |_| 5); // eccentricity of 0 = 55
-        let out = run_spt_recur(&g, NodeId::new(0), 10, DelayModel::WorstCase, 0).unwrap();
-        // distances reach 55; strips of depth 10 → at least 6 strips.
-        assert!(out.strips >= 6, "expected ≥ 6 strips, got {}", out.strips);
-        let big = run_spt_recur(&g, NodeId::new(0), 100, DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(big.strips, 1);
+                                             // distances reach 55; strips of depth 10 → at least 6 strips.
+        let fine = strips(&g, 10);
+        assert!(fine >= 6, "expected ≥ 6 strips, got {fine}");
+        assert_eq!(strips(&g, 100), 1);
     }
 
     #[test]
     fn bigger_strips_mean_less_sync_overhead() {
         let g = generators::connected_gnp(25, 0.15, generators::WeightDist::Uniform(1, 40), 2);
-        let fine = run_spt_recur(&g, NodeId::new(0), 2, DelayModel::WorstCase, 0).unwrap();
-        let coarse = run_spt_recur(&g, NodeId::new(0), 200, DelayModel::WorstCase, 0).unwrap();
+        let fine = recur(&g, 0, 2, DelayModel::WorstCase, 0);
+        let coarse = recur(&g, 0, 200, DelayModel::WorstCase, 0);
         assert!(
             coarse.cost.comm_of(CostClass::Auxiliary) <= fine.cost.comm_of(CostClass::Auxiliary),
             "coarse strips must not increase sync overhead"
@@ -459,7 +422,7 @@ mod tests {
     #[test]
     fn single_vertex_is_trivial() {
         let g = csp_graph::GraphBuilder::new(1).build().unwrap();
-        let out = run_spt_recur(&g, NodeId::new(0), 5, DelayModel::WorstCase, 0).unwrap();
+        let out = recur(&g, 0, 5, DelayModel::WorstCase, 0);
         assert_eq!(out.cost.messages, 0);
         assert_eq!(out.dists[0], Cost::ZERO);
     }
@@ -469,7 +432,7 @@ mod tests {
         // An edge of weight 50 with Δ = 3: relaxed exactly once, in the
         // strip containing its relaxed distance.
         let g = generators::path(3, |i| if i == 0 { 50 } else { 1 });
-        let out = run_spt_recur(&g, NodeId::new(0), 3, DelayModel::WorstCase, 0).unwrap();
+        let out = recur(&g, 0, 3, DelayModel::WorstCase, 0);
         assert_eq!(out.dists[1], Cost::new(50));
         assert_eq!(out.dists[2], Cost::new(51));
     }

@@ -9,18 +9,17 @@
 //! the synchronous protocol costs `O(Ê)` communication and `D̂` time.
 //!
 //! [`run_spt_synch_ideal`] executes this directly on the lock-step
-//! [`SyncRunner`]. The full `SPT_synch` of the paper —
-//! [`run_spt_synch`] — runs the same
+//! [`SyncRunner`]. The full `SPT_synch` of the paper — the
+//! [`SptSynch`](crate::catalogue::Claim::SptSynch) row — runs the same
 //! protocol on an *asynchronous* network through the network synchronizer
 //! γ_w of `csp-sync`, paying the synchronizer's `O(k·n·log n)` per-pulse
 //! communication overhead (Corollary 9.1: `O(Ê + D̂·k·n·log n)` total).
 
-use crate::util::tree_from_parents;
-use csp_graph::{Cost, NodeId, RootedTree, WeightedGraph};
+use crate::catalogue::Outcome;
+use csp_graph::{Cost, NodeId, WeightedGraph};
 use csp_sim::sync::{SyncContext, SyncProcess, SyncRunner};
-use csp_sim::CostReport;
-use csp_sim::{DelayModel, SimError};
-use csp_sync::net::{run_synchronized, GammaWConfig};
+use csp_sync::net::{level_layouts, GammaWConfig, GammaWHost};
+use std::sync::Arc;
 
 /// Per-vertex state of the synchronous SPT flood.
 #[derive(Clone, Debug)]
@@ -82,92 +81,56 @@ impl SyncProcess for SptSynch {
     }
 }
 
-/// Outcome of a synchronous SPT run.
-#[derive(Debug)]
-pub struct SptSynchOutcome {
-    /// The shortest-path tree.
-    pub tree: RootedTree,
-    /// Exact weighted distances.
-    pub dists: Vec<Cost>,
-    /// Metered costs. For the ideal runner, `completion` equals `D̂`; for
-    /// the synchronizer-hosted run it is the asynchronous wall-clock, and
-    /// the synchronizer's overhead is metered under
-    /// [`CostClass::Synchronizer`](csp_sim::CostClass::Synchronizer).
-    pub cost: CostReport,
-}
-
 /// Runs the synchronous SPT on the lock-step weighted synchronous
-/// executor (the idealized network the synchronizer simulates).
+/// executor (the idealized network the synchronizer simulates): its
+/// `completion` is `D̂`.
 ///
 /// # Panics
 ///
 /// Panics if `g` is disconnected, `s` is out of range, or the run
 /// exceeds the pulse budget (`D̂` pulses are needed).
-pub fn run_spt_synch_ideal(g: &WeightedGraph, s: NodeId) -> SptSynchOutcome {
+pub fn run_spt_synch_ideal(g: &WeightedGraph, s: NodeId) -> Outcome {
     g.check_node(s);
     let run = SyncRunner::new(&g.clone())
         .pulse_limit(u64::MAX / 4)
         .run(|v, _| SptSynch::new(v, s))
         .expect("synchronous SPT cannot exceed the pulse budget");
-    extract(g, s, run.states, run.cost)
+    let per_vertex = run.states.iter().map(|st| (st.parent(), st.dist()));
+    Outcome::shortest_paths(g, s, run.cost, per_vertex)
 }
 
-/// Runs `SPT_synch` proper: the synchronous SPT protocol hosted on an
-/// asynchronous network by the network synchronizer γ_w with cluster
-/// parameter `k` (Corollary 9.1).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
+/// The γ_w hosts of `SPT_synch` from `s` with cluster parameter `k`.
+/// The synchronous SPT finishes at pulse D̂ (the eccentricity of `s`) and
+/// the synchronizer needs the horizon up front (Section 4 provides
+/// pulses, not termination detection — see the γ_w docs): the last
+/// vertex fires at pulse D̂ and its (ignored) echo messages land at most
+/// `W` pulses later.
 ///
 /// # Panics
 ///
-/// Panics if `g` is disconnected or `s` is out of range.
-pub fn run_spt_synch(
+/// Panics if `k < 2`.
+pub(crate) fn hosts(
     g: &WeightedGraph,
     s: NodeId,
     k: usize,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<SptSynchOutcome, SimError> {
-    g.check_node(s);
-    let config = GammaWConfig::new(k);
-    // The synchronous SPT finishes at pulse D̂ (the eccentricity of `s`);
-    // the synchronizer needs the horizon up front (Section 4 provides
-    // pulses, not termination detection — see the γ_w docs).
+) -> impl Fn(NodeId, &WeightedGraph) -> GammaWHost<SptSynch> + Sync {
+    let layouts = level_layouts(g, &GammaWConfig::new(k));
     let ecc = csp_graph::algo::distances(g, s)
         .into_iter()
         .map(|d| d.get() as u64)
         .max()
         .unwrap_or(0);
-    // Horizon: the last vertex fires at pulse D̂ and its (ignored) echo
-    // messages land at most W pulses later.
     let horizon = ecc + g.max_weight().get() + 1;
-    let hosted = run_synchronized(g, &config, horizon, delay, seed, |v, _| SptSynch::new(v, s))?;
-    Ok(extract(g, s, hosted.states, hosted.cost))
-}
-
-fn extract(
-    g: &WeightedGraph,
-    s: NodeId,
-    states: Vec<SptSynch>,
-    cost: CostReport,
-) -> SptSynchOutcome {
-    let parents: Vec<Option<NodeId>> = states.iter().map(SptSynch::parent).collect();
-    let tree = tree_from_parents(g, s, &parents);
-    assert!(tree.is_spanning(), "SPT_synch tree must span");
-    let dists = states
-        .iter()
-        .map(|st| st.dist().expect("all vertices reached"))
-        .collect();
-    SptSynchOutcome { tree, dists, cost }
+    move |v, _| GammaWHost::new(SptSynch::new(v, s), Arc::clone(&layouts), horizon)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::Claim;
     use csp_graph::params::CostParams;
     use csp_graph::{algo, generators};
+    use csp_sim::{DelayModel, ModelOracle};
 
     #[test]
     fn ideal_run_matches_dijkstra_exactly() {
@@ -176,9 +139,10 @@ mod tests {
                 generators::connected_gnp(20, 0.25, generators::WeightDist::Uniform(1, 20), seed);
             let out = run_spt_synch_ideal(&g, NodeId::new(0));
             let reference = algo::distances(&g, NodeId::new(0));
+            let tree = out.tree.unwrap();
             for v in g.nodes() {
                 assert_eq!(out.dists[v.index()], reference[v.index()]);
-                assert_eq!(out.tree.depth(v), reference[v.index()]);
+                assert_eq!(tree.depth(v), reference[v.index()]);
             }
         }
     }
@@ -200,10 +164,13 @@ mod tests {
     #[test]
     fn synchronized_run_matches_dijkstra() {
         let g = generators::connected_gnp(12, 0.25, generators::WeightDist::Uniform(1, 8), 3);
-        let out = run_spt_synch(&g, NodeId::new(0), 2, DelayModel::WorstCase, 0).unwrap();
-        let reference = algo::distances(&g, NodeId::new(0));
-        for v in g.nodes() {
-            assert_eq!(out.dists[v.index()], reference[v.index()]);
-        }
+        let row = Claim::SptSynch {
+            source: NodeId::new(0),
+            k: 2,
+        };
+        let out = row
+            .run(&g, ModelOracle::new(DelayModel::WorstCase, 0))
+            .unwrap();
+        assert_eq!(out.dists, algo::distances(&g, NodeId::new(0)));
     }
 }

@@ -1,6 +1,7 @@
 //! Shared helpers for extracting structures from protocol runs.
 
 use csp_graph::{NodeId, RootedTree, WeightedGraph};
+use std::collections::VecDeque;
 
 /// Reassembles a [`RootedTree`] from per-vertex parent pointers (the usual
 /// output shape of distributed spanning-tree protocols).
@@ -46,6 +47,42 @@ pub fn tree_from_parents(
         );
     }
     tree
+}
+
+/// Roots the tree formed by *branch* edges — the output shape of the
+/// GHS-family MST protocols, where every vertex knows its incident tree
+/// edges but not their direction — at `root`, by breadth-first search
+/// over them in adjacency order.
+///
+/// # Panics
+///
+/// Panics if a reported branch is not a graph edge.
+pub fn tree_from_branches(
+    g: &WeightedGraph,
+    root: NodeId,
+    branches: impl Fn(NodeId) -> Vec<NodeId>,
+) -> RootedTree {
+    let mut is_branch = vec![false; g.edge_count()];
+    for v in g.nodes() {
+        for u in branches(v) {
+            let eid = g.edge_between(v, u).expect("branch is a graph edge");
+            is_branch[eid.index()] = true;
+        }
+    }
+    let mut parents: Vec<Option<NodeId>> = vec![None; g.node_count()];
+    let mut seen = vec![false; g.node_count()];
+    seen[root.index()] = true;
+    let mut queue = VecDeque::from([root]);
+    while let Some(v) = queue.pop_front() {
+        for (u, eid, _) in g.neighbors(v) {
+            if is_branch[eid.index()] && !seen[u.index()] {
+                seen[u.index()] = true;
+                parents[u.index()] = Some(v);
+                queue.push_back(u);
+            }
+        }
+    }
+    tree_from_parents(g, root, &parents)
 }
 
 #[cfg(test)]

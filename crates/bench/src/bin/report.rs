@@ -10,36 +10,35 @@
 //! wins on which regime, by roughly what factor, and that every measured
 //! cost stays within its stated bound (reported as a normalized ratio).
 
-use csp_adversary::{find_worst_schedule, SearchConfig};
-use csp_algo::con_hybrid::{connectivity_pivot, run_con_hybrid};
-use csp_algo::dfs::{run_dfs, Dfs};
-use csp_algo::flood::{run_flood, Flood};
-use csp_algo::global::{compute_global, Max, TreeKind};
-use csp_algo::mst::ghs::Ghs;
-use csp_algo::mst::{run_mst_centr, run_mst_fast, run_mst_ghs, run_mst_hybrid};
-use csp_algo::spt::recur::SptRecur;
+use csp_adversary::{find_worst_schedule, SearchConfig, SearchOutcome};
+use csp_algo::catalogue::{Bound, Claim, Outcome, ProcessVisitor};
 use csp_algo::spt::synch::run_spt_synch_ideal;
-use csp_algo::spt::{run_spt_centr, run_spt_hybrid, run_spt_recur, run_spt_synch};
 use csp_bench::{clock_workload, random_sweep, ratio, regime_a, regime_b, row, Workload};
-use csp_control::{run_controlled, GrantPolicy};
+use csp_control::GrantPolicy;
 use csp_graph::algo::mst_line;
 use csp_graph::generators;
 use csp_graph::params::CostParams;
 use csp_graph::slt::{shallow_light_tree, shallow_light_tree_with_rule, BreakpointRule};
-use csp_graph::{Cost, NodeId};
+use csp_graph::{Cost, NodeId, WeightedGraph};
 use csp_sim::sweep::par_map;
-use csp_sim::sync::{SyncContext, SyncProcess};
-use csp_sim::{Context, CostClass, DelayModel, Process};
-use csp_sync::clock::{run_alpha_star, run_beta_star, run_gamma_star};
-use csp_sync::net::{alpha_w_overhead, beta_w_overhead, run_synchronized, GammaWConfig};
+use csp_sim::{CostClass, CostReport, DelayModel, ModelOracle, Process, Run};
+
+const ROOT: NodeId = NodeId::new(0);
 
 fn heading(title: &str) {
     println!();
     println!("{:=^78}", format!(" {title} "));
 }
 
-fn log2c(n: usize) -> u128 {
-    (n.max(2) as f64).log2().ceil() as u128
+/// A catalogue row under worst-case delays.
+fn worst(claim: &Claim, g: &WeightedGraph) -> Outcome {
+    let oracle = ModelOracle::new(DelayModel::WorstCase, 0);
+    claim.run(g, oracle).expect("report runs quiesce")
+}
+
+/// The paper's expression of a bound the row states, as a table cell.
+fn paper(bound: Option<Bound>) -> u128 {
+    bound.expect("the row states this bound").paper as u128
 }
 
 /// §0 — the paper's motivation (Section 1.1): classical, weight-blind
@@ -62,13 +61,9 @@ fn motivation() {
         ("cycle, all w=1", &uniform),
         ("cycle, 4 heavy links", &skewed),
     ] {
-        let out = run_flood(g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        let hops = out
-            .tree
-            .members()
-            .map(|v| out.tree.hop_depth(v))
-            .max()
-            .unwrap_or(0);
+        let out = worst(&Claim::Flood { root: ROOT }, g);
+        let tree = out.tree.expect("a flood tree");
+        let hops = tree.members().map(|v| tree.hop_depth(v)).max().unwrap_or(0);
         println!(
             "{}",
             row(
@@ -102,40 +97,44 @@ fn fig1_global() {
     );
     for w in random_sweep(&[16, 32, 48, 64], 3) {
         let inputs: Vec<u64> = (0..w.params.n as u64).map(|i| i * 31 % 101).collect();
-        for (label, kind) in [
-            ("SLT q=2", TreeKind::Slt { q: 2 }),
-            ("MST", TreeKind::Mst),
-            ("SPT", TreeKind::Spt),
+        for (label, claim) in [
+            (
+                "SLT q=2",
+                Claim::GlobalSlt {
+                    root: ROOT,
+                    q: 2,
+                    inputs: inputs.clone(),
+                },
+            ),
+            (
+                "MST",
+                Claim::GlobalMst {
+                    root: ROOT,
+                    inputs: inputs.clone(),
+                },
+            ),
+            (
+                "SPT",
+                Claim::GlobalSpt {
+                    root: ROOT,
+                    inputs: inputs.clone(),
+                },
+            ),
         ] {
-            let out = compute_global(
-                &w.graph,
-                NodeId::new(0),
-                Max,
-                &inputs,
-                kind,
-                DelayModel::WorstCase,
-            )
-            .expect("global computation");
+            let out = worst(&claim, &w.graph);
+            let bounds = claim.bounds(&w.graph, &w.params);
+            let (comm, time) = (out.cost.weighted_comm, out.cost.completion.get());
             println!(
                 "{}",
                 row(
                     &[
                         w.name.clone(),
                         label.to_string(),
-                        out.cost.weighted_comm.to_string(),
-                        format!(
-                            "{:.2}",
-                            ratio(out.cost.weighted_comm.get(), w.params.mst_weight.get())
-                        ),
-                        out.cost.completion.get().to_string(),
-                        format!(
-                            "{:.2}",
-                            ratio(
-                                out.cost.completion.get() as u128,
-                                w.params.weighted_diameter.get()
-                            )
-                        ),
-                        out.value.to_string(),
+                        comm.to_string(),
+                        format!("{:.2}", ratio(comm.get(), paper(bounds.comm))),
+                        time.to_string(),
+                        format!("{:.2}", ratio(time as u128, paper(bounds.time))),
+                        out.outputs[0].to_string(),
                     ],
                     &widths
                 )
@@ -161,19 +160,17 @@ fn fig2_connectivity() {
     // Workloads are independent — fan them out over the sweep driver
     // and print the collected row bundles in workload order.
     let bundles = par_map(&workloads, workloads.len(), |w| {
-        let e_hat = w.params.total_weight;
-        let nv = w.params.mst_weight * w.params.n as u128;
-        let pivot = connectivity_pivot(&w.graph, w.params.mst_weight);
-        let root = NodeId::new(0);
-        let flood = run_flood(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
-        let dfs = run_dfs(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
-        let hybrid = run_con_hybrid(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
+        let comm_bound = |claim: Claim| paper(claim.bounds(&w.graph, &w.params).comm);
+        let e_hat = comm_bound(Claim::Flood { root: ROOT });
+        let nv = comm_bound(Claim::MstCentr { root: ROOT });
+        let pivot = comm_bound(Claim::ConHybrid { root: ROOT });
         [
-            ("CON_flood", flood.cost.weighted_comm),
-            ("DFS", dfs.cost.weighted_comm),
-            ("CON_hybrid", hybrid.cost.weighted_comm),
+            ("CON_flood", Claim::Flood { root: ROOT }),
+            ("DFS", Claim::Dfs { root: ROOT }),
+            ("CON_hybrid", Claim::ConHybrid { root: ROOT }),
         ]
-        .map(|(name, comm)| {
+        .map(|(name, claim)| {
+            let comm = worst(&claim, &w.graph).cost.weighted_comm;
             row(
                 &[
                     w.name.clone(),
@@ -181,7 +178,7 @@ fn fig2_connectivity() {
                     comm.to_string(),
                     e_hat.to_string(),
                     nv.to_string(),
-                    format!("{:.2}", ratio(comm.get(), pivot.get())),
+                    format!("{:.2}", ratio(comm.get(), pivot)),
                 ],
                 &widths,
             )
@@ -216,24 +213,15 @@ fn fig3_mst() {
     // Four MST algorithms × three workloads, all independent: fan the
     // workloads out over the sweep driver.
     let bundles = par_map(&workloads, workloads.len(), |w| {
-        let root = NodeId::new(0);
-        let p = &w.params;
-        let ghs = run_mst_ghs(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
-        let centr = run_mst_centr(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
-        let fast = run_mst_fast(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
-        let hybrid = run_mst_hybrid(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
-        let ghs_bound = (p.total_weight + p.mst_weight * log2c(p.n)).get();
-        let centr_bound = (p.mst_weight * p.n as u128).get();
-        let w_hat = p.mst_weight.get().max(2) as f64;
-        let fast_bound = (p.total_weight.get() as f64 * (p.n as f64).log2() * w_hat.log2()) as u128;
-        let hybrid_bound = ghs_bound.min(centr_bound);
         [
-            ("MST_ghs", ghs.cost, ghs_bound),
-            ("MST_centr", centr.cost, centr_bound),
-            ("MST_fast", fast.cost, fast_bound),
-            ("MST_hybrid", hybrid.cost, hybrid_bound),
+            ("MST_ghs", Claim::MstGhs { root: ROOT }),
+            ("MST_centr", Claim::MstCentr { root: ROOT }),
+            ("MST_fast", Claim::MstFast { root: ROOT }),
+            ("MST_hybrid", Claim::MstHybrid { root: ROOT }),
         ]
-        .map(|(name, cost, bound)| {
+        .map(|(name, claim)| {
+            let cost = worst(&claim, &w.graph).cost;
+            let bound = paper(claim.bounds(&w.graph, &w.params).comm);
             row(
                 &[
                     w.name.clone(),
@@ -270,51 +258,47 @@ fn fig4_spt() {
         "gnp n=24",
         generators::connected_gnp(24, 0.18, generators::WeightDist::Uniform(1, 16), 11),
     );
-    let s = NodeId::new(0);
-    let centr = run_spt_centr(&w.graph, s, DelayModel::WorstCase, 0).unwrap();
-    let mut lines = vec![(
-        "SPT_centr".to_string(),
-        centr.cost.weighted_comm,
-        centr.cost.comm_of(CostClass::Protocol),
-        Cost::ZERO,
-        centr.cost.completion.get(),
-    )];
+    let line = |name: String, cost: &CostReport, overhead: Cost| {
+        let proto = cost.comm_of(CostClass::Protocol);
+        (
+            name,
+            cost.weighted_comm,
+            proto,
+            overhead,
+            cost.completion.get(),
+        )
+    };
+    let centr = worst(&Claim::SptCentr { source: ROOT }, &w.graph).cost;
+    let mut lines = vec![line("SPT_centr".to_string(), &centr, Cost::ZERO)];
     for delta in [1u64, 4, 16, 64] {
-        let recur = run_spt_recur(&w.graph, s, delta, DelayModel::WorstCase, 0).unwrap();
-        lines.push((
-            format!("SPT_recur Δ={delta}"),
-            recur.cost.weighted_comm,
-            recur.cost.comm_of(CostClass::Protocol),
-            recur.cost.comm_of(CostClass::Auxiliary),
-            recur.cost.completion.get(),
-        ));
+        let recur = Claim::SptRecur {
+            source: ROOT,
+            delta,
+        };
+        let cost = worst(&recur, &w.graph).cost;
+        let overhead = cost.comm_of(CostClass::Auxiliary);
+        lines.push(line(format!("SPT_recur Δ={delta}"), &cost, overhead));
     }
-    let ideal = run_spt_synch_ideal(&w.graph, s);
-    lines.push((
-        "SPT_synch ideal".to_string(),
-        ideal.cost.weighted_comm,
-        ideal.cost.comm_of(CostClass::Protocol),
-        Cost::ZERO,
-        ideal.cost.completion.get(),
-    ));
+    let ideal = run_spt_synch_ideal(&w.graph, ROOT).cost;
+    lines.push(line("SPT_synch ideal".to_string(), &ideal, Cost::ZERO));
     for k in [2usize, 4] {
-        let synch = run_spt_synch(&w.graph, s, k, DelayModel::WorstCase, 0).unwrap();
-        lines.push((
-            format!("SPT_synch k={k}"),
-            synch.cost.weighted_comm,
-            synch.cost.comm_of(CostClass::Protocol),
-            synch.cost.comm_of(CostClass::Synchronizer),
-            synch.cost.completion.get(),
-        ));
+        let cost = worst(&Claim::SptSynch { source: ROOT, k }, &w.graph).cost;
+        let overhead = cost.comm_of(CostClass::Synchronizer);
+        lines.push(line(format!("SPT_synch k={k}"), &cost, overhead));
     }
-    let hybrid = run_spt_hybrid(&w.graph, s, 4, 2, DelayModel::WorstCase, 0).unwrap();
-    lines.push((
-        format!("SPT_hybrid ({:?})", hybrid.winner),
-        hybrid.cost.weighted_comm,
-        hybrid.cost.comm_of(CostClass::Protocol),
-        hybrid.cost.comm_of(CostClass::Synchronizer) + hybrid.cost.comm_of(CostClass::Auxiliary),
-        hybrid.cost.completion.get(),
-    ));
+    let hybrid = Claim::SptHybrid {
+        source: ROOT,
+        delta: 4,
+        k: 2,
+    };
+    let hybrid = worst(&hybrid, &w.graph);
+    let winner = match hybrid.winner {
+        Some(Claim::SptRecur { .. }) => "Recur",
+        _ => "Synch",
+    };
+    let cost = &hybrid.cost;
+    let overhead = cost.comm_of(CostClass::Synchronizer) + cost.comm_of(CostClass::Auxiliary);
+    lines.push(line(format!("SPT_hybrid ({winner})"), cost, overhead));
     for (name, comm, proto, ovh, time) in lines {
         println!(
             "{}",
@@ -463,20 +447,18 @@ fn fig7_lower_bound() {
     );
     for n in [12usize, 16, 24, 32] {
         let w = regime_b(n, 8);
-        let root = NodeId::new(0);
-        let flood = run_flood(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
-        let centr = run_mst_centr(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
-        let hybrid = run_con_hybrid(&w.graph, root, DelayModel::WorstCase, 0).unwrap();
+        let comm = |claim: Claim| worst(&claim, &w.graph).cost.weighted_comm.to_string();
+        let comm_bound = |claim: Claim| paper(claim.bounds(&w.graph, &w.params).comm);
         println!(
             "{}",
             row(
                 &[
                     n.to_string(),
-                    w.params.total_weight.to_string(),
-                    (w.params.mst_weight * n as u128).to_string(),
-                    flood.cost.weighted_comm.to_string(),
-                    centr.cost.weighted_comm.to_string(),
-                    hybrid.cost.weighted_comm.to_string(),
+                    comm_bound(Claim::Flood { root: ROOT }).to_string(),
+                    comm_bound(Claim::MstCentr { root: ROOT }).to_string(),
+                    comm(Claim::Flood { root: ROOT }),
+                    comm(Claim::MstCentr { root: ROOT }),
+                    comm(Claim::ConHybrid { root: ROOT }),
                 ],
                 &widths
             )
@@ -513,26 +495,28 @@ fn clock_sync() {
     for (n, heavy) in [(12usize, 500u64), (16, 2_000), (24, 8_000), (32, 8_000)] {
         let w = clock_workload(n, heavy);
         let pulses = 4;
-        let alpha = run_alpha_star(&w.graph, pulses, DelayModel::WorstCase, 0).unwrap();
-        let beta =
-            run_beta_star(&w.graph, NodeId::new(0), pulses, DelayModel::WorstCase, 0).unwrap();
-        let gamma = run_gamma_star(&w.graph, pulses, DelayModel::WorstCase, 0).unwrap();
-        let d = w.params.max_neighbor_distance.get().max(1);
-        let log_n = (n as f64).log2();
+        let delay = |claim: Claim| worst(&claim, &w.graph).pulses.max_pulse_delay();
+        let gamma = Claim::GammaStar { pulses };
+        let gamma_bound = gamma
+            .bounds(&w.graph, &w.params)
+            .time
+            .expect("γ*'s delay bound");
+        let gamma = delay(gamma);
         println!(
             "{}",
             row(
                 &[
                     w.name.clone(),
-                    d.to_string(),
+                    w.params.max_neighbor_distance.get().max(1).to_string(),
                     w.params.max_weight.to_string(),
-                    alpha.stats.max_pulse_delay().to_string(),
-                    beta.stats.max_pulse_delay().to_string(),
-                    gamma.stats.max_pulse_delay().to_string(),
-                    format!(
-                        "{:.2}",
-                        gamma.stats.max_pulse_delay() as f64 / (d as f64 * log_n * log_n)
-                    ),
+                    delay(Claim::AlphaStar { pulses }).to_string(),
+                    delay(Claim::BetaStar {
+                        leader: ROOT,
+                        pulses
+                    })
+                    .to_string(),
+                    gamma.to_string(),
+                    format!("{:.2}", gamma as f64 / gamma_bound.paper),
                 ],
                 &widths
             )
@@ -540,25 +524,6 @@ fn clock_sync() {
     }
     println!("paper: α* is pinned to W; γ* stays within O(d·log²n) of the Ω(d)");
     println!("lower bound regardless of how heavy the chords get.");
-}
-
-/// A tiny synchronous protocol that runs for a fixed number of pulses so
-/// the per-pulse synchronizer overhead can be measured.
-#[derive(Clone, Debug)]
-struct PulseLoad {
-    until: u64,
-}
-
-impl SyncProcess for PulseLoad {
-    type Msg = ();
-
-    fn on_pulse(&mut self, pulse: u64, _inbox: &[(NodeId, ())], ctx: &mut SyncContext<'_, ()>) {
-        if pulse == 0 && self.until > 0 {
-            ctx.wake_at(self.until);
-        } else if pulse >= self.until {
-            ctx.finish();
-        }
-    }
 }
 
 /// §8 — Section 4: synchronizer γ_w amortized overhead per pulse.
@@ -582,20 +547,14 @@ fn synchronizer_overhead() {
     );
     for n in [12usize, 20, 28] {
         let g = generators::connected_gnp(n, 0.2, generators::WeightDist::PowerOfTwo(4), 3);
+        let p = CostParams::of(&g);
         let pulses = 24u64;
         for k in [2usize, 4, 8] {
-            let out = run_synchronized(
-                &g,
-                &GammaWConfig::new(k),
-                pulses,
-                DelayModel::WorstCase,
-                0,
-                |_, _| PulseLoad { until: pulses },
-            )
-            .unwrap();
+            let claim = Claim::GammaW { k, pulses };
+            let out = worst(&claim, &g);
+            let bound = claim.bounds(&g, &p).comm.expect("C(γ_w)").paper;
             let sync_comm = out.cost.comm_of(CostClass::Synchronizer).get();
             let per_pulse = sync_comm as f64 / pulses as f64;
-            let bound = k as f64 * n as f64 * (n as f64).log2();
             println!(
                 "{}",
                 row(
@@ -631,9 +590,12 @@ fn synchronizer_overhead() {
         let g = generators::heavy_chord_cycle(16, heavy);
         let p = CostParams::of(&g);
         let pulses = 8;
-        let alpha = alpha_w_overhead(&g, pulses, DelayModel::WorstCase, 0).unwrap();
-        let beta = beta_w_overhead(&g, NodeId::new(0), pulses, DelayModel::WorstCase, 0).unwrap();
-        for (name, cost) in [("α_w", alpha), ("β_w", beta)] {
+        let leader = ROOT;
+        for (name, claim) in [
+            ("α_w", Claim::AlphaW { pulses }),
+            ("β_w", Claim::BetaW { leader, pulses }),
+        ] {
+            let cost = worst(&claim, &g).cost;
             println!(
                 "{}",
                 row(
@@ -659,41 +621,6 @@ fn synchronizer_overhead() {
     println!("pays a D̂ tree round-trip per pulse.");
 }
 
-/// A diverging "walker" for the controller table: a token that patrols
-/// the path forever, so resource consumption happens at every depth of
-/// the execution tree (which is where the grant policies differ).
-#[derive(Debug)]
-struct Walker {
-    initiator: bool,
-}
-
-impl Process for Walker {
-    type Msg = bool; // direction: true = rightward
-
-    fn on_start(&mut self, ctx: &mut Context<'_, bool>) {
-        if self.initiator {
-            ctx.send(NodeId::new(1), true);
-        }
-    }
-
-    fn on_message(&mut self, _from: NodeId, rightward: bool, ctx: &mut Context<'_, bool>) {
-        let me = ctx.self_id().index();
-        let n = ctx.node_count();
-        let (next, dir) = if rightward {
-            if me + 1 < n {
-                (me + 1, true)
-            } else {
-                (me - 1, false)
-            }
-        } else if me > 0 {
-            (me - 1, false)
-        } else {
-            (me + 1, true)
-        };
-        ctx.send(NodeId::new(next), dir);
-    }
-}
-
 /// §9 — Section 5: the controller.
 fn controller() {
     heading("Section 5 — controller (c_φ = O(c_π·log² c_π); cut-off ≤ 2·c_π)");
@@ -714,24 +641,21 @@ fn controller() {
         )
     );
     // A long path: the execution tree is deep, so request/permit routing
-    // distance is what separates the two policies.
+    // distance is what separates the two policies. The row's runaway is a
+    // token patrolling the path forever, so resource consumption happens
+    // at every depth of the execution tree.
     let g = generators::path(24, |_| 1);
+    let p = CostParams::of(&g);
     for threshold in [100u64, 400, 1600, 6400] {
         for policy in [GrantPolicy::Naive, GrantPolicy::Caching] {
-            let out = run_controlled(
-                &g,
-                NodeId::new(0),
+            let claim = Claim::Controller {
+                root: ROOT,
                 threshold,
                 policy,
-                DelayModel::WorstCase,
-                0,
-                |v, _| Walker {
-                    initiator: v == NodeId::new(0),
-                },
-            )
-            .unwrap();
-            assert!(out.suspended, "the walker must be cut off");
-            let c = (2 * threshold) as f64;
+            };
+            let out = worst(&claim, &g);
+            assert!(out.suspended, "the patrol must be cut off");
+            let bound = claim.bounds(&g, &p).comm.expect("c·log²c").paper;
             println!(
                 "{}",
                 row(
@@ -741,10 +665,7 @@ fn controller() {
                         out.cost.comm_of(CostClass::Protocol).to_string(),
                         out.cost.comm_of(CostClass::Controller).to_string(),
                         out.cost.weighted_comm.to_string(),
-                        format!(
-                            "{:.3}",
-                            out.cost.weighted_comm.get() as f64 / (c * c.log2() * c.log2())
-                        ),
+                        format!("{:.3}", out.cost.weighted_comm.get() as f64 / bound),
                     ],
                     &widths
                 )
@@ -810,6 +731,27 @@ fn companions() {
     println!("mirror the hosted traffic one-for-one (overhead factor exactly 2).");
 }
 
+/// Searches a row's processes for the schedule that delays completion
+/// most.
+struct Search<'a> {
+    g: &'a WeightedGraph,
+    cfg: &'a SearchConfig,
+}
+
+impl ProcessVisitor for Search<'_> {
+    type Output = SearchOutcome;
+
+    fn visit<P, F, C>(self, make: F, _check: C) -> SearchOutcome
+    where
+        P: Process + Clone + Sync,
+        P::Msg: Sync,
+        F: Fn(NodeId, &WeightedGraph) -> P + Sync,
+        C: FnOnce(Run<P>) -> Outcome,
+    {
+        find_worst_schedule(self.g, make, self.cfg)
+    }
+}
+
 /// §11 — the adversary: how much worse than the fixed `WorstCase` delay
 /// model can a *searched* per-message delay schedule make the Figure-2/
 /// 3/4 protocols?
@@ -840,7 +782,6 @@ fn adversary_gap() {
         .candidates_per_round(6)
         .build()
         .expect("report search config is statically valid");
-    let root = NodeId::new(0);
     let families = [
         (
             "gnp n=12",
@@ -852,25 +793,24 @@ fn adversary_gap() {
         ),
     ];
     for (family, g) in &families {
-        let mut outcomes = vec![
+        for (name, claim) in [
+            ("CON_flood", Claim::Flood { root: ROOT }),
+            ("DFS", Claim::Dfs { root: ROOT }),
+            ("MST_ghs", Claim::MstGhs { root: ROOT }),
+            // Single-strip SPT_recur = chaotic Bellman–Ford: the one
+            // Figure-4 regime whose message set depends on delivery
+            // order, so the searched adversary beats WorstCase.
             (
-                "CON_flood",
-                find_worst_schedule(g, |v, _| Flood::new(v == root), &cfg),
-            ),
-            (
-                "DFS",
-                find_worst_schedule(g, |v, g| Dfs::new(v, g, root), &cfg),
-            ),
-            ("MST_ghs", find_worst_schedule(g, Ghs::new, &cfg)),
-            (
-                // Single-strip SPT_recur = chaotic Bellman–Ford: the one
-                // Figure-4 regime whose message set depends on delivery
-                // order, so the searched adversary beats WorstCase.
                 "SPT_recur Δ=∞",
-                find_worst_schedule(g, |v, _| SptRecur::new(v, root, 1 << 40), &cfg),
+                Claim::SptRecur {
+                    source: ROOT,
+                    delta: 1 << 40,
+                },
             ),
-        ];
-        for (name, out) in outcomes.drain(..) {
+        ] {
+            let out = claim
+                .visit(g, Search { g, cfg: &cfg })
+                .expect("the gap rows have one process");
             println!(
                 "{}",
                 row(

@@ -5,8 +5,8 @@
 //! The paper's evaluation is a set of bounds tables (Figures 1–4), a
 //! construction (Figures 5–6), a lower-bound family (Figures 7–8) and
 //! the strip method (Figure 9). `src/bin/report.rs` regenerates each of
-//! them as measured tables; the Criterion benches in `benches/` track
-//! the wall-clock performance of the same runs.
+//! them as measured tables from the rows of `csp_algo::catalogue`;
+//! `tests/golden/report.txt` pins its output.
 
 use csp_graph::params::CostParams;
 use csp_graph::{generators, WeightedGraph};
@@ -71,9 +71,8 @@ pub fn clock_workload(n: usize, heavy: u64) -> Workload {
     )
 }
 
-/// The Figure-3 MST workloads — shared by the Criterion bench
-/// (`benches/fig3_mst.rs`), the report generator and `bench_all`'s
-/// `sim_hot` workload so they all measure the same graphs.
+/// The Figure-3 MST workloads measured by `bench_all`'s `sim_hot`
+/// workload.
 pub fn fig3_workloads() -> Vec<Workload> {
     vec![
         regime_a(28),

@@ -37,7 +37,7 @@ pub enum CtlMsg<M> {
 }
 
 /// The controlled wrapper around one vertex's protocol instance.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Controller<P: Process> {
     hosted: P,
     policy: GrantPolicy,

@@ -259,6 +259,46 @@ impl CostReport {
         *slot = (*slot).max(now);
     }
 
+    /// Sequential composition: appends `next`, a run on the same edges
+    /// that started when this one completed. Counts and communication
+    /// add; every completion time — the run's and each class's that
+    /// delivered anything in `next` — is offset by this report's
+    /// completion.
+    pub fn then(&mut self, next: &CostReport) {
+        debug_assert_eq!(
+            self.per_edge_messages.len(),
+            next.per_edge_messages.len(),
+            "composed runs must share the edge set"
+        );
+        let prefix = self.completion.get();
+        self.messages += next.messages;
+        self.weighted_comm += next.weighted_comm;
+        self.completion = SimTime::new(prefix + next.completion.get());
+        for class in CostClass::ALL {
+            let i = class.index();
+            self.messages_by_class[i] += next.messages_by_class[i];
+            self.comm_by_class[i] += next.comm_by_class[i];
+            if next.completion_by_class[i] > SimTime::ZERO {
+                self.completion_by_class[i] =
+                    SimTime::new(prefix + next.completion_by_class[i].get());
+            }
+        }
+        for (a, b) in self
+            .per_edge_messages
+            .iter_mut()
+            .zip(&next.per_edge_messages)
+        {
+            *a += b;
+        }
+        self.drops += next.drops;
+        self.crashed_nodes += next.crashed_nodes;
+        self.dead_events += next.dead_events;
+        self.recoveries += next.recoveries;
+        self.weight_revisions += next.weight_revisions;
+        self.overflow_pushes += next.overflow_pushes;
+        self.bucket_window = self.bucket_window.max(next.bucket_window);
+    }
+
     /// The maximum number of messages any single edge carried
     /// (a congestion measure).
     pub fn max_edge_congestion(&self) -> u64 {
@@ -324,6 +364,27 @@ mod tests {
         assert_eq!(r.messages_of(CostClass::Controller), 0);
         assert_eq!(r.per_edge_messages, vec![2, 0, 1]);
         assert_eq!(r.max_edge_congestion(), 2);
+    }
+
+    #[test]
+    fn sequential_composition_offsets_every_completion() {
+        let mut first = CostReport::new(2);
+        first.record_send(EdgeId::new(0), Weight::new(3), CostClass::Protocol);
+        first.record_delivery(SimTime::new(3), CostClass::Protocol);
+        let mut second = CostReport::new(2);
+        second.record_send(EdgeId::new(1), Weight::new(2), CostClass::Auxiliary);
+        second.record_send(EdgeId::new(0), Weight::new(3), CostClass::Protocol);
+        second.record_delivery(SimTime::new(2), CostClass::Auxiliary);
+        second.record_delivery(SimTime::new(5), CostClass::Protocol);
+        first.then(&second);
+        assert_eq!(first.messages, 3);
+        assert_eq!(first.weighted_comm, Cost::new(8));
+        assert_eq!(first.completion, SimTime::new(8));
+        assert_eq!(first.completion_of(CostClass::Protocol), SimTime::new(8));
+        assert_eq!(first.completion_of(CostClass::Auxiliary), SimTime::new(5));
+        assert_eq!(first.completion_of(CostClass::Synchronizer), SimTime::ZERO);
+        assert_eq!(first.comm_of(CostClass::Auxiliary), Cost::new(2));
+        assert_eq!(first.per_edge_messages, vec![2, 1]);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! message-minimal, but the pulse delay is governed by the *heaviest*
 //! incident edge: `Θ(W)` in the worst case.
 
-use super::stats::{ClockOutcome, PulseStats};
 use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::{Context, CostClass, DelayModel, Process, SimError, SimTime, Simulator};
+use csp_sim::{Context, CostClass, Process, SimTime};
 use std::collections::BTreeMap;
 
 /// Per-vertex state of synchronizer α\*.
@@ -76,81 +75,5 @@ impl Process for AlphaStar {
     fn on_message(&mut self, _from: NodeId, pulse: u64, ctx: &mut Context<'_, u64>) {
         *self.received.entry(pulse).or_insert(0) += 1;
         self.try_advance(ctx);
-    }
-}
-
-/// Runs synchronizer α\* for `pulses` pulses.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if some vertex failed to generate all pulses (cannot happen on
-/// a connected graph).
-pub fn run_alpha_star(
-    g: &WeightedGraph,
-    pulses: u64,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<ClockOutcome, SimError> {
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, g| AlphaStar::new(v, g, pulses))?;
-    let times: Vec<Vec<SimTime>> = run.states.iter().map(|s| s.times().to_vec()).collect();
-    assert!(
-        times.iter().all(|ts| ts.len() == pulses as usize),
-        "every vertex must generate every pulse"
-    );
-    Ok(ClockOutcome {
-        stats: PulseStats { times },
-        cost: run.cost,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use csp_graph::generators;
-    use csp_graph::params::CostParams;
-
-    #[test]
-    fn alpha_star_pulse_delay_is_theta_w() {
-        let g = generators::heavy_chord_cycle(12, 200);
-        let p = CostParams::of(&g);
-        let out = run_alpha_star(&g, 5, DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.stats.min_pulses(), 5);
-        let delay = out.stats.max_pulse_delay();
-        // Exactly W under worst-case delays: the heavy chord dominates.
-        assert_eq!(delay as u128, p.max_weight.get() as u128);
-        assert!(out.stats.is_monotone());
-    }
-
-    #[test]
-    fn alpha_star_invariant_under_random_delays() {
-        let g = generators::grid(3, 4, generators::WeightDist::Uniform(1, 30), 4);
-        for seed in 0..4 {
-            let out = run_alpha_star(&g, 4, DelayModel::Uniform, seed).unwrap();
-            assert_eq!(out.stats.min_pulses(), 4);
-            assert!(out.stats.is_monotone());
-        }
-    }
-
-    #[test]
-    fn alpha_star_message_count_is_pulses_times_degree_sum() {
-        let g = generators::cycle(8, |_| 3);
-        let out = run_alpha_star(&g, 6, DelayModel::WorstCase, 0).unwrap();
-        // Each vertex announces pulses 0..=4 (not the last) to 2 neighbors.
-        assert_eq!(out.cost.messages, 8 * 2 * 5);
-    }
-
-    #[test]
-    fn single_pulse_needs_no_messages() {
-        let g = generators::path(3, |_| 2);
-        let out = run_alpha_star(&g, 1, DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.cost.messages, 0);
-        assert_eq!(out.stats.min_pulses(), 1);
     }
 }

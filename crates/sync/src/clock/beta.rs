@@ -8,10 +8,8 @@
 //! independent of `W`, so β\* beats α\* when `W ≫ D̂` but loses to γ\*
 //! when `d ≪ D̂`.
 
-use super::stats::{ClockOutcome, PulseStats};
-use csp_graph::algo::shortest_path_tree;
-use csp_graph::{NodeId, RootedTree, WeightedGraph};
-use csp_sim::{Context, CostClass, DelayModel, Process, SimError, SimTime, Simulator};
+use csp_graph::{NodeId, RootedTree};
+use csp_sim::{Context, CostClass, Process, SimTime};
 use std::collections::BTreeMap;
 
 /// β\* messages.
@@ -109,89 +107,6 @@ impl Process for BetaStar {
                 }
                 self.generate(p, ctx);
             }
-        }
-    }
-}
-
-/// Runs synchronizer β\* for `pulses` pulses over the SPT rooted at
-/// `leader`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected or `leader` is out of range.
-pub fn run_beta_star(
-    g: &WeightedGraph,
-    leader: NodeId,
-    pulses: u64,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<ClockOutcome, SimError> {
-    g.check_node(leader);
-    let tree = shortest_path_tree(g, leader);
-    assert!(tree.is_spanning(), "β* needs a connected graph");
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, _| BetaStar::new(v, &tree, pulses))?;
-    let times: Vec<Vec<SimTime>> = run.states.iter().map(|s| s.times().to_vec()).collect();
-    assert!(
-        times.iter().all(|ts| ts.len() == pulses as usize),
-        "every vertex must generate every pulse"
-    );
-    Ok(ClockOutcome {
-        stats: PulseStats { times },
-        cost: run.cost,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use csp_graph::generators;
-    use csp_graph::params::CostParams;
-
-    #[test]
-    fn beta_star_generates_all_pulses() {
-        let g = generators::grid(3, 4, generators::WeightDist::Uniform(1, 10), 2);
-        let out = run_beta_star(&g, NodeId::new(0), 6, DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.stats.min_pulses(), 6);
-        assert!(out.stats.is_monotone());
-    }
-
-    #[test]
-    fn beta_star_delay_is_tree_round_trip_not_w() {
-        // Heavy chords make W large, but β* never touches them: its delay
-        // is bounded by a light-tree round trip.
-        let g = generators::heavy_chord_cycle(12, 500);
-        let p = CostParams::of(&g);
-        let out = run_beta_star(&g, NodeId::new(0), 5, DelayModel::WorstCase, 0).unwrap();
-        let delay = out.stats.max_pulse_delay() as u128;
-        assert!(
-            delay <= 2 * p.weighted_diameter.get() + 2,
-            "β* delay {delay} > 2·D̂"
-        );
-        assert!(delay < p.max_weight.get() as u128, "β* should beat W here");
-    }
-
-    #[test]
-    fn beta_star_message_cost_per_pulse_is_two_tree_sweeps() {
-        let g = generators::path(6, |_| 4);
-        let pulses = 5;
-        let out = run_beta_star(&g, NodeId::new(0), pulses, DelayModel::WorstCase, 0).unwrap();
-        // per pulse transition: n-1 Done + n-1 Next messages.
-        assert_eq!(out.cost.messages, 2 * 5 * (pulses - 1));
-    }
-
-    #[test]
-    fn beta_star_under_random_delays() {
-        let g = generators::connected_gnp(14, 0.3, generators::WeightDist::Uniform(1, 20), 3);
-        for seed in 0..3 {
-            let out = run_beta_star(&g, NodeId::new(2), 4, DelayModel::Uniform, seed).unwrap();
-            assert_eq!(out.stats.min_pulses(), 4);
         }
     }
 }

@@ -20,10 +20,9 @@
 //! lower bound, and far below α\*'s `O(W)` when heavy edges have light
 //! detours.
 
-use super::stats::{ClockOutcome, PulseStats};
 use csp_graph::cover::{tree_edge_cover, TreeEdgeCover};
 use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::{Context, CostClass, DelayModel, Process, SimError, SimTime, Simulator};
+use csp_sim::{Context, CostClass, Process, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -130,7 +129,7 @@ struct TreeRound {
 }
 
 /// Per-vertex state of synchronizer γ\*.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GammaStar {
     layout: Arc<CoverLayout>,
     pulses: u64,
@@ -141,9 +140,20 @@ pub struct GammaStar {
 }
 
 impl GammaStar {
-    fn new(layout: Arc<CoverLayout>, pulses: u64) -> Self {
-        GammaStar {
-            layout,
+    /// Builds the tree edge-cover of `g` once and returns the per-vertex
+    /// constructor for a run of `pulses` pulses on `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is disconnected or has no edges (the tree
+    /// edge-cover is undefined).
+    pub fn factory(
+        g: &WeightedGraph,
+        pulses: u64,
+    ) -> impl Fn(NodeId, &WeightedGraph) -> Self + Sync {
+        let layout = Arc::new(CoverLayout::build(g, &tree_edge_cover(g)));
+        move |_, _| GammaStar {
+            layout: Arc::clone(&layout),
             pulses,
             current: 0,
             times: Vec::new(),
@@ -334,95 +344,6 @@ impl Process for GammaStar {
                 self.forward_nbr_done(tree, from, pulse, ctx)
             }
             GammaMsg::Go { tree, pulse } => self.on_go(tree, pulse, ctx),
-        }
-    }
-}
-
-/// Runs synchronizer γ\* for `pulses` pulses.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected or has no edges (the tree edge-cover is
-/// undefined).
-pub fn run_gamma_star(
-    g: &WeightedGraph,
-    pulses: u64,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<ClockOutcome, SimError> {
-    let cover = tree_edge_cover(g);
-    let layout = Arc::new(CoverLayout::build(g, &cover));
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|_, _| GammaStar::new(Arc::clone(&layout), pulses))?;
-    let times: Vec<Vec<SimTime>> = run.states.iter().map(|s| s.times().to_vec()).collect();
-    assert!(
-        times.iter().all(|ts| ts.len() == pulses as usize),
-        "every vertex must generate every pulse"
-    );
-    Ok(ClockOutcome {
-        stats: PulseStats { times },
-        cost: run.cost,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use csp_graph::generators;
-    use csp_graph::params::CostParams;
-
-    #[test]
-    fn gamma_star_generates_all_pulses() {
-        let g = generators::heavy_chord_cycle(10, 100);
-        let out = run_gamma_star(&g, 4, DelayModel::WorstCase, 0).unwrap();
-        assert_eq!(out.stats.min_pulses(), 4);
-        assert!(out.stats.is_monotone());
-    }
-
-    #[test]
-    fn gamma_star_beats_alpha_star_when_d_is_small() {
-        // d ≪ W: γ*'s pulse delay must undercut α*'s Θ(W).
-        let g = generators::heavy_chord_cycle(16, 4_000);
-        let p = CostParams::of(&g);
-        assert!(p.max_neighbor_distance.get() < 20);
-        let gamma = run_gamma_star(&g, 4, DelayModel::WorstCase, 0).unwrap();
-        let alpha = super::super::alpha::run_alpha_star(&g, 4, DelayModel::WorstCase, 0).unwrap();
-        assert!(
-            gamma.stats.max_pulse_delay() < alpha.stats.max_pulse_delay(),
-            "γ* delay {} should beat α* delay {}",
-            gamma.stats.max_pulse_delay(),
-            alpha.stats.max_pulse_delay()
-        );
-    }
-
-    #[test]
-    fn gamma_star_delay_is_o_d_log2_n() {
-        let g = generators::heavy_chord_cycle(20, 10_000);
-        let p = CostParams::of(&g);
-        let out = run_gamma_star(&g, 4, DelayModel::WorstCase, 0).unwrap();
-        let d = p.max_neighbor_distance.get().max(1);
-        let log_n = (p.n as f64).log2().ceil() as u128;
-        // generous constant 12 over d·log²n
-        let bound = 12 * d * log_n * log_n;
-        assert!(
-            (out.stats.max_pulse_delay() as u128) <= bound,
-            "γ* delay {} > 12·d·log²n = {bound}",
-            out.stats.max_pulse_delay()
-        );
-    }
-
-    #[test]
-    fn gamma_star_under_random_delays() {
-        let g = generators::grid(3, 4, generators::WeightDist::Uniform(1, 40), 6);
-        for seed in 0..3 {
-            let out = run_gamma_star(&g, 3, DelayModel::Uniform, seed).unwrap();
-            assert_eq!(out.stats.min_pulses(), 3);
         }
     }
 }

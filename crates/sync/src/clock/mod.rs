@@ -7,9 +7,9 @@
 //!
 //! | synchronizer | mechanism | pulse delay |
 //! |---|---|---|
-//! | α\* ([`run_alpha_star`]) | exchange pulse tokens with every neighbor over the direct edge | `O(W)` |
-//! | β\* ([`run_beta_star`]) | convergecast/broadcast on one global tree | `O(D̂)` (tree diameter) |
-//! | γ\* ([`run_gamma_star`]) | tree edge-cover: β inside each cover tree, α among trees | `O(d·log² n)` |
+//! | α\* ([`AlphaStar`]) | exchange pulse tokens with every neighbor over the direct edge | `O(W)` |
+//! | β\* ([`BetaStar`]) | convergecast/broadcast on one global tree | `O(D̂)` (tree diameter) |
+//! | γ\* ([`GammaStar`]) | tree edge-cover: β inside each cover tree, α among trees | `O(d·log² n)` |
 //!
 //! The lower bound is `Ω(d)`, where `d` is the maximum weighted distance
 //! between neighbors; γ\* approaches it within `log² n` whenever heavy
@@ -20,7 +20,7 @@ mod beta;
 mod gamma;
 mod stats;
 
-pub use alpha::run_alpha_star;
-pub use beta::run_beta_star;
-pub use gamma::run_gamma_star;
-pub use stats::{ClockOutcome, PulseStats};
+pub use alpha::AlphaStar;
+pub use beta::BetaStar;
+pub use gamma::GammaStar;
+pub use stats::PulseStats;

@@ -24,6 +24,10 @@
 //!   β_w (`Θ(V̂)` comm, `Θ(D̂)` time) baselines are included for
 //!   comparison.
 //!
+//! The paper's rows over these constructions — each with its run,
+//! outcome check and bounds — are the §3 and §4 entries of
+//! `csp_algo::catalogue`; this crate provides the processes and hosts.
+//!
 //! # Example
 //!
 //! Measure the pulse delay of the clock synchronizers on a network where
@@ -31,16 +35,20 @@
 //!
 //! ```
 //! use csp_graph::generators;
-//! use csp_sim::DelayModel;
-//! use csp_sync::clock::{run_alpha_star, run_gamma_star};
+//! use csp_sim::{SimTime, Simulator};
+//! use csp_sync::clock::{AlphaStar, GammaStar, PulseStats};
 //!
 //! # fn main() -> Result<(), csp_sim::SimError> {
 //! let g = generators::heavy_chord_cycle(12, 1_000);
-//! let alpha = run_alpha_star(&g, 4, DelayModel::WorstCase, 0)?;
-//! let gamma = run_gamma_star(&g, 4, DelayModel::WorstCase, 0)?;
+//! let alpha = Simulator::new(&g).run(|v, g| AlphaStar::new(v, g, 4))?;
+//! let gamma = Simulator::new(&g).run(GammaStar::factory(&g, 4))?;
+//! let delay = |times: Vec<Vec<SimTime>>| PulseStats { times }.max_pulse_delay();
 //! // α* pays the heavy chord on every pulse; γ* routes safety through
 //! // the tree edge-cover and beats it by orders of magnitude.
-//! assert!(gamma.stats.max_pulse_delay() < alpha.stats.max_pulse_delay());
+//! assert!(
+//!     delay(gamma.states.iter().map(|s| s.times().to_vec()).collect())
+//!         < delay(alpha.states.iter().map(|s| s.times().to_vec()).collect())
+//! );
 //! # Ok(())
 //! # }
 //! ```
@@ -48,5 +56,5 @@
 pub mod clock;
 pub mod net;
 
-pub use clock::{run_alpha_star, run_beta_star, run_gamma_star, ClockOutcome, PulseStats};
+pub use clock::PulseStats;
 pub use net::{run_synchronized, GammaWConfig, HostedRun};

@@ -29,7 +29,7 @@
 
 use csp_graph::{NodeId, WeightedGraph};
 use csp_sim::sync::{SyncContext, SyncProcess};
-use csp_sim::{Context, CostClass, CostReport, DelayModel, Process, SimError, Simulator};
+use csp_sim::{Context, CostClass, DelayModel, Process, SimError, Simulator};
 use std::collections::BTreeMap;
 
 /// Messages of the α_w host.
@@ -57,7 +57,7 @@ pub enum AlphaMsg<M> {
 /// message sent at pulse `q` is delivered at pulse `q + 1`, regardless
 /// of the edge weight. (Contrast with γ_w, which simulates the weighted
 /// delay-`w(e)` semantics.)
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AlphaWHost<P: SyncProcess> {
     hosted: P,
     until_pulse: u64,
@@ -231,40 +231,10 @@ where
     })
 }
 
-/// The per-pulse overhead baseline: runs an idle protocol for `pulses`
-/// pulses and reports the synchronizer traffic and completion time.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn alpha_w_overhead(
-    g: &WeightedGraph,
-    pulses: u64,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<CostReport, SimError> {
-    #[derive(Clone, Debug)]
-    struct Idle {
-        until: u64,
-    }
-    impl SyncProcess for Idle {
-        type Msg = ();
-        fn on_pulse(&mut self, pulse: u64, _i: &[(NodeId, ())], ctx: &mut SyncContext<'_, ()>) {
-            if pulse == 0 && self.until > 0 {
-                ctx.wake_at(self.until);
-            } else if pulse >= self.until {
-                ctx.finish();
-            }
-        }
-    }
-    let run = run_synchronized_alpha(g, pulses, delay, seed, |_, _| Idle { until: pulses })?;
-    Ok(run.cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_graph::{generators, Cost};
+    use csp_graph::generators;
 
     /// Unit-delay BFS flood: first-hearing pulse = hop distance.
     #[derive(Clone, Debug)]
@@ -309,26 +279,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn alpha_w_overhead_is_e_hat_per_pulse_and_w_time() {
-        let g = generators::heavy_chord_cycle(12, 400);
-        let p = csp_graph::params::CostParams::of(&g);
-        let pulses = 5;
-        let cost = alpha_w_overhead(&g, pulses, DelayModel::WorstCase, 0).unwrap();
-        // Safe tokens: one per edge direction per pulse, including the
-        // final pulse's announcement → 2·Ê·(pulses + 1).
-        assert_eq!(
-            cost.comm_of(CostClass::Synchronizer),
-            p.total_weight * (2 * (pulses as u128 + 1))
-        );
-        // Time per pulse is pinned to W.
-        assert!(
-            Cost::new(cost.completion.get() as u128)
-                >= Cost::new(p.max_weight.get() as u128 * pulses as u128),
-            "α_w must pay Θ(W) per pulse"
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use csp_graph::algo::shortest_path_tree;
 use csp_graph::{NodeId, RootedTree, WeightedGraph};
 use csp_sim::sync::{SyncContext, SyncProcess};
-use csp_sim::{Context, CostClass, CostReport, DelayModel, Process, SimError, Simulator};
+use csp_sim::{Context, CostClass, DelayModel, Process, SimError, Simulator};
 use std::collections::BTreeMap;
 
 /// Messages of the β_w host.
@@ -48,7 +48,7 @@ pub enum BetaMsg<M> {
 }
 
 /// The β_w host process wrapping one hosted [`SyncProcess`] instance.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BetaWHost<P: SyncProcess> {
     hosted: P,
     until_pulse: u64,
@@ -240,43 +240,10 @@ where
     })
 }
 
-/// Per-pulse overhead baseline: an idle protocol for `pulses` pulses.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn beta_w_overhead(
-    g: &WeightedGraph,
-    leader: NodeId,
-    pulses: u64,
-    delay: DelayModel,
-    seed: u64,
-) -> Result<CostReport, SimError> {
-    #[derive(Clone, Debug)]
-    struct Idle {
-        until: u64,
-    }
-    impl SyncProcess for Idle {
-        type Msg = ();
-        fn on_pulse(&mut self, pulse: u64, _i: &[(NodeId, ())], ctx: &mut SyncContext<'_, ()>) {
-            if pulse == 0 && self.until > 0 {
-                ctx.wake_at(self.until);
-            } else if pulse >= self.until {
-                ctx.finish();
-            }
-        }
-    }
-    let run = run_synchronized_beta(g, leader, pulses, delay, seed, |_, _| Idle {
-        until: pulses,
-    })?;
-    Ok(run.cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csp_graph::params::CostParams;
-    use csp_graph::{generators, Cost};
+    use csp_graph::generators;
 
     #[derive(Clone, Debug)]
     struct HopFlood {
@@ -324,29 +291,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn beta_w_overhead_is_tree_bound_not_e_hat() {
-        // β_w's per-pulse communication is two tree sweeps — independent
-        // of the heavy chords that dominate Ê.
-        let g = generators::heavy_chord_cycle(16, 5_000);
-        let p = CostParams::of(&g);
-        let pulses = 6;
-        let cost = beta_w_overhead(&g, NodeId::new(0), pulses, DelayModel::WorstCase, 0).unwrap();
-        let per_pulse = cost.comm_of(CostClass::Synchronizer).get() / (pulses as u128 + 1);
-        assert!(
-            per_pulse < p.total_weight.get() / 4,
-            "β_w per-pulse {per_pulse} should be far below Ê = {}",
-            p.total_weight
-        );
-        // But per-pulse time is a tree round trip: ≥ D̂ on this family.
-        let per_pulse_time = cost.completion.get() / pulses;
-        assert!(
-            Cost::new(per_pulse_time as u128) >= p.weighted_diameter,
-            "β_w time/pulse {per_pulse_time} should be ≥ D̂ = {}",
-            p.weighted_diameter
-        );
     }
 
     #[test]

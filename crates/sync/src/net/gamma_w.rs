@@ -136,7 +136,7 @@ struct Round {
 }
 
 /// Dynamic per-level state at one vertex.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct LevelState {
     /// Highest confirmed super-pulse.
     confirmed: u64,
@@ -160,7 +160,7 @@ impl LevelState {
 }
 
 /// The γ_w host process wrapping one hosted [`SyncProcess`] instance.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GammaWHost<P: SyncProcess> {
     hosted: P,
     layouts: Arc<Vec<LevelLayout>>,
@@ -512,6 +512,20 @@ impl<P: SyncProcess> Process for GammaWHost<P> {
     }
 }
 
+/// The shared static structure of a γ_w run on `g`: one
+/// [`LevelLayout`] per weight class present in the graph, built with the
+/// configuration's partition parameter.
+pub fn level_layouts(g: &WeightedGraph, config: &GammaWConfig) -> Arc<Vec<LevelLayout>> {
+    let mut exps: Vec<u32> = g.edges().map(|e| edge_level(e.weight().get())).collect();
+    exps.sort_unstable();
+    exps.dedup();
+    Arc::new(
+        exps.into_iter()
+            .map(|exp| LevelLayout::build(g, exp, config.k))
+            .collect(),
+    )
+}
+
 /// The outcome of a synchronized (hosted) run.
 #[derive(Debug)]
 pub struct HostedRun<P> {
@@ -548,15 +562,7 @@ where
     P: SyncProcess,
     F: FnMut(NodeId, &WeightedGraph) -> P,
 {
-    // One layout per weight class present in the graph.
-    let mut exps: Vec<u32> = g.edges().map(|e| edge_level(e.weight().get())).collect();
-    exps.sort_unstable();
-    exps.dedup();
-    let layouts: Arc<Vec<LevelLayout>> = Arc::new(
-        exps.into_iter()
-            .map(|exp| LevelLayout::build(g, exp, config.k))
-            .collect(),
-    );
+    let layouts = level_layouts(g, config);
     let run = Simulator::new(g)
         .delay(delay)
         .seed(seed)
@@ -596,14 +602,7 @@ where
     P: SyncProcess,
     F: FnMut(NodeId, &WeightedGraph) -> P,
 {
-    let mut exps: Vec<u32> = g.edges().map(|e| edge_level(e.weight().get())).collect();
-    exps.sort_unstable();
-    exps.dedup();
-    let layouts: Arc<Vec<LevelLayout>> = Arc::new(
-        exps.into_iter()
-            .map(|exp| LevelLayout::build(g, exp, config.k))
-            .collect(),
-    );
+    let layouts = level_layouts(g, config);
     let run = Simulator::new(g)
         .delay(delay)
         .seed(seed)

@@ -6,9 +6,10 @@ mod beta_w;
 mod gamma_w;
 mod layout;
 
-pub use alpha_w::{alpha_w_overhead, run_synchronized_alpha, AlphaMsg, AlphaWHost};
-pub use beta_w::{beta_w_overhead, run_synchronized_beta, BetaMsg, BetaWHost};
+pub use alpha_w::{run_synchronized_alpha, AlphaMsg, AlphaWHost};
+pub use beta_w::{run_synchronized_beta, BetaMsg, BetaWHost};
 pub use gamma_w::{
-    run_synchronized, run_synchronized_budgeted, GammaWConfig, GammaWHost, HostMsg, HostedRun,
+    level_layouts, run_synchronized, run_synchronized_budgeted, GammaWConfig, GammaWHost, HostMsg,
+    HostedRun,
 };
 pub use layout::{edge_level, next_multiple, LevelLayout};

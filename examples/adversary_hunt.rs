@@ -1,23 +1,45 @@
 //! Hunt for delay schedules worse than the fixed `WorstCase` model.
 //!
-//! Sweeps the Figure-2/3/4 protocols over small graph families, runs the
-//! `csp-adversary` search on each point and prints the searched-vs-
-//! `WorstCase` completion-time gap. Pass a directory to also write every
-//! schedule that beat `WorstCase`:
+//! Sweeps the Figure-2/3/4 rows of the catalogue over small graph
+//! families, runs the `csp-adversary` search on each point, prints the
+//! searched-vs-`WorstCase` completion-time gap, and checks the searched
+//! best against its own row's bounds. Pass a directory to also write
+//! every schedule that beat `WorstCase`:
 //!
 //! ```text
 //! cargo run --release --example adversary_hunt [-- out_dir]
 //! ```
 
-use csp_adversary::{find_worst_schedule, SearchConfig, SearchOutcome};
-use csp_algo::dfs::Dfs;
-use csp_algo::flood::Flood;
-use csp_algo::full_info::{FullInfoGrowth, MstRule, SptRule};
-use csp_algo::mst::ghs::Ghs;
-use csp_algo::spt::recur::SptRecur;
+use csp_adversary::{find_worst_schedule, replay, SearchConfig, SearchOutcome};
+use csp_algo::catalogue::{Claim, Outcome, ProcessVisitor};
 use csp_graph::generators::{self, WeightDist};
+use csp_graph::params::CostParams;
 use csp_graph::{NodeId, WeightedGraph};
+use csp_sim::{Process, Run};
 use std::path::PathBuf;
+
+/// Searches a row's processes and checks the replayed best against the
+/// row.
+struct Hunt<'a> {
+    g: &'a WeightedGraph,
+    cfg: &'a SearchConfig,
+}
+
+impl ProcessVisitor for Hunt<'_> {
+    type Output = (SearchOutcome, Outcome);
+
+    fn visit<P, F, C>(self, make: F, check: C) -> Self::Output
+    where
+        P: Process + Clone + Sync,
+        P::Msg: Sync,
+        F: Fn(NodeId, &WeightedGraph) -> P + Sync,
+        C: FnOnce(Run<P>) -> Outcome,
+    {
+        let out = find_worst_schedule(self.g, &make, self.cfg);
+        let best = check(replay(self.g, &make, &out.schedule));
+        (out, best)
+    }
+}
 
 fn families() -> Vec<(String, WeightedGraph)> {
     vec![
@@ -48,6 +70,7 @@ fn hunt(
     protocol: &str,
     family: &str,
     out: SearchOutcome,
+    within_row: bool,
     out_dir: Option<&PathBuf>,
     found: &mut u32,
 ) {
@@ -56,8 +79,13 @@ fn hunt(
     } else {
         ""
     };
+    let row = if within_row {
+        ""
+    } else {
+        "  <-- exceeds its row's bound"
+    };
     println!(
-        "{protocol:<12} {family:<18} worst-case {:>6}  searched {:>6}  gap {:>5.3}  via {:<13} ({} evals){marker}",
+        "{protocol:<12} {family:<18} worst-case {:>6}  searched {:>6}  gap {:>5.3}  via {:<13} ({} evals){marker}{row}",
         out.worst_case.get(),
         out.best_time.get(),
         out.gap(),
@@ -95,29 +123,43 @@ fn main() {
     let cfg = SearchConfig::default();
     let root = NodeId::new(0);
     let mut found = 0u32;
+    let mut exceeded = 0u32;
 
     for (family, g) in &families() {
-        let out = find_worst_schedule(g, |v, _| Flood::new(v == root), &cfg);
-        hunt("flood", family, out, out_dir.as_ref(), &mut found);
-
-        let out = find_worst_schedule(g, |v, g| Dfs::new(v, g, root), &cfg);
-        hunt("dfs", family, out, out_dir.as_ref(), &mut found);
-
-        let out = find_worst_schedule(g, Ghs::new, &cfg);
-        hunt("ghs", family, out, out_dir.as_ref(), &mut found);
-
-        let out = find_worst_schedule(g, |v, g| FullInfoGrowth::new(v, g, root, MstRule), &cfg);
-        hunt("fullinfo-mst", family, out, out_dir.as_ref(), &mut found);
-
-        let out = find_worst_schedule(g, |v, g| FullInfoGrowth::new(v, g, root, SptRule), &cfg);
-        hunt("fullinfo-spt", family, out, out_dir.as_ref(), &mut found);
-
-        // Single-strip SPT_recur degenerates to chaotic Bellman–Ford —
-        // the one protocol here whose *message set* depends on delivery
-        // order, so selectively fast messages can out-delay WorstCase.
-        let out = find_worst_schedule(g, |v, _| SptRecur::new(v, root, 1 << 40), &cfg);
-        hunt("spt-recur", family, out, out_dir.as_ref(), &mut found);
+        let p = CostParams::of(g);
+        for (protocol, claim) in [
+            ("flood", Claim::Flood { root }),
+            ("dfs", Claim::Dfs { root }),
+            ("ghs", Claim::MstGhs { root }),
+            ("fullinfo-mst", Claim::MstCentr { root }),
+            ("fullinfo-spt", Claim::SptCentr { source: root }),
+            // Single-strip SPT_recur degenerates to chaotic Bellman–Ford —
+            // the one protocol here whose *message set* depends on delivery
+            // order, so selectively fast messages can out-delay WorstCase.
+            (
+                "spt-recur",
+                Claim::SptRecur {
+                    source: root,
+                    delta: 1 << 40,
+                },
+            ),
+        ] {
+            let (out, best) = claim
+                .visit(g, Hunt { g, cfg: &cfg })
+                .expect("every hunted row has one process");
+            let within_row = claim.bounds(g, &p).admit(claim.measure(&best));
+            exceeded += u32::from(!within_row);
+            hunt(
+                protocol,
+                family,
+                out,
+                within_row,
+                out_dir.as_ref(),
+                &mut found,
+            );
+        }
     }
 
     println!("\n{found} protocol x family points where the searched adversary beats WorstCase");
+    println!("{exceeded} searched bests outside their row's bounds");
 }

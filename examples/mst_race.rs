@@ -24,30 +24,31 @@ fn race(name: &str, g: &WeightedGraph) -> Result<(), Box<dyn std::error::Error>>
         p.mst_weight * p.n as u128
     );
     let root = NodeId::new(0);
-    let ghs = run_mst_ghs(g, root, DelayModel::WorstCase, 0)?;
-    let centr = run_mst_centr(g, root, DelayModel::WorstCase, 0)?;
-    let fast = run_mst_fast(g, root, DelayModel::WorstCase, 0)?;
-    let hybrid = run_mst_hybrid(g, root, DelayModel::WorstCase, 0)?;
-    assert_eq!(ghs.tree.weight(), centr.tree.weight());
-    assert_eq!(ghs.tree.weight(), fast.tree.weight());
-    assert_eq!(ghs.tree.weight(), hybrid.tree.weight());
-    println!("   {:<12} {:>12} {:>10}", "algorithm", "comm", "time");
     println!(
-        "   {:<12} {:>12} {:>10}",
-        "MST_ghs", ghs.cost.weighted_comm, ghs.cost.completion
+        "   {:<12} {:>12} {:>10} {:>12}",
+        "algorithm", "comm", "time", "comm bound"
     );
-    println!(
-        "   {:<12} {:>12} {:>10}",
-        "MST_centr", centr.cost.weighted_comm, centr.cost.completion
-    );
-    println!(
-        "   {:<12} {:>12} {:>10}",
-        "MST_fast", fast.cost.weighted_comm, fast.cost.completion
-    );
-    println!(
-        "   {:<12} {:>12} {:>10}   winner: {:?}",
-        "MST_hybrid", hybrid.cost.weighted_comm, hybrid.cost.completion, hybrid.winner
-    );
+    let mut weights = Vec::new();
+    for (name, row) in [
+        ("MST_ghs", Claim::MstGhs { root }),
+        ("MST_centr", Claim::MstCentr { root }),
+        ("MST_fast", Claim::MstFast { root }),
+        ("MST_hybrid", Claim::MstHybrid { root }),
+    ] {
+        let out = row.run(g, ModelOracle::new(DelayModel::WorstCase, 0))?;
+        weights.push(out.tree.expect("an MST").weight());
+        let bound = row.bounds(g, &p).comm.map_or(0.0, |b| b.paper);
+        let winner = out.winner.map(|w| format!("   winner: {w:?}"));
+        println!(
+            "   {:<12} {:>12} {:>10} {:>12.0}{}",
+            name,
+            out.cost.weighted_comm,
+            out.cost.completion,
+            bound,
+            winner.unwrap_or_default()
+        );
+    }
+    assert!(weights.windows(2).all(|w| w[0] == w[1]));
     println!();
     Ok(())
 }

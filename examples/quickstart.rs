@@ -26,39 +26,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("parameters: {p}");
     println!();
 
+    // Every protocol below is a row of the paper's catalogue: it runs
+    // under an oracle — here the fixed worst-case delay model — and knows
+    // its own bound.
+    let run = |row: &Claim| row.run(&g, ModelOracle::new(DelayModel::WorstCase, 0));
+    let root = NodeId::new(0);
+
     // 1. Flood a token from vertex 0 (CON_flood, §6.1): O(Ê) comm, O(D̂) time.
-    let flood = run_flood(&g, NodeId::new(0), DelayModel::WorstCase, 0)?;
-    println!("CON_flood:   {}", flood.cost);
+    let flood = Claim::Flood { root };
+    println!("CON_flood:   {}", run(&flood)?.cost);
+    println!("             bound {:?}", flood.bounds(&g, &p).comm);
 
     // 2. Depth-first search with root estimates (§6.2): O(Ê) comm & time.
-    let dfs = run_dfs(&g, NodeId::new(0), DelayModel::WorstCase, 0)?;
-    println!(
-        "DFS:         {}  (exact traversal cost {}, root estimate {})",
-        dfs.cost, dfs.traversal_cost, dfs.root_estimate
-    );
+    println!("DFS:         {}", run(&Claim::Dfs { root })?.cost);
 
     // 3. Global function over a shallow-light tree (§2): O(V̂) comm, O(D̂) time.
-    let inputs = [3u64, 1, 4, 1, 5, 9];
-    let out = compute_global(
-        &g,
-        NodeId::new(0),
-        Max,
-        &inputs,
-        TreeKind::Slt { q: 2 },
-        DelayModel::WorstCase,
-    )?;
+    let inputs = vec![3u64, 1, 4, 1, 5, 9];
+    let out = run(&Claim::GlobalSlt { root, q: 2, inputs })?;
     println!(
         "global max:  {}  -> {} at every vertex (tree weight {})",
         out.cost,
-        out.value,
-        out.tree.weight()
+        out.outputs[0],
+        out.tree.expect("the fold's tree").weight()
     );
 
     // 4. The minimum spanning tree three ways (§6.3, §8).
-    let ghs = run_mst_ghs(&g, NodeId::new(0), DelayModel::WorstCase, 0)?;
-    let centr = run_mst_centr(&g, NodeId::new(0), DelayModel::WorstCase, 0)?;
-    let hybrid = run_mst_hybrid(&g, NodeId::new(0), DelayModel::WorstCase, 0)?;
-    println!("MST_ghs:     {}  (w(T) = {})", ghs.cost, ghs.tree.weight());
+    let ghs = run(&Claim::MstGhs { root })?;
+    let centr = run(&Claim::MstCentr { root })?;
+    let hybrid = run(&Claim::MstHybrid { root })?;
+    let mst = ghs.tree.expect("GHS builds the MST");
+    println!("MST_ghs:     {}  (w(T) = {})", ghs.cost, mst.weight());
     println!("MST_centr:   {}", centr.cost);
     println!(
         "MST_hybrid:  {}  (winner: {:?})",
@@ -66,11 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. Shortest-path tree from vertex 0 under the strip method (§9.2).
-    let spt = run_spt_recur(&g, NodeId::new(0), 2, DelayModel::WorstCase, 0)?;
-    println!(
-        "SPT_recur:   {}  ({} strips, dist(v3) = {})",
-        spt.cost, spt.strips, spt.dists[3]
-    );
+    let spt = run(&Claim::SptRecur {
+        source: root,
+        delta: 2,
+    })?;
+    println!("SPT_recur:   {}  (dist(v3) = {})", spt.cost, spt.dists[3]);
 
     Ok(())
 }

@@ -22,19 +22,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sync", "pulse delay", "mean delay", "comm/pulse"
     );
     let pulses = 6;
-    for (name, outcome) in [
-        ("α*", run_alpha_star(&g, pulses, DelayModel::WorstCase, 0)?),
-        (
-            "β*",
-            run_beta_star(&g, NodeId::new(0), pulses, DelayModel::WorstCase, 0)?,
-        ),
-        ("γ*", run_gamma_star(&g, pulses, DelayModel::WorstCase, 0)?),
+    let leader = NodeId::new(0);
+    for (name, row) in [
+        ("α*", Claim::AlphaStar { pulses }),
+        ("β*", Claim::BetaStar { leader, pulses }),
+        ("γ*", Claim::GammaStar { pulses }),
     ] {
+        let outcome = row.run(&g, ModelOracle::new(DelayModel::WorstCase, 0))?;
         println!(
             "{:<6} {:>12} {:>12.1} {:>12}",
             name,
-            outcome.stats.max_pulse_delay(),
-            outcome.stats.mean_pulse_delay(),
+            outcome.pulses.max_pulse_delay(),
+            outcome.pulses.mean_pulse_delay(),
             outcome.cost.weighted_comm.get() / pulses as u128,
         );
     }
@@ -46,14 +45,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The synchronous SPT protocol (time D̂, comm Ê on a synchronous
     // network) is written once against the lock-step semantics…
     let net = generators::connected_gnp(14, 0.2, generators::WeightDist::Uniform(1, 12), 7);
-    let ideal = run_spt_synch_ideal(&net, NodeId::new(0));
+    let ideal = run_spt_synch_ideal(&net, leader);
     println!("synchronous SPT on the ideal network: {}", ideal.cost);
 
     // …and then runs unchanged on a fully asynchronous network, hosted by
     // synchronizer γ_w. Outputs are identical; the synchronizer's own
     // traffic is metered separately.
     for k in [2, 4, 8] {
-        let hosted = run_spt_synch(&net, NodeId::new(0), k, DelayModel::Uniform, 1)?;
+        let row = Claim::SptSynch { source: leader, k };
+        let hosted = row.run(&net, ModelOracle::new(DelayModel::Uniform, 1))?;
         assert_eq!(hosted.dists, ideal.dists, "γ_w must preserve outputs");
         println!(
             "under γ_w (k={k}):  total {}  [protocol {}, synchronizer {}]",

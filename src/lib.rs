@@ -20,7 +20,9 @@
 //! * [`control`] — execution-tree resource controllers;
 //! * [`algo`] — the paper's protocols: flooding, DFS, global functions,
 //!   MST (centralized / GHS / fast / hybrid), SPT (centralized /
-//!   recursive / synchronous / hybrid), connectivity, distributed SLT;
+//!   recursive / synchronous / hybrid), connectivity, distributed SLT —
+//!   and [`algo::catalogue`], the paper's rows (each with its run and
+//!   bounds) as one closed enum;
 //! * [`adversary`] — adversarial schedule search (delays, message
 //!   drops, vertex crashes), record/replay and counterexample shrinking
 //!   over the simulator's [`LinkOracle`](csp_sim::LinkOracle) hook.
@@ -44,15 +46,12 @@
 //! assert_eq!(params.mst_weight.get(), 5);
 //! assert_eq!(params.weighted_diameter.get(), 3);
 //!
-//! // Compute a global maximum over a shallow-light tree: O(V̂) messages,
-//! // O(D̂) time (Corollary 2.3).
-//! let inputs = [3, 1, 4, 1, 5, 9];
-//! let out = compute_global(
-//!     &g, NodeId::new(0), Max, &inputs,
-//!     TreeKind::Slt { q: 2 }, DelayModel::WorstCase,
-//! )?;
-//! assert_eq!(out.value, 9);
+//! // Compute a global maximum over a shallow-light tree — the Figure 1
+//! // row of the catalogue: O(V̂) messages, O(D̂) time (Corollary 2.3).
+//! let row = Claim::GlobalSlt { root: NodeId::new(0), q: 2, inputs: vec![3, 1, 4, 1, 5, 9] };
+//! let out = row.run(&g, ModelOracle::new(DelayModel::WorstCase, 0))?;
 //! assert!(out.outputs.iter().all(|&o| o == 9));
+//! assert!(row.bounds(&g, &params).comm.unwrap().admits(out.cost.weighted_comm.get()));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -71,23 +70,18 @@ pub mod prelude {
         OccurrenceOracle, Recorder, ReplayReport, Schedule, ScheduleOracle, SearchConfig,
         SearchConfigBuilder, SearchOutcome, Trace, TraceStep, DEFAULT_CLASS_BUDGET,
     };
-    pub use csp_algo::con_hybrid::{connectivity_pivot, run_con_hybrid};
-    pub use csp_algo::dfs::run_dfs;
-    pub use csp_algo::flood::run_flood;
+    pub use csp_algo::catalogue::{Bound, Bounds, Claim, Outcome, ProcessVisitor};
     pub use csp_algo::global::{
-        compute_global, fold_all, BoolAnd, BoolOr, Count, Max, Min, Sum, SymmetricCompact,
+        fold_all, BoolAnd, BoolOr, Count, GlobalFunction, Max, Min, Sum, SymmetricCompact,
         TreeKind, Xor,
     };
     pub use csp_algo::leader::run_leader_election;
-    pub use csp_algo::mst::{run_mst_centr, run_mst_fast, run_mst_ghs, run_mst_hybrid};
     pub use csp_algo::reliable::{run_reliable_flood, run_reliable_spt_recur};
     pub use csp_algo::resilient::{
         contract_violation, run_resilient_flood, run_resilient_flood_reliable,
         run_resilient_reliable, run_resilient_spt, Metric, Resilient, ResilientOutcome,
     };
-    pub use csp_algo::slt_dist::run_slt_dist;
     pub use csp_algo::spt::synch::run_spt_synch_ideal;
-    pub use csp_algo::spt::{run_spt_centr, run_spt_hybrid, run_spt_recur, run_spt_synch};
     pub use csp_algo::termination::run_with_termination_detection;
     pub use csp_control::{run_controlled, GrantPolicy};
     pub use csp_graph::cover::{ball_partition, coarsen, tree_edge_cover, Cluster, Cover};
@@ -107,7 +101,6 @@ pub mod prelude {
         FaultAware, FaultPlan, LinkDecision, LinkOracle, ModelOracle, MsgInfo, MsgToken, Process,
         RelMsg, Reliable, ShardedSimulator, SimTime, Simulator, TimerId,
     };
-    pub use csp_sync::clock::{run_alpha_star, run_beta_star, run_gamma_star};
     pub use csp_sync::net::{
         run_synchronized, run_synchronized_alpha, run_synchronized_beta, GammaWConfig,
     };
@@ -122,7 +115,11 @@ mod tests {
         let g = generators::cycle(5, |_| 2);
         let p = CostParams::of(&g);
         assert_eq!(p.total_weight, Cost::new(10));
-        let flood = run_flood(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert!(flood.tree.is_spanning());
+        let flood = Claim::Flood {
+            root: NodeId::new(0),
+        }
+        .run(&g, ModelOracle::new(DelayModel::WorstCase, 0))
+        .unwrap();
+        assert!(flood.tree.unwrap().is_spanning());
     }
 }

@@ -1,148 +1,139 @@
 //! The paper's stated complexity bounds, checked empirically (with
 //! explicit constants) on parameter sweeps — the integration-level
-//! counterpart of the per-crate unit tests. The sweeps fan out over
-//! `csp_sim::sweep` so multi-core machines check all grid points at once.
+//! counterpart of the per-crate unit tests. The rows and their constants
+//! are `csp_algo::catalogue`'s; this file is the catalogue × families
+//! sweep, plus what each figure says beyond an upper bound. The sweeps
+//! fan out over `csp_sim::sweep` so multi-core machines check all grid
+//! points at once.
 
 use cost_sensitive::prelude::*;
 
-fn log2c(n: usize) -> u128 {
-    (n.max(2) as f64).log2().ceil() as u128
+/// The family graphs each row is checked on, under worst-case delays.
+/// Exhaustive over [`Claim`], so a new row cannot land unchecked; an
+/// empty list records a row whose bound no test asserts.
+fn families(claim: &Claim) -> Vec<WeightedGraph> {
+    let gnp = |ns: &[usize], p: f64, w: u64, seeds: u64| -> Vec<WeightedGraph> {
+        ns.iter()
+            .flat_map(|&n| {
+                (0..seeds).map(move |seed| {
+                    generators::connected_gnp(n, p, generators::WeightDist::Uniform(1, w), seed)
+                })
+            })
+            .collect()
+    };
+    match claim {
+        Claim::GlobalSlt { .. } => gnp(&[12, 20, 28], 0.2, 32, 3),
+        Claim::Flood { .. } | Claim::Dfs { .. } | Claim::ConHybrid { .. } => {
+            gnp(&[20], 0.25, 24, 3)
+        }
+        Claim::MstGhs { .. } | Claim::MstCentr { .. } | Claim::MstFast { .. } => {
+            gnp(&[24], 0.2, 50, 3)
+        }
+        Claim::SptCentr { .. } | Claim::SptSynch { .. } => gnp(&[14], 0.25, 16, 2),
+        Claim::AlphaStar { .. } | Claim::BetaStar { .. } | Claim::GammaStar { .. } => {
+            vec![generators::heavy_chord_cycle(16, 1_000)]
+        }
+        Claim::Controller { .. } => {
+            vec![generators::grid(
+                3,
+                4,
+                generators::WeightDist::Uniform(1, 5),
+                8,
+            )]
+        }
+        Claim::GlobalMst { .. }
+        | Claim::GlobalSpt { .. }
+        | Claim::MstHybrid { .. }
+        | Claim::SptRecur { .. }
+        | Claim::SptHybrid { .. }
+        | Claim::Slt { .. }
+        | Claim::AlphaW { .. }
+        | Claim::BetaW { .. }
+        | Claim::GammaW { .. } => Vec::new(),
+    }
 }
+
+/// Runs `claim` on `g` under worst-case delays and checks the run against
+/// the row's bounds.
+fn check(claim: &Claim, g: &WeightedGraph) -> (CostParams, Outcome) {
+    let p = CostParams::of(g);
+    let out = claim
+        .run(g, ModelOracle::new(DelayModel::WorstCase, 0))
+        .unwrap();
+    let (bounds, measured) = (claim.bounds(g, &p), claim.measure(&out));
+    assert!(
+        bounds.admit(measured),
+        "{claim:?} on {p}: (comm, time) {measured:?} outside {bounds:?}"
+    );
+    (p, out)
+}
+
+/// [`check`] on every family of `claim`.
+fn sweep(claim: &Claim) -> Vec<(CostParams, Outcome)> {
+    let graphs = families(claim);
+    assert!(!graphs.is_empty(), "{claim:?} has no families");
+    par_map(&graphs, graphs.len(), |g| check(claim, g))
+}
+
+const ROOT: NodeId = NodeId::new(0);
 
 /// Figure 1: global function computation — comm Θ(V̂), time Θ(D̂).
 #[test]
 fn figure_1_global_functions_are_v_and_d_optimal() {
-    let graphs: Vec<(String, WeightedGraph)> = [12, 20, 28]
-        .iter()
-        .flat_map(|&n| (0..3).map(move |seed| (n, seed)))
-        .map(|(n, seed)| {
-            (
-                format!("gnp-n{n}-s{seed}"),
-                generators::connected_gnp(n, 0.2, generators::WeightDist::Uniform(1, 32), seed),
-            )
-        })
-        .collect();
-    let mut grid = SweepGrid::new();
-    for (label, g) in &graphs {
-        grid = grid.graph(label.clone(), g);
-    }
-    let runs = grid.run(|pt| {
-        let p = CostParams::of(pt.graph);
-        let n = pt.graph.node_count();
-        let inputs: Vec<u64> = (0..n as u64).collect();
-        let out = compute_global(
-            pt.graph,
-            NodeId::new(0),
-            Max,
-            &inputs,
-            TreeKind::Slt { q: 2 },
-            pt.delay,
-        )
-        .unwrap();
-        // Upper bounds with q = 2 constants.
-        assert!(
-            out.cost.weighted_comm <= p.mst_weight * 4,
-            "{}",
-            pt.graph_label
-        );
-        assert!(
-            (out.cost.completion.get() as u128) <= p.weighted_diameter.get() * 6,
-            "{}",
-            pt.graph_label
-        );
-        // Lower bounds: no algorithm beats V̂ comm / D̂ time by more
-        // than the convergecast+broadcast structure allows; our
-        // measured run must sit above the floor too (sanity).
-        assert!(out.cost.weighted_comm >= p.mst_weight);
-        out.cost
+    let slt = |inputs| Claim::GlobalSlt {
+        root: ROOT,
+        q: 2,
+        inputs,
+    };
+    let graphs = families(&slt(Vec::new()));
+    let runs = par_map(&graphs, graphs.len(), |g| {
+        check(&slt((0..g.node_count() as u64).collect()), g)
     });
     assert_eq!(runs.len(), 9);
+    // Lower bound: no algorithm beats V̂ comm; the measured run must sit
+    // above the floor too (sanity).
+    for (p, out) in runs {
+        assert!(out.cost.weighted_comm >= p.mst_weight);
+    }
 }
 
 /// Figure 2: connectivity — flood/DFS at O(Ê), hybrid at O(min{Ê, n·V̂}).
 #[test]
 fn figure_2_connectivity_bounds() {
-    let seeds: Vec<u64> = (0..3).collect();
-    par_map(&seeds, seeds.len(), |&seed| {
-        let g = generators::connected_gnp(20, 0.25, generators::WeightDist::Uniform(1, 24), seed);
-        let p = CostParams::of(&g);
-        let flood = run_flood(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert!(flood.cost.weighted_comm <= p.total_weight * 2);
-        let dfs = run_dfs(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert!(dfs.cost.weighted_comm <= p.total_weight * 12);
-        let hybrid = run_con_hybrid(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        let pivot = connectivity_pivot(&g, p.mst_weight);
-        assert!(
-            hybrid.cost.weighted_comm <= pivot * 60,
-            "hybrid {} ≫ pivot {pivot} (seed {seed})",
-            hybrid.cost.weighted_comm
-        );
-    });
+    for claim in [
+        Claim::Flood { root: ROOT },
+        Claim::Dfs { root: ROOT },
+        Claim::ConHybrid { root: ROOT },
+    ] {
+        assert_eq!(sweep(&claim).len(), 3);
+    }
 }
 
-/// Figure 3: MST — GHS at O(Ê + V̂·log n), centr at O(n·V̂).
+/// Figure 3: MST — GHS at O(Ê + V̂·log n), centr at O(n·V̂), fast at
+/// O(Ê·log n·log V̂).
 #[test]
 fn figure_3_mst_bounds() {
-    let graphs: Vec<(String, WeightedGraph)> = (0..3)
-        .map(|seed| {
-            (
-                format!("gnp-s{seed}"),
-                generators::connected_gnp(24, 0.2, generators::WeightDist::Uniform(1, 50), seed),
-            )
-        })
-        .collect();
-    let mut grid = SweepGrid::new();
-    for (label, g) in &graphs {
-        grid = grid.graph(label.clone(), g);
+    for claim in [
+        Claim::MstGhs { root: ROOT },
+        Claim::MstCentr { root: ROOT },
+        Claim::MstFast { root: ROOT },
+    ] {
+        assert_eq!(sweep(&claim).len(), 3);
     }
-    let runs = grid.run(|pt| {
-        let p = CostParams::of(pt.graph);
-        let label = pt.graph_label;
-        let ghs = run_mst_ghs(pt.graph, NodeId::new(0), pt.delay, pt.seed).unwrap();
-        let ghs_bound = (p.total_weight + p.mst_weight * log2c(p.n)) * 5;
-        assert!(ghs.cost.weighted_comm <= ghs_bound, "{label}");
-        let centr = run_mst_centr(pt.graph, NodeId::new(0), pt.delay, pt.seed).unwrap();
-        let centr_bound = p.mst_weight * (6 * p.n as u128);
-        assert!(centr.cost.weighted_comm <= centr_bound, "{label}");
-        let fast = run_mst_fast(pt.graph, NodeId::new(0), pt.delay, pt.seed).unwrap();
-        let w_hat = p.mst_weight.get().max(2) as f64;
-        let fast_bound = (p.total_weight.get() as f64) * 5.0 * (p.n as f64).log2() * w_hat.log2();
-        assert!(
-            (fast.cost.weighted_comm.get() as f64) <= fast_bound,
-            "fast {} > {fast_bound} ({label})",
-            fast.cost.weighted_comm
-        );
-        ghs.cost
-    });
-    assert_eq!(runs.len(), 3);
 }
 
 /// Figure 4: SPT — centr at O(n·w(SPT)), synch at O(Ê + D̂·k·n·log n).
 #[test]
 fn figure_4_spt_bounds() {
-    let seeds: Vec<u64> = (0..2).collect();
-    par_map(&seeds, seeds.len(), |&seed| {
-        let g = generators::connected_gnp(14, 0.25, generators::WeightDist::Uniform(1, 16), seed);
+    let centr = Claim::SptCentr { source: ROOT };
+    assert_eq!(sweep(&centr).len(), 2);
+    assert_eq!(sweep(&Claim::SptSynch { source: ROOT, k: 2 }).len(), 2);
+    // Fact 6.5 inside the bound: w(SPT) ≤ (n−1)·V̂.
+    for g in families(&centr) {
         let p = CostParams::of(&g);
-        let spt_w = cost_sensitive::graph::algo::shortest_path_tree(&g, NodeId::new(0)).weight();
-        let centr = run_spt_centr(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-        assert!(
-            centr.cost.weighted_comm <= spt_w * (6 * p.n as u128),
-            "centr seed {seed}"
-        );
-        // Fact 6.5 inside the bound: w(SPT) ≤ (n−1)·V̂.
+        let spt_w = cost_sensitive::graph::algo::shortest_path_tree(&g, ROOT).weight();
         assert!(spt_w <= p.mst_weight * (p.n as u128 - 1));
-
-        let k = 2u128;
-        let synch = run_spt_synch(&g, NodeId::new(0), 2, DelayModel::WorstCase, 0).unwrap();
-        let d_hat = p.weighted_diameter.get();
-        let bound = p.total_weight.get() * 2 + 40 * d_hat * k * (p.n as u128) * log2c(p.n);
-        assert!(
-            synch.cost.weighted_comm.get() <= bound,
-            "synch {} > Ê + c·D̂·k·n·log n = {bound} (seed {seed})",
-            synch.cost.weighted_comm
-        );
-    });
+    }
 }
 
 /// Figure 7: on the lower-bound family every correct algorithm pays
@@ -150,14 +141,11 @@ fn figure_4_spt_bounds() {
 #[test]
 fn figure_7_lower_bound_family_cost_shape() {
     let g = generators::lower_bound_family(20, 8);
-    let p = CostParams::of(&g);
-    let nv = p.mst_weight * p.n as u128;
     // Flooding can't avoid the bypasses: Ω(Ê).
-    let flood = run_flood(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
+    let (p, flood) = check(&Claim::Flood { root: ROOT }, &g);
     assert!(flood.cost.weighted_comm >= p.total_weight);
-    // MST_centr stays within O(n·V̂) — far below Ê.
-    let centr = run_mst_centr(&g, NodeId::new(0), DelayModel::WorstCase, 0).unwrap();
-    assert!(centr.cost.weighted_comm <= nv * 6);
+    // MST_centr stays within its row's O(n·V̂) — far below Ê.
+    let (_, centr) = check(&Claim::MstCentr { root: ROOT }, &g);
     assert!(centr.cost.weighted_comm < flood.cost.weighted_comm);
 }
 
@@ -165,65 +153,35 @@ fn figure_7_lower_bound_family_cost_shape() {
 /// heavy-chord networks, and β* pinned to the tree round trip.
 #[test]
 fn section_3_clock_synchronizer_hierarchy() {
-    let g = generators::heavy_chord_cycle(16, 1_000);
-    let p = CostParams::of(&g);
-    let alpha = run_alpha_star(&g, 5, DelayModel::WorstCase, 0).unwrap();
-    let beta = run_beta_star(&g, NodeId::new(0), 5, DelayModel::WorstCase, 0).unwrap();
-    let gamma = run_gamma_star(&g, 5, DelayModel::WorstCase, 0).unwrap();
-    let d = p.max_neighbor_distance.get() as u64;
-    // α* is pinned to W.
-    assert_eq!(
-        alpha.stats.max_pulse_delay() as u128,
-        p.max_weight.get() as u128
-    );
+    let delay = |claim: Claim| {
+        let (p, out) = sweep(&claim).pop().unwrap();
+        (p, out.pulses.max_pulse_delay())
+    };
+    let (p, alpha) = delay(Claim::AlphaStar { pulses: 5 });
+    let (_, gamma) = delay(Claim::GammaStar { pulses: 5 });
+    // β* ≤ 2·D̂ + slack is its row's bound.
+    delay(Claim::BetaStar {
+        leader: ROOT,
+        pulses: 5,
+    });
+    // α* is pinned to W: its row's bound, met with equality.
+    assert_eq!(alpha, p.max_weight.get());
     // γ* beats α* and respects the Ω(d) floor.
-    assert!(gamma.stats.max_pulse_delay() < alpha.stats.max_pulse_delay());
-    assert!(gamma.stats.max_pulse_delay() as u64 >= d);
-    // β* ≤ 2·D̂ + slack.
-    assert!((beta.stats.max_pulse_delay() as u128) <= 2 * p.weighted_diameter.get() + 2);
+    assert!(gamma < alpha);
+    assert!(u128::from(gamma) >= p.max_neighbor_distance.get());
 }
 
 /// Section 5: controller overhead O(c·log² c) and cut-off ≤ 2·threshold.
 #[test]
 fn section_5_controller_bounds() {
-    #[derive(Debug)]
-    struct Noisy {
-        initiator: bool,
-        bounces: u32,
-    }
-    impl Process for Noisy {
-        type Msg = u32;
-        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-            if self.initiator {
-                let all: Vec<NodeId> = ctx.neighbors().map(|(u, _, _)| u).collect();
-                for u in all {
-                    ctx.send(u, 0);
-                }
-            }
-        }
-        fn on_message(&mut self, from: NodeId, b: u32, ctx: &mut Context<'_, u32>) {
-            self.bounces += 1;
-            ctx.send(from, b + 1); // diverges
-        }
-    }
-    let g = generators::grid(3, 4, generators::WeightDist::Uniform(1, 5), 8);
     let threshold = 200u64;
-    let out = run_controlled(
-        &g,
-        NodeId::new(0),
+    let row = Claim::Controller {
+        root: ROOT,
         threshold,
-        GrantPolicy::Caching,
-        DelayModel::WorstCase,
-        0,
-        |v, _| Noisy {
-            initiator: v == NodeId::new(0),
-            bounces: 0,
-        },
-    )
-    .unwrap();
-    assert!(out.suspended);
-    assert!(out.cost.comm_of(CostClass::Protocol).get() <= 2 * threshold as u128);
-    let c = (2 * threshold) as f64;
-    let bound = 4.0 * c * c.log2() * c.log2();
-    assert!((out.cost.weighted_comm.get() as f64) <= bound);
+        policy: GrantPolicy::Caching,
+    };
+    for (_, out) in sweep(&row) {
+        assert!(out.suspended);
+        assert!(out.cost.comm_of(CostClass::Protocol).get() <= 2 * threshold as u128);
+    }
 }

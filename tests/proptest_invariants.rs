@@ -54,15 +54,17 @@ proptest! {
     #[test]
     fn ghs_is_always_the_canonical_mst(g in arb_graph(), seed in any::<u64>()) {
         let reference = cost_sensitive::graph::algo::prim_mst(&g, NodeId::new(0));
-        let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::Uniform, seed).unwrap();
-        prop_assert_eq!(out.tree.weight(), reference.weight());
+        let row = Claim::MstGhs { root: NodeId::new(0) };
+        let out = row.run(&g, ModelOracle::new(DelayModel::Uniform, seed)).unwrap();
+        prop_assert_eq!(out.tree.unwrap().weight(), reference.weight());
     }
 
     /// SPT_recur computes exact distances for any strip depth.
     #[test]
     fn spt_recur_is_exact_for_any_strip(g in arb_graph(), delta in 1u64..=64, seed in any::<u64>()) {
         let reference = cost_sensitive::graph::algo::distances(&g, NodeId::new(0));
-        let out = run_spt_recur(&g, NodeId::new(0), delta, DelayModel::Uniform, seed).unwrap();
+        let row = Claim::SptRecur { source: NodeId::new(0), delta };
+        let out = row.run(&g, ModelOracle::new(DelayModel::Uniform, seed)).unwrap();
         prop_assert_eq!(&out.dists[..], &reference[..]);
     }
 
@@ -106,10 +108,10 @@ proptest! {
     #[test]
     fn flood_under_worst_case_realizes_distances(g in arb_graph(), src in 0usize..18) {
         let s = NodeId::new(src % g.node_count());
-        let out = run_flood(&g, s, DelayModel::WorstCase, 0).unwrap();
-        let dist = cost_sensitive::graph::algo::distances(&g, s);
+        let out = Claim::Flood { root: s }.run(&g, ModelOracle::new(DelayModel::WorstCase, 0)).unwrap();
+        let (tree, dist) = (out.tree.unwrap(), cost_sensitive::graph::algo::distances(&g, s));
         for v in g.nodes() {
-            prop_assert_eq!(out.tree.depth(v), dist[v.index()]);
+            prop_assert_eq!(tree.depth(v), dist[v.index()]);
         }
     }
 
@@ -122,13 +124,14 @@ proptest! {
     ) {
         let n = g.node_count();
         let inputs: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(inputs_seed | 1) % 1000).collect();
-        let out = compute_global(
-            &g, NodeId::new(0), Xor, &inputs, TreeKind::Slt { q: 2 },
-            DelayModel::Uniform,
-        ).unwrap();
-        let expect = fold_all(&Xor, &inputs);
-        prop_assert_eq!(out.value, expect);
-        prop_assert!(out.outputs.iter().all(|&o| o == expect));
+        let tree = TreeKind::Slt { q: 2 }.build(&g, NodeId::new(0));
+        let run = Simulator::new(&g)
+            .delay(DelayModel::Uniform)
+            .seed(seed)
+            .run(|v, g| GlobalFunction::new(v, g, Xor, inputs[v.index()], &tree))
+            .unwrap();
+        let expect = Some(fold_all(&Xor, &inputs));
+        prop_assert!(run.states.iter().all(|s| s.result() == expect));
     }
 }
 
@@ -242,9 +245,10 @@ mod edge_cover {
 
         #[test]
         fn gamma_star_pulses_on_random_graphs(g in small_graph(), seed in any::<u64>()) {
-            let out = run_gamma_star(&g, 3, DelayModel::Uniform, seed).unwrap();
-            prop_assert_eq!(out.stats.min_pulses(), 3);
-            prop_assert!(out.stats.is_monotone());
+            let row = Claim::GammaStar { pulses: 3 };
+            let out = row.run(&g, ModelOracle::new(DelayModel::Uniform, seed)).unwrap();
+            prop_assert_eq!(out.pulses.min_pulses(), 3);
+            prop_assert!(out.pulses.is_monotone());
         }
     }
 }

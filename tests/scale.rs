@@ -10,8 +10,13 @@ fn ghs_at_n_200() {
     let reference = cost_sensitive::graph::algo::prim_mst(&g, NodeId::new(0)).weight();
     let sim_seeds: Vec<u64> = vec![3, 11];
     par_map(&sim_seeds, sim_seeds.len(), |&seed| {
-        let out = run_mst_ghs(&g, NodeId::new(0), DelayModel::Uniform, seed).unwrap();
-        assert_eq!(out.tree.weight(), reference, "sim seed {seed}");
+        let row = Claim::MstGhs {
+            root: NodeId::new(0),
+        };
+        let out = row
+            .run(&g, ModelOracle::new(DelayModel::Uniform, seed))
+            .unwrap();
+        assert_eq!(out.tree.unwrap().weight(), reference, "sim seed {seed}");
     });
 }
 
@@ -19,7 +24,13 @@ fn ghs_at_n_200() {
 fn spt_recur_at_n_150() {
     let g = generators::connected_gnp(150, 0.04, generators::WeightDist::Uniform(1, 64), 23);
     let reference = cost_sensitive::graph::algo::distances(&g, NodeId::new(0));
-    let out = run_spt_recur(&g, NodeId::new(0), 16, DelayModel::Uniform, 5).unwrap();
+    let row = Claim::SptRecur {
+        source: NodeId::new(0),
+        delta: 16,
+    };
+    let out = row
+        .run(&g, ModelOracle::new(DelayModel::Uniform, 5))
+        .unwrap();
     assert_eq!(out.dists, reference);
 }
 
@@ -31,8 +42,17 @@ fn flood_on_a_large_torus() {
         .seeds(0..3)
         .delays([DelayModel::WorstCase, DelayModel::Uniform])
         .run(|pt| {
-            let out = run_flood(pt.graph, NodeId::new(0), pt.delay, pt.seed).unwrap();
-            assert!(out.tree.is_spanning(), "seed {} {:?}", pt.seed, pt.delay);
+            let row = Claim::Flood {
+                root: NodeId::new(0),
+            };
+            let out = row.run(pt.graph, ModelOracle::new(pt.delay, pt.seed));
+            let out = out.unwrap();
+            assert!(
+                out.tree.unwrap().is_spanning(),
+                "seed {} {:?}",
+                pt.seed,
+                pt.delay
+            );
             out.cost
         });
     let s = summarize(&runs);
@@ -57,22 +77,24 @@ fn slt_on_a_dense_graph() {
 fn global_function_on_a_hypercube_q7() {
     let g = generators::hypercube(7, generators::WeightDist::Uniform(1, 16), 2);
     let inputs: Vec<u64> = (0..128u64).map(|i| i * 37 % 251).collect();
-    let out = compute_global(
-        &g,
-        NodeId::new(0),
-        Xor,
-        &inputs,
-        TreeKind::Slt { q: 2 },
-        DelayModel::Uniform,
-    )
-    .unwrap();
-    assert_eq!(out.value, fold_all(&Xor, &inputs));
+    let tree = TreeKind::Slt { q: 2 }.build(&g, NodeId::new(0));
+    let run = Simulator::new(&g)
+        .delay(DelayModel::Uniform)
+        .run(|v, g| GlobalFunction::new(v, g, Xor, inputs[v.index()], &tree))
+        .unwrap();
+    let expect = Some(fold_all(&Xor, &inputs));
+    assert!(run.states.iter().all(|s| s.result() == expect));
 }
 
 #[test]
 fn mst_fast_at_n_128() {
     let g = generators::connected_gnp(128, 0.05, generators::WeightDist::Uniform(1, 256), 41);
     let reference = cost_sensitive::graph::algo::prim_mst(&g, NodeId::new(0)).weight();
-    let out = run_mst_fast(&g, NodeId::new(0), DelayModel::Uniform, 1).unwrap();
-    assert_eq!(out.tree.weight(), reference);
+    let row = Claim::MstFast {
+        root: NodeId::new(0),
+    };
+    let out = row
+        .run(&g, ModelOracle::new(DelayModel::Uniform, 1))
+        .unwrap();
+    assert_eq!(out.tree.unwrap().weight(), reference);
 }

@@ -16,10 +16,12 @@ fn eight_seed_three_graph_sweep_parallel_equals_sequential() {
         .seeds(0..8)
         .delay(DelayModel::Uniform);
 
+    let row = Claim::MstGhs {
+        root: NodeId::new(0),
+    };
     let ghs = |pt: &SweepPoint<'_>| {
-        run_mst_ghs(pt.graph, NodeId::new(0), pt.delay, pt.seed)
-            .unwrap()
-            .cost
+        let oracle = ModelOracle::new(pt.delay, pt.seed);
+        row.run(pt.graph, oracle).unwrap().cost
     };
     let par = grid.clone().threads(4).run(ghs);
     let seq = grid.run_sequential(ghs);
@@ -46,7 +48,10 @@ fn sweep_summary_aggregates_the_grid() {
         .seeds(0..4)
         .delays([DelayModel::WorstCase, DelayModel::Eager])
         .run(|pt| {
-            run_flood(pt.graph, NodeId::new(0), pt.delay, pt.seed)
+            let row = Claim::Flood {
+                root: NodeId::new(0),
+            };
+            row.run(pt.graph, ModelOracle::new(pt.delay, pt.seed))
                 .unwrap()
                 .cost
         });

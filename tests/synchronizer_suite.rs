@@ -4,7 +4,7 @@
 
 use cost_sensitive::prelude::*;
 use cost_sensitive::sim::sync::{SyncContext, SyncProcess};
-use cost_sensitive::sync::net::{beta_w_overhead, run_synchronized_beta};
+use cost_sensitive::sync::net::run_synchronized_beta;
 
 /// Weighted flood for γ_w (records weighted distance) — the hosted
 /// protocol used across equivalence tests.
@@ -98,9 +98,15 @@ fn synchronizer_overhead_ordering_matches_the_paper() {
     // time(β_w) ≪ time(α_w); γ_w's time is W-independent.
     let g = generators::heavy_chord_cycle(16, 4_000);
     let pulses = 6;
-    let alpha =
-        cost_sensitive::sync::net::alpha_w_overhead(&g, pulses, DelayModel::WorstCase, 0).unwrap();
-    let beta = beta_w_overhead(&g, NodeId::new(0), pulses, DelayModel::WorstCase, 0).unwrap();
+    let cost = |row: Claim| {
+        let oracle = ModelOracle::new(DelayModel::WorstCase, 0);
+        row.run(&g, oracle).unwrap().cost
+    };
+    let alpha = cost(Claim::AlphaW { pulses });
+    let beta = cost(Claim::BetaW {
+        leader: NodeId::new(0),
+        pulses,
+    });
     assert!(
         beta.comm_of(CostClass::Synchronizer) < alpha.comm_of(CostClass::Synchronizer),
         "β_w comm must undercut α_w"
@@ -118,10 +124,9 @@ fn clock_gamma_star_scales_with_d_not_w() {
         .iter()
         .map(|&heavy| {
             let g = generators::heavy_chord_cycle(12, heavy);
-            run_gamma_star(&g, 4, DelayModel::WorstCase, 0)
-                .unwrap()
-                .stats
-                .max_pulse_delay()
+            let row = Claim::GammaStar { pulses: 4 };
+            let oracle = ModelOracle::new(DelayModel::WorstCase, 0);
+            row.run(&g, oracle).unwrap().pulses.max_pulse_delay()
         })
         .collect();
     assert_eq!(delays[0], delays[1], "γ* must be W-independent");
