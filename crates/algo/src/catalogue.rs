@@ -53,8 +53,7 @@ use csp_sim::{
     Context, CostClass, CostReport, LinkOracle, Process, Run, SimError, SimTime, Simulator,
 };
 use csp_sync::clock::{AlphaStar, BetaStar, GammaStar, PulseStats};
-use csp_sync::net::{level_layouts, AlphaWHost, BetaWHost, GammaWConfig, GammaWHost};
-use std::sync::Arc;
+use csp_sync::net::{AlphaWHost, BetaWHost, GammaWHost};
 
 /// One row of the paper's tables.
 ///
@@ -518,24 +517,17 @@ impl Claim {
                     pulsed(run, pulses, GammaStar::times)
                 }),
             Claim::AlphaW { pulses } => visitor.visit(
-                move |v, g| AlphaWHost::new(Idle(pulses), g.degree(v), pulses),
+                AlphaWHost::factory(pulses, move |_, _| Idle(pulses)),
                 |run| hosted(run, AlphaWHost::undelivered),
             ),
-            Claim::BetaW { leader, pulses } => {
-                let tree = shortest_path_tree(g, leader);
-                assert!(tree.is_spanning(), "β_w needs a connected graph");
-                visitor.visit(
-                    move |v, _| BetaWHost::new(v, &tree, Idle(pulses), pulses),
-                    |run| hosted(run, BetaWHost::undelivered),
-                )
-            }
-            Claim::GammaW { k, pulses } => {
-                let layouts = level_layouts(g, &GammaWConfig::new(k));
-                visitor.visit(
-                    move |_, _| GammaWHost::new(Idle(pulses), Arc::clone(&layouts), pulses),
-                    |run| hosted(run, GammaWHost::undelivered),
-                )
-            }
+            Claim::BetaW { leader, pulses } => visitor.visit(
+                BetaWHost::factory(g, leader, pulses, move |_, _| Idle(pulses)),
+                |run| hosted(run, BetaWHost::undelivered),
+            ),
+            Claim::GammaW { k, pulses } => visitor.visit(
+                GammaWHost::factory(g, k, pulses, move |_, _| Idle(pulses)),
+                |run| hosted(run, GammaWHost::undelivered),
+            ),
             Claim::Controller {
                 root,
                 threshold,

@@ -18,8 +18,7 @@
 use crate::catalogue::Outcome;
 use csp_graph::{Cost, NodeId, WeightedGraph};
 use csp_sim::sync::{SyncContext, SyncProcess, SyncRunner};
-use csp_sync::net::{level_layouts, GammaWConfig, GammaWHost};
-use std::sync::Arc;
+use csp_sync::net::GammaWHost;
 
 /// Per-vertex state of the synchronous SPT flood.
 #[derive(Clone, Debug)]
@@ -114,14 +113,13 @@ pub(crate) fn hosts(
     s: NodeId,
     k: usize,
 ) -> impl Fn(NodeId, &WeightedGraph) -> GammaWHost<SptSynch> + Sync {
-    let layouts = level_layouts(g, &GammaWConfig::new(k));
     let ecc = csp_graph::algo::distances(g, s)
         .into_iter()
         .map(|d| d.get() as u64)
         .max()
         .unwrap_or(0);
     let horizon = ecc + g.max_weight().get() + 1;
-    move |v, _| GammaWHost::new(SptSynch::new(v, s), Arc::clone(&layouts), horizon)
+    GammaWHost::factory(g, k, horizon, move |v, _| SptSynch::new(v, s))
 }
 
 #[cfg(test)]

@@ -7,23 +7,24 @@
 //!
 //! * to run synchronous protocols directly (e.g. the synchronous SPT of
 //!   Section 9.1, which takes time `D̂` and communication `Ê`);
-//! * as the *reference semantics* against which the network synchronizer
-//!   γ_w is tested for equivalence;
+//! * as the *reference semantics* against which the network
+//!   synchronizers (γ_w, and α_w / β_w on unit weights) are tested for
+//!   equivalence, call by call;
 //! * as the host interface for synchronizers: the synchronizer wraps a
 //!   [`SyncProcess`] and drives it pulse by pulse with
-//!   [`SyncContext::host`]/[`SyncContext::drain`].
+//!   [`SyncContext::host`]/[`SyncContext::drain`], under the call rule
+//!   and inbox order of [`SyncProcess::on_pulse`].
 //!
 //! Definition 4.2's *in-synch* restriction (a protocol may transmit on
 //! edge `e` only at pulses divisible by `w(e)`) can be enforced with
 //! [`SyncRunner::require_in_synch`].
 
 use crate::cost::{CostClass, CostReport};
-use crate::process::TimerId;
 use crate::queue::BucketQueue;
 use crate::time::SimTime;
 use csp_graph::{EdgeId, NodeId, Weight, WeightedGraph};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -32,22 +33,17 @@ pub trait SyncProcess {
     /// The protocol's message alphabet.
     type Msg: Clone + std::fmt::Debug;
 
-    /// Called at pulse 0 for every vertex, and afterwards whenever the
-    /// vertex has incoming messages or a requested wake-up. `inbox` holds
-    /// the messages arriving exactly at this pulse.
+    /// Called at pulse 0 for every vertex, and afterwards whenever
+    /// messages arrive or — until the vertex [finishes](SyncContext::finish)
+    /// — at a requested wake-up. `inbox` holds the messages arriving
+    /// exactly at this pulse, by send pulse, then sender index, then the
+    /// order the sender sent them.
     fn on_pulse(
         &mut self,
         pulse: u64,
         inbox: &[(NodeId, Self::Msg)],
         ctx: &mut SyncContext<'_, Self::Msg>,
     );
-
-    /// Called when a timer armed with [`SyncContext::set_timer`] fires
-    /// (after this pulse's [`on_pulse`](SyncProcess::on_pulse), if both
-    /// happen at the same pulse). The default ignores the fire.
-    fn on_timer(&mut self, id: TimerId, ctx: &mut SyncContext<'_, Self::Msg>) {
-        let _ = (id, ctx);
-    }
 }
 
 /// Everything a [`SyncProcess`] handler produced during one pulse.
@@ -59,10 +55,6 @@ pub struct SyncOutbox<M> {
     pub finished: bool,
     /// Requested wake-up pulse, if any.
     pub wake_at: Option<u64>,
-    /// Timer delays armed this pulse, in arming order.
-    pub timers: Vec<u64>,
-    /// Timers cancelled this pulse.
-    pub cancels: Vec<TimerId>,
 }
 
 /// Handler-side view for synchronous protocols.
@@ -74,9 +66,6 @@ pub struct SyncContext<'a, M> {
     sends: Vec<(NodeId, M)>,
     finished: bool,
     wake_at: Option<u64>,
-    timers: Vec<u64>,
-    cancels: Vec<TimerId>,
-    timer_base: u64,
 }
 
 impl<'a, M: Clone + std::fmt::Debug> SyncContext<'a, M> {
@@ -90,16 +79,7 @@ impl<'a, M: Clone + std::fmt::Debug> SyncContext<'a, M> {
             sends: Vec::new(),
             finished: false,
             wake_at: None,
-            timers: Vec::new(),
-            cancels: Vec::new(),
-            timer_base: 0,
         }
-    }
-
-    /// Anchors this context's [`TimerId`] numbering (runner-internal).
-    fn with_timer_base(mut self, base: u64) -> Self {
-        self.timer_base = base;
-        self
     }
 
     /// This vertex's identifier.
@@ -166,36 +146,12 @@ impl<'a, M: Clone + std::fmt::Debug> SyncContext<'a, M> {
         });
     }
 
-    /// Arms a one-shot timer firing at pulse `pulse + delay.max(1)`:
-    /// [`SyncProcess::on_timer`] runs then with the returned id. Same
-    /// facility as the asynchronous
-    /// [`Context::set_timer`](crate::Context::set_timer), so wrappers like
-    /// [`Reliable`](crate::Reliable) translate directly.
-    ///
-    /// Timers are a [`SyncRunner`] feature: synchronizer hosts (α_w, β_w,
-    /// γ_w in `csp-sync`) reject pulses that arm or cancel timers — use
-    /// [`SyncContext::wake_at`] there instead.
-    pub fn set_timer(&mut self, delay: u64) -> TimerId {
-        let id = TimerId(self.timer_base + self.timers.len() as u64);
-        self.timers.push(delay.max(1));
-        id
-    }
-
-    /// Cancels a timer armed earlier; a cancelled timer never reaches
-    /// [`SyncProcess::on_timer`]. Cancelling an already-fired or unknown
-    /// timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.cancels.push(id);
-    }
-
     /// Extracts the handler's products (for synchronizer hosts).
     pub fn drain(&mut self) -> SyncOutbox<M> {
         SyncOutbox {
             sends: std::mem::take(&mut self.sends),
             finished: self.finished,
             wake_at: self.wake_at.take(),
-            timers: std::mem::take(&mut self.timers),
-            cancels: std::mem::take(&mut self.cancels),
         }
     }
 }
@@ -310,28 +266,18 @@ impl<'g> SyncRunner<'g> {
         // Requested wake-ups as `(pulse, vertex)`; duplicates are
         // harmless since a wake only marks the vertex active.
         let mut wakes: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        // Armed timers as `(fire pulse, id, vertex)`; ids are globally
-        // unique, so same-pulse fires run in arming order. Cancellation
-        // is lazy: ids land in `cancelled` and the entry is skipped when
-        // it surfaces.
-        let mut timer_heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut cancelled: HashSet<u64> = HashSet::new();
-        let mut timer_seq: u64 = 0;
 
         // Persistent per-vertex buffers, reset between pulses via the
         // `touched` list so a pulse costs O(activations), not O(n).
         let mut inbox: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
-        let mut fires: Vec<Vec<u64>> = vec![Vec::new(); n];
         let mut active = vec![false; n];
         let mut touched: Vec<usize> = Vec::new();
 
         let mut pulse: u64 = 0;
-        let mut last_activity: u64 = 0;
         loop {
             // Gather this pulse's activations.
             for &i in &touched {
                 inbox[i].clear();
-                fires[i].clear();
                 active[i] = false;
             }
             touched.clear();
@@ -352,47 +298,18 @@ impl<'g> SyncRunner<'g> {
                     touched.push(i);
                 }
             }
-            // Timer fires last, so a vertex activated only by a timer is
-            // distinguishable: it gets `on_timer` without `on_pulse`.
-            while timer_heap
-                .peek()
-                .is_some_and(|&Reverse((p, _, _))| p == pulse)
-            {
-                let Reverse((_, id, i)) = timer_heap.pop().expect("peeked entry");
-                if cancelled.remove(&id) {
-                    continue;
-                }
-                if !active[i] && fires[i].is_empty() {
-                    touched.push(i);
-                }
-                fires[i].push(id);
-            }
 
             for v in g.nodes() {
                 let i = v.index();
-                // `on_pulse` runs for message/wake activations (and for
-                // everyone at pulse 0); timer fires follow on the same
-                // context, so their sends share one metering pass below.
-                let pulse_call =
-                    (everyone || active[i]) && !(finished[i] && inbox[i].is_empty() && !everyone);
-                if !pulse_call && fires[i].is_empty() {
+                // Everyone runs at pulse 0; afterwards a vertex runs when
+                // messages arrive, or at a wake-up unless it finished.
+                let call = everyone || (active[i] && !(finished[i] && inbox[i].is_empty()));
+                if !call {
                     continue;
                 }
-                let mut ctx = SyncContext::host(v, pulse, g).with_timer_base(timer_seq);
-                if pulse_call {
-                    states[i].on_pulse(pulse, &inbox[i], &mut ctx);
-                }
-                for &id in &fires[i] {
-                    states[i].on_timer(TimerId(id), &mut ctx);
-                }
+                let mut ctx = SyncContext::host(v, pulse, g);
+                states[i].on_pulse(pulse, &inbox[i], &mut ctx);
                 let out = ctx.drain();
-                for (k, &delay) in out.timers.iter().enumerate() {
-                    timer_heap.push(Reverse((pulse + delay, timer_seq + k as u64, i)));
-                }
-                timer_seq += out.timers.len() as u64;
-                for t in out.cancels {
-                    cancelled.insert(t.0);
-                }
                 if out.finished {
                     finished[i] = true;
                 }
@@ -410,27 +327,22 @@ impl<'g> SyncRunner<'g> {
                         });
                     }
                     cost.record_send(eid, w, CostClass::Protocol);
-                    let arrival = pulse + w.get();
-                    queue.push(arrival, seq, (to, v, msg));
+                    queue.push(pulse + w.get(), seq, (to, v, msg));
                     seq += 1;
-                    last_activity = arrival;
                 }
             }
 
-            // Drop cancelled timers sitting at the top of the heap, so
-            // neither termination nor pulse selection sees dead entries.
-            while timer_heap
-                .peek()
-                .is_some_and(|&Reverse((_, id, _))| cancelled.contains(&id))
-            {
-                let Reverse((_, id, _)) = timer_heap.pop().expect("peeked entry");
-                cancelled.remove(&id);
-            }
-            // Termination: all finished, nothing in flight, no wake-ups,
-            // no pending timers (a live timer may still send).
-            let all_done = finished.iter().all(|&f| f);
-            if all_done && queue.is_empty() && timer_heap.is_empty() {
-                cost.completion = SimTime::new(last_activity.max(pulse));
+            // Advance to the next interesting pulse — unless every vertex
+            // finished with nothing in flight, or nothing is scheduled at
+            // all (a deadlock, treated as completion like asynchronous
+            // quiescence; callers inspect `finished` via state). Either
+            // way the queue is empty, so the last delivery was at or
+            // before `pulse`.
+            let all_done = finished.iter().all(|&f| f) && queue.is_empty();
+            let next_wake = wakes.peek().map(|&Reverse((p, _))| p);
+            let next = queue.next_time().into_iter().chain(next_wake).min();
+            let Some(next) = next.filter(|_| !all_done) else {
+                cost.completion = SimTime::new(pulse);
                 cost.bucket_window = BucketQueue::capacity_for(g.max_weight().get()) as u64;
                 cost.overflow_pushes = queue.overflow_pushes();
                 return Ok(SyncRun {
@@ -438,31 +350,6 @@ impl<'g> SyncRunner<'g> {
                     cost,
                     pulses: pulse,
                 });
-            }
-            // Advance to the next interesting pulse.
-            let next_delivery = queue.next_time();
-            let next_wake = wakes.peek().map(|&Reverse((p, _))| p);
-            let next_timer = timer_heap.peek().map(|&Reverse((p, _, _))| p);
-            let soonest = |a: Option<u64>, b: Option<u64>| match (a, b) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, None) => x,
-                (None, y) => y,
-            };
-            let next = match soonest(soonest(next_delivery, next_wake), next_timer) {
-                Some(p) => p,
-                None => {
-                    // Not all finished but nothing scheduled: deadlock.
-                    // Treat as completion — mirrors asynchronous
-                    // quiescence; callers inspect `finished` via state.
-                    cost.completion = SimTime::new(pulse);
-                    cost.bucket_window = BucketQueue::capacity_for(g.max_weight().get()) as u64;
-                    cost.overflow_pushes = queue.overflow_pushes();
-                    return Ok(SyncRun {
-                        states,
-                        cost,
-                        pulses: pulse,
-                    });
-                }
             };
             if next > self.pulse_limit {
                 return Err(SyncError::PulseLimitExceeded {
@@ -641,100 +528,6 @@ mod tests {
             .run(|_, _| Insomniac)
             .unwrap_err();
         assert_eq!(err, SyncError::PulseLimitExceeded { limit: 100 });
-    }
-
-    /// Arms a timer at pulse 0, a decoy it cancels, and finishes when the
-    /// survivor fires.
-    struct TimedOut {
-        fired: Vec<(u64, u64)>,
-    }
-
-    impl SyncProcess for TimedOut {
-        type Msg = ();
-        fn on_pulse(&mut self, pulse: u64, _i: &[(NodeId, ())], ctx: &mut SyncContext<'_, ()>) {
-            if pulse == 0 {
-                let keep = ctx.set_timer(5);
-                let decoy = ctx.set_timer(2);
-                ctx.cancel_timer(decoy);
-                assert_ne!(keep, decoy);
-            }
-        }
-        fn on_timer(&mut self, id: TimerId, ctx: &mut SyncContext<'_, ()>) {
-            self.fired.push((ctx.pulse(), id.0));
-            ctx.finish();
-        }
-    }
-
-    #[test]
-    fn timers_fire_at_pulse_plus_delay_and_cancels_hold() {
-        let g = generators::path(2, |_| 1);
-        let run = SyncRunner::new(&g)
-            .run(|_, _| TimedOut { fired: vec![] })
-            .unwrap();
-        // Only the kept timer fires, at pulse 5; the cancelled one never
-        // wakes anybody, and pending timers keep the run alive until
-        // then. Ids are globally unique across the two vertices.
-        assert_eq!(run.pulses, 5);
-        let mut all: Vec<(u64, u64)> = run.states.iter().flat_map(|s| s.fired.clone()).collect();
-        all.sort_unstable();
-        assert_eq!(all.len(), 2);
-        assert!(all.iter().all(|&(p, _)| p == 5));
-        assert_ne!(all[0].1, all[1].1);
-    }
-
-    /// Retransmits over a weight-3 edge until acked, using a timer.
-    struct NaggingSender {
-        acked: bool,
-        sent: u32,
-    }
-
-    impl SyncProcess for NaggingSender {
-        type Msg = bool; // true = ack
-        fn on_pulse(
-            &mut self,
-            pulse: u64,
-            inbox: &[(NodeId, bool)],
-            ctx: &mut SyncContext<'_, bool>,
-        ) {
-            if ctx.self_id() == NodeId::new(0) {
-                if pulse == 0 {
-                    self.sent += 1;
-                    ctx.send(NodeId::new(1), false);
-                    ctx.set_timer(10);
-                }
-                if inbox.iter().any(|&(_, ack)| ack) {
-                    self.acked = true;
-                    ctx.finish();
-                }
-            } else if !inbox.is_empty() {
-                // Receiver acks the second copy only, forcing one timeout.
-                self.sent += 1;
-                if self.sent == 2 {
-                    ctx.send(NodeId::new(0), true);
-                }
-                ctx.finish();
-            }
-        }
-        fn on_timer(&mut self, _id: TimerId, ctx: &mut SyncContext<'_, bool>) {
-            if !self.acked {
-                self.sent += 1;
-                ctx.send(NodeId::new(1), false);
-                ctx.set_timer(10);
-            }
-        }
-    }
-
-    #[test]
-    fn timer_driven_retransmission_converges() {
-        let g = generators::path(2, |_| 3);
-        let run = SyncRunner::new(&g)
-            .run(|_, _| NaggingSender {
-                acked: false,
-                sent: 0,
-            })
-            .unwrap();
-        assert!(run.states[0].acked);
-        assert_eq!(run.states[0].sent, 2, "exactly one retransmission");
     }
 
     #[test]

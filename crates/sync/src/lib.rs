@@ -57,4 +57,4 @@ pub mod clock;
 pub mod net;
 
 pub use clock::PulseStats;
-pub use net::{run_synchronized, GammaWConfig, HostedRun};
+pub use net::{run_synchronized, HostedRun, Synchronizer};

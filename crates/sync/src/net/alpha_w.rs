@@ -27,9 +27,10 @@
 //! semantics (e.g. Bellman–Ford-style iteration), or purely as the
 //! overhead baseline in benchmarks.
 
+use super::hosted::Hosted;
 use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::sync::{SyncContext, SyncProcess};
-use csp_sim::{Context, CostClass, DelayModel, Process, SimError, Simulator};
+use csp_sim::sync::SyncProcess;
+use csp_sim::{Context, CostClass, Process};
 use std::collections::BTreeMap;
 
 /// Messages of the α_w host.
@@ -59,79 +60,57 @@ pub enum AlphaMsg<M> {
 /// delay-`w(e)` semantics.)
 #[derive(Clone, Debug)]
 pub struct AlphaWHost<P: SyncProcess> {
-    hosted: P,
+    hosted: Hosted<P>,
     until_pulse: u64,
     pulse: u64,
     degree: usize,
-    /// Hosted messages buffered for the next pulse.
-    buffered: BTreeMap<u64, Vec<(NodeId, P::Msg)>>,
     /// Outstanding acknowledgments for this pulse's sends.
     ack_outstanding: u64,
     /// Whether this vertex already announced safety for `pulse`.
     safe_sent: bool,
     /// Safe tokens received per pulse.
     safe_received: BTreeMap<u64, usize>,
-    wake_at: Option<u64>,
-    hosted_finished: bool,
 }
 
 impl<P: SyncProcess> AlphaWHost<P> {
-    /// Creates the host for one vertex, simulating pulses
-    /// `0..=until_pulse`.
-    pub fn new(hosted: P, degree: usize, until_pulse: u64) -> Self {
-        AlphaWHost {
-            hosted,
+    /// The per-vertex constructor of a run simulating pulses
+    /// `0..=until_pulse`, hosting `make(v, g)` at each vertex `v`. (α_w
+    /// shares no structure between vertices, so unlike the other hosts'
+    /// factories this one needs no graph up front.)
+    pub fn factory<F>(until_pulse: u64, make: F) -> impl Fn(NodeId, &WeightedGraph) -> Self + Sync
+    where
+        F: Fn(NodeId, &WeightedGraph) -> P + Sync,
+    {
+        move |v, g| AlphaWHost {
+            hosted: Hosted::new(make(v, g)),
             until_pulse,
             pulse: 0,
-            degree,
-            buffered: BTreeMap::new(),
+            degree: g.degree(v),
             ack_outstanding: 0,
             safe_sent: false,
             safe_received: BTreeMap::new(),
-            wake_at: None,
-            hosted_finished: false,
         }
     }
 
     /// The hosted protocol state.
     pub fn hosted(&self) -> &P {
-        &self.hosted
+        &self.hosted.state
     }
 
     /// Hosted messages still buffered past the horizon.
     pub fn undelivered(&self) -> usize {
-        self.buffered.values().map(Vec::len).sum()
+        self.hosted.undelivered()
+    }
+
+    pub(super) fn into_hosted(self) -> Hosted<P> {
+        self.hosted
     }
 
     fn run_pulse(&mut self, ctx: &mut Context<'_, AlphaMsg<P::Msg>>) {
         let q = self.pulse;
-        let inbox = self.buffered.remove(&q).unwrap_or_default();
-        let woken = self.wake_at == Some(q);
-        if q == 0 || !inbox.is_empty() || woken {
-            if woken {
-                self.wake_at = None;
-            }
-            let g = ctx.graph();
-            let mut sctx: SyncContext<'_, P::Msg> = SyncContext::host(ctx.self_id(), q, g);
-            self.hosted.on_pulse(q, &inbox, &mut sctx);
-            let out = sctx.drain();
-            assert!(
-                out.timers.is_empty() && out.cancels.is_empty(),
-                "synchronizer hosts do not forward timers; use wake_at"
-            );
-            if out.finished {
-                self.hosted_finished = true;
-            }
-            if let Some(w) = out.wake_at {
-                self.wake_at = Some(match self.wake_at {
-                    Some(e) => e.min(w),
-                    None => w,
-                });
-            }
-            for (to, msg) in out.sends {
-                self.ack_outstanding += 1;
-                ctx.send(to, AlphaMsg::Hosted { msg, sent: q });
-            }
+        for (to, msg) in self.hosted.pulse(q, ctx) {
+            self.ack_outstanding += 1;
+            ctx.send(to, AlphaMsg::Hosted { msg, sent: q });
         }
         self.safe_sent = false;
         self.maybe_announce_safe(ctx);
@@ -177,8 +156,8 @@ impl<P: SyncProcess> Process for AlphaWHost<P> {
     ) {
         match msg {
             AlphaMsg::Hosted { msg, sent } => {
-                ctx.send_class(from, AlphaMsg::Ack, CostClass::Synchronizer);
-                self.buffered.entry(sent + 1).or_default().push((from, msg));
+                self.hosted
+                    .receive(from, msg, sent, sent + 1, AlphaMsg::Ack, ctx);
             }
             AlphaMsg::Ack => {
                 self.ack_outstanding -= 1;
@@ -189,104 +168,5 @@ impl<P: SyncProcess> Process for AlphaWHost<P> {
                 self.maybe_advance(ctx);
             }
         }
-    }
-}
-
-/// Runs a unit-delay synchronous protocol on the asynchronous network
-/// under the naive synchronizer α_w, simulating pulses
-/// `0..=until_pulse`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if hosted messages remain buffered past the horizon.
-pub fn run_synchronized_alpha<P, F>(
-    g: &WeightedGraph,
-    until_pulse: u64,
-    delay: DelayModel,
-    seed: u64,
-    mut make: F,
-) -> Result<super::HostedRun<P>, SimError>
-where
-    P: SyncProcess,
-    F: FnMut(NodeId, &WeightedGraph) -> P,
-{
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, g| AlphaWHost::new(make(v, g), g.degree(v), until_pulse))?;
-    let undelivered: usize = run.states.iter().map(AlphaWHost::undelivered).sum();
-    assert_eq!(
-        undelivered, 0,
-        "until_pulse={until_pulse} too small: {undelivered} hosted messages undelivered"
-    );
-    let states = run.states.into_iter().map(|h| h.hosted).collect();
-    Ok(super::HostedRun {
-        states,
-        cost: run.cost,
-        pulses: until_pulse,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use csp_graph::generators;
-
-    /// Unit-delay BFS flood: first-hearing pulse = hop distance.
-    #[derive(Clone, Debug)]
-    struct HopFlood {
-        heard_at: Option<u64>,
-    }
-
-    impl SyncProcess for HopFlood {
-        type Msg = ();
-        fn on_pulse(&mut self, pulse: u64, inbox: &[(NodeId, ())], ctx: &mut SyncContext<'_, ()>) {
-            let fire = (pulse == 0 && ctx.self_id() == NodeId::new(0))
-                || (!inbox.is_empty() && self.heard_at.is_none());
-            if fire {
-                self.heard_at = Some(pulse);
-                let targets: Vec<NodeId> = ctx.neighbors().map(|(u, _, _)| u).collect();
-                for u in targets {
-                    ctx.send(u, ());
-                }
-            }
-            if pulse == 0 {
-                ctx.finish();
-            }
-        }
-    }
-
-    #[test]
-    fn alpha_w_realizes_unit_delay_semantics() {
-        let g = generators::heavy_chord_cycle(10, 50);
-        let hops = csp_graph::algo::hop_distances(&g, NodeId::new(0));
-        let max_hops = hops.iter().map(|h| h.unwrap() as u64).max().unwrap();
-        for seed in 0..3 {
-            let run =
-                run_synchronized_alpha(&g, max_hops + 2, DelayModel::Uniform, seed, |_, _| {
-                    HopFlood { heard_at: None }
-                })
-                .unwrap();
-            for v in g.nodes() {
-                assert_eq!(
-                    run.states[v.index()].heard_at,
-                    Some(hops[v.index()].unwrap() as u64),
-                    "hop mismatch at {v} (seed {seed})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "too small")]
-    fn alpha_w_detects_insufficient_horizon() {
-        let g = generators::path(6, |_| 3);
-        let _ = run_synchronized_alpha(&g, 1, DelayModel::WorstCase, 0, |_, _| HopFlood {
-            heard_at: None,
-        });
     }
 }

@@ -45,44 +45,24 @@
 //! buffered past that horizon, so an insufficient horizon cannot pass
 //! silently.
 
+use super::hosted::Hosted;
 use super::layout::{edge_level, next_multiple, LevelLayout};
 use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::sync::{SyncContext, SyncProcess};
-use csp_sim::{Context, CostClass, CostReport, DelayModel, Process, SimError, Simulator};
+use csp_sim::sync::SyncProcess;
+use csp_sim::{Context, CostClass, Process};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Configuration of synchronizer γ_w.
-#[derive(Clone, Copy, Debug)]
-pub struct GammaWConfig {
-    /// Cluster partition parameter `k ≥ 2`: bigger `k` means fatter
-    /// clusters — fewer inter-cluster confirmations (less time) at more
-    /// intra-cluster traffic (more communication).
-    pub k: usize,
-}
-
-impl GammaWConfig {
-    /// Creates a configuration with partition parameter `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2`.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 2, "partition parameter k must be at least 2");
-        GammaWConfig { k }
-    }
-}
 
 /// Messages of the γ_w host.
 #[derive(Clone, Debug)]
 pub enum HostMsg<M> {
-    /// A hosted-protocol payload, to be processed at original pulse
-    /// `proc`.
+    /// A hosted-protocol payload sent at original pulse `sent`, to be
+    /// processed at original pulse `sent + w(e)`.
     Hosted {
         /// The hosted message.
         msg: M,
-        /// Original processing pulse `q + w`.
-        proc: u64,
+        /// Sender's original pulse.
+        sent: u64,
     },
     /// Acknowledgment of a hosted payload on a class-`level` edge.
     Ack {
@@ -162,78 +142,73 @@ impl LevelState {
 /// The γ_w host process wrapping one hosted [`SyncProcess`] instance.
 #[derive(Clone, Debug)]
 pub struct GammaWHost<P: SyncProcess> {
-    hosted: P,
+    hosted: Hosted<P>,
     layouts: Arc<Vec<LevelLayout>>,
     /// Virtual-pulse horizon (`4 × until_pulse`).
     until_t: u64,
     /// Current virtual pulse (last executed).
     t: u64,
-    /// Hosted messages buffered for future processing pulses.
-    buffered: BTreeMap<u64, Vec<(NodeId, P::Msg)>>,
     /// Outbound hosted messages awaiting their aligned transmission
-    /// pulse: `t_send -> [(to, msg, proc)]`.
+    /// pulse: `t_send -> [(to, msg, sent)]`.
     pending: BTreeMap<u64, Vec<(NodeId, P::Msg, u64)>>,
-    /// Hosted wake-up request (original pulses).
-    wake_at: Option<u64>,
-    /// Hosted protocol declared local termination.
-    hosted_finished: bool,
     /// Per-level synchronizer state (parallel to `layouts`).
     levels: Vec<LevelState>,
 }
 
 impl<P: SyncProcess> GammaWHost<P> {
-    /// Creates a host for one vertex. Most callers should use
-    /// [`run_synchronized`]; this is public for custom hosting setups and
-    /// diagnostics.
-    pub fn new(hosted: P, layouts: Arc<Vec<LevelLayout>>, until_pulse: u64) -> Self {
-        let levels: Vec<LevelState> = layouts.iter().map(|_| LevelState::new()).collect();
-        GammaWHost {
-            hosted,
-            layouts,
+    /// Builds the level layouts of `g` once — one cluster partition with
+    /// parameter `k` per weight class present — and returns the
+    /// per-vertex constructor of a run simulating original pulses
+    /// `0..=until_pulse`, hosting `make(v, g)` at each vertex `v`.
+    ///
+    /// Bigger `k` means fatter clusters: fewer inter-cluster
+    /// confirmations (less time) at more intra-cluster traffic (more
+    /// communication).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k < 2`.
+    pub fn factory<F>(
+        g: &WeightedGraph,
+        k: usize,
+        until_pulse: u64,
+        make: F,
+    ) -> impl Fn(NodeId, &WeightedGraph) -> Self + Sync
+    where
+        F: Fn(NodeId, &WeightedGraph) -> P + Sync,
+    {
+        assert!(k >= 2, "partition parameter k must be at least 2");
+        let mut exps: Vec<u32> = g.edges().map(|e| edge_level(e.weight().get())).collect();
+        exps.sort_unstable();
+        exps.dedup();
+        let layouts: Arc<Vec<LevelLayout>> = Arc::new(
+            exps.into_iter()
+                .map(|exp| LevelLayout::build(g, exp, k))
+                .collect(),
+        );
+        move |v, g| GammaWHost {
+            hosted: Hosted::new(make(v, g)),
+            levels: layouts.iter().map(|_| LevelState::new()).collect(),
+            layouts: Arc::clone(&layouts),
             until_t: until_pulse.saturating_mul(4),
             t: 0,
-            buffered: BTreeMap::new(),
             pending: BTreeMap::new(),
-            wake_at: None,
-            hosted_finished: false,
-            levels,
         }
     }
 
     /// The hosted protocol state (for extraction after the run).
     pub fn hosted(&self) -> &P {
-        &self.hosted
+        &self.hosted.state
     }
 
     /// Hosted messages still buffered — must be empty after a run with a
     /// sufficient pulse horizon.
     pub fn undelivered(&self) -> usize {
-        self.buffered.values().map(Vec::len).sum()
+        self.hosted.undelivered()
     }
 
-    /// Whether the hosted protocol declared local termination.
-    pub fn hosted_finished(&self) -> bool {
-        self.hosted_finished
-    }
-
-    /// The last executed virtual pulse (diagnostics).
-    pub fn virtual_pulse(&self) -> u64 {
-        self.t
-    }
-
-    /// Processing pulses of still-buffered hosted messages (diagnostics).
-    pub fn buffered_pulses(&self) -> Vec<u64> {
-        self.buffered.keys().copied().collect()
-    }
-
-    /// Per-level `(exponent, confirmed super-pulse, outstanding acks)`
-    /// (diagnostics).
-    pub fn level_progress(&self) -> Vec<(u32, u64, u64)> {
-        self.layouts
-            .iter()
-            .zip(self.levels.iter())
-            .map(|(l, s)| (l.exp, s.confirmed, s.ack_outstanding))
-            .collect()
+    pub(super) fn into_hosted(self) -> Hosted<P> {
+        self.hosted
     }
 
     fn level_index(&self, exp: u32) -> usize {
@@ -246,42 +221,14 @@ impl<P: SyncProcess> GammaWHost<P> {
     /// Runs the hosted protocol at original pulse `q` if it is due, and
     /// queues its sends at their aligned transmission pulses.
     fn host_pulse(&mut self, q: u64, ctx: &mut Context<'_, HostMsg<P::Msg>>) {
-        let inbox = self.buffered.remove(&q).unwrap_or_default();
-        let woken = self.wake_at == Some(q);
-        if q != 0 && inbox.is_empty() && !woken {
-            return;
-        }
-        if woken {
-            self.wake_at = None;
-        }
         let g = ctx.graph();
-        let me = ctx.self_id();
-        let mut sctx: SyncContext<'_, P::Msg> = SyncContext::host(me, q, g);
-        self.hosted.on_pulse(q, &inbox, &mut sctx);
-        let out = sctx.drain();
-        assert!(
-            out.timers.is_empty() && out.cancels.is_empty(),
-            "synchronizer hosts do not forward timers; use wake_at"
-        );
-        if out.finished {
-            self.hosted_finished = true;
-        }
-        if let Some(w) = out.wake_at {
-            self.wake_at = Some(match self.wake_at {
-                Some(existing) => existing.min(w),
-                None => w,
-            });
-        }
-        for (to, msg) in out.sends {
-            let eid = g.edge_between(me, to).expect("hosted sends to neighbors");
-            let w = g.weight(eid).get();
-            let width = 1u64 << edge_level(w);
+        for (to, msg) in self.hosted.pulse(q, ctx) {
+            let eid = g
+                .edge_between(ctx.self_id(), to)
+                .expect("hosted sends to neighbors");
+            let width = 1u64 << edge_level(g.weight(eid).get());
             let t_send = next_multiple(4 * q, width);
-            let proc = q + w;
-            self.pending
-                .entry(t_send)
-                .or_default()
-                .push((to, msg, proc));
+            self.pending.entry(t_send).or_default().push((to, msg, q));
         }
     }
 
@@ -294,14 +241,14 @@ impl<P: SyncProcess> GammaWHost<P> {
         // Physical transmissions aligned at t.
         if let Some(sends) = self.pending.remove(&t) {
             let g = ctx.graph();
-            for (to, msg, proc) in sends {
+            for (to, msg, sent) in sends {
                 let eid = g
                     .edge_between(ctx.self_id(), to)
                     .expect("hosted sends to neighbors");
                 let exp = edge_level(g.weight(eid).get());
                 let li = self.level_index(exp);
                 self.levels[li].ack_outstanding += 1;
-                ctx.send(to, HostMsg::Hosted { msg, proc });
+                ctx.send(to, HostMsg::Hosted { msg, sent });
             }
         }
         // Start the safety round of every level whose boundary this is.
@@ -470,14 +417,16 @@ impl<P: SyncProcess> Process for GammaWHost<P> {
         ctx: &mut Context<'_, HostMsg<P::Msg>>,
     ) {
         match msg {
-            HostMsg::Hosted { msg, proc } => {
+            HostMsg::Hosted { msg, sent } => {
                 let g = ctx.graph();
                 let eid = g
                     .edge_between(ctx.self_id(), from)
                     .expect("from a neighbor");
-                let level = edge_level(g.weight(eid).get());
-                ctx.send_class(from, HostMsg::Ack { level }, CostClass::Synchronizer);
-                self.buffered.entry(proc).or_default().push((from, msg));
+                let w = g.weight(eid).get();
+                let ack = HostMsg::Ack {
+                    level: edge_level(w),
+                };
+                self.hosted.receive(from, msg, sent, sent + w, ack, ctx);
             }
             HostMsg::Ack { level } => {
                 let li = self.level_index(level);
@@ -509,246 +458,5 @@ impl<P: SyncProcess> Process for GammaWHost<P> {
                 self.on_go(li, round, ctx);
             }
         }
-    }
-}
-
-/// The shared static structure of a γ_w run on `g`: one
-/// [`LevelLayout`] per weight class present in the graph, built with the
-/// configuration's partition parameter.
-pub fn level_layouts(g: &WeightedGraph, config: &GammaWConfig) -> Arc<Vec<LevelLayout>> {
-    let mut exps: Vec<u32> = g.edges().map(|e| edge_level(e.weight().get())).collect();
-    exps.sort_unstable();
-    exps.dedup();
-    Arc::new(
-        exps.into_iter()
-            .map(|exp| LevelLayout::build(g, exp, config.k))
-            .collect(),
-    )
-}
-
-/// The outcome of a synchronized (hosted) run.
-#[derive(Debug)]
-pub struct HostedRun<P> {
-    /// Final hosted protocol states, indexed by vertex.
-    pub states: Vec<P>,
-    /// Metered costs of the whole run; hosted traffic is
-    /// [`CostClass::Protocol`], synchronizer traffic (acks and sweeps) is
-    /// [`CostClass::Synchronizer`].
-    pub cost: CostReport,
-    /// Number of original pulses simulated.
-    pub pulses: u64,
-}
-
-/// Runs a synchronous protocol on the asynchronous network `g` under
-/// synchronizer γ_w, simulating original pulses `0..=until_pulse`.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if hosted messages remain buffered past the horizon — i.e.
-/// `until_pulse` was too small for the hosted protocol to finish.
-pub fn run_synchronized<P, F>(
-    g: &WeightedGraph,
-    config: &GammaWConfig,
-    until_pulse: u64,
-    delay: DelayModel,
-    seed: u64,
-    mut make: F,
-) -> Result<HostedRun<P>, SimError>
-where
-    P: SyncProcess,
-    F: FnMut(NodeId, &WeightedGraph) -> P,
-{
-    let layouts = level_layouts(g, config);
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .run(|v, g| GammaWHost::new(make(v, g), Arc::clone(&layouts), until_pulse))?;
-    let undelivered: usize = run.states.iter().map(GammaWHost::undelivered).sum();
-    assert_eq!(
-        undelivered, 0,
-        "until_pulse={until_pulse} too small: {undelivered} hosted messages undelivered"
-    );
-    let states = run.states.into_iter().map(|h| h.hosted).collect();
-    Ok(HostedRun {
-        states,
-        cost: run.cost,
-        pulses: until_pulse,
-    })
-}
-
-/// Budgeted variant of [`run_synchronized`] for hybrid dovetailing: the
-/// run is cut off once its weighted communication exceeds `comm_limit`
-/// (the root suspending the attempt). Returns `Ok(None)` — with the cost
-/// of the wasted attempt — when the budget did not suffice.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-#[allow(clippy::too_many_arguments)]
-pub fn run_synchronized_budgeted<P, F>(
-    g: &WeightedGraph,
-    config: &GammaWConfig,
-    until_pulse: u64,
-    comm_limit: u128,
-    delay: DelayModel,
-    seed: u64,
-    mut make: F,
-) -> Result<(Option<Vec<P>>, CostReport), SimError>
-where
-    P: SyncProcess,
-    F: FnMut(NodeId, &WeightedGraph) -> P,
-{
-    let layouts = level_layouts(g, config);
-    let run = Simulator::new(g)
-        .delay(delay)
-        .seed(seed)
-        .comm_limit(comm_limit)
-        .run(|v, g| GammaWHost::new(make(v, g), Arc::clone(&layouts), until_pulse))?;
-    let undelivered: usize = run.states.iter().map(GammaWHost::undelivered).sum();
-    if run.truncated || undelivered > 0 {
-        return Ok((None, run.cost));
-    }
-    let states = run.states.into_iter().map(|h| h.hosted).collect();
-    Ok((Some(states), run.cost))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use csp_graph::{generators, Cost};
-    use csp_sim::sync::SyncRunner;
-
-    /// The flooding clock from the csp-sim tests: records the pulse at
-    /// which each vertex first hears the token. Under exact synchronous
-    /// semantics this is the weighted distance from vertex 0.
-    #[derive(Clone, Debug)]
-    struct SyncFlood {
-        heard_at: Option<u64>,
-    }
-
-    impl SyncProcess for SyncFlood {
-        type Msg = ();
-
-        fn on_pulse(&mut self, pulse: u64, inbox: &[(NodeId, ())], ctx: &mut SyncContext<'_, ()>) {
-            let is_source = ctx.self_id() == NodeId::new(0);
-            let should_fire =
-                (pulse == 0 && is_source) || (!inbox.is_empty() && self.heard_at.is_none());
-            if should_fire {
-                self.heard_at = Some(pulse);
-                let targets: Vec<NodeId> = ctx.neighbors().map(|(u, _, _)| u).collect();
-                for u in targets {
-                    ctx.send(u, ());
-                }
-            }
-            if pulse == 0 {
-                ctx.finish();
-            }
-        }
-    }
-
-    fn check_equivalence(g: &WeightedGraph, k: usize, seed: u64) {
-        // Reference: the ideal lock-step synchronous run.
-        let ideal = SyncRunner::new(g)
-            .run(|_, _| SyncFlood { heard_at: None })
-            .unwrap();
-        // Last firing pulse plus the heaviest edge covers every echo.
-        let horizon = ideal
-            .states
-            .iter()
-            .filter_map(|s| s.heard_at)
-            .max()
-            .unwrap_or(0)
-            + g.max_weight().get()
-            + 1;
-        // Hosted: the same protocol under γ_w on the asynchronous network.
-        let hosted = run_synchronized(
-            g,
-            &GammaWConfig::new(k),
-            horizon,
-            DelayModel::Uniform,
-            seed,
-            |_, _| SyncFlood { heard_at: None },
-        )
-        .unwrap();
-        for v in g.nodes() {
-            assert_eq!(
-                hosted.states[v.index()].heard_at,
-                ideal.states[v.index()].heard_at,
-                "output mismatch at {v} (k={k}, seed={seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn hosted_outputs_equal_ideal_outputs_on_uniform_weights() {
-        let g = generators::cycle(8, |_| 1);
-        check_equivalence(&g, 2, 0);
-    }
-
-    #[test]
-    fn hosted_outputs_equal_ideal_outputs_on_mixed_weights() {
-        let mut b = csp_graph::GraphBuilder::new(6);
-        b.edge(0, 1, 1)
-            .edge(1, 2, 3)
-            .edge(2, 3, 1)
-            .edge(3, 4, 7)
-            .edge(4, 5, 2)
-            .edge(5, 0, 5)
-            .edge(1, 4, 2);
-        let g = b.build().unwrap();
-        for seed in 0..3 {
-            check_equivalence(&g, 2, seed);
-            check_equivalence(&g, 4, seed);
-        }
-    }
-
-    #[test]
-    fn hosted_outputs_on_random_graphs() {
-        for seed in 0..3 {
-            let g =
-                generators::connected_gnp(10, 0.25, generators::WeightDist::Uniform(1, 12), seed);
-            check_equivalence(&g, 3, seed);
-        }
-    }
-
-    #[test]
-    fn synchronizer_traffic_is_separately_metered() {
-        let g = generators::cycle(6, |_| 2);
-        let hosted = run_synchronized(
-            &g,
-            &GammaWConfig::new(2),
-            10,
-            DelayModel::WorstCase,
-            0,
-            |_, _| SyncFlood { heard_at: None },
-        )
-        .unwrap();
-        let sync_comm = hosted.cost.comm_of(CostClass::Synchronizer);
-        let proto_comm = hosted.cost.comm_of(CostClass::Protocol);
-        assert!(sync_comm > Cost::ZERO);
-        assert!(proto_comm > Cost::ZERO);
-        assert_eq!(
-            hosted.cost.weighted_comm,
-            sync_comm + proto_comm,
-            "classes must partition the total"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "too small")]
-    fn insufficient_horizon_is_detected() {
-        let g = generators::path(4, |_| 8);
-        let _ = run_synchronized(
-            &g,
-            &GammaWConfig::new(2),
-            2, // distances reach 24 — far beyond 2 pulses
-            DelayModel::WorstCase,
-            0,
-            |_, _| SyncFlood { heard_at: None },
-        );
     }
 }

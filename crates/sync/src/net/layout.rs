@@ -18,42 +18,42 @@ use csp_graph::cover::ball_partition;
 use csp_graph::{NodeId, WeightedGraph};
 
 /// The weight-class level of an edge: `log₂ power(w)`.
-pub fn edge_level(w: u64) -> u32 {
+pub(super) fn edge_level(w: u64) -> u32 {
     w.next_power_of_two().trailing_zeros()
 }
 
 /// The smallest multiple of `m` that is `≥ x`.
-pub fn next_multiple(x: u64, m: u64) -> u64 {
+pub(super) fn next_multiple(x: u64, m: u64) -> u64 {
     debug_assert!(m > 0);
     x.div_ceil(m) * m
 }
 
 /// Static structure of one weight class.
 #[derive(Debug)]
-pub struct LevelLayout {
+pub(super) struct LevelLayout {
     /// Class exponent `i` (edges of rounded weight `2^i`).
-    pub exp: u32,
+    pub(super) exp: u32,
     /// `2^i`.
-    pub width: u64,
+    pub(super) width: u64,
     /// Whether each vertex has class-`i` edges (non-participants confirm
     /// every super-pulse trivially, with no messages).
-    pub participates: Vec<bool>,
+    pub(super) participates: Vec<bool>,
     /// Cluster-tree parent of each participating vertex (`None` for
     /// leaders and non-participants).
-    pub parent: Vec<Option<NodeId>>,
+    pub(super) parent: Vec<Option<NodeId>>,
     /// Cluster-tree children.
-    pub children: Vec<Vec<NodeId>>,
+    pub(super) children: Vec<Vec<NodeId>>,
     /// Whether each vertex leads its cluster.
-    pub is_leader: Vec<bool>,
+    pub(super) is_leader: Vec<bool>,
     /// For leaders: the number of adjacent clusters.
-    pub nbr_cluster_count: Vec<usize>,
+    pub(super) nbr_cluster_count: Vec<usize>,
     /// Per vertex: remote endpoints of incident preferred edges.
-    pub preferred_of: Vec<Vec<NodeId>>,
+    pub(super) preferred_of: Vec<Vec<NodeId>>,
 }
 
 impl LevelLayout {
     /// Builds the class-`exp` layout of `g` with partition parameter `k`.
-    pub fn build(g: &WeightedGraph, exp: u32, k: usize) -> Self {
+    pub(super) fn build(g: &WeightedGraph, exp: u32, k: usize) -> Self {
         let n = g.node_count();
         let width = 1u64 << exp;
         let sub = g.edge_subgraph(|_, e| edge_level(e.weight().get()) == exp);

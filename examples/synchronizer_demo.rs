@@ -49,12 +49,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("synchronous SPT on the ideal network: {}", ideal.cost);
 
     // …and then runs unchanged on a fully asynchronous network, hosted by
-    // synchronizer γ_w. Outputs are identical; the synchronizer's own
+    // synchronizer γ_w. The hosted protocol sees the synchronous run's
+    // inboxes in the synchronous run's order, so it builds the same tree
+    // — every parent, not just every distance; the synchronizer's own
     // traffic is metered separately.
+    let parents = |out: &Outcome| {
+        let tree = out.tree.as_ref().expect("SPT rows build a tree");
+        net.nodes()
+            .map(|v| tree.parent(v).map(|(p, _, _)| p))
+            .collect::<Vec<_>>()
+    };
     for k in [2, 4, 8] {
         let row = Claim::SptSynch { source: leader, k };
         let hosted = row.run(&net, ModelOracle::new(DelayModel::Uniform, 1))?;
-        assert_eq!(hosted.dists, ideal.dists, "γ_w must preserve outputs");
+        assert_eq!(hosted.dists, ideal.dists, "γ_w must preserve distances");
+        assert_eq!(
+            parents(&hosted),
+            parents(&ideal),
+            "γ_w must preserve the tree"
+        );
         println!(
             "under γ_w (k={k}):  total {}  [protocol {}, synchronizer {}]",
             hosted.cost,
@@ -63,8 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!();
-    println!("Same distances every time — Lemma 4.5's transformation keeps");
-    println!("the hosted protocol's view identical to the synchronous run,");
+    println!("Same tree every time — Lemma 4.5's transformation keeps the");
+    println!("hosted protocol's view identical to the synchronous run,");
     println!("while k trades synchronizer communication against time.");
     Ok(())
 }

@@ -101,9 +101,7 @@ pub mod prelude {
         FaultAware, FaultPlan, LinkDecision, LinkOracle, ModelOracle, MsgInfo, MsgToken, Process,
         RelMsg, Reliable, ShardedSimulator, SimTime, Simulator, TimerId,
     };
-    pub use csp_sync::net::{
-        run_synchronized, run_synchronized_alpha, run_synchronized_beta, GammaWConfig,
-    };
+    pub use csp_sync::net::{run_synchronized, Synchronizer};
 }
 
 #[cfg(test)]
