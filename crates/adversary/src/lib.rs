@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Adversarial schedule search — delays, drops and crashes — for the
 //! cost-sensitive simulator.

@@ -2,7 +2,7 @@
 //! replay and the critical-path greedy adversary.
 
 use crate::schedule::{Decision, Fallback, Schedule};
-use csp_sim::{DelayOracle, FaultPlan, LinkDecision, LinkOracle, MsgInfo, SimTime};
+use csp_sim::{DelayOracle, FaultPlan, LinkDecision, LinkOracle, MsgInfo};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -98,10 +98,6 @@ impl<O: LinkOracle> LinkOracle for Recorder<O> {
         self.plan.churn.retain(|(_, chain)| !chain.is_empty());
         self.plan.churn.sort_by_key(|(node, _)| *node);
         plan
-    }
-
-    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
-        self.inner.observe_arrival(msg, arrival);
     }
 }
 
@@ -314,7 +310,6 @@ mod tests {
     /// wrapper stack, however the stack splits and orders them.
     #[test]
     fn fault_plans_survive_every_wrapper_stack() {
-        use crate::trace::ArrivalProbe;
         use csp_sim::{ChurnOracle, CrashOracle, DelayModel, DropOracle, ModelOracle};
         let t = SimTime::new;
         let crash = (NodeId::new(1), t(30));
@@ -358,12 +353,6 @@ mod tests {
             &want,
         );
         assert_eq!(replayed.to_text(), text, "replay of the recording");
-        let traced = record_under(
-            "Recorder<ArrivalProbe<ScheduleOracle>>",
-            ArrivalProbe::new(ScheduleOracle::new(&flat)),
-            &want,
-        );
-        assert_eq!(traced.to_text(), text, "trace recorder");
     }
 
     #[test]

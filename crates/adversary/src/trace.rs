@@ -8,11 +8,11 @@
 //! A [`Schedule`] is a flat delay vector; many delay
 //! vectors commute to the *same delivery order*, and the paper's
 //! adversary quantifies over orders, not vectors. A [`Trace`] re-derives
-//! the order view from a replay: every dispatch decision becomes a
-//! [`TraceStep`] carrying the message's identity *and* its effective
-//! arrival time — observed post-clamp, post-FIFO-floor through the
-//! [`LinkOracle::observe_arrival`] hook, so the trace sees exactly when
-//! each delivery fires in either queue core.
+//! the order view from a replay: it is a [`csp_sim::Observer`], and
+//! every dispatch the executor reports becomes a [`TraceStep`] carrying
+//! the message's identity *and* its effective delay and arrival time —
+//! post-clamp, post-FIFO-floor, so the trace sees exactly when each
+//! delivery fires on every executor.
 //!
 //! # The dependence relation
 //!
@@ -63,7 +63,7 @@ use crate::schedule::{Decision, Fallback, Schedule};
 use crate::search::{SearchConfig, SearchOutcome};
 use csp_graph::{EdgeId, NodeId, WeightedGraph};
 use csp_sim::{
-    DelayModel, EvalPool, FaultPlan, LinkDecision, LinkOracle, ModelOracle, MsgInfo, Process, Run,
+    DelayModel, EvalPool, LinkDecision, LinkOracle, ModelOracle, MsgInfo, Observer, Process, Run,
     SimTime, Simulator,
 };
 use std::cmp::Reverse;
@@ -94,8 +94,8 @@ pub struct TraceStep {
     /// When the message was sent.
     pub sent: u64,
     /// When the delivery fires: `max(sent + delay, channel floor)` — the
-    /// post-clamp, post-FIFO-floor time observed through
-    /// [`LinkOracle::observe_arrival`].
+    /// post-clamp, post-FIFO-floor time the executor reports through
+    /// [`Observer::dispatched`].
     pub arrival: u64,
 }
 
@@ -117,60 +117,17 @@ impl TraceStep {
             || self.to == other.from
             || self.to == other.to
     }
-}
 
-/// Captures a [`TraceStep`] per delivered dispatch on top of any inner
-/// oracle, pairing each decision with the effective arrival reported
-/// through [`LinkOracle::observe_arrival`]. Dropped messages produce no
-/// step — they never arrive.
-#[derive(Clone, Debug)]
-pub(crate) struct ArrivalProbe<O> {
-    inner: O,
-    steps: Vec<TraceStep>,
-}
-
-impl<O> ArrivalProbe<O> {
-    pub(crate) fn new(inner: O) -> Self {
-        ArrivalProbe {
-            inner,
-            steps: Vec::new(),
+    /// The delivered schedule decision this step realizes.
+    fn decision(&self) -> Decision {
+        Decision {
+            index: self.index,
+            edge: self.edge,
+            dir: self.dir,
+            weight: self.weight,
+            delay: self.delay,
+            dropped: false,
         }
-    }
-}
-
-impl<O: LinkOracle> LinkOracle for ArrivalProbe<O> {
-    fn decide(&mut self, msg: &MsgInfo) -> LinkDecision {
-        let decision = self.inner.decide(msg);
-        if let LinkDecision::Deliver { delay } = decision {
-            self.steps.push(TraceStep {
-                index: msg.index,
-                edge: msg.edge,
-                dir: msg.dir,
-                weight: msg.weight.get(),
-                delay: delay.clamp(1, msg.weight.get()),
-                from: msg.from,
-                to: msg.to,
-                sent: msg.sent.get(),
-                arrival: 0, // filled by observe_arrival below
-            });
-        }
-        decision
-    }
-
-    fn fault_plan(&mut self) -> FaultPlan {
-        self.inner.fault_plan()
-    }
-
-    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
-        // The runtime observes the arrival in the same dispatch that
-        // decided the delivery, so it always completes the last step.
-        let step = self
-            .steps
-            .last_mut()
-            .expect("observe_arrival follows a Deliver decision");
-        debug_assert_eq!(step.index, msg.index, "arrival out of dispatch order");
-        step.arrival = arrival.get();
-        self.inner.observe_arrival(msg, arrival);
     }
 }
 
@@ -178,9 +135,29 @@ impl<O: LinkOracle> LinkOracle for ArrivalProbe<O> {
 /// the representation the dependence relation and the DPOR explorer
 /// operate on. Steps are in dispatch order; the realized *delivery*
 /// order is recovered by [`Trace::delivery_order`].
+///
+/// As an [`Observer`], a trace appends one step per reported dispatch:
+/// pass one to any executor's `run_observed` to trace that run. Dropped
+/// messages produce no step — they never arrive.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     steps: Vec<TraceStep>,
+}
+
+impl Observer for Trace {
+    fn dispatched(&mut self, msg: &MsgInfo, delay: u64, arrival: SimTime) {
+        self.steps.push(TraceStep {
+            index: msg.index,
+            edge: msg.edge,
+            dir: msg.dir,
+            weight: msg.weight.get(),
+            delay,
+            from: msg.from,
+            to: msg.to,
+            sent: msg.sent.get(),
+            arrival: arrival.get(),
+        });
+    }
 }
 
 impl Trace {
@@ -194,11 +171,11 @@ impl Trace {
         P: Process,
         F: FnMut(NodeId, &WeightedGraph) -> P,
     {
-        let mut probe = ArrivalProbe::new(ScheduleOracle::new(schedule));
+        let mut trace = Trace::default();
         let run = Simulator::new(g)
-            .run_with_oracle(&mut probe, make)
+            .run_observed(&mut ScheduleOracle::new(schedule), &mut trace, make)
             .expect("replayed protocol must quiesce");
-        (run, Trace { steps: probe.steps })
+        (run, trace)
     }
 
     /// The recorded steps, in dispatch order.
@@ -236,18 +213,7 @@ impl Trace {
     /// meaningful for drop-free runs (every dispatch delivered), where
     /// step positions coincide with dispatch indices.
     pub fn to_schedule(&self, fallback: Fallback) -> Schedule {
-        let decisions: Vec<Decision> = self
-            .steps
-            .iter()
-            .map(|s| Decision {
-                index: s.index,
-                edge: s.edge,
-                dir: s.dir,
-                weight: s.weight,
-                delay: s.delay,
-                dropped: false,
-            })
-            .collect();
+        let decisions: Vec<Decision> = self.steps.iter().map(TraceStep::decision).collect();
         debug_assert!(
             decisions
                 .iter()
@@ -470,13 +436,13 @@ where
         // Replay + trace the frontier schedule. The replay extends past
         // the recorded prefix under the worst-case fallback, so the
         // trace always covers the whole run.
-        let mut probe = ArrivalProbe::new(ScheduleOracle::new(&schedule));
+        let mut oracle = ScheduleOracle::new(&schedule);
+        let mut trace = Trace::default();
         let completion = sim
-            .eval(&mut pool, &mut probe, |v, g| make(v, g))
+            .eval_observed(&mut pool, &mut oracle, &mut trace, |v, g| make(v, g))
             .expect("protocol must quiesce under an admissible schedule")
             .completion;
         best.evaluations += 1;
-        let trace = Trace { steps: probe.steps };
 
         let sig = trace.class_signature();
         if !seen_classes.insert(sig) {
@@ -552,17 +518,8 @@ where
                     best.schedules_pruned += 1;
                     continue;
                 }
-                let mut branch: Vec<Decision> = trace.steps[..=i]
-                    .iter()
-                    .map(|s| Decision {
-                        index: s.index,
-                        edge: s.edge,
-                        dir: s.dir,
-                        weight: s.weight,
-                        delay: s.delay,
-                        dropped: false,
-                    })
-                    .collect();
+                let mut branch: Vec<Decision> =
+                    trace.steps[..=i].iter().map(TraceStep::decision).collect();
                 branch[i].delay = target.saturating_sub(step.sent).clamp(1, step.weight);
                 let branched = Schedule {
                     decisions: branch,
@@ -663,16 +620,15 @@ mod tests {
     }
 
     #[test]
-    fn class_signature_is_invariant_under_independent_swaps_only() {
+    fn class_signature_is_deterministic_and_rushing_changes_the_class() {
         let g = tiny();
         let (_, trace) = Trace::record::<Flood, _>(&g, flood(), &recorded(&g, 7));
         let base_sig = trace.class_signature();
         let ord = trace.delivery_order();
-        // Swapping two adjacent deliveries in the realized order: if they
-        // are independent the signature must not change when we rebuild a
-        // trace realizing the swapped order; here we test the cheaper
-        // direct invariant — the signature is a function of the
-        // dependence partial order, so recomputing it is stable.
+        // The signature is a function of the dependence partial order, so
+        // recomputing it is stable. That it is invariant under swaps of
+        // independent deliveries is `dpor_suite`'s
+        // `independent_swaps_replay_bit_identically`.
         assert_eq!(trace.class_signature(), base_sig, "deterministic");
         // A genuinely different class (rush everything) differs.
         let mut rushed = trace.to_schedule(Fallback::WorstCase);

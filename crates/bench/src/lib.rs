@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Shared workloads and measurement helpers for the benchmark harness.
 //!

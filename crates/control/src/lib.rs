@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Controllers for diffusing computations (Section 5, after \[AAPS87]).
 //!

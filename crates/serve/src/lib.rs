@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `csp-serve`: a long-running scenario-evaluation service for the
 //! cost-sensitive protocol workbench.
 //!

@@ -14,14 +14,18 @@
 //! keeps the *historical* behavior of checking the budget one event late
 //! at delivery time — the bug the optimized core fixes — so differential
 //! comparisons must not set a budget.
+//!
+//! Only its *reporting* is shared: it feeds the same [`Observer`] stream
+//! as the kernel executors, so the differential suites compare one
+//! stream across all of them.
 
-use crate::cost::{CostClass, CostReport};
+use crate::cost::CostReport;
 use crate::delay::{DelayModel, LinkDecision, LinkOracle, ModelOracle, MsgInfo};
 use crate::process::{Context, Process};
 use crate::queue::BucketQueue;
 use crate::runtime::{Run, SimError};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Observer, Trace, TraceEvent};
 use csp_graph::{NodeId, WeightedGraph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -114,11 +118,40 @@ impl<'g> BaselineSimulator<'g> {
     ///
     /// Returns [`SimError::EventLimitExceeded`] if the protocol does not
     /// quiesce within the event budget.
-    pub fn run_with_oracle<P, F, O>(&self, oracle: &mut O, mut make: F) -> Result<Run<P>, SimError>
+    pub fn run_with_oracle<P, F, O>(&self, oracle: &mut O, make: F) -> Result<Run<P>, SimError>
     where
         P: Process,
         F: FnMut(NodeId, &WeightedGraph) -> P,
         O: LinkOracle + ?Sized,
+    {
+        if self.trace_cap == 0 {
+            return self.run_observed(oracle, &mut (), make);
+        }
+        let mut trace = Trace::new(self.trace_cap);
+        let run = self.run_observed(oracle, &mut trace, make)?;
+        Ok(Run { trace, ..run })
+    }
+
+    /// [`BaselineSimulator::run_with_oracle`], reporting every dispatch
+    /// and every delivery to `observer` — the stream
+    /// [`Simulator::run_observed`](crate::Simulator::run_observed)
+    /// reports for the same run. [`Run::trace`] stays empty here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EventLimitExceeded`] if the protocol does not
+    /// quiesce within the event budget.
+    pub fn run_observed<P, F, O, B>(
+        &self,
+        oracle: &mut O,
+        observer: &mut B,
+        mut make: F,
+    ) -> Result<Run<P>, SimError>
+    where
+        P: Process,
+        F: FnMut(NodeId, &WeightedGraph) -> P,
+        O: LinkOracle + ?Sized,
+        B: Observer + ?Sized,
     {
         let g = self.graph;
         let n = g.node_count();
@@ -146,34 +179,67 @@ impl<'g> BaselineSimulator<'g> {
         cost.crashed_nodes = crash.iter().filter(|c| c.is_some()).count() as u64;
         let crashed = |v: NodeId, now: SimTime| crash[v.index()].is_some_and(|t| now >= t);
 
-        // Min-heap of (time, seq) -> delivery.
-        struct Delivery<M> {
-            to: NodeId,
-            from: NodeId,
-            msg: M,
-            sent: SimTime,
-            class: CostClass,
-        }
+        // Min-heap of (time, seq) -> the payload and its delivery, whose
+        // time is the arrival already.
         let mut queue: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-        let mut payloads: std::collections::HashMap<u64, Delivery<P::Msg>> =
+        let mut payloads: std::collections::HashMap<u64, (P::Msg, TraceEvent)> =
             std::collections::HashMap::new();
         let mut seq: u64 = 0;
         // FIFO floor per directed edge: key = from * n + to.
         let mut fifo_floor: std::collections::HashMap<usize, SimTime> =
             std::collections::HashMap::new();
 
-        let dispatch = |outbox: Vec<(NodeId, P::Msg, CostClass)>,
-                        from: NodeId,
-                        now: SimTime,
-                        queue: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
-                        payloads: &mut std::collections::HashMap<u64, Delivery<P::Msg>>,
-                        fifo_floor: &mut std::collections::HashMap<usize, SimTime>,
-                        seq: &mut u64,
-                        cost: &mut CostReport,
-                        oracle: &mut O| {
-            for (to, msg, class) in outbox {
+        // Every handler in the order it runs — the time-zero starts
+        // (crashed-at-zero vertices excepted), then one per delivery —
+        // followed by the send step for what it queued.
+        let mut starts = g.nodes().filter(|&v| !crashed(v, SimTime::ZERO));
+        let mut events: u64 = 0;
+        let mut truncated = false;
+        loop {
+            let (at, now, mut ctx) = if let Some(v) = starts.next() {
+                let mut ctx = Context::new(v, SimTime::ZERO, g);
+                states[v.index()].on_start(&mut ctx);
+                (v, SimTime::ZERO, ctx)
+            } else {
+                let Some(Reverse((now, id))) = queue.pop() else {
+                    break;
+                };
+                events += 1;
+                if events > self.event_limit {
+                    return Err(SimError::EventLimitExceeded {
+                        limit: self.event_limit,
+                    });
+                }
+                if self
+                    .comm_limit
+                    .is_some_and(|lim| cost.weighted_comm.raw() > lim)
+                {
+                    truncated = true;
+                    break;
+                }
+                let (msg, delivery) = payloads.remove(&id).expect("payload for event");
+                let (from, to) = (delivery.from, delivery.to);
+                if crashed(to, now) {
+                    // A dead vertex consumes its deliveries silently —
+                    // same semantics as the flat core, which does not
+                    // count the pop as an event either.
+                    events -= 1;
+                    cost.dead_events += 1;
+                    continue;
+                }
+                cost.record_delivery(now, delivery.class);
+                observer.delivered(&delivery);
+                let mut ctx = Context::new(to, now, g);
+                states[to.index()].on_message(from, msg, &mut ctx);
+                (to, now, ctx)
+            };
+            assert!(
+                !ctx.has_timer_ops(),
+                "BaselineSimulator has no timer facility"
+            );
+            for (to, msg, class) in ctx.take_outbox() {
                 let eid = g
-                    .edge_between(from, to)
+                    .edge_between(at, to)
                     .expect("context validated the neighbor");
                 let w = g.weight(eid);
                 let index = cost.messages;
@@ -181,9 +247,9 @@ impl<'g> BaselineSimulator<'g> {
                 let info = MsgInfo {
                     index,
                     edge: eid,
-                    dir: u8::from(g.edge(eid).u() != from),
+                    dir: u8::from(g.edge(eid).u() != at),
                     weight: w,
-                    from,
+                    from: at,
                     to,
                     sent: now,
                 };
@@ -197,114 +263,24 @@ impl<'g> BaselineSimulator<'g> {
                     LinkDecision::Deliver { delay } => delay.clamp(1, w.get()),
                 };
                 let mut arrival = now + delay;
-                let key = from.index() * n + to.index();
+                let key = at.index() * n + to.index();
                 if let Some(&floor) = fifo_floor.get(&key) {
                     arrival = arrival.max(floor);
                 }
                 fifo_floor.insert(key, arrival);
-                // Same observational hook as the flat core, so an
-                // arrival-observing oracle sees an identical stream.
-                oracle.observe_arrival(&info, arrival);
-                queue.push(Reverse((arrival, *seq)));
-                payloads.insert(
-                    *seq,
-                    Delivery {
-                        to,
-                        from,
-                        msg,
-                        sent: now,
-                        class,
-                    },
-                );
-                *seq += 1;
-            }
-        };
-
-        // Time zero: start every vertex (crashed-at-zero ones excepted).
-        for v in g.nodes() {
-            if crashed(v, SimTime::ZERO) {
-                continue;
-            }
-            let mut ctx = Context::new(v, SimTime::ZERO, g);
-            states[v.index()].on_start(&mut ctx);
-            assert!(
-                !ctx.has_timer_ops(),
-                "BaselineSimulator has no timer facility"
-            );
-            dispatch(
-                ctx.take_outbox(),
-                v,
-                SimTime::ZERO,
-                &mut queue,
-                &mut payloads,
-                &mut fifo_floor,
-                &mut seq,
-                &mut cost,
-                &mut *oracle,
-            );
-        }
-
-        let mut events: u64 = 0;
-        let mut truncated = false;
-        let mut trace = Trace::new(self.trace_cap);
-        while let Some(Reverse((now, id))) = queue.pop() {
-            events += 1;
-            if events > self.event_limit {
-                return Err(SimError::EventLimitExceeded {
-                    limit: self.event_limit,
-                });
-            }
-            if self
-                .comm_limit
-                .is_some_and(|lim| cost.weighted_comm.raw() > lim)
-            {
-                truncated = true;
-                break;
-            }
-            let Delivery {
-                to,
-                from,
-                msg,
-                sent,
-                class,
-            } = payloads.remove(&id).expect("payload for event");
-            if crashed(to, now) {
-                // A dead vertex consumes its deliveries silently — same
-                // semantics as the flat core, which does not count the
-                // pop as an event either.
-                events -= 1;
-                cost.dead_events += 1;
-                continue;
-            }
-            cost.record_delivery(now, class);
-            if self.trace_cap > 0 {
-                let eid = g.edge_between(from, to).expect("delivery edge exists");
-                trace.push(TraceEvent {
-                    from,
+                observer.dispatched(&info, delay, arrival);
+                queue.push(Reverse((arrival, seq)));
+                let delivery = TraceEvent {
+                    from: at,
                     to,
                     edge: eid,
-                    sent,
-                    delivered: now,
+                    sent: now,
+                    delivered: arrival,
                     class,
-                });
+                };
+                payloads.insert(seq, (msg, delivery));
+                seq += 1;
             }
-            let mut ctx = Context::new(to, now, g);
-            states[to.index()].on_message(from, msg, &mut ctx);
-            assert!(
-                !ctx.has_timer_ops(),
-                "BaselineSimulator has no timer facility"
-            );
-            dispatch(
-                ctx.take_outbox(),
-                to,
-                now,
-                &mut queue,
-                &mut payloads,
-                &mut fifo_floor,
-                &mut seq,
-                &mut cost,
-                &mut *oracle,
-            );
         }
 
         // The window is a workload property shared with the optimized
@@ -316,7 +292,7 @@ impl<'g> BaselineSimulator<'g> {
             states,
             cost,
             truncated,
-            trace,
+            trace: Trace::default(),
         })
     }
 }

@@ -236,6 +236,10 @@ impl FaultPlan {
 /// always delivers, so delay-only adversaries (the common case) need not
 /// mention faults at all. The fixed [`DelayModel`] policies are
 /// re-expressed as the stateless-per-message [`ModelOracle`].
+///
+/// An oracle decides; it is not told what its decisions led to. Whoever
+/// needs effective arrivals or deliveries passes an
+/// [`Observer`](crate::Observer) to the executor's `run_observed`.
 pub trait LinkOracle {
     /// Returns the fate of the message described by `msg`.
     fn decide(&mut self, msg: &MsgInfo) -> LinkDecision;
@@ -250,25 +254,6 @@ pub trait LinkOracle {
     /// adversary plans nothing.
     fn fault_plan(&mut self) -> FaultPlan {
         FaultPlan::default()
-    }
-
-    /// Observes the *effective arrival time* of a delivered message,
-    /// immediately after the runtime has clamped the decided delay into
-    /// `[1, w(e)]` and applied the channel's FIFO floor.
-    ///
-    /// This is dispatch-point race metadata: `arrival` is exactly when
-    /// the message will be handed to its receiver, so an observing
-    /// oracle sees the full `(MsgInfo, arrival)` pair for every
-    /// delivery of the run, in dispatch order — what `csp-adversary`'s
-    /// trace layer needs to compute happens-before and dependent races
-    /// without guessing at floor interactions. Every executor reports
-    /// the same stream.
-    ///
-    /// Purely observational: the runtime ignores anything this does,
-    /// dropped messages are never reported (they have no arrival), and
-    /// the default does nothing.
-    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
-        let _ = (msg, arrival);
     }
 }
 
@@ -410,10 +395,6 @@ impl<O: LinkOracle> LinkOracle for CrashOracle<O> {
             drift: Vec::new(),
         })
     }
-
-    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
-        self.inner.observe_arrival(msg, arrival);
-    }
 }
 
 /// An inner [`LinkOracle`] plus a full [`FaultPlan`]: per-vertex
@@ -456,10 +437,6 @@ impl<O: LinkOracle> LinkOracle for ChurnOracle<O> {
 
     fn fault_plan(&mut self) -> FaultPlan {
         self.inner.fault_plan().merge(self.plan.clone())
-    }
-
-    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
-        self.inner.observe_arrival(msg, arrival);
     }
 }
 

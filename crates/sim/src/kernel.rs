@@ -18,8 +18,13 @@
 //!                                    Deliver { delay }
 //!                                                 ▼
 //!        clamp into [1, w] → max with the channel's FIFO floor (and raise it)
-//!                          → observe_arrival → sink.push(arrival, event)
+//!                          → observer.dispatched → sink.push(arrival, event)
 //!   ```
+//!
+//!   and per delivered message, before its handler runs,
+//!   [`Ledger::delivered`]: meter it, then `observer.delivered`. These two
+//!   calls are the whole [`Observer`] stream; the kernel keeps no record
+//!   of its own.
 //!
 //! * **Pop routing** ([`Vertices::fire`] + [`Vertices::arm`]): cancelled
 //!   and stale timers and events for dead vertices vanish; a rejoin
@@ -47,7 +52,7 @@ use crate::delay::{FaultPlan, LinkDecision, LinkOracle, MsgInfo};
 use crate::process::{Context, Process, TimerId};
 use crate::runtime::SimError;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Observer, TraceEvent};
 use csp_graph::{EdgeId, NodeId, Weight, WeightedGraph};
 use std::collections::{HashSet, VecDeque};
 
@@ -199,31 +204,21 @@ impl Weights {
     }
 }
 
-/// What a fired delivery was, kept after the handler consumed the
-/// payload — for the meters and the trace.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct MsgMeta {
-    from: NodeId,
-    edge: EdgeId,
-    sent: SimTime,
-    class: CostClass,
-}
-
 /// A pop that reached a handler.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Fired {
     pub(crate) node: NodeId,
-    /// `Some` for a message delivery, `None` for a timer fire or rejoin.
-    pub(crate) msg: Option<MsgMeta>,
+    /// `Some` for a message delivery — what it was, kept after the
+    /// handler consumed the payload — `None` for a timer fire or rejoin.
+    pub(crate) msg: Option<TraceEvent>,
 }
 
 /// Everything that must move in global dispatch order: the meters, the
-/// trace, the live weights the send step prices against, and the FIFO
-/// floor of every directed channel.
+/// live weights the send step prices against, and the FIFO floor of
+/// every directed channel.
 #[derive(Clone, Debug)]
 pub(crate) struct Ledger {
     pub(crate) cost: CostReport,
-    pub(crate) trace: Trace,
     /// Handler invocations so far (dead and cancelled pops excluded).
     pub(crate) events: u64,
     /// Set by the first send past the communication budget.
@@ -236,10 +231,9 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    pub(crate) fn new(g: &WeightedGraph, trace_cap: usize) -> Self {
+    pub(crate) fn new(g: &WeightedGraph) -> Self {
         Ledger {
             cost: CostReport::new(g.edge_count()),
-            trace: Trace::new(trace_cap),
             events: 0,
             truncated: false,
             weights: Weights::default(),
@@ -247,11 +241,10 @@ impl Ledger {
         }
     }
 
-    /// Rewinds to a fresh, trace-less ledger for `g`, keeping every
-    /// allocation that still fits (the pooled-evaluation path).
+    /// Rewinds to a fresh ledger for `g`, keeping every allocation that
+    /// still fits (the pooled-evaluation path).
     fn reset(&mut self, g: &WeightedGraph) {
         self.cost.reset(g.edge_count());
-        self.trace = Trace::new(0);
         self.events = 0;
         self.truncated = false;
         self.fifo_floor.clear();
@@ -260,7 +253,6 @@ impl Ledger {
 
     fn restore(&mut self, src: &Ledger) {
         self.cost.clone_from(&src.cost);
-        self.trace.clone_from(&src.trace);
         self.events = src.events;
         self.truncated = src.truncated;
         self.weights.eff.clone_from(&src.weights.eff);
@@ -284,38 +276,32 @@ impl Ledger {
         Ok(())
     }
 
-    /// Meters a delivery to `to` at `now`. Completion time is the last
-    /// *delivered message*; timer fires and rejoins are local and free.
-    #[inline]
-    pub(crate) fn delivered(&mut self, now: SimTime, to: NodeId, meta: &MsgMeta, trace_cap: usize) {
-        self.cost.record_delivery(now, meta.class);
-        if trace_cap > 0 {
-            self.trace.push(TraceEvent {
-                from: meta.from,
-                to,
-                edge: meta.edge,
-                sent: meta.sent,
-                delivered: now,
-                class: meta.class,
-            });
-        }
+    /// Meters a delivery and reports it to `observer`. Completion time
+    /// is the last *delivered message*; timer fires and rejoins are
+    /// local and free.
+    #[inline(always)]
+    pub(crate) fn delivered<B: Observer + ?Sized>(&mut self, msg: &TraceEvent, observer: &mut B) {
+        self.cost.record_delivery(msg.delivered, msg.class);
+        observer.delivered(msg);
     }
 
     /// The send step, for every message `from` queued at `now`: see the
     /// [module docs](self) for the pipeline.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn send<M, O, S>(
+    pub(crate) fn send<M, O, B, S>(
         &mut self,
         g: &WeightedGraph,
         comm_limit: Option<u128>,
         oracle: &mut O,
+        observer: &mut B,
         from: NodeId,
         now: SimTime,
         sends: impl Iterator<Item = (NodeId, M, CostClass, EdgeId)>,
         sink: &mut S,
     ) where
         O: LinkOracle + ?Sized,
+        B: Observer + ?Sized,
         S: Sink<M>,
     {
         for (to, msg, class, eid) in sends {
@@ -355,7 +341,7 @@ impl Ledger {
             let arrival = (now + delay).max(self.fifo_floor[channel]);
             self.fifo_floor[channel] = arrival;
             // Post-clamp, post-floor: exactly when the delivery fires.
-            oracle.observe_arrival(&info, arrival);
+            observer.dispatched(&info, delay, arrival);
             sink.push(
                 arrival,
                 Event::Msg(Delivery {
@@ -530,10 +516,12 @@ impl<P: Process> Vertices<P> {
             return None;
         }
         let msg = match &event {
-            Event::Msg(d) => Some(MsgMeta {
+            Event::Msg(d) => Some(TraceEvent {
                 from: d.from,
+                to: d.to,
                 edge: d.edge,
                 sent: d.sent,
+                delivered: now,
                 class: d.class,
             }),
             _ => None,
@@ -614,15 +602,15 @@ pub(crate) struct Kernel<P: Process> {
 }
 
 impl<P: Process> Kernel<P> {
-    pub(crate) fn new(g: &WeightedGraph, trace_cap: usize) -> Self {
+    pub(crate) fn new(g: &WeightedGraph) -> Self {
         Kernel {
             vertices: Vertices::new(),
-            ledger: Ledger::new(g, trace_cap),
+            ledger: Ledger::new(g),
             faults: Faults::default(),
         }
     }
 
-    /// Rewinds for a fresh, trace-less run on `g`, keeping allocations.
+    /// Rewinds for a fresh run on `g`, keeping allocations.
     pub(crate) fn reset(&mut self, g: &WeightedGraph) {
         self.vertices.clear();
         self.ledger.reset(g);
@@ -634,16 +622,18 @@ impl<P: Process> Kernel<P> {
     /// first into the sink, so they win ties at their instant — and
     /// finally `on_start` at every vertex not crashed at zero, each
     /// followed by its sends and timers.
-    pub(crate) fn boot<F, O, S>(
+    pub(crate) fn boot<F, O, B, S>(
         &mut self,
         g: &WeightedGraph,
         comm_limit: Option<u128>,
         oracle: &mut O,
+        observer: &mut B,
         mut make: F,
         sink: &mut S,
     ) where
         F: FnMut(NodeId, &WeightedGraph) -> P,
         O: LinkOracle + ?Sized,
+        B: Observer + ?Sized,
         S: Sink<P::Msg>,
     {
         let Kernel {
@@ -681,6 +671,7 @@ impl<P: Process> Kernel<P> {
                 g,
                 comm_limit,
                 oracle,
+                observer,
                 v,
                 SimTime::ZERO,
                 vertices.sends(),

@@ -90,4 +90,4 @@ pub use sweep::{
 };
 pub use sync::{SyncContext, SyncProcess, SyncRun, SyncRunner};
 pub use time::SimTime;
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Observer, Trace, TraceEvent};

@@ -71,7 +71,7 @@ use crate::kernel::{Event, Kernel, Sink};
 use crate::process::Process;
 use crate::queue::{BucketQueue, HeapQueue};
 use crate::time::SimTime;
-use crate::trace::Trace;
+use crate::trace::{Observer, Trace, TraceEvent};
 use csp_graph::{Cost, NodeId, WeightedGraph};
 use std::error::Error;
 use std::fmt;
@@ -112,7 +112,8 @@ pub struct Run<P> {
     /// Whether the run was cut short by [`Simulator::comm_limit`] —
     /// remaining messages were dropped undelivered.
     pub truncated: bool,
-    /// Message trace (empty unless [`Simulator::record_trace`] was set).
+    /// Message trace: empty unless [`Simulator::record_trace`] was set,
+    /// and always empty from a `run_observed` entry.
     pub trace: Trace,
 }
 
@@ -266,19 +267,19 @@ struct Machine<P: Process> {
 }
 
 impl<P: Process> Machine<P> {
-    fn new(kind: CoreKind, g: &WeightedGraph, trace_cap: usize) -> Self {
+    fn new(kind: CoreKind, g: &WeightedGraph) -> Self {
         Machine {
-            kernel: Kernel::new(g, trace_cap),
+            kernel: Kernel::new(g),
             core: EventCore::new(kind, g.max_weight().get()),
         }
     }
 
-    fn into_run(self) -> Run<P> {
+    fn into_run(self, trace: Trace) -> Run<P> {
         Run {
             states: self.kernel.vertices.states,
             cost: self.kernel.ledger.cost,
             truncated: self.kernel.ledger.truncated,
-            trace: self.kernel.ledger.trace,
+            trace,
         }
     }
 }
@@ -291,34 +292,42 @@ impl<P: Process + Clone> Machine<P> {
     }
 }
 
-/// Per-event hook of the run loop — how checkpoint capture plugs into
-/// [`Simulator::run_with_checkpoints`] without taxing plain runs.
-trait Capture<P: Process> {
-    fn after_event(&mut self, m: &Machine<P>);
-}
-
-/// The no-op capture used by every non-checkpointing entry point.
-struct NoCapture;
-
-impl<P: Process> Capture<P> for NoCapture {
+/// What the run loop reports to, taken by value: an [`Observer`], and —
+/// for checkpoint capture only — a look at the whole machine after each
+/// event. A `&mut` observer is a hook that only observes.
+trait Hook<P: Process>: Observer {
     #[inline]
     fn after_event(&mut self, _m: &Machine<P>) {}
 }
 
+impl<P: Process, B: Observer + ?Sized> Hook<P> for &mut B {}
+
 /// Captures a [`Checkpoint`] whenever the metered message count crosses
 /// the next multiple-ish mark (marks advance by `every` from wherever
-/// the count lands, so bursty dispatches never capture twice).
+/// the count lands, so bursty dispatches never capture twice), and keeps
+/// the run's delivery trace, which every checkpoint carries.
 struct CheckpointCapture<'a, P: Process + Clone> {
     every: u64,
     next_at: u64,
     out: &'a mut Vec<Checkpoint<P>>,
+    trace: &'a mut Trace,
 }
 
-impl<P: Process + Clone> Capture<P> for CheckpointCapture<'_, P> {
+impl<P: Process + Clone> Observer for CheckpointCapture<'_, P> {
+    #[inline]
+    fn delivered(&mut self, event: &TraceEvent) {
+        self.trace.delivered(event);
+    }
+}
+
+impl<P: Process + Clone> Hook<P> for CheckpointCapture<'_, P> {
     fn after_event(&mut self, m: &Machine<P>) {
         let messages = m.kernel.ledger.cost.messages;
         if messages >= self.next_at {
-            self.out.push(Checkpoint { machine: m.clone() });
+            self.out.push(Checkpoint {
+                machine: m.clone(),
+                trace: self.trace.clone(),
+            });
             self.next_at = messages + self.every;
         }
     }
@@ -337,10 +346,14 @@ impl<P: Process + Clone> Capture<P> for CheckpointCapture<'_, P> {
 /// construction; stateful randomized oracles in general do not. The
 /// fault plan and the stashed rejoin states are part of the snapshot: a
 /// resume never queries [`LinkOracle::fault_plan`], so the resuming
-/// oracle cannot change who churns or how weights move.
+/// oracle cannot change who churns or how weights move. So is the
+/// delivery trace so far: a resumed run continues it.
 #[derive(Clone, Debug)]
 pub struct Checkpoint<P: Process> {
     machine: Machine<P>,
+    /// Empty unless the checkpointing simulator had
+    /// [`Simulator::record_trace`] set.
+    trace: Trace,
 }
 
 impl<P: Process> Checkpoint<P> {
@@ -549,11 +562,38 @@ impl<'g> Simulator<'g> {
         F: FnMut(NodeId, &WeightedGraph) -> P,
         O: LinkOracle + ?Sized,
     {
-        let mut m = Machine::new(self.core, self.graph, self.trace_cap);
-        m.kernel
-            .boot(self.graph, self.comm_limit, oracle, make, &mut m.core);
-        self.exec(oracle, &mut m, &mut NoCapture)?;
-        Ok(m.into_run())
+        if self.trace_cap == 0 {
+            return self.run_observed(oracle, &mut (), make);
+        }
+        let mut trace = Trace::new(self.trace_cap);
+        let run = self.run_observed(oracle, &mut trace, make)?;
+        Ok(Run { trace, ..run })
+    }
+
+    /// [`Simulator::run_with_oracle`], reporting every dispatch and every
+    /// delivery to `observer` as it happens. [`Run::trace`] stays empty
+    /// here: the observer is the record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EventLimitExceeded`] if the protocol does not
+    /// quiesce within the event budget.
+    pub fn run_observed<P, F, O, B>(
+        &self,
+        oracle: &mut O,
+        observer: &mut B,
+        make: F,
+    ) -> Result<Run<P>, SimError>
+    where
+        P: Process,
+        F: FnMut(NodeId, &WeightedGraph) -> P,
+        O: LinkOracle + ?Sized,
+        B: Observer + ?Sized,
+    {
+        let mut pool = EvalPool::new();
+        self.eval_observed(&mut pool, oracle, observer, make)?;
+        let m = pool.machine.expect("an evaluation leaves its machine");
+        Ok(m.into_run(Trace::default()))
     }
 
     /// Like [`Simulator::run_with_oracle`], but snapshots the complete
@@ -583,17 +623,20 @@ impl<'g> Simulator<'g> {
         O: LinkOracle + ?Sized,
     {
         assert!(every > 0, "checkpoint interval must be non-zero");
-        let mut m = Machine::new(self.core, self.graph, self.trace_cap);
-        m.kernel
-            .boot(self.graph, self.comm_limit, oracle, make, &mut m.core);
+        let mut trace = Trace::new(self.trace_cap);
         let mut capture = CheckpointCapture {
             every,
             next_at: every,
             out: checkpoints,
+            trace: &mut trace,
         };
+        let g = self.graph;
+        let mut m = Machine::new(self.core, g);
+        m.kernel
+            .boot(g, self.comm_limit, oracle, &mut capture, make, &mut m.core);
         capture.after_event(&m);
-        self.exec(oracle, &mut m, &mut capture)?;
-        Ok(m.into_run())
+        self.exec(oracle, &mut m, capture)?;
+        Ok(m.into_run(trace))
     }
 
     /// Continues a checkpointed run to quiescence under `oracle`.
@@ -601,7 +644,9 @@ impl<'g> Simulator<'g> {
     /// See [`Checkpoint`] for the oracle-agreement condition under which
     /// the result is bit-identical to a cold run. The simulator's
     /// configured core may differ from the one that took the snapshot —
-    /// checkpoints are queue-implementation agnostic.
+    /// checkpoints are queue-implementation agnostic. The run's trace
+    /// continues the checkpoint's, so it is recorded exactly when the
+    /// checkpointing simulator recorded one.
     ///
     /// # Errors
     ///
@@ -614,10 +659,11 @@ impl<'g> Simulator<'g> {
         O: LinkOracle + ?Sized,
     {
         self.check_fits(cp);
-        let mut m = Machine::new(self.core, self.graph, 0);
+        let mut m = Machine::new(self.core, self.graph);
         m.restore(cp);
-        self.exec(oracle, &mut m, &mut NoCapture)?;
-        Ok(m.into_run())
+        let mut trace = cp.trace.clone();
+        self.exec(oracle, &mut m, &mut trace)?;
+        Ok(m.into_run(trace))
     }
 
     /// Runs a full evaluation out of `pool`, reusing every buffer the
@@ -640,10 +686,34 @@ impl<'g> Simulator<'g> {
         F: FnMut(NodeId, &WeightedGraph) -> P,
         O: LinkOracle + ?Sized,
     {
+        self.eval_observed(pool, oracle, &mut (), make)
+    }
+
+    /// [`Simulator::eval`], reporting every dispatch and every delivery
+    /// to `observer` as it happens.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EventLimitExceeded`] if the protocol does not
+    /// quiesce within the event budget.
+    pub fn eval_observed<P, F, O, B>(
+        &self,
+        pool: &mut EvalPool<P>,
+        oracle: &mut O,
+        observer: &mut B,
+        make: F,
+    ) -> Result<EvalSummary, SimError>
+    where
+        P: Process,
+        F: FnMut(NodeId, &WeightedGraph) -> P,
+        O: LinkOracle + ?Sized,
+        B: Observer + ?Sized,
+    {
+        let g = self.graph;
         let mut m = self.pooled_machine(pool);
         m.kernel
-            .boot(self.graph, self.comm_limit, oracle, make, &mut m.core);
-        let res = self.exec(oracle, &mut m, &mut NoCapture);
+            .boot(g, self.comm_limit, oracle, observer, make, &mut m.core);
+        let res = self.exec(oracle, &mut m, observer);
         let summary = EvalSummary::of(&m);
         pool.machine = Some(m);
         res.map(|()| summary)
@@ -674,17 +744,12 @@ impl<'g> Simulator<'g> {
         // cloning into freed slots.
         let mut m = match pool.machine.take() {
             Some(m) => m,
-            None => Machine::new(self.core, self.graph, 0),
+            None => Machine::new(self.core, self.graph),
         };
         m.core
             .ensure_queue(self.core, self.graph.max_weight().get());
         m.restore(cp);
-        // Pooled paths never record traces, but `exec` appends whenever
-        // the *simulator* has `trace_cap > 0` — rewind so a pooled
-        // machine never carries a previous run's trace (or its dropped
-        // counter) across evaluations.
-        m.kernel.ledger.trace = Trace::new(0);
-        let res = self.exec(oracle, &mut m, &mut NoCapture);
+        let res = self.exec(oracle, &mut m, &mut ());
         let summary = EvalSummary::of(&m);
         pool.machine = Some(m);
         res.map(|()| summary)
@@ -708,23 +773,17 @@ impl<'g> Simulator<'g> {
                 m.core.reset(self.core, g.max_weight().get());
                 m
             }
-            // Pooled paths never record traces: cap 0.
-            None => Machine::new(self.core, g, 0),
+            None => Machine::new(self.core, g),
         }
     }
 
-    /// The main loop: pop, fire, meter, send, arm, capture — until
+    /// The main loop: pop, fire, meter, send, arm, hook — until
     /// quiescence or truncation.
-    fn exec<P, O, C>(
-        &self,
-        oracle: &mut O,
-        m: &mut Machine<P>,
-        capture: &mut C,
-    ) -> Result<(), SimError>
+    fn exec<P, O, H>(&self, oracle: &mut O, m: &mut Machine<P>, mut hook: H) -> Result<(), SimError>
     where
         P: Process,
         O: LinkOracle + ?Sized,
-        C: Capture<P>,
+        H: Hook<P>,
     {
         let g = self.graph;
         // Queue stats land on the report at every exit below (normal and
@@ -756,21 +815,22 @@ impl<'g> Simulator<'g> {
                 finalize(m);
                 return Err(limit);
             }
-            if let Some(meta) = &fired.msg {
-                ledger.delivered(now, fired.node, meta, self.trace_cap);
+            if let Some(msg) = &fired.msg {
+                ledger.delivered(msg, &mut hook);
             }
             let sends = vertices.sends();
             ledger.send(
                 g,
                 self.comm_limit,
                 oracle,
+                &mut hook,
                 fired.node,
                 now,
                 sends,
                 &mut m.core,
             );
             vertices.arm(slot, fired.node, now, &mut m.core);
-            capture.after_event(m);
+            hook.after_event(m);
         }
         finalize(m);
         Ok(())

@@ -29,10 +29,10 @@
 //! 3. **Serial send step** (leader section) — worker 0 merges the
 //!    per-shard handler records by global event `seq` and runs the
 //!    kernel's send step over them in exactly the sequential order:
-//!    event budget, cost meters, trace, FIFO floors and — crucially —
-//!    the [`LinkOracle`] calls (`decide` and `observe_arrival`), which
-//!    stateful and index-addressed oracles require in global dispatch
-//!    order. Its sink numbers every surviving push with the next global
+//!    event budget, cost meters, FIFO floors and — crucially — the
+//!    [`LinkOracle`]'s `decide` and the [`Observer`]'s `delivered` and
+//!    `dispatched`, which stateful and index-addressed oracles and every
+//!    run record require in global dispatch order. Its sink numbers every surviving push with the next global
 //!    `seq` and files it, already timed, in the sending shard's
 //!    per-receiver outbox.
 //! 4. **Routing in parallel** (phase C + A) — each shard hands its
@@ -41,8 +41,8 @@
 //!
 //! Because ties break on the same global `(time, seq)` key and the
 //! oracle sees the same call sequence, a sharded run is **bit
-//! identical** to [`Simulator`] — costs, trace, final states, fault
-//! meters and the oracle's observed arrivals — under all oracles,
+//! identical** to [`Simulator`] — costs, final states, fault meters and
+//! the whole observer stream (so the trace too) — under all oracles,
 //! including schedule replay, drops, crashes, rejoins, weight drift and
 //! timers. `tests/shard_differential.rs` pins this across shard counts
 //! {1, 2, 4, 8} and both queue kinds.
@@ -59,6 +59,7 @@ use crate::process::Process;
 use crate::queue::BucketQueue;
 use crate::runtime::{CoreKind, EventCore, Run, SimError, Simulator};
 use crate::time::SimTime;
+use crate::trace::{Observer, Trace};
 use csp_graph::{EdgeId, NodeId, WeightedGraph};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -182,10 +183,12 @@ struct Shard<P: Process> {
     streams: Vec<InboxBuf<P::Msg>>,
 }
 
-/// Everything the leader's serial section owns: the oracle and the
-/// ledger whose updates must happen in sequential dispatch order.
-struct Global<'o, O: ?Sized> {
+/// Everything the leader's serial section owns: the oracle, the observer
+/// and the ledger, whose calls and updates must happen in sequential
+/// dispatch order.
+struct Global<'o, O: ?Sized, B: ?Sized> {
     oracle: &'o mut O,
+    observer: &'o mut B,
     ledger: Ledger,
     /// Next global push sequence number — continues the boot core's.
     seq: u64,
@@ -369,14 +372,43 @@ impl<'g> ShardedSimulator<'g> {
         F: FnMut(NodeId, &WeightedGraph) -> P,
         O: LinkOracle + Send + ?Sized,
     {
+        if self.trace_cap == 0 {
+            return self.run_observed(oracle, &mut (), make);
+        }
+        let mut trace = Trace::new(self.trace_cap);
+        let run = self.run_observed(oracle, &mut trace, make)?;
+        Ok(Run { trace, ..run })
+    }
+
+    /// [`ShardedSimulator::run_with_oracle`], reporting every dispatch
+    /// and every delivery to `observer` — from the leader, in global
+    /// dispatch order, so the stream equals [`Simulator::run_observed`]'s.
+    /// [`Run::trace`] stays empty here: the observer is the record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EventLimitExceeded`] if the protocol does
+    /// not quiesce within the event budget.
+    pub fn run_observed<P, F, O, B>(
+        &self,
+        oracle: &mut O,
+        observer: &mut B,
+        make: F,
+    ) -> Result<Run<P>, SimError>
+    where
+        P: Process + Send,
+        P::Msg: Send,
+        F: FnMut(NodeId, &WeightedGraph) -> P,
+        O: LinkOracle + Send + ?Sized,
+        B: Observer + Send + ?Sized,
+    {
         // Mid-tick truncation semantics require the sequential loop.
         if let Some(limit) = self.comm_limit {
             let mut seq = Simulator::new(self.graph);
             seq.event_limit(self.event_limit)
-                .record_trace(self.trace_cap)
                 .core(self.core)
                 .comm_limit(limit);
-            return seq.run_with_oracle(oracle, make);
+            return seq.run_observed(oracle, observer, make);
         }
         let k = if self.threads == 0 {
             crate::sweep::effective_threads(0)
@@ -395,30 +427,15 @@ impl<'g> ShardedSimulator<'g> {
             }
             None => ShardPlan::derive(self.graph, k),
         };
-        self.run_planned(oracle, make, &plan)
-    }
-
-    fn run_planned<P, F, O>(
-        &self,
-        oracle: &mut O,
-        make: F,
-        plan: &ShardPlan,
-    ) -> Result<Run<P>, SimError>
-    where
-        P: Process + Send,
-        P::Msg: Send,
-        F: FnMut(NodeId, &WeightedGraph) -> P,
-        O: LinkOracle + Send + ?Sized,
-    {
+        let plan = &plan;
         let g = self.graph;
-        let k = plan.shards();
         let n = g.node_count();
         let max_delay = g.max_weight().get();
 
         // ---- Time zero, serial: the sequential boot pass, verbatim. ----
-        let mut kernel = Kernel::new(g, self.trace_cap);
+        let mut kernel = Kernel::new(g);
         let mut calendar = EventCore::new(self.core, max_delay);
-        kernel.boot(g, None, oracle, make, &mut calendar);
+        kernel.boot(g, None, oracle, observer, make, &mut calendar);
         let Kernel {
             vertices,
             ledger,
@@ -457,6 +474,7 @@ impl<'g> ShardedSimulator<'g> {
         }
         let global = Global {
             oracle,
+            observer,
             ledger,
             seq: calendar.seq,
             err: None,
@@ -474,7 +492,6 @@ impl<'g> ShardedSimulator<'g> {
             .collect();
         let shards: Vec<Mutex<Shard<P>>> = shards.into_iter().map(Mutex::new).collect();
         let global = Mutex::new(global);
-        let trace_cap = self.trace_cap;
         let event_limit = self.event_limit;
 
         std::thread::scope(|scope| {
@@ -520,7 +537,6 @@ impl<'g> ShardedSimulator<'g> {
                                     plan,
                                     faults,
                                     t,
-                                    trace_cap,
                                     event_limit,
                                 );
                                 if global.err.is_some() {
@@ -595,7 +611,7 @@ impl<'g> ShardedSimulator<'g> {
                 .collect(),
             cost: ledger.cost,
             truncated: false,
-            trace: ledger.trace,
+            trace: Trace::default(),
         })
     }
 }
@@ -636,20 +652,19 @@ fn phase_b<P: Process>(
 /// The leader's serial section: merge every shard's handler records by
 /// event `seq` and meter, send and number them in exactly the
 /// sequential order.
-#[allow(clippy::too_many_arguments)]
-fn serial_dispatch<P: Process, O: LinkOracle + Send + ?Sized>(
+fn serial_dispatch<P: Process, O: LinkOracle + ?Sized, B: Observer + ?Sized>(
     shards: &mut [impl std::ops::DerefMut<Target = Shard<P>>],
-    global: &mut Global<'_, O>,
+    global: &mut Global<'_, O, B>,
     g: &WeightedGraph,
     plan: &ShardPlan,
     faults: &Faults,
     t: u64,
-    trace_cap: usize,
     event_limit: u64,
 ) {
     let now = SimTime::new(t);
     let Global {
         oracle,
+        observer,
         ledger,
         seq,
         err,
@@ -682,12 +697,21 @@ fn serial_dispatch<P: Process, O: LinkOracle + Send + ?Sized>(
             return;
         }
         let from = rec.fired.node;
-        if let Some(meta) = &rec.fired.msg {
-            ledger.delivered(now, from, meta, trace_cap);
+        if let Some(msg) = &rec.fired.msg {
+            ledger.delivered(msg, &mut **observer);
         }
         let mut router = Router { outbufs, plan, seq };
         let queued = sends.drain(..rec.sends);
-        ledger.send(g, None, &mut **oracle, from, now, queued, &mut router);
+        ledger.send(
+            g,
+            None,
+            &mut **oracle,
+            &mut **observer,
+            from,
+            now,
+            queued,
+            &mut router,
+        );
         for (at, timer) in arms.drain(..rec.arms) {
             router.push(at, timer);
         }

@@ -1,14 +1,63 @@
-//! Message-level execution traces.
+//! What a run says about itself: the [`Observer`] stream and the
+//! delivery [`Trace`] built on it.
 //!
-//! When enabled with [`Simulator::record_trace`](crate::Simulator::record_trace),
-//! the runtime records every delivery: who sent what to whom, when it
-//! was sent, and when it arrived. Traces make adversarial schedules
-//! inspectable and power the causality checks in the test suites.
+//! Every executor reports the same two events, in the same order, to
+//! one [`Observer`]: each message as it is dispatched (with its
+//! effective delay and arrival) and each delivery as its handler runs.
+//! `()` is the observer that listens to nothing, so an unobserved run
+//! compiles the calls away. Records of a run are consumers of this
+//! stream: the delivery [`Trace`] that
+//! [`Simulator::record_trace`](crate::Simulator::record_trace) installs,
+//! `csp-adversary`'s dispatch trace, the differential suites' logs.
 
 use crate::cost::CostClass;
+use crate::delay::MsgInfo;
 use crate::time::SimTime;
 use csp_graph::{EdgeId, NodeId};
 use std::fmt;
+
+/// Listens to a run. Both methods default to doing nothing; the runtime
+/// ignores anything an observer does.
+///
+/// Pass one to an executor's `run_observed`
+/// ([`Simulator::run_observed`](crate::Simulator::run_observed),
+/// [`Simulator::eval_observed`](crate::Simulator::eval_observed),
+/// [`BaselineSimulator::run_observed`](crate::BaselineSimulator::run_observed),
+/// [`ShardedSimulator::run_observed`](crate::ShardedSimulator::run_observed)):
+/// all four report an identical stream for the same run.
+pub trait Observer {
+    /// A message was handed to the network: `delay` is the oracle's
+    /// decision clamped into `[1, w(e)]`, `arrival` is when the delivery
+    /// fires — `sent + delay` raised to the channel's FIFO floor.
+    /// Called in dispatch order; dropped messages are never reported
+    /// (they have no arrival).
+    #[inline]
+    fn dispatched(&mut self, msg: &MsgInfo, delay: u64, arrival: SimTime) {
+        let _ = (msg, delay, arrival);
+    }
+
+    /// A message reached a live receiver, just before its handler runs.
+    /// Called in delivery order.
+    #[inline]
+    fn delivered(&mut self, event: &TraceEvent) {
+        let _ = event;
+    }
+}
+
+/// The observer that listens to nothing.
+impl Observer for () {}
+
+impl<B: Observer + ?Sized> Observer for &mut B {
+    #[inline]
+    fn dispatched(&mut self, msg: &MsgInfo, delay: u64, arrival: SimTime) {
+        (**self).dispatched(msg, delay, arrival);
+    }
+
+    #[inline]
+    fn delivered(&mut self, event: &TraceEvent) {
+        (**self).delivered(event);
+    }
+}
 
 /// One delivered message.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -44,7 +93,8 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A recorded message trace.
+/// A recorded message trace: the first `cap` deliveries of a run, as an
+/// [`Observer`].
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -53,19 +103,27 @@ pub struct Trace {
     cap: usize,
 }
 
+impl Observer for Trace {
+    #[inline]
+    fn delivered(&mut self, event: &TraceEvent) {
+        self.push(*event);
+    }
+}
+
 impl Trace {
     pub(crate) fn new(cap: usize) -> Self {
         Trace {
-            events: Vec::new(),
-            dropped: 0,
             cap,
+            ..Trace::default()
         }
     }
 
+    /// Keeps `event` while under the cap and counts it dropped after. A
+    /// zero-cap trace is off: it records nothing and counts nothing.
     pub(crate) fn push(&mut self, event: TraceEvent) {
         if self.events.len() < self.cap {
             self.events.push(event);
-        } else {
+        } else if self.cap > 0 {
             self.dropped += 1;
         }
     }

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Synchronizers for weighted networks — the core contribution of
 //! *Cost-Sensitive Analysis of Communication Protocols*.

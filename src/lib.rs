@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # cost-sensitive — weighted analysis of communication protocols
 //!

@@ -3,9 +3,10 @@
 //! *identical* both to the retained binary-heap core
 //! ([`CoreKind::Heap`]) and to the `HashMap`-based reference
 //! implementation ([`BaselineSimulator`](cost_sensitive::sim::BaselineSimulator))
-//! — same [`CostReport`], same delivery trace, same final states,
-//! across graph families, delay models, dispatch-time delay *oracles*
-//! and seeds — and every trace passes the per-channel FIFO validator.
+//! — same [`CostReport`], same delivery trace, same final states, same
+//! [`Observer`] stream, across graph families, delay models,
+//! dispatch-time delay *oracles* and seeds — and every trace passes the
+//! per-channel FIFO validator.
 //! No communication budget is set here: the flat cores and the baseline
 //! intentionally differ in budget enforcement (the baseline keeps the
 //! historical late check).
@@ -18,7 +19,7 @@
 
 use cost_sensitive::algo::mst::ghs::Ghs;
 use cost_sensitive::prelude::*;
-use cost_sensitive::sim::BaselineSimulator;
+use cost_sensitive::sim::{BaselineSimulator, Observer, TraceEvent};
 use proptest::prelude::*;
 
 /// A connected graph drawn from four structurally distinct families.
@@ -64,42 +65,32 @@ fn arb_oracle() -> impl Strategy<Value = OracleSpec> {
     })
 }
 
-/// The spec's oracle under an [`ArrivalLog`], so every oracle-driven
-/// case also compares what the executors report through
-/// [`LinkOracle::observe_arrival`].
-fn oracle_for<'s>(spec: &OracleSpec, mutant: Option<&'s Schedule>) -> ArrivalLog<'s> {
-    let inner: Box<dyn LinkOracle + 's> = match spec {
+fn oracle_for<'s>(spec: &OracleSpec, mutant: Option<&'s Schedule>) -> Box<dyn LinkOracle + 's> {
+    match spec {
         OracleSpec::Model(m, s) => Box::new(ModelOracle::new(*m, *s)),
         OracleSpec::CriticalPath => Box::new(CriticalPathOracle::new()),
         OracleSpec::MutatedReplay { .. } => {
             Box::new(ScheduleOracle::new(mutant.expect("mutant prepared")))
         }
-    };
-    ArrivalLog {
-        inner,
-        log: Vec::new(),
     }
 }
 
-/// Logs `(dispatch index, arrival)` per observed arrival on top of any
-/// oracle — the stream `csp-adversary`'s trace layer is built on.
-struct ArrivalLog<'s> {
-    inner: Box<dyn LinkOracle + 's>,
-    log: Vec<(u64, SimTime)>,
+/// Both [`Observer`] streams of one run: every dispatch as
+/// `(index, delay, arrival)` — the stream `csp-adversary`'s trace layer
+/// is built on — and every delivery.
+#[derive(Default, Debug, PartialEq)]
+struct StreamLog {
+    dispatched: Vec<(u64, u64, SimTime)>,
+    delivered: Vec<TraceEvent>,
 }
 
-impl LinkOracle for ArrivalLog<'_> {
-    fn decide(&mut self, msg: &MsgInfo) -> LinkDecision {
-        self.inner.decide(msg)
+impl Observer for StreamLog {
+    fn dispatched(&mut self, msg: &MsgInfo, delay: u64, arrival: SimTime) {
+        self.dispatched.push((msg.index, delay, arrival));
     }
 
-    fn fault_plan(&mut self) -> FaultPlan {
-        self.inner.fault_plan()
-    }
-
-    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
-        self.log.push((msg.index, arrival));
-        self.inner.observe_arrival(msg, arrival);
+    fn delivered(&mut self, event: &TraceEvent) {
+        self.delivered.push(*event);
     }
 }
 
@@ -273,8 +264,9 @@ proptest! {
     }
 
     /// Arbitrary delay *oracles* — not just the fixed models — keep the
-    /// two cores bit-identical, and every resulting trace passes the
-    /// per-channel FIFO validator from `csp_sim::trace`.
+    /// three executors bit-identical down to their observer streams, and
+    /// every resulting trace passes the per-channel FIFO validator from
+    /// `csp_sim::trace`.
     #[test]
     fn oracle_runs_are_fifo_and_identical_on_both_cores(
         g in arb_graph(),
@@ -292,33 +284,34 @@ proptest! {
             }
             _ => None,
         };
-        let mut flat_oracle = oracle_for(&spec, mutant.as_ref());
+        let oracle = || oracle_for(&spec, mutant.as_ref());
+        let mut flat_log = StreamLog::default();
         let flat = Simulator::new(&g)
-            .record_trace(1 << 16)
-            .run_with_oracle(&mut flat_oracle, Ghs::new)
+            .run_observed(oracle().as_mut(), &mut flat_log, Ghs::new)
             .unwrap();
-        let mut heap_oracle = oracle_for(&spec, mutant.as_ref());
+        let mut heap_log = StreamLog::default();
         let heap = Simulator::new(&g)
             .core(CoreKind::Heap)
-            .record_trace(1 << 16)
-            .run_with_oracle(&mut heap_oracle, Ghs::new)
+            .run_observed(oracle().as_mut(), &mut heap_log, Ghs::new)
             .unwrap();
-        let mut base_oracle = oracle_for(&spec, mutant.as_ref());
+        let mut base_log = StreamLog::default();
         let base = BaselineSimulator::new(&g)
-            .record_trace(1 << 16)
-            .run_with_oracle(&mut base_oracle, Ghs::new)
+            .run_observed(oracle().as_mut(), &mut base_log, Ghs::new)
             .unwrap();
-        prop_assert!(flat.trace.is_fifo(), "flat core violated channel FIFO");
-        prop_assert!(base.trace.is_fifo(), "baseline violated channel FIFO");
+        // `record_trace` is the delivered stream, capped.
+        let traced = Simulator::new(&g)
+            .record_trace(1 << 16)
+            .run_with_oracle(oracle().as_mut(), Ghs::new)
+            .unwrap();
+        prop_assert!(traced.trace.is_fifo(), "flat core violated channel FIFO");
+        prop_assert_eq!(traced.trace.events(), &flat_log.delivered[..]);
         prop_assert_eq!(&flat.cost, &heap.cost);
-        prop_assert_eq!(flat.trace.events(), heap.trace.events());
         prop_assert_eq!(&flat.cost, &base.cost);
-        prop_assert_eq!(flat.trace.events(), base.trace.events());
-        // Every delivered dispatch is observed, with the same arrival,
-        // on both flat cores and the independent baseline.
-        prop_assert_eq!(flat_oracle.log.len() as u64, flat.cost.messages - flat.cost.drops);
-        prop_assert_eq!(&flat_oracle.log, &heap_oracle.log);
-        prop_assert_eq!(&flat_oracle.log, &base_oracle.log);
+        // Every delivered dispatch is observed, with the same delay and
+        // arrival, on both flat cores and the independent baseline.
+        prop_assert_eq!(flat_log.dispatched.len() as u64, flat.cost.messages - flat.cost.drops);
+        prop_assert_eq!(&flat_log, &heap_log);
+        prop_assert_eq!(&flat_log, &base_log);
     }
 
     /// Checkpoint equivalence: for a random mutated schedule, resuming

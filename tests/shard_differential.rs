@@ -1,11 +1,14 @@
 //! Differential property tests for the sharded conservative-parallel
 //! core: [`ShardedSimulator`] must be observationally *identical* to the
 //! sequential [`Simulator`] — same [`CostReport`] (including the fault
-//! meters), same delivery trace, same final states, same truncation flag
-//! — across graph families, shard counts {1, 2, 4, 8}, both event-queue
-//! cores, fixed delay models, dispatch-time delay *oracles* (including
-//! replay of mutated recordings), drop/crash fault stacks and the
-//! timer-heavy [`Reliable`]/[`Detect`] wrappers.
+//! meters), same delivery trace, same final states, same truncation
+//! flag, same [`Observer`] stream — across graph families, shard counts
+//! {1, 2, 4, 8}, both event-queue cores, fixed delay models,
+//! dispatch-time delay *oracles* (including replay of mutated
+//! recordings), drop/crash/rejoin/drift fault stacks and the timer-heavy
+//! [`Reliable`]/[`Detect`] wrappers. Under faults the observer streams are
+//! also held against the independent [`BaselineSimulator`], as far as
+//! its fault model (drops and crash-stop) reaches.
 //!
 //! The shard count is a pure partition parameter: every value must
 //! select the *same* execution, so all assertions here are exact
@@ -14,6 +17,7 @@
 use cost_sensitive::algo::flood::Flood;
 use cost_sensitive::algo::mst::ghs::Ghs;
 use cost_sensitive::prelude::*;
+use cost_sensitive::sim::{ChurnOracle, Observer, TraceEvent};
 use proptest::prelude::*;
 
 /// A connected graph drawn from four structurally distinct families.
@@ -75,43 +79,83 @@ fn arb_oracle() -> impl Strategy<Value = OracleSpec> {
     })
 }
 
-/// The spec's oracle under an [`ArrivalLog`], so every oracle-driven
-/// case also compares what the executors report through
-/// [`LinkOracle::observe_arrival`].
-fn oracle_for<'s>(spec: &OracleSpec, mutant: Option<&'s Schedule>) -> ArrivalLog<'s> {
-    let inner: Box<dyn LinkOracle + Send + 's> = match spec {
+fn oracle_for<'s>(
+    spec: &OracleSpec,
+    mutant: Option<&'s Schedule>,
+) -> Box<dyn LinkOracle + Send + 's> {
+    match spec {
         OracleSpec::Model(m, s) => Box::new(ModelOracle::new(*m, *s)),
         OracleSpec::CriticalPath => Box::new(CriticalPathOracle::new()),
         OracleSpec::MutatedReplay { .. } => {
             Box::new(ScheduleOracle::new(mutant.expect("mutant prepared")))
         }
-    };
-    ArrivalLog {
-        inner,
-        log: Vec::new(),
     }
 }
 
-/// Logs `(dispatch index, arrival)` per observed arrival on top of any
-/// oracle — the stream `csp-adversary`'s trace layer is built on.
-struct ArrivalLog<'s> {
-    inner: Box<dyn LinkOracle + Send + 's>,
-    log: Vec<(u64, SimTime)>,
+/// Both [`Observer`] streams of one run: every dispatch as
+/// `(index, delay, arrival)` — the stream `csp-adversary`'s trace layer
+/// is built on — and every delivery.
+#[derive(Default, Debug, PartialEq)]
+struct StreamLog {
+    dispatched: Vec<(u64, u64, SimTime)>,
+    delivered: Vec<TraceEvent>,
 }
 
-impl LinkOracle for ArrivalLog<'_> {
-    fn decide(&mut self, msg: &MsgInfo) -> LinkDecision {
-        self.inner.decide(msg)
+impl Observer for StreamLog {
+    fn dispatched(&mut self, msg: &MsgInfo, delay: u64, arrival: SimTime) {
+        self.dispatched.push((msg.index, delay, arrival));
     }
 
-    fn fault_plan(&mut self) -> FaultPlan {
-        self.inner.fault_plan()
+    fn delivered(&mut self, event: &TraceEvent) {
+        self.delivered.push(*event);
     }
+}
 
-    fn observe_arrival(&mut self, msg: &MsgInfo, arrival: SimTime) {
-        self.log.push((msg.index, arrival));
-        self.inner.observe_arrival(msg, arrival);
-    }
+/// The observer streams of one run under a fresh `oracle()` on the
+/// bucket core, the heap core and `shards` shards — asserted equal —
+/// plus the bucket run's cost.
+fn kernel_streams<P, F, O>(
+    g: &WeightedGraph,
+    shards: usize,
+    oracle: impl Fn() -> O,
+    make: F,
+) -> (StreamLog, CostReport)
+where
+    P: Process + Send,
+    P::Msg: Send,
+    F: Fn(NodeId, &WeightedGraph) -> P + Copy,
+    O: LinkOracle + Send,
+{
+    let mut bucket = StreamLog::default();
+    let run = Simulator::new(g)
+        .run_observed(&mut oracle(), &mut bucket, make)
+        .unwrap();
+    let mut heap = StreamLog::default();
+    Simulator::new(g)
+        .core(CoreKind::Heap)
+        .run_observed(&mut oracle(), &mut heap, make)
+        .unwrap();
+    let mut par = StreamLog::default();
+    ShardedSimulator::new(g)
+        .threads(shards)
+        .run_observed(&mut oracle(), &mut par, make)
+        .unwrap();
+    assert_eq!(bucket, heap, "heap core stream");
+    assert_eq!(bucket, par, "sharded stream at {shards} shards");
+    // Every delivered dispatch is reported, and the completion time is
+    // the last delivery.
+    assert_eq!(
+        bucket.dispatched.len() as u64,
+        run.cost.messages - run.cost.drops
+    );
+    assert_eq!(
+        bucket
+            .delivered
+            .last()
+            .map_or(SimTime::ZERO, |e| e.delivered),
+        run.cost.completion
+    );
+    (bucket, run.cost)
 }
 
 /// A deliberately chatty protocol: floods, then every vertex bounces a
@@ -213,24 +257,33 @@ proptest! {
             }
             _ => None,
         };
-        let mut seq_oracle = oracle_for(&spec, mutant.as_ref());
+        let oracle = || oracle_for(&spec, mutant.as_ref());
         let seq = Simulator::new(&g)
             .record_trace(1 << 16)
-            .run_with_oracle(&mut seq_oracle, Ghs::new)
+            .run_with_oracle(oracle().as_mut(), Ghs::new)
             .unwrap();
-        let mut par_oracle = oracle_for(&spec, mutant.as_ref());
         let par = ShardedSimulator::new(&g)
             .threads(shards)
             .record_trace(1 << 16)
-            .run_with_oracle(&mut par_oracle, Ghs::new)
+            .run_with_oracle(oracle().as_mut(), Ghs::new)
             .unwrap();
         prop_assert!(seq.trace.is_fifo(), "sequential run violated channel FIFO");
         prop_assert!(par.trace.is_fifo(), "sharded run violated channel FIFO");
         assert_identical!(seq, par);
-        // Every delivered dispatch is observed, with the same arrival,
-        // whichever executor ran it.
-        prop_assert_eq!(seq_oracle.log.len() as u64, seq.cost.messages - seq.cost.drops);
-        prop_assert_eq!(&seq_oracle.log, &par_oracle.log);
+        // Every delivered dispatch is observed, with the same delay and
+        // arrival, whichever executor ran it.
+        let mut seq_log = StreamLog::default();
+        let mut par_log = StreamLog::default();
+        Simulator::new(&g)
+            .run_observed(oracle().as_mut(), &mut seq_log, Ghs::new)
+            .unwrap();
+        ShardedSimulator::new(&g)
+            .threads(shards)
+            .run_observed(oracle().as_mut(), &mut par_log, Ghs::new)
+            .unwrap();
+        prop_assert_eq!(seq_log.dispatched.len() as u64, seq.cost.messages - seq.cost.drops);
+        prop_assert_eq!(&seq_log.delivered[..], seq.trace.events());
+        prop_assert_eq!(&seq_log, &par_log);
     }
 
     /// The timer-heavy fault stacks — [`Reliable`] retransmission over a
@@ -288,6 +341,71 @@ proptest! {
             .run_with_oracle(&mut par_oracle, mk_det)
             .unwrap();
         assert_identical!(seq, par);
+    }
+
+    /// Both observer streams — dispatches with their arrivals, and
+    /// deliveries — under `fault_suite`'s stacks. The full stack (bounded
+    /// drops, a crash–rejoin chain, a crash-stop and a weight revision,
+    /// under the timer-driven [`Reliable`] wrapper) runs on the bucket
+    /// core, the heap core and the sharded core; the drop + crash-stop
+    /// stack, which is all the baseline understands, runs on those three
+    /// and the baseline.
+    #[test]
+    fn observer_streams_are_identical_under_fault_stacks(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        drop_rate in 0.0f64..0.4,
+        shards in arb_shards(),
+        victim_ix in 0usize..16,
+        start in 1u64..40,
+        chain_len in 1usize..6,
+        crash_at in 0u64..40,
+        drift_ix in 0usize..64,
+        drift_at in 1u64..120,
+        drift_w in 1u64..9,
+    ) {
+        let n = g.node_count();
+        let victim = NodeId::new(1 + victim_ix % (n - 1));
+        let stopped = NodeId::new(victim.index() % (n - 1) + 1);
+        // Gaps of 7 plus under 5: strictly increasing toggles.
+        let chain: Vec<SimTime> = (0..chain_len as u64)
+            .map(|i| SimTime::new(start + 7 * i + (seed >> i) % 5))
+            .collect();
+        let drift = (
+            EdgeId::new(drift_ix % g.edge_count()),
+            SimTime::new(drift_at),
+            Weight::new(drift_w),
+        );
+        let full_stack = || {
+            ChurnOracle::new(
+                DropOracle::new(DelayModel::Uniform, seed, drop_rate, 3),
+                vec![
+                    (victim, chain.clone()),
+                    (stopped, vec![SimTime::new(crash_at)]),
+                ],
+                vec![drift],
+            )
+        };
+        let mk_rel = |v: NodeId, _: &WeightedGraph| {
+            Reliable::new(Flood::new(v == NodeId::new(0)), 3)
+        };
+        let (_, cost) = kernel_streams(&g, shards, full_stack, mk_rel);
+        prop_assert_eq!(cost.recoveries, (chain.len() / 2) as u64);
+        prop_assert_eq!(cost.weight_revisions, 1);
+
+        let crash_stack = || {
+            CrashOracle::new(
+                DropOracle::new(DelayModel::Uniform, seed ^ 0xD15EA5E, drop_rate, 3),
+                vec![(stopped, SimTime::new(crash_at))],
+            )
+        };
+        let mk = |_: NodeId, _: &WeightedGraph| Chatter { seen: false, budget: 3 };
+        let (kernel, _) = kernel_streams(&g, shards, crash_stack, mk);
+        let mut base = StreamLog::default();
+        BaselineSimulator::new(&g)
+            .run_observed(&mut crash_stack(), &mut base, mk)
+            .unwrap();
+        prop_assert_eq!(&kernel, &base);
     }
 
     /// An explicit, deliberately unbalanced plan (all weight on shard 0)
