@@ -57,17 +57,36 @@
 //! through a downstream window shift can be missed. The honest contract:
 //! one representative per *discovered* class, never two evaluations of
 //! the same class.
+//!
+//! # Cost per class
+//!
+//! A class of a `k`-delivery run costs one replay, then its signature,
+//! then one branching step per dispatch point from the branch start.
+//! The signature sorts the trace into delivery order once (O(k log k)),
+//! reads FIFO floors and `(channel, occurrence)` ranks in one pass, and
+//! gives every vertex a bitset *row* of the delivery positions touching
+//! it. Dependent deliveries are exactly those sharing a row, so a
+//! delivery is ready in the least-extension walk once it heads both its
+//! rows: O(k·⌈k/64⌉) with a bitset of ready ranks. A branching step ORs
+//! the dispatch's two rows, which yields its dependents sorted by
+//! `(arrival, index)`. Moving the dispatch's arrival flips exactly the
+//! dependents between its old and new position in that order, so a
+//! crossing set is the interval between two ranks: "empty" is equal
+//! ranks and, with candidates taken in ascending order, "same group as
+//! before" is the previous candidate's rank. Prefix keys roll along the
+//! trace ([`PrefixHasher`]), and a branch's schedule is allocated only
+//! once its key is new.
 
 use crate::oracle::{Recorder, ScheduleOracle};
-use crate::schedule::{Decision, Fallback, Schedule};
+use crate::schedule::{Decision, Fallback, PrefixHasher, Schedule};
 use crate::search::{SearchConfig, SearchOutcome};
 use csp_graph::{EdgeId, NodeId, WeightedGraph};
 use csp_sim::{
     DelayModel, EvalPool, LinkDecision, LinkOracle, ModelOracle, MsgInfo, Observer, Process, Run,
     SimTime, Simulator,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Class cap the explorer applies when
 /// [`SearchConfig::class_budget`](crate::SearchConfig::class_budget) is
@@ -198,9 +217,16 @@ impl Trace {
     /// pop order of both queue cores (bucket FIFO and `(time, seq)`
     /// heap agree on it).
     pub fn delivery_order(&self) -> Vec<usize> {
-        let mut ord: Vec<usize> = (0..self.steps.len()).collect();
-        ord.sort_by_key(|&i| (self.steps[i].arrival, i));
-        ord
+        let mut keys = Vec::new();
+        self.delivery_keys(&mut keys);
+        keys.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// `(arrival, step)` of every step, in delivery order.
+    fn delivery_keys(&self, keys: &mut Vec<(u64, usize)>) {
+        keys.clear();
+        keys.extend(self.steps.iter().enumerate().map(|(i, s)| (s.arrival, i)));
+        keys.sort_unstable();
     }
 
     /// Whether steps `i` and `j` (positions into [`Trace::steps`]) are
@@ -236,62 +262,178 @@ impl Trace {
     /// deliveries. Two runs get equal signatures iff they realize the
     /// same class (up to 64-bit-hash collisions).
     pub fn class_signature(&self) -> u64 {
-        let ord = self.delivery_order();
-        let k = ord.len();
-        // (channel, occurrence) names: per-channel counters over dispatch
-        // order, which under FIFO equals per-channel delivery order.
-        let mut occ = vec![0u64; self.steps.len()];
-        let mut counts: HashMap<usize, u64> = HashMap::new();
-        for (pos, s) in self.steps.iter().enumerate() {
-            let c = counts.entry(s.channel()).or_insert(0);
-            occ[pos] = *c;
-            *c += 1;
+        self.class_signature_with(&mut TraceIndex::default())
+    }
+
+    /// [`Trace::class_signature`] computed in `index`, which is left
+    /// holding this trace's tables for the explorer's branching step.
+    pub(crate) fn class_signature_with(&self, index: &mut TraceIndex) -> u64 {
+        index.build(self);
+        index.signature(&self.steps)
+    }
+}
+
+/// The tables one trace's class signature and branching step read,
+/// rebuilt in place per trace so the explorer allocates them once per
+/// call. Delivery positions index the realized delivery order
+/// ([`Trace::delivery_order`]); ranks order the steps by `(channel,
+/// occurrence)`.
+#[derive(Default)]
+pub(crate) struct TraceIndex {
+    /// Delivery position → `(arrival, step)`, ascending.
+    ord: Vec<(u64, usize)>,
+    /// Step → delivery position.
+    pos: Vec<usize>,
+    /// Step → rank.
+    rank: Vec<usize>,
+    /// Rank → step.
+    by_rank: Vec<usize>,
+    /// Step → its channel's FIFO floor right before it dispatched: the
+    /// previous arrival on the channel, 0 for the channel's first.
+    floor: Vec<u64>,
+    /// Per channel: its first rank, and its last arrival while building.
+    channels: Vec<(usize, u64)>,
+    /// Words per bitset: `⌈k/64⌉` for `k` steps.
+    words: usize,
+    /// Row `v` (`words` words): the delivery positions whose step
+    /// touches vertex `v`. Two steps are dependent iff they share a row.
+    touch: Vec<u64>,
+    /// Signature walk: per vertex, the first position of its row not
+    /// yet emitted.
+    heads: Vec<Option<usize>>,
+    /// Signature walk: the ranks of the ready deliveries.
+    ready: Vec<u64>,
+}
+
+impl TraceIndex {
+    fn build(&mut self, trace: &Trace) {
+        let steps = &trace.steps;
+        trace.delivery_keys(&mut self.ord);
+        self.pos.resize(steps.len(), 0);
+        for (d, &(_, i)) in self.ord.iter().enumerate() {
+            self.pos[i] = d;
         }
-        // Dependence DAG over delivery positions.
-        let mut indeg = vec![0usize; k];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for p in 0..k {
-            for q in (p + 1)..k {
-                if self.steps[ord[p]].dependent(&self.steps[ord[q]]) {
-                    succs[p].push(q);
-                    indeg[q] += 1;
-                }
+        // One pass in dispatch order reads every step's FIFO floor and
+        // occurrence on its channel, and counts each channel's sends...
+        let channels = steps.iter().map(|s| s.channel() + 1).max().unwrap_or(0);
+        self.channels.clear();
+        self.channels.resize(channels, (0, 0));
+        self.rank.clear();
+        self.floor.clear();
+        for s in steps {
+            let (sent, last) = &mut self.channels[s.channel()];
+            self.rank.push(*sent);
+            self.floor.push(*last);
+            *sent += 1;
+            *last = s.arrival;
+        }
+        // ...so channel c's sends rank right after those of every lower
+        // channel, in occurrence order.
+        let mut first = 0;
+        for (start, _) in &mut self.channels {
+            first += std::mem::replace(start, first);
+        }
+        self.by_rank.resize(steps.len(), 0);
+        for (i, s) in steps.iter().enumerate() {
+            self.rank[i] += self.channels[s.channel()].0;
+            self.by_rank[self.rank[i]] = i;
+        }
+        let vertices = steps
+            .iter()
+            .map(|s| s.from.index().max(s.to.index()) + 1)
+            .max()
+            .unwrap_or(0);
+        self.words = steps.len().div_ceil(64);
+        self.touch.clear();
+        self.touch.resize(vertices * self.words, 0);
+        for (d, &(_, i)) in self.ord.iter().enumerate() {
+            for v in [steps[i].from, steps[i].to] {
+                self.touch[v.index() * self.words + d / 64] |= 1 << (d % 64);
             }
         }
-        // Greedy least linear extension by (channel, occurrence).
-        let mut ready: BinaryHeap<Reverse<(usize, u64, usize)>> = (0..k)
-            .filter(|&p| indeg[p] == 0)
-            .map(|p| {
-                let s = &self.steps[ord[p]];
-                Reverse((s.channel(), occ[ord[p]], p))
-            })
-            .collect();
+        self.heads.resize(vertices, None);
+    }
+
+    /// Vertex `v`'s row of `touch`.
+    fn row(&self, v: usize) -> &[u64] {
+        &self.touch[v * self.words..(v + 1) * self.words]
+    }
+
+    /// Greedy least linear extension by `(channel, occurrence)`. A
+    /// delivery's predecessors are the earlier positions in its
+    /// endpoints' rows, so it is ready once it heads both rows, and only
+    /// the emitted delivery's endpoints get new heads.
+    fn signature(&mut self, steps: &[TraceStep]) -> u64 {
+        for v in 0..self.heads.len() {
+            self.heads[v] = first_from(self.row(v), 0);
+        }
+        self.ready.clear();
+        self.ready.resize(self.words, 0);
+        for v in 0..self.heads.len() {
+            self.mark_if_ready(steps, self.heads[v]);
+        }
         let mut h = SIG_OFFSET;
-        while let Some(Reverse((channel, occurrence, p))) = ready.pop() {
+        while let Some(r) = first_from(&self.ready, 0) {
+            self.ready[r / 64] &= !(1 << (r % 64));
+            let i = self.by_rank[r];
+            let (s, channel) = (&steps[i], steps[i].channel());
             h = mix(h, channel as u64);
-            h = mix(h, occurrence);
-            for &q in &succs[p] {
-                indeg[q] -= 1;
-                if indeg[q] == 0 {
-                    let s = &self.steps[ord[q]];
-                    ready.push(Reverse((s.channel(), occ[ord[q]], q)));
-                }
+            h = mix(h, (r - self.channels[channel].0) as u64);
+            for v in [s.from.index(), s.to.index()] {
+                self.heads[v] = first_from(self.row(v), self.pos[i] + 1);
+            }
+            for v in [s.from.index(), s.to.index()] {
+                self.mark_if_ready(steps, self.heads[v]);
             }
         }
         h
     }
 
-    /// The channel's FIFO floor right before step `i` dispatched: the
-    /// arrival of the previous delivery on the same channel (0 when `i`
-    /// is the channel's first).
-    fn floor_before(&self, i: usize) -> u64 {
-        let c = self.steps[i].channel();
-        self.steps[..i]
-            .iter()
-            .rev()
-            .find(|s| s.channel() == c)
-            .map_or(0, |s| s.arrival)
+    /// Marks the delivery at position `head` ready if it heads both its
+    /// endpoints' rows (marking twice is harmless).
+    fn mark_if_ready(&mut self, steps: &[TraceStep], head: Option<usize>) {
+        let Some(d) = head else { return };
+        let i = self.ord[d].1;
+        if self.heads[steps[i].from.index()] == head && self.heads[steps[i].to.index()] == head {
+            let r = self.rank[i];
+            self.ready[r / 64] |= 1 << (r % 64);
+        }
     }
+
+    /// Fills `out` with the `(arrival, step)` of every step dependent on
+    /// step `i`, in delivery order, and returns how many of them deliver
+    /// before it.
+    fn dependents(&self, s: &TraceStep, i: usize, out: &mut Vec<(u64, usize)>) -> usize {
+        let d = self.pos[i];
+        out.clear();
+        for (k, (&a, &b)) in self
+            .row(s.from.index())
+            .iter()
+            .zip(self.row(s.to.index()))
+            .enumerate()
+        {
+            let mut bits = a | b;
+            while bits != 0 {
+                let p = 64 * k + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if p != d {
+                    out.push(self.ord[p]);
+                }
+            }
+        }
+        out.partition_point(|&e| e < self.ord[d])
+    }
+}
+
+/// The least position at or above `p` set in the bitset `bits`.
+fn first_from(bits: &[u64], p: usize) -> Option<usize> {
+    let mut k = p / 64;
+    let mut word = bits.get(k)? & (u64::MAX << (p % 64));
+    while word == 0 {
+        k += 1;
+        word = *bits.get(k)?;
+    }
+    Some(64 * k + word.trailing_zeros() as usize)
 }
 
 const SIG_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -301,6 +443,27 @@ fn mix(h: u64, word: u64) -> u64 {
     x ^= x >> 32;
     x.wrapping_mul(0xff51_afd7_ed55_8ccd)
 }
+
+/// [`Hasher`] for keys that are already well-mixed 64-bit hashes (class
+/// signatures, prefix keys): hashing them again only costs time.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PassThrough hashes u64 keys only")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+type KeySet = HashSet<u64, BuildHasherDefault<PassThrough>>;
 
 /// Replays a delay schedule keyed by **channel occurrence** instead of
 /// global dispatch index: the k-th send on directed channel `c` takes
@@ -316,8 +479,10 @@ fn mix(h: u64, word: u64) -> u64 {
 /// counted in [`OccurrenceOracle::unmatched`]; the oracle never drops.
 #[derive(Clone, Debug, Default)]
 pub struct OccurrenceOracle {
-    delays: HashMap<usize, Vec<u64>>,
-    cursor: HashMap<usize, usize>,
+    /// Per channel: the recorded delays, in order.
+    delays: Vec<Vec<u64>>,
+    /// Per channel: sends seen so far.
+    cursor: Vec<usize>,
     /// Sends past their channel's recorded decisions, served at full
     /// weight. A faithful same-run replay keeps this at 0.
     pub unmatched: u64,
@@ -328,13 +493,14 @@ impl OccurrenceOracle {
     /// order (delay-only: a dropped decision contributes its recorded
     /// delay — this oracle never drops).
     pub fn new(decisions: &[Decision]) -> Self {
-        let mut delays: HashMap<usize, Vec<u64>> = HashMap::new();
+        let channels = decisions.iter().map(|d| d.channel() + 1).max().unwrap_or(0);
+        let mut delays = vec![Vec::new(); channels];
         for d in decisions {
-            delays.entry(d.channel()).or_default().push(d.delay);
+            delays[d.channel()].push(d.delay);
         }
         OccurrenceOracle {
             delays,
-            cursor: HashMap::new(),
+            cursor: vec![0; channels],
             unmatched: 0,
         }
     }
@@ -343,9 +509,12 @@ impl OccurrenceOracle {
 impl LinkOracle for OccurrenceOracle {
     fn decide(&mut self, msg: &MsgInfo) -> LinkDecision {
         let channel = 2 * msg.edge.index() + msg.dir as usize;
-        let k = self.cursor.entry(channel).or_insert(0);
-        let slot = self.delays.get(&channel).and_then(|v| v.get(*k)).copied();
-        *k += 1;
+        // Channels no decision names have no cursor: every send on them
+        // is unmatched.
+        let slot = self.cursor.get_mut(channel).and_then(|k| {
+            *k += 1;
+            self.delays[channel].get(*k - 1).copied()
+        });
         match slot {
             Some(delay) => LinkDecision::Deliver { delay },
             None => {
@@ -371,8 +540,8 @@ struct Frontier {
 /// returning the worst representative found. Delay-only: drops and
 /// crashes are separate search dimensions the explorer does not touch.
 ///
-/// DFS discipline (see the [module docs](self) for soundness and the
-/// timed-model caveat):
+/// DFS discipline (see the [module docs](self) for soundness, cost and
+/// the timed-model caveat):
 ///
 /// 1. replay the frontier schedule, trace it, and skip it entirely if
 ///    its class was already evaluated;
@@ -381,7 +550,7 @@ struct Frontier {
 ///    the branch start, enumerate alternative effective arrivals,
 ///    group them by crossing set against *dependent* deliveries, and
 ///    keep the earliest-arrival representative of each non-empty group
-///    (everything else is pruned);
+///    whose decision prefix is new (everything else is pruned);
 /// 3. stop at the class budget
 ///    ([`SearchConfig::effective_class_budget`]) or at `8×` that many
 ///    replays, whichever comes first.
@@ -418,12 +587,16 @@ where
         schedules_pruned: 0,
     };
 
-    let mut seen_classes: HashSet<u64> = HashSet::new();
-    let mut seen_prefixes: HashSet<u64> = HashSet::new();
+    let mut seen_classes = KeySet::default();
+    let mut seen_prefixes = KeySet::default();
     let mut stack = vec![Frontier {
         schedule: anchor,
         branch_start: 0,
     }];
+    // Branches carry no fault plan, so every prefix key starts here.
+    let empty_prefix = PrefixHasher::new(&Schedule::default());
+    let (mut trace, mut index) = (Trace::default(), TraceIndex::default());
+    let (mut deps, mut candidates) = (Vec::new(), Vec::new());
 
     while let Some(Frontier {
         schedule,
@@ -437,15 +610,14 @@ where
         // the recorded prefix under the worst-case fallback, so the
         // trace always covers the whole run.
         let mut oracle = ScheduleOracle::new(&schedule);
-        let mut trace = Trace::default();
+        trace.steps.clear();
         let completion = sim
             .eval_observed(&mut pool, &mut oracle, &mut trace, |v, g| make(v, g))
             .expect("protocol must quiesce under an admissible schedule")
             .completion;
         best.evaluations += 1;
 
-        let sig = trace.class_signature();
-        if !seen_classes.insert(sig) {
+        if !seen_classes.insert(trace.class_signature_with(&mut index)) {
             // A different delay vector, same delivery-order class: the
             // class representative already evaluated covers it.
             best.schedules_pruned += 1;
@@ -458,83 +630,86 @@ where
         }
 
         // Branch on dependent races at every dispatch point from the
-        // sleep-set start.
-        for i in branch_start..trace.len() {
-            let step = trace.steps[i];
-            let floor = trace.floor_before(i);
-            let lo = (step.sent + 1).max(floor);
-            let hi = (step.sent + step.weight).max(lo);
-            // Candidate arrivals: the extremes plus the boundaries
-            // around every dependent delivery inside the feasible
-            // window — enough to realize every distinct crossing set.
-            let mut candidates: Vec<u64> = vec![lo, hi];
-            for (j, other) in trace.steps.iter().enumerate() {
-                if j == i || !step.dependent(other) {
-                    continue;
-                }
-                for a in [
-                    other.arrival.saturating_sub(1),
-                    other.arrival,
-                    other.arrival + 1,
-                ] {
-                    if (lo..=hi).contains(&a) {
-                        candidates.push(a);
+        // sleep-set start, rolling the prefix key along the trace.
+        let mut prefix = empty_prefix;
+        for (i, step) in trace.steps.iter().enumerate() {
+            if i >= branch_start {
+                let lo = (step.sent + 1).max(index.floor[i]);
+                let hi = (step.sent + step.weight).max(lo);
+                // Dependents in ascending (arrival, index) order; `now`
+                // of them currently deliver before step i.
+                let now = index.dependents(step, i, &mut deps);
+                // Candidate arrivals: the extremes plus the boundaries
+                // around every dependent delivery inside the feasible
+                // window — enough to realize every distinct crossing set.
+                // Dependents ascend, so emitting only values above the
+                // last one emitted leaves the candidates sorted and
+                // distinct.
+                candidates.clear();
+                let mut emit = |t: u64| {
+                    if (lo..=hi).contains(&t) && candidates.last().is_none_or(|&c| c < t) {
+                        candidates.push(t);
                     }
+                };
+                emit(lo);
+                for &(a, _) in &deps {
+                    [a.saturating_sub(1), a, a + 1]
+                        .into_iter()
+                        .for_each(&mut emit);
                 }
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            let mut groups: HashSet<u64> = HashSet::new();
-            for target in candidates {
-                if target == step.arrival {
-                    continue;
-                }
-                // Crossing set: dependent deliveries whose order
-                // against step i flips when its arrival moves from
-                // `step.arrival` to `target` (dispatch index breaks
-                // arrival ties, matching the queue cores).
-                let mut crossing = SIG_OFFSET;
-                let mut crossed = false;
-                for (j, other) in trace.steps.iter().enumerate() {
-                    if j == i || !step.dependent(other) {
+                emit(hi);
+                // Crossing set: the dependents whose order against step i
+                // flips when its arrival moves from `step.arrival` to
+                // `target` (dispatch index breaks arrival ties, matching
+                // the queue cores) — those ranked between `now` and
+                // `then`. Targets ascend, so `then` does too, and equal
+                // crossing sets are neighbours.
+                let (mut then, mut last_group) = (0, None);
+                for &target in &candidates {
+                    if target == step.arrival {
                         continue;
                     }
-                    let before_now = (step.arrival, i) < (other.arrival, j);
-                    let before_then = (target, i) < (other.arrival, j);
-                    if before_now != before_then {
-                        crossing = mix(crossing, j as u64);
-                        crossed = true;
+                    while then < deps.len() && deps[then] < (target, i) {
+                        then += 1;
                     }
+                    if then == now {
+                        // Sleep-set covered: no dependent race flips, so
+                        // the branch commutes back into this very class.
+                        best.schedules_pruned += 1;
+                        continue;
+                    }
+                    if last_group == Some(then) {
+                        // Same crossing set as the previous (earlier-
+                        // arrival) candidate: one representative per
+                        // race suffices.
+                        best.schedules_pruned += 1;
+                        continue;
+                    }
+                    last_group = Some(then);
+                    let delay = target.saturating_sub(step.sent).clamp(1, step.weight);
+                    let mut key = prefix;
+                    key.absorb(&Decision {
+                        delay,
+                        ..step.decision()
+                    });
+                    if !seen_prefixes.insert(key.key()) {
+                        best.schedules_pruned += 1;
+                        continue;
+                    }
+                    let mut decisions: Vec<Decision> =
+                        trace.steps[..=i].iter().map(TraceStep::decision).collect();
+                    decisions[i].delay = delay;
+                    stack.push(Frontier {
+                        schedule: Schedule {
+                            decisions,
+                            fallback: Fallback::WorstCase,
+                            ..Schedule::default()
+                        },
+                        branch_start: i + 1,
+                    });
                 }
-                if !crossed {
-                    // Sleep-set covered: no dependent race flips, so the
-                    // branch commutes back into this very class.
-                    best.schedules_pruned += 1;
-                    continue;
-                }
-                if !groups.insert(crossing) {
-                    // Same crossing set as an earlier (earlier-arrival)
-                    // candidate: one representative per race suffices.
-                    best.schedules_pruned += 1;
-                    continue;
-                }
-                let mut branch: Vec<Decision> =
-                    trace.steps[..=i].iter().map(TraceStep::decision).collect();
-                branch[i].delay = target.saturating_sub(step.sent).clamp(1, step.weight);
-                let branched = Schedule {
-                    decisions: branch,
-                    fallback: Fallback::WorstCase,
-                    ..Schedule::default()
-                };
-                if !seen_prefixes.insert(branched.prefix_key(branched.len())) {
-                    best.schedules_pruned += 1;
-                    continue;
-                }
-                stack.push(Frontier {
-                    schedule: branched,
-                    branch_start: i + 1,
-                });
             }
+            prefix.absorb(&step.decision());
         }
     }
     best
@@ -544,8 +719,12 @@ where
 mod tests {
     use super::*;
     use crate::{record, replay};
+    use csp_algo::spt::recur::SptRecur;
     use csp_graph::generators::{self, WeightDist};
     use csp_sim::Context;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashMap};
 
     #[derive(Clone)]
     struct Flood {
@@ -611,11 +790,117 @@ mod tests {
     #[test]
     fn arrivals_respect_fifo_floors() {
         let g = tiny();
-        let (_, trace) = Trace::record::<Flood, _>(&g, flood(), &recorded(&g, 5));
-        for i in 0..trace.len() {
-            let floor = trace.floor_before(i);
-            let s = trace.steps()[i];
-            assert_eq!(s.arrival, (s.sent + s.delay).max(floor));
+        let mut index = TraceIndex::default();
+        // Flood sends once per channel; `SptRecur` repeats channels, so
+        // its floors are not all 0.
+        for trace in traces(&g, 5) {
+            index.build(&trace);
+            for (i, s) in trace.steps().iter().enumerate() {
+                // The floor is the previous arrival on the same channel.
+                let floor = trace.steps()[..i]
+                    .iter()
+                    .rev()
+                    .find(|p| p.channel() == s.channel())
+                    .map_or(0, |p| p.arrival);
+                assert_eq!(index.floor[i], floor);
+                assert_eq!(s.arrival, (s.sent + s.delay).max(floor));
+            }
+        }
+    }
+
+    /// Reference class signature: an explicit O(k²) dependence DAG over
+    /// delivery positions and a heap-driven least linear extension,
+    /// which `class_signature` must equal.
+    fn naive_class_signature(trace: &Trace) -> u64 {
+        let steps = trace.steps();
+        let ord = trace.delivery_order();
+        let k = ord.len();
+        let mut occ = vec![0u64; steps.len()];
+        let mut counts: HashMap<usize, u64> = HashMap::new();
+        for (pos, s) in steps.iter().enumerate() {
+            let c = counts.entry(s.channel()).or_insert(0);
+            occ[pos] = *c;
+            *c += 1;
+        }
+        let mut indeg = vec![0usize; k];
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); k];
+        for p in 0..k {
+            for q in (p + 1)..k {
+                if steps[ord[p]].dependent(&steps[ord[q]]) {
+                    succs[p].push(q);
+                    indeg[q] += 1;
+                }
+            }
+        }
+        let mut ready: BinaryHeap<Reverse<(usize, u64, usize)>> = (0..k)
+            .filter(|&p| indeg[p] == 0)
+            .map(|p| Reverse((steps[ord[p]].channel(), occ[ord[p]], p)))
+            .collect();
+        let mut h = SIG_OFFSET;
+        while let Some(Reverse((channel, occurrence, p))) = ready.pop() {
+            h = mix(h, channel as u64);
+            h = mix(h, occurrence);
+            for &q in &succs[p] {
+                indeg[q] -= 1;
+                if indeg[q] == 0 {
+                    ready.push(Reverse((steps[ord[q]].channel(), occ[ord[q]], q)));
+                }
+            }
+        }
+        h
+    }
+
+    /// Traces one run of flood and one of single-strip `SptRecur` (which
+    /// sends several times per channel) under seeded uniform delays.
+    fn traces(g: &WeightedGraph, seed: u64) -> [Trace; 2] {
+        fn traced<P: Process>(
+            g: &WeightedGraph,
+            seed: u64,
+            make: impl FnMut(NodeId, &WeightedGraph) -> P,
+        ) -> Trace {
+            let mut trace = Trace::default();
+            Simulator::new(g)
+                .run_observed(
+                    &mut ModelOracle::new(DelayModel::Uniform, seed),
+                    &mut trace,
+                    make,
+                )
+                .expect("quiesces under any admissible delays");
+            trace
+        }
+        [
+            traced(g, seed, flood()),
+            traced(g, seed, |v, _| SptRecur::new(v, NodeId::new(0), 1 << 40)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The bitset signature equals the O(k²) reference on flood and
+        /// `SptRecur` traces, small ones and — on the n = 16, p = 0.5
+        /// graph every case adds — ones longer than 64 deliveries, where
+        /// each vertex row spans several words.
+        #[test]
+        fn class_signature_equals_the_naive_one(
+            n in 4usize..=12,
+            p in 0.1f64..0.6,
+            w_max in 2u64..=4,
+            graph_seed in any::<u64>(),
+            delay_seed in any::<u64>(),
+        ) {
+            let small = generators::connected_gnp(n, p, WeightDist::Uniform(1, w_max), graph_seed);
+            let large = generators::connected_gnp(16, 0.5, WeightDist::Uniform(1, w_max), graph_seed);
+            let mut index = TraceIndex::default();
+            for (g, multi_word) in [(&small, false), (&large, true)] {
+                for trace in traces(g, delay_seed) {
+                    prop_assert!(!multi_word || trace.len() > 64);
+                    let want = naive_class_signature(&trace);
+                    prop_assert_eq!(trace.class_signature(), want);
+                    // A reused index (the explorer's path) agrees too.
+                    prop_assert_eq!(trace.class_signature_with(&mut index), want);
+                }
+            }
         }
     }
 
@@ -661,6 +946,20 @@ mod tests {
             .unwrap();
         assert_eq!(occ.unmatched, 0);
         assert_eq!(direct.cost, via_occurrence.cost);
+        // `SptRecur` sends several times per channel, so the replay must
+        // walk each channel's delays in order.
+        let spt = |v, _: &WeightedGraph| SptRecur::new(v, NodeId::new(0), 1 << 40);
+        let (direct, s) = record(
+            &g,
+            spt,
+            ModelOracle::new(DelayModel::Uniform, 9),
+            Fallback::WorstCase,
+        );
+        let mut occ = OccurrenceOracle::new(&s.decisions);
+        let via_occurrence = Simulator::new(&g).run_with_oracle(&mut occ, spt).unwrap();
+        assert_eq!(occ.unmatched, 0);
+        assert_eq!(direct.cost, via_occurrence.cost);
+        assert!(via_occurrence.cost.messages > 2 * g.edge_count() as u64);
     }
 
     #[test]

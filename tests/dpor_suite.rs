@@ -10,6 +10,10 @@
 //! * **Coverage**: on an exhaustively enumerable instance the explorer's
 //!   worst completion equals the worst over *every* delay assignment,
 //!   and on a larger instance it dominates a 10k-sample random sweep.
+//!
+//! Beside them, `tests/golden/explorer_outcomes.txt` pins what the
+//! explorer reports — counters, worst case and witness — so a change to
+//! its bookkeeping cannot move them unnoticed.
 
 use cost_sensitive::algo::flood::Flood;
 use cost_sensitive::prelude::*;
@@ -197,4 +201,68 @@ fn explorer_dominates_ten_thousand_random_schedules() {
         "explorer worst {} lost to a random sample's {sampled_worst}",
         out.best_time
     );
+}
+
+/// Every pinned explorer outcome, one line per cell: the label, then
+/// `evaluations classes_explored schedules_pruned worst_case best_time`
+/// and the prefix key of the returned schedule.
+fn explorer_outcomes() -> String {
+    use cost_sensitive::algo::spt::recur::SptRecur;
+    use generators::WeightDist::Uniform;
+    fn line<P: Process, F: Fn(NodeId, &WeightedGraph) -> P>(
+        label: &str,
+        g: &WeightedGraph,
+        make: F,
+        budget: usize,
+    ) -> String {
+        let cfg = SearchConfig::builder().exhaustive(budget).build().unwrap();
+        let out = explore_exhaustive(g, make, &cfg);
+        format!(
+            "{label} b{budget}: {} {} {} {} {} {:016x}\n",
+            out.evaluations,
+            out.classes_explored,
+            out.schedules_pruned,
+            out.worst_case.get(),
+            out.best_time.get(),
+            out.schedule.prefix_key(out.schedule.len())
+        )
+    }
+    let mut text = String::from(
+        "# label budget: evaluations classes_explored schedules_pruned worst_case best_time prefix_key(schedule)\n",
+    );
+    for (n, p, w_max) in [(6, 0.3, 2), (6, 0.5, 3), (8, 0.3, 3), (10, 0.25, 2)] {
+        for seed in [1, 2] {
+            let label = format!("gnp({n},{p},U(1,{w_max}),{seed})");
+            let g = generators::connected_gnp(n, p, Uniform(1, w_max), seed);
+            for budget in [16, 256, 4096] {
+                text += &line(&format!("flood {label}"), &g, flood(), budget);
+                // One strip: Δ beyond any distance, as csp-serve's `delta: 0`.
+                let spt = |v, _: &WeightedGraph| SptRecur::new(v, NodeId::new(0), 1 << 40);
+                text += &line(&format!("spt_recur {label}"), &g, spt, budget);
+            }
+        }
+    }
+    // The benchmark's instance, capped and complete.
+    let g = generators::connected_gnp(8, 0.25, Uniform(1, 2), 8);
+    for budget in [4096, 65_536] {
+        text += &line("flood gnp(8,0.25,U(1,2),8)", &g, flood(), budget);
+    }
+    text
+}
+
+/// The explorer's counters, worst case and witness on a grid of flood
+/// and single-strip `SptRecur` instances are those recorded in
+/// `tests/golden/explorer_outcomes.txt`: a change to the explorer's
+/// bookkeeping must leave every one of them where it was.
+#[test]
+fn explorer_outcomes_match_their_golden_file() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explorer_outcomes.txt");
+    let golden = std::fs::read_to_string(path).unwrap();
+    let now = explorer_outcomes();
+    for (want, got) in golden.lines().zip(now.lines()) {
+        let label = want.split(':').next().unwrap_or(want);
+        assert_eq!(got, want, "first differing cell: {label}");
+    }
+    assert_eq!(now.lines().count(), golden.lines().count());
 }
