@@ -1,13 +1,28 @@
 //! Schedule-space search: seeded random probes, the critical-path
-//! greedy, and hill-climbing mutation — all fanned out through
-//! [`csp_sim::sweep::par_map_with`] with a pooled evaluator per worker.
+//! greedy, hill-climbing mutation and a tail polish, each scored on a
+//! pooled evaluator per worker thread.
 //!
 //! Every strategy records the schedule it actually ran (via
 //! [`Recorder`]), so [`SearchOutcome::schedule`] always replays to
 //! exactly [`SearchOutcome::best_time`]. The whole search is
-//! deterministic: fixed seeds, order-preserving parallel map, and
+//! deterministic: fixed seeds, results taken in candidate order, and
 //! strict-improvement adoption, so two searches with the same config
-//! find the same schedule regardless of thread count.
+//! find the same schedule in the same number of evaluations regardless
+//! of thread count.
+//!
+//! # Fan-out
+//!
+//! Random probes go through [`csp_sim::sweep::par_map_with`]. Hill-climb
+//! and polish candidates are one stream per incumbent instead: workers
+//! claim candidates in order from a shared cursor, and stop claiming
+//! after the first *group* holding a strict improvement — a group is one
+//! hill round, or a single polish toggle. Only then does the search
+//! adopt, and open a new stream against the new incumbent. So there is
+//! no barrier per hill round, only one per adoption. A worker may have
+//! scored candidates past the hit group by the time it stops; those
+//! speculative scores are discarded and not counted in
+//! [`SearchOutcome::evaluations`], which counts exactly what a
+//! sequential scan scores.
 //!
 //! # Incremental candidate evaluation
 //!
@@ -49,10 +64,12 @@ use crate::schedule::{crash_positions, Fallback, Schedule};
 use csp_graph::{NodeId, Weight, WeightedGraph};
 use csp_sim::sweep::{effective_threads, par_map_with};
 use csp_sim::{
-    Checkpoint, DelayModel, EvalPool, LinkOracle, ModelOracle, Process, SimTime, Simulator,
+    Checkpoint, DelayModel, EvalPool, FaultPlan, LinkOracle, ModelOracle, Process, SimTime,
+    Simulator,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Search budget and seeding; the defaults complete in seconds on
 /// Figure-2/3/4-sized instances.
@@ -71,7 +88,8 @@ pub struct SearchConfig {
     /// Worker threads for the parallel fan-out: `0` means one per core,
     /// and explicit requests are capped at the machine's available
     /// parallelism (via [`effective_threads`], the same rule the sweep
-    /// driver uses).
+    /// driver uses). The outcome does not depend on it: every thread
+    /// count returns the same [`SearchOutcome`].
     pub threads: usize,
     /// Message interval between incumbent checkpoints for resumed
     /// candidate evaluation. `0` (the default) sizes the interval
@@ -572,6 +590,78 @@ where
     )
 }
 
+/// Scores items `0..len` with `f` on up to `threads` workers and returns
+/// the scores of every *group* — `group` consecutive items — up to and
+/// including the first group holding a score above `bar`, in item order;
+/// all `len` scores when no group does.
+///
+/// Workers claim items in index order from one cursor, each threading
+/// its own `init` state through the items it claims, and stop claiming
+/// once some group has a hit. A worker may by then have scored items
+/// past that group; those speculative scores are dropped, so the result
+/// is exactly what a sequential scan that stops at the end of the first
+/// hit group would return, whatever `threads` is. A panic in `f`
+/// propagates to the caller once every worker has stopped.
+fn scores_until<T, S, I, F>(
+    len: usize,
+    group: usize,
+    threads: usize,
+    bar: T,
+    init: I,
+    f: F,
+) -> Vec<T>
+where
+    T: PartialOrd + Send + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    assert!(
+        group > 0 || len == 0,
+        "items come in groups of at least one"
+    );
+    // Both atomics order nothing but themselves: scores reach the caller
+    // through `join`, which synchronizes, so `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
+    // The first group with a hit so far; it only ever decreases, so a
+    // worker that reads it at or above an item's group may score it.
+    let hit_group = AtomicUsize::new(usize::MAX);
+    let work = |state: &mut S| {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= len || i / group > hit_group.load(Ordering::Relaxed) {
+                return done;
+            }
+            let t = f(state, i);
+            if t > bar {
+                hit_group.fetch_min(i / group, Ordering::Relaxed);
+            }
+            done.push((i, t));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(len))
+            .map(|_| scope.spawn(|| work(&mut init())))
+            .collect();
+        let mut done = work(&mut init());
+        for h in helpers {
+            match h.join() {
+                Ok(d) => done.extend(d),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    let end = match hit_group.into_inner() {
+        usize::MAX => len,
+        g => ((g + 1) * group).min(len),
+    };
+    done.retain(|&(i, _)| i < end);
+    done.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(done.iter().enumerate().all(|(k, &(i, _))| k == i));
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
 /// One seeded schedule perturbation across every adversarial dimension —
 /// the single mutation surface the hill-climb, polish and churn-search
 /// phases share (the historical
@@ -660,9 +750,26 @@ impl Mutation {
     /// Applies the mutation to `base` under `seed`, returning the mutant.
     /// Deterministic: same base, seed and dimensions — same mutant.
     pub fn apply(&self, base: &Schedule, seed: u64) -> Schedule {
-        let mut out = base.clone();
+        let mut out = Schedule::default();
+        self.apply_into(base, seed, &mut out);
+        out
+    }
+
+    /// [`Mutation::apply`] into `out`, reusing its buffers: `out` is
+    /// overwritten field by field with `base`, then mutated. (A derived
+    /// `clone_from` on [`Schedule`] would allocate a fresh copy.)
+    pub(crate) fn apply_into(&self, base: &Schedule, seed: u64, out: &mut Schedule) {
+        let Schedule {
+            decisions,
+            fallback,
+            plan: FaultPlan { churn, drift },
+        } = out;
+        decisions.clone_from(&base.decisions);
+        *fallback = base.fallback;
+        churn.clone_from(&base.plan.churn);
+        drift.clone_from(&base.plan.drift);
         if out.decisions.is_empty() {
-            return out;
+            return;
         }
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..self.delay_flips {
@@ -749,7 +856,6 @@ impl Mutation {
                 None => out.plan.drift.push((d.edge, at, weight)),
             }
         }
-        out
     }
 }
 
@@ -764,9 +870,10 @@ impl Mutation {
 /// [`Mutation`]-and-replay hill climbing from the incumbent, each
 /// candidate resumed from the incumbent's checkpoint store (see the
 /// [module docs](self)); (5) `polish_passes` of tail coordinate descent
-/// over single decisions. Strict improvement is required to adopt a
-/// candidate, and ties prefer the earlier strategy, so the outcome is
-/// deterministic.
+/// over single decisions, scored on every worker. Strict improvement is
+/// required to adopt a candidate, and ties prefer the earlier strategy
+/// and candidate, so the outcome is deterministic and the same at every
+/// thread count.
 pub fn find_worst_schedule<P, F>(g: &WeightedGraph, make: F, cfg: &SearchConfig) -> SearchOutcome
 where
     P: Process + Clone + Sync,
@@ -857,47 +964,64 @@ where
         rebuild_checkpoints(&sim, &make, &best.schedule, interval, &mut checkpoints);
         evaluations += 1;
     }
+    // Hill climbing. One epoch per incumbent: every remaining round is
+    // one stream of candidates, a round per group, scored until the
+    // first round with a strict improvement. That round's best (earliest
+    // on ties, matching a sequential `>` scan) is adopted, and only then
+    // recorded; the next epoch starts at the round after it.
     let mutation = cfg.mutation();
-    for round in 0..cfg.hill_rounds as u64 {
-        let mutation_seeds: Vec<u64> = (0..cfg.candidates_per_round as u64)
-            .map(|i| cfg.seed.wrapping_mul(0x100_0001b3) ^ (round << 32 | i))
-            .collect();
+    let per_round = cfg.candidates_per_round;
+    let mut round = 0;
+    while per_round > 0 && round < cfg.hill_rounds {
+        let seed_of = |i: usize| {
+            let (r, c) = ((round + i / per_round) as u64, (i % per_round) as u64);
+            cfg.seed.wrapping_mul(0x100_0001b3) ^ (r << 32 | c)
+        };
         let incumbent = &best.schedule;
         let store = &checkpoints;
-        let scores = par_map_with(&mutation_seeds, threads, EvalPool::new, |pool, &ms| {
-            let mutant = mutation.apply(incumbent, ms);
-            let fd = first_diff(incumbent, &mutant);
-            score_candidate_from(&sim, pool, &make, store, &mutant, fd)
-        });
+        let scores = scores_until(
+            (cfg.hill_rounds - round).saturating_mul(per_round),
+            per_round,
+            threads,
+            best.best_time,
+            || (EvalPool::new(), Schedule::default()),
+            |(pool, mutant), i| {
+                mutation.apply_into(incumbent, seed_of(i), mutant);
+                let fd = first_diff(incumbent, mutant);
+                score_candidate_from(&sim, pool, &make, store, mutant, fd)
+            },
+        );
         evaluations += scores.len();
-        // Adopt the round's best strict improvement (earliest on ties,
-        // matching a sequential `>` scan) and only then pay for its
-        // recording.
+        let last_round = scores.len().saturating_sub(per_round);
         let mut winner: Option<(usize, SimTime)> = None;
-        for (i, &t) in scores.iter().enumerate() {
+        for (i, &t) in scores.iter().enumerate().skip(last_round) {
             if t > winner.map_or(best.best_time, |(_, wt)| wt) {
                 winner = Some((i, t));
             }
         }
-        if let Some((i, t)) = winner {
-            let mutant = mutation.apply(&best.schedule, mutation_seeds[i]);
-            let fd = first_diff(&best.schedule, &mutant);
-            let (rt, rs) =
-                evaluate_candidate_from(&sim, &mut main_pool, &make, &checkpoints, &mutant, fd);
-            evaluations += 1;
-            debug_assert_eq!(rt, t, "recorded winner must replay to its score");
-            (best.best_time, best.schedule, best.strategy) = (rt, rs, "hill-climb");
-            let interval = cfg.interval_for(best.schedule.len());
-            rebuild_checkpoints(&sim, &make, &best.schedule, interval, &mut checkpoints);
-            evaluations += 1;
-        }
+        let Some((i, t)) = winner else {
+            break; // no round improved: the stream ran them all
+        };
+        let mutant = mutation.apply(&best.schedule, seed_of(i));
+        let fd = first_diff(&best.schedule, &mutant);
+        let (rt, rs) =
+            evaluate_candidate_from(&sim, &mut main_pool, &make, &checkpoints, &mutant, fd);
+        evaluations += 1;
+        debug_assert_eq!(rt, t, "recorded winner must replay to its score");
+        (best.best_time, best.schedule, best.strategy) = (rt, rs, "hill-climb");
+        let interval = cfg.interval_for(best.schedule.len());
+        rebuild_checkpoints(&sim, &make, &best.schedule, interval, &mut checkpoints);
+        evaluations += 1;
+        round += i / per_round + 1;
     }
 
-    // Tail polish: sequential coordinate descent over single decisions,
-    // each candidate resumed from the deepest prefix checkpoint (see the
-    // module docs). Deterministic by construction — fixed sweep order,
-    // strict-improvement adoption, no randomness.
-    let mut mutant = best.schedule.clone();
+    // Tail polish: coordinate descent over single decisions, each
+    // candidate resumed from the deepest prefix checkpoint (see the
+    // module docs). A pass's toggles are one stream in sweep order,
+    // scored until the first strict improvement; after adopting it the
+    // stream restarts one position further down against the new
+    // incumbent. Deterministic by construction — fixed sweep order,
+    // first-improvement adoption, no randomness.
     for _pass in 0..cfg.polish_passes {
         let len = best.schedule.decisions.len();
         if len == 0 {
@@ -905,48 +1029,64 @@ where
         }
         let lo = len.saturating_sub((len / 4).max(1));
         let mut improved = false;
-        let mut k = len;
-        while k > lo {
-            k -= 1;
-            let d = best.schedule.decisions[k];
-            for target in [d.weight, 1] {
-                if target == d.delay {
-                    continue;
-                }
-                mutant.clone_from(&best.schedule);
-                mutant.decisions[k].delay = target;
-                let t = score_candidate_from(
-                    &sim,
-                    &mut main_pool,
-                    &make,
-                    &checkpoints,
-                    &mutant,
-                    k as u64,
-                );
-                evaluations += 1;
-                if t > best.best_time {
-                    let (rt, rs) = evaluate_candidate_from(
-                        &sim,
-                        &mut main_pool,
-                        &make,
-                        &checkpoints,
-                        &mutant,
-                        k as u64,
-                    );
-                    evaluations += 1;
-                    debug_assert_eq!(rt, t, "recorded winner must replay to its score");
-                    (best.best_time, best.schedule, best.strategy) = (rt, rs, "polish");
-                    improved = true;
-                    // The adopted run departs from the old incumbent at
-                    // message k, so checkpoints at or before k captured
-                    // identical state and stay valid; the rest are stale.
-                    checkpoints.retain(|cp| cp.messages() <= k as u64);
-                    break;
-                }
-            }
+        // The stream sweeps positions `(lo..end).rev()`.
+        let mut end = len;
+        loop {
+            let toggles: Vec<(usize, u64)> = (lo..end)
+                .rev()
+                .flat_map(|k| {
+                    let d = best.schedule.decisions[k];
+                    [d.weight, 1]
+                        .into_iter()
+                        .filter(move |&target| target != d.delay)
+                        .map(move |target| (k, target))
+                })
+                .collect();
+            let incumbent = &best.schedule;
+            let store = &checkpoints;
+            // Each worker toggles its own copy of the incumbent in place
+            // and restores it after scoring.
+            let scores = scores_until(
+                toggles.len(),
+                1,
+                threads,
+                best.best_time,
+                || (EvalPool::new(), incumbent.clone()),
+                |(pool, mutant), i| {
+                    let (k, target) = toggles[i];
+                    let delay = std::mem::replace(&mut mutant.decisions[k].delay, target);
+                    let t = score_candidate_from(&sim, pool, &make, store, mutant, k as u64);
+                    mutant.decisions[k].delay = delay;
+                    t
+                },
+            );
+            evaluations += scores.len();
+            let t = match scores.last() {
+                Some(&t) if t > best.best_time => t,
+                _ => break, // swept down to `lo` without an improvement
+            };
+            let (k, target) = toggles[scores.len() - 1];
+            let mut mutant = best.schedule.clone();
+            mutant.decisions[k].delay = target;
+            let (rt, rs) = evaluate_candidate_from(
+                &sim,
+                &mut main_pool,
+                &make,
+                &checkpoints,
+                &mutant,
+                k as u64,
+            );
+            evaluations += 1;
+            debug_assert_eq!(rt, t, "recorded winner must replay to its score");
+            (best.best_time, best.schedule, best.strategy) = (rt, rs, "polish");
+            improved = true;
+            // The adopted run departs from the old incumbent at message
+            // k, so checkpoints at or before k captured identical state
+            // and stay valid; the rest are stale.
+            checkpoints.retain(|cp| cp.messages() <= k as u64);
             // Adoption may change the schedule's length; keep the sweep
             // inside the new incumbent.
-            k = k.min(best.schedule.decisions.len());
+            end = k.min(best.schedule.decisions.len());
         }
         if !improved {
             // Converged: re-sweeping an unchanged incumbent re-scores
@@ -968,6 +1108,7 @@ mod tests {
     use crate::schedule::tests::chain;
     use csp_graph::generators::{self, WeightDist};
     use csp_sim::Context;
+    use std::sync::atomic::AtomicBool;
 
     /// Minimal flooding protocol for search smoke tests.
     #[derive(Clone)]
@@ -1028,23 +1169,186 @@ mod tests {
         assert_eq!(out.schedules_pruned, 0);
     }
 
+    /// Everything a search reports, for whole-outcome comparisons.
+    fn outcome_key(o: &SearchOutcome) -> (u64, u64, &'static str, usize, u64, u64, &Schedule) {
+        (
+            o.worst_case.get(),
+            o.best_time.get(),
+            o.strategy,
+            o.evaluations,
+            o.classes_explored,
+            o.schedules_pruned,
+            &o.schedule,
+        )
+    }
+
     #[test]
     fn search_is_deterministic_across_thread_counts() {
-        let g = small_graph();
-        let run = |threads| {
-            let cfg = SearchConfig::builder()
-                .random_probes(8)
-                .hill_rounds(2)
-                .candidates_per_round(4)
-                .threads(threads)
-                .build()
-                .unwrap();
-            find_worst_schedule(&g, |_, _| Flood { seen: false }, &cfg)
+        // Single-strip SptRecur is chaotic Bellman–Ford: its message set
+        // depends on delivery order, so on this instance the hill phase
+        // adopts (the polish-free search ends on a hill climb) and so
+        // does the polish that follows it.
+        let g = generators::connected_gnp(16, 0.25, WeightDist::Uniform(1, 32), 7);
+        let recur =
+            |v, _: &WeightedGraph| csp_algo::spt::recur::SptRecur::new(v, NodeId::new(0), 1 << 40);
+        let base = SearchConfig::builder()
+            .hill_rounds(2)
+            .candidates_per_round(3)
+            .seed(2);
+        let run = |builder: SearchConfigBuilder, threads| {
+            find_worst_schedule(&g, recur, &builder.threads(threads).build().unwrap())
         };
-        let (a, b) = (run(1), run(4));
-        assert_eq!(a.best_time, b.best_time);
-        assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.strategy, b.strategy);
+        let hill_only = base.polish_passes(0);
+        let (a, b) = (run(hill_only, 1), run(hill_only, 2));
+        assert_eq!(a.strategy, "hill-climb");
+        assert_eq!(outcome_key(&a), outcome_key(&b));
+        let (a, b) = (run(base, 1), run(base, 2));
+        assert_eq!(a.strategy, "polish");
+        assert_eq!(outcome_key(&a), outcome_key(&b));
+    }
+
+    #[test]
+    fn zero_candidates_per_round_skips_the_hill_phase() {
+        // The builder rejects this config; a direct construction must
+        // still search, with the hill phase a no-op.
+        let g = small_graph();
+        let flood = |_, _: &WeightedGraph| Flood { seen: false };
+        let no_candidates = SearchConfig {
+            candidates_per_round: 0,
+            ..SearchConfig::default()
+        };
+        let no_rounds = SearchConfig {
+            hill_rounds: 0,
+            ..SearchConfig::default()
+        };
+        assert_eq!(
+            outcome_key(&find_worst_schedule(&g, flood, &no_candidates)),
+            outcome_key(&find_worst_schedule(&g, flood, &no_rounds))
+        );
+    }
+
+    /// A score per item that hits `bar = 90` at items 18, 27 and 45.
+    fn score(i: usize) -> u64 {
+        match i {
+            18 | 27 | 45 => 95,
+            _ => (i as u64 * 37) % 90,
+        }
+    }
+
+    #[test]
+    fn scores_until_is_the_same_at_every_thread_count() {
+        for group in [1, 4, 7, 64] {
+            let want = scores_until(60, group, 1, 90, || (), |(), i| score(i));
+            for threads in [2, 3] {
+                let got = scores_until(60, group, threads, 90, || (), |(), i| score(i));
+                assert_eq!(got, want, "group {group}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn scores_until_stops_after_the_first_hit_group() {
+        // Item 18 hits: its group of 4 is items 16..20.
+        let got = scores_until(60, 4, 2, 90, || (), |(), i| score(i));
+        assert_eq!(got, (0..20).map(score).collect::<Vec<_>>());
+        // Groups of one stop at the hit itself.
+        assert_eq!(
+            scores_until(60, 1, 2, 90, || (), |(), i| score(i)).len(),
+            19
+        );
+        // A hit in the last group, cut short by `len`, ends the scores
+        // there.
+        let late = |(): &mut (), i| if i < 42 { 0 } else { score(i) };
+        assert_eq!(scores_until(46, 7, 2, 90, || (), late).len(), 46);
+    }
+
+    #[test]
+    fn scores_until_scores_an_unbounded_stream_lazily() {
+        // A stream as long as a huge `hill_rounds` budget asks for:
+        // nothing is reserved up front, and the scan still ends at the
+        // first hit group.
+        let got = scores_until(usize::MAX, 4, 1, 90, || (), |(), i| score(i));
+        assert_eq!(got, (0..20).map(score).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn scores_until_drops_what_it_scored_past_the_hit_group() {
+        // The hit at item 18 is held back until the other worker has
+        // scored an item of a later group.
+        let ran_ahead = AtomicBool::new(false);
+        let got = scores_until(
+            60,
+            4,
+            2,
+            90,
+            || (),
+            |(), i| {
+                if i == 18 {
+                    while !ran_ahead.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+                if i >= 20 {
+                    ran_ahead.store(true, Ordering::Release);
+                }
+                score(i)
+            },
+        );
+        assert_eq!(got, (0..20).map(score).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn scores_until_without_a_hit_scores_everything() {
+        let got = scores_until(60, 4, 2, 95, || (), |(), i| score(i));
+        assert_eq!(got, (0..60).map(score).collect::<Vec<_>>());
+        assert!(scores_until(0, 4, 2, 0, || (), |(), i| score(i)).is_empty());
+        // No items: not even a group size is needed.
+        assert!(scores_until(0, 0, 2, 0, || (), |(), i| score(i)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 exploded")]
+    fn scores_until_propagates_a_panic_in_a_worker() {
+        scores_until(
+            40,
+            1,
+            2,
+            u64::MAX,
+            || (),
+            |(), i| {
+                assert!(i != 5, "item 5 exploded");
+                i as u64
+            },
+        );
+    }
+
+    #[test]
+    fn apply_into_a_used_buffer_matches_apply() {
+        // The hill phase mutates into one scratch schedule per worker;
+        // whatever that buffer held before, the mutant must be exactly
+        // `apply`'s.
+        let g = small_graph();
+        let mut base = uniform_base(&g);
+        base.plan.churn.push(chain(2, &[9, 20]));
+        base.plan
+            .drift
+            .push((base.decisions[0].edge, SimTime::new(4), Weight::new(3)));
+        let all = Mutation::new()
+            .delay_flips(3)
+            .drop_flips(1)
+            .crash_time_flips(1)
+            .rejoin_flips(2)
+            .drift_flips(2);
+        let mut out = Schedule::default();
+        for seed in 0..16 {
+            for (m, b) in [(all, &base), (Mutation::new().delay_flips(4), &base)] {
+                m.apply_into(b, seed, &mut out);
+                assert_eq!(out, m.apply(b, seed), "seed {seed}");
+            }
+        }
+        // An empty base empties the buffer too.
+        all.apply_into(&Schedule::default(), 1, &mut out);
+        assert_eq!(out, Schedule::default());
     }
 
     #[test]

@@ -296,3 +296,86 @@ fn mutation_apply_matches_its_golden_table() {
     }
     assert!(blocks.next().is_none(), "a block without a case");
 }
+
+/// Every pinned search outcome at `threads` workers, one line per cell:
+/// the label, configuration and seed, then `evaluations best_time
+/// strategy` and the prefix key of the returned schedule. The cells are
+/// single-strip `SptRecur` on the four witness graphs the `adv_search`
+/// benchmark searches plus a gnp-n24, under the default budgets, a
+/// search with no hill rounds (so that polish adopts on its own), and
+/// short and long hill phases.
+fn search_outcomes(threads: usize) -> String {
+    let configs = [
+        ("default", SearchConfig::builder()),
+        (
+            "h0p4",
+            SearchConfig::builder().hill_rounds(0).random_probes(4),
+        ),
+        (
+            "h2x3",
+            SearchConfig::builder()
+                .hill_rounds(2)
+                .candidates_per_round(3),
+        ),
+        (
+            "h6x16",
+            SearchConfig::builder()
+                .hill_rounds(6)
+                .candidates_per_round(16),
+        ),
+    ];
+    let mut graphs: Vec<(&str, WeightedGraph)> = committed_points()
+        .into_iter()
+        .filter(|(label, _, _)| *label != "cluster-3x4")
+        .map(|(label, g, _)| (label, g))
+        .collect();
+    graphs.push((
+        "gnp-n24",
+        generators::connected_gnp(24, 0.2, generators::WeightDist::Uniform(1, 32), 5),
+    ));
+    let mut text =
+        String::from("# label config seed: evaluations best_time strategy prefix_key(schedule)\n");
+    for (label, g) in &graphs {
+        for (name, builder) in configs {
+            for seed in [1, 2, 3] {
+                let cfg = builder.seed(seed).threads(threads).build().unwrap();
+                let out = find_worst_schedule(g, make_recur, &cfg);
+                text += &format!(
+                    "{label} {name} {seed}: {} {} {} {:016x}\n",
+                    out.evaluations,
+                    out.best_time.get(),
+                    out.strategy,
+                    out.schedule.prefix_key(out.schedule.len())
+                );
+            }
+        }
+    }
+    text
+}
+
+/// `find_worst_schedule`'s outcomes — evaluations, best time, strategy
+/// and schedule — are those in `tests/golden/search_outcomes.txt`, at
+/// one worker and at two: how the search spreads its candidates over
+/// threads must leave every one of them where it was.
+#[test]
+fn search_outcomes_match_their_golden_file() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/search_outcomes.txt");
+    let golden = std::fs::read_to_string(path).unwrap();
+    for strategy in ["hill-climb", "polish"] {
+        assert!(
+            golden.lines().any(|l| l.contains(&format!(" {strategy} "))),
+            "no cell adopts through {strategy}"
+        );
+    }
+    for threads in [1, 2] {
+        let now = search_outcomes(threads);
+        for (want, got) in golden.lines().zip(now.lines()) {
+            let label = want.split(':').next().unwrap_or(want);
+            assert_eq!(
+                got, want,
+                "threads {threads}, first differing cell: {label}"
+            );
+        }
+        assert_eq!(now.lines().count(), golden.lines().count());
+    }
+}
