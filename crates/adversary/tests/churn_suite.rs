@@ -6,43 +6,21 @@
 //! announcement traffic, the healed run still satisfies the
 //! reconvergence contract within the detection horizon of the last
 //! churn event, and the replay is bit-identical across the bucket and
-//! heap cores and the sharded simulator.
+//! heap cores and the sharded simulator — and pins the
+//! recovery-traffic-vs-churn-rate curve that generalises the gap.
 //!
 //! The committed schedules under the workspace's `tests/schedules/`
 //! were produced by `cargo run --release --example self_healing`.
 
-use csp_adversary::{replay_report, Schedule, ScheduleOracle};
-use csp_algo::resilient::{reconvergence_violation, Metric, Resilient, ResilientOutcome};
-use csp_graph::generators::{self, WeightDist};
-use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::{CoreKind, CostClass, Detect, DetectConfig, Run, ShardedSimulator, Simulator};
-use std::path::PathBuf;
+mod common;
 
-fn schedule_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/schedules")
-}
-
-/// The instance both committed witnesses run on.
-fn gnp_n12() -> WeightedGraph {
-    generators::connected_gnp(12, 0.3, WeightDist::Uniform(1, 16), 42)
-}
-
-/// The stack the witnesses were recorded against (see the example for
-/// the detector tuning).
-fn detector() -> DetectConfig {
-    DetectConfig::new(8, 30, 0)
-}
-
-fn make(v: NodeId, g: &WeightedGraph) -> Detect<Resilient> {
-    Detect::new(
-        Resilient::new(v, NodeId::new(0), Metric::Weighted, g),
-        detector(),
-    )
-}
-
-fn load(name: &str) -> Schedule {
-    Schedule::load(&schedule_dir().join(name)).unwrap()
-}
+use common::{
+    curve_workloads, detector, gnp_n12, horizon, load, make, outcome, pick_victim, run_under,
+};
+use csp_adversary::{replay_report, ScheduleOracle};
+use csp_algo::resilient::{reconvergence_violation, Metric, Resilient};
+use csp_graph::NodeId;
+use csp_sim::{CoreKind, CostClass, Detect, Run, ShardedSimulator, SimTime, Simulator};
 
 #[test]
 fn committed_churn_witness_out_bills_the_best_single_crash() {
@@ -65,13 +43,8 @@ fn committed_churn_witness_out_bills_the_best_single_crash() {
 
     // The recrash honours the detector's guarantee on every channel of
     // the victim, like the clamped single-crash witness does.
-    let horizon = g
-        .neighbors(victim)
-        .map(|(_, _, w)| detector().detection_horizon(w.get()))
-        .min()
-        .unwrap();
     assert!(
-        chain.last().unwrap().get() <= horizon,
+        chain.last().unwrap().get() <= horizon(&g, victim),
         "the recrash must stay inside the guaranteed-detection window"
     );
 
@@ -111,19 +84,7 @@ fn committed_churn_witness_reconverges_within_the_detection_horizon() {
     assert_eq!(chain.len() % 2, 1, "the chain ends dead: {chain:?}");
     let mut dead = vec![false; g.node_count()];
     dead[victim.index()] = true;
-    let out = ResilientOutcome {
-        dists: run.states.iter().map(|s| s.inner().dist()).collect(),
-        parents: run.states.iter().map(|s| s.inner().parent()).collect(),
-        suspected_links: run
-            .states
-            .iter()
-            .map(|s| s.inner().dead_neighbor_count())
-            .sum(),
-        restored_links: run.states.iter().map(|s| s.inner().restored_count()).sum(),
-        retransmissions: 0,
-        failed_channels: 0,
-        cost: run.cost.clone(),
-    };
+    let out = outcome(&run);
     assert_eq!(
         reconvergence_violation(
             &g,
@@ -172,5 +133,59 @@ fn committed_churn_witness_replays_identically_on_all_cores_and_shards() {
             assert_eq!(b.trace.events(), par.trace.events());
             assert_eq!(format!("{:?}", b.states), format!("{:?}", par.states));
         }
+    }
+}
+
+/// Recovery traffic over churn rate: rate `k` packs `k` crash–rejoin
+/// cycles of the victim into its detection window, each rejoin waiting
+/// out the victim's slowest channel so every cycle is suspected and
+/// healed before the fresh incarnation is re-announced. Rates that do
+/// not fit are clamped to the window's `max_cycles`.
+#[test]
+fn recovery_traffic_over_churn_rate_matches_its_table() {
+    // (workload, rejoin gap, max cycles, `Protocol` comm at k = 1..=4)
+    let table = [
+        ("gnp-n12", 17, 11, [631, 875, 1119, 1363]),
+        ("gnp-n16", 26, 7, [972, 2041, 3110, 4179]),
+        ("heavy-chord-n12", 74, 1, [1122; 4]),
+    ];
+    for ((name, g), row) in curve_workloads().iter().zip(table) {
+        let baseline = run_under(g, NodeId::new(0), vec![]);
+        let base = baseline.cost.comm_of(CostClass::Protocol).get();
+        let victim = pick_victim(g, &baseline);
+        let h = horizon(g, victim);
+        let gap = g
+            .neighbors(victim)
+            .map(|(_, _, w)| detector().theta(w.get()))
+            .max()
+            .unwrap()
+            + 1;
+        let max_cycles = (h.saturating_sub(gap + 1) / (gap + 1)).max(1);
+
+        let mut comm = [0; 4];
+        for (k, slot) in (1..=4).zip(&mut comm) {
+            let cycles = k.min(max_cycles);
+            let stride = (h - gap - 1) / cycles;
+            let chain = (0..cycles)
+                .flat_map(|i| [1 + i * stride, 1 + i * stride + gap])
+                .map(SimTime::new)
+                .collect();
+            let out = run_under(g, victim, chain);
+            // Every rejoin is observed: the meter counts each cycle, and
+            // every neighbour of the victim takes a restore upcall per
+            // cycle.
+            assert_eq!(out.cost.recoveries, cycles, "{name} at k = {k}");
+            assert_eq!(
+                out.restored_links,
+                cycles * g.neighbors(victim).count() as u64,
+                "{name} at k = {k}"
+            );
+            *slot = out.cost.comm_of(CostClass::Protocol).get();
+        }
+        // Re-syncing each fresh incarnation only adds announcement
+        // traffic, and churn costs more than no churn.
+        assert!(comm.windows(2).all(|w| w[0] <= w[1]), "{name}: {comm:?}");
+        assert!(comm[3] > base, "{name}: {} vs {base}", comm[3]);
+        assert_eq!((*name, gap, max_cycles, comm), row);
     }
 }

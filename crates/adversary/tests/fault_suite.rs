@@ -6,9 +6,13 @@
 //! The committed schedules under the workspace's `tests/schedules/`
 //! were produced by `cargo run --release --example fault_injection`
 //! (see that example for the construction); this suite replays them
-//! and pins the delay-vs-drop gap.
+//! and pins the delay-vs-drop gap, together with the searches that
+//! measure it.
 
-use csp_adversary::{replay, replay_report, Schedule, ScheduleOracle};
+use csp_adversary::{
+    find_worst_schedule, replay, replay_report, Schedule, ScheduleOracle, SearchConfig,
+    SearchConfigBuilder, SearchOutcome,
+};
 use csp_algo::flood::Flood;
 use csp_algo::resilient::{contract_violation, Metric, Resilient, ResilientOutcome};
 use csp_algo::spt::recur::SptRecur;
@@ -57,6 +61,61 @@ fn committed_drop_witness_beats_the_best_delay_only_schedule() {
     assert_eq!(report.divergences, 0, "{report:?}");
     // And the wrapper still delivered everywhere.
     assert!(lossy.states.iter().all(|s| s.inner().dist().is_some()));
+}
+
+/// The drop adversary against delay-only search on the same budget `b`:
+/// `b` random probes, `b/2` hill rounds of 4 candidates and one polish
+/// pass, the fault search adding 2 drop flips and 2 crash probes. A lost
+/// message costs a retransmission timeout on top of any delay, so the
+/// fault search never ends behind. Every search reports the same whole
+/// outcome at 1 and 2 threads.
+#[test]
+fn fault_search_never_ends_behind_delay_only_search() {
+    // (budget, workload, delay search (evaluations, best time),
+    //  fault search (evaluations, best time, drops, churn chains))
+    let table = [
+        (4, "gnp-n12", (80, 89), (75, 90, 1, 0)),
+        (4, "heavy-chord-n12", (42, 264), (41, 322, 2, 0)),
+        (16, "gnp-n12", (144, 92), (121, 114, 1, 0)),
+        (16, "heavy-chord-n12", (78, 264), (83, 580, 5, 0)),
+    ];
+    let search = |g: &WeightedGraph, cfg: SearchConfigBuilder| -> SearchOutcome {
+        let [one, two] = [1, 2].map(|threads| {
+            let cfg = cfg.threads(threads).build().unwrap();
+            find_worst_schedule(g, make_reliable_spt, &cfg)
+        });
+        assert_eq!(format!("{one:?}"), format!("{two:?}"), "1 vs 2 threads");
+        one
+    };
+    for (budget, name, delay_row, fault_row) in table {
+        let g = match name {
+            "gnp-n12" => gnp_n12(),
+            _ => generators::heavy_chord_cycle(12, 64),
+        };
+        let base = SearchConfig::builder()
+            .random_probes(budget)
+            .hill_rounds(budget / 2)
+            .candidates_per_round(4)
+            .polish_passes(1);
+        let delay = search(&g, base);
+        let fault = search(&g, base.drop_flips(2).crash_probes(2));
+        assert!(
+            fault.best_time >= delay.best_time,
+            "{name} at budget {budget}: fault {} vs delay-only {}",
+            fault.best_time,
+            delay.best_time
+        );
+        let got = (
+            (delay.evaluations, delay.best_time.get()),
+            (
+                fault.evaluations,
+                fault.best_time.get(),
+                fault.schedule.dropped_count(),
+                fault.schedule.plan.churn.len(),
+            ),
+        );
+        assert_eq!(got, (delay_row, fault_row), "{name} at budget {budget}");
+    }
 }
 
 #[test]

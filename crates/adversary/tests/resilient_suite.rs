@@ -3,39 +3,19 @@
 //! `self_healing` example established — a well-timed crash strictly
 //! beats both the best delay-only schedule and a time-0 crash of the
 //! same victim on weighted completion, and forces measurably more
-//! weighted recovery (announcement) traffic.
+//! weighted recovery (announcement) traffic — and pins the
+//! recovery-cost-vs-crash-time curve that generalises it.
 //!
 //! The committed schedules under the workspace's `tests/schedules/`
 //! were produced by `cargo run --release --example self_healing`.
 
-use csp_adversary::{replay, replay_report, Fallback, Schedule, ScheduleOracle};
+mod common;
+
+use common::{curve_workloads, gnp_n12, horizon, load, make, outcome, pick_victim, run_under};
+use csp_adversary::{replay, replay_report, Fallback, ScheduleOracle};
 use csp_algo::resilient::{contract_violation, Metric, Resilient, ResilientOutcome};
-use csp_graph::generators::{self, WeightDist};
-use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::{CoreKind, CostClass, Detect, DetectConfig, Run, SimTime, Simulator};
-use std::path::PathBuf;
-
-fn schedule_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/schedules")
-}
-
-/// The instance both committed witnesses run on.
-fn gnp_n12() -> WeightedGraph {
-    generators::connected_gnp(12, 0.3, WeightDist::Uniform(1, 16), 42)
-}
-
-/// The stack the witnesses were recorded against (see the example for
-/// the detector tuning).
-fn make(v: NodeId, g: &WeightedGraph) -> Detect<Resilient> {
-    Detect::new(
-        Resilient::new(v, NodeId::new(0), Metric::Weighted, g),
-        DetectConfig::new(8, 30, 0),
-    )
-}
-
-fn load(name: &str) -> Schedule {
-    Schedule::load(&schedule_dir().join(name)).unwrap()
-}
+use csp_graph::NodeId;
+use csp_sim::{CoreKind, CostClass, Detect, Run, SimTime, Simulator};
 
 #[test]
 fn committed_crash_witness_beats_delay_only_and_a_time_zero_crash() {
@@ -100,19 +80,7 @@ fn committed_crash_witness_still_satisfies_the_surviving_component_contract() {
     for (victim, _) in &witness.plan.churn {
         dead[victim.index()] = true;
     }
-    let out = ResilientOutcome {
-        dists: run.states.iter().map(|s| s.inner().dist()).collect(),
-        parents: run.states.iter().map(|s| s.inner().parent()).collect(),
-        suspected_links: run
-            .states
-            .iter()
-            .map(|s| s.inner().dead_neighbor_count())
-            .sum(),
-        restored_links: run.states.iter().map(|s| s.inner().restored_count()).sum(),
-        retransmissions: 0,
-        failed_channels: 0,
-        cost: run.cost.clone(),
-    };
+    let out = outcome(&run);
     assert_eq!(
         contract_violation(&g, NodeId::new(0), Metric::Weighted, &dead, &out),
         None,
@@ -147,5 +115,46 @@ fn committed_resilient_witnesses_replay_identically_on_bucket_and_heap_cores() {
             format!("{:?}", h.states),
             "{file}: final states must match"
         );
+    }
+}
+
+/// Recovery cost over crash time: on each curve workload the victim
+/// crashes at 9 points spanning its detection horizon (`h·i/8`,
+/// `i = 0..=8`). At `t = 0` the survivors solve a smaller instance and
+/// pay less than a crash-free run; once the victim carries its subtree,
+/// the healing wave pays more.
+#[test]
+fn recovery_traffic_over_crash_time_matches_its_table() {
+    // (workload, victim, horizon, crash-free completion, crash-free
+    // `Protocol` comm, comm of a crash at t = 0, largest comm on the grid)
+    let table = [
+        ("gnp-n12", 7, 226, 248, 502, 464, 593),
+        ("gnp-n16", 1, 217, 248, 636, 557, 1138),
+        ("heavy-chord-n12", 11, 169, 296, 792, 725, 1448),
+    ];
+    let protocol = |out: &ResilientOutcome| out.cost.comm_of(CostClass::Protocol).get();
+    for ((name, g), row) in curve_workloads().iter().zip(table) {
+        let baseline = run_under(g, NodeId::new(0), vec![]);
+        let victim = pick_victim(g, &baseline);
+        let h = horizon(g, victim);
+        let curve: Vec<_> = (0..=8)
+            .map(|i| protocol(&run_under(g, victim, vec![SimTime::new(h * i / 8)])))
+            .collect();
+        let max = *curve.iter().max().unwrap();
+        assert!(
+            max > protocol(&baseline),
+            "{name}: some crash time must cost recovery traffic ({max} vs {})",
+            protocol(&baseline)
+        );
+        let got = (
+            *name,
+            victim.index(),
+            h,
+            baseline.cost.completion.get(),
+            protocol(&baseline),
+            curve[0],
+            max,
+        );
+        assert_eq!(got, row);
     }
 }
