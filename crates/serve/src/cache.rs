@@ -48,12 +48,26 @@
 //! Eviction is LRU by a global access epoch with separate caps for
 //! checkpoints (heavyweight: queue + states) and results
 //! (lightweight), so a long-running service holds its memory flat; an
-//! entry left with nothing is removed.
+//! entry left with nothing is removed. Each cap keeps one ordered index
+//! of `(epoch, scenario key, slot)` beside the entries, updated on every
+//! insert, hit and eviction, so the victim is the index's first element
+//! and the held count is the index's length: neither costs a scan. The
+//! checkpoints of one store share an epoch, and their slot is `(depth,
+//! prefix hash)`, so among them the shallowest goes first and a batch
+//! cut by the cap keeps its deepest prefixes — whatever order a hash map
+//! would have listed them in.
+//!
+//! Everything written goes through one store path (`StackCache::store`
+//! of a `Keyed` run): a run's checkpoints arrive by value with their
+//! prefix keys and the exact hash of the schedule they were keyed by,
+//! computed off the cache (the service does it on the worker that ran
+//! the schedule), and the cache wraps each snapshot in its [`Arc`]
+//! without copying it.
 
 use crate::json::{Escaped, RawLines};
 use csp_adversary::{Fallback, ParseError, PrefixHasher, Schedule, TextParse};
 use csp_sim::{Checkpoint, CostReport, Process};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Capacity limits for one [`StackCache`].
@@ -218,8 +232,54 @@ struct Stamped<T> {
     epoch: u64,
 }
 
+/// One cap's recency order: an element `(epoch, scenario key, slot)`
+/// per stored value, so the first element names the least recently
+/// used one — and, among values stamped by one store, the smallest slot.
+struct Lru<S>(BTreeSet<(u64, Arc<str>, S)>);
+
+impl<S: Copy + Ord + std::hash::Hash> Lru<S> {
+    /// Stores `value` at `slot` of `name`'s `map`, stamped `epoch`.
+    fn put<T>(
+        &mut self,
+        map: &mut HashMap<S, Stamped<T>>,
+        name: &Arc<str>,
+        slot: S,
+        value: T,
+        epoch: u64,
+    ) {
+        if let Some(old) = map.insert(slot, Stamped { value, epoch }) {
+            self.0.remove(&(old.epoch, Arc::clone(name), slot));
+        }
+        self.0.insert((epoch, Arc::clone(name), slot));
+    }
+
+    /// The value at `slot` of `name`'s `map`, re-stamped `epoch`.
+    fn touch<'m, T>(
+        &mut self,
+        map: &'m mut HashMap<S, Stamped<T>>,
+        name: &Arc<str>,
+        slot: S,
+        epoch: u64,
+    ) -> Option<&'m T> {
+        let hit = map.get_mut(&slot)?;
+        self.0.remove(&(hit.epoch, Arc::clone(name), slot));
+        self.0.insert((epoch, Arc::clone(name), slot));
+        hit.epoch = epoch;
+        Some(&hit.value)
+    }
+
+    /// Takes the least recently used `(scenario key, slot)` out of the
+    /// order; the caller removes the value.
+    fn pop_oldest(&mut self) -> (Arc<str>, S) {
+        let (_, name, slot) = self.0.pop_first().expect("non-empty over cap");
+        (name, slot)
+    }
+}
+
 /// Everything cached under one scenario key (`graph_key/stack_key`).
 struct KeyEntry<P: Process> {
+    /// The scenario key, shared with the map and the LRU orders.
+    name: Arc<str>,
     /// `(depth, prefix hash)` → checkpoint of that many messages at that
     /// prefix. The depths are the key's marks: what a probe hashes a
     /// schedule's prefixes at. Stored checkpoints are immutable, hence
@@ -288,22 +348,69 @@ fn fallback_salt(fallback: Fallback) -> u64 {
     }
 }
 
-/// The least recently used `(scenario key, hash)` over one map of every
-/// key's entry.
-fn oldest<'a, K: Copy + 'a, T: 'a>(
-    maps: impl Iterator<Item = (&'a String, &'a HashMap<K, Stamped<T>>)>,
-) -> (String, K) {
-    maps.flat_map(|(key, map)| map.iter().map(move |(&at, v)| (v.epoch, key, at)))
-        .min_by_key(|&(epoch, ..)| epoch)
-        .map(|(_, key, at)| (key.clone(), at))
-        .expect("non-empty over cap")
+/// A cold run's checkpoints keyed by the schedule that describes the
+/// run, with that schedule's [`StackCache::exact_schedule_hash`]: what
+/// [`StackCache::store`] takes. Keying touches no cache, so it runs
+/// where the checkpoints were made; the one hashing pass over the
+/// schedule yields every prefix key and the exact hash.
+pub(crate) struct Keyed<P: Process> {
+    /// The checkpoints within the schedule's horizon, ascending, each
+    /// with the [`prefix_key`](Schedule::prefix_key) of the decisions
+    /// baked into it.
+    checkpoints: Vec<(u64, Checkpoint<P>)>,
+    /// The schedule's exact-result key.
+    exact: u64,
+}
+
+impl<P: Process> Keyed<P> {
+    /// Keys `checkpoints` (ascending, as a cold run of `schedule` made
+    /// them), dropping those past the schedule's recorded horizon: past
+    /// it the oracle was in fallback territory, and a different
+    /// submitted schedule extending the same prefix could legitimately
+    /// diverge there.
+    pub(crate) fn new(schedule: &Schedule, mut checkpoints: Vec<Checkpoint<P>>) -> Keyed<P> {
+        let within = checkpoints.partition_point(|cp| cp.messages() <= schedule.len() as u64);
+        checkpoints.truncate(within);
+        let depths: Vec<u64> = checkpoints.iter().map(Checkpoint::messages).collect();
+        let (states, full) = prefix_states(schedule, &depths, &[]);
+        Keyed {
+            checkpoints: states
+                .iter()
+                .map(PrefixHasher::key)
+                .zip(checkpoints)
+                .collect(),
+            exact: full.key() ^ fallback_salt(schedule.fallback),
+        }
+    }
+}
+
+/// The entry of `scenario_key` in `keys`, created empty if it has none.
+fn entry<'k, P: Process>(
+    keys: &'k mut HashMap<Arc<str>, KeyEntry<P>>,
+    scenario_key: &str,
+) -> &'k mut KeyEntry<P> {
+    if !keys.contains_key(scenario_key) {
+        let name: Arc<str> = Arc::from(scenario_key);
+        let empty = KeyEntry {
+            name: Arc::clone(&name),
+            checkpoints: HashMap::new(),
+            results: HashMap::new(),
+            retained: None,
+        };
+        keys.insert(name, empty);
+    }
+    keys.get_mut(scenario_key).expect("just ensured")
 }
 
 /// Cache for one protocol stack type `P`, covering every graph the
-/// service has seen: one entry (`KeyEntry`) per scenario key. LRU epochs, the
-/// two caps and the eviction count are global.
+/// service has seen: one entry (`KeyEntry`) per scenario key. LRU epochs,
+/// the two caps, their recency orders and the eviction count are global.
 pub struct StackCache<P: Process> {
-    keys: HashMap<String, KeyEntry<P>>,
+    keys: HashMap<Arc<str>, KeyEntry<P>>,
+    /// Recency of every stored checkpoint; slot `(depth, prefix hash)`.
+    checkpoint_lru: Lru<(u64, u64)>,
+    /// Recency of every stored result; slot = its exact hash.
+    result_lru: Lru<u64>,
     caps: CacheCaps,
     epoch: u64,
     evictions: u64,
@@ -314,6 +421,8 @@ impl<P: Process + Clone> StackCache<P> {
     pub fn new(caps: CacheCaps) -> Self {
         StackCache {
             keys: HashMap::new(),
+            checkpoint_lru: Lru(BTreeSet::new()),
+            result_lru: Lru(BTreeSet::new()),
             caps,
             epoch: 0,
             evictions: 0,
@@ -322,10 +431,7 @@ impl<P: Process + Clone> StackCache<P> {
 
     /// Checkpoints + results currently held.
     pub fn len(&self) -> (usize, usize) {
-        let entries = self.keys.values();
-        entries.fold((0, 0), |(c, r), e| {
-            (c + e.checkpoints.len(), r + e.results.len())
-        })
+        (self.checkpoint_lru.0.len(), self.result_lru.0.len())
     }
 
     /// Whether nothing is cached.
@@ -341,19 +447,6 @@ impl<P: Process + Clone> StackCache<P> {
     fn tick(&mut self) -> u64 {
         self.epoch += 1;
         self.epoch
-    }
-
-    /// The entry of `scenario_key`, created empty if it has none.
-    fn entry(&mut self, scenario_key: &str) -> &mut KeyEntry<P> {
-        if !self.keys.contains_key(scenario_key) {
-            let empty = KeyEntry {
-                checkpoints: HashMap::new(),
-                results: HashMap::new(),
-                retained: None,
-            };
-            self.keys.insert(scenario_key.to_string(), empty);
-        }
-        self.keys.get_mut(scenario_key).expect("just ensured")
     }
 
     /// The exact-result key of a full schedule: its complete prefix key
@@ -409,7 +502,7 @@ impl<P: Process + Clone> StackCache<P> {
                 }
                 !e.is_vacant()
             });
-            self.entry(scenario_key).retained = Some(Retained {
+            entry(&mut self.keys, scenario_key).retained = Some(Retained {
                 raw: raw.to_string(),
                 parse,
                 crash_key: schedule.crash_key(),
@@ -454,14 +547,17 @@ impl<P: Process + Clone> StackCache<P> {
             return (Self::exact_schedule_hash(schedule), Probe::Miss);
         };
         let (exact, keys_at) = entry.probe_keys(schedule, shared);
-        if let Some(hit) = entry.results.get_mut(&exact) {
-            hit.epoch = now;
-            return (exact, Probe::Full(Box::new(hit.value.clone())));
+        let name = &entry.name;
+        if let Some(hit) = self.result_lru.touch(&mut entry.results, name, exact, now) {
+            return (exact, Probe::Full(Box::new(hit.clone())));
         }
         for &(depth, key) in keys_at.iter().rev() {
-            if let Some(hit) = entry.checkpoints.get_mut(&(depth, key)) {
-                hit.epoch = now;
-                let checkpoint = Arc::clone(&hit.value);
+            let slot = (depth, key);
+            if let Some(hit) = self
+                .checkpoint_lru
+                .touch(&mut entry.checkpoints, name, slot, now)
+            {
+                let checkpoint = Arc::clone(hit);
                 return (exact, Probe::Incremental { checkpoint, depth });
             }
         }
@@ -490,34 +586,15 @@ impl<P: Process + Clone> StackCache<P> {
     /// exceeds the schedule's recorded horizon are skipped: past the
     /// horizon the oracle was in fallback territory, and a different
     /// submitted schedule extending the same prefix could legitimately
-    /// diverge there.
+    /// diverge there. The cache keeps copies of the borrowed snapshots;
+    /// the service moves a run's own in.
     pub fn insert_checkpoints(
         &mut self,
         scenario_key: &str,
         schedule: &Schedule,
         cps: &[Checkpoint<P>],
     ) {
-        let epoch = self.tick();
-        let within = cps
-            .iter()
-            .take_while(|cp| cp.messages() <= schedule.len() as u64);
-        let depths: Vec<u64> = within.clone().map(Checkpoint::messages).collect();
-        let (states, _) = prefix_states(schedule, &depths, &[]);
-        let entry = self.entry(scenario_key);
-        for (cp, state) in within.zip(&states) {
-            let value = Arc::new(cp.clone());
-            let at = (cp.messages(), state.key());
-            entry.checkpoints.insert(at, Stamped { value, epoch });
-        }
-        for _ in self.caps.checkpoints..self.len().0 {
-            let (key, at) = oldest(self.keys.iter().map(|(k, e)| (k, &e.checkpoints)));
-            self.evict(&key, |e| {
-                e.checkpoints.remove(&at);
-                if e.checkpoints.is_empty() {
-                    e.retained = None;
-                }
-            });
-        }
+        self.store(scenario_key, Keyed::new(schedule, cps.to_vec()), None);
     }
 
     /// Stores an exact schedule result.
@@ -527,27 +604,63 @@ impl<P: Process + Clone> StackCache<P> {
         schedule: &Schedule,
         result: StoredResult,
     ) {
-        let hash = Self::exact_schedule_hash(schedule);
-        self.insert_exact(scenario_key, hash, result);
+        self.store(scenario_key, Keyed::new(schedule, Vec::new()), Some(result));
+    }
+
+    /// The one store path for a keyed run: its checkpoints, moved into
+    /// the cache under one epoch, then `result` (if any) under the exact
+    /// hash of the schedule that keyed them. Each cap is enforced as it
+    /// fills, least recently used first.
+    pub(crate) fn store(
+        &mut self,
+        scenario_key: &str,
+        keyed: Keyed<P>,
+        result: Option<StoredResult>,
+    ) {
+        if !keyed.checkpoints.is_empty() {
+            let epoch = self.tick();
+            let entry = entry(&mut self.keys, scenario_key);
+            let lru = &mut self.checkpoint_lru;
+            for (key, cp) in keyed.checkpoints {
+                let slot = (cp.messages(), key);
+                let value = Arc::new(cp);
+                lru.put(&mut entry.checkpoints, &entry.name, slot, value, epoch);
+            }
+            while self.checkpoint_lru.0.len() > self.caps.checkpoints {
+                let (name, slot) = self.checkpoint_lru.pop_oldest();
+                self.evict(&name, |e| {
+                    e.checkpoints.remove(&slot);
+                    if e.checkpoints.is_empty() {
+                        e.retained = None;
+                    }
+                });
+            }
+        }
+        if let Some(result) = result {
+            self.insert_exact(scenario_key, keyed.exact, result);
+        }
     }
 
     /// Looks up an exact (non-schedule) result by its canonical
     /// mode-key hash.
     pub fn get_exact(&mut self, scenario_key: &str, hash: u64) -> Option<StoredResult> {
         let now = self.tick();
-        let hit = self.keys.get_mut(scenario_key)?.results.get_mut(&hash)?;
-        hit.epoch = now;
-        Some(hit.value.clone())
+        let entry = self.keys.get_mut(scenario_key)?;
+        let hit = self
+            .result_lru
+            .touch(&mut entry.results, &entry.name, hash, now)?;
+        Some(hit.clone())
     }
 
     /// Stores an exact (non-schedule) result under a mode-key hash.
     pub fn insert_exact(&mut self, scenario_key: &str, hash: u64, value: StoredResult) {
         let epoch = self.tick();
-        let results = &mut self.entry(scenario_key).results;
-        results.insert(hash, Stamped { value, epoch });
-        for _ in self.caps.results..self.len().1 {
-            let (key, hash) = oldest(self.keys.iter().map(|(k, e)| (k, &e.results)));
-            self.evict(&key, |e| drop(e.results.remove(&hash)));
+        let entry = entry(&mut self.keys, scenario_key);
+        let (results, name) = (&mut entry.results, &entry.name);
+        self.result_lru.put(results, name, hash, value, epoch);
+        while self.result_lru.0.len() > self.caps.results {
+            let (name, hash) = self.result_lru.pop_oldest();
+            self.evict(&name, |e| drop(e.results.remove(&hash)));
         }
     }
 
@@ -735,32 +848,177 @@ mod tests {
         assert_eq!(cache.ingest("b", &raw).unwrap().reused, len - 1);
     }
 
+    fn checkpoints_of(
+        g: &csp_graph::WeightedGraph,
+        schedule: &Schedule,
+        every: u64,
+    ) -> Vec<Checkpoint<Flood>> {
+        let mut cps = Vec::new();
+        Simulator::new(g)
+            .run_with_checkpoints(
+                &mut ScheduleOracle::new(schedule),
+                |v, _| Flood::new(v == NodeId::new(0)),
+                every,
+                &mut cps,
+            )
+            .unwrap();
+        cps
+    }
+
+    fn empty_result() -> StoredResult {
+        StoredResult {
+            report: CostReport::new(0),
+            states_digest: 0,
+            schedule_text: None,
+            worst_case: None,
+            reduction: None,
+        }
+    }
+
+    /// `schedule` with its last decision retimed: every checkpoint
+    /// short of its full length still covers a prefix of it.
+    fn retimed_last(schedule: &Schedule) -> Schedule {
+        let mut tweaked = schedule.clone();
+        let d = tweaked.decisions.last_mut().unwrap();
+        d.delay = if d.delay == d.weight { 1 } else { d.weight };
+        tweaked
+    }
+
+    /// Checkpoints + results, counted entry by entry.
+    fn recount(cache: &StackCache<Flood>) -> (usize, usize) {
+        let entries = cache.keys.values();
+        entries.fold((0, 0), |(c, r), e| {
+            (c + e.checkpoints.len(), r + e.results.len())
+        })
+    }
+
     #[test]
     fn eviction_keeps_caps_and_counts() {
-        let (_, schedule) = recorded_schedule(9);
+        let (g, schedule) = recorded_schedule(9);
         let mut cache: StackCache<Flood> = StackCache::new(CacheCaps {
             checkpoints: 4,
             results: 2,
         });
         // Results: insert 5 under distinct hashes, cap 2 holds.
         for i in 0..5u64 {
-            cache.insert_exact(
-                "k",
-                i,
-                StoredResult {
-                    report: CostReport::new(0),
-                    states_digest: 0,
-                    schedule_text: None,
-                    worst_case: None,
-                    reduction: None,
-                },
-            );
+            cache.insert_exact("k", i, empty_result());
+            assert_eq!(cache.len(), recount(&cache));
         }
         assert_eq!(cache.len().1, 2);
-        assert!(cache.evictions() >= 3);
+        assert_eq!(cache.evictions(), 3);
         // The most recent insert must have survived LRU.
         assert!(cache.get_exact("k", 4).is_some());
         assert!(cache.get_exact("k", 0).is_none());
-        let _ = schedule;
+        // Checkpoints: one store past the cap evicts its excess.
+        let cps = checkpoints_of(&g, &schedule, 3);
+        assert!(cps.len() > 4, "need more checkpoints than the cap");
+        cache.insert_checkpoints("k", &schedule, &cps);
+        assert_eq!(cache.len(), (4, 2));
+        assert_eq!(cache.len(), recount(&cache));
+        assert_eq!(cache.evictions(), 3 + cps.len() as u64 - 4);
+    }
+
+    #[test]
+    fn a_hit_refreshes_its_entry() {
+        let (g, schedule) = recorded_schedule(3);
+        let cps = checkpoints_of(&g, &schedule, 5);
+        let mut cache: StackCache<Flood> = StackCache::new(CacheCaps {
+            checkpoints: 2,
+            results: 2,
+        });
+        // A `get_exact` hit: 0 is used after 1, so 1 goes first.
+        cache.insert_exact("k", 0, empty_result());
+        cache.insert_exact("k", 1, empty_result());
+        assert!(cache.get_exact("k", 0).is_some());
+        cache.insert_exact("k", 2, empty_result());
+        assert!(cache.get_exact("k", 1).is_none());
+        assert!(cache.get_exact("k", 0).is_some());
+        // A probe hit: a's checkpoint is used after b's, so b's goes.
+        cache.insert_checkpoints("a", &schedule, &cps[..1]);
+        cache.insert_checkpoints("b", &schedule, &cps[..1]);
+        let incremental = |p: Probe<Flood>| matches!(p, Probe::Incremental { .. });
+        assert!(incremental(cache.probe("a", &schedule).1));
+        cache.insert_checkpoints("c", &schedule, &cps[..1]);
+        assert!(matches!(cache.probe("b", &schedule).1, Probe::Miss));
+        assert!(incremental(cache.probe("a", &schedule).1));
+        assert!(incremental(cache.probe("c", &schedule).1));
+        assert_eq!(cache.len(), recount(&cache));
+        assert_eq!(cache.evictions(), 2);
+    }
+
+    #[test]
+    fn a_store_cut_by_the_cap_keeps_its_deepest_checkpoints() {
+        // The seven checkpoints of one store share an epoch; b's four
+        // push the cache two over its cap of nine. Whatever order the
+        // entries hash in, a's two shallowest go, and a probe of a's
+        // schedule resumes from its deepest.
+        let (g, schedule) = recorded_schedule(3);
+        let cps = checkpoints_of(&g, &schedule, 3);
+        assert!(cps.len() >= 7 && cps[6].messages() < schedule.len() as u64);
+        let tweaked = retimed_last(&schedule);
+        let depths = |cps: &[Checkpoint<Flood>]| -> Vec<u64> {
+            cps.iter().map(Checkpoint::messages).collect()
+        };
+        for _ in 0..32 {
+            let mut cache: StackCache<Flood> = StackCache::new(CacheCaps {
+                checkpoints: 9,
+                results: 1,
+            });
+            cache.insert_checkpoints("a", &schedule, &cps[..7]);
+            cache.insert_checkpoints("b", &schedule, &cps[..4]);
+            assert_eq!(cache.evictions(), 2);
+            let mut kept: Vec<u64> = cache.keys["a"].checkpoints.keys().map(|k| k.0).collect();
+            kept.sort_unstable();
+            assert_eq!(kept, depths(&cps[2..7]));
+            match cache.probe("a", &tweaked).1 {
+                Probe::Incremental { depth, .. } => assert_eq!(depth, cps[6].messages()),
+                other => panic!("expected incremental, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_moved_store_answers_as_a_copied_one() {
+        let (g, schedule) = recorded_schedule(5);
+        let cps = checkpoints_of(&g, &schedule, 3);
+        // A prefix of the run's schedule: the checkpoints past its
+        // horizon must be dropped by both paths.
+        let mut short = schedule.clone();
+        short.decisions.truncate(schedule.len() * 2 / 3);
+        assert!(cps.last().unwrap().messages() > short.len() as u64);
+        let mut probes = vec![schedule.clone(), short.clone(), retimed_last(&short)];
+        for at in (0..schedule.len()).step_by(4) {
+            let mut tail = schedule.clone();
+            let d = &mut tail.decisions[at];
+            d.delay = if d.delay == d.weight { 1 } else { d.weight };
+            probes.push(tail);
+        }
+        let seen = |probe: (u64, Probe<Flood>)| match probe {
+            (exact, Probe::Full(_)) => (exact, 0, 0),
+            (exact, Probe::Incremental { checkpoint, depth }) => {
+                (exact, depth, checkpoint.messages())
+            }
+            (exact, Probe::Miss) => (exact, u64::MAX, 0),
+        };
+        let tight = CacheCaps {
+            checkpoints: 3,
+            results: 2,
+        };
+        for caps in [CacheCaps::default(), tight] {
+            let mut moved: StackCache<Flood> = StackCache::new(caps);
+            let mut copied: StackCache<Flood> = StackCache::new(caps);
+            for (key, s) in [("a", &schedule), ("b", &short), ("a", &short)] {
+                moved.store(key, Keyed::new(s, cps.clone()), None);
+                copied.insert_checkpoints(key, s, &cps);
+                assert_eq!(moved.len(), recount(&moved));
+                assert_eq!(moved.len(), copied.len());
+            }
+            assert_eq!(moved.evictions(), copied.evictions());
+            for key in ["a", "b"] {
+                for p in &probes {
+                    assert_eq!(seen(moved.probe(key, p)), seen(copied.probe(key, p)));
+                }
+            }
+        }
     }
 }

@@ -7,18 +7,22 @@
 //!    (the cache is typed per stack).
 //! 2. On the service thread, each scenario probes its
 //!    [`StackCache`]: FULL hits are answered immediately, INCREMENTAL
-//!    hits clone the deepest matching checkpoint into the job, misses
-//!    stay cold.
+//!    hits hand the deepest matching checkpoint (an [`Arc`]) to the
+//!    job, misses stay cold.
 //! 3. Remaining jobs fan out over [`csp_sim::sweep::par_map_with`] —
 //!    the same order-preserving worker pool the sweep driver uses — and
 //!    run replay / resume / model / search work. An evaluation that
-//!    panics is that job's error, nobody else's.
-//! 4. Back on the service thread, fresh checkpoints and results are
-//!    folded into the cache and metrics, and responses are emitted in
-//!    submission order.
+//!    panics is that job's error, nobody else's. Still on the worker, a
+//!    cold run's checkpoints are keyed for the cache: one hashing pass
+//!    over the schedule that describes the run gives every prefix key
+//!    and the schedule's exact hash.
+//! 4. Back on the service thread, the keyed checkpoints are moved into
+//!    the cache — not copied — next to the results, metrics are folded
+//!    in, and responses are emitted in submission order.
 //!
-//! The cache layer never crosses a thread: workers only see cloned
-//! checkpoints, which keeps the engine lock-free.
+//! The cache layer never crosses a thread: workers only see shared,
+//! immutable checkpoints and hand back owned, keyed ones, which keeps
+//! the engine lock-free.
 //!
 //! A request reaches the engine as a line of bytes
 //! ([`Service::handle_line`], what the binary calls) or as a parsed tree
@@ -29,7 +33,7 @@
 //! escapes that walk does not read is decoded in full and takes the tree
 //! entry. Both feed the same pipeline above.
 
-use crate::cache::{fnv1a, CacheCaps, IngestError, Probe, StackCache, StoredResult};
+use crate::cache::{fnv1a, CacheCaps, IngestError, Keyed, Probe, StackCache, StoredResult};
 use crate::json::{Json, JsonError};
 use crate::metrics::{CacheOutcome, ServeMetrics};
 use crate::scenario::{Bound, GraphSpec, RunMode, Scenario, SpecError, StackSpec};
@@ -228,13 +232,16 @@ struct RunOut<P: Process> {
     /// The record a FULL hit on this scenario will be answered from.
     stored: StoredResult,
     trace_digest: u64,
-    /// Checkpoints produced by a cold run, to be cached keyed by
-    /// `cache_schedule`.
+    /// Checkpoints produced by a cold run, until [`RunOut::key`] moves
+    /// them into `keyed`.
     checkpoints: Vec<Checkpoint<P>>,
     /// The schedule that deterministically describes the run where it
     /// is not the submitted one (recorded for model runs, found for
     /// searches).
     cache_schedule: Option<Schedule>,
+    /// The checkpoints keyed for the cache, with the exact hash of the
+    /// schedule that keyed them.
+    keyed: Option<Keyed<P>>,
 }
 
 impl<P: Process + std::hash::Hash> RunOut<P> {
@@ -251,7 +258,21 @@ impl<P: Process + std::hash::Hash> RunOut<P> {
             trace_digest: digest_trace(&run.trace),
             checkpoints,
             cache_schedule: None,
+            keyed: None,
         }
+    }
+
+    /// Keys what the service thread will store, on the worker that ran
+    /// `job`. Cold replays key checkpoints by the submitted schedule;
+    /// model and search runs key checkpoints and their result by the
+    /// schedule they recorded or found.
+    fn key(&mut self, job: &Job<'_, P>) {
+        let keyed_by = match (&self.cache_schedule, &job.run) {
+            (Some(schedule), _) => Some(schedule),
+            (None, RunMode::Schedule(schedule)) if !self.checkpoints.is_empty() => Some(schedule),
+            _ => None,
+        };
+        self.keyed = keyed_by.map(|s| Keyed::new(s, std::mem::take(&mut self.checkpoints)));
     }
 }
 
@@ -575,18 +596,9 @@ where
                 );
                 let response = result_response(&job, &served, &run.stored, Some(run.trace_digest));
                 if cfg.cache {
-                    // Cold replays key checkpoints by the submitted
-                    // schedule; model/search runs by the schedule they
-                    // recorded/found.
-                    let keyed_by = match (&run.cache_schedule, &job.run) {
-                        (Some(schedule), _) | (None, RunMode::Schedule(schedule)) => Some(schedule),
-                        _ => None,
-                    };
-                    if let Some(schedule) = keyed_by.filter(|_| !run.checkpoints.is_empty()) {
-                        cache.insert_checkpoints(&job.key, schedule, &run.checkpoints);
-                    }
-                    if let Some(schedule) = &run.cache_schedule {
-                        cache.insert_schedule_result(&job.key, schedule, run.stored.clone());
+                    if let Some(keyed) = run.keyed {
+                        let result = run.cache_schedule.is_some().then(|| run.stored.clone());
+                        cache.store(&job.key, keyed, result);
                     }
                     if let Some(exact) = job.exact {
                         cache.insert_exact(&job.key, exact, run.stored);
@@ -641,7 +653,14 @@ where
 {
     let started = Instant::now();
     let queue_wait = started.duration_since(queued);
-    let result = catch_unwind(AssertUnwindSafe(|| evaluate(cfg, job))).unwrap_or_else(|panic| {
+    let evaluate_and_key = || {
+        let mut out = evaluate(cfg, job)?;
+        if cfg.cache {
+            out.key(job);
+        }
+        Ok(out)
+    };
+    let result = catch_unwind(AssertUnwindSafe(evaluate_and_key)).unwrap_or_else(|panic| {
         let msg = panic
             .downcast_ref::<String>()
             .map(String::as_str)

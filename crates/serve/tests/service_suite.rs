@@ -463,6 +463,119 @@ fn a_full_hit_renders_the_record_the_fresh_result_did() {
     }
 }
 
+/// Under caps small enough that nearly every store evicts, a caching
+/// service still answers every scenario as a cold one does, and two
+/// caching services fed one sequence evict alike: the same scenarios
+/// come back `full`, `incremental` or `miss`, at the same depths.
+#[test]
+fn warm_equals_cold_under_eviction_pressure_and_evicts_deterministically() {
+    let tight = |cache| {
+        Service::new(ServiceConfig {
+            threads: 2,
+            checkpoint_every: 8,
+            cache,
+            caps: CacheCaps {
+                checkpoints: 3,
+                results: 2,
+            },
+            trace_cap: 1 << 14,
+        })
+    };
+    let mode = |name: &str, fields: Vec<(&'static str, Json)>| {
+        let mut run = vec![("mode", Json::str(name))];
+        run.extend(fields);
+        Json::obj(run)
+    };
+    let model = mode(
+        "model",
+        vec![("delay", Json::str("uniform")), ("seed", Json::num(11.0))],
+    );
+    let g = generators::connected_gnp(10, 0.35, WeightDist::Uniform(2, 9), 7);
+    let make = |v: NodeId, _: &csp_graph::WeightedGraph| SptRecur::new(v, NodeId::new(0), 1 << 40);
+    let (_, transcript) = record(
+        &g,
+        make,
+        ModelOracle::new(DelayModel::Uniform, 11),
+        Fallback::WorstCase,
+    );
+    let base = fault_schedule();
+    let mut last_only = base.clone();
+    let last = last_only.decisions.len() - 1;
+    let d = &mut last_only.decisions[last];
+    d.delay = if d.delay == d.weight { 1 } else { d.delay + 1 };
+    let runs = [
+        model.clone(),
+        schedule_run(&mutate_tail(&transcript)),
+        mode(
+            "search",
+            vec![("budget", Json::num(2.0)), ("seed", Json::num(3.0))],
+        ),
+        mode("exhaustive", vec![("class_budget", Json::num(32.0))]),
+        schedule_run(&base),
+        schedule_run(&mutate_tail(&base)),
+        schedule_run(&last_only),
+        model,
+        schedule_run(&base),
+        schedule_run(&transcript),
+    ];
+
+    let (mut cold, mut warm, mut twin) = (tight(false), tight(true), tight(true));
+    let (mut served, mut incremental) = (Vec::new(), 0);
+    for (i, run) in runs.iter().enumerate() {
+        let request = submit(&format!("r{i}"), run.clone());
+        let c = cold.handle(&request);
+        let (w, t) = (warm.handle(&request), twin.handle(&request));
+        let (c, w, t) = (expect_result(&c), expect_result(&w), expect_result(&t));
+        // Everything but how it was served, and the trace digest where
+        // the warm run has one (a FULL hit replays nothing).
+        let what = |r: &Json| -> Vec<(String, String)> {
+            let Json::Obj(fields) = r else {
+                panic!("responses are objects")
+            };
+            fields
+                .iter()
+                .filter(|(k, _)| {
+                    !matches!(
+                        k.as_str(),
+                        "id" | "cache"
+                            | "depth"
+                            | "exec_us"
+                            | "queue_wait_us"
+                            | "ingest_us"
+                            | "ingest_reused"
+                            | "ingest_parsed"
+                            | "trace_digest"
+                    )
+                })
+                .map(|(k, v)| (k.clone(), v.dump()))
+                .collect()
+        };
+        assert_eq!(what(w), what(c), "warm ≠ cold at r{i}: {}", run.dump());
+        if let Some(trace) = w.get("trace_digest") {
+            assert_eq!(Some(trace), c.get("trace_digest"), "trace at r{i}");
+        }
+        let how = |r: &Json| (cache_of(r).to_string(), r.get("depth").unwrap().dump());
+        assert_eq!(how(w), how(t), "two caches disagree at r{i}");
+        incremental += usize::from(cache_of(w) == "incremental");
+        served.push(how(w));
+    }
+    let stats = warm.handle(&Json::obj(vec![("type", Json::str("stats"))]));
+    let stats = stats[0].get("stats").unwrap();
+    assert!(
+        stats.get("evictions").and_then(Json::as_u64).unwrap() > 0,
+        "the caps must bite: {}",
+        stats.dump()
+    );
+    assert!(
+        stats
+            .get("checkpoints_stored")
+            .and_then(Json::as_u64)
+            .unwrap()
+            <= 3
+    );
+    assert!(incremental >= 2, "resumes under pressure: {served:?}");
+}
+
 #[test]
 fn exhaustive_runs_report_reduction_and_cache_as_exact_results() {
     // Exhaustive mode answers with the explorer's reduction counters,
