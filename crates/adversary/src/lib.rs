@@ -22,12 +22,14 @@
 //!   [`FaultPlan`](csp_sim::FaultPlan) (per-vertex crash/rejoin chains
 //!   and mid-run weight revisions), with
 //!   [`record`] / [`replay`] reproducing a run exactly (plain-text
-//!   format, no external dependencies; fault-free schedules keep the v1
-//!   dialect and churn-free ones the v2 dialect byte-for-byte);
+//!   format, no external dependencies: one grammar, written under the
+//!   `v3` header, with the `v1` and `v2` headers of older files still
+//!   read);
 //! * [`find_worst_schedule`] — seeded random probes, the
 //!   [`CriticalPathOracle`] greedy, optional single-crash probes and
-//!   hill-climbing mutation (drop flags searched alongside delays when
-//!   [`SearchConfig::drop_flips`] is set), fanned out in parallel
+//!   hill-climbing by the one [`Mutation`] in [`SearchConfig::mutation`]
+//!   (drop flags, crash times and churn searched alongside delays when
+//!   its flip budgets say so), fanned out in parallel
 //!   through [`csp_sim::sweep::par_map_with`] with a pooled evaluator
 //!   per worker; hill-climb candidates resume from
 //!   [checkpoints](csp_sim::Checkpoint) of the incumbent's run instead

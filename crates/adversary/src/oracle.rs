@@ -276,7 +276,6 @@ mod tests {
         let s = rec.into_schedule(Fallback::WorstCase);
         assert_eq!(s.dropped_count(), 1);
         assert_eq!(s.plan, plan);
-        assert!(!s.has_churn(), "crash-stop recording stays v2");
         // Replaying the recording reproduces both fates and the crash.
         let mut o = ScheduleOracle::new(&s);
         assert_eq!(o.decide(&info(0, 7, 0)), LinkDecision::Drop);

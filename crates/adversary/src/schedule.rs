@@ -13,37 +13,11 @@
 //!
 //! # Text format
 //!
-//! Schedules serialize to a line-oriented plain-text format (no external
-//! dependencies). A delay-only schedule keeps the original `v1` dialect,
-//! so previously committed witnesses parse and regenerate unchanged:
-//!
-//! ```text
-//! csp-adversary-schedule v1
-//! fallback worst-case
-//! # index edge dir weight delay
-//! d 0 3 1 16 16
-//! d 1 7 0 4 1
-//! ```
-//!
-//! A schedule carrying faults serializes as `v2`, which adds `x` lines
-//! for dropped sends (no delay — the message never arrives) and `c`
-//! lines for crashed vertices:
-//!
-//! ```text
-//! csp-adversary-schedule v2
-//! fallback worst-case
-//! c 3 120
-//! # index edge dir weight delay
-//! d 0 3 1 16 16
-//! x 1 7 0 4
-//! ```
-//!
-//! A schedule carrying *churn* — rejoins or mid-run weight drift —
-//! serializes as `v3`, which adds `r` lines for rejoined vertices and
-//! `w` lines for weight revisions. Under `v3` a vertex may crash again
-//! after a rejoin, so a node can own several `c` lines; per vertex the
-//! `c` and `r` lines, merged by time, must alternate starting with a
-//! crash — they are the vertex's toggle chain in the [`FaultPlan`]:
+//! Schedules serialize to one line-oriented plain-text grammar (no
+//! external dependencies): a header, the fallback policy, the fault
+//! plan's lines — `c` for a crash, `r` for a rejoin, `w` for a weight
+//! revision — and one line per decision, `d` for a delivered send and
+//! `x` for a dropped one (no delay: the message never arrives):
 //!
 //! ```text
 //! csp-adversary-schedule v3
@@ -57,19 +31,25 @@
 //! x 1 7 0 4
 //! ```
 //!
-//! All three dialects are accepted by [`Schedule::from_text`], and
-//! emission always picks the *oldest* dialect that can express the
-//! schedule (`v1` delay-only, `v2` faults, `v3` churn), so previously
-//! committed witnesses parse and regenerate byte-identically. Blank
-//! lines and `#` comments are ignored anywhere, so counterexample files
-//! can carry a human-readable header.
+//! A vertex may crash again after a rejoin, so it can own several `c`
+//! lines; per vertex the `c` and `r` lines, merged by time, must
+//! alternate starting with a crash — they are the vertex's toggle chain
+//! in the [`FaultPlan`].
+//!
+//! [`Schedule::to_text`] and [`Schedule::save`] always write the `v3`
+//! header. [`Schedule::from_text`] also accepts the `v1` and `v2`
+//! headers that older files carry, under the same grammar: a `v1` or
+//! `v2` text is a `v3` text with another header, so witnesses and
+//! clients from before the dialects merged keep parsing. Blank lines
+//! and `#` comments are ignored anywhere, so counterexample files can
+//! carry a human-readable header.
 //!
 //! What makes a fault plan runnable — chains strictly increasing, ids
 //! inside the graph — is decided in one place, [`FaultPlan::check`],
 //! which the parser calls against the id space. The parser itself keeps
-//! only what is about the *text*: which lines a dialect admits, the
-//! crash/rejoin alternation that turns lines into a chain, and that no
-//! edge is revised twice at one instant.
+//! only what is about the *text*: the crash/rejoin alternation that
+//! turns lines into a chain, and that no edge is revised twice at one
+//! instant.
 
 use csp_graph::{EdgeId, NodeId, Weight, MAX_INDEX};
 use csp_sim::{FaultPlan, SimTime};
@@ -168,35 +148,16 @@ impl Schedule {
     }
 
     /// Whether this schedule records faults (crashes or drops) beyond
-    /// pure delays — the `v2` dialect threshold.
+    /// pure delays.
     pub fn has_faults(&self) -> bool {
         !self.plan.churn.is_empty() || self.decisions.iter().any(|d| d.dropped)
     }
 
-    /// Whether this schedule records churn (rejoins or weight drift) —
-    /// the `v3` dialect threshold.
-    pub fn has_churn(&self) -> bool {
-        self.plan.churn.iter().any(|(_, chain)| chain.len() > 1) || !self.plan.drift.is_empty()
-    }
-
-    /// The header line of the oldest dialect that can express this
-    /// schedule — churn-free schedules keep their historical dialect,
-    /// so committed witnesses stay byte-stable.
-    fn dialect(&self) -> &'static str {
-        if self.has_churn() {
-            "csp-adversary-schedule v3"
-        } else if self.has_faults() {
-            "csp-adversary-schedule v2"
-        } else {
-            "csp-adversary-schedule v1"
-        }
-    }
-
-    /// The one emitter of the text format: every crash (`c`) line in
-    /// chain order, then every rejoin (`r`) line, the revisions (`w`),
-    /// and the decisions.
+    /// The one emitter of the text format: the header, every crash (`c`)
+    /// line in chain order, then every rejoin (`r`) line, the revisions
+    /// (`w`), and the decisions.
     fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        writeln!(w, "{}", self.dialect())?;
+        writeln!(w, "{}", Self::HEADER)?;
         match self.fallback {
             Fallback::WorstCase => writeln!(w, "fallback worst-case")?,
             Fallback::Rush => writeln!(w, "fallback rush")?,
@@ -224,9 +185,12 @@ impl Schedule {
         Ok(())
     }
 
+    /// The header line [`Schedule::to_text`] and [`Schedule::save`]
+    /// write.
+    const HEADER: &'static str = "csp-adversary-schedule v3";
+
     /// Serializes to the plain-text format described in the
-    /// [module docs](self): `v1` when delay-only, `v2` when faults are
-    /// present, `v3` when churn is present.
+    /// [module docs](self), under the `v3` header.
     pub fn to_text(&self) -> String {
         let mut out = Vec::new();
         self.write_to(&mut out)
@@ -234,19 +198,18 @@ impl Schedule {
         String::from_utf8(out).expect("the text format is ASCII")
     }
 
-    /// Parses the plain-text format, accepting the `v1` (delay-only),
-    /// `v2` (faults) and `v3` (churn) dialects — a [`TextParse`] fed
-    /// every line of `text`.
+    /// Parses the plain-text format under any of its three headers
+    /// (`v1`, `v2` or `v3` — one grammar) — a [`TextParse`] fed every
+    /// line of `text`.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] naming the offending line on malformed
     /// input: wrong header, unknown fallback, non-contiguous indices, a
     /// delay outside `[1, weight]`, a vertex or edge id beyond
-    /// [`MAX_INDEX`], fault lines in a `v1` file, churn lines below
-    /// `v3`, a vertex crashed twice without an intervening rejoin, an
-    /// edge revised twice at one instant, or a fault plan
-    /// [`FaultPlan::check`] rejects.
+    /// [`MAX_INDEX`], trailing tokens, a vertex crashed twice without an
+    /// intervening rejoin, an edge revised twice at one instant, or a
+    /// fault plan [`FaultPlan::check`] rejects.
     pub fn from_text(text: &str) -> Result<Schedule, ParseError> {
         let mut parse = TextParse::default();
         for line in text.lines() {
@@ -265,7 +228,9 @@ impl Schedule {
     /// Crashes fold in first, then rejoins and revisions under distinct
     /// salts, gated on presence, so every churn-free schedule keeps its
     /// exact historical key (committed witnesses and warm caches
-    /// survived the dialect extension).
+    /// survived the addition of churn). The key reads the plan, never
+    /// the text, so the header a schedule was submitted under does not
+    /// enter it.
     pub fn crash_key(&self) -> u64 {
         let mut chains: Vec<&(NodeId, Vec<SimTime>)> = self.plan.churn.iter().collect();
         chains.sort_by_key(|(v, _)| *v);
@@ -407,8 +372,8 @@ enum FaultLine {
 /// undecoded JSON string).
 #[derive(Clone, Debug, Default)]
 pub struct TextParse {
-    /// Dialect of the header line; `0` until it has been read.
-    version: u8,
+    /// Whether the header line has been read.
+    header: bool,
     fallback: Option<Fallback>,
     /// Lines fed so far.
     lines: usize,
@@ -442,7 +407,7 @@ impl TextParse {
             v
         }
         let parse = TextParse {
-            version: self.version,
+            header: self.header,
             fallback: self.fallback,
             lines: line - 1,
             decisions: prefix(&self.decisions, k - 1),
@@ -469,17 +434,16 @@ impl TextParse {
         if line.is_empty() || line.starts_with('#') {
             return Ok(());
         }
-        if self.version == 0 {
-            self.version = match line {
-                "csp-adversary-schedule v1" => 1,
-                "csp-adversary-schedule v2" => 2,
-                "csp-adversary-schedule v3" => 3,
-                _ => {
-                    return Err(fail(
-                        "expected header `csp-adversary-schedule v1`, `v2` or `v3`",
-                    ))
-                }
-            };
+        if !self.header {
+            if !matches!(
+                line,
+                "csp-adversary-schedule v1" | "csp-adversary-schedule v2" | Schedule::HEADER
+            ) {
+                return Err(fail(
+                    "expected header `csp-adversary-schedule v1`, `v2` or `v3`",
+                ));
+            }
+            self.header = true;
             return Ok(());
         }
         if self.fallback.is_none() {
@@ -491,17 +455,8 @@ impl TextParse {
             return Ok(());
         }
 
-        let version = self.version;
         let mut parts = line.split_ascii_whitespace();
         let kind = parts.next().expect("non-empty line has a first token");
-        if version < 2 && kind != "d" {
-            return Err(fail(
-                "expected decision line `d <index> <edge> <dir> <weight> <delay>`",
-            ));
-        }
-        if version < 3 && matches!(kind, "r" | "w") {
-            return Err(fail("churn lines require the v3 dialect"));
-        }
         let mut num = |what: &str| -> Result<u64, ParseError> {
             parts
                 .next()
@@ -529,14 +484,8 @@ impl TextParse {
                         "trailing tokens on crash line"
                     }));
                 }
-                // Below v3 a vertex crashes at most once; under v3
-                // recrashes are legal and the alternation check at
-                // the end enforces the intervening rejoin.
-                let crashed = (self.faults.iter())
-                    .any(|(_, f)| matches!(f, FaultLine::Toggle { node: v, .. } if *v == node));
-                if version < 3 && crashed {
-                    return Err(fail("vertex crashed twice"));
-                }
+                // A recrash needs an intervening rejoin: the alternation
+                // check at the end enforces it.
                 self.faults
                     .push((offset, FaultLine::Toggle { node, at, rejoin }));
             }
@@ -602,7 +551,7 @@ impl TextParse {
             line: 0,
             msg: msg.to_string(),
         };
-        if self.version == 0 {
+        if !self.header {
             return Err(fail("empty schedule"));
         }
         let fallback = self
@@ -897,27 +846,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn delay_only_schedules_stay_v1() {
-        // Stability guarantee: committed delay-only witnesses must keep
-        // their exact on-disk dialect.
-        assert!(sample()
-            .to_text()
-            .starts_with("csp-adversary-schedule v1\n"));
-    }
-
-    #[test]
-    fn fault_round_trip_uses_v2() {
-        let s = faulty_sample();
-        let text = s.to_text();
-        assert!(text.starts_with("csp-adversary-schedule v2\n"));
-        assert!(text.contains("\nx 1 7 0 4\n"));
-        assert!(text.contains("\nc 4 12\n"));
-        assert_eq!(Schedule::from_text(&text).unwrap(), s);
-        assert_eq!(s.dropped_count(), 1);
-        assert_eq!(s.rushed(), 0, "a dropped decision is not rushed");
-    }
-
-    #[test]
     fn fault_save_load_round_trips() {
         let s = faulty_sample();
         let path = std::env::temp_dir().join("csp-adversary-fault-roundtrip.schedule");
@@ -979,17 +907,74 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn churn_round_trip_uses_v3() {
-        let s = churny_sample();
-        let text = s.to_text();
-        assert!(text.starts_with("csp-adversary-schedule v3\n"));
-        assert!(text.contains("\nc 4 12\n"));
-        assert!(text.contains("\nc 4 90\n"));
-        assert!(text.contains("\nr 4 50\n"));
-        assert!(text.contains("\nw 7 33 9\n"));
-        assert_eq!(Schedule::from_text(&text).unwrap(), s);
-        assert!(s.has_churn());
-        assert!(!faulty_sample().has_churn(), "fault-only stays below v3");
+    fn every_schedule_is_written_under_the_v3_header() {
+        for (name, s) in [
+            ("delay-only", sample()),
+            ("fault", faulty_sample()),
+            ("churn", churny_sample()),
+        ] {
+            let text = s.to_text();
+            assert!(text.starts_with("csp-adversary-schedule v3\n"), "{name}");
+            assert_eq!(Schedule::from_text(&text).unwrap(), s, "{name}");
+        }
+        let text = churny_sample().to_text();
+        for line in ["c 4 12", "c 4 90", "r 4 50", "w 7 33 9", "x 1 7 0 4"] {
+            assert!(text.contains(&format!("\n{line}\n")), "{line}");
+        }
+        assert_eq!(faulty_sample().dropped_count(), 1);
+        assert_eq!(
+            faulty_sample().rushed(),
+            0,
+            "a dropped decision is not rushed"
+        );
+    }
+
+    #[test]
+    fn every_header_reads_one_grammar() {
+        // One body with every line kind parses alike under each header.
+        let body = "fallback rush\nc 4 12\nr 4 50\nc 4 90\nw 7 33 9\n\
+                    d 0 3 1 16 16\nx 1 7 0 4\n";
+        for v in ["v1", "v2", "v3"] {
+            let text = format!("csp-adversary-schedule {v}\n{body}");
+            assert_eq!(Schedule::from_text(&text).unwrap(), churny_sample(), "{v}");
+        }
+        // Texts an older header once refused: fault lines under `v1`,
+        // churn lines under `v2`.
+        let dropped = Decision {
+            index: 0,
+            edge: EdgeId::new(0),
+            dir: 0,
+            weight: 5,
+            delay: 5,
+            dropped: true,
+        };
+        for (text, decisions, churn, drift) in [
+            (
+                "csp-adversary-schedule v1\nfallback rush\nx 0 0 0 5",
+                vec![dropped],
+                vec![],
+                vec![],
+            ),
+            (
+                "csp-adversary-schedule v2\nfallback rush\nc 1 5\nr 1 9",
+                vec![],
+                vec![chain(1, &[5, 9])],
+                vec![],
+            ),
+            (
+                "csp-adversary-schedule v2\nfallback rush\nw 0 5 3",
+                vec![],
+                vec![],
+                vec![revision(0, 5, 3)],
+            ),
+        ] {
+            let want = Schedule {
+                decisions,
+                fallback: Fallback::Rush,
+                plan: FaultPlan { churn, drift },
+            };
+            assert_eq!(Schedule::from_text(text).unwrap(), want, "{text:?}");
+        }
     }
 
     #[test]
@@ -1045,15 +1030,6 @@ pub(crate) mod tests {
     fn parse_rejects_bad_churn() {
         for (text, expect) in [
             (
-                // Churn lines below v3.
-                "csp-adversary-schedule v2\nfallback rush\nc 1 5\nr 1 9",
-                "require the v3 dialect",
-            ),
-            (
-                "csp-adversary-schedule v2\nfallback rush\nw 0 5 3",
-                "require the v3 dialect",
-            ),
-            (
                 // Rejoin with no preceding crash.
                 "csp-adversary-schedule v3\nfallback rush\nr 1 9",
                 "starting with a crash",
@@ -1085,7 +1061,7 @@ pub(crate) mod tests {
             let err = Schedule::from_text(text).unwrap_err();
             assert!(err.msg.contains(expect), "input {text:?} gave {err}");
         }
-        // v3 legitimizes a recrash when the rejoin intervenes.
+        // A recrash is legal when a rejoin intervenes.
         let ok = "csp-adversary-schedule v3\nfallback rush\nc 1 5\nr 1 9\nc 1 12";
         assert_eq!(
             Schedule::from_text(ok).unwrap().plan.churn,
@@ -1161,13 +1137,9 @@ pub(crate) mod tests {
             ("", "empty"),
             ("wrong header", "header"),
             (
-                // v1 files must not carry fault lines.
-                "csp-adversary-schedule v1\nfallback rush\nx 0 0 0 5",
-                "expected decision line",
-            ),
-            (
+                // A second crash without a rejoin, under any header.
                 "csp-adversary-schedule v2\nfallback rush\nc 1 0\nc 1 9",
-                "crashed twice",
+                "alternate crash/rejoin",
             ),
             (
                 "csp-adversary-schedule v2\nfallback rush\nq 0 0 0 5",

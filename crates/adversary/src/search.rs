@@ -81,8 +81,11 @@ pub struct SearchConfig {
     pub hill_rounds: usize,
     /// Mutated candidates evaluated per round.
     pub candidates_per_round: usize,
-    /// Decisions re-randomized per mutation.
-    pub flips: usize,
+    /// How the hill and polish phases perturb the incumbent: every flip
+    /// budget and the crash horizon (see [`Mutation`]). The default
+    /// re-randomizes four delays and nothing else — the delay-only
+    /// search the committed delay witnesses were found with.
+    pub mutation: Mutation,
     /// Master seed; every probe and mutation seed derives from it.
     pub seed: u64,
     /// Worker threads for the parallel fan-out: `0` means one per core,
@@ -101,35 +104,15 @@ pub struct SearchConfig {
     /// sweeping the final quarter of the schedule from the tail (see the
     /// [module docs](self)).
     pub polish_passes: usize,
-    /// Decisions whose drop flag is toggled per mutation, on top of
-    /// `flips` delay re-randomizations. `0` (the default) keeps the
-    /// search delay-only — and byte-identical to the pre-fault search,
-    /// so committed delay witnesses regenerate unchanged.
-    pub drop_flips: usize,
     /// Crash candidates probed between the random and hill phases: the
     /// first `crash_probes` vertices are each tried as the incumbent
     /// schedule plus that vertex crashing at each point of a small
     /// crash-*time* grid (quarter, half and three-quarters of the
-    /// incumbent's completion time) — a victim's damage depends on
-    /// *when* it dies, not just on who dies. `0` (the default) disables
-    /// crash search.
+    /// incumbent's completion time, capped at the mutation's
+    /// [crash horizon](Mutation::crash_horizon)) — a victim's damage
+    /// depends on *when* it dies, not just on who dies. `0` (the
+    /// default) disables crash search.
     pub crash_probes: usize,
-    /// Crash times re-randomized per mutation, after the `flips` delay
-    /// draws and `drop_flips` drop toggles — making *when a vertex dies*
-    /// a real hill-climb coordinate once a crash probe has been adopted.
-    /// No-op on crash-free incumbents. `0` (the default) keeps the
-    /// mutation stream byte-identical to the drop-only mutator's.
-    pub crash_time_flips: usize,
-    /// Churn-chain extensions per mutation ([`Mutation::rejoin_flips`]):
-    /// each grows a crashed vertex's crash/rejoin chain by one toggle,
-    /// letting the hill phase discover crash–rejoin–recrash schedules.
-    /// No-op on crash-free incumbents. `0` (the default) keeps the
-    /// mutation stream byte-identical to the crash-time mutator's.
-    pub rejoin_flips: usize,
-    /// Weight revisions per mutation ([`Mutation::drift_flips`]): each
-    /// redraws one decision's edge weight at a drawn time. `0` (the
-    /// default) keeps the search drift-free.
-    pub drift_flips: usize,
     /// Routes [`check_time_bound`](crate::check_time_bound) through the
     /// DPOR explorer ([`explore_exhaustive`](crate::explore_exhaustive))
     /// instead of the heuristic pipeline: every Mazurkiewicz class of
@@ -141,11 +124,6 @@ pub struct SearchConfig {
     /// `0` (the default) means the explorer's built-in cap
     /// ([`DEFAULT_CLASS_BUDGET`](crate::trace::DEFAULT_CLASS_BUDGET)).
     pub class_budget: usize,
-    /// Latest admissible crash time: the crash-probe grid and every
-    /// [`Mutation`] crash-time redraw are clamped to it, so the search
-    /// never emits a crash the run's horizon makes unobservable. `0`
-    /// (the default) leaves crash times unbounded.
-    pub crash_horizon: u64,
 }
 
 impl Default for SearchConfig {
@@ -154,19 +132,14 @@ impl Default for SearchConfig {
             random_probes: 64,
             hill_rounds: 24,
             candidates_per_round: 16,
-            flips: 4,
+            mutation: Mutation::new().delay_flips(4),
             seed: 0,
             threads: 0,
             checkpoint_every: 0,
             polish_passes: 4,
-            drop_flips: 0,
             crash_probes: 0,
-            crash_time_flips: 0,
-            rejoin_flips: 0,
-            drift_flips: 0,
             exhaustive: false,
             class_budget: 0,
-            crash_horizon: 0,
         }
     }
 }
@@ -182,20 +155,10 @@ impl SearchConfig {
         }
     }
 
-    /// The [`Mutation`] the hill and polish phases apply, assembled from
-    /// the config's flip budgets and crash horizon.
+    /// The [`Mutation`] the hill and polish phases apply: the
+    /// `mutation` field.
     pub fn mutation(&self) -> Mutation {
-        let m = Mutation::new()
-            .delay_flips(self.flips)
-            .drop_flips(self.drop_flips)
-            .crash_time_flips(self.crash_time_flips)
-            .rejoin_flips(self.rejoin_flips)
-            .drift_flips(self.drift_flips);
-        if self.crash_horizon > 0 {
-            m.crash_horizon(self.crash_horizon)
-        } else {
-            m
-        }
+        self.mutation
     }
 
     /// The explorer's effective class cap (`class_budget`, or the
@@ -251,9 +214,9 @@ impl SearchConfigBuilder {
         self
     }
 
-    /// Sets [`SearchConfig::flips`].
-    pub fn flips(mut self, n: usize) -> Self {
-        self.cfg.flips = n;
+    /// Sets [`SearchConfig::mutation`].
+    pub fn mutation(mut self, m: Mutation) -> Self {
+        self.cfg.mutation = m;
         self
     }
 
@@ -281,33 +244,9 @@ impl SearchConfigBuilder {
         self
     }
 
-    /// Sets [`SearchConfig::drop_flips`].
-    pub fn drop_flips(mut self, n: usize) -> Self {
-        self.cfg.drop_flips = n;
-        self
-    }
-
     /// Sets [`SearchConfig::crash_probes`].
     pub fn crash_probes(mut self, n: usize) -> Self {
         self.cfg.crash_probes = n;
-        self
-    }
-
-    /// Sets [`SearchConfig::crash_time_flips`].
-    pub fn crash_time_flips(mut self, n: usize) -> Self {
-        self.cfg.crash_time_flips = n;
-        self
-    }
-
-    /// Sets [`SearchConfig::rejoin_flips`].
-    pub fn rejoin_flips(mut self, n: usize) -> Self {
-        self.cfg.rejoin_flips = n;
-        self
-    }
-
-    /// Sets [`SearchConfig::drift_flips`].
-    pub fn drift_flips(mut self, n: usize) -> Self {
-        self.cfg.drift_flips = n;
         self
     }
 
@@ -316,12 +255,6 @@ impl SearchConfigBuilder {
     pub fn exhaustive(mut self, class_budget: usize) -> Self {
         self.cfg.exhaustive = true;
         self.cfg.class_budget = class_budget;
-        self
-    }
-
-    /// Sets [`SearchConfig::crash_horizon`].
-    pub fn crash_horizon(mut self, horizon: u64) -> Self {
-        self.cfg.crash_horizon = horizon;
         self
     }
 
@@ -352,17 +285,12 @@ impl SearchConfigBuilder {
         if c.hill_rounds > 0 && c.candidates_per_round == 0 {
             return Err(ConfigError::NoCandidates);
         }
-        if c.hill_rounds > 0
-            && c.flips + c.drop_flips + c.crash_time_flips + c.rejoin_flips + c.drift_flips == 0
-        {
+        let m = &c.mutation;
+        let churn_flips = m.crash_time_flips + m.rejoin_flips + m.drift_flips;
+        if c.hill_rounds > 0 && m.delay_flips + m.drop_flips + churn_flips == 0 {
             return Err(ConfigError::FrozenMutation);
         }
-        if c.crash_horizon > 0
-            && c.crash_probes == 0
-            && c.crash_time_flips == 0
-            && c.rejoin_flips == 0
-            && c.drift_flips == 0
-        {
+        if m.horizon.is_some() && c.crash_probes == 0 && churn_flips == 0 {
             return Err(ConfigError::UnusedCrashHorizon);
         }
         Ok(self.cfg)
@@ -393,12 +321,12 @@ impl std::fmt::Display for ConfigError {
             ConfigError::FrozenMutation => write!(
                 f,
                 "hill rounds require at least one nonzero mutation dimension \
-                 (flips, drop_flips, crash_time_flips, rejoin_flips or drift_flips)"
+                 (delay_flips, drop_flips, crash_time_flips, rejoin_flips or drift_flips)"
             ),
             ConfigError::UnusedCrashHorizon => write!(
                 f,
-                "crash_horizon is set but no phase (crash_probes, crash_time_flips, \
-                 rejoin_flips, drift_flips) can emit a churn time for it to cap"
+                "the mutation's crash_horizon is set but no phase (crash_probes, \
+                 crash_time_flips, rejoin_flips, drift_flips) can emit a churn time for it to cap"
             ),
         }
     }
@@ -664,8 +592,7 @@ where
 
 /// One seeded schedule perturbation across every adversarial dimension —
 /// the single mutation surface the hill-climb, polish and churn-search
-/// phases share (the historical
-/// `mutate`/`mutate_with_drops`/`mutate_with_faults` trio is gone).
+/// phases share; a search carries its one in [`SearchConfig::mutation`].
 ///
 /// [`Mutation::apply`] draws, in order: `delay_flips` delay
 /// re-randomizations (each picked decision set to rushed `1`, stretched
@@ -849,8 +776,8 @@ impl Mutation {
                 at = at.min(h).max(1);
             }
             let at = SimTime::new(at);
-            // Two revisions of one edge at one instant would race in
-            // the dialect; replace instead of duplicating.
+            // Two revisions of one edge at one instant would race, and
+            // the parser refuses them; replace instead of duplicating.
             match (out.plan.drift.iter_mut()).find(|(e, t, _)| (*e, *t) == (d.edge, at)) {
                 Some(existing) => existing.2 = weight,
                 None => out.plan.drift.push((d.edge, at, weight)),
@@ -923,18 +850,14 @@ where
     // crash-time grid. An early crash removes a participant before it
     // contributes; a late one forces recovery of state already built —
     // which of the two stalls a protocol longer is exactly what the grid
-    // discovers (and the hill phase's `crash_time_flips` then refines).
+    // discovers (and the mutation's `crash_time_flips` then refines).
     // Crashes take effect from time zero (`first_diff` is 0 against any
     // crash-free checkpoint), so every probe is a cold recorded run.
     if cfg.crash_probes > 0 {
         let horizon = best.best_time.get();
-        // An explicit crash horizon caps the grid: a crash past it would
-        // be recorded but never observed within the run.
-        let cap = if cfg.crash_horizon > 0 {
-            cfg.crash_horizon
-        } else {
-            u64::MAX
-        };
+        // The mutation's crash horizon caps the grid: a crash past it
+        // would be recorded but never observed within the run.
+        let cap = cfg.mutation.horizon.unwrap_or(u64::MAX).max(1);
         let mut grid: Vec<u64> = [horizon / 4, horizon / 2, (3 * horizon) / 4]
             .iter()
             .map(|&at| at.clamp(1, cap))
@@ -969,7 +892,7 @@ where
     // first round with a strict improvement. That round's best (earliest
     // on ties, matching a sequential `>` scan) is adopted, and only then
     // recorded; the next epoch starts at the round after it.
-    let mutation = cfg.mutation();
+    let mutation = cfg.mutation;
     let per_round = cfg.candidates_per_round;
     let mut round = 0;
     while per_round > 0 && round < cfg.hill_rounds {
@@ -1432,7 +1355,10 @@ mod tests {
         let faulty = find_worst_schedule(
             &g,
             |_, _| Flood { seen: false },
-            &base.drop_flips(2).build().unwrap(),
+            &base
+                .mutation(Mutation::new().delay_flips(4).drop_flips(2))
+                .build()
+                .unwrap(),
         );
         assert!(faulty.best_time >= delay_only.worst_case);
         assert!(faulty.evaluations >= delay_only.evaluations);
@@ -1454,6 +1380,17 @@ mod tests {
         assert_eq!(out.evaluations, 13);
         if out.strategy == "crash" {
             assert_eq!(out.schedule.plan.churn.len(), 1);
+        }
+        // The mutation's horizon caps the grid: at 1 it collapses to
+        // one point per vertex.
+        let capped = SearchConfig {
+            mutation: cfg.mutation.crash_horizon(1),
+            ..cfg
+        };
+        let out = find_worst_schedule(&g, |_, _| Flood { seen: false }, &capped);
+        assert_eq!(out.evaluations, 7);
+        for (_, chain) in &out.schedule.plan.churn {
+            assert_eq!(chain, &[SimTime::new(1)]);
         }
     }
 
@@ -1557,7 +1494,7 @@ mod tests {
             assert_eq!(mutant.decisions, base.decisions, "decisions untouched");
             assert_eq!(mutant.plan.check(g.node_count(), g.edge_count()), Ok(()));
             extended |= mutant.plan.churn[0].1.len() > 1;
-            // The mutant must survive the dialect's rules too.
+            // The mutant must survive the parser's rules too.
             let text = mutant.to_text();
             assert_eq!(Schedule::from_text(&text).unwrap(), mutant);
         }
@@ -1632,27 +1569,45 @@ mod tests {
                 .unwrap_err(),
             ConfigError::NoCandidates
         );
+        let frozen = Mutation::new();
         assert_eq!(
-            SearchConfig::builder().flips(0).build().unwrap_err(),
+            SearchConfig::builder()
+                .mutation(frozen)
+                .build()
+                .unwrap_err(),
             ConfigError::FrozenMutation
         );
         assert!(SearchConfig::builder()
-            .flips(0)
-            .drop_flips(1)
+            .mutation(frozen)
+            .hill_rounds(0)
             .build()
             .is_ok());
+        assert!(SearchConfig::builder()
+            .mutation(frozen.drop_flips(1))
+            .build()
+            .is_ok());
+        let capped = SearchConfig::default().mutation.crash_horizon(50);
         assert_eq!(
             SearchConfig::builder()
-                .crash_horizon(50)
+                .mutation(capped)
                 .build()
                 .unwrap_err(),
             ConfigError::UnusedCrashHorizon
         );
         assert!(SearchConfig::builder()
             .crash_probes(2)
-            .crash_horizon(50)
+            .mutation(capped)
             .build()
             .is_ok());
+        assert!(SearchConfig::builder()
+            .mutation(capped.rejoin_flips(1))
+            .build()
+            .is_ok());
+        assert_eq!(
+            SearchConfig::builder().build().unwrap().mutation(),
+            Mutation::new().delay_flips(4),
+            "the default search is delay-only"
+        );
         for e in [
             ConfigError::ZeroBudget,
             ConfigError::NoCandidates,

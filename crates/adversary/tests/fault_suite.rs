@@ -10,7 +10,7 @@
 //! measure it.
 
 use csp_adversary::{
-    find_worst_schedule, replay, replay_report, Schedule, ScheduleOracle, SearchConfig,
+    find_worst_schedule, replay, replay_report, Mutation, Schedule, ScheduleOracle, SearchConfig,
     SearchConfigBuilder, SearchOutcome,
 };
 use csp_algo::flood::Flood;
@@ -98,7 +98,8 @@ fn fault_search_never_ends_behind_delay_only_search() {
             .candidates_per_round(4)
             .polish_passes(1);
         let delay = search(&g, base);
-        let fault = search(&g, base.drop_flips(2).crash_probes(2));
+        let drops = Mutation::new().delay_flips(4).drop_flips(2);
+        let fault = search(&g, base.mutation(drops).crash_probes(2));
         assert!(
             fault.best_time >= delay.best_time,
             "{name} at budget {budget}: fault {} vs delay-only {}",
@@ -149,20 +150,21 @@ fn committed_witnesses_replay_identically_on_bucket_and_heap_cores() {
 }
 
 #[test]
-fn committed_fault_witness_round_trips_in_the_v2_dialect() {
+fn committed_fault_witness_round_trips_under_the_v3_header() {
     let path = schedule_dir().join("fault-spt-recur-gnp-n12.schedule");
     let schedule = Schedule::load(&path).unwrap();
-    assert!(schedule.has_faults());
+    assert!(schedule.dropped_count() > 0 || !schedule.plan.churn.is_empty());
     let text = schedule.to_text();
-    assert!(text.starts_with("csp-adversary-schedule v2"));
+    assert!(text.starts_with("csp-adversary-schedule v3\n"));
     assert_eq!(Schedule::from_text(&text).unwrap(), schedule);
-    // The delay-only companion stays in the v1 dialect byte-for-byte.
+    // The delay-only companion is written under the same header.
     let delay_only =
         Schedule::load(&schedule_dir().join("reliable-spt-recur-gnp-n12.schedule")).unwrap();
-    assert!(!delay_only.has_faults());
+    assert_eq!(delay_only.dropped_count(), 0);
+    assert!(delay_only.plan.churn.is_empty() && delay_only.plan.drift.is_empty());
     assert!(delay_only
         .to_text()
-        .starts_with("csp-adversary-schedule v1"));
+        .starts_with("csp-adversary-schedule v3\n"));
 }
 
 proptest! {

@@ -184,6 +184,22 @@ impl GraphSpec {
 /// tier, and a hostile or fat-fingered `n` must not wedge every worker.
 pub const MAX_NODES: usize = 100_000;
 
+/// Upper bound on a search's `budget` (hill-climbing rounds): one
+/// request must not hold a worker for hours. A search runs on one
+/// thread and its cost grows linearly with the budget — on a
+/// 12-vertex `spt_recur` gnp graph (`"p":0.4,"seed":3`), one thread of
+/// a 2-vCPU Xeon host, 1 024 rounds took 0.57 s and 4 096 took 2.2 s —
+/// so the ceiling keeps a request near the cost of [`MAX_CLASS_BUDGET`],
+/// at 170 times the search default of 24 rounds.
+pub const MAX_SEARCH_BUDGET: usize = 4_096;
+
+/// Upper bound on an exhaustive run's `class_budget`: 65 536 classes,
+/// the largest budget the explorer's golden outcomes pin, took 2.4 s on
+/// the graph and host [`MAX_SEARCH_BUDGET`] was measured on. The
+/// explorer stops early only when it runs out of classes, so on a
+/// larger instance a larger budget only holds the worker longer.
+pub const MAX_CLASS_BUDGET: usize = 65_536;
+
 /// Upper bound on the per-scenario shard count: each shard is a real
 /// worker thread, and a hostile request must not fork-bomb the host.
 pub const MAX_SHARDS: usize = 64;
@@ -262,7 +278,8 @@ pub enum RunMode {
     },
     /// Search for a worst-case schedule within a budget.
     Search {
-        /// Hill-climbing rounds (`0` means the search default).
+        /// Hill-climbing rounds (`0` means the search default), at most
+        /// [`MAX_SEARCH_BUDGET`].
         budget: usize,
         /// Master search seed.
         seed: u64,
@@ -272,7 +289,8 @@ pub enum RunMode {
     /// Only accepted for graphs of at most [`MAX_EXHAUSTIVE_NODES`]
     /// vertices (class counts grow combinatorially).
     Exhaustive {
-        /// Cap on explored classes (`0` means the explorer default).
+        /// Cap on explored classes (`0` means the explorer default), at
+        /// most [`MAX_CLASS_BUDGET`].
         class_budget: usize,
     },
 }
@@ -304,11 +322,11 @@ impl RunMode {
                 })
             }
             "search" => Ok(RunMode::Search {
-                budget: opt_u64(v, "budget", 0)? as usize,
+                budget: opt_budget(v, "budget", MAX_SEARCH_BUDGET)?,
                 seed: opt_u64(v, "seed", 0)?,
             }),
             "exhaustive" => Ok(RunMode::Exhaustive {
-                class_budget: opt_u64(v, "class_budget", 0)? as usize,
+                class_budget: opt_budget(v, "class_budget", MAX_CLASS_BUDGET)?,
             }),
             other => Err(SpecError::new(&format!(
                 "unknown run mode {other:?} (schedule, model, search, exhaustive)"
@@ -507,6 +525,16 @@ fn opt_u64(v: &Json, key: &str, default: u64) -> Result<u64, SpecError> {
             .as_u64()
             .ok_or_else(|| SpecError::new(&format!("\"{key}\" must be a non-negative integer"))),
     }
+}
+
+/// The budget `key` of a run mode (`0` when absent), refused above
+/// `max`.
+fn opt_budget(v: &Json, key: &str, max: usize) -> Result<usize, SpecError> {
+    let n = opt_u64(v, key, 0)?;
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= max)
+        .ok_or_else(|| SpecError::new(&format!("\"{key}\" {n} is too large (max {max})")))
 }
 
 #[cfg(test)]

@@ -40,8 +40,9 @@ fn make(v: NodeId, _: &WeightedGraph) -> SptRecur {
     SptRecur::new(v, NodeId::new(0), 1 << 40)
 }
 
-/// The base text: a recorded drop + crash schedule, in the `v3` dialect
-/// (a drift far past quiescence) so that `r` and `w` lines may follow.
+/// The base text: a recorded drop + crash schedule plus a drift far past
+/// quiescence, so the base carries a `w` line beside its `c` and `x`
+/// lines.
 fn base_text() -> String {
     let oracle = CrashOracle::new(
         DropOracle::new(DelayModel::Uniform, 0xFEED_BEEF, 0.2, 3),

@@ -10,6 +10,7 @@ use csp_algo::spt::recur::SptRecur;
 use csp_graph::generators::{self, WeightDist};
 use csp_graph::{EdgeId, NodeId, Weight};
 use csp_serve::json::Json;
+use csp_serve::scenario::{MAX_CLASS_BUDGET, MAX_SEARCH_BUDGET};
 use csp_serve::service::{Service, ServiceConfig};
 use csp_serve::CacheCaps;
 use csp_sim::{
@@ -250,12 +251,9 @@ fn churn_schedule() -> Schedule {
     );
     let (_, schedule) = record(&g, make, oracle, Fallback::WorstCase);
     assert!(
-        schedule.has_churn(),
+        schedule.plan.churn.iter().any(|(_, chain)| chain.len() > 1)
+            && !schedule.plan.drift.is_empty(),
         "test premise: the recorded schedule must churn"
-    );
-    assert!(
-        schedule.to_text().starts_with("csp-adversary-schedule v3"),
-        "churn schedules travel in the v3 dialect"
     );
     schedule
 }
@@ -386,6 +384,93 @@ fn model_and_search_runs_cache_as_exact_results() {
         s1.get("worst_case").and_then(Json::as_u64),
         s2.get("worst_case").and_then(Json::as_u64)
     );
+}
+
+/// A client that still writes the `v1` header shares its cache with
+/// one that writes `v3`: the same decisions under the other header are
+/// an exact-result hit, with the report and state digest the first run
+/// had (a hit carries no trace digest).
+#[test]
+fn a_v1_schedule_and_its_v3_text_share_one_cache_entry() {
+    let g = generators::connected_gnp(10, 0.35, WeightDist::Uniform(2, 9), 7);
+    let make = |v: NodeId, _: &csp_graph::WeightedGraph| SptRecur::new(v, NodeId::new(0), 1 << 40);
+    let (_, schedule) = record(
+        &g,
+        make,
+        ModelOracle::new(DelayModel::Uniform, 5),
+        Fallback::WorstCase,
+    );
+    let v3 = schedule.to_text();
+    let v1 = v3.replacen(
+        "csp-adversary-schedule v3\n",
+        "csp-adversary-schedule v1\n",
+        1,
+    );
+    assert_ne!(v1, v3);
+    let run = |text: &str| {
+        Json::obj(vec![
+            ("mode", Json::str("schedule")),
+            ("schedule", Json::str(text)),
+        ])
+    };
+    let mut svc = caching_service();
+    let old = svc.handle(&submit("v1", run(&v1)));
+    let old = expect_result(&old);
+    assert_eq!(cache_of(old), "miss");
+    let new = svc.handle(&submit("v3", run(&v3)));
+    let new = expect_result(&new);
+    assert_eq!(cache_of(new), "full", "{}", new.dump());
+    for key in ["report", "states_digest"] {
+        assert_eq!(
+            new.get(key).unwrap().dump(),
+            old.get(key).unwrap().dump(),
+            "{key}"
+        );
+    }
+}
+
+/// A search or exhaustive budget past its ceiling is one error response
+/// instead of a worker held for hours; the ceiling itself is served, and
+/// so is the next request.
+#[test]
+fn run_budgets_past_their_ceiling_are_refused() {
+    let mut svc = caching_service();
+    let path2 = Json::obj(vec![("family", Json::str("path")), ("n", Json::num(2.0))]);
+    let flood = Json::obj(vec![("protocol", Json::str("flood"))]);
+    for (mode, key, max) in [
+        ("search", "budget", MAX_SEARCH_BUDGET),
+        ("exhaustive", "class_budget", MAX_CLASS_BUDGET),
+    ] {
+        let request = |budget: usize| {
+            Json::obj(vec![
+                ("type", Json::str("submit")),
+                ("id", Json::str(mode)),
+                ("graph", path2.clone()),
+                ("stack", flood.clone()),
+                (
+                    "run",
+                    Json::obj(vec![
+                        ("mode", Json::str(mode)),
+                        (key, Json::num(budget as f64)),
+                    ]),
+                ),
+            ])
+        };
+        expect_result(&svc.handle(&request(max)));
+        let refused = svc.handle(&request(max + 1));
+        assert_eq!(refused.len(), 1, "one error per refused request");
+        assert_eq!(refused[0].get("type").and_then(Json::as_str), Some("error"));
+        let error = refused[0].get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            error.contains(&format!("\"{key}\" {} is too large (max {max})", max + 1)),
+            "{error}"
+        );
+        assert_still_serving(&mut svc);
+    }
+    let stats = svc.handle(&Json::obj(vec![("type", Json::str("stats"))]));
+    let stats = stats[0].get("stats").unwrap();
+    assert_eq!(stats.get("rejected").and_then(Json::as_u64), Some(2));
+    assert_eq!(stats.get("submitted").and_then(Json::as_u64), Some(2));
 }
 
 /// A FULL hit is rendered from the record the fresh run stored, by the

@@ -3,11 +3,12 @@
 //! Runs `SPT_recur` wrapped in the simulator's `Reliable` ack/timeout
 //! layer on the `gnp-n12` instance, then pits two adversaries against
 //! it: the delay-only schedule search, and the same search with drop
-//! injection enabled (`SearchConfig::drop_flips`). Dropping a message
-//! forces the wrapper through a retransmission timeout, so a good drop
-//! schedule pushes weighted completion strictly past anything delays
-//! alone can do. The winning fault schedule is shrunk to a 1-minimal
-//! witness and both schedules are written out:
+//! injection enabled (a `SearchConfig::mutation` with
+//! `Mutation::drop_flips`). Dropping a message forces the wrapper
+//! through a retransmission timeout, so a good drop schedule pushes
+//! weighted completion strictly past anything delays alone can do. The
+//! winning fault schedule is shrunk to a 1-minimal witness and both
+//! schedules are written out:
 //!
 //! ```text
 //! cargo run --release --example fault_injection [-- out_dir]
@@ -19,8 +20,8 @@
 //! `fault_suite` integration tests replay them and pin the gap.
 
 use csp_adversary::{
-    find_worst_schedule, record, replay_report, shrink, Fallback, Schedule, ScheduleOracle,
-    SearchConfig,
+    find_worst_schedule, record, replay_report, shrink, Fallback, Mutation, Schedule,
+    ScheduleOracle, SearchConfig,
 };
 use csp_algo::spt::recur::SptRecur;
 use csp_graph::generators::{self, WeightDist};
@@ -79,10 +80,11 @@ fn main() {
     );
 
     println!("same search with drop injection (drop_flips = 2) ...");
+    let drops = Mutation::new().delay_flips(4).drop_flips(2);
     let faulty = find_worst_schedule(
         &g,
         make,
-        &base.drop_flips(2).build().expect("drop config is valid"),
+        &base.mutation(drops).build().expect("drop config is valid"),
     );
     println!(
         "  searched {} with {} drops (strategy: {})",

@@ -3,11 +3,11 @@
 //! Runs the crash-tolerant distance-vector SPT (`Resilient` under the
 //! `Detect` failure-detector transformer) on the `gnp-n12` instance and
 //! searches for the most expensive moment to kill a vertex: crash
-//! probes place each victim on a small time grid, then
-//! `SearchConfig::crash_time_flips` makes the crash instant a
-//! hill-climb coordinate. A well-timed crash lets the protocol finish
-//! most of its work first, then forces a detection wait plus a
-//! re-routing/re-parenting wave — strictly worse on weighted
+//! probes place each victim on a small time grid, then a
+//! `SearchConfig::mutation` with `Mutation::crash_time_flips` makes the
+//! crash instant a hill-climb coordinate. A well-timed crash lets the
+//! protocol finish most of its work first, then forces a detection wait
+//! plus a re-routing/re-parenting wave — strictly worse on weighted
 //! completion than either the best delay-only schedule (no faults) or
 //! a time-0 crash (the victim never participates, so nothing needs
 //! healing). The winning schedule is shrunk to a 1-minimal witness
@@ -40,8 +40,8 @@
 //! and pin the inequalities.
 
 use csp_adversary::{
-    find_worst_schedule, record, replay_report, shrink, Fallback, Schedule, ScheduleOracle,
-    SearchConfig,
+    find_worst_schedule, record, replay_report, shrink, Fallback, Mutation, Schedule,
+    ScheduleOracle, SearchConfig,
 };
 use csp_algo::resilient::{reconvergence_violation, Metric, Resilient, ResilientOutcome};
 use csp_graph::generators::{self, WeightDist};
@@ -133,7 +133,7 @@ fn main() {
         make,
         &base
             .crash_probes(g.node_count())
-            .crash_time_flips(2)
+            .mutation(Mutation::new().delay_flips(4).crash_time_flips(2))
             .build()
             .expect("crash config is valid"),
     );
