@@ -38,7 +38,7 @@
 //!   protocol × graph grid and [`shrink`]s any violating schedule,
 //!   proptest-style, to a 1-minimal replayable counterexample on disk,
 //!   reporting how often the replay fell back past the recorded horizon
-//!   ([`ReplayReport`]);
+//!   (the [`ScheduleOracle`] counters [`replay_report`] hands back);
 //! * [`trace`] ([`Trace`], [`explore_exhaustive`]) — the run as its
 //!   sequence of dispatch decisions with a dependence relation over
 //!   deliveries, and a sleep-set/DPOR explorer that evaluates exactly
@@ -130,55 +130,16 @@ where
     replay_report(g, make, schedule).0
 }
 
-/// How faithfully a [`replay`] followed its recorded [`Schedule`].
-///
-/// A clean replay has every counter at zero. `past_horizon` counts
-/// decisions requested beyond the recorded transcript (served silently
-/// by the schedule's [`Fallback`] — the failure mode that used to be
-/// invisible); `mismatched` counts dispatches whose message identity
-/// diverged from the recording at the same index.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// `past_horizon + mismatched` — total fallback answers.
-    pub divergences: u64,
-    /// Decisions requested past the recorded horizon.
-    pub past_horizon: u64,
-    /// Recorded decisions that did not match the dispatched message.
-    pub mismatched: u64,
-    /// Messages the schedule dropped during the replay (from the run's
-    /// [`CostReport`](csp_sim::CostReport) fault meters).
-    pub drops: u64,
-    /// Vertices the schedule crashed.
-    pub crashed_nodes: u64,
-    /// Deliveries and timer fires consumed by crashed vertices.
-    pub dead_events: u64,
-    /// Rejoins the schedule performed (crashed vertices restarting with
-    /// fresh protocol state).
-    pub recoveries: u64,
-    /// Mid-run edge-weight revisions the schedule applied.
-    pub weight_revisions: u64,
-}
-
-impl ReplayReport {
-    /// Whether the replayed schedule injected any fault at all.
-    pub fn has_faults(&self) -> bool {
-        self.drops > 0 || self.crashed_nodes > 0 || self.dead_events > 0
-    }
-
-    /// Whether the replayed schedule churned beyond crash-stop —
-    /// rejoins or weight drift.
-    pub fn has_churn(&self) -> bool {
-        self.recoveries > 0 || self.weight_revisions > 0
-    }
-}
-
-/// [`replay`], but also reports how often the run left the recorded
-/// schedule and what faults it suffered (see [`ReplayReport`]).
-pub fn replay_report<P, F>(
+/// [`replay`], but also hands back the [`ScheduleOracle`] the run was
+/// replayed with: its `divergences`, `past_horizon` and `mismatched`
+/// counters say how faithfully the run followed the recording (all zero
+/// on a clean replay), while the faults it suffered are the fault meters
+/// of the run's [`CostReport`](csp_sim::CostReport).
+pub fn replay_report<'s, P, F>(
     g: &WeightedGraph,
     make: F,
-    schedule: &Schedule,
-) -> (Run<P>, ReplayReport)
+    schedule: &'s Schedule,
+) -> (Run<P>, ScheduleOracle<'s>)
 where
     P: Process,
     F: FnMut(NodeId, &WeightedGraph) -> P,
@@ -187,15 +148,5 @@ where
     let run = Simulator::new(g)
         .run_with_oracle(&mut oracle, make)
         .expect("replayed protocol must quiesce");
-    let report = ReplayReport {
-        divergences: oracle.divergences,
-        past_horizon: oracle.past_horizon,
-        mismatched: oracle.mismatched,
-        drops: run.cost.drops,
-        crashed_nodes: run.cost.crashed_nodes,
-        dead_events: run.cost.dead_events,
-        recoveries: run.cost.recoveries,
-        weight_revisions: run.cost.weight_revisions,
-    };
-    (run, report)
+    (run, oracle)
 }

@@ -306,7 +306,8 @@ where
         let (observed, minimal) = shrink(&point.graph, &make, &outcome.schedule, |t| {
             t.get() > claimed
         });
-        let (_, report) = crate::replay_report(&point.graph, &make, &minimal);
+        let (run, oracle) = crate::replay_report(&point.graph, &make, &minimal);
+        let past_horizon = oracle.past_horizon;
         let path = out_dir.map(|dir| {
             let file = dir.join(format!("{}.schedule", sanitize(&point.label)));
             minimal
@@ -333,9 +334,9 @@ where
                              {} past-horizon fallbacks",
                             minimal.dropped_count(),
                             crash_positions(&minimal.plan).len(),
-                            report.recoveries,
-                            report.weight_revisions,
-                            report.past_horizon
+                            run.cost.recoveries,
+                            run.cost.weight_revisions,
+                            past_horizon
                         ),
                     ],
                 )
@@ -348,7 +349,7 @@ where
             observed,
             schedule: minimal,
             path,
-            past_horizon: report.past_horizon,
+            past_horizon,
         });
     }
     refutations

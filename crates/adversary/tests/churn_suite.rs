@@ -14,11 +14,9 @@
 
 mod common;
 
-use common::{
-    curve_workloads, detector, gnp_n12, horizon, load, make, outcome, pick_victim, run_under,
-};
+use common::{curve_workloads, detector, gnp_n12, horizon, load, make, pick_victim, run_under};
 use csp_adversary::{replay_report, ScheduleOracle};
-use csp_algo::resilient::{reconvergence_violation, Metric, Resilient};
+use csp_algo::resilient::{reconvergence_violation, Metric, Resilient, ResilientOutcome};
 use csp_graph::NodeId;
 use csp_sim::{CoreKind, CostClass, Detect, Run, ShardedSimulator, SimTime, Simulator};
 
@@ -49,13 +47,13 @@ fn committed_churn_witness_out_bills_the_best_single_crash() {
     );
 
     // Both witnesses replay faithfully; only the chain churns.
-    let (single_run, single_report) = replay_report::<Detect<Resilient>, _>(&g, make, &single);
-    let (churn_run, churn_report) = replay_report::<Detect<Resilient>, _>(&g, make, &churn);
-    assert_eq!(single_report.divergences, 0, "{single_report:?}");
-    assert_eq!(churn_report.divergences, 0, "{churn_report:?}");
-    assert!(!single_report.has_churn());
-    assert!(churn_report.has_churn());
-    assert_eq!(churn_report.recoveries, 1);
+    let (single_run, single_replay) = replay_report::<Detect<Resilient>, _>(&g, make, &single);
+    let (churn_run, churn_replay) = replay_report::<Detect<Resilient>, _>(&g, make, &churn);
+    assert_eq!(single_replay.divergences, 0);
+    assert_eq!(churn_replay.divergences, 0);
+    assert!(!single_run.cost.has_churn());
+    assert!(churn_run.cost.has_churn());
+    assert_eq!(churn_run.cost.recoveries, 1);
 
     // The inequality the witness exists for: the first heal, the
     // rejoin-era re-synchronisation and the second heal bill strictly
@@ -73,8 +71,8 @@ fn committed_churn_witness_out_bills_the_best_single_crash() {
 fn committed_churn_witness_reconverges_within_the_detection_horizon() {
     let g = gnp_n12();
     let churn = load("churn-resilient-spt-gnp-n12.schedule");
-    let (run, report) = replay_report::<Detect<Resilient>, _>(&g, make, &churn);
-    assert_eq!(report.divergences, 0, "{report:?}");
+    let (run, replayed) = replay_report::<Detect<Resilient>, _>(&g, make, &churn);
+    assert_eq!(replayed.divergences, 0);
 
     // The chain ends with a crash, so the victim is dead in the final
     // configuration; everyone else must hold exact surviving-component
@@ -84,7 +82,7 @@ fn committed_churn_witness_reconverges_within_the_detection_horizon() {
     assert_eq!(chain.len() % 2, 1, "the chain ends dead: {chain:?}");
     let mut dead = vec![false; g.node_count()];
     dead[victim.index()] = true;
-    let out = outcome(&run);
+    let out = ResilientOutcome::of(run, Detect::inner);
     assert_eq!(
         reconvergence_violation(
             &g,

@@ -7,7 +7,7 @@ use csp_adversary::Schedule;
 use csp_algo::resilient::{run_resilient_spt, Metric, Resilient, ResilientOutcome};
 use csp_graph::generators::{self, WeightDist};
 use csp_graph::{NodeId, WeightedGraph};
-use csp_sim::{ChurnOracle, DelayModel, Detect, DetectConfig, ModelOracle, Run, SimTime};
+use csp_sim::{ChurnOracle, DelayModel, Detect, DetectConfig, ModelOracle, SimTime};
 use std::path::PathBuf;
 
 /// A committed schedule from the workspace's `tests/schedules/`.
@@ -35,24 +35,6 @@ pub fn make(v: NodeId, g: &WeightedGraph) -> Detect<Resilient> {
         Resilient::new(v, NodeId::new(0), Metric::Weighted, g),
         detector(),
     )
-}
-
-/// What a replayed run of [`make`]'s stack leaves, in the shape the
-/// contract checks read.
-pub fn outcome(run: &Run<Detect<Resilient>>) -> ResilientOutcome {
-    ResilientOutcome {
-        dists: run.states.iter().map(|s| s.inner().dist()).collect(),
-        parents: run.states.iter().map(|s| s.inner().parent()).collect(),
-        suspected_links: run
-            .states
-            .iter()
-            .map(|s| s.inner().dead_neighbor_count())
-            .sum(),
-        restored_links: run.states.iter().map(|s| s.inner().restored_count()).sum(),
-        retransmissions: 0,
-        failed_channels: 0,
-        cost: run.cost.clone(),
-    }
 }
 
 /// The instances both recovery curves are drawn on.

@@ -17,6 +17,7 @@ use csp_algo::flood::Flood;
 use csp_algo::resilient::{contract_violation, Metric, Resilient, ResilientOutcome};
 use csp_algo::spt::recur::SptRecur;
 use csp_algo::termination::Detector;
+use csp_algo::util::tree_from_parents;
 use csp_graph::generators::{self, WeightDist};
 use csp_graph::{EdgeId, NodeId, Weight, WeightedGraph};
 use csp_sim::{
@@ -49,7 +50,7 @@ fn committed_drop_witness_beats_the_best_delay_only_schedule() {
     assert!(faulty.dropped_count() > 0, "the fault witness must drop");
 
     let clean: Run<Reliable<SptRecur>> = replay(&g, make_reliable_spt, &delay_only);
-    let (lossy, report) = replay_report::<Reliable<SptRecur>, _>(&g, make_reliable_spt, &faulty);
+    let (lossy, replayed) = replay_report::<Reliable<SptRecur>, _>(&g, make_reliable_spt, &faulty);
     assert!(
         lossy.cost.completion > clean.cost.completion,
         "injected drops must strictly increase weighted completion \
@@ -58,7 +59,7 @@ fn committed_drop_witness_beats_the_best_delay_only_schedule() {
         clean.cost.completion
     );
     // Both witnesses are faithful recordings: replay never leaves them.
-    assert_eq!(report.divergences, 0, "{report:?}");
+    assert_eq!(replayed.divergences, 0);
     // And the wrapper still delivered everywhere.
     assert!(lossy.states.iter().all(|s| s.inner().dist().is_some()));
 }
@@ -167,6 +168,33 @@ fn committed_fault_witness_round_trips_under_the_v3_header() {
         .starts_with("csp-adversary-schedule v3\n"));
 }
 
+/// Delivery is what `SPT_recur`'s ack-counting termination assumes, so
+/// under a drop budget below the retry bound the wrapped run keeps the
+/// fault-free protocol's exact distances and spanning tree.
+#[test]
+fn reliable_spt_recur_stays_exact_under_bounded_drops() {
+    let g = gnp_n12();
+    let s = NodeId::new(0);
+    let reference = csp_graph::algo::distances(&g, s);
+    let mut oracle = DropOracle::new(DelayModel::Uniform, 23, 0.3, 4);
+    let run: Run<Reliable<SptRecur>> = Simulator::new(&g)
+        .run_with_oracle(&mut oracle, |v, _| {
+            Reliable::new(SptRecur::new(v, s, 1 << 40), 8)
+        })
+        .unwrap();
+    assert!(run.states[s.index()].inner().finished());
+    assert!(run.states.iter().all(|st| st.failed_channel_count() == 0));
+    for v in g.nodes() {
+        assert_eq!(
+            run.states[v.index()].inner().dist(),
+            Some(reference[v.index()]),
+            "{v}"
+        );
+    }
+    let parents: Vec<_> = run.states.iter().map(|st| st.inner().parent()).collect();
+    assert!(tree_from_parents(&g, s, &parents).is_spanning());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -253,28 +281,7 @@ proptest! {
         );
         prop_assert_eq!(bucket.cost.crashed_nodes, 1);
 
-        let peel = |s: &Detect<Reliable<Resilient>>| -> Resilient { s.inner().inner().clone() };
-        let out = ResilientOutcome {
-            dists: bucket.states.iter().map(|s| peel(s).dist()).collect(),
-            parents: bucket.states.iter().map(|s| peel(s).parent()).collect(),
-            suspected_links: bucket
-                .states
-                .iter()
-                .map(|s| peel(s).dead_neighbor_count())
-                .sum(),
-            restored_links: bucket
-                .states
-                .iter()
-                .map(|s| peel(s).restored_count())
-                .sum(),
-            retransmissions: bucket.states.iter().map(|s| s.inner().retransmissions()).sum(),
-            failed_channels: bucket
-                .states
-                .iter()
-                .map(|s| s.inner().failed_channel_count())
-                .sum(),
-            cost: bucket.cost.clone(),
-        };
+        let out = ResilientOutcome::of(bucket, |s| s.inner().inner());
         let mut dead = vec![false; g.node_count()];
         dead[victim.index()] = true;
         prop_assert_eq!(contract_violation(&g, root, metric, &dead, &out), None);

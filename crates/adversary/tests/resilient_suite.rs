@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{curve_workloads, gnp_n12, horizon, load, make, outcome, pick_victim, run_under};
+use common::{curve_workloads, gnp_n12, horizon, load, make, pick_victim, run_under};
 use csp_adversary::{replay, replay_report, Fallback, ScheduleOracle};
 use csp_algo::resilient::{contract_violation, Metric, Resilient, ResilientOutcome};
 use csp_graph::NodeId;
@@ -31,10 +31,10 @@ fn committed_crash_witness_beats_delay_only_and_a_time_zero_crash() {
     assert!(crash[0] > SimTime::ZERO, "the crash is *timed*, not at 0");
 
     let clean: Run<Detect<Resilient>> = replay(&g, make, &delay_only);
-    let (late, report) = replay_report::<Detect<Resilient>, _>(&g, make, &witness);
+    let (late, replayed) = replay_report::<Detect<Resilient>, _>(&g, make, &witness);
     // Faithful recordings: neither replay ever leaves its schedule.
-    assert_eq!(report.divergences, 0, "{report:?}");
-    assert!(report.has_faults() && report.crashed_nodes == 1);
+    assert_eq!(replayed.divergences, 0);
+    assert!(late.cost.has_faults() && late.cost.crashed_nodes == 1);
 
     // The same transcript with the crash moved to time 0: the victim
     // never participates, so the survivors pay no recovery.
@@ -73,14 +73,14 @@ fn committed_crash_witness_beats_delay_only_and_a_time_zero_crash() {
 fn committed_crash_witness_still_satisfies_the_surviving_component_contract() {
     let g = gnp_n12();
     let witness = load("crash-resilient-spt-gnp-n12.schedule");
-    let (run, report) = replay_report::<Detect<Resilient>, _>(&g, make, &witness);
-    assert_eq!(report.divergences, 0, "{report:?}");
+    let (run, replayed) = replay_report::<Detect<Resilient>, _>(&g, make, &witness);
+    assert_eq!(replayed.divergences, 0);
 
     let mut dead = vec![false; g.node_count()];
     for (victim, _) in &witness.plan.churn {
         dead[victim.index()] = true;
     }
-    let out = outcome(&run);
+    let out = ResilientOutcome::of(run, Detect::inner);
     assert_eq!(
         contract_violation(&g, NodeId::new(0), Metric::Weighted, &dead, &out),
         None,

@@ -36,7 +36,6 @@ pub mod full_info;
 pub mod global;
 pub mod leader;
 pub mod mst;
-pub mod reliable;
 pub mod resilient;
 pub mod slt_dist;
 pub mod spt;

@@ -4,10 +4,10 @@
 //! The paper's protocols assume a fixed fault-free network. [`Resilient`]
 //! is one distance-vector state machine covering both weighted regimes
 //! that *survives vertex crashes*: hosted under the simulator's
-//! [`Detect`] failure detector (and optionally the [`Reliable`]
-//! retransmission wrapper), it reacts to `peer_suspected` /
-//! `channel_failed` upcalls by routing around dead channels and
-//! re-parenting orphaned subtrees.
+//! [`Detect`] failure detector (and optionally the
+//! [`Reliable`](csp_sim::Reliable) retransmission wrapper), it reacts
+//! to `peer_suspected` / `channel_failed` upcalls by routing around
+//! dead channels and re-parenting orphaned subtrees.
 //!
 //! # The protocol
 //!
@@ -73,8 +73,8 @@
 
 use csp_graph::{NodeId, WeightedGraph};
 use csp_sim::{
-    Context, CostClass, CostReport, Detect, DetectConfig, FaultAware, LinkOracle, Process,
-    Reliable, Run, SimError, Simulator,
+    Context, CostClass, CostReport, Detect, DetectConfig, FaultAware, LinkOracle, Process, Run,
+    SimError, Simulator,
 };
 
 /// Which cost the distance-vector computation minimizes.
@@ -148,11 +148,6 @@ impl Resilient {
     /// vertices).
     pub fn parent(&self) -> Option<NodeId> {
         self.parent
-    }
-
-    /// Whether a fault upcall has marked `peer` dead.
-    pub fn knows_dead(&self, peer: NodeId) -> bool {
-        self.dead[peer.index()]
     }
 
     /// Number of neighbors *currently* marked dead — a restoration
@@ -271,7 +266,7 @@ impl FaultAware for Resilient {
 }
 
 /// Outcome of a self-healing run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ResilientOutcome {
     /// Per-vertex distance to the source at quiescence (`None` at
     /// crashed, retracted and never-reached vertices).
@@ -286,47 +281,37 @@ pub struct ResilientOutcome {
     /// Restore upcalls consumed over all vertices: each one paid an
     /// `Auxiliary` re-announcement toward the rejoined neighbor.
     pub restored_links: u64,
-    /// Retransmissions performed by the [`Reliable`] layer — `0` for the
-    /// crash-only stack.
-    pub retransmissions: u64,
-    /// Channels the [`Reliable`] layer abandoned — `0` for the
-    /// crash-only stack.
-    pub failed_channels: usize,
     /// Metered costs: announcements under `Protocol`; heartbeats, acks
     /// and retransmissions under `Auxiliary`. Fault meters (`drops`,
-    /// `crashed_nodes`, `dead_events`) record what the adversary did.
+    /// `crashed_nodes`, `dead_events`, `recoveries`,
+    /// `weight_revisions`) record what the adversary did.
     pub cost: CostReport,
 }
 
-/// Runs the crash-tolerant flood ([`Metric::Hops`]) under `oracle` on
-/// the `Detect<Resilient>` stack.
-///
-/// Crash-only tolerance: the detector handles dead vertices, but a
-/// dropped announcement is simply lost — combine with [`Reliable`] via
-/// [`run_resilient_flood_reliable`] when the adversary also drops
-/// messages.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range.
-pub fn run_resilient_flood<O>(
-    g: &WeightedGraph,
-    root: NodeId,
-    oracle: &mut O,
-    cfg: DetectConfig,
-) -> Result<ResilientOutcome, SimError>
-where
-    O: LinkOracle + ?Sized,
-{
-    run_detected(g, root, Metric::Hops, oracle, cfg)
+impl ResilientOutcome {
+    /// Reads a finished run of any stack hosting [`Resilient`]; `peel`
+    /// reaches the protocol inside one vertex's stack (`Detect::inner`
+    /// for `Detect<Resilient>`, `|d| d.inner().inner()` for
+    /// `Detect<Reliable<Resilient>>`). The run is taken by value, so its
+    /// [`CostReport`] moves into the outcome.
+    pub fn of<S>(run: Run<S>, peel: impl Fn(&S) -> &Resilient) -> Self {
+        let peeled = || run.states.iter().map(&peel);
+        ResilientOutcome {
+            dists: peeled().map(Resilient::dist).collect(),
+            parents: peeled().map(Resilient::parent).collect(),
+            suspected_links: peeled().map(Resilient::dead_neighbor_count).sum(),
+            restored_links: peeled().map(Resilient::restored_count).sum(),
+            cost: run.cost,
+        }
+    }
 }
 
 /// Runs the crash-tolerant SPT ([`Metric::Weighted`]) under `oracle` on
 /// the `Detect<Resilient>` stack.
+///
+/// Any other stack — the hop metric, or [`Reliable`](csp_sim::Reliable)
+/// under the detector when the adversary also drops messages — is one
+/// [`Simulator`] run read by [`ResilientOutcome::of`].
 ///
 /// # Errors
 ///
@@ -344,123 +329,11 @@ pub fn run_resilient_spt<O>(
 where
     O: LinkOracle + ?Sized,
 {
-    run_detected(g, s, Metric::Weighted, oracle, cfg)
-}
-
-fn run_detected<O>(
-    g: &WeightedGraph,
-    source: NodeId,
-    metric: Metric,
-    oracle: &mut O,
-    cfg: DetectConfig,
-) -> Result<ResilientOutcome, SimError>
-where
-    O: LinkOracle + ?Sized,
-{
-    g.check_node(source);
-    let run: Run<Detect<Resilient>> = Simulator::new(g).run_with_oracle(oracle, |v, _| {
-        Detect::new(Resilient::new(v, source, metric, g), cfg)
+    g.check_node(s);
+    let run = Simulator::new(g).run_with_oracle(oracle, |v, _| {
+        Detect::new(Resilient::new(v, s, Metric::Weighted, g), cfg)
     })?;
-    Ok(collect(g, run, |d| d.inner(), 0, 0))
-}
-
-/// Runs the full drop-and-crash-tolerant stack
-/// `Detect<Reliable<Resilient>>` under `oracle`.
-///
-/// The reliability layer restores exactly the delivery assumption the
-/// distance-vector fixpoint argument needs (every announcement
-/// eventually arrives), so the contract survives adversaries that both
-/// drop messages (below the retry bound) and crash vertices (within the
-/// detection horizon). `metric` picks flood versus SPT.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-pub fn run_resilient_reliable<O>(
-    g: &WeightedGraph,
-    source: NodeId,
-    metric: Metric,
-    oracle: &mut O,
-    cfg: DetectConfig,
-    max_retries: u32,
-) -> Result<ResilientOutcome, SimError>
-where
-    O: LinkOracle + ?Sized,
-{
-    g.check_node(source);
-    let run: Run<Detect<Reliable<Resilient>>> =
-        Simulator::new(g).run_with_oracle(oracle, |v, _| {
-            Detect::new(
-                Reliable::new(Resilient::new(v, source, metric, g), max_retries),
-                cfg,
-            )
-        })?;
-    let retransmissions = run.states.iter().map(|d| d.inner().retransmissions()).sum();
-    let failed = run
-        .states
-        .iter()
-        .map(|d| d.inner().failed_channel_count())
-        .sum();
-    Ok(collect(
-        g,
-        run,
-        |d| d.inner().inner(),
-        retransmissions,
-        failed,
-    ))
-}
-
-/// Convenience alias for the combined stack with [`Metric::Hops`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_resilient_flood_reliable<O>(
-    g: &WeightedGraph,
-    root: NodeId,
-    oracle: &mut O,
-    cfg: DetectConfig,
-    max_retries: u32,
-) -> Result<ResilientOutcome, SimError>
-where
-    O: LinkOracle + ?Sized,
-{
-    run_resilient_reliable(g, root, Metric::Hops, oracle, cfg, max_retries)
-}
-
-fn collect<S, F>(
-    g: &WeightedGraph,
-    run: Run<S>,
-    unwrap: F,
-    retransmissions: u64,
-    failed_channels: usize,
-) -> ResilientOutcome
-where
-    S: Process,
-    F: Fn(&S) -> &Resilient,
-{
-    let _ = g;
-    let dists = run.states.iter().map(|s| unwrap(s).dist()).collect();
-    let parents = run.states.iter().map(|s| unwrap(s).parent()).collect();
-    let suspected_links = run
-        .states
-        .iter()
-        .map(|s| unwrap(s).dead_neighbor_count())
-        .sum();
-    let restored_links = run.states.iter().map(|s| unwrap(s).restored_count()).sum();
-    ResilientOutcome {
-        dists,
-        parents,
-        suspected_links,
-        restored_links,
-        retransmissions,
-        failed_channels,
-        cost: run.cost,
-    }
+    Ok(ResilientOutcome::of(run, Detect::inner))
 }
 
 /// Checks the self-healing contract against the reference subgraph
@@ -580,7 +453,9 @@ pub fn reconvergence_violation(
 mod tests {
     use super::*;
     use csp_graph::generators::{self, WeightDist};
-    use csp_sim::{ChurnOracle, CrashOracle, DelayModel, DropOracle, ModelOracle, SimTime};
+    use csp_sim::{
+        ChurnOracle, CrashOracle, DelayModel, DropOracle, ModelOracle, Reliable, SimTime,
+    };
 
     fn gnp() -> WeightedGraph {
         generators::connected_gnp(12, 0.3, WeightDist::Uniform(1, 16), 42)
@@ -596,6 +471,20 @@ mod tests {
         CrashOracle::new(ModelOracle::new(DelayModel::WorstCase, 0), crashes)
     }
 
+    /// The crash-tolerant flood: `Detect<Resilient>` under
+    /// [`Metric::Hops`] from vertex 0.
+    fn flood(g: &WeightedGraph, oracle: &mut impl LinkOracle) -> ResilientOutcome {
+        let run = Simulator::new(g)
+            .run_with_oracle(oracle, |v, g| {
+                Detect::new(
+                    Resilient::new(v, NodeId::new(0), Metric::Hops, g),
+                    wide_cfg(),
+                )
+            })
+            .unwrap();
+        ResilientOutcome::of(run, Detect::inner)
+    }
+
     fn dead_mask(n: usize, crashes: &[(NodeId, SimTime)]) -> Vec<bool> {
         let mut dead = vec![false; n];
         for &(v, _) in crashes {
@@ -607,8 +496,7 @@ mod tests {
     #[test]
     fn crash_free_flood_matches_plain_bfs() {
         let g = gnp();
-        let mut oracle = ModelOracle::new(DelayModel::WorstCase, 0);
-        let out = run_resilient_flood(&g, NodeId::new(0), &mut oracle, wide_cfg()).unwrap();
+        let out = flood(&g, &mut ModelOracle::new(DelayModel::WorstCase, 0));
         let dead = vec![false; g.node_count()];
         assert_eq!(
             contract_violation(&g, NodeId::new(0), Metric::Hops, &dead, &out),
@@ -637,8 +525,7 @@ mod tests {
     fn flood_survives_a_mid_run_crash() {
         let g = gnp();
         let crashes = vec![(NodeId::new(5), SimTime::new(20))];
-        let mut oracle = crash_only(crashes.clone());
-        let out = run_resilient_flood(&g, NodeId::new(0), &mut oracle, wide_cfg()).unwrap();
+        let out = flood(&g, &mut crash_only(crashes.clone()));
         let dead = dead_mask(g.node_count(), &crashes);
         assert_eq!(
             contract_violation(&g, NodeId::new(0), Metric::Hops, &dead, &out),
@@ -689,9 +576,10 @@ mod tests {
     #[test]
     fn source_crash_retracts_everyone() {
         let g = gnp();
-        let crashes = vec![(NodeId::new(0), SimTime::new(25))];
-        let mut oracle = crash_only(crashes.clone());
-        let out = run_resilient_flood(&g, NodeId::new(0), &mut oracle, wide_cfg()).unwrap();
+        let out = flood(
+            &g,
+            &mut crash_only(vec![(NodeId::new(0), SimTime::new(25))]),
+        );
         for v in g.nodes().filter(|&v| v != NodeId::new(0)) {
             assert_eq!(out.dists[v.index()], None, "{v}");
         }
@@ -707,9 +595,13 @@ mod tests {
             let lossy = DropOracle::new(DelayModel::Uniform, seed, 0.3, 3);
             let mut oracle = CrashOracle::new(lossy, crashes.clone());
             let cfg = DetectConfig::new(4, 60, 3);
-            let out =
-                run_resilient_reliable(&g, NodeId::new(0), Metric::Weighted, &mut oracle, cfg, 8)
-                    .unwrap();
+            let run = Simulator::new(&g)
+                .run_with_oracle(&mut oracle, |v, g| {
+                    let spt = Resilient::new(v, NodeId::new(0), Metric::Weighted, g);
+                    Detect::new(Reliable::new(spt, 8), cfg)
+                })
+                .unwrap();
+            let out = ResilientOutcome::of(run, |d| d.inner().inner());
             let dead = dead_mask(g.node_count(), &crashes);
             assert_eq!(
                 contract_violation(&g, NodeId::new(0), Metric::Weighted, &dead, &out),
@@ -850,5 +742,33 @@ mod tests {
             late.cost.comm_of(CostClass::Protocol),
             early.cost.comm_of(CostClass::Protocol)
         );
+    }
+
+    #[test]
+    fn the_runner_is_one_run_read_by_of() {
+        // Drops, a crash-rejoin chain and a weight revision, so every
+        // field of the outcome — the fault and churn meters included —
+        // is exercised by the comparison.
+        let g = gnp();
+        let oracle = || {
+            ChurnOracle::new(
+                DropOracle::new(DelayModel::Uniform, 3, 0.2, 1),
+                vec![(NodeId::new(5), vec![SimTime::new(20), SimTime::new(120)])],
+                vec![(
+                    csp_graph::EdgeId::new(2),
+                    SimTime::new(40),
+                    csp_graph::Weight::new(9),
+                )],
+            )
+        };
+        let cfg = DetectConfig::new(4, 60, 1);
+        let runner = run_resilient_spt(&g, NodeId::new(0), &mut oracle(), cfg).unwrap();
+        let run = Simulator::new(&g)
+            .run_with_oracle(&mut oracle(), |v, g| {
+                Detect::new(Resilient::new(v, NodeId::new(0), Metric::Weighted, g), cfg)
+            })
+            .unwrap();
+        assert_eq!(ResilientOutcome::of(run, Detect::inner), runner);
+        assert!(runner.cost.has_faults() && runner.cost.has_churn());
     }
 }

@@ -22,16 +22,6 @@ impl Components {
         self.count
     }
 
-    /// Component index of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn component_of(&self, v: NodeId) -> usize {
-        self.label[v.index()]
-    }
-
     /// Whether `u` and `v` are in the same component.
     #[inline]
     pub fn same(&self, u: NodeId, v: NodeId) -> bool {

@@ -435,17 +435,6 @@ impl Partition {
         self.clusters.is_empty()
     }
 
-    /// The adjacent-cluster lists: `neighbors[c]` holds the clusters
-    /// sharing a preferred edge with `c`.
-    pub fn cluster_neighbors(&self) -> Vec<Vec<usize>> {
-        let mut nbrs = vec![Vec::new(); self.clusters.len()];
-        for &(_, a, b) in &self.preferred {
-            nbrs[a].push(b);
-            nbrs[b].push(a);
-        }
-        nbrs
-    }
-
     /// Maximum hop depth over all cluster trees.
     pub fn max_tree_depth(&self) -> usize {
         self.trees

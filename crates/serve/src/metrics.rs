@@ -103,6 +103,10 @@ pub struct ServeMetrics {
     pub crashed_nodes: u64,
     /// Crash-consumed events across all evaluated scenarios.
     pub dead_events: u64,
+    /// Rejoins of crashed vertices across all evaluated scenarios.
+    pub recoveries: u64,
+    /// Mid-run edge-weight revisions across all evaluated scenarios.
+    pub weight_revisions: u64,
     /// Per-worker breakdown.
     pub workers: Vec<WorkerMetrics>,
 }
@@ -141,6 +145,8 @@ impl ServeMetrics {
         self.drops += report.drops;
         self.crashed_nodes += report.crashed_nodes;
         self.dead_events += report.dead_events;
+        self.recoveries += report.recoveries;
+        self.weight_revisions += report.weight_revisions;
         if let Some(w) = self.workers.get_mut(worker) {
             w.evals += 1;
             w.messages += report.messages;
@@ -189,6 +195,8 @@ impl ServeMetrics {
             ("drops", Json::num(self.drops as f64)),
             ("crashed_nodes", Json::num(self.crashed_nodes as f64)),
             ("dead_events", Json::num(self.dead_events as f64)),
+            ("recoveries", Json::num(self.recoveries as f64)),
+            ("weight_revisions", Json::num(self.weight_revisions as f64)),
             (
                 "workers",
                 Json::Arr(self.workers.iter().map(WorkerMetrics::to_json).collect()),

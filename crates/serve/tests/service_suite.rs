@@ -294,6 +294,16 @@ fn churn_schedules_evaluate_warm_equals_cold() {
         report.get("weight_revisions").and_then(Json::as_u64),
         Some(1)
     );
+
+    // `stats` folds them over evaluated scenarios: the miss counts once
+    // and the FULL hit is not metered again.
+    let stats = warm.handle(&Json::obj(vec![("type", Json::str("stats"))]));
+    let stats = stats[0].get("stats").unwrap();
+    assert_eq!(stats.get("recoveries").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        stats.get("weight_revisions").and_then(Json::as_u64),
+        Some(1)
+    );
 }
 
 #[test]

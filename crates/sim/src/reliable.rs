@@ -397,6 +397,15 @@ mod tests {
         assert!(run.states.iter().all(|s| s.inner().reached));
         // Overhead exists (one ack per delivered data message at least).
         assert!(run.cost.comm_of(CostClass::Auxiliary).raw() > 0);
+        // Without faults nothing is retransmitted, so the original
+        // traffic meters exactly as the bare run's does.
+        let bare = Simulator::new(&g)
+            .run(|v, _| make(v, &g).into_inner())
+            .unwrap();
+        assert_eq!(
+            run.cost.comm_of(CostClass::Protocol),
+            bare.cost.comm_of(CostClass::Protocol)
+        );
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn main() {
         ScheduleOracle::new(&undropped),
         Fallback::WorstCase,
     );
-    let (lossy, report) = replay_report::<Reliable<SptRecur>, _>(&g, make, &shrunk);
+    let (lossy, _) = replay_report::<Reliable<SptRecur>, _>(&g, make, &shrunk);
     println!(
         "  auxiliary comm {} (same delays, no drops) -> {} (under drops)",
         clean.cost.comm_of(CostClass::Auxiliary),
@@ -144,13 +144,13 @@ fn main() {
         "  fault meters: {} drops, {} crashed vertices, {} dead events, \
          {} retransmissions, {} abandoned channels, {} recoveries, \
          {} weight revisions",
-        report.drops,
-        report.crashed_nodes,
-        report.dead_events,
+        lossy.cost.drops,
+        lossy.cost.crashed_nodes,
+        lossy.cost.dead_events,
         retransmissions,
         failed_channels,
-        report.recoveries,
-        report.weight_revisions
+        lossy.cost.recoveries,
+        lossy.cost.weight_revisions
     );
 
     // The reachability contract, asserted explicitly rather than read

@@ -222,18 +222,18 @@ fn main() {
         "a well-timed crash must force measurably more recovery traffic"
     );
 
-    // The witness replays faithfully, and the report surfaces what the
-    // adversary actually did to the run.
-    let (_, report) = replay_report::<Detect<Resilient>, _>(&g, make, &shrunk);
-    assert_eq!(report.divergences, 0, "the witness must replay exactly");
+    // The witness replays faithfully, and the run's cost report surfaces
+    // what the adversary actually did to it.
+    let (replayed, oracle) = replay_report::<Detect<Resilient>, _>(&g, make, &shrunk);
+    assert_eq!(oracle.divergences, 0, "the witness must replay exactly");
     println!(
         "  fault meters: {} drops, {} crashed vertices, {} dead events, \
          {} recoveries, {} weight revisions",
-        report.drops,
-        report.crashed_nodes,
-        report.dead_events,
-        report.recoveries,
-        report.weight_revisions
+        replayed.cost.drops,
+        replayed.cost.crashed_nodes,
+        replayed.cost.dead_events,
+        replayed.cost.recoveries,
+        replayed.cost.weight_revisions
     );
 
     // Churn beyond crash-stop: crash the victim, rejoin it, crash it
@@ -305,46 +305,27 @@ fn main() {
     // recovery, and the healed run still satisfies the reconvergence
     // contract: exact surviving-component routes, settled within the
     // detector-derived horizon of the *last* churn event.
-    let (churn_run, churn_report) =
+    let (churn_run, churn_replay) =
         replay_report::<Detect<Resilient>, _>(&g, make, &churn_schedule);
     assert_eq!(
-        churn_report.divergences, 0,
+        churn_replay.divergences, 0,
         "the witness must replay exactly"
     );
+    let churn_out = ResilientOutcome::of(churn_run, Detect::inner);
+    let churn_cost = &churn_out.cost;
     assert!(
-        churn_report.has_churn(),
+        churn_cost.has_churn(),
         "the witness churns beyond crash-stop"
     );
     println!(
         "  churn meters: {} recoveries, {} weight revisions, auxiliary \
          re-announcement comm {}",
-        churn_report.recoveries,
-        churn_report.weight_revisions,
-        churn_run.cost.comm_of(CostClass::Auxiliary)
+        churn_cost.recoveries,
+        churn_cost.weight_revisions,
+        churn_cost.comm_of(CostClass::Auxiliary)
     );
     let mut dead = vec![false; g.node_count()];
     dead[witness_victim.index()] = true;
-    let churn_out = ResilientOutcome {
-        dists: churn_run.states.iter().map(|s| s.inner().dist()).collect(),
-        parents: churn_run
-            .states
-            .iter()
-            .map(|s| s.inner().parent())
-            .collect(),
-        suspected_links: churn_run
-            .states
-            .iter()
-            .map(|s| s.inner().dead_neighbor_count())
-            .sum(),
-        restored_links: churn_run
-            .states
-            .iter()
-            .map(|s| s.inner().restored_count())
-            .sum(),
-        retransmissions: 0,
-        failed_channels: 0,
-        cost: churn_run.cost.clone(),
-    };
     let last_churn = *churn_chain.last().expect("the chain is non-empty");
     let max_w = g.max_weight().get();
     assert_eq!(
@@ -403,8 +384,8 @@ fn main() {
                 ),
                 format!(
                     "{} recoveries, auxiliary re-sync comm {}",
-                    churn_report.recoveries,
-                    churn_run.cost.comm_of(CostClass::Auxiliary)
+                    churn_cost.recoveries,
+                    churn_cost.comm_of(CostClass::Auxiliary)
                 ),
             ],
         )

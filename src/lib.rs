@@ -68,8 +68,8 @@ pub mod prelude {
     pub use csp_adversary::{
         check_time_bound, explore_exhaustive, find_worst_schedule, record, replay, replay_report,
         shrink, ConfigError, CriticalPathOracle, Decision, Fallback, GridPoint, Mutation,
-        OccurrenceOracle, Recorder, ReplayReport, Schedule, ScheduleOracle, SearchConfig,
-        SearchConfigBuilder, SearchOutcome, Trace, TraceStep, DEFAULT_CLASS_BUDGET,
+        OccurrenceOracle, Recorder, Schedule, ScheduleOracle, SearchConfig, SearchConfigBuilder,
+        SearchOutcome, Trace, TraceStep, DEFAULT_CLASS_BUDGET,
     };
     pub use csp_algo::catalogue::{Bound, Bounds, Claim, Outcome, ProcessVisitor};
     pub use csp_algo::global::{
@@ -77,10 +77,8 @@ pub mod prelude {
         TreeKind, Xor,
     };
     pub use csp_algo::leader::run_leader_election;
-    pub use csp_algo::reliable::{run_reliable_flood, run_reliable_spt_recur};
     pub use csp_algo::resilient::{
-        contract_violation, run_resilient_flood, run_resilient_flood_reliable,
-        run_resilient_reliable, run_resilient_spt, Metric, Resilient, ResilientOutcome,
+        contract_violation, run_resilient_spt, Metric, Resilient, ResilientOutcome,
     };
     pub use csp_algo::spt::synch::run_spt_synch_ideal;
     pub use csp_algo::termination::run_with_termination_detection;

@@ -247,6 +247,13 @@ fn explorer_outcomes() -> String {
     for budget in [4096, 65_536] {
         text += &line("flood gnp(8,0.25,U(1,2),8)", &g, flood(), budget);
     }
+    // Every `spt_recur` cell of the grid above ends with best_time ==
+    // worst_case, so none of them shows the explorer beating WorstCase.
+    // This timing-dependent one does: a delivery order that finishes
+    // at 10 where WorstCase finishes at 8.
+    let g = generators::connected_gnp(6, 0.5, Uniform(1, 2), 3);
+    let spt = |v, _: &WeightedGraph| SptRecur::new(v, NodeId::new(0), 1 << 40);
+    text += &line("spt_recur gnp(6,0.5,U(1,2),3)", &g, spt, 4096);
     text
 }
 
