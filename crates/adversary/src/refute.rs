@@ -287,8 +287,8 @@ pub fn check_time_bound<P, F, B>(
     out_dir: Option<&Path>,
 ) -> Vec<Refutation>
 where
-    P: Process + Clone + Sync,
-    P::Msg: Clone + Sync,
+    P: Process + Clone + Send + Sync,
+    P::Msg: Clone + Send + Sync,
     F: Fn(NodeId, &WeightedGraph) -> P + Sync,
     B: Fn(&GridPoint) -> u64,
 {

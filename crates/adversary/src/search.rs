@@ -803,8 +803,8 @@ impl Mutation {
 /// thread count.
 pub fn find_worst_schedule<P, F>(g: &WeightedGraph, make: F, cfg: &SearchConfig) -> SearchOutcome
 where
-    P: Process + Clone + Sync,
-    P::Msg: Clone + Sync,
+    P: Process + Clone + Send + Sync,
+    P::Msg: Clone + Send + Sync,
     F: Fn(NodeId, &WeightedGraph) -> P + Sync,
 {
     let threads = cfg.worker_threads();

@@ -350,8 +350,8 @@ pub trait ProcessVisitor {
     /// panicking if the run did not compute what the row promises.
     fn visit<P, F, C>(self, make: F, check: C) -> Self::Output
     where
-        P: Process + Clone + Sync,
-        P::Msg: Sync,
+        P: Process + Clone + Send + Sync,
+        P::Msg: Send + Sync,
         F: Fn(NodeId, &WeightedGraph) -> P + Sync,
         C: FnOnce(Run<P>) -> Outcome;
 }
@@ -367,8 +367,8 @@ impl<O: LinkOracle> ProcessVisitor for Simulate<'_, O> {
 
     fn visit<P, F, C>(mut self, make: F, check: C) -> Self::Output
     where
-        P: Process + Clone + Sync,
-        P::Msg: Sync,
+        P: Process + Clone + Send + Sync,
+        P::Msg: Send + Sync,
         F: Fn(NodeId, &WeightedGraph) -> P + Sync,
         C: FnOnce(Run<P>) -> Outcome,
     {
@@ -711,7 +711,7 @@ fn global<V: ProcessVisitor>(
 }
 
 /// `MST_centr` and `SPT_centr`: the growth engine under `rule`.
-fn growth<V: ProcessVisitor, R: GrowthRule + Sync>(
+fn growth<V: ProcessVisitor, R: GrowthRule + Send + Sync>(
     visitor: V,
     g: &WeightedGraph,
     root: NodeId,
@@ -1002,8 +1002,8 @@ mod tests {
             type Output = ();
             fn visit<P, F, C>(self, _make: F, _check: C)
             where
-                P: Process + Clone + Sync,
-                P::Msg: Sync,
+                P: Process + Clone + Send + Sync,
+                P::Msg: Send + Sync,
                 F: Fn(NodeId, &WeightedGraph) -> P + Sync,
                 C: FnOnce(Run<P>) -> Outcome,
             {

@@ -453,8 +453,9 @@ pub fn reconvergence_violation(
 mod tests {
     use super::*;
     use csp_graph::generators::{self, WeightDist};
+    use csp_graph::{EdgeId, Weight};
     use csp_sim::{
-        ChurnOracle, CrashOracle, DelayModel, DropOracle, ModelOracle, Reliable, SimTime,
+        ChurnOracle, CoreKind, CrashOracle, DelayModel, DropOracle, ModelOracle, Reliable, SimTime,
     };
 
     fn gnp() -> WeightedGraph {
@@ -644,6 +645,50 @@ mod tests {
         assert_eq!(out.suspected_links, 0, "no channel stays marked dead");
         assert_eq!(out.cost.recoveries, 1);
         assert!(out.cost.has_churn());
+    }
+
+    #[test]
+    fn checkpoints_resume_like_cold_runs_under_churn() {
+        // A crash-and-rejoin plus a weight revision: checkpoints hold
+        // pending heartbeat and watch timers, stale timers of the
+        // crashed incarnation and the stashed rejoin state. Each one,
+        // resumed on the core that took it, must end where the cold run
+        // does — the scheduler's overflow meter included, which report
+        // equality leaves out.
+        let g = gnp();
+        let oracle = || {
+            ChurnOracle::new(
+                ModelOracle::new(DelayModel::WorstCase, 0),
+                vec![(NodeId::new(5), vec![SimTime::new(20), SimTime::new(120)])],
+                vec![(EdgeId::new(3), SimTime::new(60), Weight::new(2))],
+            )
+        };
+        let make = |v, g: &WeightedGraph| {
+            Detect::new(
+                Resilient::new(v, NodeId::new(0), Metric::Weighted, g),
+                wide_cfg(),
+            )
+        };
+        for kind in [CoreKind::Bucket, CoreKind::Heap] {
+            let mut sim = Simulator::new(&g);
+            sim.core(kind);
+            let cold = ResilientOutcome::of(
+                sim.run_with_oracle(&mut oracle(), make).unwrap(),
+                Detect::inner,
+            );
+            let mut cps = Vec::new();
+            sim.run_with_checkpoints(&mut oracle(), make, 16, &mut cps)
+                .unwrap();
+            assert!(cps.len() > 20, "{kind:?}: {} checkpoints", cps.len());
+            for cp in &cps {
+                let resumed = sim
+                    .resume(cp, &mut ModelOracle::new(DelayModel::WorstCase, 0))
+                    .unwrap();
+                let resumed = ResilientOutcome::of(resumed, Detect::inner);
+                assert_eq!(resumed, cold, "{kind:?} at checkpoint {}", cp.messages());
+                assert_eq!(resumed.cost.overflow_pushes, cold.cost.overflow_pushes);
+            }
+        }
     }
 
     #[test]

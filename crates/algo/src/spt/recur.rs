@@ -89,8 +89,8 @@ pub struct SptRecur {
 }
 
 // Hand-written so `clone_from` reuses the `intro_children` buffer: the
-// adversary's checkpoint-restore path clones whole state vectors per
-// candidate, and `Vec<SptRecur>::clone_from` delegates element-wise.
+// adversary's checkpoint restore overwrites every pooled state with the
+// snapshot's by `clone_from`, once per candidate.
 impl Clone for SptRecur {
     fn clone(&self) -> Self {
         SptRecur {

@@ -743,8 +743,8 @@ impl ProcessVisitor for Search<'_> {
 
     fn visit<P, F, C>(self, make: F, _check: C) -> SearchOutcome
     where
-        P: Process + Clone + Sync,
-        P::Msg: Sync,
+        P: Process + Clone + Send + Sync,
+        P::Msg: Send + Sync,
         F: Fn(NodeId, &WeightedGraph) -> P + Sync,
         C: FnOnce(Run<P>) -> Outcome,
     {

@@ -586,8 +586,10 @@ impl<P: Process + Clone> StackCache<P> {
     /// exceeds the schedule's recorded horizon are skipped: past the
     /// horizon the oracle was in fallback territory, and a different
     /// submitted schedule extending the same prefix could legitimately
-    /// diverge there. The cache keeps copies of the borrowed snapshots;
-    /// the service moves a run's own in.
+    /// diverge there. The cache keeps clones of the borrowed snapshots;
+    /// a clone shares the snapshot's pages and queue segments rather
+    /// than copying simulation state, and the service moves a run's own
+    /// in.
     pub fn insert_checkpoints(
         &mut self,
         scenario_key: &str,

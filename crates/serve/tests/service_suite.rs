@@ -1230,10 +1230,29 @@ fn a_malformed_plan_gets_one_verdict_from_kernel_parser_and_service() {
 /// Runs the `csp-serve` binary over `input` until it exits on its own,
 /// returning the lines it wrote.
 fn binary_session(input: &[u8]) -> Vec<Json> {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_csp-serve"));
+    child.args(["--threads", "1"]);
+    session_of(child, input)
+}
+
+/// [`binary_session`] with the child's address space capped at
+/// `kib` KiB (`ulimit -v`), so an allocation past it aborts the child.
+fn capped_binary_session(kib: u64, input: &[u8]) -> Vec<Json> {
+    let mut child = std::process::Command::new("sh");
+    child.args([
+        "-c",
+        &format!(r#"ulimit -v {kib}; exec "$0" "$@""#),
+        env!("CARGO_BIN_EXE_csp-serve"),
+        "--threads",
+        "1",
+    ]);
+    session_of(child, input)
+}
+
+fn session_of(mut command: std::process::Command, input: &[u8]) -> Vec<Json> {
     use std::io::{BufRead, BufReader, Write};
-    use std::process::{Command, Stdio};
-    let mut child = Command::new(env!("CARGO_BIN_EXE_csp-serve"))
-        .args(["--threads", "1"])
+    use std::process::Stdio;
+    let mut child = command
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -1321,4 +1340,44 @@ fn the_binary_answers_a_non_utf8_line_and_keeps_serving() {
         r#"{"ok":true,"type":"shutdown"}"#,
         "the acknowledgement"
     );
+}
+
+#[test]
+fn the_binary_answers_a_large_fresh_model_run_in_a_capped_address_space() {
+    // One fresh single-strip SPT_recur request on gnp(1000, 0.01): about
+    // 62 000 messages, so about 3 900 checkpoints at the default
+    // `--checkpoint-every 16`. One deep clone of the machine each would
+    // need several GiB, past the cap, and the child would abort (exit
+    // 134); sharing what did not change between them needs a few
+    // hundred MiB.
+    let request = Json::obj(vec![
+        ("type", Json::str("submit")),
+        ("id", Json::str("large")),
+        (
+            "graph",
+            Json::parse(r#"{"family":"gnp","n":1000,"p":0.01,"w_min":2,"w_max":9,"seed":7}"#)
+                .unwrap(),
+        ),
+        (
+            "stack",
+            Json::parse(r#"{"protocol":"spt_recur","root":0,"delta":0}"#).unwrap(),
+        ),
+        (
+            "run",
+            Json::parse(r#"{"mode":"model","delay":"uniform","seed":42}"#).unwrap(),
+        ),
+    ]);
+    let input = format!("{}\n", request.dump());
+    let lines = capped_binary_session(3_000_000, input.as_bytes());
+    assert_eq!(lines.len(), 1);
+    let r = &lines[0];
+    assert_eq!(
+        r.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{}",
+        r.dump()
+    );
+    assert_eq!(cache_of(r), "miss");
+    let messages = r.get("report").and_then(|r| r.get("messages"));
+    assert!(messages.and_then(Json::as_u64).unwrap() > 60_000);
 }

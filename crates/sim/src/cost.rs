@@ -69,7 +69,7 @@ impl fmt::Display for CostClass {
 /// spills, e.g. from retransmission timers armed past `W`), so
 /// including it would break the cross-core differential contract that
 /// identical runs produce equal reports.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct CostReport {
     /// Total number of messages sent.
     pub messages: u64,
@@ -116,9 +116,11 @@ pub struct CostReport {
     /// zero on the bucket core whenever the workload's maximum delay
     /// fits the auto-sized window — so any non-zero value flags the
     /// slow-path fallback without consumers reaching into the queue.
-    /// Same-kind checkpoint resumes carry the counter exactly; a
-    /// cross-kind resume rebuilds the queue and re-counts the restored
-    /// entries, so only the zero/non-zero signal is portable there.
+    /// A checkpoint carries the capturing core's count and a resume
+    /// counts only the pushes after it (rebuilding the queue counts
+    /// none), so a same-kind resume reports exactly what the cold run
+    /// does; across kinds the two cores' counts mix, so only the
+    /// zero/non-zero signal is portable there.
     /// Timer pushes share the queue, so timeouts armed beyond `W`
     /// (retransmission backoff, failure-detector horizons) can overflow
     /// even when message delays fit — which is why this field does
@@ -155,47 +157,6 @@ impl PartialEq for CostReport {
 }
 
 impl Eq for CostReport {}
-
-// Manual `Clone` so `clone_from` reuses the per-edge buffer — the hot
-// checkpoint-restore path in the pooled evaluator assigns reports in a
-// loop.
-impl Clone for CostReport {
-    fn clone(&self) -> Self {
-        CostReport {
-            messages: self.messages,
-            weighted_comm: self.weighted_comm,
-            completion: self.completion,
-            completion_by_class: self.completion_by_class,
-            messages_by_class: self.messages_by_class,
-            comm_by_class: self.comm_by_class,
-            per_edge_messages: self.per_edge_messages.clone(),
-            drops: self.drops,
-            crashed_nodes: self.crashed_nodes,
-            dead_events: self.dead_events,
-            recoveries: self.recoveries,
-            weight_revisions: self.weight_revisions,
-            overflow_pushes: self.overflow_pushes,
-            bucket_window: self.bucket_window,
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.messages = src.messages;
-        self.weighted_comm = src.weighted_comm;
-        self.completion = src.completion;
-        self.completion_by_class = src.completion_by_class;
-        self.messages_by_class = src.messages_by_class;
-        self.comm_by_class = src.comm_by_class;
-        self.per_edge_messages.clone_from(&src.per_edge_messages);
-        self.drops = src.drops;
-        self.crashed_nodes = src.crashed_nodes;
-        self.dead_events = src.dead_events;
-        self.recoveries = src.recoveries;
-        self.weight_revisions = src.weight_revisions;
-        self.overflow_pushes = src.overflow_pushes;
-        self.bucket_window = src.bucket_window;
-    }
-}
 
 impl CostReport {
     /// Creates an empty report for a graph with `m` edges.

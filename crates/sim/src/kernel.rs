@@ -55,6 +55,7 @@ use crate::time::SimTime;
 use crate::trace::{Observer, TraceEvent};
 use csp_graph::{EdgeId, NodeId, Weight, WeightedGraph};
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 /// One in-flight message: everything needed at delivery time. `Copy`
 /// for copyable payloads so queue restores on the checkpoint-resume path
@@ -107,7 +108,8 @@ impl<M> Sink<M> for VecDeque<(SimTime, Event<M>)> {
 }
 
 /// The validated [`FaultPlan`] of a run, dense per vertex. Immutable
-/// once installed; part of every [`Checkpoint`](crate::Checkpoint).
+/// once installed, so one run's [`Checkpoint`](crate::Checkpoint)s share
+/// one copy.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Faults {
     /// Toggle chain per vertex; empty = never churns.
@@ -216,7 +218,7 @@ pub(crate) struct Fired {
 /// Everything that must move in global dispatch order: the meters, the
 /// live weights the send step prices against, and the FIFO floor of
 /// every directed channel.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Ledger {
     pub(crate) cost: CostReport,
     /// Handler invocations so far (dead and cancelled pops excluded).
@@ -249,21 +251,6 @@ impl Ledger {
         self.truncated = false;
         self.fifo_floor.clear();
         self.fifo_floor.resize(2 * g.edge_count(), SimTime::ZERO);
-    }
-
-    fn restore(&mut self, src: &Ledger) {
-        self.cost.clone_from(&src.cost);
-        self.events = src.events;
-        self.truncated = src.truncated;
-        self.weights.eff.clone_from(&src.weights.eff);
-        self.weights.cursor = src.weights.cursor;
-        self.fifo_floor.clone_from(&src.fifo_floor);
-    }
-
-    /// Number of directed channels — `2·m` of the graph the ledger was
-    /// sized for.
-    pub(crate) fn channels(&self) -> usize {
-        self.fifo_floor.len()
     }
 
     /// Counts one handler invocation against the event budget.
@@ -360,7 +347,7 @@ impl Ledger {
 /// Everything a handler may touch, for a set of vertices addressed by
 /// *slot*: the whole graph in vertex order for a sequential run, one
 /// shard's vertices for a sharded one (callers map vertex → slot).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Vertices<P: Process> {
     pub(crate) states: Vec<P>,
     /// Sends queued so far, per vertex — the `msg_base` of its next
@@ -466,6 +453,7 @@ impl<P: Process> Vertices<P> {
         now: SimTime,
         handler: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
+        self.out_edges.clear();
         let mut ctx = Context::recycled(
             node,
             now,
@@ -543,12 +531,14 @@ impl<P: Process> Vertices<P> {
         Some(Fired { node, msg })
     }
 
-    /// Drains what the last handler sent, in send order.
+    /// Drains what the last handler sent, in send order. The edges stay
+    /// in `out_edges` until the next handler runs: a checkpoint capture
+    /// reads them to know which ledger rows the send step wrote.
     #[inline(always)]
     pub(crate) fn sends(
         &mut self,
     ) -> impl Iterator<Item = (NodeId, P::Msg, CostClass, EdgeId)> + '_ {
-        (self.outbox.drain(..).zip(self.out_edges.drain(..)))
+        (self.outbox.drain(..).zip(self.out_edges.iter().copied()))
             .map(|((to, msg, class), eid)| (to, msg, class, eid))
     }
 
@@ -579,22 +569,8 @@ impl<P: Process> Vertices<P> {
     }
 }
 
-impl<P: Process + Clone> Vertices<P> {
-    /// Overwrites this table with `src`, leaving `states` populated on
-    /// entry so `clone_from` reuses each element's own buffers.
-    fn restore(&mut self, src: &Vertices<P>) {
-        self.states.clone_from(&src.states);
-        self.msg_seq.clone_from(&src.msg_seq);
-        self.timer_seq.clone_from(&src.timer_seq);
-        self.timer_floor.clone_from(&src.timer_floor);
-        self.rejoin_states.clone_from(&src.rejoin_states);
-        self.cancelled.clone_from(&src.cancelled);
-        self.clear_handler_output();
-    }
-}
-
 /// The complete executor-independent state of a run in flight.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Kernel<P: Process> {
     pub(crate) vertices: Vertices<P>,
     pub(crate) ledger: Ledger,
@@ -682,14 +658,265 @@ impl<P: Process> Kernel<P> {
     }
 }
 
+/// Rows per snapshot page of the vertex table, and of the edge table.
+/// Measured, not knobs (EXPERIMENTS.md, "Checkpoints share what did not
+/// change"): a smaller page copies fewer untouched rows with each
+/// touched one, a larger one costs fewer allocations and page pointers
+/// per snapshot. An edge row is a fraction of a vertex row's bytes.
+pub(crate) const VERTEX_PAGE: usize = 8;
+pub(crate) const EDGE_PAGE: usize = 32;
+
+/// A snapshot of a table in `ROWS`-row pages. Consecutive snapshots of
+/// one run share, by [`Arc`], every page no write touched in between,
+/// so a snapshot costs the pages that changed plus one pointer per page.
+#[derive(Clone, Debug)]
+pub(crate) struct Pages<R, const ROWS: usize>(Vec<Arc<[R]>>);
+
+impl<R, const ROWS: usize> Pages<R, ROWS> {
+    /// Snapshots a `len`-row table whose row `i` reads `row(i)`: page `p`
+    /// is `prev`'s page `p` unless `dirty` marks it, and a fresh copy
+    /// otherwise. A run's first snapshot (`prev` is `None`) copies all.
+    fn capture(
+        len: usize,
+        prev: Option<&Pages<R, ROWS>>,
+        dirty: &Dirty<ROWS>,
+        mut row: impl FnMut(usize) -> R,
+    ) -> Self {
+        let pages = (0..len.div_ceil(ROWS)).map(|p| match prev {
+            Some(prev) if !dirty.0[p] => Arc::clone(&prev.0[p]),
+            _ => (p * ROWS..len.min((p + 1) * ROWS)).map(&mut row).collect(),
+        });
+        Pages(pages.collect())
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &R> {
+        self.0.iter().flat_map(|page| page.iter())
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|page| page.len()).sum()
+    }
+}
+
+/// Which pages of a table the run wrote since its last snapshot.
+#[derive(Debug)]
+struct Dirty<const ROWS: usize>(Vec<bool>);
+
+impl<const ROWS: usize> Dirty<ROWS> {
+    fn new(rows: usize) -> Self {
+        Dirty(vec![false; rows.div_ceil(ROWS)])
+    }
+
+    fn mark(&mut self, row: usize) {
+        self.0[row / ROWS] = true;
+    }
+}
+
+/// The kernel's writes since a run's last snapshot, marked page by page
+/// from what the kernel itself wrote — the handled vertex's row, the
+/// ledger rows of the edges its handler sent on — and never from the
+/// [`Observer`] stream, which reports neither dropped sends nor timers.
+#[derive(Debug)]
+pub(crate) struct Writes {
+    vertices: Dirty<VERTEX_PAGE>,
+    edges: Dirty<EDGE_PAGE>,
+}
+
+impl Writes {
+    pub(crate) fn new(g: &WeightedGraph) -> Self {
+        Writes {
+            vertices: Dirty::new(g.node_count()),
+            edges: Dirty::new(g.edge_count()),
+        }
+    }
+
+    /// Marks what one event wrote: handling the vertex in `slot` touches
+    /// only its own row, and the send step after it only the ledger rows
+    /// of the edges the handler sent on. An event that reached no
+    /// handler writes no row (the cancelled-timer set and the live
+    /// weights are compared and re-read at capture instead).
+    pub(crate) fn handled<P: Process>(&mut self, vertices: &Vertices<P>, slot: usize) {
+        self.vertices.mark(slot);
+        for e in &vertices.out_edges {
+            self.edges.mark(e.index());
+        }
+    }
+
+    fn clear(&mut self) {
+        self.vertices.0.fill(false);
+        self.edges.0.fill(false);
+    }
+}
+
+/// One vertex as a snapshot keeps it.
+#[derive(Clone, Debug)]
+pub(crate) struct VertexRow<P> {
+    pub(crate) state: P,
+    msg_seq: u64,
+    timer_seq: u64,
+    timer_floor: u64,
+    rejoins: Vec<P>,
+}
+
+/// One edge as a snapshot keeps it: its meter, the FIFO floors of its
+/// two channels and its live weight.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EdgeRow {
+    pub(crate) messages: u64,
+    floor: [SimTime; 2],
+    weight: Weight,
+}
+
+/// A [`Kernel`] at a checkpoint, in the persistent form one run's
+/// snapshots share: the vertex and edge tables in [`Pages`], the fault
+/// plan — fixed at boot — in one [`Arc`] for the whole run, and the
+/// cancelled-timer set in an [`Arc`] kept while it stays equal.
+#[derive(Clone, Debug)]
+pub(crate) struct KernelSnapshot<P> {
+    vertices: Pages<VertexRow<P>, VERTEX_PAGE>,
+    edges: Pages<EdgeRow, EDGE_PAGE>,
+    cancelled: Arc<HashSet<(NodeId, u64)>>,
+    /// The meters, with `per_edge_messages` left empty: it is in `edges`.
+    pub(crate) cost: CostReport,
+    pub(crate) events: u64,
+    truncated: bool,
+    /// [`Weights::cursor`].
+    cursor: usize,
+    faults: Arc<Faults>,
+}
+
+impl<P> KernelSnapshot<P> {
+    /// Number of directed channels of the snapshotted graph.
+    pub(crate) fn channels(&self) -> usize {
+        2 * self.edges.len()
+    }
+
+    /// The vertex pages, the edge pages and the cancelled-timer set, for
+    /// the tests that check what consecutive snapshots share.
+    #[cfg(test)]
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn parts(
+        &self,
+    ) -> (
+        &[Arc<[VertexRow<P>]>],
+        &[Arc<[EdgeRow]>],
+        &Arc<HashSet<(NodeId, u64)>>,
+    ) {
+        (&self.vertices.0, &self.edges.0, &self.cancelled)
+    }
+
+    /// The run's fault plan, for the same tests.
+    #[cfg(test)]
+    pub(crate) fn faults(&self) -> &Arc<Faults> {
+        &self.faults
+    }
+}
+
 impl<P: Process + Clone> Kernel<P> {
-    /// Overwrites this kernel with a snapshot, reusing allocations.
-    pub(crate) fn restore(&mut self, src: &Kernel<P>) {
-        self.vertices.restore(&src.vertices);
-        self.ledger.restore(&src.ledger);
-        self.faults.churn.clone_from(&src.faults.churn);
-        self.faults.any_churn = src.faults.any_churn;
-        self.faults.drift.clone_from(&src.faults.drift);
+    /// Snapshots the kernel, sharing with `prev` — the same run's last
+    /// snapshot — every page `writes` did not mark, then clears the
+    /// marks. Drift revisions applied since `prev` mark their edges here.
+    pub(crate) fn snapshot(
+        &self,
+        prev: Option<&KernelSnapshot<P>>,
+        writes: &mut Writes,
+    ) -> KernelSnapshot<P> {
+        let (v, l) = (&self.vertices, &self.ledger);
+        let revised = &self.faults.drift[prev.map_or(0, |p| p.cursor)..l.weights.cursor];
+        for &(e, _, _) in revised {
+            writes.edges.mark(e.index());
+        }
+        let vertices = Pages::capture(
+            v.states.len(),
+            prev.map(|p| &p.vertices),
+            &writes.vertices,
+            |i| VertexRow {
+                state: v.states[i].clone(),
+                msg_seq: v.msg_seq[i],
+                timer_seq: v.timer_seq[i],
+                timer_floor: v.timer_floor[i],
+                rejoins: v.rejoin_states[i].clone(),
+            },
+        );
+        let edges = Pages::capture(
+            l.weights.eff.len(),
+            prev.map(|p| &p.edges),
+            &writes.edges,
+            |e| EdgeRow {
+                messages: l.cost.per_edge_messages[e],
+                floor: [l.fifo_floor[2 * e], l.fifo_floor[2 * e + 1]],
+                weight: l.weights.eff[e],
+            },
+        );
+        writes.clear();
+        let cancelled = match prev {
+            Some(p) if *p.cancelled == v.cancelled => Arc::clone(&p.cancelled),
+            _ => Arc::new(v.cancelled.clone()),
+        };
+        KernelSnapshot {
+            vertices,
+            edges,
+            cancelled,
+            cost: CostReport {
+                per_edge_messages: Vec::new(),
+                ..l.cost
+            },
+            events: l.events,
+            truncated: l.truncated,
+            cursor: l.weights.cursor,
+            faults: prev.map_or_else(|| Arc::new(self.faults.clone()), |p| Arc::clone(&p.faults)),
+        }
+    }
+
+    /// Overwrites this kernel with a snapshot, reusing allocations: a
+    /// state already in its slot takes the snapshot's by `clone_from`,
+    /// so it keeps its own buffers.
+    pub(crate) fn restore(&mut self, snap: &KernelSnapshot<P>) {
+        let v = &mut self.vertices;
+        let n = snap.vertices.len();
+        v.states.truncate(n);
+        v.rejoin_states.truncate(n);
+        v.msg_seq.clear();
+        v.timer_seq.clear();
+        v.timer_floor.clear();
+        for (i, row) in snap.vertices.rows().enumerate() {
+            match v.states.get_mut(i) {
+                Some(state) => state.clone_from(&row.state),
+                None => v.states.push(row.state.clone()),
+            }
+            match v.rejoin_states.get_mut(i) {
+                Some(stash) => stash.clone_from(&row.rejoins),
+                None => v.rejoin_states.push(row.rejoins.clone()),
+            }
+            v.msg_seq.push(row.msg_seq);
+            v.timer_seq.push(row.timer_seq);
+            v.timer_floor.push(row.timer_floor);
+        }
+        v.cancelled.clone_from(&snap.cancelled);
+        v.clear_handler_output();
+
+        let l = &mut self.ledger;
+        let mut per_edge = std::mem::take(&mut l.cost.per_edge_messages);
+        per_edge.clear();
+        l.fifo_floor.clear();
+        l.weights.eff.clear();
+        for page in &snap.edges.0 {
+            per_edge.extend(page.iter().map(|row| row.messages));
+            l.fifo_floor.extend(page.iter().flat_map(|row| row.floor));
+            l.weights.eff.extend(page.iter().map(|row| row.weight));
+        }
+        l.cost = CostReport {
+            per_edge_messages: per_edge,
+            ..snap.cost
+        };
+        l.events = snap.events;
+        l.truncated = snap.truncated;
+        l.weights.cursor = snap.cursor;
+
+        let (faults, src) = (&mut self.faults, &*snap.faults);
+        faults.churn.clone_from(&src.churn);
+        faults.any_churn = src.any_churn;
+        faults.drift.clone_from(&src.drift);
     }
 }
 

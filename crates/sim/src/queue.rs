@@ -70,7 +70,7 @@ pub type QueueEntry<T = usize> = (u64, u64, T);
 
 /// A heap element popping smallest `(time, seq)` first. Seqs are unique,
 /// so the payload needs no order of its own.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct MinFirst<T>(QueueEntry<T>);
 
 impl<T> Ord for MinFirst<T> {
@@ -98,7 +98,7 @@ impl<T> Eq for MinFirst<T> {}
 const NIL: u32 = u32::MAX;
 
 /// Entries per arena chunk. Not a knob: larger chunks make every sparse
-/// bucket pin (and every checkpoint copy) a mostly-empty chunk.
+/// bucket pin a mostly-empty chunk.
 const CHUNK: usize = 8;
 
 /// Circular bucket ("calendar") queue with exact `(time, seq)` pop
@@ -153,42 +153,6 @@ pub struct BucketQueue<T = usize> {
     overflow: HeapQueue<T>,
     /// Pushes that landed beyond the window since the last clear.
     overflow_pushes: u64,
-}
-
-// Hand-written so `clone_from` reuses every flat allocation (a `Copy`
-// payload makes the field copies memcpys): the checkpoint-resume path
-// overwrites a pooled queue with a snapshotted one per candidate, and
-// the derived `clone_from` would reallocate.
-impl<T: Clone> Clone for BucketQueue<T> {
-    fn clone(&self) -> Self {
-        BucketQueue {
-            head: self.head.clone(),
-            tail: self.tail.clone(),
-            l0: self.l0.clone(),
-            l1: self.l1.clone(),
-            items: self.items.clone(),
-            next: self.next.clone(),
-            overflow: self.overflow.clone(),
-            ..*self
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.head.clone_from(&src.head);
-        self.tail.clone_from(&src.tail);
-        self.mask = src.mask;
-        self.l0.clone_from(&src.l0);
-        self.l1.clone_from(&src.l1);
-        self.l2 = src.l2;
-        self.hot = src.hot;
-        self.bucketed = src.bucketed;
-        self.items.clone_from(&src.items);
-        self.next.clone_from(&src.next);
-        self.free_head = src.free_head;
-        self.cur = src.cur;
-        self.overflow.clone_from(&src.overflow);
-        self.overflow_pushes = src.overflow_pushes;
-    }
 }
 
 // Sizing is a property of the delay range, not of the payload: these
@@ -479,27 +443,68 @@ impl<T> BucketQueue<T> {
         (w << 6) | self.l1[w].trailing_zeros() as usize
     }
 
-    /// The timestamp the next [`BucketQueue::pop`] will return, without
-    /// consuming it.
+    /// The `(time, seq)` key the next [`BucketQueue::pop`] will return,
+    /// without consuming it.
     ///
     /// A pure peek: it must NOT advance the clock the way [`pop`]'s
     /// window preparation does, because callers (the lock-step runner)
     /// peek ahead and may still schedule sends from an earlier wake-up
     /// pulse. The bucket scan alone is not enough — a pop advances the
     /// window, and an overflow entry the window now covers (but which
-    /// [`pop`] has not merged yet) can undercut every bucketed time — so
+    /// [`pop`] has not merged yet) can undercut every bucketed key — so
     /// the peek is the minimum over both sides.
     ///
     /// [`pop`]: BucketQueue::pop
-    pub fn next_time(&mut self) -> Option<u64> {
+    pub fn peek(&self) -> Option<(u64, u64)> {
         let bucketed = (self.bucketed > 0).then(|| {
             let b = self.next_set_from((self.cur & self.mask) as usize);
-            self.live(self.head[b]).0
+            let &(t, s, _) = self.live(self.head[b]);
+            (t, s)
         });
-        match (bucketed, self.overflow.next_time()) {
+        match (bucketed, self.overflow.peek()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
+    }
+
+    /// The timestamp the next [`BucketQueue::pop`] will return: the
+    /// time of [`BucketQueue::peek`].
+    pub fn next_time(&mut self) -> Option<u64> {
+        self.peek().map(|(t, _)| t)
+    }
+
+    /// Visits every pending entry whose seq is at least `seq`, in no
+    /// particular order, without touching the queue. A bucket's run is
+    /// in seq order, so the walk skips a run whose tail is older and
+    /// every full chunk whose last entry is: its cost is the entries
+    /// visited plus one step per chunk passed over.
+    pub fn pending_since(&self, seq: u64, mut visit: impl FnMut(&QueueEntry<T>)) {
+        for (w, &word) in self.l0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (mut i, tail) = (self.head[b] as usize, self.tail[b] as usize);
+                if self.live(tail as u32).1 < seq {
+                    continue;
+                }
+                // Chunks before the tail's are full to their last slot.
+                while i / CHUNK != tail / CHUNK && self.live((i | (CHUNK - 1)) as u32).1 < seq {
+                    i = self.next[i / CHUNK] as usize * CHUNK;
+                }
+                loop {
+                    let entry = self.live(i as u32);
+                    if entry.1 >= seq {
+                        visit(entry);
+                    }
+                    if i == tail {
+                        break;
+                    }
+                    i = self.succ(i);
+                }
+            }
+        }
+        self.overflow.pending_since(seq, visit);
     }
 
     /// Makes the bucket window authoritative: jumps the clock onto the
@@ -571,42 +576,26 @@ impl<T> BucketQueue<T> {
         self.hot = if last { NIL } else { b as u32 };
         Some(entry)
     }
-}
 
-impl<T: Clone> BucketQueue<T> {
-    /// Every pending entry in `(time, seq)` order — the checkpoint
-    /// serialization of the queue.
-    pub fn snapshot_sorted(&self) -> Vec<QueueEntry<T>> {
-        let mut out: Vec<QueueEntry<T>> = Vec::with_capacity(self.len());
-        for (w, &word) in self.l0.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = (w << 6) | bits.trailing_zeros() as usize;
-                let mut at = self.head[b];
-                out.push(self.live(at).clone());
-                while at != self.tail[b] {
-                    at = self.succ(at as usize) as u32;
-                    out.push(self.live(at).clone());
-                }
-                bits &= bits - 1;
-            }
-        }
-        out.extend(self.overflow.heap.iter().map(|e| e.0.clone()));
-        out.sort_unstable_by_key(|e| (e.0, e.1));
-        out
-    }
-
-    /// Replaces the contents with `entries` (must be `(time, seq)`
-    /// sorted, as produced by [`BucketQueue::snapshot_sorted`]) and sets
-    /// the clock to the earliest pending time.
-    pub fn restore(&mut self, entries: &[QueueEntry<T>]) {
+    /// Replaces the contents with `entries`, pushed in ascending seq
+    /// order and none earlier than `cur`, with the clock at `cur` and the
+    /// overflow meter at `overflow_pushes`: the rebuild's own pushes are
+    /// not counted. A checkpoint restores a queue this way — pop order
+    /// depends only on the keys, so the rebuilt queue pops exactly as
+    /// the one it was captured from, and with the clock at the captured
+    /// queue's next key, every later push meets the same window.
+    pub fn rebuild(
+        &mut self,
+        cur: u64,
+        entries: impl IntoIterator<Item = QueueEntry<T>>,
+        overflow_pushes: u64,
+    ) {
         self.clear();
-        if let Some(&(t0, _, _)) = entries.first() {
-            self.cur = t0;
-        }
-        for (t, s, payload) in entries.iter().cloned() {
+        self.cur = cur;
+        for (t, s, payload) in entries {
             self.push(t, s, payload);
         }
+        self.overflow_pushes = overflow_pushes;
     }
 }
 
@@ -623,19 +612,6 @@ impl<T> Default for HeapQueue<T> {
         HeapQueue {
             heap: BinaryHeap::new(),
         }
-    }
-}
-
-// Hand-written for a buffer-reusing `clone_from`, as on [`BucketQueue`].
-impl<T: Clone> Clone for HeapQueue<T> {
-    fn clone(&self) -> Self {
-        HeapQueue {
-            heap: self.heap.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.heap.clone_from(&src.heap);
     }
 }
 
@@ -668,9 +644,14 @@ impl<T> HeapQueue<T> {
         self.heap.push(MinFirst((time, seq, payload)));
     }
 
+    /// The `(time, seq)` key the next pop will return.
+    pub fn peek(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|MinFirst((t, s, _))| (*t, *s))
+    }
+
     /// The timestamp the next pop will return.
     pub fn next_time(&mut self) -> Option<u64> {
-        self.heap.peek().map(|top| top.0 .0)
+        self.peek().map(|(t, _)| t)
     }
 
     /// Removes and returns the minimum entry by `(time, seq)`.
@@ -678,20 +659,21 @@ impl<T> HeapQueue<T> {
     pub fn pop(&mut self) -> Option<QueueEntry<T>> {
         self.heap.pop().map(|MinFirst(e)| e)
     }
-}
 
-impl<T: Clone> HeapQueue<T> {
-    /// Every pending entry in `(time, seq)` order.
-    pub fn snapshot_sorted(&self) -> Vec<QueueEntry<T>> {
-        let mut out: Vec<QueueEntry<T>> = self.heap.iter().map(|e| e.0.clone()).collect();
-        out.sort_unstable_by_key(|e| (e.0, e.1));
-        out
+    /// Visits every pending entry whose seq is at least `seq`, in no
+    /// particular order.
+    pub fn pending_since(&self, seq: u64, mut visit: impl FnMut(&QueueEntry<T>)) {
+        for MinFirst(entry) in &self.heap {
+            if entry.1 >= seq {
+                visit(entry);
+            }
+        }
     }
 
     /// Replaces the contents with `entries`.
-    pub fn restore(&mut self, entries: &[QueueEntry<T>]) {
+    pub fn rebuild(&mut self, entries: impl IntoIterator<Item = QueueEntry<T>>) {
         self.heap.clear();
-        self.heap.extend(entries.iter().cloned().map(MinFirst));
+        self.heap.extend(entries.into_iter().map(MinFirst));
     }
 }
 
@@ -766,6 +748,33 @@ mod tests {
         }
     }
 
+    /// The pending entries with seq at least `seq`, `(time, seq)` sorted.
+    fn since<T: Clone>(
+        pending_since: impl FnOnce(u64, &mut dyn FnMut(&QueueEntry<T>)),
+        seq: u64,
+    ) -> Vec<QueueEntry<T>> {
+        let mut out = Vec::new();
+        pending_since(seq, &mut |e| out.push(e.clone()));
+        out.sort_unstable_by_key(|e| (e.0, e.1));
+        out
+    }
+
+    fn bucket_since<T: Clone>(q: &BucketQueue<T>, seq: u64) -> Vec<QueueEntry<T>> {
+        since(|s, f| q.pending_since(s, f), seq)
+    }
+
+    fn heap_since<T: Clone>(q: &HeapQueue<T>, seq: u64) -> Vec<QueueEntry<T>> {
+        since(|s, f| q.pending_since(s, f), seq)
+    }
+
+    /// `entries` (`(time, seq)` sorted) pushed back in seq order from
+    /// the earliest key's time — what a checkpoint restore does.
+    fn rebuild_from<T: Clone>(q: &mut BucketQueue<T>, entries: &[QueueEntry<T>]) {
+        let mut by_seq = entries.to_vec();
+        by_seq.sort_unstable_by_key(|e| e.1);
+        q.rebuild(entries.first().map_or(0, |e| e.0), by_seq, 0);
+    }
+
     /// Drives both queues with an identical, simulator-shaped workload
     /// (monotone pushes within a bounded span) and checks every pop and
     /// the bucket layout after every step. `payload` builds the value
@@ -792,6 +801,10 @@ mod tests {
                 heap.push(t, seq, payload(seq));
                 seq += 1;
             }
+            // ...a peek at what is pending, recent pushes only...
+            assert_eq!(bucket.peek(), heap.peek());
+            let recent = seq.saturating_sub(rng.random_range(0..3 * burst));
+            assert_eq!(bucket_since(&bucket, recent), heap_since(&heap, recent));
             // ...then pop one event, as the run loop does.
             assert_eq!(bucket.next_time(), heap.next_time());
             let (b, h) = (bucket.pop(), heap.pop());
@@ -899,7 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips() {
+    fn peek_and_rebuild_round_trip() {
         let mut q = BucketQueue::with_capacity(32);
         let mut rng = StdRng::seed_from_u64(9);
         let mut now = 0;
@@ -911,16 +924,19 @@ mod tests {
                 }
             }
         }
-        let snap = q.snapshot_sorted();
+        let snap = bucket_since(&q, 0);
         assert!(snap.windows(2).all(|w| w[0] < w[1]), "snapshot sorted");
+        assert_eq!(q.peek(), snap.first().map(|e| (e.0, e.1)));
         let mut restored = BucketQueue::with_capacity(32);
-        restored.restore(&snap);
+        rebuild_from(&mut restored, &snap);
+        restored.check_invariants();
         let mut heap = HeapQueue::new();
-        heap.restore(&snap);
+        heap.rebuild(snap.iter().cloned());
         assert_eq!(restored.len(), heap.len());
         loop {
             let (a, b) = (restored.pop(), heap.pop());
             assert_eq!(a, b);
+            assert_eq!(a, q.pop());
             if a.is_none() {
                 break;
             }
@@ -1019,24 +1035,44 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_survives_snapshot_and_clone() {
+    fn hot_path_survives_peek_and_rebuild() {
         let mut q = BucketQueue::with_capacity(32);
         for s in 0..6u64 {
             q.push(9, s, s as usize);
         }
         assert_eq!(q.pop(), Some((9, 0, 0))); // hot bucket with 5 left
-        let snap = q.snapshot_sorted();
+        assert_eq!(q.peek(), Some((9, 1)));
+        let snap = bucket_since(&q, 0);
         assert_eq!(snap.len(), 5);
-        let mut cloned = q.clone();
+        assert_eq!(bucket_since(&q, 4), snap[3..]);
+        let mut restored = BucketQueue::with_capacity(32);
+        rebuild_from(&mut restored, &snap);
         for s in 1..6u64 {
             assert_eq!(q.pop(), Some((9, s, s as usize)));
-            assert_eq!(cloned.pop(), Some((9, s, s as usize)));
-        }
-        assert_eq!(q.pop(), None);
-        let mut restored = BucketQueue::with_capacity(32);
-        restored.restore(&snap);
-        for s in 1..6u64 {
             assert_eq!(restored.pop(), Some((9, s, s as usize)));
+        }
+        assert_eq!((q.pop(), restored.pop()), (None, None));
+    }
+
+    #[test]
+    fn rebuild_sets_the_overflow_meter_and_counts_none_of_its_pushes() {
+        let mut q = BucketQueue::with_capacity(16);
+        q.push(5, 0, 0);
+        q.push(100, 1, 1); // beyond the window
+        assert_eq!(q.overflow_pushes(), 1);
+        let snap = bucket_since(&q, 0);
+        let mut restored = BucketQueue::with_capacity(16);
+        restored.rebuild(5, snap.iter().copied(), q.overflow_pushes());
+        assert_eq!(
+            restored.overflow_pushes(),
+            1,
+            "the rebuild's push is not counted"
+        );
+        restored.push(200, 2, 2);
+        q.push(200, 2, 2);
+        assert_eq!(restored.overflow_pushes(), q.overflow_pushes());
+        for _ in 0..3 {
+            assert_eq!(restored.pop(), q.pop());
         }
     }
 
@@ -1103,8 +1139,9 @@ mod tests {
         assert_eq!(q.overflow_pushes(), 3, "the late twenty are bucketed");
         assert_eq!(q.overflow.len(), 3, "the early three are still outside");
         q.check_invariants();
-        let snap = q.snapshot_sorted();
-        assert_eq!(snap, heap.snapshot_sorted());
+        let snap = bucket_since(&q, 0);
+        assert_eq!(snap, heap_since(&heap, 0));
+        assert_eq!(bucket_since(&q, 3), heap_since(&heap, 3));
         for _ in 0..23 {
             assert_eq!(q.pop(), heap.pop());
             assert_eq!(q.overflow.len(), 0, "the first pop merged all three");
@@ -1114,7 +1151,7 @@ mod tests {
 
         // The other door into the merge: a clock jump.
         let mut q = BucketQueue::with_capacity(16);
-        q.restore(&snap);
+        rebuild_from(&mut q, &snap);
         q.check_invariants();
         q.advance_to(100);
         q.check_invariants();
@@ -1124,7 +1161,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_restore_and_clone_from_after_chunks_were_recycled() {
+    fn clear_and_rebuild_after_chunks_were_recycled() {
         use std::rc::Rc;
         // Every payload is a handle on one counter, so anything a queue
         // still holds — in a run, a freed chunk or the overflow heap —
@@ -1152,26 +1189,20 @@ mod tests {
         let pending = q.len();
         assert_eq!(Rc::strong_count(&token), 1 + pending);
 
-        // A snapshot and a clone each hold their own handles...
-        let snap = q.snapshot_sorted();
-        let mut copy = BucketQueue::with_capacity(64);
-        copy.push(1, 0, Rc::clone(&token));
-        copy.clone_from(&q);
-        copy.check_invariants();
-        assert_eq!(copy.capacity(), q.capacity());
-        assert_eq!(Rc::strong_count(&token), 1 + 3 * pending);
-        // ...a restore replaces what the target held...
+        // A peek holds no handle; the snapshot taken through it does...
+        let snap = bucket_since(&q, 0);
+        assert_eq!(Rc::strong_count(&token), 1 + 2 * pending);
+        // ...a rebuild replaces what the target held...
         let mut restored = churned(&token);
-        restored.restore(&snap);
+        rebuild_from(&mut restored, &snap);
         restored.check_invariants();
-        assert_eq!(Rc::strong_count(&token), 1 + 4 * pending);
+        assert_eq!(Rc::strong_count(&token), 1 + 3 * pending);
         drop(snap);
-        // ...all three pop alike...
+        // ...both pop alike...
         loop {
-            let (a, b, c) = (q.pop(), copy.pop(), restored.pop());
+            let (a, b) = (q.pop(), restored.pop());
             let key = |e: &Option<QueueEntry<Rc<()>>>| e.as_ref().map(|e| (e.0, e.1));
             assert_eq!(key(&a), key(&b));
-            assert_eq!(key(&a), key(&c));
             if a.is_none() {
                 break;
             }

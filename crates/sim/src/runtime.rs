@@ -60,6 +60,12 @@
 //!   to a cold run whose oracle agrees on every message index below the
 //!   checkpoint — the property the adversary's prefix-sharing hill-climb
 //!   exploits, pinned by `tests/flat_core_differential.rs`.
+//!   A run's checkpoints are persistent: each shares with the one before
+//!   it every vertex and edge page no event wrote in between and every
+//!   queue push still pending, and copies only the rest — so their
+//!   memory grows with what changed, not with snapshots × machine size.
+//!   The queue is kept as its pushes plus a frontier key and rebuilt on
+//!   restore, the same way on both core kinds.
 //! * [`EvalPool`] + [`Simulator::eval`] — repeated evaluation that
 //!   retains every buffer (queue arena, floors, states, outboxes)
 //!   between runs, reporting only an [`EvalSummary`] instead of
@@ -67,14 +73,15 @@
 
 use crate::cost::CostReport;
 use crate::delay::{DelayModel, LinkOracle, ModelOracle};
-use crate::kernel::{Event, Kernel, Sink};
+use crate::kernel::{Event, Kernel, KernelSnapshot, Sink, Writes};
 use crate::process::Process;
-use crate::queue::{BucketQueue, HeapQueue};
+use crate::queue::{BucketQueue, HeapQueue, QueueEntry};
 use crate::time::SimTime;
-use crate::trace::{Observer, Trace, TraceEvent};
+use crate::trace::{Observer, Trace, TraceEvent, TraceSnapshot};
 use csp_graph::{Cost, NodeId, WeightedGraph};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors terminating a simulation abnormally.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -132,7 +139,7 @@ pub enum CoreKind {
 /// The scheduling queue behind [`EventCore`], dispatched by [`CoreKind`].
 /// Shared with the sharded runtime ([`crate::shard`]), whose per-shard
 /// cores need the same kind dispatch.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum Queue<M> {
     Bucket(BucketQueue<Event<M>>),
     Heap(HeapQueue<Event<M>>),
@@ -163,13 +170,29 @@ impl<M> Queue<M> {
             Queue::Heap(_) => 0,
         }
     }
+
+    /// The `(time, seq)` key of the next pop, without popping.
+    fn peek(&self) -> Option<(u64, u64)> {
+        match self {
+            Queue::Bucket(q) => q.peek(),
+            Queue::Heap(q) => q.peek(),
+        }
+    }
+
+    /// Visits every pending entry pushed as number `seq` or later.
+    fn pending_since(&self, seq: u64, visit: impl FnMut(&QueueEntry<Event<M>>)) {
+        match self {
+            Queue::Bucket(q) => q.pending_since(seq, visit),
+            Queue::Heap(q) => q.pending_since(seq, visit),
+        }
+    }
 }
 
 /// The event core: the scheduling queue, which holds the events
 /// themselves, and the counter that numbers them.
 ///
 /// See the [module docs](self) for the layout rationale.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct EventCore<M> {
     /// Min-queue of `(arrival, seq, event)`. `seq` is globally unique so
     /// ties at equal arrival break in send order, exactly like the
@@ -240,27 +263,98 @@ impl<M> Sink<M> for EventCore<M> {
     }
 }
 
-impl<M: Clone> EventCore<M> {
-    /// Overwrites the core with a snapshot. Same-kind restores are
-    /// allocation-reusing field copies (the hot checkpoint-resume path);
-    /// a kind mismatch — resuming a checkpoint on a simulator with the
-    /// other core — rebuilds from the sorted entry view, which both
-    /// kinds accept.
-    fn restore(&mut self, src: &EventCore<M>) {
-        match (&mut self.queue, &src.queue) {
-            (Queue::Bucket(a), Queue::Bucket(b)) => a.clone_from(b),
-            (Queue::Heap(a), Queue::Heap(b)) => a.clone_from(b),
-            (Queue::Bucket(a), Queue::Heap(b)) => a.restore(&b.snapshot_sorted()),
-            (Queue::Heap(a), Queue::Bucket(b)) => a.restore(&b.snapshot_sorted()),
+/// The `(time, seq)` key a queue entry pops by.
+type Key = (u64, u64);
+
+/// A run of pushes in seq order, with its greatest key.
+type Segment<M> = (Key, Arc<[QueueEntry<Event<M>>]>);
+
+/// An [`EventCore`] at a checkpoint, as push segments plus a frontier.
+///
+/// Entries leave the queue only by pop, in key order, and every push
+/// lands after the last popped key. So the pending set at any instant
+/// is exactly "every entry pushed so far whose key is at or above the
+/// least pending key", the frontier: a snapshot stores pushes, not the
+/// queue. Each capture adds one segment — the entries pushed since the
+/// run's previous capture that are still pending, in seq order — and
+/// keeps, shared by [`Arc`], every earlier segment that still holds a
+/// pending entry.
+#[derive(Debug)]
+struct QueueSnapshot<M> {
+    /// The least pending key; `None` when nothing is pending.
+    frontier: Option<Key>,
+    /// In seq order.
+    segments: Vec<Segment<M>>,
+    seq: u64,
+    /// The capturing queue's [`Queue::overflow_pushes`].
+    overflow_pushes: u64,
+}
+
+// Hand-written: a derived `Clone` would ask for `M: Clone`, and the
+// segments are shared, not copied.
+impl<M> Clone for QueueSnapshot<M> {
+    fn clone(&self) -> Self {
+        QueueSnapshot {
+            segments: self.segments.clone(),
+            ..*self
         }
-        self.seq = src.seq;
+    }
+}
+
+impl<M: Clone> EventCore<M> {
+    /// Snapshots the core, sharing with `prev` — the same run's last
+    /// snapshot — its segments that still hold a pending entry.
+    fn snapshot(&self, prev: Option<&QueueSnapshot<M>>) -> QueueSnapshot<M> {
+        let frontier = self.queue.peek();
+        let still_pending = |(last, _): &&Segment<M>| frontier.is_some_and(|f| *last >= f);
+        let mut segments: Vec<_> = prev.map_or_else(Vec::new, |p| {
+            p.segments.iter().filter(still_pending).cloned().collect()
+        });
+        // The new pushes hold distinct seqs in `since..seq`: placing each
+        // at its offset puts them in seq order without a sort.
+        let since = prev.map_or(0, |p| p.seq);
+        let mut by_seq = vec![None; (self.seq - since) as usize];
+        let (mut count, mut last) = (0, (0, 0));
+        self.queue.pending_since(since, |e| {
+            by_seq[(e.1 - since) as usize] = Some(e.clone());
+            count += 1;
+            last = last.max((e.0, e.1));
+        });
+        if count > 0 {
+            let mut fresh = Vec::with_capacity(count);
+            fresh.extend(by_seq.into_iter().flatten());
+            segments.push((last, fresh.into()));
+        }
+        QueueSnapshot {
+            frontier,
+            segments,
+            seq: self.seq,
+            overflow_pushes: self.queue.overflow_pushes(),
+        }
+    }
+
+    /// Overwrites the core with a snapshot: whatever the kind of either
+    /// queue, the pending entries of every segment are pushed back in
+    /// seq order onto a clock at the frontier, and the overflow meter is
+    /// set to the captured count. Allocation-free on a warm queue.
+    fn restore(&mut self, snap: &QueueSnapshot<M>) {
+        let frontier = snap.frontier.unwrap_or_default();
+        let pending = (snap.segments.iter())
+            .flat_map(|(_, segment)| segment.iter())
+            .filter(|e| (e.0, e.1) >= frontier)
+            .cloned();
+        match &mut self.queue {
+            Queue::Bucket(q) => q.rebuild(frontier.0, pending, snap.overflow_pushes),
+            Queue::Heap(q) => q.rebuild(pending),
+        }
+        self.seq = snap.seq;
     }
 }
 
 /// The complete mutable state of a run in flight: the executor-agnostic
 /// [`Kernel`] plus the event core it schedules into. Owned by a single
 /// run, or retained across runs inside an [`EvalPool`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Machine<P: Process> {
     kernel: Kernel<P>,
     core: EventCore<P::Msg>,
@@ -287,17 +381,18 @@ impl<P: Process> Machine<P> {
 impl<P: Process + Clone> Machine<P> {
     /// Overwrites this machine with a checkpoint's, reusing allocations.
     fn restore(&mut self, cp: &Checkpoint<P>) {
-        self.kernel.restore(&cp.machine.kernel);
-        self.core.restore(&cp.machine.core);
+        self.kernel.restore(&cp.kernel);
+        self.core.restore(&cp.queue);
     }
 }
 
 /// What the run loop reports to, taken by value: an [`Observer`], and —
 /// for checkpoint capture only — a look at the whole machine after each
-/// event. A `&mut` observer is a hook that only observes.
+/// event that reached the handler of the vertex in `slot`. A `&mut`
+/// observer is a hook that only observes.
 trait Hook<P: Process>: Observer {
     #[inline]
-    fn after_event(&mut self, _m: &Machine<P>) {}
+    fn after_event(&mut self, _m: &Machine<P>, _slot: usize) {}
 }
 
 impl<P: Process, B: Observer + ?Sized> Hook<P> for &mut B {}
@@ -305,12 +400,35 @@ impl<P: Process, B: Observer + ?Sized> Hook<P> for &mut B {}
 /// Captures a [`Checkpoint`] whenever the metered message count crosses
 /// the next multiple-ish mark (marks advance by `every` from wherever
 /// the count lands, so bursty dispatches never capture twice), and keeps
-/// the run's delivery trace, which every checkpoint carries.
+/// the run's delivery trace, which every checkpoint carries. Between
+/// captures it marks what each event wrote, so a capture copies only
+/// that and shares the rest with the run's previous checkpoint.
 struct CheckpointCapture<'a, P: Process + Clone> {
     every: u64,
     next_at: u64,
     out: &'a mut Vec<Checkpoint<P>>,
+    /// Where this run's checkpoints start in `out`.
+    first: usize,
+    writes: Writes,
     trace: &'a mut Trace,
+}
+
+impl<P: Process + Clone> CheckpointCapture<'_, P> {
+    /// Captures if the message count reached the mark.
+    fn take(&mut self, m: &Machine<P>) {
+        let messages = m.kernel.ledger.cost.messages;
+        if messages < self.next_at {
+            return;
+        }
+        let prev = self.out[self.first..].last();
+        let cp = Checkpoint {
+            kernel: (m.kernel).snapshot(prev.map(|p| &p.kernel), &mut self.writes),
+            queue: m.core.snapshot(prev.map(|p| &p.queue)),
+            trace: TraceSnapshot::capture(self.trace, prev.map(|p| &p.trace)),
+        };
+        self.out.push(cp);
+        self.next_at = messages + self.every;
+    }
 }
 
 impl<P: Process + Clone> Observer for CheckpointCapture<'_, P> {
@@ -321,15 +439,9 @@ impl<P: Process + Clone> Observer for CheckpointCapture<'_, P> {
 }
 
 impl<P: Process + Clone> Hook<P> for CheckpointCapture<'_, P> {
-    fn after_event(&mut self, m: &Machine<P>) {
-        let messages = m.kernel.ledger.cost.messages;
-        if messages >= self.next_at {
-            self.out.push(Checkpoint {
-                machine: m.clone(),
-                trace: self.trace.clone(),
-            });
-            self.next_at = messages + self.every;
-        }
+    fn after_event(&mut self, m: &Machine<P>, slot: usize) {
+        self.writes.handled(&m.kernel.vertices, slot);
+        self.take(m);
     }
 }
 
@@ -348,12 +460,20 @@ impl<P: Process + Clone> Hook<P> for CheckpointCapture<'_, P> {
 /// resume never queries [`LinkOracle::fault_plan`], so the resuming
 /// oracle cannot change who churns or how weights move. So is the
 /// delivery trace so far: a resumed run continues it.
+///
+/// Checkpoints are persistent: those of one run share, by reference
+/// count, every part that did not change between them — the vertex and
+/// edge pages no event wrote, the queue's pushes that are still
+/// pending, the fault plan and the trace so far. A run's checkpoints
+/// cost what changed between them, not one machine each, and cloning
+/// one copies no simulation state.
 #[derive(Clone, Debug)]
 pub struct Checkpoint<P: Process> {
-    machine: Machine<P>,
+    kernel: KernelSnapshot<P>,
+    queue: QueueSnapshot<P::Msg>,
     /// Empty unless the checkpointing simulator had
     /// [`Simulator::record_trace`] set.
-    trace: Trace,
+    trace: TraceSnapshot,
 }
 
 impl<P: Process> Checkpoint<P> {
@@ -361,17 +481,17 @@ impl<P: Process> Checkpoint<P> {
     /// consumed) before this snapshot — the resume point's position in
     /// schedule-index space.
     pub fn messages(&self) -> u64 {
-        self.machine.kernel.ledger.cost.messages
+        self.kernel.cost.messages
     }
 
     /// Number of events delivered before this snapshot.
     pub fn events(&self) -> u64 {
-        self.machine.kernel.ledger.events
+        self.kernel.events
     }
 
     /// Completion time of the captured prefix.
     pub fn completion(&self) -> SimTime {
-        self.machine.kernel.ledger.cost.completion
+        self.kernel.cost.completion
     }
 }
 
@@ -624,17 +744,19 @@ impl<'g> Simulator<'g> {
     {
         assert!(every > 0, "checkpoint interval must be non-zero");
         let mut trace = Trace::new(self.trace_cap);
+        let g = self.graph;
         let mut capture = CheckpointCapture {
             every,
             next_at: every,
+            first: checkpoints.len(),
             out: checkpoints,
+            writes: Writes::new(g),
             trace: &mut trace,
         };
-        let g = self.graph;
         let mut m = Machine::new(self.core, g);
         m.kernel
             .boot(g, self.comm_limit, oracle, &mut capture, make, &mut m.core);
-        capture.after_event(&m);
+        capture.take(&m);
         self.exec(oracle, &mut m, capture)?;
         Ok(m.into_run(trace))
     }
@@ -661,7 +783,7 @@ impl<'g> Simulator<'g> {
         self.check_fits(cp);
         let mut m = Machine::new(self.core, self.graph);
         m.restore(cp);
-        let mut trace = cp.trace.clone();
+        let mut trace = cp.trace.to_trace();
         self.exec(oracle, &mut m, &mut trace)?;
         Ok(m.into_run(trace))
     }
@@ -757,7 +879,7 @@ impl<'g> Simulator<'g> {
 
     fn check_fits<P: Process>(&self, cp: &Checkpoint<P>) {
         debug_assert_eq!(
-            cp.machine.kernel.ledger.channels(),
+            cp.kernel.channels(),
             2 * self.graph.edge_count(),
             "checkpoint/graph mismatch"
         );
@@ -830,7 +952,7 @@ impl<'g> Simulator<'g> {
                 &mut m.core,
             );
             vertices.arm(slot, fired.node, now, &mut m.core);
-            hook.after_event(m);
+            hook.after_event(m, slot);
         }
         finalize(m);
         Ok(())
@@ -1643,5 +1765,240 @@ mod trace_tests {
             .run(|_, _| Chain { last: false })
             .unwrap();
         assert!(run.trace.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod sharing_tests {
+    use super::*;
+    use crate::delay::ChurnOracle;
+    use crate::detect::{Detect, DetectConfig, FaultAware};
+    use crate::kernel::{EDGE_PAGE, VERTEX_PAGE};
+    use crate::process::{Context, TimerId};
+    use csp_graph::generators::{self, WeightDist};
+
+    /// Relays a hop counter: every delivery bumps the receiver's count
+    /// and forwards to one neighbour, chosen by that count, until the
+    /// counter runs out. Every handler changes its vertex's state and
+    /// every send its edge's meter, so a page's rows differ between two
+    /// snapshots exactly when an event touched the page. Each delivery
+    /// also re-arms a quiet-period alarm, cancelling the one before.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Relay {
+        hits: u32,
+        hops: u32,
+        alarm: Option<TimerId>,
+    }
+
+    impl Process for Relay {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            self.hits += 1;
+            if ctx.self_id() == NodeId::new(0) {
+                ctx.send_all(0);
+            }
+        }
+        fn on_message(&mut self, _from: NodeId, hop: u32, ctx: &mut Context<'_, u32>) {
+            self.hits += 1;
+            if hop < self.hops {
+                let peers: Vec<NodeId> = ctx.neighbors().map(|(v, _, _)| v).collect();
+                ctx.send(peers[self.hits as usize % peers.len()], hop + 1);
+            }
+            if let Some(alarm) = self.alarm.take() {
+                ctx.cancel_timer(alarm);
+            }
+            self.alarm = Some(ctx.set_timer(50));
+        }
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Context<'_, u32>) {
+            self.alarm = None;
+        }
+    }
+
+    impl FaultAware for Relay {}
+
+    fn relay(hops: u32) -> impl Fn(NodeId, &WeightedGraph) -> Relay + Copy {
+        move |_, _| Relay {
+            hits: 0,
+            hops,
+            alarm: None,
+        }
+    }
+
+    fn worst() -> ModelOracle {
+        ModelOracle::new(DelayModel::WorstCase, 0)
+    }
+
+    /// Pending key of a queue entry.
+    fn key<M>(e: &QueueEntry<Event<M>>) -> Key {
+        (e.0, e.1)
+    }
+
+    #[test]
+    fn consecutive_checkpoints_share_untouched_pages_and_pending_segments() {
+        let g = generators::connected_gnp(70, 0.08, WeightDist::Uniform(1, 6), 5);
+        assert!(g.node_count() > 2 * VERTEX_PAGE && g.edge_count() > 4 * EDGE_PAGE);
+        let mut cps = Vec::new();
+        Simulator::new(&g)
+            .run_with_checkpoints(&mut worst(), relay(40), 6, &mut cps)
+            .unwrap();
+        assert!(cps.len() > 10);
+        let (mut shared, mut copied) = (0, 0);
+        for pair in cps.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            let ((va, ea, _), (vb, eb, _)) = (a.kernel.parts(), b.kernel.parts());
+            for (pa, pb) in va.iter().zip(vb) {
+                let touched = pa.iter().zip(pb.iter()).any(|(x, y)| x.state != y.state);
+                assert_eq!(Arc::ptr_eq(pa, pb), !touched, "vertex page");
+                (shared, copied) = if touched {
+                    (shared, copied + 1)
+                } else {
+                    (shared + 1, copied)
+                };
+            }
+            for (pa, pb) in ea.iter().zip(eb) {
+                let touched = pa
+                    .iter()
+                    .zip(pb.iter())
+                    .any(|(x, y)| x.messages != y.messages);
+                assert_eq!(Arc::ptr_eq(pa, pb), !touched, "edge page");
+            }
+            // The previous checkpoint's segments that still hold a
+            // pending entry, shared, then exactly one new segment: the
+            // pending pushes since `a`, in seq order.
+            let frontier = b.queue.frontier.expect("the relay is in flight");
+            let kept: Vec<_> = (a.queue.segments.iter())
+                .filter(|(last, _)| *last >= frontier)
+                .collect();
+            let (new, old) = b.queue.segments.split_last().expect("one new segment");
+            assert_eq!(old.len(), kept.len());
+            for ((_, x), (_, y)) in old.iter().zip(kept) {
+                assert!(Arc::ptr_eq(x, y), "a kept segment is shared");
+            }
+            let seqs: Vec<u64> = new.1.iter().map(|e| e.1).collect();
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seq order");
+            assert!(seqs.iter().all(|s| (a.queue.seq..b.queue.seq).contains(s)));
+            assert!(
+                new.1.iter().all(|e| key(e) >= frontier),
+                "only pending pushes"
+            );
+            assert_eq!(new.0, new.1.iter().map(key).max().unwrap());
+            // One fault plan per run.
+            assert!(Arc::ptr_eq(a.kernel.faults(), b.kernel.faults()));
+        }
+        assert!(shared > 0 && copied > 0, "{shared} shared, {copied} copied");
+    }
+
+    /// Resumes every checkpoint of `cps` on `sim` — owned and pooled —
+    /// and checks each against `cold`: the whole report (the scheduler's
+    /// overflow meter included, which `CostReport` equality leaves
+    /// out), the trace and the final states.
+    fn resumes_like_cold<P: Process + Clone + fmt::Debug>(
+        sim: &Simulator<'_>,
+        cps: &[Checkpoint<P>],
+        cold: &Run<P>,
+    ) {
+        let mut pool = EvalPool::new();
+        for cp in cps {
+            let at = cp.messages();
+            let resumed = sim.resume(cp, &mut worst()).unwrap();
+            assert_eq!(resumed.cost, cold.cost, "at checkpoint {at}");
+            assert_eq!(
+                resumed.cost.overflow_pushes, cold.cost.overflow_pushes,
+                "overflow meter at checkpoint {at}"
+            );
+            assert_eq!(resumed.trace.events(), cold.trace.events());
+            assert_eq!(
+                format!("{:?}", resumed.states),
+                format!("{:?}", cold.states)
+            );
+            let pooled = sim.eval_resume(&mut pool, cp, &mut worst()).unwrap();
+            assert_eq!(pooled.completion, cold.cost.completion);
+            assert_eq!(pooled.messages, cold.cost.messages);
+            assert_eq!(pooled.weighted_comm, cold.cost.weighted_comm);
+        }
+    }
+
+    /// Checkpoints after every message on both cores, resumes each on
+    /// the core that took it, and returns the bucket core's checkpoints.
+    fn both_cores<P, F, O>(g: &WeightedGraph, oracle: impl Fn() -> O, make: F) -> Vec<Checkpoint<P>>
+    where
+        P: Process + Clone + fmt::Debug,
+        F: Fn(NodeId, &WeightedGraph) -> P + Copy,
+        O: LinkOracle,
+    {
+        let mut bucket = Vec::new();
+        for kind in [CoreKind::Bucket, CoreKind::Heap] {
+            let mut sim = Simulator::new(g);
+            sim.core(kind).record_trace(1 << 12);
+            let cold = sim.run_with_oracle(&mut oracle(), make).unwrap();
+            let mut cps = Vec::new();
+            let run = sim
+                .run_with_checkpoints(&mut oracle(), make, 1, &mut cps)
+                .unwrap();
+            assert_eq!(run.cost, cold.cost);
+            assert_eq!(run.cost.overflow_pushes, cold.cost.overflow_pushes);
+            resumes_like_cold(&sim, &cps, &cold);
+            if kind == CoreKind::Bucket {
+                bucket = cps;
+            }
+        }
+        bucket
+    }
+
+    #[test]
+    fn rebuilt_queues_resume_like_cold_runs() {
+        // Overflow-heap entries: one edge heavier than the bucket
+        // window's cap, so its messages wait beyond the window.
+        let heavy = BucketQueue::MAX_CAPACITY as u64 + 40_000;
+        let g = generators::cycle(6, |i| if i == 0 { heavy } else { 2 + i as u64 });
+        let cps = both_cores(&g, worst, relay(12));
+        let beyond = |cp: &Checkpoint<Relay>| {
+            let f = cp.queue.frontier.map_or(u64::MAX, |f| f.0);
+            (cp.queue.segments.iter().flat_map(|(_, s)| s.iter()))
+                .any(|e| e.0 >= f && e.0 - f >= BucketQueue::MAX_CAPACITY as u64)
+        };
+        assert!(
+            cps.iter().any(beyond),
+            "a checkpoint holds an overflow entry"
+        );
+        assert!(cps.iter().any(|cp| cp.queue.overflow_pushes > 0));
+
+        // A frontier inside one timestamp: the hub's greetings all land
+        // at 3, and a checkpoint after the first delivery there keeps it
+        // (popped, below the frontier) beside its pending siblings.
+        let g = generators::star(7, |_| 3);
+        let cps = both_cores(&g, worst, relay(2));
+        let split = |cp: &Checkpoint<Relay>| {
+            let Some(f) = cp.queue.frontier else {
+                return false;
+            };
+            (cp.queue.segments.iter().flat_map(|(_, s)| s.iter())).any(|e| e.0 == f.0 && key(e) < f)
+        };
+        assert!(cps.iter().any(split), "a frontier splits one timestamp");
+
+        // Pending and cancelled timers: the failure detector's heartbeat
+        // and watch timers under a crash-and-rejoin, and the hosted
+        // relay's alarms, cancelled through the detector.
+        let g = generators::connected_gnp(9, 0.4, WeightDist::Uniform(1, 3), 7);
+        let churn = || {
+            ChurnOracle::new(
+                worst(),
+                vec![(NodeId::new(2), vec![SimTime::new(4), SimTime::new(30)])],
+                Vec::new(),
+            )
+        };
+        let detect =
+            |v: NodeId, g: &WeightedGraph| Detect::new(relay(6)(v, g), DetectConfig::new(3, 10, 0));
+        let cps = both_cores(&g, churn, detect);
+        let timer_pending = |cp: &Checkpoint<_>| {
+            let f = cp.queue.frontier.unwrap_or((u64::MAX, 0));
+            (cp.queue.segments.iter().flat_map(|(_, s)| s.iter()))
+                .any(|e| key(e) >= f && matches!(e.2, Event::Timer { .. }))
+        };
+        assert!(
+            cps.iter()
+                .any(|cp| timer_pending(cp) && !cp.kernel.parts().2.is_empty()),
+            "a checkpoint holds a pending timer and a cancelled one"
+        );
     }
 }

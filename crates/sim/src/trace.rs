@@ -15,6 +15,7 @@ use crate::delay::MsgInfo;
 use crate::time::SimTime;
 use csp_graph::{EdgeId, NodeId};
 use std::fmt;
+use std::sync::Arc;
 
 /// Listens to a run. Both methods default to doing nothing; the runtime
 /// ignores anything an observer does.
@@ -168,6 +169,76 @@ impl Trace {
             last_sent.insert(key, e.sent);
         }
         true
+    }
+}
+
+/// A [`Trace`] at a checkpoint. The trace only grows, so one run's
+/// snapshots form a persistent list: each adds one chunk, the deliveries
+/// since the snapshot before it, and shares every older chunk.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TraceSnapshot {
+    newest: Option<Arc<TraceChunk>>,
+    len: usize,
+    dropped: u64,
+    cap: usize,
+}
+
+#[derive(Debug)]
+struct TraceChunk {
+    events: Box<[TraceEvent]>,
+    older: Option<Arc<TraceChunk>>,
+}
+
+// A long run's list is thousands of chunks deep: unlink it iteratively
+// rather than dropping one chunk inside another.
+impl Drop for TraceChunk {
+    fn drop(&mut self) {
+        let mut older = self.older.take();
+        while let Some(chunk) = older {
+            older = Arc::try_unwrap(chunk).ok().and_then(|mut c| c.older.take());
+        }
+    }
+}
+
+impl TraceSnapshot {
+    /// Snapshots `trace`, sharing with `prev` — the same run's last
+    /// snapshot — every delivery it already holds.
+    pub(crate) fn capture(trace: &Trace, prev: Option<&TraceSnapshot>) -> Self {
+        let prev = prev.cloned().unwrap_or_default();
+        let fresh = &trace.events[prev.len..];
+        let newest = if fresh.is_empty() {
+            prev.newest
+        } else {
+            Some(Arc::new(TraceChunk {
+                events: fresh.into(),
+                older: prev.newest,
+            }))
+        };
+        TraceSnapshot {
+            newest,
+            len: trace.events.len(),
+            dropped: trace.dropped,
+            cap: trace.cap,
+        }
+    }
+
+    /// The trace as it stood at the snapshot.
+    pub(crate) fn to_trace(&self) -> Trace {
+        let mut chunks = Vec::new();
+        let mut at = self.newest.as_deref();
+        while let Some(chunk) = at {
+            chunks.push(&chunk.events);
+            at = chunk.older.as_deref();
+        }
+        let mut events = Vec::with_capacity(self.len);
+        for chunk in chunks.iter().rev() {
+            events.extend_from_slice(chunk);
+        }
+        Trace {
+            events,
+            dropped: self.dropped,
+            cap: self.cap,
+        }
     }
 }
 

@@ -30,8 +30,8 @@ impl ProcessVisitor for Hunt<'_> {
 
     fn visit<P, F, C>(self, make: F, check: C) -> Self::Output
     where
-        P: Process + Clone + Sync,
-        P::Msg: Sync,
+        P: Process + Clone + Send + Sync,
+        P::Msg: Send + Sync,
         F: Fn(NodeId, &WeightedGraph) -> P + Sync,
         C: FnOnce(Run<P>) -> Outcome,
     {
