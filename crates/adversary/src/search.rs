@@ -64,8 +64,8 @@ use crate::schedule::{crash_positions, Fallback, Schedule};
 use csp_graph::{NodeId, Weight, WeightedGraph};
 use csp_sim::sweep::{effective_threads, par_map_with};
 use csp_sim::{
-    Checkpoint, DelayModel, EvalPool, FaultPlan, LinkOracle, ModelOracle, Process, SimTime,
-    Simulator,
+    Checkpoint, DelayModel, EvalPool, FaultPlan, LinkOracle, ModelOracle, NoCapture, Origin,
+    Process, SimTime, Simulator,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -94,12 +94,6 @@ pub struct SearchConfig {
     /// driver uses). The outcome does not depend on it: every thread
     /// count returns the same [`SearchOutcome`].
     pub threads: usize,
-    /// Message interval between incumbent checkpoints for resumed
-    /// candidate evaluation. `0` (the default) sizes the interval
-    /// automatically from the incumbent schedule: one checkpoint per
-    /// ~1/32 of its decisions, but never more often than every 8
-    /// messages.
-    pub checkpoint_every: u64,
     /// Coordinate-descent polish passes after hill climbing, each
     /// sweeping the final quarter of the schedule from the tail (see the
     /// [module docs](self)).
@@ -135,7 +129,6 @@ impl Default for SearchConfig {
             mutation: Mutation::new().delay_flips(4),
             seed: 0,
             threads: 0,
-            checkpoint_every: 0,
             polish_passes: 4,
             crash_probes: 0,
             exhaustive: false,
@@ -173,16 +166,6 @@ impl SearchConfig {
 
     fn worker_threads(&self) -> usize {
         effective_threads(self.threads)
-    }
-
-    /// The checkpoint interval used for an incumbent of `schedule_len`
-    /// decisions (`checkpoint_every`, or the auto rule when it is 0).
-    fn interval_for(&self, schedule_len: usize) -> u64 {
-        if self.checkpoint_every > 0 {
-            self.checkpoint_every
-        } else {
-            (schedule_len as u64 / 32).max(8)
-        }
     }
 }
 
@@ -229,12 +212,6 @@ impl SearchConfigBuilder {
     /// Sets [`SearchConfig::threads`].
     pub fn threads(mut self, n: usize) -> Self {
         self.cfg.threads = n;
-        self
-    }
-
-    /// Sets [`SearchConfig::checkpoint_every`].
-    pub fn checkpoint_every(mut self, interval: u64) -> Self {
-        self.cfg.checkpoint_every = interval;
         self
     }
 
@@ -405,6 +382,13 @@ where
     (summary.completion, rec.into_schedule(Fallback::WorstCase))
 }
 
+/// Message interval between incumbent checkpoints for an incumbent of
+/// `schedule_len` decisions: one checkpoint per ~1/32 of its decisions,
+/// but never more often than every 8 messages.
+fn checkpoint_interval(schedule_len: usize) -> u64 {
+    (schedule_len as u64 / 32).max(8)
+}
+
 /// Replays `schedule` (the incumbent: a faithful recording, so the
 /// replay never diverges) while snapshotting checkpoints every
 /// `interval` messages into `out`.
@@ -460,17 +444,33 @@ where
     P: Process + Clone,
     F: Fn(NodeId, &WeightedGraph) -> P,
 {
-    let mut oracle = ScheduleOracle::new(mutant);
+    let start = origin(checkpoints, first_diff, make);
+    sim.execute(
+        start,
+        pool,
+        &mut ScheduleOracle::new(mutant),
+        &mut (),
+        NoCapture,
+    )
+    .expect("protocol must quiesce under an admissible schedule")
+    .completion
+}
+
+/// The deepest incumbent checkpoint at or before `first_diff`, or a
+/// fresh boot from `make` when the mutation lands before the first.
+fn origin<'c, P: Process, F>(
+    checkpoints: &'c [Checkpoint<P>],
+    first_diff: u64,
+    make: F,
+) -> Origin<'c, P, F> {
     match checkpoints
         .iter()
         .rev()
         .find(|cp| cp.messages() <= first_diff)
     {
-        Some(cp) => sim.eval_resume(pool, cp, &mut oracle),
-        None => sim.eval(pool, &mut oracle, |v, g| make(v, g)),
+        Some(cp) => Origin::Checkpoint(cp),
+        None => Origin::Fresh(make),
     }
-    .expect("protocol must quiesce under an admissible schedule")
-    .completion
 }
 
 /// Like [`score_candidate_from`], but records the candidate's run: the
@@ -490,21 +490,23 @@ where
     P::Msg: Clone,
     F: Fn(NodeId, &WeightedGraph) -> P,
 {
-    let Some(cp) = checkpoints
-        .iter()
-        .rev()
-        .find(|cp| cp.messages() <= first_diff)
-    else {
-        return eval_recorded(sim, pool, make, ScheduleOracle::new(mutant));
+    let start = origin(checkpoints, first_diff, make);
+    let at = match &start {
+        Origin::Checkpoint(cp) => cp.messages(),
+        Origin::Fresh(_) => 0,
     };
-    let mut rec = Recorder::with_offset(ScheduleOracle::new(mutant), cp.messages());
-    let summary = sim
-        .eval_resume(pool, cp, &mut rec)
-        .expect("protocol must quiesce under an admissible schedule");
-    let mut decisions = mutant.decisions[..cp.messages() as usize].to_vec();
+    let mut rec = Recorder::with_offset(ScheduleOracle::new(mutant), at);
+    let completion = sim
+        .execute(start, pool, &mut rec, &mut (), NoCapture)
+        .expect("protocol must quiesce under an admissible schedule")
+        .completion;
+    if at == 0 {
+        return (completion, rec.into_schedule(Fallback::WorstCase));
+    }
+    let mut decisions = mutant.decisions[..at as usize].to_vec();
     decisions.extend(rec.into_decisions());
     (
-        summary.completion,
+        completion,
         Schedule {
             decisions,
             fallback: Fallback::WorstCase,
@@ -883,7 +885,7 @@ where
     let mut checkpoints: Vec<Checkpoint<P>> = Vec::new();
     let mut main_pool = EvalPool::new();
     if cfg.hill_rounds > 0 || cfg.polish_passes > 0 {
-        let interval = cfg.interval_for(best.schedule.len());
+        let interval = checkpoint_interval(best.schedule.len());
         rebuild_checkpoints(&sim, &make, &best.schedule, interval, &mut checkpoints);
         evaluations += 1;
     }
@@ -932,7 +934,7 @@ where
         evaluations += 1;
         debug_assert_eq!(rt, t, "recorded winner must replay to its score");
         (best.best_time, best.schedule, best.strategy) = (rt, rs, "hill-climb");
-        let interval = cfg.interval_for(best.schedule.len());
+        let interval = checkpoint_interval(best.schedule.len());
         rebuild_checkpoints(&sim, &make, &best.schedule, interval, &mut checkpoints);
         evaluations += 1;
         round += i / per_round + 1;
@@ -1016,7 +1018,7 @@ where
             // identical candidates.
             break;
         }
-        let interval = cfg.interval_for(best.schedule.len());
+        let interval = checkpoint_interval(best.schedule.len());
         rebuild_checkpoints(&sim, &make, &best.schedule, interval, &mut checkpoints);
         evaluations += 1;
     }
@@ -1276,27 +1278,33 @@ mod tests {
 
     #[test]
     fn checkpointed_search_matches_cold_candidate_evaluation() {
-        // Force dense checkpoints and verify the search is insensitive to
-        // the interval: resumed evaluation is bit-identical to cold, so
-        // any `checkpoint_every` must produce the same outcome.
+        // Resumed candidate evaluation is bit-identical to cold at any
+        // checkpoint interval: dense, too sparse to capture at all, and
+        // the search's own rule. Scoring and recording both.
         let g = small_graph();
-        let run = |every| {
-            let cfg = SearchConfig::builder()
-                .random_probes(4)
-                .hill_rounds(4)
-                .candidates_per_round(4)
-                .checkpoint_every(every)
-                .build()
-                .unwrap();
-            find_worst_schedule(&g, |_, _| Flood { seen: false }, &cfg)
-        };
-        let dense = run(1);
-        let sparse = run(10_000); // only the post-start checkpoint applies
-        let auto = run(0);
-        assert_eq!(dense.best_time, sparse.best_time);
-        assert_eq!(dense.schedule, sparse.schedule);
-        assert_eq!(dense.best_time, auto.best_time);
-        assert_eq!(dense.schedule, auto.schedule);
+        let make = |_: NodeId, _: &WeightedGraph| Flood { seen: false };
+        let sim = Simulator::new(&g);
+        let incumbent = uniform_base(&g);
+        let mutation = Mutation::new().delay_flips(4);
+        let (mut pool, mut cold_pool) = (EvalPool::new(), EvalPool::new());
+        for interval in [1, 10_000, checkpoint_interval(incumbent.len())] {
+            let mut checkpoints = Vec::new();
+            rebuild_checkpoints(&sim, &make, &incumbent, interval, &mut checkpoints);
+            let mut resumed = 0;
+            for seed in 0..32 {
+                let mutant = mutation.apply(&incumbent, seed);
+                let fd = first_diff(&incumbent, &mutant);
+                resumed += usize::from(checkpoints.iter().any(|cp| cp.messages() <= fd));
+                let cold = eval_recorded(&sim, &mut cold_pool, &make, ScheduleOracle::new(&mutant));
+                let scored =
+                    score_candidate_from(&sim, &mut pool, &make, &checkpoints, &mutant, fd);
+                assert_eq!(scored, cold.0, "interval {interval}, seed {seed}");
+                let recorded =
+                    evaluate_candidate_from(&sim, &mut pool, &make, &checkpoints, &mutant, fd);
+                assert_eq!(recorded, cold, "interval {interval}, seed {seed}");
+            }
+            assert_eq!(resumed > 0, interval != 10_000, "interval {interval}");
+        }
     }
 
     #[test]

@@ -82,8 +82,8 @@ use crate::schedule::{Decision, Fallback, PrefixHasher, Schedule};
 use crate::search::{SearchConfig, SearchOutcome};
 use csp_graph::{EdgeId, NodeId, WeightedGraph};
 use csp_sim::{
-    DelayModel, EvalPool, LinkDecision, LinkOracle, ModelOracle, MsgInfo, Observer, Process, Run,
-    SimTime, Simulator,
+    DelayModel, EvalPool, LinkDecision, LinkOracle, ModelOracle, MsgInfo, NoCapture, Observer,
+    Process, Run, SimTime, Simulator,
 };
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -156,7 +156,8 @@ impl TraceStep {
 /// order is recovered by [`Trace::delivery_order`].
 ///
 /// As an [`Observer`], a trace appends one step per reported dispatch:
-/// pass one to any executor's `run_observed` to trace that run. Dropped
+/// pass one as the observer of [`Simulator::execute`] (or of another
+/// executor's `run_observed`) to trace that run. Dropped
 /// messages produce no step — they never arrive.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -190,11 +191,12 @@ impl Trace {
         P: Process,
         F: FnMut(NodeId, &WeightedGraph) -> P,
     {
-        let mut trace = Trace::default();
-        let run = Simulator::new(g)
-            .run_observed(&mut ScheduleOracle::new(schedule), &mut trace, make)
+        let (mut trace, mut pool) = (Trace::default(), EvalPool::new());
+        let mut oracle = ScheduleOracle::new(schedule);
+        Simulator::new(g)
+            .execute(make, &mut pool, &mut oracle, &mut trace, NoCapture)
             .expect("replayed protocol must quiesce");
-        (run, trace)
+        (pool.into_run(), trace)
     }
 
     /// The recorded steps, in dispatch order.
@@ -612,7 +614,7 @@ where
         let mut oracle = ScheduleOracle::new(&schedule);
         trace.steps.clear();
         let completion = sim
-            .eval_observed(&mut pool, &mut oracle, &mut trace, |v, g| make(v, g))
+            .execute(&make, &mut pool, &mut oracle, &mut trace, NoCapture)
             .expect("protocol must quiesce under an admissible schedule")
             .completion;
         best.evaluations += 1;
@@ -859,11 +861,14 @@ mod tests {
             make: impl FnMut(NodeId, &WeightedGraph) -> P,
         ) -> Trace {
             let mut trace = Trace::default();
+            let mut oracle = ModelOracle::new(DelayModel::Uniform, seed);
             Simulator::new(g)
-                .run_observed(
-                    &mut ModelOracle::new(DelayModel::Uniform, seed),
-                    &mut trace,
+                .execute(
                     make,
+                    &mut EvalPool::new(),
+                    &mut oracle,
+                    &mut trace,
+                    NoCapture,
                 )
                 .expect("quiesces under any admissible delays");
             trace

@@ -421,9 +421,11 @@ proptest! {
 
         let mut pool = csp_sim::EvalPool::new();
         for cp in &cps {
-            let resumed = sim
-                .resume(cp, &mut ScheduleOracle::new(&schedule))
+            let mut owned = csp_sim::EvalPool::new();
+            let mut oracle = ScheduleOracle::new(&schedule);
+            sim.execute(cp, &mut owned, &mut oracle, &mut (), csp_sim::NoCapture)
                 .unwrap();
+            let resumed = owned.into_run();
             prop_assert_eq!(&resumed.cost, &cold.cost);
             prop_assert_eq!(resumed.cost.drops, cold.cost.drops);
             prop_assert_eq!(resumed.cost.crashed_nodes, cold.cost.crashed_nodes);

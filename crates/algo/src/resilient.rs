@@ -455,7 +455,8 @@ mod tests {
     use csp_graph::generators::{self, WeightDist};
     use csp_graph::{EdgeId, Weight};
     use csp_sim::{
-        ChurnOracle, CoreKind, CrashOracle, DelayModel, DropOracle, ModelOracle, Reliable, SimTime,
+        ChurnOracle, CoreKind, CrashOracle, DelayModel, DropOracle, EvalPool, ModelOracle,
+        NoCapture, Reliable, SimTime,
     };
 
     fn gnp() -> WeightedGraph {
@@ -681,10 +682,11 @@ mod tests {
                 .unwrap();
             assert!(cps.len() > 20, "{kind:?}: {} checkpoints", cps.len());
             for cp in &cps {
-                let resumed = sim
-                    .resume(cp, &mut ModelOracle::new(DelayModel::WorstCase, 0))
+                let (mut pool, mut worst) =
+                    (EvalPool::new(), ModelOracle::new(DelayModel::WorstCase, 0));
+                sim.execute(cp, &mut pool, &mut worst, &mut (), NoCapture)
                     .unwrap();
-                let resumed = ResilientOutcome::of(resumed, Detect::inner);
+                let resumed = ResilientOutcome::of(pool.into_run(), Detect::inner);
                 assert_eq!(resumed, cold, "{kind:?} at checkpoint {}", cp.messages());
                 assert_eq!(resumed.cost.overflow_pushes, cold.cost.overflow_pushes);
             }

@@ -695,7 +695,7 @@ mod tests {
     use csp_algo::flood::Flood;
     use csp_graph::generators::{self, WeightDist};
     use csp_graph::{NodeId, Weight};
-    use csp_sim::{DelayModel, ModelOracle, SimTime, Simulator};
+    use csp_sim::{DelayModel, EvalPool, ModelOracle, NoCapture, SimTime, Simulator};
 
     fn recorded_schedule(seed: u64) -> (csp_graph::WeightedGraph, Schedule) {
         let g = generators::connected_gnp(10, 0.4, WeightDist::Uniform(1, 9), seed);
@@ -746,9 +746,11 @@ mod tests {
                 assert_eq!(checkpoint.messages(), deepest);
                 // And the resume reproduces the cold run of `tweaked`
                 // exactly when the tails agree (here: tail of 1).
-                let resumed = sim
-                    .resume(&checkpoint, &mut ScheduleOracle::new(&tweaked))
+                let mut pool = EvalPool::new();
+                let mut oracle = ScheduleOracle::new(&tweaked);
+                sim.execute(&*checkpoint, &mut pool, &mut oracle, &mut (), NoCapture)
                     .unwrap();
+                let resumed = pool.into_run();
                 let cold_tweaked = Simulator::new(&g)
                     .run_with_oracle(&mut ScheduleOracle::new(&tweaked), |v, _| {
                         Flood::new(v == NodeId::new(0))

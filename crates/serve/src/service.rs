@@ -43,8 +43,8 @@ use csp_algo::spt::recur::SptRecur;
 use csp_graph::{NodeId, WeightedGraph};
 use csp_sim::sweep::{effective_threads, par_map_with};
 use csp_sim::{
-    Checkpoint, CostReport, LinkOracle, ModelOracle, Process, Run, ShardedSimulator, Simulator,
-    Trace,
+    CaptureEvery, Checkpoint, CostReport, EvalPool, LinkOracle, ModelOracle, NoCapture, Origin,
+    Process, Run, ShardedSimulator, Simulator, Trace,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -612,31 +612,35 @@ where
     responses
 }
 
-/// One cold run of `job`'s stack under `oracle`, with the checkpoints
-/// it left — every arm of [`evaluate`] but the resume ends in one,
-/// whatever it ran first to get its oracle.
-fn cold_run<P: ServeStack, O: LinkOracle>(
+/// One run of `job`'s stack from `start` under `oracle`, with the
+/// checkpoints it left — every arm of [`evaluate`] ends in one, whatever
+/// it ran first to get its oracle. Only a fresh run with the cache on
+/// captures: with the cache off nobody would store the checkpoints, and
+/// a resumed run's prefix is already stored.
+fn run_from<P, F, O>(
     cfg: ServiceConfig,
     job: &Job<'_, P>,
+    start: Origin<'_, P, F>,
     oracle: &mut O,
 ) -> Result<RunOut<P>, String>
 where
+    P: ServeStack,
     P::Msg: Clone + Send + Sync,
+    F: FnMut(NodeId, &WeightedGraph) -> P,
+    O: LinkOracle,
 {
-    // With the cache off there is nobody to hand checkpoints to — run
-    // with an unreachable cadence so the baseline pays no snapshot cost.
-    let every = if cfg.cache {
-        cfg.checkpoint_every
-    } else {
-        u64::MAX
-    };
-    let spec = job.spec;
-    let mut cps = Vec::new();
     let mut sim = Simulator::new(job.graph);
     sim.record_trace(cfg.trace_cap);
-    sim.run_with_checkpoints(oracle, |v, g| P::make(spec, v, g), every, &mut cps)
-        .map(|run| RunOut::of(run, cps))
-        .map_err(|e| e.to_string())
+    let (mut pool, mut cps) = (EvalPool::new(), Vec::new());
+    match start {
+        Origin::Fresh(make) if cfg.cache => {
+            let every = CaptureEvery(cfg.checkpoint_every, &mut cps);
+            sim.execute(make, &mut pool, oracle, &mut (), every)
+        }
+        start => sim.execute(start, &mut pool, oracle, &mut (), NoCapture),
+    }
+    .map(|_| RunOut::of(pool.into_run(), cps))
+    .map_err(|e| e.to_string())
 }
 
 /// Runs one job on a worker thread. A panic anywhere in the evaluation
@@ -693,7 +697,8 @@ where
     // Replays the schedule a search found, once, with checkpoints: the
     // full report for the response, and cached prefixes for free.
     let replay_found = |found: SearchOutcome, reduction: Option<(u64, u64)>| {
-        let mut out = cold_run(cfg, job, &mut ScheduleOracle::new(&found.schedule))?;
+        let oracle = &mut ScheduleOracle::new(&found.schedule);
+        let mut out = run_from(cfg, job, Origin::Fresh(make), oracle)?;
         out.stored.worst_case = Some(found.worst_case.get());
         out.stored.schedule_text = Some(found.schedule.to_text());
         out.stored.reduction = reduction;
@@ -702,15 +707,12 @@ where
     };
 
     match (&job.run, &job.resume) {
-        (RunMode::Schedule(schedule), Some((checkpoint, _))) => {
-            let mut sim = Simulator::new(g);
-            sim.record_trace(cfg.trace_cap);
-            sim.resume(checkpoint, &mut ScheduleOracle::new(schedule))
-                .map(|run| RunOut::of(run, Vec::new()))
-                .map_err(|e| e.to_string())
-        }
-        (RunMode::Schedule(schedule), None) => {
-            cold_run(cfg, job, &mut ScheduleOracle::new(schedule))
+        (RunMode::Schedule(schedule), resume) => {
+            let start = match resume {
+                Some((checkpoint, _)) => Origin::Checkpoint(&**checkpoint),
+                None => Origin::Fresh(make),
+            };
+            run_from(cfg, job, start, &mut ScheduleOracle::new(schedule))
         }
         (RunMode::Model { delay, seed }, _) => {
             // Record the transcript while running: the recorded
@@ -730,7 +732,7 @@ where
                     .map(|run| RunOut::of(run, Vec::new()))
                     .map_err(|e| e.to_string())?
             } else {
-                cold_run(cfg, job, &mut rec)?
+                run_from(cfg, job, Origin::Fresh(make), &mut rec)?
             };
             out.cache_schedule = Some(rec.into_schedule(Fallback::WorstCase));
             Ok(out)

@@ -134,8 +134,8 @@ impl<'g> BaselineSimulator<'g> {
 
     /// [`BaselineSimulator::run_with_oracle`], reporting every dispatch
     /// and every delivery to `observer` — the stream
-    /// [`Simulator::run_observed`](crate::Simulator::run_observed)
-    /// reports for the same run. [`Run::trace`] stays empty here.
+    /// [`Simulator::execute`](crate::Simulator::execute) reports for the
+    /// same run. [`Run::trace`] stays empty here.
     ///
     /// # Errors
     ///

@@ -239,7 +239,8 @@ impl FaultPlan {
 ///
 /// An oracle decides; it is not told what its decisions led to. Whoever
 /// needs effective arrivals or deliveries passes an
-/// [`Observer`](crate::Observer) to the executor's `run_observed`.
+/// [`Observer`](crate::Observer) to [`Simulator::execute`](crate::Simulator::execute)
+/// (or to another executor's `run_observed`).
 pub trait LinkOracle {
     /// Returns the fate of the message described by `msg`.
     fn decide(&mut self, msg: &MsgInfo) -> LinkDecision;

@@ -24,15 +24,15 @@
 //!
 //! # Suspicion is revocable: rejoin handling
 //!
-//! A suspected channel is put to rest — its watch timer is cancelled
-//! rather than left to fire dead, and subsequent heartbeat rounds skip
-//! the peer, so a crashed neighbor stops costing anything. But churn
-//! adversaries may *rejoin* a crashed vertex: the restarted incarnation
-//! heartbeats afresh, and any arrival from a suspected peer revokes the
-//! suspicion — the watch re-arms (inside its original window), one
-//! immediate heartbeat is returned to the peer so both directions
-//! re-establish liveness, and the hosted protocol hears
-//! [`FaultAware::on_peer_restored`].
+//! A suspected channel is put to rest: suspicion happens only when the
+//! watch's own timer fires, so no timer is left to cancel, and
+//! subsequent heartbeat rounds skip the peer, so a crashed neighbor
+//! stops costing anything. But churn adversaries may *rejoin* a crashed
+//! vertex: the restarted incarnation heartbeats afresh, and any arrival
+//! from a suspected peer revokes the suspicion — the watch re-arms
+//! (inside its original window), one immediate heartbeat is returned to
+//! the peer so both directions re-establish liveness, and the hosted
+//! protocol hears [`FaultAware::on_peer_restored`].
 //!
 //! # Accuracy and completeness (in the weighted-delay model)
 //!
@@ -403,14 +403,8 @@ impl<P: FaultAware> Process for Detect<P> {
                 return;
             }
             if now >= self.watches[i].deadline {
+                // `beat` skips suspected peers from the next round on.
                 self.watches[i].suspected = true;
-                // Put the channel fully to rest: cancel any outstanding
-                // watch timer instead of leaving it to fire dead (the
-                // restore path can re-arm one mid-window), and `beat`
-                // skips suspected peers from the next round on.
-                if let Some(t) = self.watches[i].timer.take() {
-                    ctx.cancel_timer(t);
-                }
                 let peer = self.watches[i].peer;
                 self.host(ctx, |p, c| p.on_peer_suspected(peer, c));
                 return;

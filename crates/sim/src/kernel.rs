@@ -43,7 +43,7 @@
 //! The per-event pieces are `#[inline(always)]`: each has two or three
 //! call sites, and left to its own judgement the compiler keeps them
 //! out of line in the run loops, which costs pooled evaluation
-//! (`Simulator::eval` / `eval_resume` on small graphs) 20–30 %. Inlined,
+//! (`Simulator::execute` into a warm pool on small graphs) 20–30 %. Inlined,
 //! the sink and the handler closure monomorphise away and the loops
 //! compile to what the hand-written copies did.
 

@@ -82,7 +82,10 @@ pub use delay::{
 pub use detect::{Detect, DetectConfig, DetectMsg, FaultAware};
 pub use process::{Context, MsgToken, Process, TimerId};
 pub use reliable::{RelMsg, Reliable};
-pub use runtime::{Checkpoint, CoreKind, EvalPool, EvalSummary, Run, SimError, Simulator};
+pub use runtime::{
+    Capture, CaptureEvery, Checkpoint, CoreKind, EvalPool, EvalSummary, NoCapture, Origin, Run,
+    SimError, Simulator, Start,
+};
 pub use shard::ShardedSimulator;
 pub use sweep::{
     effective_threads, par_map, par_map_with, summarize, SweepGrid, SweepPoint, SweepRun,

@@ -47,32 +47,36 @@
 //! timer fire by itself never advances the run's completion time, which
 //! remains the time of the last delivered message.
 //!
-//! # Checkpoints and pooled evaluation
+//! # One entry
 //!
-//! For search workloads that re-simulate many near-identical runs (see
-//! `csp-adversary`), the runtime additionally supports:
+//! Every run starts in [`Simulator::execute`]`(start, pool, oracle,
+//! observer, capture)`, the one place a run's machine is booted or
+//! restored:
 //!
-//! * [`Simulator::run_with_checkpoints`] — a run that snapshots its
-//!   complete state ([`Checkpoint`]) every time the metered message
-//!   count crosses a mark, and [`Simulator::resume`] /
-//!   [`Simulator::eval_resume`] which continue a run from a snapshot
-//!   under a (possibly different) oracle. A resumed run is bit-identical
-//!   to a cold run whose oracle agrees on every message index below the
-//!   checkpoint — the property the adversary's prefix-sharing hill-climb
-//!   exploits, pinned by `tests/flat_core_differential.rs`.
+//! * `start` is a factory (a fresh boot) or a [`Checkpoint`] (a resumed
+//!   run) — see [`Start`]. A resumed run is bit-identical to a cold run
+//!   whose oracle agrees on every message index at or above the
+//!   checkpoint — the property the adversary's prefix-sharing
+//!   hill-climb exploits, pinned by `tests/flat_core_differential.rs`.
+//! * `pool` ([`EvalPool`]) retains every buffer (queue arena, floors,
+//!   states, outboxes, trace) between runs; the run's final state stays
+//!   in it and only an [`EvalSummary`] comes back.
+//! * `observer` hears the run's [`Observer`] stream, resumed or not.
+//! * `capture` is [`NoCapture`] or [`CaptureEvery`], which snapshots the
+//!   complete state every time the metered message count crosses a mark.
 //!   A run's checkpoints are persistent: each shares with the one before
 //!   it every vertex and edge page no event wrote in between and every
 //!   queue push still pending, and copies only the rest — so their
 //!   memory grows with what changed, not with snapshots × machine size.
 //!   The queue is kept as its pushes plus a frontier key and rebuilt on
 //!   restore, the same way on both core kinds.
-//! * [`EvalPool`] + [`Simulator::eval`] — repeated evaluation that
-//!   retains every buffer (queue arena, floors, states, outboxes)
-//!   between runs, reporting only an [`EvalSummary`] instead of
-//!   returning owned state.
+//!
+//! [`Simulator::run`], [`Simulator::run_with_oracle`],
+//! [`Simulator::run_with_checkpoints`], [`Simulator::eval`] and
+//! [`Simulator::eval_resume`] are shorthands for common calls.
 
 use crate::cost::CostReport;
-use crate::delay::{DelayModel, LinkOracle, ModelOracle};
+use crate::delay::{DelayModel, LinkOracle, ModelOracle, MsgInfo};
 use crate::kernel::{Event, Kernel, KernelSnapshot, Sink, Writes};
 use crate::process::Process;
 use crate::queue::{BucketQueue, HeapQueue, QueueEntry};
@@ -119,8 +123,9 @@ pub struct Run<P> {
     /// Whether the run was cut short by [`Simulator::comm_limit`] —
     /// remaining messages were dropped undelivered.
     pub truncated: bool,
-    /// Message trace: empty unless [`Simulator::record_trace`] was set,
-    /// and always empty from a `run_observed` entry.
+    /// Delivery trace: empty unless [`Simulator::record_trace`] was set
+    /// for a fresh run, or the checkpoint a resumed run started from
+    /// carried one.
     pub trace: Trace,
 }
 
@@ -352,8 +357,8 @@ impl<M: Clone> EventCore<M> {
 }
 
 /// The complete mutable state of a run in flight: the executor-agnostic
-/// [`Kernel`] plus the event core it schedules into. Owned by a single
-/// run, or retained across runs inside an [`EvalPool`].
+/// [`Kernel`] plus the event core it schedules into. Retained across
+/// runs inside an [`EvalPool`].
 #[derive(Debug)]
 struct Machine<P: Process> {
     kernel: Kernel<P>,
@@ -367,22 +372,195 @@ impl<P: Process> Machine<P> {
             core: EventCore::new(kind, g.max_weight().get()),
         }
     }
+}
 
-    fn into_run(self, trace: Trace) -> Run<P> {
-        Run {
-            states: self.kernel.vertices.states,
-            cost: self.kernel.ledger.cost,
-            truncated: self.kernel.ledger.truncated,
-            trace,
+/// Public in a private module: nothing outside this crate can name
+/// [`Execution`](sealed::Execution), so nothing there can implement
+/// [`Start`] or [`Capture`], whose methods take one.
+mod sealed {
+    use super::{Checkpoint, SimError};
+    use crate::process::Process;
+    use csp_graph::{NodeId, WeightedGraph};
+
+    /// One [`Simulator::execute`](super::Simulator::execute) call, as
+    /// its [`Start`](super::Start) and [`Capture`](super::Capture) drive
+    /// it: first `boot` or `restore`, then `run` or `capture`.
+    pub trait Execution<P: Process> {
+        /// Rewinds the machine and boots a fresh run from `make`.
+        fn boot(&mut self, make: impl FnMut(NodeId, &WeightedGraph) -> P);
+
+        /// Overwrites the machine with `cp`.
+        fn restore(&mut self, cp: &Checkpoint<P>)
+        where
+            P: Clone;
+
+        /// Runs to quiescence.
+        fn run(&mut self) -> Result<(), SimError>;
+
+        /// Runs to quiescence, appending a checkpoint to `out` each time
+        /// the message count reaches the next mark, `every` past the
+        /// last (or past the start).
+        fn capture(&mut self, every: u64, out: &mut Vec<Checkpoint<P>>) -> Result<(), SimError>
+        where
+            P: Clone;
+    }
+}
+
+use sealed::Execution;
+
+/// Where [`Simulator::execute`] starts a run.
+///
+/// * A factory `make(v, graph)` boots a fresh run: every vertex's state,
+///   then the oracle's fault plan, then every `on_start` at time zero.
+/// * A `&`[`Checkpoint`] continues the run it was taken from, on any
+///   core kind; see [`Checkpoint`] for when that is bit-identical to
+///   the cold run.
+/// * An [`Origin`] is either, picked at run time.
+///
+/// A closure passed directly needs its parameter types written out
+/// (`|v: NodeId, g: &WeightedGraph| ...`): nothing here tells the
+/// compiler it is a factory.
+pub trait Start<P: Process> {
+    /// Readies `run`'s machine.
+    #[doc(hidden)]
+    fn begin(self, run: &mut impl Execution<P>);
+}
+
+impl<P: Process, F: FnMut(NodeId, &WeightedGraph) -> P> Start<P> for F {
+    fn begin(self, run: &mut impl Execution<P>) {
+        run.boot(self);
+    }
+}
+
+impl<P: Process + Clone> Start<P> for &Checkpoint<P> {
+    fn begin(self, run: &mut impl Execution<P>) {
+        run.restore(self);
+    }
+}
+
+/// A [`Start`] picked at run time: a checkpoint when the caller has a
+/// usable one, a fresh boot otherwise.
+pub enum Origin<'c, P: Process, F> {
+    /// Boots a fresh run from this factory.
+    Fresh(F),
+    /// Continues this checkpoint.
+    Checkpoint(&'c Checkpoint<P>),
+}
+
+impl<P: Process + Clone, F: FnMut(NodeId, &WeightedGraph) -> P> Start<P> for Origin<'_, P, F> {
+    fn begin(self, run: &mut impl Execution<P>) {
+        match self {
+            Origin::Fresh(make) => run.boot(make),
+            Origin::Checkpoint(cp) => run.restore(cp),
         }
     }
 }
 
-impl<P: Process + Clone> Machine<P> {
-    /// Overwrites this machine with a checkpoint's, reusing allocations.
-    fn restore(&mut self, cp: &Checkpoint<P>) {
-        self.kernel.restore(&cp.kernel);
-        self.core.restore(&cp.queue);
+/// Whether [`Simulator::execute`] snapshots its run: [`NoCapture`] or
+/// [`CaptureEvery`]. The choice is a type, so an uncaptured run's loop
+/// has no capture in it at all.
+pub trait Capture<P: Process> {
+    /// Runs `run` to quiescence.
+    #[doc(hidden)]
+    fn finish(self, run: &mut impl Execution<P>) -> Result<(), SimError>;
+}
+
+/// Takes no checkpoints.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoCapture;
+
+impl<P: Process> Capture<P> for NoCapture {
+    fn finish(self, run: &mut impl Execution<P>) -> Result<(), SimError> {
+        run.run()
+    }
+}
+
+/// Appends a [`Checkpoint`] to `.1` each time the metered message count
+/// reaches the next mark. The first mark is `.0` messages past the
+/// start — also checked right after the time-zero starts, which may
+/// already reach it — and each capture sets the next `.0` past wherever
+/// the count landed, so bursty dispatches never capture twice.
+///
+/// # Panics
+///
+/// A run panics if `.0` is zero.
+#[derive(Debug)]
+pub struct CaptureEvery<'a, P: Process>(pub u64, pub &'a mut Vec<Checkpoint<P>>);
+
+impl<P: Process + Clone> Capture<P> for CaptureEvery<'_, P> {
+    fn finish(self, run: &mut impl Execution<P>) -> Result<(), SimError> {
+        run.capture(self.0, self.1)
+    }
+}
+
+/// One [`Simulator::execute`] call: the only code that boots or
+/// restores a machine.
+struct Call<'r, 'g, P: Process, O: ?Sized, B: ?Sized> {
+    sim: &'r Simulator<'g>,
+    m: Machine<P>,
+    trace: &'r mut Trace,
+    oracle: &'r mut O,
+    observer: &'r mut B,
+    /// The message count the run starts from.
+    from: u64,
+}
+
+impl<P, O, B> Execution<P> for Call<'_, '_, P, O, B>
+where
+    P: Process,
+    O: LinkOracle + ?Sized,
+    B: Observer + ?Sized,
+{
+    fn boot(&mut self, make: impl FnMut(NodeId, &WeightedGraph) -> P) {
+        let (sim, g, m) = (self.sim, self.sim.graph, &mut self.m);
+        m.kernel.reset(g);
+        m.core.reset(sim.core, g.max_weight().get());
+        *self.trace = Trace::new(sim.trace_cap);
+        let (oracle, observer) = (&mut *self.oracle, &mut *self.observer);
+        (m.kernel).boot(g, sim.comm_limit, oracle, observer, make, &mut m.core);
+    }
+
+    fn restore(&mut self, cp: &Checkpoint<P>)
+    where
+        P: Clone,
+    {
+        let (g, m) = (self.sim.graph, &mut self.m);
+        debug_assert_eq!(cp.kernel.channels(), 2 * g.edge_count(), "wrong graph");
+        // Restoring overwrites every field `boot` rewinds, and leaving
+        // `states` populated lets `clone_from` reuse each element's own
+        // buffers.
+        m.core.ensure_queue(self.sim.core, g.max_weight().get());
+        m.core.restore(&cp.queue);
+        m.kernel.restore(&cp.kernel);
+        *self.trace = cp.trace.to_trace();
+        self.from = cp.messages();
+    }
+
+    fn run(&mut self) -> Result<(), SimError> {
+        let (oracle, m, observer) = (&mut *self.oracle, &mut self.m, &mut *self.observer);
+        if self.trace.cap == 0 {
+            return self.sim.exec(oracle, m, observer);
+        }
+        let trace = &mut *self.trace;
+        self.sim.exec(oracle, m, Recorded { observer, trace })
+    }
+
+    fn capture(&mut self, every: u64, out: &mut Vec<Checkpoint<P>>) -> Result<(), SimError>
+    where
+        P: Clone,
+    {
+        assert!(every > 0, "checkpoint interval must be non-zero");
+        let (observer, trace) = (&mut *self.observer, &mut *self.trace);
+        let mut capture = CheckpointCapture {
+            every,
+            next_at: self.from.saturating_add(every),
+            first: out.len(),
+            out,
+            writes: Writes::new(self.sim.graph),
+            inner: Recorded { observer, trace },
+        };
+        capture.take(&self.m);
+        self.sim.exec(&mut *self.oracle, &mut self.m, capture)
     }
 }
 
@@ -397,23 +575,42 @@ trait Hook<P: Process>: Observer {
 
 impl<P: Process, B: Observer + ?Sized> Hook<P> for &mut B {}
 
-/// Captures a [`Checkpoint`] whenever the metered message count crosses
-/// the next multiple-ish mark (marks advance by `every` from wherever
-/// the count lands, so bursty dispatches never capture twice), and keeps
-/// the run's delivery trace, which every checkpoint carries. Between
-/// captures it marks what each event wrote, so a capture copies only
-/// that and shares the rest with the run's previous checkpoint.
-struct CheckpointCapture<'a, P: Process + Clone> {
+/// The caller's observer plus the run's delivery trace.
+struct Recorded<'a, B: ?Sized> {
+    observer: &'a mut B,
+    trace: &'a mut Trace,
+}
+
+impl<B: Observer + ?Sized> Observer for Recorded<'_, B> {
+    #[inline]
+    fn dispatched(&mut self, msg: &MsgInfo, delay: u64, arrival: SimTime) {
+        self.observer.dispatched(msg, delay, arrival);
+    }
+
+    #[inline]
+    fn delivered(&mut self, event: &TraceEvent) {
+        self.observer.delivered(event);
+        self.trace.delivered(event);
+    }
+}
+
+impl<P: Process, B: Observer + ?Sized> Hook<P> for Recorded<'_, B> {}
+
+/// [`CaptureEvery`] at work: reports to the caller's observer and the
+/// delivery trace, which every checkpoint carries, and between captures
+/// marks what each event wrote, so a capture copies only that and shares
+/// the rest with the run's previous checkpoint.
+struct CheckpointCapture<'a, P: Process + Clone, B: ?Sized> {
     every: u64,
     next_at: u64,
     out: &'a mut Vec<Checkpoint<P>>,
     /// Where this run's checkpoints start in `out`.
     first: usize,
     writes: Writes,
-    trace: &'a mut Trace,
+    inner: Recorded<'a, B>,
 }
 
-impl<P: Process + Clone> CheckpointCapture<'_, P> {
+impl<P: Process + Clone, B: Observer + ?Sized> CheckpointCapture<'_, P, B> {
     /// Captures if the message count reached the mark.
     fn take(&mut self, m: &Machine<P>) {
         let messages = m.kernel.ledger.cost.messages;
@@ -424,21 +621,26 @@ impl<P: Process + Clone> CheckpointCapture<'_, P> {
         let cp = Checkpoint {
             kernel: (m.kernel).snapshot(prev.map(|p| &p.kernel), &mut self.writes),
             queue: m.core.snapshot(prev.map(|p| &p.queue)),
-            trace: TraceSnapshot::capture(self.trace, prev.map(|p| &p.trace)),
+            trace: TraceSnapshot::capture(self.inner.trace, prev.map(|p| &p.trace)),
         };
         self.out.push(cp);
         self.next_at = messages + self.every;
     }
 }
 
-impl<P: Process + Clone> Observer for CheckpointCapture<'_, P> {
+impl<P: Process + Clone, B: Observer + ?Sized> Observer for CheckpointCapture<'_, P, B> {
+    #[inline]
+    fn dispatched(&mut self, msg: &MsgInfo, delay: u64, arrival: SimTime) {
+        self.inner.dispatched(msg, delay, arrival);
+    }
+
     #[inline]
     fn delivered(&mut self, event: &TraceEvent) {
-        self.trace.delivered(event);
+        self.inner.delivered(event);
     }
 }
 
-impl<P: Process + Clone> Hook<P> for CheckpointCapture<'_, P> {
+impl<P: Process + Clone, B: Observer + ?Sized> Hook<P> for CheckpointCapture<'_, P, B> {
     fn after_event(&mut self, m: &Machine<P>, slot: usize) {
         self.writes.handled(&m.kernel.vertices, slot);
         self.take(m);
@@ -446,20 +648,20 @@ impl<P: Process + Clone> Hook<P> for CheckpointCapture<'_, P> {
 }
 
 /// A complete snapshot of a run in progress, taken at an event boundary
-/// by [`Simulator::run_with_checkpoints`].
+/// by [`CaptureEvery`].
 ///
-/// Resuming from a checkpoint ([`Simulator::resume`],
-/// [`Simulator::eval_resume`]) reproduces the original run **bit for
-/// bit** provided the resuming oracle agrees with the original on every
-/// message index at or above [`Checkpoint::messages`] — decisions below
-/// that index are already baked into the snapshot's queue, so the
-/// resuming oracle is never asked about them. Index-addressed oracles
-/// (like `csp-adversary`'s schedule replay) satisfy this by
-/// construction; stateful randomized oracles in general do not. The
-/// fault plan and the stashed rejoin states are part of the snapshot: a
-/// resume never queries [`LinkOracle::fault_plan`], so the resuming
-/// oracle cannot change who churns or how weights move. So is the
-/// delivery trace so far: a resumed run continues it.
+/// Starting [`Simulator::execute`] from a checkpoint reproduces the
+/// original run **bit for bit** provided the resuming oracle agrees with
+/// the original on every message index at or above
+/// [`Checkpoint::messages`] — decisions below that index are already
+/// baked into the snapshot's queue, so the resuming oracle is never
+/// asked about them. Index-addressed oracles (like `csp-adversary`'s
+/// schedule replay) satisfy this by construction; stateful randomized
+/// oracles in general do not. The fault plan and the stashed rejoin
+/// states are part of the snapshot: a resume never queries
+/// [`LinkOracle::fault_plan`], so the resuming oracle cannot change who
+/// churns or how weights move. So is the delivery trace so far: a
+/// resumed run continues it.
 ///
 /// Checkpoints are persistent: those of one run share, by reference
 /// count, every part that did not change between them — the vertex and
@@ -496,18 +698,38 @@ impl<P: Process> Checkpoint<P> {
 }
 
 /// Reusable simulation state for high-throughput evaluation: the
-/// scheduling queue and its arena, FIFO floors, process-state vector, cost meters and
-/// handler buffers all persist between [`Simulator::eval`] /
-/// [`Simulator::eval_resume`] calls, so a warm evaluation performs no
+/// scheduling queue and its arena, FIFO floors, process-state vector,
+/// cost meters, handler buffers and delivery trace all persist between
+/// [`Simulator::execute`] calls, so a warm evaluation performs no
 /// per-run setup allocation. Keep one pool per worker thread.
 pub struct EvalPool<P: Process> {
     machine: Option<Machine<P>>,
+    trace: Trace,
 }
 
 impl<P: Process> EvalPool<P> {
     /// Creates an empty pool; buffers materialize on first use.
     pub fn new() -> Self {
-        EvalPool { machine: None }
+        EvalPool {
+            machine: None,
+            trace: Trace::default(),
+        }
+    }
+
+    /// The final states, metered costs and delivery trace of the pool's
+    /// last run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing ran in the pool.
+    pub fn into_run(self) -> Run<P> {
+        let kernel = self.machine.expect("a run leaves its machine").kernel;
+        Run {
+            states: kernel.vertices.states,
+            cost: kernel.ledger.cost,
+            truncated: kernel.ledger.truncated,
+            trace: self.trace,
+        }
     }
 }
 
@@ -571,6 +793,9 @@ impl EvalSummary {
 /// The run ends at *quiescence* — no messages in flight. Protocols in the
 /// paper's model (diffusing computations) always reach it; a configurable
 /// event budget converts runaway executions into [`SimError`].
+///
+/// Every run goes through [`Simulator::execute`]; the other run methods
+/// are shorthands for it.
 #[derive(Debug)]
 pub struct Simulator<'g> {
     graph: &'g WeightedGraph,
@@ -615,7 +840,8 @@ impl<'g> Simulator<'g> {
         self
     }
 
-    /// Records up to `cap` delivered messages into [`Run::trace`].
+    /// Records up to `cap` delivered messages of every freshly started
+    /// run into [`Run::trace`].
     pub fn record_trace(&mut self, cap: usize) -> &mut Self {
         self.trace_cap = cap;
         self
@@ -645,12 +871,69 @@ impl<'g> Simulator<'g> {
         self
     }
 
-    /// Runs `make(v, graph)`-constructed processes to quiescence under
-    /// the configured [`DelayModel`].
+    /// Runs one simulation to quiescence in `pool`: the entry every
+    /// other run method is a shorthand for.
     ///
-    /// Defined as [`Simulator::run_with_oracle`] over a [`ModelOracle`],
-    /// so model-driven and oracle-driven runs are bit-identical by
-    /// construction.
+    /// * `start` — a factory (fresh) or a checkpoint (resumed); see
+    ///   [`Start`].
+    /// * `pool` — the buffers the run reuses. Its final states, costs and
+    ///   delivery trace stay there ([`EvalPool::into_run`]); only the
+    ///   metered aggregates come back.
+    /// * `oracle` decides every message's fate at dispatch time. Its
+    ///   decisions are clamped into `[1, w(e)]` (the paper's adversary
+    ///   range, quantized — see the [`crate::delay`] module docs), and
+    ///   per-directed-edge FIFO order is enforced afterwards. The
+    ///   configured [`DelayModel`] and seed are not used.
+    /// * `observer` hears every dispatch and every delivery as it
+    ///   happens.
+    /// * `capture` — [`NoCapture`], or [`CaptureEvery`] to snapshot the
+    ///   run as it goes.
+    ///
+    /// A fresh run records its delivery trace when
+    /// [`Simulator::record_trace`] is set; a resumed one continues its
+    /// checkpoint's. The simulator's core kind may differ from the one
+    /// that took the checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EventLimitExceeded`] if the protocol does not
+    /// quiesce within the event budget (delivered events count from the
+    /// checkpoint's total, not from zero).
+    pub fn execute<P, S, O, B, C>(
+        &self,
+        start: S,
+        pool: &mut EvalPool<P>,
+        oracle: &mut O,
+        observer: &mut B,
+        capture: C,
+    ) -> Result<EvalSummary, SimError>
+    where
+        P: Process,
+        S: Start<P>,
+        O: LinkOracle + ?Sized,
+        B: Observer + ?Sized,
+        C: Capture<P>,
+    {
+        let m = (pool.machine.take()).unwrap_or_else(|| Machine::new(self.core, self.graph));
+        let mut call = Call {
+            sim: self,
+            m,
+            trace: &mut pool.trace,
+            oracle,
+            observer,
+            from: 0,
+        };
+        start.begin(&mut call);
+        let res = capture.finish(&mut call);
+        let summary = EvalSummary::of(&call.m);
+        pool.machine = Some(call.m);
+        res.map(|()| summary)
+    }
+
+    /// Runs `make(v, graph)`-constructed processes to quiescence under
+    /// the configured [`DelayModel`]: [`Simulator::run_with_oracle`]
+    /// over a [`ModelOracle`], so model-driven and oracle-driven runs are
+    /// bit-identical by construction.
     ///
     /// # Errors
     ///
@@ -664,13 +947,8 @@ impl<'g> Simulator<'g> {
         self.run_with_oracle(&mut ModelOracle::new(self.delay, self.seed), make)
     }
 
-    /// Runs `make(v, graph)`-constructed processes to quiescence with
-    /// every message's delay decided by `oracle` at dispatch time.
-    ///
-    /// The oracle's decisions are clamped into `[1, w(e)]` (the paper's
-    /// adversary range, quantized — see the [`crate::delay`] module
-    /// docs), and per-directed-edge FIFO order is enforced afterwards.
-    /// The configured [`DelayModel`] and seed are ignored on this path.
+    /// A fresh, unobserved [`Simulator::execute`] under `oracle`, in a
+    /// pool of its own.
     ///
     /// # Errors
     ///
@@ -682,45 +960,13 @@ impl<'g> Simulator<'g> {
         F: FnMut(NodeId, &WeightedGraph) -> P,
         O: LinkOracle + ?Sized,
     {
-        if self.trace_cap == 0 {
-            return self.run_observed(oracle, &mut (), make);
-        }
-        let mut trace = Trace::new(self.trace_cap);
-        let run = self.run_observed(oracle, &mut trace, make)?;
-        Ok(Run { trace, ..run })
-    }
-
-    /// [`Simulator::run_with_oracle`], reporting every dispatch and every
-    /// delivery to `observer` as it happens. [`Run::trace`] stays empty
-    /// here: the observer is the record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EventLimitExceeded`] if the protocol does not
-    /// quiesce within the event budget.
-    pub fn run_observed<P, F, O, B>(
-        &self,
-        oracle: &mut O,
-        observer: &mut B,
-        make: F,
-    ) -> Result<Run<P>, SimError>
-    where
-        P: Process,
-        F: FnMut(NodeId, &WeightedGraph) -> P,
-        O: LinkOracle + ?Sized,
-        B: Observer + ?Sized,
-    {
         let mut pool = EvalPool::new();
-        self.eval_observed(&mut pool, oracle, observer, make)?;
-        let m = pool.machine.expect("an evaluation leaves its machine");
-        Ok(m.into_run(Trace::default()))
+        self.execute(make, &mut pool, oracle, &mut (), NoCapture)?;
+        Ok(pool.into_run())
     }
 
-    /// Like [`Simulator::run_with_oracle`], but snapshots the complete
-    /// run state into `checkpoints` every time the metered message count
-    /// crosses a multiple-of-`every` mark (an initial snapshot is also
-    /// taken right after the time-zero starts if they already dispatched
-    /// `every` messages). `every` must be non-zero.
+    /// [`Simulator::run_with_oracle`] with [`CaptureEvery`]`(every,
+    /// checkpoints)`.
     ///
     /// # Errors
     ///
@@ -742,56 +988,13 @@ impl<'g> Simulator<'g> {
         F: FnMut(NodeId, &WeightedGraph) -> P,
         O: LinkOracle + ?Sized,
     {
-        assert!(every > 0, "checkpoint interval must be non-zero");
-        let mut trace = Trace::new(self.trace_cap);
-        let g = self.graph;
-        let mut capture = CheckpointCapture {
-            every,
-            next_at: every,
-            first: checkpoints.len(),
-            out: checkpoints,
-            writes: Writes::new(g),
-            trace: &mut trace,
-        };
-        let mut m = Machine::new(self.core, g);
-        m.kernel
-            .boot(g, self.comm_limit, oracle, &mut capture, make, &mut m.core);
-        capture.take(&m);
-        self.exec(oracle, &mut m, capture)?;
-        Ok(m.into_run(trace))
+        let mut pool = EvalPool::new();
+        let capture = CaptureEvery(every, checkpoints);
+        self.execute(make, &mut pool, oracle, &mut (), capture)?;
+        Ok(pool.into_run())
     }
 
-    /// Continues a checkpointed run to quiescence under `oracle`.
-    ///
-    /// See [`Checkpoint`] for the oracle-agreement condition under which
-    /// the result is bit-identical to a cold run. The simulator's
-    /// configured core may differ from the one that took the snapshot —
-    /// checkpoints are queue-implementation agnostic. The run's trace
-    /// continues the checkpoint's, so it is recorded exactly when the
-    /// checkpointing simulator recorded one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EventLimitExceeded`] if the protocol does not
-    /// quiesce within the event budget (delivered events count from the
-    /// checkpoint's total, not from zero).
-    pub fn resume<P, O>(&self, cp: &Checkpoint<P>, oracle: &mut O) -> Result<Run<P>, SimError>
-    where
-        P: Process + Clone,
-        O: LinkOracle + ?Sized,
-    {
-        self.check_fits(cp);
-        let mut m = Machine::new(self.core, self.graph);
-        m.restore(cp);
-        let mut trace = cp.trace.to_trace();
-        self.exec(oracle, &mut m, &mut trace)?;
-        Ok(m.into_run(trace))
-    }
-
-    /// Runs a full evaluation out of `pool`, reusing every buffer the
-    /// pool retained from earlier evaluations. Traces are not recorded
-    /// on this path and final states stay inside the pool; only the
-    /// metered aggregates come back.
+    /// A fresh, unobserved [`Simulator::execute`] in `pool`.
     ///
     /// # Errors
     ///
@@ -808,41 +1011,10 @@ impl<'g> Simulator<'g> {
         F: FnMut(NodeId, &WeightedGraph) -> P,
         O: LinkOracle + ?Sized,
     {
-        self.eval_observed(pool, oracle, &mut (), make)
+        self.execute(make, pool, oracle, &mut (), NoCapture)
     }
 
-    /// [`Simulator::eval`], reporting every dispatch and every delivery
-    /// to `observer` as it happens.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EventLimitExceeded`] if the protocol does not
-    /// quiesce within the event budget.
-    pub fn eval_observed<P, F, O, B>(
-        &self,
-        pool: &mut EvalPool<P>,
-        oracle: &mut O,
-        observer: &mut B,
-        make: F,
-    ) -> Result<EvalSummary, SimError>
-    where
-        P: Process,
-        F: FnMut(NodeId, &WeightedGraph) -> P,
-        O: LinkOracle + ?Sized,
-        B: Observer + ?Sized,
-    {
-        let g = self.graph;
-        let mut m = self.pooled_machine(pool);
-        m.kernel
-            .boot(g, self.comm_limit, oracle, observer, make, &mut m.core);
-        let res = self.exec(oracle, &mut m, observer);
-        let summary = EvalSummary::of(&m);
-        pool.machine = Some(m);
-        res.map(|()| summary)
-    }
-
-    /// [`Simulator::resume`] out of a pool: continues `cp` under
-    /// `oracle` with zero per-run setup allocation in steady state.
+    /// An unobserved [`Simulator::execute`] from `cp` in `pool`.
     ///
     /// # Errors
     ///
@@ -859,44 +1031,7 @@ impl<'g> Simulator<'g> {
         P: Process + Clone,
         O: LinkOracle + ?Sized,
     {
-        self.check_fits(cp);
-        // Take the pooled machine raw — `restore` overwrites every field
-        // the usual rewind would clear, and leaving `states` populated
-        // lets `clone_from` reuse each element's own buffers instead of
-        // cloning into freed slots.
-        let mut m = match pool.machine.take() {
-            Some(m) => m,
-            None => Machine::new(self.core, self.graph),
-        };
-        m.core
-            .ensure_queue(self.core, self.graph.max_weight().get());
-        m.restore(cp);
-        let res = self.exec(oracle, &mut m, &mut ());
-        let summary = EvalSummary::of(&m);
-        pool.machine = Some(m);
-        res.map(|()| summary)
-    }
-
-    fn check_fits<P: Process>(&self, cp: &Checkpoint<P>) {
-        debug_assert_eq!(
-            cp.kernel.channels(),
-            2 * self.graph.edge_count(),
-            "checkpoint/graph mismatch"
-        );
-    }
-
-    /// Takes the pool's machine (or builds one) and rewinds it for a run
-    /// on this simulator's graph and core.
-    fn pooled_machine<P: Process>(&self, pool: &mut EvalPool<P>) -> Machine<P> {
-        let g = self.graph;
-        match pool.machine.take() {
-            Some(mut m) => {
-                m.kernel.reset(g);
-                m.core.reset(self.core, g.max_weight().get());
-                m
-            }
-            None => Machine::new(self.core, g),
-        }
+        self.execute(cp, pool, oracle, &mut (), NoCapture)
     }
 
     /// The main loop: pop, fire, meter, send, arm, hook — until
@@ -1286,6 +1421,17 @@ mod checkpoint_tests {
         }
     }
 
+    /// Continues `cp` to quiescence under `oracle` in a pool of its own.
+    pub(super) fn resumed<P: Process + Clone>(
+        sim: &Simulator<'_>,
+        cp: &Checkpoint<P>,
+        mut oracle: impl LinkOracle,
+    ) -> Result<Run<P>, SimError> {
+        let mut pool = EvalPool::new();
+        sim.execute(cp, &mut pool, &mut oracle, &mut (), NoCapture)?;
+        Ok(pool.into_run())
+    }
+
     #[test]
     fn resume_reproduces_the_cold_run_exactly() {
         let g = generators::path(2, |_| 9);
@@ -1306,9 +1452,7 @@ mod checkpoint_tests {
         assert!(!cps.is_empty(), "expected checkpoints every 7 messages");
 
         for cp in &cps {
-            let resumed = sim
-                .resume(cp, &mut ModelOracle::new(DelayModel::WorstCase, 0))
-                .unwrap();
+            let resumed = resumed(&sim, cp, ModelOracle::new(DelayModel::WorstCase, 0)).unwrap();
             assert_eq!(resumed.cost, cold.cost, "at checkpoint {}", cp.messages());
             assert_eq!(resumed.trace.events(), cold.trace.events());
             assert_eq!(resumed.states, cold.states);
@@ -1332,9 +1476,8 @@ mod checkpoint_tests {
         let mut heap_sim = Simulator::new(&g);
         heap_sim.core(CoreKind::Heap);
         for cp in &cps {
-            let resumed = heap_sim
-                .resume(cp, &mut ModelOracle::new(DelayModel::WorstCase, 0))
-                .unwrap();
+            let resumed =
+                resumed(&heap_sim, cp, ModelOracle::new(DelayModel::WorstCase, 0)).unwrap();
             assert_eq!(resumed.cost, cold.cost);
         }
     }
@@ -1376,9 +1519,7 @@ mod checkpoint_tests {
         .unwrap();
         let mut pool = EvalPool::new();
         for cp in &cps {
-            let cold = sim
-                .resume(cp, &mut ModelOracle::new(DelayModel::WorstCase, 0))
-                .unwrap();
+            let cold = resumed(&sim, cp, ModelOracle::new(DelayModel::WorstCase, 0)).unwrap();
             let pooled = sim
                 .eval_resume(
                     &mut pool,
@@ -1502,6 +1643,7 @@ mod checkpoint_tests {
 
 #[cfg(test)]
 mod churn_tests {
+    use super::checkpoint_tests::resumed;
     use super::*;
     use crate::delay::ChurnOracle;
     use crate::process::{Context, TimerId};
@@ -1692,9 +1834,7 @@ mod churn_tests {
         for cp in &cps {
             // The resuming oracle is never asked about churn or drift —
             // an oracle with *no* plans must still reproduce the run.
-            let resumed = sim
-                .resume(cp, &mut ModelOracle::new(DelayModel::WorstCase, 0))
-                .unwrap();
+            let resumed = resumed(&sim, cp, ModelOracle::new(DelayModel::WorstCase, 0)).unwrap();
             assert_eq!(resumed.cost, cold.cost, "at checkpoint {}", cp.messages());
             assert_eq!(resumed.states, cold.states);
         }
@@ -1770,6 +1910,7 @@ mod trace_tests {
 
 #[cfg(test)]
 mod sharing_tests {
+    use super::checkpoint_tests::resumed;
     use super::*;
     use crate::delay::ChurnOracle;
     use crate::detect::{Detect, DetectConfig, FaultAware};
@@ -1900,7 +2041,7 @@ mod sharing_tests {
         let mut pool = EvalPool::new();
         for cp in cps {
             let at = cp.messages();
-            let resumed = sim.resume(cp, &mut worst()).unwrap();
+            let resumed = resumed(sim, cp, worst()).unwrap();
             assert_eq!(resumed.cost, cold.cost, "at checkpoint {at}");
             assert_eq!(
                 resumed.cost.overflow_pushes, cold.cost.overflow_pushes,

@@ -57,7 +57,7 @@ use crate::delay::{DelayModel, LinkOracle, ModelOracle};
 use crate::kernel::{Event, Faults, Fired, Kernel, Ledger, Sink, Vertices, Weights};
 use crate::process::Process;
 use crate::queue::BucketQueue;
-use crate::runtime::{CoreKind, EventCore, Run, SimError, Simulator};
+use crate::runtime::{CoreKind, EvalPool, EventCore, NoCapture, Run, SimError, Simulator};
 use crate::time::SimTime;
 use crate::trace::{Observer, Trace};
 use csp_graph::{EdgeId, NodeId, WeightedGraph};
@@ -382,7 +382,7 @@ impl<'g> ShardedSimulator<'g> {
 
     /// [`ShardedSimulator::run_with_oracle`], reporting every dispatch
     /// and every delivery to `observer` — from the leader, in global
-    /// dispatch order, so the stream equals [`Simulator::run_observed`]'s.
+    /// dispatch order, so the stream equals [`Simulator::execute`]'s.
     /// [`Run::trace`] stays empty here: the observer is the record.
     ///
     /// # Errors
@@ -408,7 +408,9 @@ impl<'g> ShardedSimulator<'g> {
             seq.event_limit(self.event_limit)
                 .core(self.core)
                 .comm_limit(limit);
-            return seq.run_observed(oracle, observer, make);
+            let mut pool = EvalPool::new();
+            seq.execute(make, &mut pool, oracle, observer, NoCapture)?;
+            return Ok(pool.into_run());
         }
         let k = if self.threads == 0 {
             crate::sweep::effective_threads(0)

@@ -20,12 +20,13 @@ use std::sync::Arc;
 /// Listens to a run. Both methods default to doing nothing; the runtime
 /// ignores anything an observer does.
 ///
-/// Pass one to an executor's `run_observed`
-/// ([`Simulator::run_observed`](crate::Simulator::run_observed),
-/// [`Simulator::eval_observed`](crate::Simulator::eval_observed),
+/// Pass one to an executor's observing entry
+/// ([`Simulator::execute`](crate::Simulator::execute), fresh or resumed,
 /// [`BaselineSimulator::run_observed`](crate::BaselineSimulator::run_observed),
 /// [`ShardedSimulator::run_observed`](crate::ShardedSimulator::run_observed)):
-/// all four report an identical stream for the same run.
+/// all three report an identical stream for the same run, and a run
+/// resumed from a checkpoint reports the cold run's stream from the
+/// checkpoint on.
 pub trait Observer {
     /// A message was handed to the network: `delay` is the oracle's
     /// decision clamped into `[1, w(e)]`, `arrival` is when the delivery
@@ -101,7 +102,8 @@ pub struct Trace {
     events: Vec<TraceEvent>,
     /// Number of events dropped once the cap was reached.
     dropped: u64,
-    cap: usize,
+    /// Zero turns the trace off.
+    pub(crate) cap: usize,
 }
 
 impl Observer for Trace {

@@ -95,10 +95,11 @@ pub mod prelude {
     };
     pub use csp_sim::sync::{SyncContext, SyncProcess, SyncRunner};
     pub use csp_sim::{
-        BaselineSimulator, Checkpoint, Context, CoreKind, CostClass, CostReport, CrashOracle,
-        DelayModel, DelayOracle, Detect, DetectConfig, DropOracle, EvalPool, EvalSummary,
-        FaultAware, FaultPlan, LinkDecision, LinkOracle, ModelOracle, MsgInfo, MsgToken, Process,
-        RelMsg, Reliable, ShardedSimulator, SimTime, Simulator, TimerId,
+        BaselineSimulator, CaptureEvery, Checkpoint, Context, CoreKind, CostClass, CostReport,
+        CrashOracle, DelayModel, DelayOracle, Detect, DetectConfig, DropOracle, EvalPool,
+        EvalSummary, FaultAware, FaultPlan, LinkDecision, LinkOracle, ModelOracle, MsgInfo,
+        MsgToken, NoCapture, Process, RelMsg, Reliable, ShardedSimulator, SimTime, Simulator,
+        TimerId,
     };
     pub use csp_sync::net::{run_synchronized, Synchronizer};
 }

@@ -18,8 +18,9 @@
 //! search's incremental candidate evaluation relies on.
 
 use cost_sensitive::algo::mst::ghs::Ghs;
+use cost_sensitive::algo::resilient::{Metric, Resilient};
 use cost_sensitive::prelude::*;
-use cost_sensitive::sim::{BaselineSimulator, Observer, TraceEvent};
+use cost_sensitive::sim::{BaselineSimulator, ChurnOracle, Observer, Run, TraceEvent};
 use proptest::prelude::*;
 
 /// A connected graph drawn from four structurally distinct families.
@@ -91,6 +92,132 @@ impl Observer for StreamLog {
 
     fn delivered(&mut self, event: &TraceEvent) {
         self.delivered.push(*event);
+    }
+}
+
+/// A fresh run of `make` under `oracle` on `sim`, reporting to `observer`.
+fn observed<P, F>(
+    sim: &Simulator<'_>,
+    oracle: &mut dyn LinkOracle,
+    observer: &mut StreamLog,
+    make: F,
+) -> Run<P>
+where
+    P: Process,
+    F: FnMut(NodeId, &WeightedGraph) -> P,
+{
+    let mut pool = EvalPool::new();
+    sim.execute(make, &mut pool, oracle, observer, NoCapture)
+        .unwrap();
+    pool.into_run()
+}
+
+/// `cp` continued to quiescence on `sim` under `oracle`, reporting to
+/// `observer`.
+fn resumed<P: Process + Clone>(
+    sim: &Simulator<'_>,
+    cp: &Checkpoint<P>,
+    mut oracle: impl LinkOracle,
+    observer: &mut StreamLog,
+) -> Run<P> {
+    let mut pool = EvalPool::new();
+    sim.execute(cp, &mut pool, &mut oracle, observer, NoCapture)
+        .unwrap();
+    pool.into_run()
+}
+
+/// Checkpoints a cold run of `make` under `oracle()` every `every`
+/// messages on a `kind` core, then resumes every checkpoint with a
+/// [`StreamLog`]: its dispatches must be the cold run's from the
+/// checkpoint's message index on, and its deliveries the cold run's
+/// from there to the end — the trace it continues is the cold run's
+/// whole delivery stream. Returns the number of checkpoints.
+fn observed_resumes_continue_the_cold_stream<P, F, O>(
+    g: &WeightedGraph,
+    kind: CoreKind,
+    every: u64,
+    oracle: impl Fn() -> O,
+    make: F,
+) -> usize
+where
+    P: Process + Clone,
+    F: Fn(NodeId, &WeightedGraph) -> P + Copy,
+    O: LinkOracle,
+{
+    let mut sim = Simulator::new(g);
+    sim.core(kind).record_trace(1 << 16);
+    let (mut cold_log, mut cps, mut pool) = (StreamLog::default(), Vec::new(), EvalPool::new());
+    let capture = CaptureEvery(every, &mut cps);
+    sim.execute(make, &mut pool, &mut oracle(), &mut cold_log, capture)
+        .unwrap();
+    let cold = pool.into_run();
+    // Capture leaves the stream alone.
+    let mut plain = StreamLog::default();
+    observed(&sim, &mut oracle(), &mut plain, make);
+    assert_eq!(plain, cold_log, "{kind:?}: capture changed the stream");
+    for cp in &cps {
+        let at = cp.messages();
+        let mut log = StreamLog::default();
+        let run = resumed(&sim, cp, oracle(), &mut log);
+        let tail: Vec<_> = (cold_log.dispatched.iter())
+            .filter(|d| d.0 >= at)
+            .copied()
+            .collect();
+        assert_eq!(
+            log.dispatched, tail,
+            "{kind:?}: dispatches from message {at}"
+        );
+        let before = run.trace.len() - log.delivered.len();
+        assert!(before as u64 <= cp.events());
+        assert_eq!(
+            log.delivered[..],
+            cold_log.delivered[before..],
+            "{kind:?}: deliveries from message {at}"
+        );
+        assert_eq!(run.trace.events(), &cold_log.delivered[..]);
+        assert_eq!(run.cost, cold.cost, "{kind:?} at message {at}");
+    }
+    cps.len()
+}
+
+#[test]
+fn observed_resume_reports_the_cold_runs_suffix() {
+    for kind in [CoreKind::Bucket, CoreKind::Heap] {
+        // GHS replaying a mutated recording: the resumed oracle answers
+        // by message index, so it needs no state from the prefix.
+        for seed in 0..6u64 {
+            let g =
+                generators::connected_gnp(12, 0.3, generators::WeightDist::Uniform(1, 16), seed);
+            let mut rec = Recorder::new(ModelOracle::new(DelayModel::Uniform, seed));
+            Simulator::new(&g)
+                .run_with_oracle(&mut rec, Ghs::new)
+                .unwrap();
+            let mutant = cost_sensitive::adversary::Mutation::new()
+                .delay_flips(4)
+                .apply(&rec.into_schedule(Fallback::WorstCase), seed);
+            let every = 3 + 7 * seed;
+            let oracle = || ScheduleOracle::new(&mutant);
+            let n = observed_resumes_continue_the_cold_stream(&g, kind, every, oracle, Ghs::new);
+            assert!(n > 2, "{kind:?}, seed {seed}: {n} checkpoints");
+        }
+        // The self-healing stack under a crash-and-rejoin and a weight
+        // revision: heartbeats, watch timers and a stashed rejoin state
+        // in the checkpoints, and a resuming oracle with no plan of its
+        // own (the checkpoint carries it).
+        let g = generators::connected_gnp(12, 0.3, generators::WeightDist::Uniform(1, 16), 42);
+        let churn = || {
+            ChurnOracle::new(
+                ModelOracle::new(DelayModel::WorstCase, 0),
+                vec![(NodeId::new(5), vec![SimTime::new(20), SimTime::new(120)])],
+                vec![(EdgeId::new(3), SimTime::new(60), Weight::new(2))],
+            )
+        };
+        let make = |v, g: &WeightedGraph| {
+            let inner = Resilient::new(v, NodeId::new(0), Metric::Weighted, g);
+            Detect::new(inner, DetectConfig::new(4, 60, 0))
+        };
+        let n = observed_resumes_continue_the_cold_stream(&g, kind, 16, churn, make);
+        assert!(n > 20, "{kind:?}: {n} checkpoints");
     }
 }
 
@@ -286,14 +413,11 @@ proptest! {
         };
         let oracle = || oracle_for(&spec, mutant.as_ref());
         let mut flat_log = StreamLog::default();
-        let flat = Simulator::new(&g)
-            .run_observed(oracle().as_mut(), &mut flat_log, Ghs::new)
-            .unwrap();
+        let flat = observed(&Simulator::new(&g), oracle().as_mut(), &mut flat_log, Ghs::new);
         let mut heap_log = StreamLog::default();
-        let heap = Simulator::new(&g)
-            .core(CoreKind::Heap)
-            .run_observed(oracle().as_mut(), &mut heap_log, Ghs::new)
-            .unwrap();
+        let mut heap_sim = Simulator::new(&g);
+        heap_sim.core(CoreKind::Heap);
+        let heap = observed(&heap_sim, oracle().as_mut(), &mut heap_log, Ghs::new);
         let mut base_log = StreamLog::default();
         let base = BaselineSimulator::new(&g)
             .run_observed(oracle().as_mut(), &mut base_log, Ghs::new)
@@ -351,9 +475,7 @@ proptest! {
             .position(|(a, b)| a.delay != b.delay)
             .unwrap_or(mutant.decisions.len()) as u64;
         if let Some(cp) = cps.iter().rev().find(|cp| cp.messages() <= first_diff) {
-            let resumed = sim
-                .resume(cp, &mut ScheduleOracle::new(&mutant))
-                .unwrap();
+            let resumed = resumed(&sim, cp, ScheduleOracle::new(&mutant), &mut StreamLog::default());
             let cold = sim
                 .run_with_oracle(&mut ScheduleOracle::new(&mutant), Ghs::new)
                 .unwrap();
@@ -405,7 +527,8 @@ proptest! {
             prop_assert_eq!(format!("{:?}", cold.states), format!("{:?}", base.states));
             sim.core(resumes);
             for cp in &cps {
-                let resumed = sim.resume(cp, &mut ScheduleOracle::new(&schedule)).unwrap();
+                let oracle = ScheduleOracle::new(&schedule);
+                let resumed = resumed(&sim, cp, oracle, &mut StreamLog::default());
                 prop_assert_eq!(&resumed.cost, &cold.cost);
                 prop_assert_eq!(resumed.trace.events(), cold.trace.events());
                 prop_assert_eq!(

@@ -127,13 +127,21 @@ where
     O: LinkOracle + Send,
 {
     let mut bucket = StreamLog::default();
-    let run = Simulator::new(g)
-        .run_observed(&mut oracle(), &mut bucket, make)
+    let mut pool = EvalPool::new();
+    Simulator::new(g)
+        .execute(make, &mut pool, &mut oracle(), &mut bucket, NoCapture)
         .unwrap();
+    let run = pool.into_run();
     let mut heap = StreamLog::default();
     Simulator::new(g)
         .core(CoreKind::Heap)
-        .run_observed(&mut oracle(), &mut heap, make)
+        .execute(
+            make,
+            &mut EvalPool::new(),
+            &mut oracle(),
+            &mut heap,
+            NoCapture,
+        )
         .unwrap();
     let mut par = StreamLog::default();
     ShardedSimulator::new(g)
@@ -275,7 +283,7 @@ proptest! {
         let mut seq_log = StreamLog::default();
         let mut par_log = StreamLog::default();
         Simulator::new(&g)
-            .run_observed(oracle().as_mut(), &mut seq_log, Ghs::new)
+            .execute(Ghs::new, &mut EvalPool::new(), oracle().as_mut(), &mut seq_log, NoCapture)
             .unwrap();
         ShardedSimulator::new(&g)
             .threads(shards)
